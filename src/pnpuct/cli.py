@@ -120,11 +120,11 @@ def _cmd_dc_remove(args):
     stack = read_stack(args.stack)
     code = load_code(args.code)
     timing = _timing_from_args(args, stack)
-    removed, fits = remove_dc_stack(stack, code, timing)
+    removed, fit_map = remove_dc_stack(stack, code, timing)
     write_stack(removed, args.output)
     print(f"wrote DC-removed stack to {args.output}")
     if args.fit_map:
-        export_fit_map_csv(fits, args.fit_map)
+        export_fit_map_csv(fit_map, args.fit_map)
         print(f"wrote fit map to {args.fit_map}")
     return 0
 

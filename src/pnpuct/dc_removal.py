@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import expected_bias
-from .errors import BiasMismatch, DegenerateTrace
+from .errors import BiasMismatch, DegenerateTrace, ShapeMismatch
 from .stack import ThermogramStack
 
 _EXPONENTS = (1.0, 0.75, 0.5)
@@ -36,7 +36,6 @@ class DcFit:
     a2: float
     a3: float
     rms_residual: float
-    bias_used: float = 0.0
 
     @property
     def coefficients(self):
@@ -46,59 +45,78 @@ class DcFit:
         return design_matrix(times) @ self.coefficients
 
 
-class _PatternSolver:
-    """Exact 3-variable NNLS by exhaustive active-set enumeration.
+# Pixel columns per solve. Every block, the last one and a single trace
+# included, is zero-padded to this width, so each column goes through
+# the same BLAS calls and its fit does not depend on its neighbours.
+_BLOCK = 256
 
-    With three coefficients there are eight sign patterns; solving the
-    unconstrained least squares on every subset of columns and keeping
-    the best feasible one is exactly optimal for this convex problem.
+
+def _fit_and_remove(traces, dt, keep):
+    """Trend fit and removal for every column of an (n, n_pix) array.
+
+    Exact 3-variable NNLS: with B = QR and z = Q^T y, the subset S of
+    columns leaves the residual |y|^2 - |z|^2 + |z - R_S c_S|^2, so all
+    seven active sets are solved on the 3-vectors z. From the zero fit, a
+    set replaces the best one only if it is feasible and better, in mask
+    order 1..7, by more than the rounding of z: (n * eps * |z|)^2, which
+    keeps exact the zero coefficients of a trace in the trend family.
+    Each trace loses (1 - keep) times its trend. Returns the float32
+    result and (n_pix, 4) rows of a1, a2, a3, rms; all-zero or
+    non-finite columns give zero output and a NaN row.
     """
-
-    def __init__(self, times):
-        self.matrix = design_matrix(times)
-        self.subsets = []
-        for mask in range(8):
-            idx = [i for i in range(3) if mask >> i & 1]
-            cols = self.matrix[:, idx]
-            # pseudo-inverse per subset, reused across pixels of a stack
-            pinv = np.linalg.pinv(cols) if idx else None
-            self.subsets.append((idx, cols, pinv))
-
-    def solve(self, trace):
-        best_coefs, best_sq = np.zeros(3), float(np.dot(trace, trace))
-        for idx, cols, pinv in self.subsets[1:]:
-            sol = pinv @ trace
-            if np.any(sol < 0):
-                continue
-            resid = trace - cols @ sol
-            sq = float(np.dot(resid, resid))
-            if sq < best_sq:
-                best_sq = sq
-                best_coefs = np.zeros(3)
-                best_coefs[idx] = sol
-        return best_coefs, np.sqrt(max(best_sq, 0.0) / len(trace))
-
-
-def _check_trace(trace):
-    trace = np.asarray(trace, dtype=float)
-    if not np.isfinite(trace).all():
-        raise DegenerateTrace("trace contains non-finite samples")
-    if not np.any(trace):
-        raise DegenerateTrace("trace is identically zero")
-    return trace
+    n, n_pix = traces.shape
+    basis = design_matrix(np.arange(n) * dt)
+    q, r = np.linalg.qr(basis)
+    subsets = []
+    for mask in range(1, 8):
+        idx = [i for i in range(3) if mask >> i & 1]
+        subsets.append((np.linalg.pinv(r[:, idx]), r[:, idx], np.eye(3)[:, idx]))
+    out = np.empty((n, n_pix), dtype=np.float32)
+    fits = np.empty((n_pix, 4))
+    y, res = np.empty((n, _BLOCK)), np.empty((n, _BLOCK))
+    for start in range(0, n_pix, _BLOCK):
+        m = min(_BLOCK, n_pix - start)
+        y[:, :m] = traces[:, start: start + m]
+        y[:, m:] = 0.0
+        z = q.T @ y
+        valid = np.isfinite(z).all(axis=0) & y.any(axis=0)
+        y[:, ~valid] = 0.0
+        z[:, ~valid] = 0.0
+        best = np.einsum("ij,ij->j", z, z)
+        margin = (n * np.finfo(float).eps) ** 2 * best
+        coefs = np.zeros((3, _BLOCK))
+        for pinv, cols, lift in subsets:
+            sol = pinv @ z
+            gap = z - cols @ sol
+            sq = np.einsum("ij,ij->j", gap, gap)
+            better = (sol >= 0).all(axis=0) & (sq < best - margin)
+            best = np.where(better, sq, best)
+            coefs = np.where(better, lift @ sol, coefs)
+        trend = basis @ coefs
+        np.subtract(y, trend, out=res)
+        rms = np.sqrt(np.einsum("ij,ij->j", res, res) / n)
+        trend *= 1.0 - keep
+        y -= trend
+        out[:, start: start + m] = y[:, :m]
+        fits[start: start + m] = np.where(valid, np.vstack([coefs, rms]),
+                                          np.nan)[:, :m].T
+    return out, fits
 
 
 def fit_dc(trace, timing) -> DcFit:
     """Non-negative least-squares trend fit of a pixel trace.
 
     Times are n * dt from the timing. The solution is the global
-    optimum of the constrained problem.
+    optimum of the constrained problem, and equals the fit the same
+    trace gets inside :func:`remove_dc_stack`.
     """
-    trace = _check_trace(trace)
-    times = np.arange(len(trace)) * timing.dt
-    coefs, rms = _PatternSolver(times).solve(trace)
-    return DcFit(a1=float(coefs[0]), a2=float(coefs[1]), a3=float(coefs[2]),
-                 rms_residual=float(rms))
+    trace = np.asarray(trace, dtype=float)
+    if not np.isfinite(trace).all():
+        raise DegenerateTrace("trace contains non-finite samples")
+    if not np.any(trace):
+        raise DegenerateTrace("trace is identically zero")
+    _, fits = _fit_and_remove(trace[:, None], timing.dt, 0.0)
+    return DcFit(*fits[0].tolist())
 
 
 def _validate_bias(code):
@@ -126,34 +144,18 @@ def remove_dc(trace, fit, code, timing) -> np.ndarray:
 def remove_dc_stack(stack, code, timing):
     """Pixelwise fit and removal over a whole stack.
 
-    Returns the DC-removed stack and a (ny, nx) object array of DcFit
-    entries; pixels rejected as degenerate hold None and pass through
-    as zero traces.
+    Returns the DC-removed stack and a (ny, nx, 4) float64 fit map of
+    a1, a2, a3 and rms residual per pixel; pixels rejected as degenerate
+    hold NaN rows and pass through as zero traces.
     """
     bias = _validate_bias(code)
     n_frames = stack.n_frames
     expected = timing.total_frames(code.n_bit)
     if n_frames != expected:
-        raise ValueError(
+        raise ShapeMismatch(
             f"stack has {n_frames} frames, timing implies {expected}")
-    times = np.arange(n_frames) * timing.dt
-    solver = _PatternSolver(times)
-    basis = solver.matrix
-    out = np.zeros((n_frames, stack.ny, stack.nx), dtype=np.float64)
-    fits = np.empty((stack.ny, stack.nx), dtype=object)
-    for jy in range(stack.ny):
-        for jx in range(stack.nx):
-            trace = stack.data[:, jy, jx].astype(np.float64)
-            try:
-                trace = _check_trace(trace)
-            except DegenerateTrace:
-                fits[jy, jx] = None
-                continue
-            coefs, rms = solver.solve(trace)
-            fits[jy, jx] = DcFit(a1=float(coefs[0]), a2=float(coefs[1]),
-                                 a3=float(coefs[2]), rms_residual=float(rms),
-                                 bias_used=bias)
-            out[:, jy, jx] = trace - (1.0 - bias) * (basis @ coefs)
+    out, fits = _fit_and_remove(stack.data.reshape(n_frames, -1), timing.dt,
+                                bias)
     metadata = dict(stack.metadata)
     metadata.update({
         "stage": "dc_removed",
@@ -161,22 +163,19 @@ def remove_dc_stack(stack, code, timing):
         "code_n_bit": str(code.n_bit),
         "bias": repr(bias),
     })
-    removed = ThermogramStack(data=out.astype(np.float32), fps=stack.fps,
-                              metadata=metadata)
-    return removed, fits
+    removed = ThermogramStack(data=out.reshape(stack.data.shape),
+                              fps=stack.fps, metadata=metadata)
+    return removed, fits.reshape(stack.ny, stack.nx, 4)
 
 
 def export_fit_map_csv(fits, path):
-    """Diagnostic CSV of per-pixel fit coefficients (j_x, j_y, a1, a2, a3, rms)."""
-    ny, nx = fits.shape
+    """Diagnostic CSV of a (ny, nx, 4) fit map (j_x, j_y, a1, a2, a3, rms).
+
+    Degenerate pixels, NaN rows in the map, print as nan.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j_x", "j_y", "a1", "a2", "a3", "rms"])
-        for jy in range(ny):
-            for jx in range(nx):
-                fit = fits[jy, jx]
-                if fit is None:
-                    writer.writerow([jx, jy, "nan", "nan", "nan", "nan"])
-                else:
-                    writer.writerow([jx, jy, repr(fit.a1), repr(fit.a2),
-                                     repr(fit.a3), repr(fit.rms_residual)])
+        for jy, row in enumerate(np.asarray(fits, dtype=float).tolist()):
+            for jx, fit in enumerate(row):
+                writer.writerow([jx, jy, *map(repr, fit)])

@@ -85,6 +85,10 @@ class TruncatedFile(PnPuctError):
     """Stack file shorter than its header promises."""
 
 
+class TrailingBytes(PnPuctError):
+    """Stack file longer than its header promises."""
+
+
 class NonFiniteData(PnPuctError):
     """Stack data containing NaN or infinity."""
 

@@ -149,10 +149,10 @@ def run_pipeline(config, out_dir=None, seed=None):
             options["decimate_average"])
         emit("decimated_stack", "decimated_stack.tgs", write_stack, raw)
 
-    removed, fits = _stage(
+    removed, fit_map = _stage(
         "dc_removal", remove_dc_stack, raw, modified_code, comp_timing)
     emit("dc_removed_stack", "dc_removed.tgs", write_stack, removed)
-    emit("fit_map", "fit_map.csv", export_fit_map_csv, fits)
+    emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
 
     compressed = _stage(
         "compress", compress_stack, removed, modified_code, comp_timing,

@@ -4,7 +4,7 @@ Layout of a TGS1 file, all integers little-endian:
 
     bytes 0..3    magic "TGS1"
     bytes 4..15   uint32 nx, ny, n_frames
-    bytes 16..19  float32 fps
+    bytes 16..19  float32 fps (exact k / t_bit when the metadata holds both)
     bytes 20..23  uint32 metadata byte length
     ...           UTF-8 metadata, one "key = value" per line
     ...           frames, time-major then row-major, float32
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagic, IndexOutOfRange, NonFiniteData, TruncatedFile
+from .errors import (BadMagic, IndexOutOfRange, NonFiniteData, TrailingBytes,
+                     TruncatedFile)
 
 MAGIC = b"TGS1"
 FORMAT_VERSION = "TGS1"
@@ -125,11 +126,29 @@ def read_stack(path) -> ThermogramStack:
     if len(blob) < expected:
         raise TruncatedFile(
             f"{path}: expected {expected} bytes, found {len(blob)}")
+    if len(blob) > expected:
+        raise TrailingBytes(
+            f"{path}: {len(blob) - expected} trailing bytes after the frames")
     data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
     data = data.astype(np.float32).reshape(n_frames, ny, nx)
     if not np.isfinite(data).all():
         raise NonFiniteData(f"{path}: non-finite samples")
-    return ThermogramStack(data=data, fps=float(fps), metadata=metadata)
+    return ThermogramStack(data=data, fps=_exact_fps(fps, metadata),
+                           metadata=metadata)
+
+
+def _exact_fps(stored, metadata):
+    """Frame rate without the float32 rounding of the header.
+
+    A rate such as 0.1 fps is not a float32, so the header alone breaks
+    the integer t_bit * fps of the timing. When the metadata records k
+    and t_bit and k / t_bit rounds to the stored value, that is the rate.
+    """
+    try:
+        exact = int(metadata["k"]) / float(metadata["t_bit"])
+    except (KeyError, ValueError, ZeroDivisionError):
+        return float(stored)
+    return exact if np.float32(exact) == np.float32(stored) else float(stored)
 
 
 def export_slice(stack, time_index, path):

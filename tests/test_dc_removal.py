@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 from pnpuct import (
@@ -10,6 +12,7 @@ from pnpuct import (
     PixelModel,
     PnCode,
     SceneConfig,
+    ShapeMismatch,
     ThermogramStack,
     Timing,
     build_bipolar,
@@ -198,11 +201,11 @@ class TestRemoveDcStack:
         scene = SceneConfig(nx=3, ny=2, background=SOUND)
         stack = self._stack(scene, timing, ls31)
         removed, fits = remove_dc_stack(stack, ls31_plus, timing)
-        reference = fits[0, 0]
-        for fit in fits.ravel():
-            assert fit == reference
+        assert fits.shape == (2, 3, 4)
+        for fit in fits.reshape(-1, 4):
+            np.testing.assert_array_equal(fit, fits[0, 0])
         assert removed.metadata["stage"] == "dc_removed"
-        assert fits[0, 0].bias_used == ls31_plus.bias
+        assert float(removed.metadata["bias"]) == ls31_plus.bias
 
     def test_energy_ordering_across_bit_durations(self):
         # four bit durations at 40 fps on a sound pixel: the coded ripple
@@ -229,19 +232,29 @@ class TestRemoveDcStack:
         broken = ThermogramStack(data=data, fps=stack.fps,
                                  metadata=stack.metadata)
         removed, fits = remove_dc_stack(broken, ls31_plus, timing)
-        assert fits[0, 1] is None
-        assert fits[0, 0] is not None
+        assert np.isnan(fits[0, 1]).all()
+        assert np.isfinite(fits[0, 0]).all()
         np.testing.assert_array_equal(removed.data[:, 0, 1], 0.0)
         clean, clean_fits = remove_dc_stack(stack, ls31_plus, timing)
         np.testing.assert_array_equal(removed.data[:, 0, 0],
                                       clean.data[:, 0, 0])
-        assert clean_fits[0, 0] == fits[0, 0]
+        np.testing.assert_array_equal(clean_fits[0, 0], fits[0, 0])
+
+    def test_non_finite_pixel_flagged(self, ls31, ls31_plus):
+        timing = Timing(t_bit=1.0, fps=4.0, n_per=2)
+        stack = self._stack(SceneConfig(nx=2, ny=1, background=SOUND),
+                            timing, ls31)
+        stack.data[5, 0, 1] = np.inf
+        removed, fits = remove_dc_stack(stack, ls31_plus, timing)
+        assert np.isnan(fits[0, 1]).all()
+        assert np.isfinite(fits[0, 0]).all()
+        np.testing.assert_array_equal(removed.data[:, 0, 1], 0.0)
 
     def test_frame_count_validated(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=4.0, n_per=2)
         stack = ThermogramStack(data=np.ones((10, 2, 2), dtype=np.float32),
                                 fps=4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch):
             remove_dc_stack(stack, ls31_plus, timing)
 
     def test_fit_map_csv(self, tmp_path, ls31, ls31_plus):
@@ -255,4 +268,102 @@ class TestRemoveDcStack:
         assert lines[0] == "j_x,j_y,a1,a2,a3,rms"
         assert len(lines) == 5
         first = lines[1].split(",")
-        assert float(first[4]) == pytest.approx(fits[0, 0].a3)
+        assert float(first[4]) == pytest.approx(fits[0, 0, 2])
+
+
+LS7_PLUS = modify_for_perfect_pacf(generate_ls(7))
+
+
+@st.composite
+def trend_stacks(draw, max_pixels):
+    """Noisy trend-family stacks whose generating coefficients have the
+    signs of a drawn mask, so that NNLS clamps zero to three of them."""
+    timing = Timing(t_bit=1.0, fps=draw(st.sampled_from([1.0, 2.0, 5.0])),
+                    n_per=draw(st.sampled_from([2, 3])))
+    ny = draw(st.integers(1, 3))
+    nx = draw(st.integers(1, max_pixels // ny))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = timing.total_frames(7)
+    signs = np.where([draw(st.integers(0, 7)) >> i & 1 for i in range(3)],
+                     1.0, -1.0)
+    coefs = signs[:, None] * np.abs(rng.normal(size=(3, ny * nx)))
+    noise = draw(st.floats(1e-3, 1.0))
+    traces = design_matrix(times_for(timing, n)) @ coefs
+    traces += noise * rng.normal(size=traces.shape)
+    stack = ThermogramStack(data=traces.reshape(n, ny, nx), fps=timing.fps)
+    return stack, timing
+
+
+def strictly_complementary(basis, trace, coefs):
+    """Optimum away from the boundary, so its coefficients are well posed:
+    kept ones clearly positive, clamped ones with a clearly negative
+    gradient."""
+    grad = basis.T @ (trace - basis @ coefs)
+    kept = coefs > 1e-6 * np.abs(coefs).max()
+    return (np.all(coefs[~kept] == 0)
+            and np.all(grad[~kept] < -1e-6 * np.abs(basis.T @ trace).max()))
+
+
+class TestWholeStackSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(trend_stacks(max_pixels=24))
+    def test_matches_scipy_nnls_per_pixel(self, case):
+        stack, timing = case
+        _, fits = remove_dc_stack(stack, LS7_PLUS, timing)
+        basis = design_matrix(times_for(timing, stack.n_frames))
+        traces = stack.data.reshape(stack.n_frames, -1).astype(np.float64)
+        for trace, fit in zip(traces.T, fits.reshape(-1, 4)):
+            expected, rnorm = scipy_nnls(basis, trace)
+            coefs, rms = fit[:3], fit[3]
+            assert np.all(coefs >= 0)
+            objective = np.sum((trace - basis @ coefs) ** 2)
+            assert objective == pytest.approx(rnorm ** 2, rel=1e-9)
+            assert len(trace) * rms ** 2 == pytest.approx(objective, rel=1e-12)
+            if strictly_complementary(basis, trace, expected):
+                np.testing.assert_allclose(
+                    coefs, expected, rtol=1e-7,
+                    atol=1e-9 * np.abs(expected).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(trend_stacks(max_pixels=300), st.data())
+    def test_fit_dc_is_the_stack_row(self, case, data):
+        stack, timing = case
+        _, fits = remove_dc_stack(stack, LS7_PLUS, timing)
+        jy = data.draw(st.integers(0, stack.ny - 1))
+        jx = data.draw(st.integers(0, stack.nx - 1))
+        fit = fit_dc(stack.data[:, jy, jx], timing)
+        assert ([fit.a1, fit.a2, fit.a3, fit.rms_residual]
+                == fits[jy, jx].tolist())
+
+    @settings(max_examples=40, deadline=None)
+    @given(trend_stacks(max_pixels=300), st.data())
+    def test_zero_columns_leave_neighbours_alone(self, case, data):
+        stack, timing = case
+        n_pix = stack.ny * stack.nx
+        dead = data.draw(st.lists(st.integers(0, n_pix - 1), min_size=1,
+                                  unique=True))
+        alive = np.setdiff1d(np.arange(n_pix), dead)
+        broken = stack.data.reshape(stack.n_frames, -1).copy()
+        broken[:, dead] = 0.0
+        removed, fits = remove_dc_stack(
+            ThermogramStack(data=broken.reshape(stack.data.shape),
+                            fps=stack.fps), LS7_PLUS, timing)
+        clean, clean_fits = remove_dc_stack(stack, LS7_PLUS, timing)
+        out = removed.data.reshape(stack.n_frames, -1)
+        fits = fits.reshape(-1, 4)
+        assert np.isnan(fits[dead]).all()
+        np.testing.assert_array_equal(out[:, dead], 0.0)
+        np.testing.assert_array_equal(fits[alive],
+                                      clean_fits.reshape(-1, 4)[alive])
+        np.testing.assert_array_equal(
+            out[:, alive], clean.data.reshape(stack.n_frames, -1)[:, alive])
+
+    def test_fit_map_csv_text(self, tmp_path):
+        fits = np.array([[[0.1, 0.0, 2.5, 1e-3], [np.nan] * 4]])
+        path = tmp_path / "fits.csv"
+        export_fit_map_csv(fits, path)
+        assert path.read_text().splitlines() == [
+            "j_x,j_y,a1,a2,a3,rms",
+            "0,0,0.1,0.0,2.5,0.001",
+            "1,0,nan,nan,nan,nan",
+        ]

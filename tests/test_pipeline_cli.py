@@ -244,6 +244,25 @@ class TestCli:
         assert main(["metrics", "snr", "--stack", compressed,
                      "--signal", "0,0,2,2", "--reference", "2,0,2,3"]) == 0
 
+    def test_slow_frame_rate_round_trip(self, tmp_path):
+        # fps = 0.1 is stored as float32; the chain must still find K = 1
+        code_std = str(tmp_path / "std.txt")
+        code_plus = str(tmp_path / "plus.txt")
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])
+        main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7",
+              "-o", code_plus])
+        raw = str(tmp_path / "raw.tgs")
+        assert main(["sim", "run", "--scene", self._scene(tmp_path),
+                     "--code", code_std, "--t-bit", "10", "--fps", "0.1",
+                     "-o", raw]) == 0
+        removed = str(tmp_path / "dc.tgs")
+        assert main(["dc", "remove", "--stack", raw, "--code", code_plus,
+                     "-o", removed]) == 0
+        compressed = str(tmp_path / "comp.tgs")
+        assert main(["puct", "compress", "--stack", removed,
+                     "--code", code_plus, "-o", compressed]) == 0
+        assert read_stack(compressed).n_frames == 7
+
     def test_decimate_command(self, tmp_path):
         code_std = str(tmp_path / "std.txt")
         main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])

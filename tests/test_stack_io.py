@@ -11,6 +11,7 @@ from pnpuct import (
     RectPulse,
     ThermogramStack,
     Timing,
+    TrailingBytes,
     TruncatedFile,
     export_pixel_trace,
     export_slice,
@@ -93,6 +94,29 @@ class TestRoundTrip:
         path.write_bytes(blob[:10])
         with pytest.raises(TruncatedFile):
             read_stack(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        stack = small_stack()
+        path = tmp_path / "long.tgs"
+        write_stack(stack, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(TrailingBytes):
+            read_stack(path)
+
+    def test_exact_fps_from_timing_metadata(self, tmp_path):
+        # 0.1 is not a float32; the header alone reads back 0.10000000149
+        stack = ThermogramStack(data=np.ones((2, 1, 1), dtype=np.float32),
+                                fps=0.1, metadata={"t_bit": "10.0", "k": "1"})
+        path = tmp_path / "slow.tgs"
+        write_stack(stack, path)
+        assert read_stack(path).fps == 0.1
+        write_stack(ThermogramStack(data=stack.data, fps=0.1), path)
+        assert read_stack(path).fps == float(np.float32(0.1))
+        # metadata that disagrees with the header does not override it
+        write_stack(ThermogramStack(data=stack.data, fps=0.1,
+                                    metadata={"t_bit": "10.0", "k": "2"}),
+                    path)
+        assert read_stack(path).fps == float(np.float32(0.1))
 
     def test_non_finite_rejected_on_read(self, tmp_path):
         stack = small_stack()
