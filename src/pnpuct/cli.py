@@ -14,8 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import codes as codes_mod
-from .codes import (CODE_TABLE_VERSION, MlsSpec, load_code, pacf, save_code)
+from .codes import CODE_TABLE_VERSION, load_code, make_codes, pacf, save_code
 from .compression import (Normalization, compress_stack, decimate_to_bit_rate,
                           snr_metric)
 from .dc_removal import export_fit_map_csv, remove_dc_stack
@@ -30,37 +29,26 @@ from .waveform import (Timing, build_bipolar, build_matched_filter,
 
 
 def _timing_from_args(args, stack=None):
-    t_bit = args.t_bit
-    n_per = args.n_per
-    fps = getattr(args, "fps", None)
+    t_bit, fps, n_per = args.t_bit, args.fps, args.n_per
     if stack is not None:
-        fps = fps or stack.fps
         meta = stack.metadata
+        if fps is None:
+            fps = stack.fps
         if t_bit is None and "t_bit" in meta:
             t_bit = float(meta["t_bit"])
         if n_per is None and "n_per" in meta:
             n_per = int(meta["n_per"])
     if t_bit is None or fps is None:
         raise PnPuctError("t_bit/fps not in stack metadata; pass --t-bit/--fps")
-    return Timing(t_bit=t_bit, fps=fps, n_per=n_per if n_per else 2)
+    if n_per is None:
+        return Timing(t_bit=t_bit, fps=fps)
+    return Timing(t_bit=t_bit, fps=fps, n_per=n_per)
 
 
 def _cmd_seq_gen(args):
-    kind = args.kind.replace("-", "_")
-    if kind.startswith("mls"):
-        taps = tuple(int(t) for t in args.taps.split(",")) if args.taps else None
-        seed = (tuple(int(s) for s in args.lfsr_seed.split(","))
-                if args.lfsr_seed else None)
-        code = codes_mod.generate_mls(
-            MlsSpec(order=args.order, tap_coefficients=taps, seed=seed))
-        if kind == "mls_plus":
-            code = codes_mod.modify_for_perfect_pacf(code)
-    else:
-        code = codes_mod.generate_ls(args.n_bit)
-        if kind == "ls_plus":
-            code = codes_mod.modify_for_perfect_pacf(code)
-        elif kind == "ls4_plus":
-            code = codes_mod.binarize_ls4(code, args.sign)
+    _, code = make_codes(args.kind.replace("-", "_"), n_bit=args.n_bit,
+                         order=args.order, taps=args.taps,
+                         seed=args.lfsr_seed, sign=args.sign)
     save_code(code, args.output)
     print(f"wrote {code.kind.value} n_bit={code.n_bit} to {args.output}")
     return 0
@@ -86,7 +74,7 @@ def _cmd_seq_verify(args):
 
 def _cmd_wave_gen(args):
     code = load_code(args.code)
-    timing = Timing(t_bit=args.t_bit, fps=args.fps, n_per=args.n_per or 2)
+    timing = _timing_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     bipolar = build_bipolar(code, timing)
     unipolar = build_unipolar(bipolar, args.amplitude)
@@ -108,7 +96,7 @@ def _cmd_sim_run(args):
     if args.seed is not None:
         scene = dataclasses.replace(scene, rng_seed=args.seed)
     code = load_code(args.code)
-    timing = Timing(t_bit=args.t_bit, fps=args.fps, n_per=args.n_per or 2)
+    timing = _timing_from_args(args)
     unipolar = build_unipolar(build_bipolar(code, timing), args.amplitude)
     stack = simulate_stack(scene, unipolar)
     write_stack(stack, args.output)
@@ -227,7 +215,7 @@ def build_parser():
     wgen.add_argument("--code", required=True)
     wgen.add_argument("--t-bit", type=float, required=True)
     wgen.add_argument("--fps", type=float, required=True)
-    wgen.add_argument("--n-per", type=int, default=2)
+    wgen.add_argument("--n-per", type=int)
     wgen.add_argument("--amplitude", type=float, default=1.0)
     wgen.add_argument("--out-dir", required=True)
     wgen.set_defaults(func=_cmd_wave_gen)
@@ -239,7 +227,7 @@ def build_parser():
     srun.add_argument("--code", required=True)
     srun.add_argument("--t-bit", type=float, required=True)
     srun.add_argument("--fps", type=float, required=True)
-    srun.add_argument("--n-per", type=int, default=2)
+    srun.add_argument("--n-per", type=int)
     srun.add_argument("--amplitude", type=float, default=1.0)
     srun.add_argument("--seed", type=int, help="override the scene rng seed")
     srun.add_argument("-o", "--output", required=True)
@@ -322,10 +310,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PnPuctError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (PnPuctError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -344,6 +344,40 @@ def binarize_ls4(code, sign) -> PnCode:
                   bias=bias, sign_choice=sign)
 
 
+def make_codes(kind, modified=None, *, n_bit=None, order=None, taps=None,
+               seed=None, sign=1):
+    """(standard, code) from code-kind names; code is the one to use.
+
+    ``kind`` is ``ls`` (needs ``n_bit``) or ``mls`` (needs ``order``; comma
+    lists ``taps`` and ``seed`` as in :class:`MlsSpec`). ``modified`` is
+    None (code is the standard one), ``ls_plus`` or ``mls_plus`` (add the
+    perfect-PACF bias) or ``ls4_plus`` (zero replaced by ``sign``). A
+    modified name passed as ``kind`` implies its standard kind.
+    """
+    if modified is None and kind in ("ls_plus", "mls_plus", "ls4_plus"):
+        kind, modified = ("mls" if kind == "mls_plus" else "ls"), kind
+    if kind == "ls":
+        if n_bit is None:
+            raise ValueError("an LS code needs n_bit")
+        standard = generate_ls(n_bit)
+    elif kind == "mls":
+        if order is None:
+            raise ValueError("an MLS code needs an order")
+        standard = generate_mls(MlsSpec(
+            order=int(order),
+            tap_coefficients=taps.split(",") if taps else None,
+            seed=seed.split(",") if seed else None))
+    else:
+        raise ValueError(f"unknown code kind {kind!r}")
+    if modified is None:
+        return standard, standard
+    if modified in ("ls_plus", "mls_plus"):
+        return standard, modify_for_perfect_pacf(standard)
+    if modified == "ls4_plus":
+        return standard, binarize_ls4(standard, sign)
+    raise ValueError(f"unknown modified kind {modified!r}")
+
+
 def pacf_values(values) -> np.ndarray:
     """Cyclic autocorrelation of a raw sequence via the convolution theorem.
 

@@ -15,7 +15,7 @@ import json
 import os
 
 from . import codes as codes_mod
-from .codes import CodeKind, MlsSpec, save_code
+from .codes import CodeKind, save_code
 from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import PipelineStageError
@@ -46,27 +46,13 @@ def _parse_config(source):
 def generate_codes(section):
     """Standard excitation code and modified compression code from [code]."""
     kind = section.get("kind", "ls").lower()
-    if kind == "ls":
-        standard = codes_mod.generate_ls(int(section["n_bit"]))
-    elif kind == "mls":
-        taps = section.get("taps", None)
-        spec = MlsSpec(
-            order=int(section["order"]),
-            tap_coefficients=tuple(int(t) for t in taps.split(",")) if taps else None,
-        )
-        standard = codes_mod.generate_mls(spec)
-    else:
-        raise ValueError(f"unknown code kind {kind!r}")
     modified_name = section.get("modified", "auto").lower()
     if modified_name == "auto":
         modified_name = "ls_plus" if kind == "ls" else "mls_plus"
-    if modified_name in ("ls_plus", "mls_plus"):
-        modified = codes_mod.modify_for_perfect_pacf(standard)
-    elif modified_name == "ls4_plus":
-        sign = int(section.get("sign", "1"))
-        modified = codes_mod.binarize_ls4(standard, sign)
-    else:
-        raise ValueError(f"unknown modified kind {modified_name!r}")
+    standard, modified = codes_mod.make_codes(
+        kind, modified_name, n_bit=section.get("n_bit"),
+        order=section.get("order"), taps=section.get("taps"),
+        sign=section.get("sign", "1"))
     # a binarized code is also the physical drive sequence
     excitation_code = modified if modified.kind is CodeKind.LS_4PLUS else standard
     return excitation_code, modified
@@ -88,17 +74,10 @@ def run_pipeline(config, out_dir=None, seed=None):
             n_per=int(parser["timing"].get("n_per", "2")),
         )
         amplitude = float(parser.get("excitation", "amplitude", fallback="1.0"))
-        comp = parser["compression"] if parser.has_section("compression") else {}
-        normalization = Normalization(
-            (comp.get("normalization", "raw") or "raw").lower())
-        options = {
-            "single_period": str(comp.get("single_period", "false")).lower()
-            in ("1", "true", "yes"),
-            "decimate": str(comp.get("decimate", "false")).lower()
-            in ("1", "true", "yes"),
-            "decimate_average": str(comp.get("decimate_average", "false")).lower()
-            in ("1", "true", "yes"),
-        }
+        normalization = Normalization((parser.get(
+            "compression", "normalization", fallback="raw") or "raw").lower())
+        options = {key: parser.getboolean("compression", key, fallback=False)
+                   for key in ("single_period", "decimate", "decimate_average")}
         directory = out_dir or parser.get("output", "directory", fallback="out")
         return timing, amplitude, normalization, options, directory
 

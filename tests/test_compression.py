@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnpuct import (
     EmptyRegion,
+    MlsSpec,
     Normalization,
     PixelModel,
     RectPulse,
@@ -12,6 +15,8 @@ from pnpuct import (
     ThermogramStack,
     Timing,
     TooFewPeriods,
+    UnmodifiedCode,
+    binarize_ls4,
     build_bipolar,
     build_matched_filter,
     build_unipolar,
@@ -20,6 +25,7 @@ from pnpuct import (
     decimate_to_bit_rate,
     fit_dc,
     generate_ls,
+    generate_mls,
     impulse_response,
     lpt_reference,
     modify_for_perfect_pacf,
@@ -32,6 +38,13 @@ from pnpuct import (
 from pipeline_helpers import run_pixel
 
 SOUND = PixelModel(diffusivity=1e-6)
+PLUS_CODES = [
+    modify_for_perfect_pacf(generate_ls(7)),
+    modify_for_perfect_pacf(generate_ls(13)),
+    modify_for_perfect_pacf(generate_mls(MlsSpec(order=3))),
+    modify_for_perfect_pacf(generate_mls(MlsSpec(order=4))),
+    binarize_ls4(generate_ls(11), -1),
+]
 
 
 class TestCompressTrace:
@@ -189,7 +202,8 @@ class TestCompressStack:
         out = compress_stack(removed, ls31_plus, timing)
         filt = build_matched_filter(ls31_plus, timing)
         trace = compress_trace(removed.pixel_trace(0, 0), filt, timing)
-        np.testing.assert_allclose(out.data[:, 0, 0], trace.values, rtol=1e-6)
+        np.testing.assert_array_equal(out.data[:, 0, 0],
+                                      np.float32(trace.values))
 
     def test_normalizations_are_exact_scalings(self, ls31, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
@@ -217,12 +231,88 @@ class TestCompressStack:
         cooling = slice(int(5 * timing.fps), int(25 * timing.fps))
         assert np.all(defect_trace[cooling] > sample_mean[cooling])
 
+    def test_unmodified_code_rejected(self, ls31):
+        timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
+        stack = ThermogramStack(data=np.ones((124, 1, 1), dtype=np.float32),
+                                fps=2.0)
+        with pytest.raises(UnmodifiedCode):
+            compress_stack(stack, ls31, timing)
+
     def test_frame_count_checked(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
         stack = ThermogramStack(data=np.ones((100, 1, 1), dtype=np.float32),
                                 fps=2.0)
         with pytest.raises(ShapeMismatch):
             compress_stack(stack, ls31_plus, timing)
+
+
+def _timing(k, n_per):
+    return Timing(t_bit=1.0, fps=float(k), n_per=n_per)
+
+
+def _output_bound(filt, *inputs):
+    """Bound on |output| of filtering inputs of these magnitudes."""
+    return np.abs(filt.taps).sum() * sum(np.abs(x).max() for x in inputs)
+
+
+class TestCompressionProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
+           n_per=st.integers(2, 4), ny=st.integers(1, 3),
+           nx=st.integers(1, 100),
+           normalization=st.sampled_from(list(Normalization)),
+           single_period=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(code=PLUS_CODES[0], k=2, n_per=3, ny=3, nx=100,
+             normalization=Normalization.PER_GAIN, single_period=False,
+             seed=0)
+    def test_trace_equals_stack_pixel(self, code, k, n_per, ny, nx,
+                                      normalization, single_period, seed):
+        timing = _timing(k, n_per)
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(timing.total_frames(code.n_bit), ny, nx))
+        stack = ThermogramStack(data=data.astype(np.float32), fps=timing.fps)
+        out = compress_stack(stack, code, timing, normalization, single_period)
+        filt = build_matched_filter(code, timing)
+        for jy in range(ny):
+            for jx in range(nx):
+                trace = compress_trace(stack.pixel_trace(jx, jy), filt,
+                                       timing, normalization, single_period)
+                np.testing.assert_array_equal(out.data[:, jy, jx],
+                                              np.float32(trace.values))
+
+    @settings(max_examples=30, deadline=None)
+    @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
+           n_per=st.integers(2, 4),
+           a=st.floats(-10, 10), b=st.floats(-10, 10),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_linearity(self, code, k, n_per, a, b, seed):
+        timing = _timing(k, n_per)
+        filt = build_matched_filter(code, timing)
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(2, timing.total_frames(code.n_bit)))
+        combined = compress_trace(a * x + b * y, filt, timing).values
+        separate = (a * compress_trace(x, filt, timing).values
+                    + b * compress_trace(y, filt, timing).values)
+        np.testing.assert_allclose(
+            combined, separate, rtol=0,
+            atol=1e-12 * _output_bound(filt, a * x, b * y))
+
+    @settings(max_examples=30, deadline=None)
+    @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
+           n_per=st.integers(2, 4), shift=st.integers(0, 10 ** 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_cyclic_shift_equivariance(self, code, k, n_per, shift, seed):
+        timing = _timing(k, n_per)
+        filt = build_matched_filter(code, timing)
+        period = len(filt.taps)
+        shift %= period
+        one_period = np.random.default_rng(seed).normal(size=period)
+        base = compress_trace(np.tile(one_period, n_per), filt, timing)
+        shifted = compress_trace(np.tile(np.roll(one_period, shift), n_per),
+                                 filt, timing)
+        np.testing.assert_allclose(
+            shifted.values, np.roll(base.values, shift), rtol=0,
+            atol=1e-12 * _output_bound(filt, one_period))
 
 
 class TestDecimate:

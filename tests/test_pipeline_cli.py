@@ -4,8 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from pnpuct import PipelineStageError, load_code, read_stack, run_pipeline
+from pnpuct import (MlsSpec, NotLs4Compatible, NotPrime, PipelineStageError,
+                    binarize_ls4, code_to_text, generate_ls, generate_mls,
+                    load_code, modify_for_perfect_pacf, read_stack,
+                    run_pipeline)
 from pnpuct.cli import main
+from pnpuct.pipeline import generate_codes
 
 SCENE_SECTIONS = """
 [scene]
@@ -132,6 +136,24 @@ directory = {tmp_path / "out"}
         compressed = read_stack(tmp_path / "out" / "compressed.tgs")
         assert compressed.n_frames == 31
         assert (tmp_path / "out" / "decimated_stack.tgs").exists()
+
+    def test_boolean_word_forms(self, tmp_path):
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out",
+                               extra="decimate = on\ndecimate_average = On")
+        run_pipeline(cfg)
+        decimated = read_stack(tmp_path / "out" / "decimated_stack.tgs")
+        assert decimated.metadata["decimated"] == "mean"
+
+    @pytest.mark.parametrize("key",
+                             ["single_period", "decimate", "decimate_average"])
+    def test_boolean_typo_rejected(self, tmp_path, key):
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out,
+                               extra=f"{key} = ture")
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "config"
+        assert not out.exists()
 
     def test_mls_route(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -263,6 +285,35 @@ class TestCli:
                      "--code", code_plus, "-o", compressed]) == 0
         assert read_stack(compressed).n_frames == 7
 
+    @pytest.mark.parametrize("command", ["wave", "sim", "dc", "compress"])
+    @pytest.mark.parametrize("flag", ["--n-per", "--fps"])
+    def test_zero_timing_flag_rejected(self, tmp_path, capsys, command, flag):
+        code_std = str(tmp_path / "std.txt")
+        code_plus = str(tmp_path / "plus.txt")
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])
+        main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7",
+              "-o", code_plus])
+        raw = str(tmp_path / "raw.tgs")
+        assert main(["sim", "run", "--scene", self._scene(tmp_path),
+                     "--code", code_std, "--t-bit", "1", "--fps", "2",
+                     "-o", raw]) == 0
+        out = tmp_path / "out"
+        timing = ["--t-bit", "1", "--fps", "2", "--n-per", "2"]
+        timing[timing.index(flag) + 1] = "0"
+        argv = {
+            "wave": ["wave", "gen", "--code", code_std, "--out-dir", str(out)],
+            "sim": ["sim", "run", "--scene", self._scene(tmp_path),
+                    "--code", code_std, "-o", str(out)],
+            "dc": ["dc", "remove", "--stack", raw, "--code", code_plus,
+                   "-o", str(out)],
+            "compress": ["puct", "compress", "--stack", raw,
+                         "--code", code_plus, "-o", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + timing) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decimate_command(self, tmp_path):
         code_std = str(tmp_path / "std.txt")
         main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])
@@ -300,3 +351,85 @@ class TestCli:
     def test_cli_missing_file_error(self, tmp_path, capsys):
         assert main(["seq", "verify", str(tmp_path / "missing.txt")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+LS31 = generate_ls(31)
+MLS5 = generate_mls(MlsSpec(order=5))
+MLS4_TAPS = generate_mls(MlsSpec(order=4, tap_coefficients=(1, 0, 0, 1),
+                                 seed=(1, -1, 1, 1)))
+
+
+class TestCodeFactory:
+    @pytest.mark.parametrize("argv, expected", [
+        ("--kind ls --n-bit 31", LS31),
+        ("--kind ls-plus --n-bit 31", modify_for_perfect_pacf(LS31)),
+        ("--kind ls4-plus --n-bit 31", binarize_ls4(LS31, 1)),
+        ("--kind ls4-plus --n-bit 31 --sign 1", binarize_ls4(LS31, 1)),
+        ("--kind ls4-plus --n-bit 31 --sign -1", binarize_ls4(LS31, -1)),
+        ("--kind ls-plus --n-bit 31 --sign -1", modify_for_perfect_pacf(LS31)),
+        ("--kind mls --order 5", MLS5),
+        ("--kind mls-plus --order 5", modify_for_perfect_pacf(MLS5)),
+        ("--kind mls --order 4 --taps 1,0,0,1 --lfsr-seed 1,-1,1,1", MLS4_TAPS),
+        ("--kind mls-plus --order 4 --taps 1,0,0,1 --lfsr-seed 1,-1,1,1",
+         modify_for_perfect_pacf(MLS4_TAPS)),
+    ])
+    def test_seq_gen_matches_generators(self, tmp_path, argv, expected):
+        path = tmp_path / "code.txt"
+        assert main(["seq", "gen", *argv.split(), "-o", str(path)]) == 0
+        assert path.read_text() == code_to_text(expected)
+
+    @pytest.mark.parametrize("argv", [
+        "--kind ls4-plus --n-bit 13",
+        "--kind ls-plus --n-bit 9",
+        "--kind ls",
+        "--kind mls-plus",
+        "--kind mls --order 4 --taps 1,0,0,0",
+    ])
+    def test_seq_gen_rejections(self, tmp_path, capsys, argv):
+        path = tmp_path / "code.txt"
+        assert main(["seq", "gen", *argv.split(), "-o", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("section, excitation, modified", [
+        ({"kind": "ls", "n_bit": "31"}, LS31, modify_for_perfect_pacf(LS31)),
+        ({"n_bit": "31", "modified": "auto"}, LS31,
+         modify_for_perfect_pacf(LS31)),
+        ({"kind": "LS", "n_bit": "31", "modified": "ls_plus"}, LS31,
+         modify_for_perfect_pacf(LS31)),
+        ({"kind": "ls", "n_bit": "31", "modified": "mls_plus"}, LS31,
+         modify_for_perfect_pacf(LS31)),
+        ({"kind": "ls", "n_bit": "31", "modified": "ls4_plus"},
+         binarize_ls4(LS31, 1), binarize_ls4(LS31, 1)),
+        ({"kind": "ls", "n_bit": "31", "modified": "ls4_plus", "sign": "-1"},
+         binarize_ls4(LS31, -1), binarize_ls4(LS31, -1)),
+        ({"kind": "mls", "order": "5"}, MLS5, modify_for_perfect_pacf(MLS5)),
+        ({"kind": "mls", "order": "5", "modified": "ls_plus"}, MLS5,
+         modify_for_perfect_pacf(MLS5)),
+        ({"kind": "mls", "order": "5", "modified": "mls_plus"}, MLS5,
+         modify_for_perfect_pacf(MLS5)),
+        ({"kind": "mls", "order": "4", "taps": "1,0,0,1",
+          "modified": "auto"},
+         generate_mls(MlsSpec(order=4, tap_coefficients=(1, 0, 0, 1))),
+         modify_for_perfect_pacf(
+             generate_mls(MlsSpec(order=4, tap_coefficients=(1, 0, 0, 1))))),
+    ])
+    def test_config_matches_generators(self, section, excitation, modified):
+        got_excitation, got_modified = generate_codes(section)
+        assert code_to_text(got_excitation) == code_to_text(excitation)
+        assert code_to_text(got_modified) == code_to_text(modified)
+
+    @pytest.mark.parametrize("section, error", [
+        ({"kind": "mls", "order": "5", "modified": "ls4_plus"},
+         NotLs4Compatible),
+        ({"kind": "ls", "n_bit": "13", "modified": "ls4_plus"},
+         NotLs4Compatible),
+        ({"kind": "ls", "n_bit": "33"}, NotPrime),
+        ({"kind": "ls_plus", "n_bit": "31"}, ValueError),
+        ({"kind": "golay", "n_bit": "32"}, ValueError),
+        ({"kind": "ls", "n_bit": "31", "modified": "plus"}, ValueError),
+        ({"kind": "ls", "n_bit": "31", "modified": "ls4-plus"}, ValueError),
+    ])
+    def test_config_rejections(self, section, error):
+        with pytest.raises(error):
+            generate_codes(section)
