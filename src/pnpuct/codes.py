@@ -451,12 +451,15 @@ def golay_pair(length):
 
 
 def reference_code(kind, length=None) -> ReferenceCode:
+    """Barker-13 (length 13), or a Golay member of a given power-of-2 length."""
     kind = ReferenceKind(kind)
     if kind is ReferenceKind.BARKER13:
         if length not in (None, 13):
             raise UnsupportedLength("Barker reference is fixed at length 13")
         return ReferenceCode(kind, _BARKER13.copy())
-    a, b = golay_pair(13 if length is None else length)
+    if length is None:
+        raise UnsupportedLength("Golay reference needs an explicit length")
+    a, b = golay_pair(length)
     return ReferenceCode(kind, a if kind is ReferenceKind.GOLAY_A else b)
 
 
@@ -469,14 +472,9 @@ def reference_autocorrelation(kind, length=None):
     """
     kind = ReferenceKind(kind)
     if kind is ReferenceKind.BARKER13:
-        if length not in (None, 13):
-            raise UnsupportedLength("Barker reference is fixed at length 13")
-        return acyclic_autocorrelation(_BARKER13)
-    if length is None:
-        raise UnsupportedLength("Golay reference needs an explicit length")
-    a, b = golay_pair(length)
-    acf_a = acyclic_autocorrelation(a)
-    acf_b = acyclic_autocorrelation(b)
+        return reference_code(kind, length).acyclic_autocorrelation()
+    acf_a, acf_b = (reference_code(k, length).acyclic_autocorrelation()
+                    for k in (ReferenceKind.GOLAY_A, ReferenceKind.GOLAY_B))
     return acf_a, acf_b, acf_a + acf_b
 
 

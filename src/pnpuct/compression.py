@@ -154,13 +154,13 @@ def decimate_to_bit_rate(stack, timing, average=False):
             new_timing)
 
 
-def _region_mean(stack, region):
+def _region_block(stack, region):
+    """(n_frames, n_pix) float64 copy of the pixels of a region."""
     if (region.x0 + region.width > stack.nx
             or region.y0 + region.height > stack.ny):
         raise EmptyRegion(f"region {region} does not fit the stack")
-    block = stack.data[:, region.y0: region.y0 + region.height,
-                       region.x0: region.x0 + region.width]
-    return block.reshape(stack.n_frames, -1).astype(np.float64).mean(axis=1)
+    block = stack.data[(slice(None),) + region.slices]
+    return block.reshape(stack.n_frames, -1).astype(np.float64)
 
 
 def snr_metric(stack, region_signal, region_reference) -> float:
@@ -177,20 +177,14 @@ def snr_metric(stack, region_signal, region_reference) -> float:
     (e.g. identical regions) returns -inf. The reference region should
     be thermally uniform and hold at least two pixels.
     """
-    same = region_signal == region_reference
-    if not same:
-        overlap = any(region_reference.contains(jx, jy)
-                      for jx, jy in region_signal.pixels())
-        if overlap:
-            raise ValueError("signal and reference regions overlap")
-    m_sig = _region_mean(stack, region_signal)
-    m_ref = _region_mean(stack, region_reference)
+    if region_signal != region_reference and all(
+            max(a.start, b.start) < min(a.stop, b.stop)
+            for a, b in zip(region_signal.slices, region_reference.slices)):
+        raise ValueError("signal and reference regions overlap")
+    m_sig = _region_block(stack, region_signal).mean(axis=1)
+    block = _region_block(stack, region_reference)
+    m_ref = block.mean(axis=1)
     contrast = float(np.abs(m_sig - m_ref).max())
-    block = stack.data[:, region_reference.y0:
-                       region_reference.y0 + region_reference.height,
-                       region_reference.x0:
-                       region_reference.x0 + region_reference.width]
-    block = block.reshape(stack.n_frames, -1).astype(np.float64)
     n_pix = block.shape[1]
     if n_pix < 2:
         noise_of_mean = 0.0

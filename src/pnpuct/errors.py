@@ -51,6 +51,10 @@ class RateMismatch(PnPuctError):
     """Impulse response and excitation sampled at different frame rates."""
 
 
+class SeriesNotConverged(PnPuctError):
+    """Image-source series still above its tail tolerance at the term cap."""
+
+
 # --- DC removal ---
 
 class DegenerateTrace(PnPuctError):

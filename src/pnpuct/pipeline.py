@@ -20,7 +20,7 @@ from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import PipelineStageError
 from .stack import export_pixel_trace, export_slice, read_stack, write_stack
-from .thermal import scene_from_parser, simulate_stack
+from .thermal import read_ini, scene_from_parser, simulate_stack
 from .waveform import (Timing, build_bipolar, build_matched_filter,
                        build_unipolar, filter_to_csv, waveform_to_csv)
 
@@ -37,10 +37,7 @@ def _stage(name, fn, *args, **kwargs):
 def _parse_config(source):
     if isinstance(source, configparser.ConfigParser):
         return source
-    parser = configparser.ConfigParser()
-    with open(source, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    return parser
+    return read_ini(source)
 
 
 def generate_codes(section):
@@ -68,11 +65,10 @@ def run_pipeline(config, out_dir=None, seed=None):
     parser = _parse_config(config)
 
     def parse_all():
-        timing = Timing(
-            t_bit=float(parser["timing"]["t_bit"]),
-            fps=float(parser["timing"]["fps"]),
-            n_per=int(parser["timing"].get("n_per", "2")),
-        )
+        section = parser["timing"]
+        n_per = {"n_per": int(section["n_per"])} if "n_per" in section else {}
+        timing = Timing(t_bit=float(section["t_bit"]),
+                        fps=float(section["fps"]), **n_per)
         amplitude = float(parser.get("excitation", "amplitude", fallback="1.0"))
         normalization = Normalization((parser.get(
             "compression", "normalization", fallback="raw") or "raw").lower())

@@ -16,6 +16,7 @@ Stacks hold 32-bit intensities (camera realistic); pipeline math runs in
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -103,38 +104,38 @@ def write_stack(stack, path):
         fh.write(struct.pack("<f", stack.fps))
         fh.write(struct.pack("<I", len(meta)))
         fh.write(meta)
-        fh.write(stack.data.astype("<f4").tobytes())
+        # no copy on a little-endian host
+        fh.write(stack.data.astype("<f4", copy=False))
 
 
 def read_stack(path) -> ThermogramStack:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: expected {MAGIC!r} header")
-    if len(blob) < 24:
-        raise TruncatedFile(f"{path}: header incomplete")
-    nx, ny, n_frames = struct.unpack_from("<III", blob, 4)
-    (fps,) = struct.unpack_from("<f", blob, 16)
-    (meta_len,) = struct.unpack_from("<I", blob, 20)
-    offset = 24
-    if len(blob) < offset + meta_len:
-        raise TruncatedFile(f"{path}: metadata incomplete")
-    metadata = _decode_metadata(blob[offset: offset + meta_len])
-    offset += meta_len
-    count = n_frames * ny * nx
-    expected = offset + 4 * count
-    if len(blob) < expected:
-        raise TruncatedFile(
-            f"{path}: expected {expected} bytes, found {len(blob)}")
-    if len(blob) > expected:
-        raise TrailingBytes(
-            f"{path}: {len(blob) - expected} trailing bytes after the frames")
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    data = data.astype(np.float32).reshape(n_frames, ny, nx)
-    if not np.isfinite(data).all():
-        raise NonFiniteData(f"{path}: non-finite samples")
-    return ThermogramStack(data=data, fps=_exact_fps(fps, metadata),
-                           metadata=metadata)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(24)
+        if header[:4] != MAGIC:
+            raise BadMagic(f"{path}: expected {MAGIC!r} header")
+        if len(header) < 24:
+            raise TruncatedFile(f"{path}: header incomplete")
+        nx, ny, n_frames, fps, meta_len = struct.unpack("<4xIIIfI", header)
+        blob = fh.read(meta_len)
+        if len(blob) < meta_len:
+            raise TruncatedFile(f"{path}: metadata incomplete")
+        metadata = _decode_metadata(blob)
+        expected = 24 + meta_len + 4 * n_frames * ny * nx
+        if size < expected:
+            raise TruncatedFile(
+                f"{path}: expected {expected} bytes, found {size}")
+        if size > expected:
+            raise TrailingBytes(
+                f"{path}: {size - expected} trailing bytes after the frames")
+        data = np.empty((n_frames, ny, nx), dtype="<f4")
+        if fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
+            raise TruncatedFile(f"{path}: frames incomplete")
+    try:
+        return ThermogramStack(data=data, fps=_exact_fps(fps, metadata),
+                               metadata=metadata)
+    except NonFiniteData as exc:
+        raise NonFiniteData(f"{path}: non-finite samples") from exc
 
 
 def _exact_fps(stored, metadata):

@@ -20,11 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc
 
-from .errors import RateMismatch
+from .errors import IndexOutOfRange, RateMismatch, SeriesNotConverged
 from .stack import ThermogramStack
-from .waveform import ExcitationWaveform, WaveformKind
+from .waveform import ExcitationWaveform, WaveformKind, excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
+# Image-series term cap: an R = 1 layer d thick needs about
+# sqrt(30 * alpha * t) / d terms, 4300 for 10 um over a 62 s run.
+_MAX_TERMS = 100000
 
 
 @dataclass(frozen=True)
@@ -66,24 +69,21 @@ class Region:
         if self.x0 < 0 or self.y0 < 0:
             raise ValueError("region origin must be non-negative")
 
-    def contains(self, jx, jy):
-        return (self.x0 <= jx < self.x0 + self.width
-                and self.y0 <= jy < self.y0 + self.height)
-
-    def pixels(self):
-        for jy in range(self.y0, self.y0 + self.height):
-            for jx in range(self.x0, self.x0 + self.width):
-                yield jx, jy
+    @property
+    def slices(self):
+        """(rows, cols) slices of the rectangle in a (ny, nx) array."""
+        return (slice(self.y0, self.y0 + self.height),
+                slice(self.x0, self.x0 + self.width))
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     """Pixel grid with a background model and rectangular defect patches.
 
-    Later defect entries take precedence where regions overlap. Noise is
-    additive white Gaussian per pixel per frame; the stream for pixel
-    (jx, jy) derives from (rng_seed, jx, jy), so evaluation order cannot
-    change the result.
+    Defects are painted in order, later ones winning, into the (ny, nx)
+    ``labels`` map of indices into ``models``, the distinct visible
+    models. Noise is additive white Gaussian per pixel per frame; the
+    stream for pixel (jx, jy) derives from (rng_seed, jx, jy).
     """
 
     nx: int
@@ -92,6 +92,8 @@ class SceneConfig:
     defects: tuple = field(default_factory=tuple)
     noise_sigma: float = 0.0
     rng_seed: int = 0
+    models: tuple = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
@@ -99,20 +101,29 @@ class SceneConfig:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         defects = tuple(self.defects)
+        index = {self.background: 0}
+        labels = np.zeros((self.ny, self.nx), dtype=np.intp)
         for region, model in defects:
             if (region.x0 + region.width > self.nx
                     or region.y0 + region.height > self.ny):
                 raise ValueError(f"defect region {region} outside the grid")
             if not isinstance(model, PixelModel):
                 raise TypeError("defect entries are (Region, PixelModel)")
+            labels[region.slices] = index.setdefault(model, len(index))
+        # no trace for a model that later defects cover completely
+        visible, labels = np.unique(labels, return_inverse=True)
+        labels = labels.reshape(self.ny, self.nx)
+        labels.flags.writeable = False
+        models = tuple(index)
         object.__setattr__(self, "defects", defects)
+        object.__setattr__(self, "models", tuple(models[i] for i in visible))
+        object.__setattr__(self, "labels", labels)
 
     def model_at(self, jx, jy) -> PixelModel:
-        model = self.background
-        for region, defect_model in self.defects:
-            if region.contains(jx, jy):
-                model = defect_model
-        return model
+        if not (0 <= jx < self.nx and 0 <= jy < self.ny):
+            raise IndexOutOfRange(
+                f"pixel ({jx}, {jy}) outside {self.nx} x {self.ny} grid")
+        return self.models[self.labels[jy, jx]]
 
 
 def _series_integral(t, c):
@@ -126,36 +137,36 @@ def _series_integral(t, c):
     return out
 
 
-def impulse_response(model, timing, duration, max_terms=100000) -> np.ndarray:
+def impulse_response(model, timing, duration) -> np.ndarray:
     """Frame-averaged discrete impulse response h[n] over ``duration`` seconds.
 
     h[n] averages the continuous kernel over [n*dt, (n+1)*dt); both the
     1/sqrt(pi*t) part and the image-source series integrate in closed
-    form (the latter via erfc). The series is truncated adaptively once
-    the next term falls below 1e-13 of the leading part, which keeps the
-    tail under 1e-12 of it.
+    form (the latter via erfc), so h is the difference of antiderivatives
+    taken at the frame edges. The series stops once the next term falls
+    below 1e-13 of the leading part, which keeps the tail under 1e-12 of
+    it; a series still above that after ``_MAX_TERMS`` terms raises
+    :class:`SeriesNotConverged`.
     """
     dt = timing.dt
     n_frames = int(round(duration * timing.fps))
     if n_frames < 1:
         raise ValueError("duration shorter than one frame")
-    n = np.arange(n_frames, dtype=float)
-    t0 = n * dt
-    t1 = t0 + dt
+    edges = np.arange(n_frames + 1, dtype=float) * dt
     a = model.amplitude_scale
-    h = 2.0 * a * (np.sqrt(t1) - np.sqrt(t0)) / (_SQRT_PI * dt)
+    h = 2.0 * a * np.diff(np.sqrt(edges)) / (_SQRT_PI * dt)
     d, r = model.defect_depth, model.reflection_coeff
     if d is None or r == 0.0:
         return h
-    t_last = t1[-1]
-    for m in range(1, max_terms + 1):
+    for m in range(1, _MAX_TERMS + 1):
         c = (m * d) ** 2 / model.diffusivity
-        h = h + 2.0 * (r ** m) * a * (
-            _series_integral(t1, c) - _series_integral(t0, c)) / dt
-        if (abs(r) ** (m + 1)) * np.exp(-((m + 1) * d) ** 2
-                                        / (model.diffusivity * t_last)) < 1e-13:
-            break
-    return h
+        h += 2.0 * (r ** m) * a * np.diff(_series_integral(edges, c)) / dt
+        tail = (abs(r) ** (m + 1)) * np.exp(
+            -((m + 1) * d) ** 2 / (model.diffusivity * edges[-1]))
+        if tail < 1e-13:
+            return h
+    raise SeriesNotConverged(
+        f"image series of {model} above 1e-13 after {_MAX_TERMS} terms")
 
 
 def respond(h, excitation, h_fps=None) -> np.ndarray:
@@ -191,64 +202,44 @@ def lpt_reference(model, pulse, timing, duration) -> np.ndarray:
 def simulate_stack(scene, excitation) -> ThermogramStack:
     """Per-pixel responses plus seeded Gaussian noise, as a thermogram stack.
 
-    Pixels sharing a model share one convolution; the per-pixel noise
-    stream is seeded by (rng_seed, jx, jy), so serial and parallel
-    evaluations are bit-identical.
+    Each distinct model of the scene gets one convolution, gathered to
+    its pixels through the label map; the per-pixel noise stream is
+    seeded by (rng_seed, jx, jy), so serial and parallel evaluations are
+    bit-identical.
     """
     timing = excitation.timing
     duration = len(excitation.samples) * timing.dt
-    traces = {}
-
-    def trace_for(model):
-        if model not in traces:
-            h = impulse_response(model, timing, duration)
-            traces[model] = respond(h, excitation)
-        return traces[model]
-
-    n_frames = len(excitation.samples)
-    data = np.empty((n_frames, scene.ny, scene.nx), dtype=np.float64)
-    for jy in range(scene.ny):
-        for jx in range(scene.nx):
-            data[:, jy, jx] = trace_for(scene.model_at(jx, jy))
+    traces = np.array([respond(impulse_response(model, timing, duration),
+                               excitation) for model in scene.models])
+    data = traces[scene.labels]
     if scene.noise_sigma > 0:
         for jy in range(scene.ny):
             for jx in range(scene.nx):
                 rng = np.random.default_rng([scene.rng_seed, jx, jy])
-                data[:, jy, jx] += rng.normal(0.0, scene.noise_sigma, n_frames)
+                data[jy, jx] += rng.normal(0.0, scene.noise_sigma,
+                                           data.shape[2])
     metadata = {
         "stage": "simulated",
         "rng_seed": str(scene.rng_seed),
         "noise_sigma": repr(scene.noise_sigma),
-        "t_bit": repr(timing.t_bit),
-        "n_per": str(timing.n_per),
-        "k": str(timing.k),
+        **excitation_metadata(excitation),
     }
-    if excitation.source_code is not None:
-        code = excitation.source_code
-        metadata["code_kind"] = code.kind.value
-        metadata["code_n_bit"] = str(code.n_bit)
-    if excitation.amplitude is not None:
-        metadata["amplitude"] = repr(excitation.amplitude)
-    return ThermogramStack(data=data.astype(np.float32), fps=timing.fps,
-                           metadata=metadata)
+    return ThermogramStack(
+        data=data.transpose(2, 0, 1).astype(np.float32, order="C"),
+        fps=timing.fps, metadata=metadata)
 
 
 # --- scene configuration files ---
 
 
 def _model_from_section(section, fallback=None):
-    def get(key, default):
-        if key in section:
-            return float(section[key])
-        return default
-
     base = fallback or PixelModel(diffusivity=1e-6)
-    depth = section.get("depth", None)
     return PixelModel(
-        diffusivity=get("diffusivity", base.diffusivity),
-        defect_depth=float(depth) if depth is not None else base.defect_depth,
-        reflection_coeff=get("reflection", base.reflection_coeff),
-        amplitude_scale=get("amplitude_scale", base.amplitude_scale),
+        diffusivity=section.getfloat("diffusivity", base.diffusivity),
+        defect_depth=section.getfloat("depth", base.defect_depth),
+        reflection_coeff=section.getfloat("reflection", base.reflection_coeff),
+        amplitude_scale=section.getfloat("amplitude_scale",
+                                         base.amplitude_scale),
     )
 
 
@@ -282,7 +273,12 @@ def load_scene_config(path) -> SceneConfig:
     x0, y0, width, height plus model fields (unset fields inherit from
     the background).
     """
-    parser = configparser.ConfigParser()
+    return scene_from_parser(read_ini(path))
+
+
+def read_ini(path) -> configparser.ConfigParser:
+    """Parse an INI file; ``;`` after whitespace starts a comment anywhere."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-    return scene_from_parser(parser)
+    return parser

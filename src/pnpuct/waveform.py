@@ -213,20 +213,25 @@ def waveform_to_csv(wave, path):
             writer.writerow([repr(n * dt), repr(float(v))])
 
 
-def waveform_to_stack(wave):
-    """Pack a waveform as a 1 x 1 trace in the binary stack container."""
+def excitation_metadata(wave) -> dict:
+    """Stack metadata of the excitation: timing, code and amplitude if known."""
     metadata = {
-        "stage": "waveform",
-        "waveform_kind": wave.kind.value,
         "t_bit": repr(wave.timing.t_bit),
         "n_per": str(wave.timing.n_per),
         "k": str(wave.timing.k),
     }
-    if wave.amplitude is not None:
-        metadata["amplitude"] = repr(wave.amplitude)
     if wave.source_code is not None:
         metadata["code_kind"] = wave.source_code.kind.value
         metadata["code_n_bit"] = str(wave.source_code.n_bit)
+    if wave.amplitude is not None:
+        metadata["amplitude"] = repr(wave.amplitude)
+    return metadata
+
+
+def waveform_to_stack(wave):
+    """Pack a waveform as a 1 x 1 trace in the binary stack container."""
+    metadata = {"stage": "waveform", "waveform_kind": wave.kind.value,
+                **excitation_metadata(wave)}
     data = np.asarray(wave.samples, dtype=np.float32).reshape(-1, 1, 1)
     return ThermogramStack(data=data, fps=wave.timing.fps, metadata=metadata)
 

@@ -275,12 +275,26 @@ class TestReferenceCodes:
         np.testing.assert_array_equal(total, [4, 0])
 
     def test_unsupported_lengths(self):
-        with pytest.raises(UnsupportedLength):
-            reference_autocorrelation(ReferenceKind.GOLAY_A, 12)
-        with pytest.raises(UnsupportedLength):
-            reference_autocorrelation(ReferenceKind.BARKER13, 7)
+        for make in (reference_code, reference_autocorrelation):
+            with pytest.raises(UnsupportedLength):
+                make(ReferenceKind.GOLAY_A, 12)
+            with pytest.raises(UnsupportedLength):
+                make(ReferenceKind.BARKER13, 7)
         with pytest.raises(UnsupportedLength):
             golay_pair(0)
+
+    @pytest.mark.parametrize("kind", ["GOLAY_A", "GOLAY_B"])
+    def test_golay_needs_explicit_length(self, kind):
+        for make in (reference_code, reference_autocorrelation):
+            with pytest.raises(UnsupportedLength, match="explicit length"):
+                make(kind)
+
+    def test_golay_codes_match_pair_autocorrelation(self):
+        acf_a, acf_b, _ = reference_autocorrelation("GOLAY_A", 8)
+        np.testing.assert_array_equal(
+            reference_code("GOLAY_A", 8).acyclic_autocorrelation(), acf_a)
+        np.testing.assert_array_equal(
+            reference_code("GOLAY_B", 8).acyclic_autocorrelation(), acf_b)
 
     def test_acyclic_autocorrelation_lag0(self):
         v = np.array([1.0, -1.0, 1.0])

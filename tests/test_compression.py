@@ -411,3 +411,25 @@ class TestSnrMetric:
         stack = self._stack(noise_sigma=0.1)
         with pytest.raises(ValueError):
             snr_metric(stack, Region(0, 0, 4, 4), Region(3, 0, 3, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_overlap_verdict_matches_pixel_sets(self, data):
+        stack = ThermogramStack(
+            data=np.random.default_rng(0).normal(size=(5, 4, 6)), fps=1.0)
+
+        def region():
+            x0, y0 = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
+            return Region(x0, y0, data.draw(st.integers(1, 6 - x0)),
+                          data.draw(st.integers(1, 4 - y0)))
+
+        def pixels(r):
+            return {(jx, jy) for jx in range(r.x0, r.x0 + r.width)
+                    for jy in range(r.y0, r.y0 + r.height)}
+
+        signal, reference = region(), region()
+        if signal != reference and pixels(signal) & pixels(reference):
+            with pytest.raises(ValueError, match="overlap"):
+                snr_metric(stack, signal, reference)
+        else:
+            snr_metric(stack, signal, reference)

@@ -1,15 +1,19 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pnpuct import (MlsSpec, NotLs4Compatible, NotPrime, PipelineStageError,
-                    binarize_ls4, code_to_text, generate_ls, generate_mls,
-                    load_code, modify_for_perfect_pacf, read_stack,
-                    run_pipeline)
+                    PixelModel, Region, binarize_ls4, code_to_text,
+                    generate_ls, generate_mls, load_code, load_scene_config,
+                    modify_for_perfect_pacf, read_stack, run_pipeline)
 from pnpuct.cli import main
-from pnpuct.pipeline import generate_codes
+from pnpuct.pipeline import _parse_config, generate_codes
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SCENE_SECTIONS = """
 [scene]
@@ -433,3 +437,42 @@ class TestCodeFactory:
     def test_config_rejections(self, section, error):
         with pytest.raises(error):
             generate_codes(section)
+
+
+class TestReadmeConfigs:
+    """The README's INI examples, with their inline comments, as documented."""
+
+    @pytest.fixture
+    def blocks(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        scene, run = re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+        (tmp_path / "scene.cfg").write_text(scene, encoding="utf-8")
+        (tmp_path / "run.cfg").write_text(run, encoding="utf-8")
+        return tmp_path / "scene.cfg", tmp_path / "run.cfg"
+
+    def test_scene_block(self, blocks):
+        scene = load_scene_config(blocks[0])
+        assert (scene.nx, scene.ny, scene.noise_sigma, scene.rng_seed) == (
+            64, 64, 0.05, 7)
+        assert scene.background == PixelModel(diffusivity=1e-6)
+        assert scene.defects == ((
+            Region(x0=8, y0=8, width=8, height=8),
+            PixelModel(diffusivity=1e-6, defect_depth=0.0005,
+                       reflection_coeff=0.9)),)
+
+    def test_run_block(self, blocks):
+        parser = _parse_config(blocks[1])
+        assert parser.sections() == ["code", "timing", "excitation",
+                                     "compression", "output"]
+        assert dict(parser["code"]) == {"kind": "ls", "n_bit": "31",
+                                        "modified": "ls_plus"}
+        assert dict(parser["timing"]) == {"t_bit": "1.0", "fps": "40",
+                                          "n_per": "2"}
+        assert parser["compression"]["normalization"] == "per_length"
+        assert not any(parser.getboolean("compression", key) for key in (
+            "single_period", "decimate", "decimate_average"))
+        assert dict(parser["output"]) == {
+            "directory": "out", "slices": "0.5, 6.0", "pixels": "8x8, 2x3"}
+        excitation, modified = generate_codes(parser["code"])
+        assert excitation.n_bit == modified.n_bit == 31
+        assert modified.is_modified

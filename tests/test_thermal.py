@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnpuct import (
     ExcitationWaveform,
+    IndexOutOfRange,
     PixelModel,
     RateMismatch,
     RectPulse,
     Region,
     SceneConfig,
+    SeriesNotConverged,
     Timing,
     WaveformKind,
     build_bipolar,
@@ -19,6 +23,7 @@ from pnpuct import (
     respond,
     simulate_stack,
 )
+from pnpuct import thermal
 from fd_oracle import fd_impulse_response
 
 SQRT_PI = np.sqrt(np.pi)
@@ -87,6 +92,15 @@ class TestImpulseResponse:
                 _series_integral(t1, c) - _series_integral(t0, c)) / timing.dt
         np.testing.assert_allclose(h_default, h_long, rtol=0, atol=1e-10 * scale)
         np.testing.assert_array_equal(h_default, h_forced)
+
+    def test_unconverged_series_raises(self, monkeypatch):
+        timing = Timing(t_bit=1.0, fps=40.0)
+        thin = PixelModel(diffusivity=1e-6, defect_depth=1e-5,
+                          reflection_coeff=1.0)
+        impulse_response(thin, timing, 2.0)  # about 800 terms
+        monkeypatch.setattr(thermal, "_MAX_TERMS", 50)
+        with pytest.raises(SeriesNotConverged):
+            impulse_response(thin, timing, 2.0)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -236,6 +250,75 @@ class TestSimulateStack:
             SceneConfig(nx=4, ny=4, background=SOUND,
                         defects=((Region(x0=3, y0=0, width=2, height=1),
                                   SOUND),))
+
+
+# equal models in separate entries must share one label
+MODEL_POOL = (
+    SOUND,
+    PixelModel(diffusivity=1e-6, amplitude_scale=2.0),
+    PixelModel(diffusivity=1e-6, defect_depth=1e-3, reflection_coeff=0.9),
+    PixelModel(diffusivity=1e-6, defect_depth=1e-3, reflection_coeff=0.9),
+    PixelModel(diffusivity=2e-6, defect_depth=2e-3, reflection_coeff=-0.5),
+)
+
+
+@st.composite
+def scenes(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    defects = []
+    for _ in range(draw(st.integers(0, 5))):
+        x0, y0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        region = Region(x0=x0, y0=y0, width=draw(st.integers(1, nx - x0)),
+                        height=draw(st.integers(1, ny - y0)))
+        defects.append((region, draw(st.sampled_from(MODEL_POOL))))
+    return SceneConfig(nx=nx, ny=ny, background=draw(st.sampled_from(MODEL_POOL)),
+                       defects=tuple(defects),
+                       noise_sigma=draw(st.sampled_from([0.0, 0.3])),
+                       rng_seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def per_pixel_stack(scene, wave):
+    """Reference build: the last defect covering a pixel wins, one by one."""
+    n_frames = len(wave.samples)
+    data = np.empty((n_frames, scene.ny, scene.nx))
+    for jy in range(scene.ny):
+        for jx in range(scene.nx):
+            model = scene.background
+            for region, defect in scene.defects:
+                if (region.x0 <= jx < region.x0 + region.width
+                        and region.y0 <= jy < region.y0 + region.height):
+                    model = defect
+            assert scene.model_at(jx, jy) == model
+            trace = respond(impulse_response(model, wave.timing, wave.duration),
+                            wave)
+            if scene.noise_sigma > 0:
+                rng = np.random.default_rng([scene.rng_seed, jx, jy])
+                trace = trace + rng.normal(0.0, scene.noise_sigma, n_frames)
+            data[:, jy, jx] = trace
+    return data.astype(np.float32)
+
+
+class TestLabelMap:
+    WAVE = build_unipolar(build_bipolar(generate_ls(7), Timing(t_bit=1.0,
+                                                               fps=2.0)), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scene=scenes())
+    def test_matches_per_pixel_build(self, scene):
+        stack = simulate_stack(scene, self.WAVE)
+        np.testing.assert_array_equal(stack.data,
+                                      per_pixel_stack(scene, self.WAVE))
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(1, 5), ny=st.integers(1, 5),
+           jx=st.integers(-3, 7), jy=st.integers(-3, 7))
+    def test_model_at_outside_grid_raises(self, nx, ny, jx, jy):
+        scene = SceneConfig(nx=nx, ny=ny, background=SOUND)
+        if 0 <= jx < nx and 0 <= jy < ny:
+            assert scene.model_at(jx, jy) is SOUND
+        else:
+            with pytest.raises(IndexOutOfRange):
+                scene.model_at(jx, jy)
 
 
 class TestSceneConfigFile:
