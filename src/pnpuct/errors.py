@@ -93,6 +93,14 @@ class TrailingBytes(PnPuctError):
     """Stack file longer than its header promises."""
 
 
+class BadHeader(PnPuctError):
+    """Stack file whose header frame rate is not positive and finite."""
+
+
+class UnencodableMetadata(PnPuctError):
+    """Metadata key or value that a TGS1 file cannot hold."""
+
+
 class NonFiniteData(PnPuctError):
     """Stack data containing NaN or infinity."""
 

@@ -128,11 +128,14 @@ def run_pipeline(config, out_dir=None, seed=None):
         "dc_removal", remove_dc_stack, raw, modified_code, comp_timing)
     emit("dc_removed_stack", "dc_removed.tgs", write_stack, removed)
     emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
+    # no later stage reads these; freeing them lowers the peak memory
+    del raw, fit_map
 
     compressed = _stage(
         "compress", compress_stack, removed, modified_code, comp_timing,
         normalization, options["single_period"])
     emit("compressed_stack", "compressed.tgs", write_stack, compressed)
+    del removed
 
     def reports():
         out = parser["output"] if parser.has_section("output") else {}

@@ -6,7 +6,7 @@ Layout of a TGS1 file, all integers little-endian:
     bytes 4..15   uint32 nx, ny, n_frames
     bytes 16..19  float32 fps (exact k / t_bit when the metadata holds both)
     bytes 20..23  uint32 metadata byte length
-    ...           UTF-8 metadata, one "key = value" per line
+    ...           UTF-8 metadata, "key = value" lines joined by LF (0x0A)
     ...           frames, time-major then row-major, float32
 
 Stacks hold 32-bit intensities (camera realistic); pipeline math runs in
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadMagic, IndexOutOfRange, NonFiniteData, TrailingBytes,
-                     TruncatedFile)
+from .errors import (BadHeader, BadMagic, IndexOutOfRange, NonFiniteData,
+                     TrailingBytes, TruncatedFile, UnencodableMetadata)
 
 MAGIC = b"TGS1"
 FORMAT_VERSION = "TGS1"
@@ -43,8 +43,8 @@ class ThermogramStack:
             raise ValueError("data must be (n_frames, ny, nx)")
         if not np.isfinite(data).all():
             raise NonFiniteData("stack data must be finite")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0 < self.fps < np.inf:
+            raise ValueError("fps must be positive and finite")
         self.data = data
         self.fps = float(self.fps)
         self.metadata = {str(k): str(v) for k, v in self.metadata.items()}
@@ -80,14 +80,16 @@ def _encode_metadata(metadata) -> bytes:
     for key in sorted(metadata):
         value = metadata[key]
         if "\n" in key or "\n" in value or "=" in key:
-            raise ValueError(f"metadata key/value not encodable: {key!r}")
+            raise UnencodableMetadata(
+                f"metadata key/value not encodable: {key!r}")
         lines.append(f"{key} = {value}")
     return "\n".join(lines).encode("utf-8")
 
 
 def _decode_metadata(blob) -> dict:
     metadata = {}
-    for line in blob.decode("utf-8").splitlines():
+    # lines end at "\n" alone: keys and values may hold any other break
+    for line in blob.decode("utf-8").split("\n"):
         if not line.strip():
             continue
         key, _, value = line.partition(" = ")
@@ -117,6 +119,9 @@ def read_stack(path) -> ThermogramStack:
         if len(header) < 24:
             raise TruncatedFile(f"{path}: header incomplete")
         nx, ny, n_frames, fps, meta_len = struct.unpack("<4xIIIfI", header)
+        if not 0 < fps < np.inf:
+            raise BadHeader(
+                f"{path}: frame rate {fps} is not positive and finite")
         blob = fh.read(meta_len)
         if len(blob) < meta_len:
             raise TruncatedFile(f"{path}: metadata incomplete")

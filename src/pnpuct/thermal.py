@@ -10,6 +10,14 @@ surface response to an impulsive heat flux is
 with a an arbitrary intensity scale folding in effusivity, emissivity
 and camera gain. Discrete responses are frame averaged, which tames the
 t^(-1/2) singularity and makes the step response exact by telescoping.
+
+For an insulated layer (R = 1) the image sum has a Poisson dual, the
+mode (Fourier cosine) series of the slab (Carslaw & Jaeger, Conduction
+of Heat in Solids):
+
+    h(t) = a sqrt(alpha) / d * [1 + 2 * sum_{n>=1} exp(-(n pi / d)^2 alpha t)]
+
+which converges fast exactly where the image sum is slow.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .stack import ThermogramStack
 from .waveform import ExcitationWaveform, WaveformKind, excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
-# Image-series term cap: an R = 1 layer d thick needs about
+# Term cap of every series: an image series with |R| near 1 needs about
 # sqrt(30 * alpha * t) / d terms, 4300 for 10 um over a 62 s run.
 _MAX_TERMS = 100000
 
@@ -137,36 +145,81 @@ def _series_integral(t, c):
     return out
 
 
+def _terms(term, tail, name, model):
+    """term(m) for m = 1, 2, ... until tail(m + 1), the size of the next
+    term against the leading part, falls below 1e-13; raises
+    :class:`SeriesNotConverged` after ``_MAX_TERMS`` terms."""
+    for m in range(1, _MAX_TERMS + 1):
+        yield term(m)
+        if tail(m + 1) < 1e-13:
+            return
+    raise SeriesNotConverged(
+        f"{name} series of {model} above 1e-13 after {_MAX_TERMS} terms")
+
+
+def _image_terms(t, model):
+    """(R^m, S_m(t)) of the image series, with the tail taken at t[-1] > 0."""
+    d, r, alpha = model.defect_depth, model.reflection_coeff, model.diffusivity
+    return _terms(
+        lambda m: (r ** m, _series_integral(t, (m * d) ** 2 / alpha)),
+        lambda m: abs(r) ** m * np.exp(-(m * d) ** 2 / (alpha * t[-1])),
+        "image", model)
+
+
+def _insulated_antiderivative(edges, model):
+    """Integral of h over [0, t] at each edge t for an R = 1 layer.
+
+    Edges before d^2 / (pi alpha) take the image series, later ones the
+    mode series; at that split the terms of each fall as exp(-pi m^2),
+    so either needs a few terms whatever the depth.
+    """
+    a, d, alpha = model.amplitude_scale, model.defect_depth, model.diffusivity
+    n_early = np.searchsorted(edges, d * d / (np.pi * alpha))
+    early, late = edges[:n_early], edges[n_early:]
+    f = np.empty_like(edges)
+    f[:n_early] = 2.0 * a * np.sqrt(early) / _SQRT_PI
+    if n_early > 1:  # F(0) = 0 needs no series
+        for _, s in _image_terms(early, model):
+            f[:n_early] += 2.0 * a * s
+    if late.size:
+        k = (np.pi / d) ** 2 * alpha
+        modes = sum(_terms(lambda n: np.exp(-n * n * k * late) / (n * n),
+                           lambda n: np.exp(-n * n * k * late[0]),
+                           "mode", model))
+        # the n-th mode integrates to (1 - exp(-n^2 k t)) / (n^2 k), and
+        # sum 1 / n^2 = pi^2 / 6 gives the constant d^2 / (3 alpha)
+        f[n_early:] = a * np.sqrt(alpha) / d * (
+            late + d * d / (3.0 * alpha) - 2.0 / k * modes)
+    return f
+
+
 def impulse_response(model, timing, duration) -> np.ndarray:
     """Frame-averaged discrete impulse response h[n] over ``duration`` seconds.
 
     h[n] averages the continuous kernel over [n*dt, (n+1)*dt); both the
     1/sqrt(pi*t) part and the image-source series integrate in closed
     form (the latter via erfc), so h is the difference of antiderivatives
-    taken at the frame edges. The series stops once the next term falls
-    below 1e-13 of the leading part, which keeps the tail under 1e-12 of
-    it; a series still above that after ``_MAX_TERMS`` terms raises
-    :class:`SeriesNotConverged`.
+    taken at the frame edges. An insulated layer (R = 1) takes the mode
+    series on the edges where the image series is slow. Each series stops
+    once the next term falls below 1e-13 of the leading part, which keeps
+    the tail under 1e-12 of it; a series still above that after
+    ``_MAX_TERMS`` terms raises :class:`SeriesNotConverged`.
     """
     dt = timing.dt
     n_frames = int(round(duration * timing.fps))
     if n_frames < 1:
         raise ValueError("duration shorter than one frame")
     edges = np.arange(n_frames + 1, dtype=float) * dt
+    d, r = model.defect_depth, model.reflection_coeff
+    if d is not None and r == 1.0:
+        return np.diff(_insulated_antiderivative(edges, model)) / dt
     a = model.amplitude_scale
     h = 2.0 * a * np.diff(np.sqrt(edges)) / (_SQRT_PI * dt)
-    d, r = model.defect_depth, model.reflection_coeff
     if d is None or r == 0.0:
         return h
-    for m in range(1, _MAX_TERMS + 1):
-        c = (m * d) ** 2 / model.diffusivity
-        h += 2.0 * (r ** m) * a * np.diff(_series_integral(edges, c)) / dt
-        tail = (abs(r) ** (m + 1)) * np.exp(
-            -((m + 1) * d) ** 2 / (model.diffusivity * edges[-1]))
-        if tail < 1e-13:
-            return h
-    raise SeriesNotConverged(
-        f"image series of {model} above 1e-13 after {_MAX_TERMS} terms")
+    for weight, s in _image_terms(edges, model):
+        h += 2.0 * weight * a * np.diff(s) / dt
+    return h
 
 
 def respond(h, excitation, h_fps=None) -> np.ndarray:
@@ -203,30 +256,31 @@ def simulate_stack(scene, excitation) -> ThermogramStack:
     """Per-pixel responses plus seeded Gaussian noise, as a thermogram stack.
 
     Each distinct model of the scene gets one convolution, gathered to
-    its pixels through the label map; the per-pixel noise stream is
+    its pixels through the label map one row at a time, so no float64
+    copy of the whole stack exists; the per-pixel noise stream is
     seeded by (rng_seed, jx, jy), so serial and parallel evaluations are
     bit-identical.
     """
     timing = excitation.timing
-    duration = len(excitation.samples) * timing.dt
+    n_frames = len(excitation.samples)
+    duration = n_frames * timing.dt
     traces = np.array([respond(impulse_response(model, timing, duration),
                                excitation) for model in scene.models])
-    data = traces[scene.labels]
-    if scene.noise_sigma > 0:
-        for jy in range(scene.ny):
+    data = np.empty((n_frames, scene.ny, scene.nx), dtype=np.float32)
+    for jy in range(scene.ny):
+        row = traces[scene.labels[jy]]
+        if scene.noise_sigma > 0:
             for jx in range(scene.nx):
                 rng = np.random.default_rng([scene.rng_seed, jx, jy])
-                data[jy, jx] += rng.normal(0.0, scene.noise_sigma,
-                                           data.shape[2])
+                row[jx] += rng.normal(0.0, scene.noise_sigma, n_frames)
+        data[:, jy, :] = row.T
     metadata = {
         "stage": "simulated",
         "rng_seed": str(scene.rng_seed),
         "noise_sigma": repr(scene.noise_sigma),
         **excitation_metadata(excitation),
     }
-    return ThermogramStack(
-        data=data.transpose(2, 0, 1).astype(np.float32, order="C"),
-        fps=timing.fps, metadata=metadata)
+    return ThermogramStack(data=data, fps=timing.fps, metadata=metadata)
 
 
 # --- scene configuration files ---

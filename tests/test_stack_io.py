@@ -2,8 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnpuct import (
+    BadHeader,
     BadMagic,
     IndexOutOfRange,
     NonFiniteData,
@@ -13,6 +16,7 @@ from pnpuct import (
     Timing,
     TrailingBytes,
     TruncatedFile,
+    UnencodableMetadata,
     export_pixel_trace,
     export_slice,
     lpt_reference,
@@ -129,6 +133,48 @@ class TestRoundTrip:
         path.write_bytes(bytes(blob))
         with pytest.raises(NonFiniteData):
             read_stack(path)
+
+    @pytest.mark.parametrize("fps", [0.0, -25.0, float("nan"), float("inf")])
+    def test_bad_header_fps_rejected(self, tmp_path, fps):
+        path = tmp_path / "fps.tgs"
+        write_stack(small_stack(), path)
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = struct.pack("<f", fps)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BadHeader, match="fps.tgs"):
+            read_stack(path)
+
+    @pytest.mark.parametrize("fps", [0.0, float("nan"), float("inf")])
+    def test_bad_fps_rejected_at_construction(self, fps):
+        with pytest.raises(ValueError):
+            ThermogramStack(data=np.ones((1, 1, 1), dtype=np.float32), fps=fps)
+
+    def test_line_breaks_other_than_newline_round_trip(self, tmp_path):
+        meta = {"a": "x\ry", "b": "p q", "c\x1c": "v", "d": "1\u2028 = 2"}
+        path = tmp_path / "m.tgs"
+        write_stack(small_stack(metadata=meta), path)
+        assert read_stack(path).metadata == meta
+
+    @pytest.mark.parametrize("meta", [{"a\nb": "1"}, {"a=b": "1"},
+                                      {"a": "1\n2"}])
+    def test_unencodable_metadata_rejected(self, tmp_path, meta):
+        with pytest.raises(UnencodableMetadata):
+            write_stack(small_stack(metadata=meta), tmp_path / "u.tgs")
+
+    @settings(max_examples=60, deadline=None)
+    @given(meta=st.dictionaries(
+        st.text(max_size=12).filter(lambda k: "\n" not in k and "=" not in k),
+        st.text(max_size=12).filter(lambda v: "\n" not in v), max_size=6))
+    def test_metadata_round_trip(self, tmp_path_factory, meta):
+        stack = ThermogramStack(data=np.zeros((1, 1, 1), dtype=np.float32),
+                                fps=40.0, metadata=meta)
+        path = tmp_path_factory.mktemp("meta") / "m.tgs"
+        write_stack(stack, path)
+        back = read_stack(path)
+        assert back.metadata == meta
+        rewritten = path.with_name("again.tgs")
+        write_stack(back, rewritten)
+        assert rewritten.read_bytes() == path.read_bytes()
 
     def test_non_finite_rejected_at_construction(self):
         data = np.ones((2, 2, 2), dtype=np.float32)

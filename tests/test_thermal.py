@@ -36,6 +36,27 @@ def wave_from(samples, fps, t_bit=None):
                               kind=WaveformKind.BIPOLAR_XPN, timing=timing)
 
 
+def image_series_response(model, dt, n_frames):
+    """Frame-averaged h from the image-source series alone, every term kept
+    down to exp(-36) at the last frame edge.
+
+    Term m is S(t, c_m) = sqrt(c_m) * S(t / c_m, 1), with S the
+    ``_series_integral`` antiderivative, so blocks of terms take one call.
+    """
+    edges = np.arange(n_frames + 1) * dt
+    a, d = model.amplitude_scale, model.defect_depth
+    r, alpha = model.reflection_coeff, model.diffusivity
+    n_terms = int(np.ceil(np.sqrt(36.0 * alpha * edges[-1]) / d)) + 1
+    series = np.zeros_like(edges)
+    for start in range(1, n_terms + 1, 4096):
+        m = np.arange(start, min(start + 4096, n_terms + 1))[:, None]
+        c = (m * d) ** 2 / alpha
+        block = thermal._series_integral(edges / c, 1.0) * np.sqrt(c)
+        series += (r ** m * block).sum(axis=0)
+    leading = np.sqrt(edges) / SQRT_PI
+    return 2.0 * a * (np.diff(leading) + np.diff(series)) / dt
+
+
 class TestImpulseResponse:
     def test_step_response_exact_by_telescoping(self):
         timing = Timing(t_bit=1.0, fps=40.0)
@@ -96,11 +117,36 @@ class TestImpulseResponse:
     def test_unconverged_series_raises(self, monkeypatch):
         timing = Timing(t_bit=1.0, fps=40.0)
         thin = PixelModel(diffusivity=1e-6, defect_depth=1e-5,
-                          reflection_coeff=1.0)
+                          reflection_coeff=0.999)
         impulse_response(thin, timing, 2.0)  # about 800 terms
         monkeypatch.setattr(thermal, "_MAX_TERMS", 50)
         with pytest.raises(SeriesNotConverged):
             impulse_response(thin, timing, 2.0)
+
+    def test_insulated_thin_layer_needs_few_terms(self, monkeypatch):
+        # the image series alone would need about 4300 terms here
+        monkeypatch.setattr(thermal, "_MAX_TERMS", 50)
+        thin = PixelModel(diffusivity=1e-6, defect_depth=1e-5,
+                          reflection_coeff=1.0)
+        h = impulse_response(thin, Timing(t_bit=1.0, fps=40.0), 62.0)
+        # an insulated slab warms linearly: h tends to a sqrt(alpha) / d
+        np.testing.assert_allclose(h[1:], 1e-3 / 1e-5, rtol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_depth=st.floats(np.log(1e-6), np.log(3e-3)),
+           log_alpha=st.floats(np.log(1e-7), np.log(1e-5)),
+           fps=st.sampled_from([1.0, 4.0, 10.0, 40.0]),
+           n_frames=st.integers(1, 160))
+    def test_insulated_layer_matches_image_series(self, log_depth, log_alpha,
+                                                  fps, n_frames):
+        model = PixelModel(diffusivity=np.exp(log_alpha),
+                           defect_depth=np.exp(log_depth),
+                           reflection_coeff=1.0)
+        timing = Timing(t_bit=1.0, fps=fps)
+        h = impulse_response(model, timing, n_frames / fps)
+        reference = image_series_response(model, timing.dt, len(h))
+        np.testing.assert_allclose(h, reference, rtol=0,
+                                   atol=1e-11 * np.abs(reference).max())
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
