@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import (
     AlreadyModified,
+    BiasMismatch,
+    GainMismatch,
     InvalidSeed,
     NonPrimitivePolynomial,
     NotLs4Compatible,
@@ -139,7 +141,9 @@ class PnCode:
 
     ``values`` holds the sequence actually used by the matched filter:
     bipolar for standard kinds (with the single Legendre zero), bias
-    shifted for modified kinds. ``gain`` is the PACF value at lag zero.
+    shifted for modified kinds. ``gain`` is the PACF value at lag zero,
+    the sum of the squared values. A bias other than :func:`expected_bias`
+    raises :class:`BiasMismatch`, any other gain :class:`GainMismatch`.
     """
 
     kind: CodeKind
@@ -182,8 +186,14 @@ class PnCode:
                 raise ValueError("LS_4PLUS first element must equal sign_choice")
             if not np.all(np.abs(np.abs(base) - 1.0) < 1e-9):
                 raise ValueError("LS_4PLUS base values must be bipolar")
-        if self.kind not in MODIFIED_KINDS and self.bias != 0.0:
-            raise ValueError("standard kinds carry zero bias")
+        expected = expected_bias(self)
+        if abs(self.bias - expected) > 1e-9 * max(1.0, abs(expected)):
+            raise BiasMismatch(f"{self.kind.value} code carries bias "
+                               f"{self.bias!r}, expected {expected!r}")
+        peak = float(vals @ vals)
+        if abs(self.gain - peak) > 1e-9 * peak:
+            raise GainMismatch(f"{self.kind.value} code carries gain "
+                               f"{self.gain!r}, its PACF peak is {peak!r}")
 
     @property
     def base_values(self):

@@ -31,6 +31,14 @@ class UnsupportedLength(PnPuctError):
     """Reference-code length outside the family (Barker is 13, Golay powers of 2)."""
 
 
+class BiasMismatch(PnPuctError):
+    """Code whose stored bias disagrees with the value implied by its kind."""
+
+
+class GainMismatch(PnPuctError):
+    """Code whose stored gain is not the sum of its squared values."""
+
+
 # --- waveforms ---
 
 class TimingMismatch(PnPuctError):
@@ -59,10 +67,6 @@ class SeriesNotConverged(PnPuctError):
 
 class DegenerateTrace(PnPuctError):
     """Pixel trace that is all zero or contains non-finite samples."""
-
-
-class BiasMismatch(PnPuctError):
-    """Code whose stored bias disagrees with the value implied by its kind."""
 
 
 # --- pulse compression ---

@@ -41,7 +41,8 @@ class ThermogramStack:
         data = np.ascontiguousarray(self.data, dtype=np.float32)
         if data.ndim != 3:
             raise ValueError("data must be (n_frames, ny, nx)")
-        if not np.isfinite(data).all():
+        # min and max reduce without a stack-sized mask; NaN propagates
+        if data.size and not np.isfinite([data.min(), data.max()]).all():
             raise NonFiniteData("stack data must be finite")
         if not 0 < self.fps < np.inf:
             raise ValueError("fps must be positive and finite")

@@ -157,30 +157,32 @@ def _terms(term, tail, name, model):
         f"{name} series of {model} above 1e-13 after {_MAX_TERMS} terms")
 
 
-def _image_terms(t, model):
-    """(R^m, S_m(t)) of the image series, with the tail taken at t[-1] > 0."""
-    d, r, alpha = model.defect_depth, model.reflection_coeff, model.diffusivity
-    return _terms(
-        lambda m: (r ** m, _series_integral(t, (m * d) ** 2 / alpha)),
-        lambda m: abs(r) ** m * np.exp(-(m * d) ** 2 / (alpha * t[-1])),
-        "image", model)
+def _antiderivative(edges, model):
+    """Integral of h over [0, t] at each frame edge t, for every model.
 
-
-def _insulated_antiderivative(edges, model):
-    """Integral of h over [0, t] at each edge t for an R = 1 layer.
-
-    Edges before d^2 / (pi alpha) take the image series, later ones the
-    mode series; at that split the terms of each fall as exp(-pi m^2),
-    so either needs a few terms whatever the depth.
+    The sqrt(t) part of the semi-infinite medium, plus, behind an
+    interface, the image series (via :func:`_series_integral`, tail taken
+    at the last edge it covers). An insulated layer (R = 1) keeps the
+    image series on the edges before d^2 / (pi alpha) and takes the mode
+    series on the later ones; at that split the terms of each fall as
+    exp(-pi m^2), so either needs a few terms whatever the depth. Both
+    stop or raise as :func:`_terms` says.
     """
-    a, d, alpha = model.amplitude_scale, model.defect_depth, model.diffusivity
-    n_early = np.searchsorted(edges, d * d / (np.pi * alpha))
-    early, late = edges[:n_early], edges[n_early:]
-    f = np.empty_like(edges)
-    f[:n_early] = 2.0 * a * np.sqrt(early) / _SQRT_PI
-    if n_early > 1:  # F(0) = 0 needs no series
-        for _, s in _image_terms(early, model):
-            f[:n_early] += 2.0 * a * s
+    a, d, r = model.amplitude_scale, model.defect_depth, model.reflection_coeff
+    alpha = model.diffusivity
+    f = 2.0 * a * np.sqrt(edges) / _SQRT_PI
+    if d is None or r == 0.0:
+        return f
+    n_image = (np.searchsorted(edges, d * d / (np.pi * alpha)) if r == 1.0
+               else edges.size)
+    image, late = edges[:n_image], edges[n_image:]
+    if n_image > 1:  # F(0) = 0 needs no series
+        t_last = image[-1]
+        for term in _terms(
+                lambda m: r ** m * _series_integral(image, (m * d) ** 2 / alpha),
+                lambda m: abs(r) ** m * np.exp(-(m * d) ** 2 / (alpha * t_last)),
+                "image", model):
+            f[:n_image] += 2.0 * a * term
     if late.size:
         k = (np.pi / d) ** 2 * alpha
         modes = sum(_terms(lambda n: np.exp(-n * n * k * late) / (n * n),
@@ -188,7 +190,7 @@ def _insulated_antiderivative(edges, model):
                            "mode", model))
         # the n-th mode integrates to (1 - exp(-n^2 k t)) / (n^2 k), and
         # sum 1 / n^2 = pi^2 / 6 gives the constant d^2 / (3 alpha)
-        f[n_early:] = a * np.sqrt(alpha) / d * (
+        f[n_image:] = a * np.sqrt(alpha) / d * (
             late + d * d / (3.0 * alpha) - 2.0 / k * modes)
     return f
 
@@ -196,30 +198,15 @@ def _insulated_antiderivative(edges, model):
 def impulse_response(model, timing, duration) -> np.ndarray:
     """Frame-averaged discrete impulse response h[n] over ``duration`` seconds.
 
-    h[n] averages the continuous kernel over [n*dt, (n+1)*dt); both the
-    1/sqrt(pi*t) part and the image-source series integrate in closed
-    form (the latter via erfc), so h is the difference of antiderivatives
-    taken at the frame edges. An insulated layer (R = 1) takes the mode
-    series on the edges where the image series is slow. Each series stops
-    once the next term falls below 1e-13 of the leading part, which keeps
-    the tail under 1e-12 of it; a series still above that after
-    ``_MAX_TERMS`` terms raises :class:`SeriesNotConverged`.
+    h[n] averages the continuous kernel over [n*dt, (n+1)*dt): the
+    difference of :func:`_antiderivative` at the frame edges over dt.
     """
     dt = timing.dt
     n_frames = int(round(duration * timing.fps))
     if n_frames < 1:
         raise ValueError("duration shorter than one frame")
     edges = np.arange(n_frames + 1, dtype=float) * dt
-    d, r = model.defect_depth, model.reflection_coeff
-    if d is not None and r == 1.0:
-        return np.diff(_insulated_antiderivative(edges, model)) / dt
-    a = model.amplitude_scale
-    h = 2.0 * a * np.diff(np.sqrt(edges)) / (_SQRT_PI * dt)
-    if d is None or r == 0.0:
-        return h
-    for weight, s in _image_terms(edges, model):
-        h += 2.0 * weight * a * np.diff(s) / dt
-    return h
+    return np.diff(_antiderivative(edges, model)) / dt
 
 
 def respond(h, excitation, h_fps=None) -> np.ndarray:

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from pnpuct import (
     AlreadyModified,
+    BiasMismatch,
     CodeKind,
+    GainMismatch,
     InvalidSeed,
     MlsSpec,
     NonPrimitivePolynomial,
@@ -19,6 +23,7 @@ from pnpuct import (
     generate_ls,
     generate_mls,
     golay_pair,
+    load_code,
     modify_for_perfect_pacf,
     pacf,
     pacf_direct,
@@ -228,8 +233,8 @@ def _perfect_code_family(max_mls_order=10, max_prime=199):
 
 class TestPerfectPacfSweep:
     def test_sweep_small(self):
-        # the full sweep is in the acceptance suite; spot check here
-        for code in _perfect_code_family(max_mls_order=6, max_prime=61):
+        # every built-in MLS order and every prime below 1000
+        for code in _perfect_code_family(max_mls_order=16, max_prime=1000):
             result = pacf(code)
             assert result.max_sidelobe < 1e-9 * result.peak
             assert abs(result.peak - code.gain) < 1e-9 * code.gain
@@ -347,3 +352,40 @@ class TestPnCodeValidation:
     def test_values_immutable(self, ls31):
         with pytest.raises(ValueError):
             ls31.values[0] = 5.0
+
+
+MODIFIED_CODES = {
+    "mls_plus": lambda: modify_for_perfect_pacf(generate_mls(MlsSpec(order=5))),
+    "ls_plus": lambda: modify_for_perfect_pacf(generate_ls(31)),
+    "ls4_plus+1": lambda: binarize_ls4(generate_ls(31), +1),
+    "ls4_plus-1": lambda: binarize_ls4(generate_ls(31), -1),
+}
+
+
+def write_descriptor(path, code, bias=None, gain=None):
+    """Descriptor of ``code`` with its bias and gain lines replaced.
+
+    The values move with the bias, so the sequence under the bias still
+    passes every structural check: only the bias rule can reject it.
+    """
+    bias = code.bias if bias is None else bias
+    path.write_text(code_to_text(SimpleNamespace(
+        kind=code.kind, n_bit=code.n_bit, bias=bias,
+        gain=code.gain if gain is None else gain,
+        sign_choice=code.sign_choice, values=code.base_values + bias)))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(MODIFIED_CODES))
+class TestLoadChecksDescriptor:
+    def test_forged_bias_rejected(self, tmp_path, name):
+        path = write_descriptor(tmp_path / "c.txt", MODIFIED_CODES[name](),
+                                bias=0.3)
+        with pytest.raises(BiasMismatch):
+            load_code(path)
+
+    def test_forged_gain_rejected(self, tmp_path, name):
+        code = MODIFIED_CODES[name]()
+        path = write_descriptor(tmp_path / "c.txt", code, gain=code.gain + 1)
+        with pytest.raises(GainMismatch):
+            load_code(path)

@@ -450,6 +450,17 @@ class TestReadmeConfigs:
         (tmp_path / "run.cfg").write_text(run, encoding="utf-8")
         return tmp_path / "scene.cfg", tmp_path / "run.cfg"
 
+    def test_python_block(self):
+        (block,) = re.findall(r"```python\n(.*?)```",
+                              README.read_text(encoding="utf-8"), flags=re.S)
+        names = {}
+        exec(compile(block, str(README), "exec"), names)
+        # one period of a uniform sound scene: every pixel the same trace
+        data = names["compressed"].data
+        assert data.shape == (31 * 40, 16, 16)
+        assert (data == data[:, :1, :1]).all()
+        assert np.isfinite([names[k] for k in ("a1", "a2", "a3", "rms")]).all()
+
     def test_scene_block(self, blocks):
         scene = load_scene_config(blocks[0])
         assert (scene.nx, scene.ny, scene.noise_sigma, scene.rng_seed) == (

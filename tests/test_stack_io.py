@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,31 @@ class TestRoundTrip:
         data[0, 0, 0] = np.inf
         with pytest.raises(NonFiniteData):
             ThermogramStack(data=data, fps=1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_non_finite_first_or_last_voxel_rejected(self, value, index):
+        data = np.ones((3, 2, 4), dtype=np.float32)
+        data.reshape(-1)[index] = value
+        with pytest.raises(NonFiniteData):
+            ThermogramStack(data=data, fps=1.0)
+
+    def test_float32_extremes_and_zero_frames_accepted(self):
+        top = np.finfo(np.float32).max
+        data = np.array([-top, top], dtype=np.float32).reshape(2, 1, 1)
+        assert ThermogramStack(data=data, fps=1.0).n_frames == 2
+        empty = np.empty((0, 2, 2), dtype=np.float32)
+        assert ThermogramStack(data=empty, fps=1.0).n_frames == 0
+
+    def test_finite_scan_allocates_no_stack_sized_mask(self):
+        data = np.ones((2480, 64, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            ThermogramStack(data=data, fps=40.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestExportSlice:
