@@ -141,9 +141,7 @@ class PnCode:
 
     ``values`` holds the sequence actually used by the matched filter:
     bipolar for standard kinds (with the single Legendre zero), bias
-    shifted for modified kinds. ``gain`` is the PACF value at lag zero,
-    the sum of the squared values. A bias other than :func:`expected_bias`
-    raises :class:`BiasMismatch`, any other gain :class:`GainMismatch`.
+    shifted for modified kinds. ``gain`` is the PACF value at lag zero.
     """
 
     kind: CodeKind
@@ -186,14 +184,8 @@ class PnCode:
                 raise ValueError("LS_4PLUS first element must equal sign_choice")
             if not np.all(np.abs(np.abs(base) - 1.0) < 1e-9):
                 raise ValueError("LS_4PLUS base values must be bipolar")
-        expected = expected_bias(self)
-        if abs(self.bias - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise BiasMismatch(f"{self.kind.value} code carries bias "
-                               f"{self.bias!r}, expected {expected!r}")
-        peak = float(vals @ vals)
-        if abs(self.gain - peak) > 1e-9 * peak:
-            raise GainMismatch(f"{self.kind.value} code carries gain "
-                               f"{self.gain!r}, its PACF peak is {peak!r}")
+        if self.kind not in MODIFIED_KINDS and self.bias != 0.0:
+            raise ValueError("standard kinds carry zero bias")
 
     @property
     def base_values(self):
@@ -296,17 +288,24 @@ def perfect_bias(kind, n_bit, *, element_sum=0, sign_choice=None):
     return 0.0
 
 
-def expected_bias(code) -> float:
-    """Bias implied by a code's kind, length and sign choice."""
-    if code.kind is CodeKind.MLS_PLUS:
-        s = int(round(float(np.sum(code.values - code.bias))))
-        return perfect_bias(CodeKind.MLS_PLUS, code.n_bit, element_sum=s)
-    if code.kind is CodeKind.LS_PLUS:
-        return perfect_bias(CodeKind.LS_PLUS, code.n_bit)
-    if code.kind is CodeKind.LS_4PLUS:
-        return perfect_bias(CodeKind.LS_4PLUS, code.n_bit,
+def check_code(code):
+    """Return ``code`` if it carries the bias and gain its values imply.
+
+    The bias must be the kind's :func:`perfect_bias` (:class:`BiasMismatch`)
+    and the gain the sum of the squared values, the PACF peak of every
+    kind (:class:`GainMismatch`), both within 1e-9 relative.
+    """
+    s = int(round(float(np.sum(code.base_values))))
+    expected = perfect_bias(code.kind, code.n_bit, element_sum=s,
                             sign_choice=code.sign_choice)
-    return 0.0
+    if abs(code.bias - expected) > 1e-9 * max(1.0, abs(expected)):
+        raise BiasMismatch(f"{code.kind.value} code carries bias "
+                           f"{code.bias!r}, expected {expected!r}")
+    peak = float(code.values @ code.values)
+    if abs(code.gain - peak) > 1e-9 * peak:
+        raise GainMismatch(f"{code.kind.value} code carries gain "
+                           f"{code.gain!r}, its PACF peak is {peak!r}")
+    return code
 
 
 def modify_for_perfect_pacf(code) -> PnCode:
@@ -513,7 +512,7 @@ def code_to_text(code) -> str:
 
 
 def code_from_text(text) -> PnCode:
-    """Parse a text descriptor produced by :func:`code_to_text`."""
+    """Parse a text descriptor of :func:`code_to_text`, then :func:`check_code` it."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != "pncode v1":
         raise ValueError("not a pncode v1 descriptor")
@@ -523,14 +522,14 @@ def code_from_text(text) -> PnCode:
         fields[key.strip()] = val.strip()
     kind = CodeKind(fields[_KIND_FIELD])
     sign = int(fields["sign_choice"]) if "sign_choice" in fields else None
-    return PnCode(
+    return check_code(PnCode(
         kind=kind,
         n_bit=int(fields["n_bit"]),
         values=np.array([float(v) for v in fields["values"].split()]),
         gain=float(fields["gain"]),
         bias=float(fields["bias"]),
         sign_choice=sign,
-    )
+    ))
 
 
 def save_code(code, path):

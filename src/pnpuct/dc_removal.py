@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
 from .stack import ThermogramStack
 
@@ -119,8 +120,8 @@ def fit_dc(trace, timing) -> DcFit:
 
 
 def _validate_bias(code):
-    """The bias DC removal keeps; :class:`PnCode` checked it when built."""
-    return code.bias
+    """The bias DC removal keeps, once :func:`check_code` passed the code."""
+    return check_code(code).bias
 
 
 def remove_dc(trace, fit, code, timing) -> np.ndarray:

@@ -149,12 +149,14 @@ class TestRemoveDc:
                                    atol=1e-12 * np.abs(trace).max())
 
     def test_bias_mismatch_detected(self):
-        # the check runs when the code is built, so remove_dc never
-        # sees a forged bias
         values = generate_ls(31).values + 0.3
+        forged = PnCode(kind=CodeKind.LS_PLUS, n_bit=31, values=values,
+                        gain=31.0, bias=0.3)
+        timing = Timing(t_bit=1.0, fps=10.0)
+        trace = np.sqrt(times_for(timing, 620)) + 1.0
+        fit = fit_dc(trace, timing)
         with pytest.raises(BiasMismatch):
-            PnCode(kind=CodeKind.LS_PLUS, n_bit=31, values=values,
-                   gain=31.0, bias=0.3)
+            remove_dc(trace, fit, forged, timing)
 
     def test_matches_modified_sequence_response(self, ls31, ls31_plus):
         # noiseless pipeline check: removing the scaled trend leaves the

@@ -211,6 +211,16 @@ class TestCli:
         main(["seq", "gen", "--kind", "ls", "--n-bit", "31", "-o", code_path])
         assert main(["seq", "verify", code_path]) == 0
 
+    def test_seq_verify_forged_gain_exits_2(self, tmp_path, capsys):
+        code_path = tmp_path / "code.txt"
+        main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "31",
+              "-o", str(code_path)])
+        text = code_path.read_text(encoding="utf-8")
+        code_path.write_text(text.replace("gain: 31.0", "gain: 32.0"),
+                             encoding="utf-8")
+        assert main(["seq", "verify", str(code_path)]) == 2
+        assert "its PACF peak is 31.0" in capsys.readouterr().err
+
     def test_seq_gen_ls4(self, tmp_path):
         code_path = str(tmp_path / "ls4.txt")
         assert main(["seq", "gen", "--kind", "ls4-plus", "--n-bit", "11",
