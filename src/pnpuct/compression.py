@@ -7,6 +7,14 @@ averaged into the compressed trace. Because the code's cyclic
 autocorrelation is a spike, the result is the pixel's response to a
 virtual rectangular pulse of one bit duration, amplified by the code
 gain.
+
+The filter is nonzero only on every K-th tap, so the averaged steady
+period needs only the sum of the two-period windows that the steady
+periods read. That sum, seen as 2N bit rows of K frames per pixel, is
+filtered by one fixed N x 2N Toeplitz matrix of the code taps
+(polyphase decomposition; P. P. Vaidyanathan, *Multirate Systems and
+Filter Banks*, 1993), or for codes of ``_FFT_MIN_BITS`` bits or more by
+an FFT convolution along the bit rows.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from enum import Enum
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .errors import EmptyRegion, ShapeMismatch, TooFewPeriods
+from .errors import EmptyRegion, RegionOverlap, ShapeMismatch, TooFewPeriods
 from .stack import ThermogramStack
 from .waveform import Timing, build_matched_filter
 
@@ -42,31 +50,64 @@ class CompressedTrace:
         object.__setattr__(self, "values", values)
 
 
-# Pixel columns per convolution, each block the only float64 copy of its
-# data. 256 ran as fast as a whole-stack float64 copy at a third of its
-# peak allocation; 128 was slower, from page faults of the fresh blocks.
+# Pixel columns per block. Every block, the last one and a single trace
+# included, is zero-padded to this width, so each column goes through
+# the same BLAS and FFT calls and its output does not depend on its
+# neighbours. Compressing 64x64x2480 LS31 K=40 frames (1 BLAS thread)
+# took 0.04-0.05 s at any width from 128 to 1024, with traced peaks of
+# 24, 28, 36 and 51 MB (20 MB of them the output); at LS1019 K=1 the FFT
+# branch was fastest at 256.
 _BLOCK = 256
+
+# Code length from which the fold is filtered by an FFT convolution
+# along its bit axis: the Toeplitz product costs about N^2 K per pixel.
+_FFT_MIN_BITS = 750
 
 
 def _compress_columns(traces, filt, n_bit, normalization, single_period,
                       dtype):
     """Matched filtering of every column of an (n_per * period, n_pix) array.
 
-    Returns the normalized mean of the steady periods as a (period,
-    n_pix) array of ``dtype``, and the number of periods averaged.
+    The filter is nonzero only on every K-th tap, c' = taps[::K]. Its
+    steady periods therefore need only the fold ybar, the sum of the
+    n_avg two-period windows y[(i - 1)P : (i + 1)P]: output frame
+    jK + p is sum_b c'[b] ybar[(N + j - b)K + p]. Seen as a (2N, K * w)
+    array, ybar is filtered by one N x 2N Toeplitz matrix, or by an FFT
+    convolution with c' along the bit axis for long codes. Returns the
+    normalized mean of the steady periods as a (period, n_pix) array of
+    ``dtype``, and the number of periods averaged.
     """
-    period = len(filt.taps)
+    period, n_pix = len(filt.taps), traces.shape[1]
+    k = period // n_bit
     n_avg = 1 if single_period else traces.shape[0] // period - 1
     scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: filt.gain,
              Normalization.PER_LENGTH: n_bit}[normalization]
-    out = np.empty((period, traces.shape[1]), dtype=dtype)
-    for start in range(0, traces.shape[1], _BLOCK):
-        # pixels as rows: measured faster than convolving along axis 0
-        block = traces[:, start: start + _BLOCK].T.astype(np.float64)
-        conv = fftconvolve(block, filt.taps[None, :], axes=1)
-        steady = np.mean([conv[:, period * i: period * (i + 1)]
-                          for i in range(1, n_avg + 1)], axis=0)
-        out[:, start: start + _BLOCK] = (steady / scale).T
+    bit_taps = filt.taps[::k] / (n_avg * scale)
+    fold = np.empty((2 * period, _BLOCK))
+    bits = fold.reshape(2 * n_bit, k * _BLOCK)
+    if n_bit < _FFT_MIN_BITS:
+        toeplitz = np.zeros((n_bit, 2 * n_bit))
+        for j in range(n_bit):
+            toeplitz[j, j + 1: j + 1 + n_bit] = bit_taps[::-1]
+        product = np.empty((n_bit, k * _BLOCK))
+
+        def steady():
+            return np.matmul(toeplitz, bits, out=product)
+    else:
+        def steady():
+            # bits of each column as rows: faster than along axis 0
+            conv = fftconvolve(bits.T, bit_taps[None, :], axes=1)
+            return conv[:, n_bit: 2 * n_bit].T
+    out = np.empty((period, n_pix), dtype=dtype)
+    by_bit = out.reshape(n_bit, k, n_pix)
+    for start in range(0, n_pix, _BLOCK):
+        m = min(_BLOCK, n_pix - start)
+        cols = slice(start, start + m)
+        fold[:, :m] = traces[:2 * period, cols]
+        fold[:, m:] = 0.0
+        for i in range(1, n_avg):
+            fold[:, :m] += traces[i * period: (i + 2) * period, cols]
+        by_bit[:, :, cols] = steady().reshape(n_bit, k, _BLOCK)[:, :, :m]
     return out, n_avg
 
 
@@ -74,23 +115,29 @@ def compress_trace(y_plus_ac, filt, timing, normalization=Normalization.RAW,
                    single_period=False) -> CompressedTrace:
     """Compress one DC-removed trace with a matched filter.
 
-    The input must cover an integer number (>= 2) of excitation periods
-    of ``len(filt.taps)`` samples. Convolution runs in the Fourier
-    domain with full zero padding, which matches direct summation to
-    rounding error. By default every steady period is averaged;
-    ``single_period`` keeps only the first. This is a one-column call of
-    the core of :func:`compress_stack`.
+    The filter must hold ``timing.k`` taps per code bit, and the input
+    must cover an integer number (>= 2) of excitation periods of
+    ``len(filt.taps)`` samples. The steady periods are filtered as
+    folded bit rows, by a Toeplitz matrix product or, for long codes, an
+    FFT convolution; either matches direct summation to rounding error.
+    By default every steady period is averaged; ``single_period`` keeps
+    only the first. This is a one-column call of the core of
+    :func:`compress_stack`, and gives the same bits as that pixel of a
+    compressed stack.
     """
     y = np.asarray(y_plus_ac, dtype=float)
     period = len(filt.taps)
+    if period % timing.k != 0:
+        raise ShapeMismatch(
+            f"filter of {period} taps is not a code at K = {timing.k}")
     if len(y) % period != 0:
         raise ShapeMismatch(
             f"trace length {len(y)} is not a multiple of the period {period}")
     if len(y) // period < 2:
         raise TooFewPeriods("need at least 2 excitation periods")
     values, n_avg = _compress_columns(
-        y[:, None], filt, int(round(period / timing.k)), normalization,
-        single_period, np.float64)
+        y[:, None], filt, period // timing.k, normalization, single_period,
+        np.float64)
     return CompressedTrace(values=values[:, 0], normalization=normalization,
                            periods_averaged=n_avg)
 
@@ -180,7 +227,7 @@ def snr_metric(stack, region_signal, region_reference) -> float:
     if region_signal != region_reference and all(
             max(a.start, b.start) < min(a.stop, b.stop)
             for a, b in zip(region_signal.slices, region_reference.slices)):
-        raise ValueError("signal and reference regions overlap")
+        raise RegionOverlap("signal and reference regions overlap")
     m_sig = _region_block(stack, region_signal).mean(axis=1)
     block = _region_block(stack, region_reference)
     m_ref = block.mean(axis=1)

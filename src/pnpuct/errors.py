@@ -83,6 +83,10 @@ class EmptyRegion(PnPuctError):
     """Metric region containing no pixels."""
 
 
+class RegionOverlap(PnPuctError, ValueError):
+    """Signal and reference regions of a metric that share pixels."""
+
+
 # --- stack I/O ---
 
 class BadMagic(PnPuctError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import pnpuct.compression
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -8,8 +10,10 @@ from pnpuct import (
     MlsSpec,
     Normalization,
     PixelModel,
+    PnPuctError,
     RectPulse,
     Region,
+    RegionOverlap,
     SceneConfig,
     ShapeMismatch,
     ThermogramStack,
@@ -83,6 +87,13 @@ class TestCompressTrace:
         filt = build_matched_filter(ls31_plus, timing)
         with pytest.raises(ShapeMismatch):
             compress_trace(np.zeros(130), filt, timing)
+
+    def test_filter_for_another_k_rejected(self, ls31_plus):
+        # 62 taps are LS31 at K = 2; with K = 3 they are no whole code
+        filt = build_matched_filter(ls31_plus, Timing(t_bit=1.0, fps=2.0))
+        timing = Timing(t_bit=1.0, fps=3.0, n_per=2)
+        with pytest.raises(ShapeMismatch, match="K = 3"):
+            compress_trace(np.zeros(124), filt, timing)
 
     def test_fft_matches_direct_convolution(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=3)
@@ -255,6 +266,11 @@ def _output_bound(filt, *inputs):
     return np.abs(filt.taps).sum() * sum(np.abs(x).max() for x in inputs)
 
 
+# crossover code lengths that send every code of PLUS_CODES through the
+# Toeplitz product or through the FFT convolution of the fold
+BRANCHES = {"product": 10 ** 9, "fft": 0}
+
+
 class TestCompressionProperties:
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
@@ -267,24 +283,63 @@ class TestCompressionProperties:
              seed=0)
     def test_trace_equals_stack_pixel(self, code, k, n_per, ny, nx,
                                       normalization, single_period, seed):
+        # ny * nx up to 300 straddles one block of columns
+        assert 100 < pnpuct.compression._BLOCK < 300
         timing = _timing(k, n_per)
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(timing.total_frames(code.n_bit), ny, nx))
         stack = ThermogramStack(data=data.astype(np.float32), fps=timing.fps)
-        out = compress_stack(stack, code, timing, normalization, single_period)
         filt = build_matched_filter(code, timing)
-        for jy in range(ny):
-            for jx in range(nx):
-                trace = compress_trace(stack.pixel_trace(jx, jy), filt,
-                                       timing, normalization, single_period)
-                np.testing.assert_array_equal(out.data[:, jy, jx],
-                                              np.float32(trace.values))
+        for crossover in BRANCHES.values():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pnpuct.compression, "_FFT_MIN_BITS", crossover)
+                out = compress_stack(stack, code, timing, normalization,
+                                     single_period)
+                for jy in range(ny):
+                    for jx in range(nx):
+                        trace = compress_trace(
+                            stack.pixel_trace(jx, jy), filt, timing,
+                            normalization, single_period)
+                        np.testing.assert_array_equal(
+                            out.data[:, jy, jx], np.float32(trace.values))
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @settings(max_examples=30, deadline=None)
+    @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
+           n_per=st.integers(2, 4), n_pix=st.integers(1, 3),
+           normalization=st.sampled_from(list(Normalization)),
+           single_period=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_core_matches_direct_convolution(self, branch, code, k, n_per,
+                                             n_pix, normalization,
+                                             single_period, seed):
+        timing = _timing(k, n_per)
+        filt = build_matched_filter(code, timing)
+        period = len(filt.taps)
+        traces = np.random.default_rng(seed).normal(
+            size=(n_per * period, n_pix))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pnpuct.compression, "_FFT_MIN_BITS", BRANCHES[branch])
+            out, n_avg = pnpuct.compression._compress_columns(
+                traces, filt, code.n_bit, normalization, single_period,
+                np.float64)
+        assert n_avg == (1 if single_period else n_per - 1)
+        scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
+                 Normalization.PER_LENGTH: code.n_bit}[normalization]
+        for j in range(n_pix):
+            conv = np.convolve(traces[:, j], filt.taps)
+            direct = np.mean([conv[i * period: (i + 1) * period]
+                              for i in range(1, n_avg + 1)], axis=0) / scale
+            np.testing.assert_allclose(
+                out[:, j], direct, rtol=0,
+                atol=1e-12 * _output_bound(filt, traces[:, j]) / scale)
 
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
            n_per=st.integers(2, 4),
            a=st.floats(-10, 10), b=st.floats(-10, 10),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(code=PLUS_CODES[0], k=1, n_per=2, a=0.0, b=2.2250738585e-313,
+             seed=0)
     def test_linearity(self, code, k, n_per, a, b, seed):
         timing = _timing(k, n_per)
         filt = build_matched_filter(code, timing)
@@ -293,9 +348,12 @@ class TestCompressionProperties:
         combined = compress_trace(a * x + b * y, filt, timing).values
         separate = (a * compress_trace(x, filt, timing).values
                     + b * compress_trace(y, filt, timing).values)
+        # with subnormal a * x or b * y the relative bound underflows to 0,
+        # while each rounding there still costs up to one subnormal step
+        subnormal = len(filt.taps) * np.finfo(float).smallest_subnormal
         np.testing.assert_allclose(
             combined, separate, rtol=0,
-            atol=1e-12 * _output_bound(filt, a * x, b * y))
+            atol=1e-12 * _output_bound(filt, a * x, b * y) + subnormal)
 
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
@@ -411,6 +469,12 @@ class TestSnrMetric:
         stack = self._stack(noise_sigma=0.1)
         with pytest.raises(ValueError):
             snr_metric(stack, Region(0, 0, 4, 4), Region(3, 0, 3, 4))
+
+    def test_overlap_is_a_typed_error(self):
+        stack = self._stack(noise_sigma=0.1)
+        with pytest.raises(RegionOverlap) as info:
+            snr_metric(stack, Region(0, 0, 4, 4), Region(3, 0, 3, 4))
+        assert isinstance(info.value, PnPuctError)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
