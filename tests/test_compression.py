@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pnpuct import (
     EmptyRegion,
+    MatchedFilter,
     MlsSpec,
     Normalization,
     PixelModel,
@@ -93,6 +94,15 @@ class TestCompressTrace:
         filt = build_matched_filter(ls31_plus, Timing(t_bit=1.0, fps=2.0))
         timing = Timing(t_bit=1.0, fps=3.0, n_per=2)
         with pytest.raises(ShapeMismatch, match="K = 3"):
+            compress_trace(np.zeros(124), filt, timing)
+
+    def test_filter_with_taps_between_bits_rejected(self, ls31_plus):
+        # a hand-built filter whose off-grid taps the core would not read
+        timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
+        taps = build_matched_filter(ls31_plus, timing).taps.copy()
+        taps[1] = 0.5
+        filt = MatchedFilter(taps=taps, gain=ls31_plus.gain)
+        with pytest.raises(ShapeMismatch, match="between its bits"):
             compress_trace(np.zeros(124), filt, timing)
 
     def test_fft_matches_direct_convolution(self, ls31_plus):
@@ -266,11 +276,6 @@ def _output_bound(filt, *inputs):
     return np.abs(filt.taps).sum() * sum(np.abs(x).max() for x in inputs)
 
 
-# crossover code lengths that send every code of PLUS_CODES through the
-# Toeplitz product or through the FFT convolution of the fold
-BRANCHES = {"product": 10 ** 9, "fft": 0}
-
-
 class TestCompressionProperties:
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
@@ -289,39 +294,31 @@ class TestCompressionProperties:
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(timing.total_frames(code.n_bit), ny, nx))
         stack = ThermogramStack(data=data.astype(np.float32), fps=timing.fps)
+        out = compress_stack(stack, code, timing, normalization, single_period)
         filt = build_matched_filter(code, timing)
-        for crossover in BRANCHES.values():
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(pnpuct.compression, "_FFT_MIN_BITS", crossover)
-                out = compress_stack(stack, code, timing, normalization,
-                                     single_period)
-                for jy in range(ny):
-                    for jx in range(nx):
-                        trace = compress_trace(
-                            stack.pixel_trace(jx, jy), filt, timing,
-                            normalization, single_period)
-                        np.testing.assert_array_equal(
-                            out.data[:, jy, jx], np.float32(trace.values))
+        for jy in range(ny):
+            for jx in range(nx):
+                trace = compress_trace(stack.pixel_trace(jx, jy), filt,
+                                       timing, normalization, single_period)
+                np.testing.assert_array_equal(out.data[:, jy, jx],
+                                              np.float32(trace.values))
 
-    @pytest.mark.parametrize("branch", BRANCHES)
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
            n_per=st.integers(2, 4), n_pix=st.integers(1, 3),
            normalization=st.sampled_from(list(Normalization)),
            single_period=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_core_matches_direct_convolution(self, branch, code, k, n_per,
-                                             n_pix, normalization,
-                                             single_period, seed):
+    def test_core_matches_direct_convolution(self, code, k, n_per, n_pix,
+                                             normalization, single_period,
+                                             seed):
         timing = _timing(k, n_per)
         filt = build_matched_filter(code, timing)
         period = len(filt.taps)
         traces = np.random.default_rng(seed).normal(
             size=(n_per * period, n_pix))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pnpuct.compression, "_FFT_MIN_BITS", BRANCHES[branch])
-            out, n_avg = pnpuct.compression._compress_columns(
-                traces, filt, code.n_bit, normalization, single_period,
-                np.float64)
+        out, n_avg = pnpuct.compression._compress_columns(
+            traces, filt, code.n_bit, normalization, single_period,
+            np.float64)
         assert n_avg == (1 if single_period else n_per - 1)
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
                  Normalization.PER_LENGTH: code.n_bit}[normalization]
