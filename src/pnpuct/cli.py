@@ -108,7 +108,8 @@ def _cmd_dc_remove(args):
     stack = read_stack(args.stack)
     code = load_code(args.code)
     timing = _timing_from_args(args, stack)
-    removed, fit_map = remove_dc_stack(stack, code, timing)
+    removed, fit_map = remove_dc_stack(stack, code, timing,
+                                       overwrite_input=True)
     write_stack(removed, args.output)
     print(f"wrote DC-removed stack to {args.output}")
     if args.fit_map:
@@ -124,7 +125,7 @@ def _cmd_puct_compress(args):
     compressed = compress_stack(
         stack, code, timing,
         normalization=Normalization(args.normalization),
-        single_period=args.single_period)
+        single_period=args.single_period, overwrite_input=True)
     write_stack(compressed, args.output)
     print(f"wrote compressed stack ({compressed.n_frames} frames) "
           f"to {args.output}")

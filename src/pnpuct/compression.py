@@ -63,7 +63,7 @@ _BLOCK = 256
 
 
 def _compress_columns(traces, filt, n_bit, normalization, single_period,
-                      dtype):
+                      dtype, overwrite=False):
     """Matched filtering of every column of an (n_per * period, n_pix) array.
 
     The filter is nonzero only on every K-th tap, c' = taps[::K]. Its
@@ -72,7 +72,10 @@ def _compress_columns(traces, filt, n_bit, normalization, single_period,
     jK + p is sum_b c'[b] ybar[(N + j - b)K + p]. Seen as a (2N, K * w)
     array, ybar is filtered by one N x 2N Toeplitz matrix. Returns the
     normalized mean of the steady periods as a (period, n_pix) array of
-    ``dtype``, and the number of periods averaged.
+    ``dtype``, and the number of periods averaged. With ``overwrite``
+    the result is the first ``period`` rows of ``traces``, which must
+    then be of ``dtype``: a block's columns are all read into the fold
+    before any of them is written.
     """
     period, n_pix = len(filt.taps), traces.shape[1]
     k = period // n_bit
@@ -87,7 +90,7 @@ def _compress_columns(traces, filt, n_bit, normalization, single_period,
         toeplitz[j, j + 1: j + 1 + n_bit] = bit_taps[::-1]
     product = np.empty((n_bit, k * _BLOCK))
     steady = product.reshape(n_bit, k, _BLOCK)
-    out = np.empty((period, n_pix), dtype=dtype)
+    out = traces[:period] if overwrite else np.empty((period, n_pix), dtype)
     by_bit = out.reshape(n_bit, k, n_pix)
     for start in range(0, n_pix, _BLOCK):
         m = min(_BLOCK, n_pix - start)
@@ -141,11 +144,16 @@ def compress_trace(y_plus_ac, filt, timing, normalization=Normalization.RAW,
 
 
 def compress_stack(stack, code, timing, normalization=Normalization.RAW,
-                   single_period=False) -> ThermogramStack:
+                   single_period=False, overwrite_input=False
+                   ) -> ThermogramStack:
     """Pixelwise compression of a DC-removed stack.
 
     Returns a stack of one period (K * N_bit frames) whose metadata
-    records the compression parameters.
+    records the compression parameters. The input stack is left
+    untouched unless ``overwrite_input`` is true: then the period is
+    written into the input's first frames, which the returned stack
+    shares, and no stack-sized array is allocated. The returned stack
+    then keeps the whole input buffer alive.
     """
     filt = build_matched_filter(code, timing)
     n_frames = stack.n_frames
@@ -155,7 +163,7 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
             f"{timing.total_frames(code.n_bit)}")
     out, n_avg = _compress_columns(
         stack.data.reshape(n_frames, -1), filt, code.n_bit, normalization,
-        single_period, np.float32)
+        single_period, np.float32, overwrite_input)
     metadata = dict(stack.metadata)
     metadata.update({
         "stage": "compressed",
@@ -204,8 +212,8 @@ def _region_block(stack, region):
     if (region.x0 + region.width > stack.nx
             or region.y0 + region.height > stack.ny):
         raise EmptyRegion(f"region {region} does not fit the stack")
-    block = stack.data[(slice(None),) + region.slices]
-    return block.reshape(stack.n_frames, -1).astype(np.float64)
+    block = stack.data[(slice(None),) + region.slices].astype(np.float64)
+    return block.reshape(stack.n_frames, -1)
 
 
 def snr_metric(stack, region_signal, region_reference) -> float:
@@ -234,8 +242,8 @@ def snr_metric(stack, region_signal, region_reference) -> float:
     if n_pix < 2:
         noise_of_mean = 0.0
     else:
-        resid = block - m_ref[:, None]
-        pixel_std = np.sqrt(np.sum(resid ** 2)
+        block -= m_ref[:, None]
+        pixel_std = np.sqrt(np.sum(np.square(block, out=block))
                             / (stack.n_frames * (n_pix - 1)))
         noise_of_mean = float(pixel_std / np.sqrt(n_pix))
     if contrast == 0.0:

@@ -51,7 +51,7 @@ class DcFit:
 _BLOCK = 256
 
 
-def _fit_and_remove(traces, dt, keep):
+def _fit_and_remove(traces, dt, keep, overwrite=False):
     """Trend fit and removal for every column of an (n, n_pix) array.
 
     Exact 3-variable NNLS: with B = QR and z = Q^T y, the subset S of
@@ -62,7 +62,9 @@ def _fit_and_remove(traces, dt, keep):
     keeps exact the zero coefficients of a trace in the trend family.
     Each trace loses (1 - keep) times its trend. Returns the float32
     result and (n_pix, 4) rows of a1, a2, a3, rms; all-zero or
-    non-finite columns give zero output and a NaN row.
+    non-finite columns give zero output and a NaN row. With
+    ``overwrite`` a float32 ``traces`` is the result: each block is
+    written back into the columns it was copied from.
     """
     n, n_pix = traces.shape
     basis = design_matrix(np.arange(n) * dt)
@@ -71,9 +73,9 @@ def _fit_and_remove(traces, dt, keep):
     for mask in range(1, 8):
         idx = [i for i in range(3) if mask >> i & 1]
         subsets.append((np.linalg.pinv(r[:, idx]), r[:, idx], np.eye(3)[:, idx]))
-    out = np.empty((n, n_pix), dtype=np.float32)
+    out = traces if overwrite else np.empty((n, n_pix), dtype=np.float32)
     fits = np.empty((n_pix, 4))
-    y, res = np.empty((n, _BLOCK)), np.empty((n, _BLOCK))
+    y, res, trend = (np.empty((n, _BLOCK)) for _ in range(3))
     for start in range(0, n_pix, _BLOCK):
         m = min(_BLOCK, n_pix - start)
         y[:, :m] = traces[:, start: start + m]
@@ -92,7 +94,7 @@ def _fit_and_remove(traces, dt, keep):
             better = (sol >= 0).all(axis=0) & (sq < best - margin)
             best = np.where(better, sq, best)
             coefs = np.where(better, lift @ sol, coefs)
-        trend = basis @ coefs
+        np.matmul(basis, coefs, out=trend)
         np.subtract(y, trend, out=res)
         rms = np.sqrt(np.einsum("ij,ij->j", res, res) / n)
         trend *= 1.0 - keep
@@ -137,12 +139,15 @@ def remove_dc(trace, fit, code, timing) -> np.ndarray:
     return trace - (1.0 - bias) * fit.evaluate(times)
 
 
-def remove_dc_stack(stack, code, timing):
+def remove_dc_stack(stack, code, timing, overwrite_input=False):
     """Pixelwise fit and removal over a whole stack.
 
     Returns the DC-removed stack and a (ny, nx, 4) float64 fit map of
     a1, a2, a3 and rms residual per pixel; pixels rejected as degenerate
-    hold NaN rows and pass through as zero traces.
+    hold NaN rows and pass through as zero traces. The input stack is
+    left untouched unless ``overwrite_input`` is true: then the result
+    is written into the input's buffer, which the returned stack shares,
+    and no stack-sized array is allocated.
     """
     bias = _validate_bias(code)
     n_frames = stack.n_frames
@@ -151,7 +156,7 @@ def remove_dc_stack(stack, code, timing):
         raise ShapeMismatch(
             f"stack has {n_frames} frames, timing implies {expected}")
     out, fits = _fit_and_remove(stack.data.reshape(n_frames, -1), timing.dt,
-                                bias)
+                                bias, overwrite_input)
     metadata = dict(stack.metadata)
     metadata.update({
         "stage": "dc_removed",

@@ -124,18 +124,22 @@ def run_pipeline(config, out_dir=None, seed=None):
             options["decimate_average"])
         emit("decimated_stack", "decimated_stack.tgs", write_stack, raw)
 
+    # DC removal and compression write into the stack they read, which
+    # is on disk by then; compress_stack takes the flag positionally, so
+    # a stand-in taking (stack, code, *args) can replace it
     removed, fit_map = _stage(
-        "dc_removal", remove_dc_stack, raw, modified_code, comp_timing)
+        "dc_removal", remove_dc_stack, raw, modified_code, comp_timing,
+        overwrite_input=True)
     emit("dc_removed_stack", "dc_removed.tgs", write_stack, removed)
     emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
-    # no later stage reads these; freeing them lowers the peak memory
+    # removed, and compressed after it, share raw's buffer: of these
+    # only the fit map's memory is freed
     del raw, fit_map
 
     compressed = _stage(
         "compress", compress_stack, removed, modified_code, comp_timing,
-        normalization, options["single_period"])
+        normalization, options["single_period"], True)
     emit("compressed_stack", "compressed.tgs", write_stack, compressed)
-    del removed
 
     def reports():
         out = parser["output"] if parser.has_section("output") else {}

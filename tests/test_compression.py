@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pnpuct import (
     EmptyRegion,
     MatchedFilter,
     MlsSpec,
+    NonFiniteData,
     Normalization,
     PixelModel,
     PnPuctError,
@@ -50,6 +53,24 @@ PLUS_CODES = [
     modify_for_perfect_pacf(generate_mls(MlsSpec(order=4))),
     binarize_ls4(generate_ls(11), -1),
 ]
+
+
+def _camera_stack():
+    """64 x 64 px x 2480 frames (LS31, K = 40) of noise: a 40.6 MB stack."""
+    timing = Timing(t_bit=1.0, fps=40.0, n_per=2)
+    data = np.random.default_rng(0).standard_normal(
+        (timing.total_frames(31), 64, 64), dtype=np.float32)
+    return ThermogramStack(data=data, fps=timing.fps), timing
+
+
+def _peak_alloc(fn, *args, **kwargs):
+    """Peak bytes that tracemalloc sees allocated during one call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCompressTrace:
@@ -259,6 +280,12 @@ class TestCompressStack:
         with pytest.raises(UnmodifiedCode):
             compress_stack(stack, ls31, timing)
 
+    def test_overwrite_input_allocates_no_stack(self, ls31_plus):
+        # 7.6 MB of fold and product buffers; the output alone is 20.3 MB
+        stack, timing = _camera_stack()
+        assert _peak_alloc(compress_stack, stack, ls31_plus, timing,
+                           overwrite_input=True) < 10e6
+
     def test_frame_count_checked(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
         stack = ThermogramStack(data=np.ones((100, 1, 1), dtype=np.float32),
@@ -302,6 +329,44 @@ class TestCompressionProperties:
                                        timing, normalization, single_period)
                 np.testing.assert_array_equal(out.data[:, jy, jx],
                                               np.float32(trace.values))
+
+    @settings(max_examples=30, deadline=None)
+    @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
+           n_per=st.integers(2, 4), ny=st.integers(1, 3),
+           nx=st.integers(1, 100),
+           normalization=st.sampled_from(list(Normalization)),
+           single_period=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_overwrite_input_gives_the_default_result_in_place(
+            self, code, k, n_per, ny, nx, normalization, single_period, seed,
+            data):
+        timing = _timing(k, n_per)
+        n = timing.total_frames(code.n_bit)
+        rng = np.random.default_rng(seed)
+        stack = ThermogramStack(
+            data=rng.normal(size=(n, ny, nx)).astype(np.float32),
+            fps=timing.fps)
+        flat = stack.data.reshape(n, -1)
+        dead = data.draw(st.lists(st.integers(0, ny * nx - 1), unique=True))
+        flat[:, dead] = 0.0
+        args = (stack, code, timing, normalization, single_period)
+        if data.draw(st.booleans()):
+            # a non-finite sample that a steady period reads fails both
+            # calls; the first bit's frames enter only with a zero tap
+            flat[data.draw(st.integers(k, 2 * n // n_per - 1)),
+                 data.draw(st.integers(0, ny * nx - 1))] = np.nan
+            with pytest.raises(NonFiniteData):
+                compress_stack(*args)
+            with pytest.raises(NonFiniteData):
+                compress_stack(*args, overwrite_input=True)
+            return
+        before = stack.data.tobytes()
+        expected = compress_stack(*args)
+        assert stack.data.tobytes() == before
+        out = compress_stack(*args, overwrite_input=True)
+        assert np.shares_memory(out.data, stack.data)
+        assert out.data.tobytes() == expected.data.tobytes()
+        assert out.metadata == expected.metadata
 
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
@@ -454,6 +519,13 @@ class TestSnrMetric:
         shifted = ThermogramStack(data=stack.data + 100.0, fps=stack.fps,
                                   metadata=stack.metadata)
         assert snr_metric(shifted, sig, ref) == pytest.approx(base, abs=1e-3)
+
+    def test_one_copy_of_the_reference_block(self):
+        stack, _ = _camera_stack()
+        signal, reference = Region(0, 0, 32, 64), Region(32, 0, 32, 64)
+        block_bytes = stack.n_frames * 32 * 64 * 8
+        peak = _peak_alloc(snr_metric, stack, signal, reference)
+        assert peak < 1.2 * block_bytes
 
     def test_empty_or_outside_region(self):
         stack = self._stack()

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
+import pnpuct.dc_removal
 from pnpuct import (
     BiasMismatch,
     CodeKind,
@@ -357,6 +360,52 @@ class TestWholeStackSolver:
                                       clean_fits.reshape(-1, 4)[alive])
         np.testing.assert_array_equal(
             out[:, alive], clean.data.reshape(stack.n_frames, -1)[:, alive])
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 3), n_per=st.integers(2, 4), ny=st.integers(1, 3),
+           nx=st.integers(1, 100), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_overwrite_input_gives_the_default_result_in_place(
+            self, k, n_per, ny, nx, seed, data):
+        # ny * nx up to 300 straddles one block of columns
+        assert 100 < pnpuct.dc_removal._BLOCK < 300
+        timing = Timing(t_bit=1.0, fps=float(k), n_per=n_per)
+        n = timing.total_frames(LS7_PLUS.n_bit)
+        rng = np.random.default_rng(seed)
+        traces = (design_matrix(times_for(timing, n))
+                  @ rng.normal(size=(3, ny * nx)))
+        traces += rng.normal(size=traces.shape)
+        stack = ThermogramStack(data=traces.reshape(n, ny, nx),
+                                fps=timing.fps)
+        flat = stack.data.reshape(n, -1)
+        dead = data.draw(st.lists(st.integers(0, ny * nx - 1), unique=True))
+        flat[:, dead[::3]] = 0.0
+        flat[data.draw(st.integers(0, n - 1)), dead[1::3]] = np.nan
+        flat[data.draw(st.integers(0, n - 1)), dead[2::3]] = -np.inf
+        before = stack.data.tobytes()
+        expected, expected_fits = remove_dc_stack(stack, LS7_PLUS, timing)
+        assert stack.data.tobytes() == before
+        removed, fits = remove_dc_stack(stack, LS7_PLUS, timing,
+                                        overwrite_input=True)
+        assert np.shares_memory(removed.data, stack.data)
+        assert removed.data.tobytes() == expected.data.tobytes()
+        assert fits.tobytes() == expected_fits.tobytes()
+        assert removed.metadata == expected.metadata
+
+    def test_overwrite_input_allocates_no_stack(self, ls31_plus):
+        # 64 x 64 px x 2480 frames (LS31, K = 40): a 40.6 MB stack, and
+        # 15.2 MB in the three float64 block buffers
+        timing = Timing(t_bit=1.0, fps=40.0, n_per=2)
+        data = np.random.default_rng(0).standard_normal(
+            (timing.total_frames(31), 64, 64), dtype=np.float32)
+        stack = ThermogramStack(data=data, fps=timing.fps)
+        tracemalloc.start()
+        try:
+            remove_dc_stack(stack, ls31_plus, timing, overwrite_input=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_fit_map_csv_text(self, tmp_path):
         fits = np.array([[[0.1, 0.0, 2.5, 1e-3], [np.nan] * 4]])
