@@ -28,9 +28,10 @@ import numpy as np
 # the kernel's modules first (ROADMAP item 1).
 import scipy.signal
 
-from .errors import EmptyRegion, RegionOverlap, ShapeMismatch, TooFewPeriods
+from .errors import (EmptyRegion, RegionOverlap, ShapeMismatch,
+                     UnmodifiedCode)
 from .stack import ThermogramStack
-from .waveform import Timing, build_matched_filter
+from .waveform import Timing
 
 
 class Normalization(Enum):
@@ -62,32 +63,42 @@ class CompressedTrace:
 _BLOCK = 256
 
 
-def _compress_columns(traces, filt, n_bit, normalization, single_period,
+def _compress_columns(traces, code, timing, normalization, single_period,
                       dtype, overwrite=False):
-    """Matched filtering of every column of an (n_per * period, n_pix) array.
+    """Matched filtering of every column of an (n_frames, n_pix) array.
 
-    The filter is nonzero only on every K-th tap, c' = taps[::K]. Its
-    steady periods therefore need only the fold ybar, the sum of the
-    n_avg two-period windows y[(i - 1)P : (i + 1)P]: output frame
-    jK + p is sum_b c'[b] ybar[(N + j - b)K + p]. Seen as a (2N, K * w)
-    array, ybar is filtered by one N x 2N Toeplitz matrix. Returns the
-    normalized mean of the steady periods as a (period, n_pix) array of
-    ``dtype``, and the number of periods averaged. With ``overwrite``
-    the result is the first ``period`` rows of ``traces``, which must
-    then be of ``dtype``: a block's columns are all read into the fold
-    before any of them is written.
+    The matched filter is the time-reversed modified code on every K-th
+    tap, c'[b] = values[-b mod N]. Its steady periods therefore need
+    only the fold ybar, the sum of the n_avg two-period windows
+    y[(i - 1)P : (i + 1)P]: output frame jK + p is
+    sum_b c'[b] ybar[(N + j - b)K + p]. Seen as a (2N, K * w) array,
+    ybar is filtered by one N x 2N Toeplitz matrix whose rows hold
+    c'[::-1] = roll(values, -1). The input must span the timing's
+    n_per periods. Returns the normalized mean of the steady periods as
+    a (period, n_pix) array of ``dtype``, and the number of periods
+    averaged. With ``overwrite`` the result is the first ``period``
+    rows of ``traces``, which must then be of ``dtype``: a block's
+    columns are all read into the fold before any of them is written.
     """
-    period, n_pix = len(filt.taps), traces.shape[1]
-    k = period // n_bit
-    n_avg = 1 if single_period else traces.shape[0] // period - 1
-    scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: filt.gain,
+    if not code.is_modified:
+        raise UnmodifiedCode(
+            f"{code.kind.value} has sidelobes; modify the code first")
+    n_bit, k = code.n_bit, timing.k
+    n_frames, n_pix = traces.shape
+    if n_frames != timing.total_frames(n_bit):
+        raise ShapeMismatch(
+            f"{n_frames} frames given, timing implies "
+            f"{timing.total_frames(n_bit)}")
+    period = timing.frames_per_period(n_bit)
+    n_avg = 1 if single_period else timing.n_per - 1
+    scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
              Normalization.PER_LENGTH: n_bit}[normalization]
-    bit_taps = filt.taps[::k] / (n_avg * scale)
+    row = np.roll(code.values, -1) / (n_avg * scale)
     fold = np.empty((2 * period, _BLOCK))
     bits = fold.reshape(2 * n_bit, k * _BLOCK)
     toeplitz = np.zeros((n_bit, 2 * n_bit))
     for j in range(n_bit):
-        toeplitz[j, j + 1: j + 1 + n_bit] = bit_taps[::-1]
+        toeplitz[j, j + 1: j + 1 + n_bit] = row
     product = np.empty((n_bit, k * _BLOCK))
     steady = product.reshape(n_bit, k, _BLOCK)
     out = traces[:period] if overwrite else np.empty((period, n_pix), dtype)
@@ -104,41 +115,23 @@ def _compress_columns(traces, filt, n_bit, normalization, single_period,
     return out, n_avg
 
 
-def compress_trace(y_plus_ac, filt, timing, normalization=Normalization.RAW,
+def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
                    single_period=False) -> CompressedTrace:
-    """Compress one DC-removed trace with a matched filter.
+    """Compress one DC-removed trace with the matched filter of a code.
 
-    The filter must hold ``timing.k`` taps per code bit, nonzero only on
-    the first tap of each bit, as :func:`build_matched_filter` makes it,
-    and the input must cover an integer number (>= 2) of excitation
-    periods of ``len(filt.taps)`` samples. The steady periods are
-    filtered as folded bit rows by a Toeplitz matrix product, which
-    matches direct summation to rounding error. By default every steady
-    period is averaged; ``single_period`` keeps only the first.
-
-    This is a one-column call of the core of :func:`compress_stack` and
-    gives the same bits as that pixel of a compressed stack. To get
-    them, the column is zero-padded to a full block of ``_BLOCK``
-    columns, so one call costs about as much as 256 pixels of a stack:
-    1.7 ms at LS31 K=40 and 27 ms at LS1031 K=1 on a 2-vCPU VM with 1
-    BLAS thread. Compress many pixels with :func:`compress_stack`.
+    This is one pixel of :func:`compress_stack`: the same arguments, the
+    same frame rule (exactly ``timing.total_frames(code.n_bit)``
+    samples, else ``ShapeMismatch``), ``UnmodifiedCode`` for a code with
+    sidelobes, and the same bits as that pixel of a compressed stack,
+    here as float64. To get them, the column is zero-padded to a full
+    block of ``_BLOCK`` columns, so one call costs about as much as 256
+    pixels of a stack: 1.7 ms at LS31 K=40 and 27 ms at LS1031 K=1 on a
+    2-vCPU VM with 1 BLAS thread. Compress many pixels with
+    :func:`compress_stack`.
     """
     y = np.asarray(y_plus_ac, dtype=float)
-    period = len(filt.taps)
-    if period % timing.k != 0:
-        raise ShapeMismatch(
-            f"filter of {period} taps is not a code at K = {timing.k}")
-    if np.any(filt.taps.reshape(-1, timing.k)[:, 1:]):
-        raise ShapeMismatch(
-            f"filter has nonzero taps between its bits at K = {timing.k}")
-    if len(y) % period != 0:
-        raise ShapeMismatch(
-            f"trace length {len(y)} is not a multiple of the period {period}")
-    if len(y) // period < 2:
-        raise TooFewPeriods("need at least 2 excitation periods")
     values, n_avg = _compress_columns(
-        y[:, None], filt, period // timing.k, normalization, single_period,
-        np.float64)
+        y[:, None], code, timing, normalization, single_period, np.float64)
     return CompressedTrace(values=values[:, 0], normalization=normalization,
                            periods_averaged=n_avg)
 
@@ -149,20 +142,15 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
     """Pixelwise compression of a DC-removed stack.
 
     Returns a stack of one period (K * N_bit frames) whose metadata
-    records the compression parameters. The input stack is left
-    untouched unless ``overwrite_input`` is true: then the period is
-    written into the input's first frames, which the returned stack
-    shares, and no stack-sized array is allocated. The returned stack
-    then keeps the whole input buffer alive.
+    records the compression parameters. By default every steady period
+    is averaged; ``single_period`` keeps only the first. The input
+    stack is left untouched unless ``overwrite_input`` is true: then
+    the period is written into the input's first frames, which the
+    returned stack shares, and no stack-sized array is allocated. The
+    returned stack then keeps the whole input buffer alive.
     """
-    filt = build_matched_filter(code, timing)
-    n_frames = stack.n_frames
-    if n_frames != timing.total_frames(code.n_bit):
-        raise ShapeMismatch(
-            f"stack has {n_frames} frames, timing implies "
-            f"{timing.total_frames(code.n_bit)}")
     out, n_avg = _compress_columns(
-        stack.data.reshape(n_frames, -1), filt, code.n_bit, normalization,
+        stack.data.reshape(stack.n_frames, -1), code, timing, normalization,
         single_period, np.float32, overwrite_input)
     metadata = dict(stack.metadata)
     metadata.update({

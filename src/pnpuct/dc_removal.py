@@ -80,7 +80,11 @@ def _fit_and_remove(traces, dt, keep, overwrite=False):
         m = min(_BLOCK, n_pix - start)
         y[:, :m] = traces[:, start: start + m]
         y[:, m:] = 0.0
-        z = q.T @ y
+        # the basis is zero at t = 0, so is q's first row, and a +-inf in
+        # frame 0 meets 0 * inf inside the product: the NaN it gives is
+        # flagged by valid below, so numpy's warning would be noise
+        with np.errstate(invalid="ignore"):
+            z = q.T @ y
         valid = np.isfinite(z).all(axis=0) & y.any(axis=0)
         y[:, ~valid] = 0.0
         z[:, ~valid] = 0.0

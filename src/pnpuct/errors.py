@@ -50,7 +50,7 @@ class NonPositiveAmplitude(PnPuctError):
 
 
 class UnmodifiedCode(PnPuctError):
-    """Matched filter requested from a code without the perfect-PACF bias."""
+    """Compression or its filter asked of a code without the perfect-PACF bias."""
 
 
 # --- thermal simulation ---
@@ -71,12 +71,8 @@ class DegenerateTrace(PnPuctError):
 
 # --- pulse compression ---
 
-class TooFewPeriods(PnPuctError):
-    """Compression input covering fewer than two excitation periods."""
-
-
 class ShapeMismatch(PnPuctError):
-    """Array dimensions inconsistent with the timing or filter length."""
+    """Array dimensions inconsistent with the code and timing."""
 
 
 class EmptyRegion(PnPuctError):

@@ -90,10 +90,8 @@ def run_pipeline(config, out_dir=None, seed=None):
 
     excitation_code, modified_code = _stage(
         "codes", generate_codes, parser["code"])
-    emit("excitation_code", "excitation_code.txt",
-         lambda c, p: save_code(c, p), excitation_code)
-    emit("modified_code", "modified_code.txt",
-         lambda c, p: save_code(c, p), modified_code)
+    emit("excitation_code", "excitation_code.txt", save_code, excitation_code)
+    emit("modified_code", "modified_code.txt", save_code, modified_code)
 
     def make_waveforms():
         bipolar = build_bipolar(excitation_code, timing)

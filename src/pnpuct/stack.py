@@ -67,9 +67,6 @@ class ThermogramStack:
         self._check_pixel(jx, jy)
         return self.data[:, jy, jx].astype(np.float64)
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_frames) / self.fps
-
     def _check_pixel(self, jx, jy):
         if not (0 <= jx < self.nx and 0 <= jy < self.ny):
             raise IndexOutOfRange(

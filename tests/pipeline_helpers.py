@@ -5,7 +5,6 @@ import numpy as np
 from pnpuct import (
     Normalization,
     build_bipolar,
-    build_matched_filter,
     build_unipolar,
     compress_trace,
     fit_dc,
@@ -30,8 +29,7 @@ def run_pixel(model, standard_code, modified_code, timing, amplitude=1.0,
         y = y + noise
     fit = fit_dc(y, timing)
     y_ac = remove_dc(y, fit, modified_code, timing)
-    filt = build_matched_filter(modified_code, timing)
-    compressed = compress_trace(y_ac, filt, timing,
+    compressed = compress_trace(y_ac, modified_code, timing,
                                 normalization=normalization,
                                 single_period=single_period)
     return compressed, y

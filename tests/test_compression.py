@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pnpuct import (
     EmptyRegion,
-    MatchedFilter,
     MlsSpec,
     NonFiniteData,
     Normalization,
@@ -22,7 +21,6 @@ from pnpuct import (
     ShapeMismatch,
     ThermogramStack,
     Timing,
-    TooFewPeriods,
     UnmodifiedCode,
     binarize_ls4,
     build_bipolar,
@@ -76,17 +74,15 @@ def _peak_alloc(fn, *args, **kwargs):
 class TestCompressTrace:
     def test_code_itself_gives_gain_times_pulse(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=3.0, n_per=2)
-        filt = build_matched_filter(ls31_plus, timing)
         y = np.tile(np.repeat(ls31_plus.values, 3), 2)
-        out = compress_trace(y, filt, timing)
+        out = compress_trace(y, ls31_plus, timing)
         np.testing.assert_allclose(out.values[:3], 31.0, rtol=1e-9)
         np.testing.assert_allclose(out.values[3:], 0.0, atol=1e-9 * 31)
         assert out.periods_averaged == 1
 
     def test_zeros_give_zeros(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
-        filt = build_matched_filter(ls31_plus, timing)
-        out = compress_trace(np.zeros(124), filt, timing)
+        out = compress_trace(np.zeros(124), ls31_plus, timing)
         np.testing.assert_array_equal(out.values, np.zeros(62))
 
     def test_transparency_vs_lpt_reference(self, ls31, ls31_plus):
@@ -98,40 +94,31 @@ class TestCompressTrace:
         err = np.sqrt(np.mean((scaled - reference) ** 2))
         assert err < 0.02 * reference.max()
 
-    def test_too_few_periods(self, ls31_plus):
+    @pytest.mark.parametrize("code_name, n_frames, error", [
+        ("ls31_plus", 62, ShapeMismatch),
+        ("ls31_plus", 130, ShapeMismatch),
+        ("ls31_plus", 186, ShapeMismatch),
+        ("ls31", 124, UnmodifiedCode),
+    ], ids=["62-frames", "130-frames", "186-frames", "unmodified"])
+    def test_same_errors_as_the_stack(self, request, code_name, n_frames,
+                                      error):
+        # n_per = 2 at K = 2 is 124 frames: fewer, more or a partial
+        # period fail both calls alike, as does a code with sidelobes
+        code = request.getfixturevalue(code_name)
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
-        filt = build_matched_filter(ls31_plus, timing)
-        with pytest.raises(TooFewPeriods):
-            compress_trace(np.zeros(62), filt, timing)
-
-    def test_shape_mismatch(self, ls31_plus):
-        timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
-        filt = build_matched_filter(ls31_plus, timing)
-        with pytest.raises(ShapeMismatch):
-            compress_trace(np.zeros(130), filt, timing)
-
-    def test_filter_for_another_k_rejected(self, ls31_plus):
-        # 62 taps are LS31 at K = 2; with K = 3 they are no whole code
-        filt = build_matched_filter(ls31_plus, Timing(t_bit=1.0, fps=2.0))
-        timing = Timing(t_bit=1.0, fps=3.0, n_per=2)
-        with pytest.raises(ShapeMismatch, match="K = 3"):
-            compress_trace(np.zeros(124), filt, timing)
-
-    def test_filter_with_taps_between_bits_rejected(self, ls31_plus):
-        # a hand-built filter whose off-grid taps the core would not read
-        timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
-        taps = build_matched_filter(ls31_plus, timing).taps.copy()
-        taps[1] = 0.5
-        filt = MatchedFilter(taps=taps, gain=ls31_plus.gain)
-        with pytest.raises(ShapeMismatch, match="between its bits"):
-            compress_trace(np.zeros(124), filt, timing)
+        with pytest.raises(error):
+            compress_trace(np.zeros(n_frames), code, timing)
+        stack = ThermogramStack(
+            data=np.ones((n_frames, 1, 1), dtype=np.float32), fps=2.0)
+        with pytest.raises(error):
+            compress_stack(stack, code, timing)
 
     def test_fft_matches_direct_convolution(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=3)
         filt = build_matched_filter(ls31_plus, timing)
         rng = np.random.default_rng(12)
         y = rng.normal(size=3 * 62)
-        out = compress_trace(y, filt, timing)
+        out = compress_trace(y, ls31_plus, timing)
         period = 62
         conv = np.convolve(y, filt.taps)
         direct = np.mean([conv[period: 2 * period], conv[2 * period: 3 * period]],
@@ -143,18 +130,17 @@ class TestCompressTrace:
         filt = build_matched_filter(ls31_plus, timing)
         rng = np.random.default_rng(13)
         y = rng.normal(size=3 * 62)
-        single = compress_trace(y, filt, timing, single_period=True)
+        single = compress_trace(y, ls31_plus, timing, single_period=True)
         conv = np.convolve(y, filt.taps)
         np.testing.assert_allclose(single.values, conv[62:124], rtol=1e-10)
         assert single.periods_averaged == 1
 
     def test_gain_linearity(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
-        filt = build_matched_filter(ls31_plus, timing)
         rng = np.random.default_rng(14)
         y = rng.normal(size=124)
-        base = compress_trace(y, filt, timing).values
-        scaled = compress_trace(2.5 * y, filt, timing).values
+        base = compress_trace(y, ls31_plus, timing).values
+        scaled = compress_trace(2.5 * y, ls31_plus, timing).values
         np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-12)
 
     @staticmethod
@@ -242,8 +228,7 @@ class TestCompressStack:
         scene = SceneConfig(nx=2, ny=1, background=SOUND)
         removed = self._dc_removed_stack(scene, ls31, ls31_plus, timing)
         out = compress_stack(removed, ls31_plus, timing)
-        filt = build_matched_filter(ls31_plus, timing)
-        trace = compress_trace(removed.pixel_trace(0, 0), filt, timing)
+        trace = compress_trace(removed.pixel_trace(0, 0), ls31_plus, timing)
         np.testing.assert_array_equal(out.data[:, 0, 0],
                                       np.float32(trace.values))
 
@@ -322,10 +307,9 @@ class TestCompressionProperties:
         data = rng.normal(size=(timing.total_frames(code.n_bit), ny, nx))
         stack = ThermogramStack(data=data.astype(np.float32), fps=timing.fps)
         out = compress_stack(stack, code, timing, normalization, single_period)
-        filt = build_matched_filter(code, timing)
         for jy in range(ny):
             for jx in range(nx):
-                trace = compress_trace(stack.pixel_trace(jx, jy), filt,
+                trace = compress_trace(stack.pixel_trace(jx, jy), code,
                                        timing, normalization, single_period)
                 np.testing.assert_array_equal(out.data[:, jy, jx],
                                               np.float32(trace.values))
@@ -382,8 +366,7 @@ class TestCompressionProperties:
         traces = np.random.default_rng(seed).normal(
             size=(n_per * period, n_pix))
         out, n_avg = pnpuct.compression._compress_columns(
-            traces, filt, code.n_bit, normalization, single_period,
-            np.float64)
+            traces, code, timing, normalization, single_period, np.float64)
         assert n_avg == (1 if single_period else n_per - 1)
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
                  Normalization.PER_LENGTH: code.n_bit}[normalization]
@@ -407,9 +390,9 @@ class TestCompressionProperties:
         filt = build_matched_filter(code, timing)
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=(2, timing.total_frames(code.n_bit)))
-        combined = compress_trace(a * x + b * y, filt, timing).values
-        separate = (a * compress_trace(x, filt, timing).values
-                    + b * compress_trace(y, filt, timing).values)
+        combined = compress_trace(a * x + b * y, code, timing).values
+        separate = (a * compress_trace(x, code, timing).values
+                    + b * compress_trace(y, code, timing).values)
         # with subnormal a * x or b * y the relative bound underflows to 0,
         # while each rounding there still costs up to one subnormal step
         subnormal = len(filt.taps) * np.finfo(float).smallest_subnormal
@@ -427,9 +410,9 @@ class TestCompressionProperties:
         period = len(filt.taps)
         shift %= period
         one_period = np.random.default_rng(seed).normal(size=period)
-        base = compress_trace(np.tile(one_period, n_per), filt, timing)
+        base = compress_trace(np.tile(one_period, n_per), code, timing)
         shifted = compress_trace(np.tile(np.roll(one_period, shift), n_per),
-                                 filt, timing)
+                                 code, timing)
         np.testing.assert_allclose(
             shifted.values, np.roll(base.values, shift), rtol=0,
             atol=1e-12 * _output_bound(filt, one_period))
@@ -480,8 +463,7 @@ class TestDecimate:
         dec_timing = Timing(t_bit=1.0, fps=1.0, n_per=2)
         fit = fit_dc(y, dec_timing)
         y_ac = remove_dc(y, fit, ls31_plus, dec_timing)
-        filt = build_matched_filter(ls31_plus, dec_timing)
-        compressed_dec = compress_trace(y_ac, filt, dec_timing)
+        compressed_dec = compress_trace(y_ac, ls31_plus, dec_timing)
         rel = (np.linalg.norm(compressed_dec.values - at_bits)
                / np.linalg.norm(at_bits))
         assert rel < 0.02

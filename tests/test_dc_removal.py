@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,26 @@ class TestRemoveDcStack:
         assert np.isnan(fits[0, 1]).all()
         assert np.isfinite(fits[0, 0]).all()
         np.testing.assert_array_equal(removed.data[:, 0, 1], 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_first_frame_flagged_without_warning(self, ls31,
+                                                          ls31_plus, bad):
+        # the trend basis is zero at t = 0, so frame 0 enters the fit
+        # with a zero weight; 0 * inf must not surface as a warning
+        timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
+        stack = self._stack(SceneConfig(nx=3, ny=1, background=SOUND),
+                            timing, ls31)
+        clean, clean_fits = remove_dc_stack(stack, ls31_plus, timing)
+        stack.data[0, 0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            removed, fits = remove_dc_stack(stack, ls31_plus, timing)
+        assert np.isnan(fits[0, 1]).all()
+        np.testing.assert_array_equal(removed.data[:, 0, 1], 0.0)
+        for jx in (0, 2):
+            np.testing.assert_array_equal(removed.data[:, 0, jx],
+                                          clean.data[:, 0, jx])
+            np.testing.assert_array_equal(fits[0, jx], clean_fits[0, jx])
 
     def test_frame_count_validated(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=4.0, n_per=2)
