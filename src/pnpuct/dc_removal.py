@@ -65,6 +65,13 @@ def _fit_and_remove(traces, dt, keep, overwrite=False):
     non-finite columns give zero output and a NaN row. With
     ``overwrite`` a float32 ``traces`` is the result: each block is
     written back into the columns it was copied from.
+
+    One float64 (n, _BLOCK) buffer holds, in turn, the block's traces,
+    the trend, the residual and the scaled trend; y is re-read from
+    ``traces`` where it is needed, which is exact because float32 to
+    float64 is exact and mixed float32/float64 ufuncs compute in
+    float64. The trend is computed twice by the same BLAS call, so both
+    copies have the same bits.
     """
     n, n_pix = traces.shape
     basis = design_matrix(np.arange(n) * dt)
@@ -75,18 +82,18 @@ def _fit_and_remove(traces, dt, keep, overwrite=False):
         subsets.append((np.linalg.pinv(r[:, idx]), r[:, idx], np.eye(3)[:, idx]))
     out = traces if overwrite else np.empty((n, n_pix), dtype=np.float32)
     fits = np.empty((n_pix, 4))
-    y, res, trend = (np.empty((n, _BLOCK)) for _ in range(3))
+    a = np.empty((n, _BLOCK))
     for start in range(0, n_pix, _BLOCK):
         m = min(_BLOCK, n_pix - start)
-        y[:, :m] = traces[:, start: start + m]
-        y[:, m:] = 0.0
+        src = traces[:, start: start + m]
+        a[:, :m] = src
+        a[:, m:] = 0.0
         # the basis is zero at t = 0, so is q's first row, and a +-inf in
         # frame 0 meets 0 * inf inside the product: the NaN it gives is
         # flagged by valid below, so numpy's warning would be noise
         with np.errstate(invalid="ignore"):
-            z = q.T @ y
-        valid = np.isfinite(z).all(axis=0) & y.any(axis=0)
-        y[:, ~valid] = 0.0
+            z = q.T @ a
+        valid = np.isfinite(z).all(axis=0) & a.any(axis=0)
         z[:, ~valid] = 0.0
         best = np.einsum("ij,ij->j", z, z)
         margin = (n * np.finfo(float).eps) ** 2 * best
@@ -98,12 +105,17 @@ def _fit_and_remove(traces, dt, keep, overwrite=False):
             better = (sol >= 0).all(axis=0) & (sq < best - margin)
             best = np.where(better, sq, best)
             coefs = np.where(better, lift @ sol, coefs)
-        np.matmul(basis, coefs, out=trend)
-        np.subtract(y, trend, out=res)
-        rms = np.sqrt(np.einsum("ij,ij->j", res, res) / n)
-        trend *= 1.0 - keep
-        y -= trend
-        out[:, start: start + m] = y[:, :m]
+        # invalid columns have zero coefficients, so a zero trend; their
+        # residual may be non-finite, but their rms becomes NaN below
+        np.matmul(basis, coefs, out=a)
+        np.subtract(src, a[:, :m], out=a[:, :m])
+        rms = np.sqrt(np.einsum("ij,ij->j", a, a) / n)
+        np.matmul(basis, coefs, out=a)
+        a *= 1.0 - keep
+        block = out[:, start: start + m]
+        np.subtract(src, a[:, :m], out=block, casting="unsafe")
+        # an invalid column may hold non-finite values or -0.0
+        block[:, ~valid[:m]] = 0.0
         fits[start: start + m] = np.where(valid, np.vstack([coefs, rms]),
                                           np.nan)[:, :m].T
     return out, fits

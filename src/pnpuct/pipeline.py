@@ -144,7 +144,6 @@ def run_pipeline(config, out_dir=None, seed=None):
         slices = out.get("slices", "")
         for token in filter(None, (s.strip() for s in slices.split(","))):
             index = int(round(float(token) * compressed.fps))
-            index = min(max(index, 0), compressed.n_frames - 1)
             base = os.path.join(directory, f"slice_t{token}")
             pgm, csvp, side = export_slice(compressed, index, base)
             artifacts[f"slice_{token}_pgm"] = pgm

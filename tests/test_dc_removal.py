@@ -369,6 +369,7 @@ class TestWholeStackSolver:
         alive = np.setdiff1d(np.arange(n_pix), dead)
         broken = stack.data.reshape(stack.n_frames, -1).copy()
         broken[:, dead] = 0.0
+        broken[:, dead[::2]] = -0.0
         removed, fits = remove_dc_stack(
             ThermogramStack(data=broken.reshape(stack.data.shape),
                             fps=stack.fps), LS7_PLUS, timing)
@@ -377,6 +378,7 @@ class TestWholeStackSolver:
         fits = fits.reshape(-1, 4)
         assert np.isnan(fits[dead]).all()
         np.testing.assert_array_equal(out[:, dead], 0.0)
+        assert not np.signbit(out[:, dead]).any()
         np.testing.assert_array_equal(fits[alive],
                                       clean_fits.reshape(-1, 4)[alive])
         np.testing.assert_array_equal(
@@ -413,20 +415,29 @@ class TestWholeStackSolver:
         assert fits.tobytes() == expected_fits.tobytes()
         assert removed.metadata == expected.metadata
 
-    def test_overwrite_input_allocates_no_stack(self, ls31_plus):
-        # 64 x 64 px x 2480 frames (LS31, K = 40): a 40.6 MB stack, and
-        # 15.2 MB in the three float64 block buffers
+    @staticmethod
+    def _camera_peak(code, overwrite_input):
+        """Traced peak of DC removal on 64 x 64 px x 2480 frames."""
         timing = Timing(t_bit=1.0, fps=40.0, n_per=2)
         data = np.random.default_rng(0).standard_normal(
             (timing.total_frames(31), 64, 64), dtype=np.float32)
         stack = ThermogramStack(data=data, fps=timing.fps)
         tracemalloc.start()
         try:
-            remove_dc_stack(stack, ls31_plus, timing, overwrite_input=True)
-            peak = tracemalloc.get_traced_memory()[1]
+            remove_dc_stack(stack, code, timing,
+                            overwrite_input=overwrite_input)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+
+    def test_overwrite_input_allocates_no_stack(self, ls31_plus):
+        # LS31, K = 40: a 40.6 MB stack, and 5.1 MB in the one float64
+        # block buffer
+        assert self._camera_peak(ls31_plus, True) < 7e6
+
+    def test_default_allocates_one_output_stack(self, ls31_plus):
+        # the 40.6 MB float32 output next to the one block buffer
+        assert self._camera_peak(ls31_plus, False) < 40.6e6 + 7e6
 
     def test_fit_map_csv_text(self, tmp_path):
         fits = np.array([[[0.1, 0.0, 2.5, 1e-3], [np.nan] * 4]])

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnpuct import (MlsSpec, NotLs4Compatible, NotPrime, PipelineStageError,
-                    PixelModel, Region, binarize_ls4, code_to_text,
-                    generate_ls, generate_mls, load_code, load_scene_config,
-                    modify_for_perfect_pacf, read_stack, run_pipeline)
+from pnpuct import (IndexOutOfRange, MlsSpec, NotLs4Compatible, NotPrime,
+                    PipelineStageError, PixelModel, Region, binarize_ls4,
+                    code_to_text, generate_ls, generate_mls, load_code,
+                    load_scene_config, modify_for_perfect_pacf, read_stack,
+                    run_pipeline)
 from pnpuct.cli import main
 from pnpuct.pipeline import _parse_config, generate_codes
 
@@ -97,6 +98,18 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert info.value.stage == "config"
         assert not out.exists()
+
+    @pytest.mark.parametrize("time", ["31.0", "-1.0"])
+    def test_slice_outside_period_rejected(self, tmp_path, time):
+        # 62 compressed frames at 2 fps: frame round(t * 2) must be 0..61
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace("slices = 3.0",
+                                               f"slices = {time}"))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "report"
+        assert isinstance(info.value.cause, IndexOutOfRange)
+        assert not (tmp_path / "out" / f"slice_t{time}.pgm").exists()
 
     def test_compressed_output_shape_matches_paper_protocol(self, tmp_path):
         # 31-bit code, 1 s bits, 40 fps, 2 periods on a small sound scene
