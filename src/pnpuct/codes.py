@@ -20,6 +20,7 @@ from .errors import (
     AlreadyModified,
     BiasMismatch,
     GainMismatch,
+    InvalidCode,
     InvalidSeed,
     NonPrimitivePolynomial,
     NotLs4Compatible,
@@ -54,7 +55,8 @@ _PRIMITIVE_EXPONENTS = {
 def primitive_taps(order):
     """Built-in tap coefficients (constant term first) for 2 <= order <= 16."""
     if order not in _PRIMITIVE_EXPONENTS:
-        raise ValueError(f"no built-in polynomial for order {order}; supply taps")
+        raise InvalidCode(
+            f"no built-in polynomial for order {order}; supply taps")
     coeffs = [0] * order
     coeffs[0] = 1
     for e in _PRIMITIVE_EXPONENTS[order]:
@@ -112,13 +114,14 @@ class MlsSpec:
 
     def __post_init__(self):
         if self.order < 2:
-            raise ValueError("order must be at least 2")
+            raise InvalidCode("order must be at least 2")
         taps = self.tap_coefficients
         if taps is None:
             taps = primitive_taps(self.order)
         taps = tuple(int(t) for t in taps)
         if len(taps) != self.order or any(t not in (0, 1) for t in taps):
-            raise ValueError("tap_coefficients must be %d binary values" % self.order)
+            raise InvalidCode(
+                "tap_coefficients must be %d binary values" % self.order)
         if taps[0] != 1:
             raise NonPrimitivePolynomial("constant coefficient must be 1")
         object.__setattr__(self, "tap_coefficients", taps)
@@ -156,36 +159,38 @@ class PnCode:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if len(vals) != self.n_bit:
-            raise ValueError("values length must equal n_bit")
+            raise InvalidCode("values length must equal n_bit")
         base = vals - self.bias
         if self.kind in (CodeKind.MLS, CodeKind.MLS_PLUS):
             m = (self.n_bit + 1).bit_length() - 1
             if m < 2 or (1 << m) - 1 != self.n_bit:
-                raise ValueError("MLS length must be 2**M - 1 with M >= 2")
+                raise InvalidCode("MLS length must be 2**M - 1 with M >= 2")
             if not np.all(np.abs(np.abs(base) - 1.0) < 1e-9):
-                raise ValueError("MLS values must be bipolar")
+                raise InvalidCode("MLS values must be bipolar")
             if abs(abs(float(np.sum(base))) - 1.0) > 1e-6:
-                raise ValueError("MLS element sum must be +1 or -1")
+                raise InvalidCode("MLS element sum must be +1 or -1")
         elif self.kind in (CodeKind.LS, CodeKind.LS_PLUS):
             if not is_prime(self.n_bit):
-                raise ValueError("LS length must be prime")
+                raise InvalidCode("LS length must be prime")
             if abs(base[0]) > 1e-9:
-                raise ValueError("LS first element must be 0")
+                raise InvalidCode("LS first element must be 0")
             if not np.all(np.abs(np.abs(base[1:]) - 1.0) < 1e-9):
-                raise ValueError("LS values past the first must be bipolar")
+                raise InvalidCode("LS values past the first must be bipolar")
             if int(np.sum(base[1:] > 0)) != (self.n_bit - 1) // 2:
-                raise ValueError("LS must have (n_bit-1)/2 entries equal +1")
+                raise InvalidCode("LS must have (n_bit-1)/2 entries equal +1")
         elif self.kind is CodeKind.LS_4PLUS:
             if not is_prime(self.n_bit) or self.n_bit % 4 != 3:
-                raise ValueError("LS_4PLUS length must be prime with n_bit % 4 == 3")
+                raise InvalidCode(
+                    "LS_4PLUS length must be prime with n_bit % 4 == 3")
             if self.sign_choice not in (-1, 1):
-                raise ValueError("LS_4PLUS requires sign_choice of +1 or -1")
+                raise InvalidCode("LS_4PLUS requires sign_choice of +1 or -1")
             if abs(base[0] - self.sign_choice) > 1e-9:
-                raise ValueError("LS_4PLUS first element must equal sign_choice")
+                raise InvalidCode(
+                    "LS_4PLUS first element must equal sign_choice")
             if not np.all(np.abs(np.abs(base) - 1.0) < 1e-9):
-                raise ValueError("LS_4PLUS base values must be bipolar")
+                raise InvalidCode("LS_4PLUS base values must be bipolar")
         if self.kind not in MODIFIED_KINDS and self.bias != 0.0:
-            raise ValueError("standard kinds carry zero bias")
+            raise InvalidCode("standard kinds carry zero bias")
 
     @property
     def base_values(self):
@@ -341,7 +346,7 @@ def binarize_ls4(code, sign) -> PnCode:
         raise NotLs4Compatible("binarization starts from a standard LS")
     sign = int(sign)
     if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
+        raise InvalidCode("sign must be +1 or -1")
     if code.n_bit % 4 != 3:
         raise NotLs4Compatible(
             f"n_bit = {code.n_bit} has n_bit % 4 == {code.n_bit % 4}, need 3")
@@ -367,24 +372,24 @@ def make_codes(kind, modified=None, *, n_bit=None, order=None, taps=None,
         kind, modified = ("mls" if kind == "mls_plus" else "ls"), kind
     if kind == "ls":
         if n_bit is None:
-            raise ValueError("an LS code needs n_bit")
+            raise InvalidCode("an LS code needs n_bit")
         standard = generate_ls(n_bit)
     elif kind == "mls":
         if order is None:
-            raise ValueError("an MLS code needs an order")
+            raise InvalidCode("an MLS code needs an order")
         standard = generate_mls(MlsSpec(
             order=int(order),
             tap_coefficients=taps.split(",") if taps else None,
             seed=seed.split(",") if seed else None))
     else:
-        raise ValueError(f"unknown code kind {kind!r}")
+        raise InvalidCode(f"unknown code kind {kind!r}")
     if modified is None:
         return standard, standard
     if modified in ("ls_plus", "mls_plus"):
         return standard, modify_for_perfect_pacf(standard)
     if modified == "ls4_plus":
         return standard, binarize_ls4(standard, sign)
-    raise ValueError(f"unknown modified kind {modified!r}")
+    raise InvalidCode(f"unknown modified kind {modified!r}")
 
 
 def pacf_values(values) -> np.ndarray:
@@ -400,7 +405,7 @@ def pacf_values(values) -> np.ndarray:
     peak = abs(out[0])
     limit = 1e-9 * peak if peak > 0 else 1e-9
     if np.abs(out.imag).max(initial=0.0) > limit:
-        raise ValueError("imaginary residue above 1e-9 of peak")
+        raise InvalidCode("imaginary residue above 1e-9 of peak")
     return out.real
 
 
@@ -515,21 +520,25 @@ def code_from_text(text) -> PnCode:
     """Parse a text descriptor of :func:`code_to_text`, then :func:`check_code` it."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != "pncode v1":
-        raise ValueError("not a pncode v1 descriptor")
+        raise InvalidCode("not a pncode v1 descriptor")
     fields = {}
     for ln in lines[1:]:
         key, _, val = ln.partition(":")
         fields[key.strip()] = val.strip()
-    kind = CodeKind(fields[_KIND_FIELD])
-    sign = int(fields["sign_choice"]) if "sign_choice" in fields else None
-    return check_code(PnCode(
-        kind=kind,
-        n_bit=int(fields["n_bit"]),
-        values=np.array([float(v) for v in fields["values"].split()]),
-        gain=float(fields["gain"]),
-        bias=float(fields["bias"]),
-        sign_choice=sign,
-    ))
+    try:
+        kind = CodeKind(fields[_KIND_FIELD])
+        sign = int(fields["sign_choice"]) if "sign_choice" in fields else None
+        parsed = dict(
+            n_bit=int(fields["n_bit"]),
+            values=np.array([float(v) for v in fields["values"].split()]),
+            gain=float(fields["gain"]),
+            bias=float(fields["bias"]),
+        )
+    except KeyError as exc:
+        raise InvalidCode(f"descriptor has no {exc.args[0]!r} field") from None
+    except ValueError as exc:
+        raise InvalidCode(f"malformed descriptor: {exc}") from None
+    return check_code(PnCode(kind=kind, sign_choice=sign, **parsed))
 
 
 def save_code(code, path):

@@ -41,9 +41,6 @@ class DcFit:
     def coefficients(self):
         return np.array([self.a1, self.a2, self.a3])
 
-    def evaluate(self, times) -> np.ndarray:
-        return design_matrix(times) @ self.coefficients
-
 
 # Pixel columns per solve. Every block, the last one and a single trace
 # included, is zero-padded to this width, so each column goes through
@@ -51,7 +48,7 @@ class DcFit:
 _BLOCK = 256
 
 
-def _fit_and_remove(traces, dt, keep, overwrite=False):
+def _fit_and_remove(traces, dt, keep, dtype, overwrite=False):
     """Trend fit and removal for every column of an (n, n_pix) array.
 
     Exact 3-variable NNLS: with B = QR and z = Q^T y, the subset S of
@@ -60,18 +57,18 @@ def _fit_and_remove(traces, dt, keep, overwrite=False):
     set replaces the best one only if it is feasible and better, in mask
     order 1..7, by more than the rounding of z: (n * eps * |z|)^2, which
     keeps exact the zero coefficients of a trace in the trend family.
-    Each trace loses (1 - keep) times its trend. Returns the float32
+    Each trace loses (1 - keep) times its trend. Returns the ``dtype``
     result and (n_pix, 4) rows of a1, a2, a3, rms; all-zero or
     non-finite columns give zero output and a NaN row. With
-    ``overwrite`` a float32 ``traces`` is the result: each block is
+    ``overwrite`` a ``dtype`` ``traces`` is the result: each block is
     written back into the columns it was copied from.
 
     One float64 (n, _BLOCK) buffer holds, in turn, the block's traces,
     the trend, the residual and the scaled trend; y is re-read from
     ``traces`` where it is needed, which is exact because float32 to
     float64 is exact and mixed float32/float64 ufuncs compute in
-    float64. The trend is computed twice by the same BLAS call, so both
-    copies have the same bits.
+    float64, so float32 output is the float64 one rounded. Both trends
+    come from the same BLAS call, so they have the same bits.
     """
     n, n_pix = traces.shape
     basis = design_matrix(np.arange(n) * dt)
@@ -80,7 +77,7 @@ def _fit_and_remove(traces, dt, keep, overwrite=False):
     for mask in range(1, 8):
         idx = [i for i in range(3) if mask >> i & 1]
         subsets.append((np.linalg.pinv(r[:, idx]), r[:, idx], np.eye(3)[:, idx]))
-    out = traces if overwrite else np.empty((n, n_pix), dtype=np.float32)
+    out = traces if overwrite else np.empty((n, n_pix), dtype)
     fits = np.empty((n_pix, 4))
     a = np.empty((n, _BLOCK))
     for start in range(0, n_pix, _BLOCK):
@@ -89,9 +86,10 @@ def _fit_and_remove(traces, dt, keep, overwrite=False):
         a[:, :m] = src
         a[:, m:] = 0.0
         # the basis is zero at t = 0, so is q's first row, and a +-inf in
-        # frame 0 meets 0 * inf inside the product: the NaN it gives is
-        # flagged by valid below, so numpy's warning would be noise
-        with np.errstate(invalid="ignore"):
+        # frame 0 meets 0 * inf inside the product, which samples near
+        # the float64 maximum overflow: valid below flags the NaN or inf
+        # this gives, so numpy's warning would be noise
+        with np.errstate(invalid="ignore", over="ignore"):
             z = q.T @ a
         valid = np.isfinite(z).all(axis=0) & a.any(axis=0)
         z[:, ~valid] = 0.0
@@ -121,6 +119,15 @@ def _fit_and_remove(traces, dt, keep, overwrite=False):
     return out, fits
 
 
+def _fit_trace(trace, timing, keep):
+    """One column of :func:`_fit_and_remove` in float64; a NaN fit raises."""
+    trace = np.asarray(trace, dtype=float)
+    out, fits = _fit_and_remove(trace[:, None], timing.dt, keep, np.float64)
+    if np.isnan(fits[0]).any():
+        raise DegenerateTrace("trace is all zero or has no finite fit")
+    return out[:, 0], DcFit(*fits[0].tolist())
+
+
 def fit_dc(trace, timing) -> DcFit:
     """Non-negative least-squares trend fit of a pixel trace.
 
@@ -128,13 +135,7 @@ def fit_dc(trace, timing) -> DcFit:
     optimum of the constrained problem, and equals the fit the same
     trace gets inside :func:`remove_dc_stack`.
     """
-    trace = np.asarray(trace, dtype=float)
-    if not np.isfinite(trace).all():
-        raise DegenerateTrace("trace contains non-finite samples")
-    if not np.any(trace):
-        raise DegenerateTrace("trace is identically zero")
-    _, fits = _fit_and_remove(trace[:, None], timing.dt, 0.0)
-    return DcFit(*fits[0].tolist())
+    return _fit_trace(trace, timing, 0.0)[1]
 
 
 def _validate_bias(code):
@@ -142,17 +143,15 @@ def _validate_bias(code):
     return check_code(code).bias
 
 
-def remove_dc(trace, fit, code, timing) -> np.ndarray:
+def remove_dc(trace, code, timing) -> np.ndarray:
     """Subtract the scaled trend: trace - (1 - bias) * fitted trend.
 
     Standard codes have zero bias (plain subtraction); modified codes
     keep the bias share of the trend so the result matches the response
-    to the biased sequence.
+    to the biased sequence. One pixel of :func:`remove_dc_stack`, zero
+    padded to a block: rounded to float32, the same bits.
     """
-    trace = np.asarray(trace, dtype=float)
-    bias = _validate_bias(code)
-    times = np.arange(len(trace)) * timing.dt
-    return trace - (1.0 - bias) * fit.evaluate(times)
+    return _fit_trace(trace, timing, _validate_bias(code))[0]
 
 
 def remove_dc_stack(stack, code, timing, overwrite_input=False):
@@ -172,7 +171,7 @@ def remove_dc_stack(stack, code, timing, overwrite_input=False):
         raise ShapeMismatch(
             f"stack has {n_frames} frames, timing implies {expected}")
     out, fits = _fit_and_remove(stack.data.reshape(n_frames, -1), timing.dt,
-                                bias, overwrite_input)
+                                bias, np.float32, overwrite_input)
     metadata = dict(stack.metadata)
     metadata.update({
         "stage": "dc_removed",

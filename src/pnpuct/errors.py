@@ -7,6 +7,10 @@ class PnPuctError(Exception):
 
 # --- code generation ---
 
+class InvalidCode(PnPuctError, ValueError):
+    """Code, code descriptor or shift-register spec that is malformed."""
+
+
 class NonPrimitivePolynomial(PnPuctError):
     """Feedback taps whose shift-register state cycle is shorter than 2^M - 1."""
 
@@ -41,6 +45,10 @@ class GainMismatch(PnPuctError):
 
 # --- waveforms ---
 
+class InvalidWaveform(PnPuctError, ValueError):
+    """Waveform or pulse of the wrong kind, span, range or duration."""
+
+
 class TimingMismatch(PnPuctError):
     """Bit duration and frame rate whose product is not a positive integer."""
 
@@ -54,6 +62,10 @@ class UnmodifiedCode(PnPuctError):
 
 
 # --- thermal simulation ---
+
+class InvalidScene(PnPuctError, ValueError):
+    """Pixel model, region, grid or response span that cannot be simulated."""
+
 
 class RateMismatch(PnPuctError):
     """Impulse response and excitation sampled at different frame rates."""
@@ -84,6 +96,10 @@ class RegionOverlap(PnPuctError, ValueError):
 
 
 # --- stack I/O ---
+
+class InvalidStack(PnPuctError, ValueError):
+    """Stack data that is not 3-D, or a frame rate that is not positive."""
+
 
 class BadMagic(PnPuctError):
     """Stack file that does not start with the TGS1 magic bytes."""

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadHeader, BadMagic, IndexOutOfRange, NonFiniteData,
-                     TrailingBytes, TruncatedFile, UnencodableMetadata)
+from .errors import (BadHeader, BadMagic, IndexOutOfRange, InvalidStack,
+                     NonFiniteData, TrailingBytes, TruncatedFile,
+                     UnencodableMetadata)
 
 MAGIC = b"TGS1"
 FORMAT_VERSION = "TGS1"
@@ -40,12 +41,12 @@ class ThermogramStack:
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.float32)
         if data.ndim != 3:
-            raise ValueError("data must be (n_frames, ny, nx)")
+            raise InvalidStack("data must be (n_frames, ny, nx)")
         # min and max reduce without a stack-sized mask; NaN propagates
         if data.size and not np.isfinite([data.min(), data.max()]).all():
             raise NonFiniteData("stack data must be finite")
         if not 0 < self.fps < np.inf:
-            raise ValueError("fps must be positive and finite")
+            raise InvalidStack("fps must be positive and finite")
         self.data = data
         self.fps = float(self.fps)
         self.metadata = {str(k): str(v) for k, v in self.metadata.items()}

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc
 
-from .errors import IndexOutOfRange, RateMismatch, SeriesNotConverged
+from .errors import (IndexOutOfRange, InvalidScene, RateMismatch,
+                     SeriesNotConverged)
 from .stack import ThermogramStack
 from .waveform import ExcitationWaveform, WaveformKind, excitation_metadata
 
@@ -55,11 +56,11 @@ class PixelModel:
 
     def __post_init__(self):
         if self.diffusivity <= 0:
-            raise ValueError("diffusivity must be positive")
+            raise InvalidScene("diffusivity must be positive")
         if self.defect_depth is not None and self.defect_depth <= 0:
-            raise ValueError("defect_depth must be positive when present")
+            raise InvalidScene("defect_depth must be positive when present")
         if not (-1.0 < self.reflection_coeff <= 1.0):
-            raise ValueError("reflection_coeff must lie in (-1, 1]")
+            raise InvalidScene("reflection_coeff must lie in (-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,9 @@ class Region:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError("region must span at least one pixel")
+            raise InvalidScene("region must span at least one pixel")
         if self.x0 < 0 or self.y0 < 0:
-            raise ValueError("region origin must be non-negative")
+            raise InvalidScene("region origin must be non-negative")
 
     @property
     def slices(self):
@@ -105,16 +106,16 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid must be at least 1 x 1")
+            raise InvalidScene("grid must be at least 1 x 1")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+            raise InvalidScene("noise_sigma must be non-negative")
         defects = tuple(self.defects)
         index = {self.background: 0}
         labels = np.zeros((self.ny, self.nx), dtype=np.intp)
         for region, model in defects:
             if (region.x0 + region.width > self.nx
                     or region.y0 + region.height > self.ny):
-                raise ValueError(f"defect region {region} outside the grid")
+                raise InvalidScene(f"defect region {region} outside the grid")
             if not isinstance(model, PixelModel):
                 raise TypeError("defect entries are (Region, PixelModel)")
             labels[region.slices] = index.setdefault(model, len(index))
@@ -204,7 +205,7 @@ def impulse_response(model, timing, duration) -> np.ndarray:
     dt = timing.dt
     n_frames = int(round(duration * timing.fps))
     if n_frames < 1:
-        raise ValueError("duration shorter than one frame")
+        raise InvalidScene("duration shorter than one frame")
     edges = np.arange(n_frames + 1, dtype=float) * dt
     return np.diff(_antiderivative(edges, model)) / dt
 

@@ -16,7 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .codes import PnCode
-from .errors import NonPositiveAmplitude, TimingMismatch, UnmodifiedCode
+from .errors import (InvalidWaveform, NonPositiveAmplitude, TimingMismatch,
+                     UnmodifiedCode)
 from .stack import ThermogramStack
 
 
@@ -33,15 +34,17 @@ class Timing:
     n_per: int = 2
 
     def __post_init__(self):
-        if self.t_bit <= 0 or self.fps <= 0:
+        # each test is written so that NaN fails it
+        if not (self.t_bit > 0 and self.fps > 0):
             raise TimingMismatch("t_bit and fps must be positive")
         product = self.t_bit * self.fps
-        k = int(round(product))
+        k = int(round(product)) if np.isfinite(product) else 0
         if k < 1 or abs(product - k) > 1e-9 * max(1.0, product):
             raise TimingMismatch(
                 f"t_bit * fps = {product!r} is not a positive integer")
-        if int(self.n_per) < 2:
-            raise TimingMismatch("n_per must be at least 2")
+        if not (self.n_per >= 2 and float(self.n_per).is_integer()):
+            raise TimingMismatch(
+                f"n_per = {self.n_per!r} is not an integer of at least 2")
         object.__setattr__(self, "n_per", int(self.n_per))
 
     @property
@@ -73,7 +76,7 @@ class RectPulse:
 
     def __post_init__(self):
         if self.duration <= 0:
-            raise ValueError("duration must be positive")
+            raise InvalidWaveform("duration must be positive")
         if self.amplitude <= 0:
             raise NonPositiveAmplitude("amplitude must be positive")
 
@@ -98,13 +101,15 @@ class ExcitationWaveform:
         if self.source_code is not None:
             per = self.timing.frames_per_period(self.source_code.n_bit)
             if self.kind is WaveformKind.BIPOLAR_XPN and len(samples) != per:
-                raise ValueError("bipolar waveform must span one period")
+                raise InvalidWaveform("bipolar waveform must span one period")
             if (self.kind is WaveformKind.UNIPOLAR_XTH
                     and len(samples) != self.timing.n_per * per):
-                raise ValueError("unipolar waveform must span n_per periods")
+                raise InvalidWaveform(
+                    "unipolar waveform must span n_per periods")
         if self.kind is WaveformKind.UNIPOLAR_XTH and self.amplitude is not None:
             if samples.min() < -1e-12 or samples.max() > self.amplitude + 1e-12:
-                raise ValueError("unipolar samples must lie in [0, amplitude]")
+                raise InvalidWaveform(
+                    "unipolar samples must lie in [0, amplitude]")
 
     @property
     def duration(self) -> float:
@@ -143,7 +148,7 @@ def build_unipolar(bipolar, amplitude, n_per=None) -> ExcitationWaveform:
     scaled bipolar ripple; see :func:`unipolar_components`.
     """
     if bipolar.kind is not WaveformKind.BIPOLAR_XPN:
-        raise ValueError("input must be a bipolar coded waveform")
+        raise InvalidWaveform("input must be a bipolar coded waveform")
     if amplitude <= 0:
         raise NonPositiveAmplitude(f"amplitude must be positive, got {amplitude}")
     timing = bipolar.timing
@@ -160,7 +165,8 @@ def build_unipolar(bipolar, amplitude, n_per=None) -> ExcitationWaveform:
 def unipolar_components(wave):
     """(DC, AC) split of a unipolar waveform; their sum is the waveform."""
     if wave.kind is not WaveformKind.UNIPOLAR_XTH or wave.amplitude is None:
-        raise ValueError("expected a unipolar waveform with known amplitude")
+        raise InvalidWaveform(
+            "expected a unipolar waveform with known amplitude")
     dc = np.full(len(wave.samples), 0.5 * wave.amplitude)
     return dc, wave.samples - dc
 
@@ -187,7 +193,7 @@ def cyclic_convolve(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) != len(b):
-        raise ValueError("cyclic convolution needs equal lengths")
+        raise InvalidWaveform("cyclic convolution needs equal lengths")
     return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=len(a))
 
 

@@ -7,7 +7,6 @@ from pnpuct import (
     build_bipolar,
     build_unipolar,
     compress_trace,
-    fit_dc,
     impulse_response,
     remove_dc,
     respond,
@@ -27,8 +26,7 @@ def run_pixel(model, standard_code, modified_code, timing, amplitude=1.0,
     y = respond(h, unipolar)
     if noise is not None:
         y = y + noise
-    fit = fit_dc(y, timing)
-    y_ac = remove_dc(y, fit, modified_code, timing)
+    y_ac = remove_dc(y, modified_code, timing)
     compressed = compress_trace(y_ac, modified_code, timing,
                                 normalization=normalization,
                                 single_period=single_period)

@@ -8,6 +8,7 @@ from pnpuct import (
     BiasMismatch,
     CodeKind,
     GainMismatch,
+    InvalidCode,
     InvalidSeed,
     MlsSpec,
     NonPrimitivePolynomial,
@@ -327,6 +328,16 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             code_from_text("not a descriptor")
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("values: ", "samples: ", "'values'"),
+        ("kind: LS_PLUS", "kind: GOLAY", "'GOLAY'"),
+        ("n_bit: 31", "n_bit: thirty-one", "thirty-one"),
+    ])
+    def test_malformed_descriptor_names_the_fault(self, old, new, match):
+        text = code_to_text(modify_for_perfect_pacf(generate_ls(31)))
+        with pytest.raises(InvalidCode, match=match):
+            code_from_text(text.replace(old, new))
 
 
 class TestPnCodeValidation:

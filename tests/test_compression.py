@@ -29,7 +29,6 @@ from pnpuct import (
     compress_stack,
     compress_trace,
     decimate_to_bit_rate,
-    fit_dc,
     generate_ls,
     generate_mls,
     impulse_response,
@@ -461,8 +460,7 @@ class TestDecimate:
         h = impulse_response(SOUND, full_timing, unipolar.duration)
         y = respond(h, unipolar)[::full_timing.k]
         dec_timing = Timing(t_bit=1.0, fps=1.0, n_per=2)
-        fit = fit_dc(y, dec_timing)
-        y_ac = remove_dc(y, fit, ls31_plus, dec_timing)
+        y_ac = remove_dc(y, ls31_plus, dec_timing)
         compressed_dec = compress_trace(y_ac, ls31_plus, dec_timing)
         rel = (np.linalg.norm(compressed_dec.values - at_bits)
                / np.linalg.norm(at_bits))

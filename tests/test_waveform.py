@@ -61,6 +61,20 @@ class TestTiming:
         with pytest.raises(TimingMismatch):
             Timing(t_bit=-1.0, fps=10.0)
 
+    @pytest.mark.parametrize("t_bit, fps, n_per", [
+        (np.inf, 1.0, 2),
+        (1.0, np.inf, 2),
+        (1e200, 1e200, 2),
+        (np.nan, 1.0, 2),
+        (1.0, np.nan, 2),
+        (1.0, 1.0, 2.7),
+        (1.0, 1.0, np.nan),
+        (1.0, 1.0, np.inf),
+    ])
+    def test_non_finite_or_fractional_rejected(self, t_bit, fps, n_per):
+        with pytest.raises(TimingMismatch):
+            Timing(t_bit=t_bit, fps=fps, n_per=n_per)
+
 
 class TestRectPulse:
     def test_validation(self):
