@@ -23,26 +23,9 @@ from .pipeline import run_pipeline
 from .stack import (FORMAT_VERSION, export_pixel_trace, export_slice,
                     read_stack, write_stack)
 from .thermal import Region, load_scene_config, simulate_stack
-from .waveform import (Timing, build_bipolar, build_matched_filter,
-                       build_unipolar, filter_to_csv, waveform_to_csv,
+from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
+                       filter_to_csv, timing_of, waveform_to_csv,
                        waveform_to_stack)
-
-
-def _timing_from_args(args, stack=None):
-    t_bit, fps, n_per = args.t_bit, args.fps, args.n_per
-    if stack is not None:
-        meta = stack.metadata
-        if fps is None:
-            fps = stack.fps
-        if t_bit is None and "t_bit" in meta:
-            t_bit = float(meta["t_bit"])
-        if n_per is None and "n_per" in meta:
-            n_per = int(meta["n_per"])
-    if t_bit is None or fps is None:
-        raise PnPuctError("t_bit/fps not in stack metadata; pass --t-bit/--fps")
-    if n_per is None:
-        return Timing(t_bit=t_bit, fps=fps)
-    return Timing(t_bit=t_bit, fps=fps, n_per=n_per)
 
 
 def _cmd_seq_gen(args):
@@ -74,7 +57,7 @@ def _cmd_seq_verify(args):
 
 def _cmd_wave_gen(args):
     code = load_code(args.code)
-    timing = _timing_from_args(args)
+    timing = timing_of(None, args.t_bit, args.fps, args.n_per)
     os.makedirs(args.out_dir, exist_ok=True)
     bipolar = build_bipolar(code, timing)
     unipolar = build_unipolar(bipolar, args.amplitude)
@@ -96,7 +79,7 @@ def _cmd_sim_run(args):
     if args.seed is not None:
         scene = dataclasses.replace(scene, rng_seed=args.seed)
     code = load_code(args.code)
-    timing = _timing_from_args(args)
+    timing = timing_of(None, args.t_bit, args.fps, args.n_per)
     unipolar = build_unipolar(build_bipolar(code, timing), args.amplitude)
     stack = simulate_stack(scene, unipolar)
     write_stack(stack, args.output)
@@ -107,7 +90,7 @@ def _cmd_sim_run(args):
 def _cmd_dc_remove(args):
     stack = read_stack(args.stack)
     code = load_code(args.code)
-    timing = _timing_from_args(args, stack)
+    timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
     removed, fit_map = remove_dc_stack(stack, code, timing,
                                        overwrite_input=True)
     write_stack(removed, args.output)
@@ -121,7 +104,7 @@ def _cmd_dc_remove(args):
 def _cmd_puct_compress(args):
     stack = read_stack(args.stack)
     code = load_code(args.code)
-    timing = _timing_from_args(args, stack)
+    timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
     compressed = compress_stack(
         stack, code, timing,
         normalization=Normalization(args.normalization),
@@ -134,7 +117,7 @@ def _cmd_puct_compress(args):
 
 def _cmd_puct_decimate(args):
     stack = read_stack(args.stack)
-    timing = _timing_from_args(args, stack)
+    timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
     decimated, _ = decimate_to_bit_rate(stack, timing, average=args.average)
     write_stack(decimated, args.output)
     print(f"wrote decimated stack ({decimated.n_frames} frames) "
@@ -190,6 +173,13 @@ def build_parser():
                  f"(stack format {FORMAT_VERSION}, "
                  f"code table v{CODE_TABLE_VERSION})"))
     groups = parser.add_subparsers(dest="group", required=True)
+    # parsed by timing_of: a given value wins, a read stack fills the rest
+    timing = argparse.ArgumentParser(add_help=False)
+    timing.add_argument("--t-bit", help="bit duration in s; default: a "
+                                        "read stack's metadata")
+    timing.add_argument("--fps", help="frame rate; default: a read stack's")
+    timing.add_argument("--n-per", help="excitation periods; default: a "
+                                        "read stack's metadata, else 2")
 
     seq = groups.add_parser("seq", help="pseudo-noise code tools")
     seq_cmds = seq.add_subparsers(dest="command", required=True)
@@ -212,23 +202,19 @@ def build_parser():
 
     wave = groups.add_parser("wave", help="excitation waveform tools")
     wave_cmds = wave.add_subparsers(dest="command", required=True)
-    wgen = wave_cmds.add_parser("gen", help="waveform and filter CSV exports")
+    wgen = wave_cmds.add_parser("gen", parents=[timing],
+                                help="waveform and filter CSV exports")
     wgen.add_argument("--code", required=True)
-    wgen.add_argument("--t-bit", type=float, required=True)
-    wgen.add_argument("--fps", type=float, required=True)
-    wgen.add_argument("--n-per", type=int)
     wgen.add_argument("--amplitude", type=float, default=1.0)
     wgen.add_argument("--out-dir", required=True)
     wgen.set_defaults(func=_cmd_wave_gen)
 
     sim = groups.add_parser("sim", help="synthetic measurement")
     sim_cmds = sim.add_subparsers(dest="command", required=True)
-    srun = sim_cmds.add_parser("run", help="simulate a thermogram stack")
+    srun = sim_cmds.add_parser("run", parents=[timing],
+                               help="simulate a thermogram stack")
     srun.add_argument("--scene", required=True)
     srun.add_argument("--code", required=True)
-    srun.add_argument("--t-bit", type=float, required=True)
-    srun.add_argument("--fps", type=float, required=True)
-    srun.add_argument("--n-per", type=int)
     srun.add_argument("--amplitude", type=float, default=1.0)
     srun.add_argument("--seed", type=int, help="override the scene rng seed")
     srun.add_argument("-o", "--output", required=True)
@@ -236,34 +222,28 @@ def build_parser():
 
     dc = groups.add_parser("dc", help="DC component removal")
     dc_cmds = dc.add_subparsers(dest="command", required=True)
-    drem = dc_cmds.add_parser("remove", help="fit and remove step heating")
+    drem = dc_cmds.add_parser("remove", parents=[timing],
+                              help="fit and remove step heating")
     drem.add_argument("--stack", required=True)
     drem.add_argument("--code", required=True)
-    drem.add_argument("--t-bit", type=float, help="override stack metadata")
-    drem.add_argument("--fps", type=float, help="override stack rate")
-    drem.add_argument("--n-per", type=int)
     drem.add_argument("--fit-map", help="CSV path for per-pixel coefficients")
     drem.add_argument("-o", "--output", required=True)
     drem.set_defaults(func=_cmd_dc_remove)
 
     puct = groups.add_parser("puct", help="pulse compression")
     puct_cmds = puct.add_subparsers(dest="command", required=True)
-    pcomp = puct_cmds.add_parser("compress", help="matched-filter compression")
+    pcomp = puct_cmds.add_parser("compress", parents=[timing],
+                                 help="matched-filter compression")
     pcomp.add_argument("--stack", required=True)
     pcomp.add_argument("--code", required=True)
-    pcomp.add_argument("--t-bit", type=float)
-    pcomp.add_argument("--fps", type=float)
-    pcomp.add_argument("--n-per", type=int)
     pcomp.add_argument("--normalization", default="raw",
                        choices=[n.value for n in Normalization])
     pcomp.add_argument("--single-period", action="store_true")
     pcomp.add_argument("-o", "--output", required=True)
     pcomp.set_defaults(func=_cmd_puct_compress)
-    pdec = puct_cmds.add_parser("decimate", help="drop to one frame per bit")
+    pdec = puct_cmds.add_parser("decimate", parents=[timing],
+                                help="drop to one frame per bit")
     pdec.add_argument("--stack", required=True)
-    pdec.add_argument("--t-bit", type=float)
-    pdec.add_argument("--fps", type=float)
-    pdec.add_argument("--n-per", type=int)
     pdec.add_argument("--average", action="store_true",
                       help="bin-average the K frames of each bit")
     pdec.add_argument("-o", "--output", required=True)

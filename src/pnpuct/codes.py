@@ -52,6 +52,14 @@ _PRIMITIVE_EXPONENTS = {
 }
 
 
+def _int_field(value, field):
+    """``int(value)``, or an InvalidCode naming the field it came from."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidCode(f"{field} = {value!r} is not an integer") from None
+
+
 def primitive_taps(order):
     """Built-in tap coefficients (constant term first) for 2 <= order <= 16."""
     if order not in _PRIMITIVE_EXPONENTS:
@@ -118,7 +126,7 @@ class MlsSpec:
         taps = self.tap_coefficients
         if taps is None:
             taps = primitive_taps(self.order)
-        taps = tuple(int(t) for t in taps)
+        taps = tuple(_int_field(t, "tap_coefficients") for t in taps)
         if len(taps) != self.order or any(t not in (0, 1) for t in taps):
             raise InvalidCode(
                 "tap_coefficients must be %d binary values" % self.order)
@@ -128,7 +136,7 @@ class MlsSpec:
         seed = self.seed
         if seed is None:
             seed = (1,) * self.order
-        seed = tuple(int(s) for s in seed)
+        seed = tuple(_int_field(s, "seed") for s in seed)
         if len(seed) == 0:
             raise InvalidSeed("seed must not be empty")
         if len(seed) != self.order or any(s not in (-1, 1) for s in seed):
@@ -228,7 +236,7 @@ def generate_mls(spec) -> PnCode:
         If the seed is malformed or the trivial register state.
     """
     if not isinstance(spec, MlsSpec):
-        spec = MlsSpec(order=int(spec))
+        spec = MlsSpec(order=_int_field(spec, "order"))
     m = spec.order
     n_bit = (1 << m) - 1
     # recurrence coefficient for lag i is the polynomial coefficient of x^(M-i)
@@ -264,7 +272,7 @@ def generate_ls(n_bit) -> PnCode:
     modulo ``n_bit`` and -1 otherwise. The construction is deterministic
     with no phase freedom.
     """
-    n_bit = int(n_bit)
+    n_bit = _int_field(n_bit, "n_bit")
     if n_bit < 3 or not is_prime(n_bit):
         raise NotPrime(f"{n_bit} is not a prime >= 3")
     residues = np.zeros(n_bit, dtype=bool)
@@ -344,7 +352,7 @@ def binarize_ls4(code, sign) -> PnCode:
     """
     if code.kind is not CodeKind.LS:
         raise NotLs4Compatible("binarization starts from a standard LS")
-    sign = int(sign)
+    sign = _int_field(sign, "sign")
     if sign not in (-1, 1):
         raise InvalidCode("sign must be +1 or -1")
     if code.n_bit % 4 != 3:
@@ -378,7 +386,7 @@ def make_codes(kind, modified=None, *, n_bit=None, order=None, taps=None,
         if order is None:
             raise InvalidCode("an MLS code needs an order")
         standard = generate_mls(MlsSpec(
-            order=int(order),
+            order=_int_field(order, "order"),
             tap_coefficients=taps.split(",") if taps else None,
             seed=seed.split(",") if seed else None))
     else:

@@ -59,9 +59,10 @@ def _fit_and_remove(traces, dt, keep, dtype, overwrite=False):
     keeps exact the zero coefficients of a trace in the trend family.
     Each trace loses (1 - keep) times its trend. Returns the ``dtype``
     result and (n_pix, 4) rows of a1, a2, a3, rms; all-zero or
-    non-finite columns give zero output and a NaN row. With
-    ``overwrite`` a ``dtype`` ``traces`` is the result: each block is
-    written back into the columns it was copied from.
+    non-finite columns, and those whose |z|^2 overflows, give zero
+    output and a NaN row. With ``overwrite`` a ``dtype`` ``traces`` is
+    the result: each block is written back into the columns it was
+    copied from.
 
     One float64 (n, _BLOCK) buffer holds, in turn, the block's traces,
     the trend, the residual and the scaled trend; y is re-read from
@@ -88,12 +89,14 @@ def _fit_and_remove(traces, dt, keep, dtype, overwrite=False):
         # the basis is zero at t = 0, so is q's first row, and a +-inf in
         # frame 0 meets 0 * inf inside the product, which samples near
         # the float64 maximum overflow: valid below flags the NaN or inf
-        # this gives, so numpy's warning would be noise
+        # this gives, so numpy's warning would be noise; a finite z whose
+        # squares overflow makes |z|^2 inf, and its column invalid too
         with np.errstate(invalid="ignore", over="ignore"):
             z = q.T @ a
-        valid = np.isfinite(z).all(axis=0) & a.any(axis=0)
+            best = np.einsum("ij,ij->j", z, z)
+        valid = np.isfinite(best) & a.any(axis=0)
         z[:, ~valid] = 0.0
-        best = np.einsum("ij,ij->j", z, z)
+        best[~valid] = 0.0
         margin = (n * np.finfo(float).eps) ** 2 * best
         coefs = np.zeros((3, _BLOCK))
         for pinv, cols, lift in subsets:

@@ -129,6 +129,12 @@ class IndexOutOfRange(PnPuctError):
     """Frame index or pixel coordinate outside the stack."""
 
 
+# --- config files ---
+
+class InvalidConfig(PnPuctError, ValueError):
+    """Scene or run config file that is not valid INI."""
+
+
 # --- pipeline ---
 
 class PipelineStageError(PnPuctError):

@@ -21,8 +21,8 @@ from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import PipelineStageError
 from .stack import export_pixel_trace, export_slice, read_stack, write_stack
 from .thermal import read_ini, scene_from_parser, simulate_stack
-from .waveform import (Timing, build_bipolar, build_matched_filter,
-                       build_unipolar, filter_to_csv, waveform_to_csv)
+from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
+                       filter_to_csv, timing_of, waveform_to_csv)
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -62,13 +62,15 @@ def run_pipeline(config, out_dir=None, seed=None):
     failing stage name on any error, in which case no manifest file is
     written.
     """
-    parser = _parse_config(config)
+    parser = _stage("config", _parse_config, config)
+    # read before the timing: its metadata fills the [timing] keys left out
+    raw = None
+    if parser.has_option("input", "stack"):
+        raw = _stage("simulate", read_stack, parser["input"]["stack"])
 
     def parse_all():
-        section = parser["timing"]
-        n_per = {"n_per": int(section["n_per"])} if "n_per" in section else {}
-        timing = Timing(t_bit=float(section["t_bit"]),
-                        fps=float(section["fps"]), **n_per)
+        section = parser["timing"] if parser.has_section("timing") else {}
+        timing = timing_of(raw, *map(section.get, ("t_bit", "fps", "n_per")))
         amplitude = float(parser.get("excitation", "amplitude", fallback="1.0"))
         normalization = Normalization((parser.get(
             "compression", "normalization", fallback="raw") or "raw").lower())
@@ -105,8 +107,8 @@ def run_pipeline(config, out_dir=None, seed=None):
     emit("filter_csv", "matched_filter.csv", filter_to_csv, filt)
 
     def acquire():
-        if parser.has_option("input", "stack"):
-            return read_stack(parser["input"]["stack"])
+        if raw is not None:
+            return raw
         scene = scene_from_parser(parser)
         if seed is not None:
             scene = dataclasses.replace(scene, rng_seed=int(seed))

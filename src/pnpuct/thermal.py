@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc
 
-from .errors import (IndexOutOfRange, InvalidScene, RateMismatch,
-                     SeriesNotConverged)
+from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
+                     RateMismatch, SeriesNotConverged)
 from .stack import ThermogramStack
 from .waveform import ExcitationWaveform, WaveformKind, excitation_metadata
 
@@ -285,7 +285,16 @@ def _model_from_section(section, fallback=None):
     )
 
 
+def _int_key(section, key):
+    if key not in section:
+        raise InvalidScene(f"[{section.name}] has no {key!r} key")
+    return int(section[key])
+
+
 def scene_from_parser(parser) -> SceneConfig:
+    for name in ("scene", "background"):
+        if not parser.has_section(name):
+            raise InvalidScene(f"scene config has no [{name}] section")
     scene = parser["scene"]
     background = _model_from_section(parser["background"])
     defects = []
@@ -293,12 +302,12 @@ def scene_from_parser(parser) -> SceneConfig:
         if not name.startswith("defect"):
             continue
         sec = parser[name]
-        region = Region(x0=int(sec["x0"]), y0=int(sec["y0"]),
-                        width=int(sec["width"]), height=int(sec["height"]))
+        region = Region(*(_int_key(sec, key)
+                          for key in ("x0", "y0", "width", "height")))
         defects.append((region, _model_from_section(sec, fallback=background)))
     return SceneConfig(
-        nx=int(scene["nx"]),
-        ny=int(scene["ny"]),
+        nx=_int_key(scene, "nx"),
+        ny=_int_key(scene, "ny"),
         background=background,
         defects=tuple(defects),
         noise_sigma=float(scene.get("noise_sigma", "0")),
@@ -322,5 +331,8 @@ def read_ini(path) -> configparser.ConfigParser:
     """Parse an INI file; ``;`` after whitespace starts a comment anywhere."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise InvalidConfig(str(exc)) from exc
     return parser

@@ -234,6 +234,32 @@ def excitation_metadata(wave) -> dict:
     return metadata
 
 
+def timing_of(stack=None, t_bit=None, fps=None, n_per=None) -> Timing:
+    """The timing of a measurement: a given value wins, the stack fills the rest.
+
+    A t_bit or n_per that is not given is read from the stack metadata
+    that :func:`excitation_metadata` writes, an fps from the stack's
+    frame rate; n_per found in neither is :class:`Timing`'s default.
+    Values may be numbers or strings, each parsed with ``float``, so a
+    fractional n_per is a ``TimingMismatch`` as any other bad timing.
+    """
+    known = {} if stack is None else {**stack.metadata, "fps": stack.fps}
+    values = {}
+    for key, value in (("t_bit", t_bit), ("fps", fps), ("n_per", n_per)):
+        value = known.get(key) if value is None else value
+        if value is None:
+            continue
+        try:
+            values[key] = float(value)
+        except (TypeError, ValueError):
+            raise TimingMismatch(f"{key} = {value!r} is not a number") from None
+    for key in ("t_bit", "fps"):
+        if key not in values:
+            raise TimingMismatch(
+                f"{key} is not given and no stack metadata supplies it")
+    return Timing(**values)
+
+
 def waveform_to_stack(wave):
     """Pack a waveform as a 1 x 1 trace in the binary stack container."""
     metadata = {"stage": "waveform", "waveform_kind": wave.kind.value,

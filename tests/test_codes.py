@@ -25,6 +25,7 @@ from pnpuct import (
     generate_mls,
     golay_pair,
     load_code,
+    make_codes,
     modify_for_perfect_pacf,
     pacf,
     pacf_direct,
@@ -338,6 +339,20 @@ class TestSerialization:
         text = code_to_text(modify_for_perfect_pacf(generate_ls(31)))
         with pytest.raises(InvalidCode, match=match):
             code_from_text(text.replace(old, new))
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("build, field", [
+        (lambda: MlsSpec(order=3, tap_coefficients=("x", "1", "0")),
+         "tap_coefficients"),
+        (lambda: MlsSpec(order=3, seed=("a", "1", "1")), "seed"),
+        (lambda: make_codes("mls", order="x"), "order"),
+        (lambda: make_codes("ls", n_bit="x"), "n_bit"),
+        (lambda: make_codes("ls4_plus", n_bit="11", sign="x"), "sign"),
+    ])
+    def test_unparsable_integer_names_the_field(self, build, field):
+        with pytest.raises(InvalidCode, match=f"^{field} = '"):
+            build()
 
 
 class TestPnCodeValidation:

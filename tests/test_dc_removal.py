@@ -92,6 +92,17 @@ class TestFitDc:
             with pytest.raises(DegenerateTrace):
                 remove_dc(trace, ls31, timing)
 
+    def test_overflowing_squares_are_degenerate(self, ls31):
+        # a finite projection whose squared norm overflows
+        timing = Timing(t_bit=1.0, fps=10.0)
+        trace = np.r_[0.0, np.full(619, 1e200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTrace):
+                fit_dc(trace, timing)
+            with pytest.raises(DegenerateTrace):
+                remove_dc(trace, ls31, timing)
+
     def test_matches_scipy_nnls(self):
         timing = Timing(t_bit=1.0, fps=20.0)
         t = times_for(timing, 400)

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnpuct import (IndexOutOfRange, MlsSpec, NotLs4Compatible, NotPrime,
-                    PipelineStageError, PixelModel, Region, binarize_ls4,
-                    code_to_text, generate_ls, generate_mls, load_code,
-                    load_scene_config, modify_for_perfect_pacf, read_stack,
-                    run_pipeline)
+from pnpuct import (IndexOutOfRange, InvalidConfig, InvalidScene, MlsSpec,
+                    NotLs4Compatible, NotPrime, PipelineStageError,
+                    PixelModel, Region, ThermogramStack, TimingMismatch,
+                    binarize_ls4, code_to_text, generate_ls, generate_mls,
+                    load_code, load_scene_config, modify_for_perfect_pacf,
+                    read_stack, run_pipeline, write_stack)
 from pnpuct.cli import main
 from pnpuct.pipeline import _parse_config, generate_codes
 
@@ -201,6 +202,42 @@ directory = {tmp_path / "out"}
         assert code.n_bit == 15
 
 
+    @pytest.mark.parametrize("text", [
+        "kind = ls\n", "[code]\nkind = ls\nkind = mls\n",
+    ], ids=["no-section-header", "duplicate-key"])
+    def test_malformed_config_is_a_config_error(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg, out_dir=tmp_path / "out")
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, InvalidConfig)
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_scene_section_named(self, tmp_path):
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace("[background]", "[ground]"))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "simulate"
+        assert isinstance(info.value.cause, InvalidScene)
+        assert "[background]" in str(info.value)
+
+    def test_input_stack_without_timing_metadata(self, tmp_path):
+        # neither [timing] nor the stack's metadata gives t_bit
+        stack = tmp_path / "bare.tgs"
+        write_stack(ThermogramStack(data=np.ones((28, 1, 1), np.float32),
+                                    fps=2.0), stack)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 7\n\n"
+                       f"[input]\nstack = {stack}\n")
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg, out_dir=tmp_path / "out")
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, TimingMismatch)
+        assert not (tmp_path / "out").exists()
+
+
 class TestCli:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -312,7 +349,8 @@ class TestCli:
                      "--code", code_plus, "-o", compressed]) == 0
         assert read_stack(compressed).n_frames == 7
 
-    @pytest.mark.parametrize("command", ["wave", "sim", "dc", "compress"])
+    @pytest.mark.parametrize("command",
+                             ["wave", "sim", "dc", "compress", "decimate"])
     @pytest.mark.parametrize("flag", ["--n-per", "--fps"])
     def test_zero_timing_flag_rejected(self, tmp_path, capsys, command, flag):
         code_std = str(tmp_path / "std.txt")
@@ -335,9 +373,42 @@ class TestCli:
                    "-o", str(out)],
             "compress": ["puct", "compress", "--stack", raw,
                          "--code", code_plus, "-o", str(out)],
+            "decimate": ["puct", "decimate", "--stack", raw, "-o", str(out)],
         }[command]
         capsys.readouterr()
         assert main(argv + timing) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["wave", "sim"])
+    def test_missing_t_bit_without_stack(self, tmp_path, capsys, command):
+        code_std = str(tmp_path / "std.txt")
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])
+        out = tmp_path / "out"
+        argv = {
+            "wave": ["wave", "gen", "--code", code_std, "--out-dir", str(out)],
+            "sim": ["sim", "run", "--scene", self._scene(tmp_path),
+                    "--code", code_std, "-o", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--fps", "2"]) == 2
+        assert "error: t_bit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        SCENE_SECTIONS.replace("[scene]", ""),
+        SCENE_SECTIONS.replace("ny = 3", "ny = 3\nny = 4"),
+        SCENE_SECTIONS.replace("ny = 3", ""),
+    ], ids=["no-section-header", "duplicate-key", "missing-key"])
+    def test_malformed_scene_exits_2(self, tmp_path, capsys, text):
+        code_std = str(tmp_path / "std.txt")
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(text)
+        out = tmp_path / "raw.tgs"
+        capsys.readouterr()
+        assert main(["sim", "run", "--scene", str(scene), "--code", code_std,
+                     "--t-bit", "1", "--fps", "2", "-o", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -378,6 +449,46 @@ class TestCli:
     def test_cli_missing_file_error(self, tmp_path, capsys):
         assert main(["seq", "verify", str(tmp_path / "missing.txt")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+
+class TestCliMatchesPipeline:
+    """The CLI chain and ``pipeline run`` share one timing rule."""
+
+    @pytest.mark.parametrize("source, timing", [
+        ("scene", "t_bit = 1\nfps = 2\n"),
+        ("input", "t_bit = 1\nfps = 2\n"),  # n_per from the stack
+        ("input", None),                    # every value from the stack
+    ], ids=["scene", "input-without-n_per", "input-without-timing"])
+    def test_same_stacks_and_fit_map(self, tmp_path, source, timing):
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(SCENE_SECTIONS)
+        std, plus = str(tmp_path / "std.txt"), str(tmp_path / "plus.txt")
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", std])
+        main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7", "-o", plus])
+        raw, dc, fits, hhat = (str(tmp_path / name) for name in
+                               ("raw.tgs", "dc.tgs", "fit.csv", "hhat.tgs"))
+        n_per = "2" if source == "scene" else "3"
+        assert main(["sim", "run", "--scene", str(scene), "--code", std,
+                     "--t-bit", "1", "--fps", "2", "--n-per", n_per,
+                     "-o", raw]) == 0
+        assert main(["dc", "remove", "--stack", raw, "--code", plus,
+                     "--fit-map", fits, "-o", dc]) == 0
+        assert main(["puct", "compress", "--stack", dc, "--code", plus,
+                     "-o", hhat]) == 0
+        sections = (SCENE_SECTIONS if source == "scene"
+                    else f"[input]\nstack = {raw}\n")
+        if timing is not None:
+            sections += f"\n[timing]\n{timing}"
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 7\n\n{sections}\n"
+                       f"[output]\ndirectory = {out}\n")
+        run_pipeline(cfg)
+        assert read_stack(out / "compressed.tgs").n_frames == 14
+        for ours, theirs in [("dc_removed.tgs", dc), ("compressed.tgs", hhat),
+                             ("fit_map.csv", fits)]:
+            assert (out / ours).read_bytes() == Path(theirs).read_bytes()
 
 
 LS31 = generate_ls(31)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from pnpuct import (
     ExcitationWaveform,
     IndexOutOfRange,
+    InvalidConfig,
+    InvalidScene,
     PixelModel,
     RateMismatch,
     RectPulse,
@@ -402,3 +404,29 @@ reflection = 0.9
         assert model.amplitude_scale == 2.0  # inherited from background
         assert scene.model_at(2, 3) is model
         assert scene.model_at(0, 0) is scene.background
+
+    @pytest.mark.parametrize("text", [
+        "nx = 4\n",
+        "[scene]\nnx = 4\nnx = 5\n",
+        "[scene]\n[scene]\n",
+    ], ids=["no-section-header", "duplicate-key", "duplicate-section"])
+    def test_malformed_ini_rejected(self, tmp_path, text):
+        path = tmp_path / "scene.cfg"
+        path.write_text(text)
+        with pytest.raises(InvalidConfig):
+            load_scene_config(path)
+
+    @pytest.mark.parametrize("drop, match", [
+        ("[background]\ndiffusivity = 1e-6\n", r"\[background\] section"),
+        ("[scene]\nnx = 2\nny = 2\n", r"\[scene\] section"),
+        ("ny = 2\n", r"\[scene\] has no 'ny' key"),
+        ("y0 = 0\n", r"\[defect.a\] has no 'y0' key"),
+    ], ids=["background", "scene", "ny", "y0"])
+    def test_missing_section_or_key_named(self, tmp_path, drop, match):
+        text = ("[scene]\nnx = 2\nny = 2\n[background]\ndiffusivity = 1e-6\n"
+                "[defect.a]\nx0 = 0\ny0 = 0\nwidth = 1\nheight = 1\n")
+        assert drop in text
+        path = tmp_path / "scene.cfg"
+        path.write_text(text.replace(drop, ""))
+        with pytest.raises(InvalidScene, match=match):
+            load_scene_config(path)

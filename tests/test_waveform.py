@@ -8,6 +8,7 @@ from pnpuct import (
     NonPositiveAmplitude,
     PnCode,
     RectPulse,
+    ThermogramStack,
     Timing,
     TimingMismatch,
     UnmodifiedCode,
@@ -23,6 +24,7 @@ from pnpuct import (
     verify_resolution,
     waveform_to_csv,
 )
+from pnpuct.waveform import timing_of
 from conftest import MLS7
 
 
@@ -74,6 +76,41 @@ class TestTiming:
     def test_non_finite_or_fractional_rejected(self, t_bit, fps, n_per):
         with pytest.raises(TimingMismatch):
             Timing(t_bit=t_bit, fps=fps, n_per=n_per)
+
+
+class TestTimingOf:
+    @staticmethod
+    def stack(fps=2.0, **metadata):
+        return ThermogramStack(data=np.zeros((1, 1, 1), np.float32), fps=fps,
+                               metadata=metadata)
+
+    def test_stack_fills_what_is_not_given(self):
+        stack = self.stack(fps=4.0, t_bit="0.5", n_per="3", k="2")
+        assert timing_of(stack) == Timing(t_bit=0.5, fps=4.0, n_per=3)
+        assert timing_of(stack, n_per=2) == Timing(0.5, 4.0, 2)
+
+    def test_given_value_wins(self):
+        stack = self.stack(fps=4.0, t_bit="0.5", n_per="3")
+        assert timing_of(stack, "1", "2", "2") == Timing(1.0, 2.0, 2)
+        assert timing_of(stack, t_bit=0.25) == Timing(0.25, 4.0, 3)
+
+    def test_n_per_default_is_timings(self):
+        assert timing_of(self.stack(t_bit="1")) == Timing(t_bit=1.0, fps=2.0)
+        assert timing_of(None, "1", "2") == Timing(t_bit=1.0, fps=2.0)
+
+    @pytest.mark.parametrize("stack, args", [
+        (None, ("1", "2", "2.5")),
+        (None, ("1", "2", "two")),
+        (None, ("1", "0", None)),
+        (None, (None, "2", None)),
+        (None, ("1", None, None)),
+        ({"t_bit": "1", "n_per": "2.5"}, ()),
+        ({"n_per": "2"}, ()),
+    ])
+    def test_bad_or_missing_values_rejected(self, stack, args):
+        stack = None if stack is None else self.stack(**stack)
+        with pytest.raises(TimingMismatch):
+            timing_of(stack, *args)
 
 
 class TestRectPulse:
