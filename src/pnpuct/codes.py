@@ -121,8 +121,10 @@ class MlsSpec:
     seed: tuple = None
 
     def __post_init__(self):
-        if self.order < 2:
+        order = _int_field(self.order, "order")
+        if order < 2:
             raise InvalidCode("order must be at least 2")
+        object.__setattr__(self, "order", order)
         taps = self.tap_coefficients
         if taps is None:
             taps = primitive_taps(self.order)

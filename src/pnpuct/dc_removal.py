@@ -10,7 +10,6 @@ equals the response to the modified-sequence excitation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,11 +189,12 @@ def remove_dc_stack(stack, code, timing, overwrite_input=False):
 def export_fit_map_csv(fits, path):
     """Diagnostic CSV of a (ny, nx, 4) fit map (j_x, j_y, a1, a2, a3, rms).
 
-    Degenerate pixels, NaN rows in the map, print as nan.
+    Degenerate pixels, NaN rows in the map, print as nan. The bytes are
+    those of ``csv.writer`` on the ``repr`` of each value, CRLF line ends
+    included; each pixel row is formatted and written as one string.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j_x", "j_y", "a1", "a2", "a3", "rms"])
-        for jy, row in enumerate(np.asarray(fits, dtype=float).tolist()):
-            for jx, fit in enumerate(row):
-                writer.writerow([jx, jy, *map(repr, fit)])
+        fh.write("j_x,j_y,a1,a2,a3,rms\r\n")
+        for jy, row in enumerate(np.asarray(fits, dtype=float)):
+            fh.write("".join([f"{jx},{jy},{a!r},{b!r},{c!r},{r!r}\r\n"
+                              for jx, (a, b, c, r) in enumerate(row.tolist())]))

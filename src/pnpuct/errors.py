@@ -132,7 +132,7 @@ class IndexOutOfRange(PnPuctError):
 # --- config files ---
 
 class InvalidConfig(PnPuctError, ValueError):
-    """Scene or run config file that is not valid INI."""
+    """Config file that is not valid INI, or a run-config value not known."""
 
 
 # --- pipeline ---

@@ -2,8 +2,9 @@
 
 A run is described by an INI config (see README for the schema) and
 produces a fixed artifact set in the output directory plus a manifest
-recording every parameter and the SHA-256 of every artifact, so
-identical configs yield identical manifests.
+recording every parameter, the SHA-256 of every artifact and, for an
+``[input]`` stack, the input's path, size and SHA-256, so identical
+configs yield identical manifests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import codes as codes_mod
 from .codes import CodeKind, save_code
 from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
-from .errors import PipelineStageError
+from .errors import InvalidConfig, PipelineStageError
 from .stack import export_pixel_trace, export_slice, read_stack, write_stack
 from .thermal import read_ini, scene_from_parser, simulate_stack
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
@@ -34,10 +35,22 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineStageError(name, exc) from exc
 
 
+# stacks written only when [output] intermediates names them
+INTERMEDIATES = ("dc_removed",)
+
+
 def _parse_config(source):
     if isinstance(source, configparser.ConfigParser):
         return source
     return read_ini(source)
+
+
+def _read_input(path):
+    """The [input] stack and its manifest record, hashed as it is read."""
+    digest = hashlib.sha256()
+    stack = read_stack(path, digest=digest)
+    return stack, {"path": path, "bytes": os.path.getsize(path),
+                   "sha256": digest.hexdigest()}
 
 
 def generate_codes(section):
@@ -64,9 +77,9 @@ def run_pipeline(config, out_dir=None, seed=None):
     """
     parser = _stage("config", _parse_config, config)
     # read before the timing: its metadata fills the [timing] keys left out
-    raw = None
+    raw = source = None
     if parser.has_option("input", "stack"):
-        raw = _stage("simulate", read_stack, parser["input"]["stack"])
+        raw, source = _stage("simulate", _read_input, parser["input"]["stack"])
 
     def parse_all():
         section = parser["timing"] if parser.has_section("timing") else {}
@@ -77,18 +90,27 @@ def run_pipeline(config, out_dir=None, seed=None):
         options = {key: parser.getboolean("compression", key, fallback=False)
                    for key in ("single_period", "decimate", "decimate_average")}
         directory = out_dir or parser.get("output", "directory", fallback="out")
-        return timing, amplitude, normalization, options, directory
+        intermediates = _tokens(parser.get(
+            "output", "intermediates", fallback="").lower())
+        unknown = sorted(set(intermediates) - set(INTERMEDIATES))
+        if unknown:
+            raise InvalidConfig(
+                f"[output] intermediates: unknown {', '.join(unknown)}; "
+                f"known: {', '.join(INTERMEDIATES)}")
+        return (timing, amplitude, normalization, options, directory,
+                intermediates)
 
-    timing, amplitude, normalization, options, directory = _stage(
-        "config", parse_all)
+    timing, amplitude, normalization, options, directory, intermediates = (
+        _stage("config", parse_all))
     os.makedirs(directory, exist_ok=True)
+    # name -> (path, SHA-256 or None); None is hashed from the file
     artifacts = {}
 
     def emit(name, filename, writer, *args):
+        # write_stack returns the digest of what it wrote; the text
+        # writers return None
         path = os.path.join(directory, filename)
-        writer(*args, path)
-        artifacts[name] = path
-        return path
+        artifacts[name] = path, writer(*args, path)
 
     excitation_code, modified_code = _stage(
         "codes", generate_codes, parser["code"])
@@ -106,16 +128,15 @@ def run_pipeline(config, out_dir=None, seed=None):
     emit("unipolar_csv", "unipolar.csv", waveform_to_csv, unipolar)
     emit("filter_csv", "matched_filter.csv", filter_to_csv, filt)
 
-    def acquire():
-        if raw is not None:
-            return raw
+    def simulate():
         scene = scene_from_parser(parser)
         if seed is not None:
             scene = dataclasses.replace(scene, rng_seed=int(seed))
         return simulate_stack(scene, unipolar)
 
-    raw = _stage("simulate", acquire)
-    emit("raw_stack", "raw_stack.tgs", write_stack, raw)
+    if source is None:
+        raw = _stage("simulate", simulate)
+        emit("raw_stack", "raw_stack.tgs", write_stack, raw)
 
     comp_timing = timing
     if options["decimate"]:
@@ -125,12 +146,14 @@ def run_pipeline(config, out_dir=None, seed=None):
         emit("decimated_stack", "decimated_stack.tgs", write_stack, raw)
 
     # DC removal and compression write into the stack they read, which
-    # is on disk by then; compress_stack takes the flag positionally, so
-    # a stand-in taking (stack, code, *args) can replace it
+    # is on disk by then (the input file, or the stack written above);
+    # compress_stack takes the flag positionally, so a stand-in taking
+    # (stack, code, *args) can replace it
     removed, fit_map = _stage(
         "dc_removal", remove_dc_stack, raw, modified_code, comp_timing,
         overwrite_input=True)
-    emit("dc_removed_stack", "dc_removed.tgs", write_stack, removed)
+    if "dc_removed" in intermediates:
+        emit("dc_removed_stack", "dc_removed.tgs", write_stack, removed)
     emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
     # removed, and compressed after it, share raw's buffer: of these
     # only the fit map's memory is freed
@@ -143,20 +166,18 @@ def run_pipeline(config, out_dir=None, seed=None):
 
     def reports():
         out = parser["output"] if parser.has_section("output") else {}
-        slices = out.get("slices", "")
-        for token in filter(None, (s.strip() for s in slices.split(","))):
+        for token in _tokens(out.get("slices", "")):
             index = int(round(float(token) * compressed.fps))
             base = os.path.join(directory, f"slice_t{token}")
             pgm, csvp, side = export_slice(compressed, index, base)
-            artifacts[f"slice_{token}_pgm"] = pgm
-            artifacts[f"slice_{token}_csv"] = csvp
-            artifacts[f"slice_{token}_bounds"] = side
-        pixels = out.get("pixels", "")
-        for token in filter(None, (s.strip() for s in pixels.split(","))):
+            artifacts[f"slice_{token}_pgm"] = pgm, None
+            artifacts[f"slice_{token}_csv"] = csvp, None
+            artifacts[f"slice_{token}_bounds"] = side, None
+        for token in _tokens(out.get("pixels", "")):
             jx, _, jy = token.partition("x")
             path = os.path.join(directory, f"pixel_{jx}_{jy}.csv")
             export_pixel_trace(compressed, int(jx), int(jy), path)
-            artifacts[f"pixel_{token}"] = path
+            artifacts[f"pixel_{token}"] = path, None
 
     _stage("report", reports)
 
@@ -168,11 +189,13 @@ def run_pipeline(config, out_dir=None, seed=None):
         "artifacts": {
             name: {
                 "path": os.path.basename(path),
-                "sha256": _sha256(path),
+                "sha256": digest or _sha256(path),
             }
-            for name, path in sorted(artifacts.items())
+            for name, (path, digest) in sorted(artifacts.items())
         },
     }
+    if source is not None:
+        manifest["input"] = source
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -181,7 +204,13 @@ def run_pipeline(config, out_dir=None, seed=None):
     return manifest
 
 
+def _tokens(text):
+    """Non-empty, stripped items of a comma-separated config value."""
+    return [t for t in (s.strip() for s in text.split(",")) if t]
+
+
 def _sha256(path):
+    """Digest of a file pnpuct wrote without hashing it: text and PGM."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -16,6 +16,7 @@ Stacks hold 32-bit intensities (camera realistic); pipeline math runs in
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import struct
 from dataclasses import dataclass, field
@@ -97,22 +98,37 @@ def _decode_metadata(blob) -> dict:
 
 
 def write_stack(stack, path):
-    """Write a stack; the round trip through :func:`read_stack` is bit-exact."""
+    """Write a stack and return the SHA-256 hex digest of the bytes written.
+
+    The round trip through :func:`read_stack` is bit-exact. The digest is
+    taken from the buffers as they are written, so the file is not read
+    back to hash it.
+    """
     meta = _encode_metadata(stack.metadata)
+    head = MAGIC + struct.pack("<IIIfI", stack.nx, stack.ny, stack.n_frames,
+                               stack.fps, len(meta)) + meta
+    # no copy on a little-endian host
+    data = stack.data.astype("<f4", copy=False)
+    digest = hashlib.sha256(head)
+    digest.update(data)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", stack.nx, stack.ny, stack.n_frames))
-        fh.write(struct.pack("<f", stack.fps))
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        # no copy on a little-endian host
-        fh.write(stack.data.astype("<f4", copy=False))
+        fh.write(head)
+        fh.write(data)
+    return digest.hexdigest()
 
 
-def read_stack(path) -> ThermogramStack:
+def read_stack(path, digest=None) -> ThermogramStack:
+    """Read a TGS1 file, checking its header, length and samples.
+
+    Every byte read is fed to ``digest``, a ``hashlib`` object, when one
+    is given: for a file that reads without error it then holds the hash
+    of the whole file.
+    """
+    update = digest.update if digest is not None else (lambda _: None)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(24)
+        update(header)
         if header[:4] != MAGIC:
             raise BadMagic(f"{path}: expected {MAGIC!r} header")
         if len(header) < 24:
@@ -122,6 +138,7 @@ def read_stack(path) -> ThermogramStack:
             raise BadHeader(
                 f"{path}: frame rate {fps} is not positive and finite")
         blob = fh.read(meta_len)
+        update(blob)
         if len(blob) < meta_len:
             raise TruncatedFile(f"{path}: metadata incomplete")
         metadata = _decode_metadata(blob)
@@ -135,6 +152,7 @@ def read_stack(path) -> ThermogramStack:
         data = np.empty((n_frames, ny, nx), dtype="<f4")
         if fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
             raise TruncatedFile(f"{path}: frames incomplete")
+        update(data)
     try:
         return ThermogramStack(data=data, fps=_exact_fps(fps, metadata),
                                metadata=metadata)

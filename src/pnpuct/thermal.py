@@ -277,18 +277,31 @@ def simulate_stack(scene, excitation) -> ThermogramStack:
 def _model_from_section(section, fallback=None):
     base = fallback or PixelModel(diffusivity=1e-6)
     return PixelModel(
-        diffusivity=section.getfloat("diffusivity", base.diffusivity),
-        defect_depth=section.getfloat("depth", base.defect_depth),
-        reflection_coeff=section.getfloat("reflection", base.reflection_coeff),
-        amplitude_scale=section.getfloat("amplitude_scale",
-                                         base.amplitude_scale),
+        diffusivity=_key(section, "diffusivity", float, base.diffusivity),
+        defect_depth=_key(section, "depth", float, base.defect_depth),
+        reflection_coeff=_key(section, "reflection", float,
+                              base.reflection_coeff),
+        amplitude_scale=_key(section, "amplitude_scale", float,
+                             base.amplitude_scale),
     )
 
 
-def _int_key(section, key):
+_REQUIRED = object()
+
+
+def _key(section, key, parse, default=_REQUIRED):
+    """``parse`` of a key's text; InvalidScene names the section and key."""
     if key not in section:
-        raise InvalidScene(f"[{section.name}] has no {key!r} key")
-    return int(section[key])
+        if default is _REQUIRED:
+            raise InvalidScene(f"[{section.name}] has no {key!r} key")
+        return default
+    text = section[key]
+    try:
+        return parse(text)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise InvalidScene(
+            f"[{section.name}] {key} = {text!r} is not {kind}") from None
 
 
 def scene_from_parser(parser) -> SceneConfig:
@@ -302,16 +315,16 @@ def scene_from_parser(parser) -> SceneConfig:
         if not name.startswith("defect"):
             continue
         sec = parser[name]
-        region = Region(*(_int_key(sec, key)
+        region = Region(*(_key(sec, key, int)
                           for key in ("x0", "y0", "width", "height")))
         defects.append((region, _model_from_section(sec, fallback=background)))
     return SceneConfig(
-        nx=_int_key(scene, "nx"),
-        ny=_int_key(scene, "ny"),
+        nx=_key(scene, "nx", int),
+        ny=_key(scene, "ny", int),
         background=background,
         defects=tuple(defects),
-        noise_sigma=float(scene.get("noise_sigma", "0")),
-        rng_seed=int(scene.get("rng_seed", "0")),
+        noise_sigma=_key(scene, "noise_sigma", float, 0.0),
+        rng_seed=_key(scene, "rng_seed", int, 0),
     )
 
 

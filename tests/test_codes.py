@@ -354,6 +354,11 @@ class TestIntegerFields:
         with pytest.raises(InvalidCode, match=f"^{field} = '"):
             build()
 
+    def test_spec_order_not_an_integer(self):
+        with pytest.raises(InvalidCode, match="^order = 'x' "):
+            MlsSpec(order="x")
+        assert MlsSpec(order="5") == MlsSpec(order=5)
+
 
 class TestPnCodeValidation:
     def test_length_must_match(self):

@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 import warnings
 
@@ -470,3 +472,20 @@ class TestWholeStackSolver:
             "0,0,0.1,0.0,2.5,0.001",
             "1,0,nan,nan,nan,nan",
         ]
+
+    def test_fit_map_csv_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        fits = rng.normal(size=(5, 7, 4)) * 10.0 ** rng.integers(-12, 12,
+                                                                  (5, 7, 4))
+        fits[1, 2] = np.nan
+        fits[4, 6] = np.nan
+        fits[0, 0] = [-0.0, 0.0, np.inf, 1e-310]
+        path = tmp_path / "fits.csv"
+        export_fit_map_csv(fits, path)
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["j_x", "j_y", "a1", "a2", "a3", "rms"])
+        for jy, row in enumerate(fits.tolist()):
+            for jx, fit in enumerate(row):
+                writer.writerow([jx, jy, *map(repr, fit)])
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -38,7 +39,8 @@ reflection = 0.9
 """
 
 
-def write_run_config(path, out_dir, t_bit="1.0", fps="2.0", extra=""):
+def write_run_config(path, out_dir, t_bit="1.0", fps="2.0", extra="",
+                     output_extra=""):
     path.write_text(f"""
 [code]
 kind = ls
@@ -62,13 +64,19 @@ normalization = per_length
 directory = {out_dir}
 slices = 3.0
 pixels = 0x0, 3x2
+{output_extra}
 """)
     return path
 
 
+def file_sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestRunPipeline:
     def test_artifacts_and_manifest(self, tmp_path):
-        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out",
+                               output_extra="intermediates = dc_removed")
         manifest = run_pipeline(cfg)
         out = tmp_path / "out"
         for name in ["excitation_code.txt", "modified_code.txt", "bipolar.csv",
@@ -79,7 +87,51 @@ class TestRunPipeline:
         compressed = read_stack(out / "compressed.tgs")
         assert compressed.n_frames == 62
         assert compressed.metadata["normalization"] == "per_length"
-        assert set(manifest["artifacts"]) >= {"raw_stack", "compressed_stack"}
+        assert set(manifest["artifacts"]) >= {"raw_stack", "dc_removed_stack",
+                                              "compressed_stack"}
+        # digests taken while writing match the files as written
+        for artifact in manifest["artifacts"].values():
+            assert artifact["sha256"] == file_sha256(out / artifact["path"])
+        assert "input" not in manifest
+
+    def test_intermediate_stack_only_on_request(self, tmp_path):
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        manifest = run_pipeline(cfg)
+        assert not (tmp_path / "out" / "dc_removed.tgs").exists()
+        assert "dc_removed_stack" not in manifest["artifacts"]
+        assert (tmp_path / "out" / "compressed.tgs").exists()
+
+    @pytest.mark.parametrize("value", ["bogus", "dc_removed, raw"])
+    def test_unknown_intermediate_rejected(self, tmp_path, value):
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out,
+                               output_extra=f"intermediates = {value}")
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, InvalidConfig)
+        assert "intermediates" in str(info.value)
+        assert not out.exists()
+
+    def test_input_stack_recorded_not_copied(self, tmp_path):
+        raw = tmp_path / "raw.tgs"
+        run_pipeline(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"))
+        (tmp_path / "sim" / "raw_stack.tgs").rename(raw)
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
+                       f"[input]\nstack = {raw}\n\n"
+                       f"[output]\ndirectory = {out}\n")
+        manifest = run_pipeline(cfg)
+        assert not (out / "raw_stack.tgs").exists()
+        assert "raw_stack" not in manifest["artifacts"]
+        assert manifest["input"] == {"path": str(raw),
+                                     "bytes": raw.stat().st_size,
+                                     "sha256": file_sha256(raw)}
+        on_disk = json.loads((out / "manifest.json").read_text())
+        assert on_disk["input"] == manifest["input"]
+        for artifact in manifest["artifacts"].values():
+            assert artifact["sha256"] == file_sha256(out / artifact["path"])
 
     def test_determinism(self, tmp_path):
         cfg_a = write_run_config(tmp_path / "a.cfg", tmp_path / "out_a")
@@ -483,7 +535,8 @@ class TestCliMatchesPipeline:
         out = tmp_path / "run"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[code]\nkind = ls\nn_bit = 7\n\n{sections}\n"
-                       f"[output]\ndirectory = {out}\n")
+                       f"[output]\ndirectory = {out}\n"
+                       f"intermediates = dc_removed\n")
         run_pipeline(cfg)
         assert read_stack(out / "compressed.tgs").n_frames == 14
         for ours, theirs in [("dc_removed.tgs", dc), ("compressed.tgs", hhat),

@@ -1,10 +1,12 @@
+import hashlib
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pnpuct import (
     BadHeader,
@@ -176,6 +178,31 @@ class TestRoundTrip:
         rewritten = path.with_name("again.tgs")
         write_stack(back, rewritten)
         assert rewritten.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=hnp.arrays(
+               np.float32, hnp.array_shapes(min_dims=3, max_dims=3,
+                                            min_side=0, max_side=4),
+               elements=st.floats(-1e6, 1e6, width=32)),
+           fps=st.floats(1e-3, 1e4),
+           meta=st.dictionaries(
+               st.text(max_size=8).filter(lambda k: "\n" not in k
+                                          and "=" not in k),
+               st.text(max_size=8).filter(lambda v: "\n" not in v),
+               max_size=4))
+    @example(data=np.zeros((0, 2, 3), np.float32), fps=40.0,
+             meta={"kamera": "Wärmebild", "\u6e29\u5ea6": "\u00b0C \U0001f525"})
+    def test_digests_are_the_file_hash(self, tmp_path_factory, data, fps,
+                                       meta):
+        stack = ThermogramStack(data=data, fps=fps, metadata=meta)
+        path = tmp_path_factory.mktemp("digest") / "d.tgs"
+        written = write_stack(stack, path)
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert written == expected
+        digest = hashlib.sha256()
+        back = read_stack(path, digest=digest)
+        assert digest.hexdigest() == expected
+        assert back.data.shape == data.shape
 
     def test_non_finite_rejected_at_construction(self):
         data = np.ones((2, 2, 2), dtype=np.float32)

@@ -430,3 +430,26 @@ reflection = 0.9
         path.write_text(text.replace(drop, ""))
         with pytest.raises(InvalidScene, match=match):
             load_scene_config(path)
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("nx = 2", "nx = four", r"\[scene\] nx = 'four'"),
+        ("ny = 2", "ny = 2.5", r"\[scene\] ny = '2.5'"),
+        ("\n[defect.a]\nx0 = 0", "\n[defect.a]\nx0 = left",
+         r"\[defect.a\] x0 = 'left'"),
+        ("diffusivity = 1e-6", "diffusivity = abc",
+         r"\[background\] diffusivity = 'abc'"),
+        ("height = 1", "height = 1\ndepth = deep",
+         r"\[defect.a\] depth = 'deep'"),
+        ("ny = 2", "ny = 2\nnoise_sigma = loud",
+         r"\[scene\] noise_sigma = 'loud'"),
+        ("ny = 2", "ny = 2\nrng_seed = 0x1f", r"\[scene\] rng_seed = '0x1f'"),
+    ], ids=["int", "fraction", "defect-int", "float", "defect-float",
+            "noise", "seed"])
+    def test_malformed_value_named(self, tmp_path, old, new, match):
+        text = ("[scene]\nnx = 2\nny = 2\n[background]\ndiffusivity = 1e-6\n"
+                "[defect.a]\nx0 = 0\ny0 = 0\nwidth = 1\nheight = 1\n")
+        assert old in text
+        path = tmp_path / "scene.cfg"
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(InvalidScene, match=match):
+            load_scene_config(path)
