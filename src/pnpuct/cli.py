@@ -102,16 +102,24 @@ def _cmd_dc_remove(args):
 
 
 def _cmd_puct_compress(args):
+    if args.fit_map and not args.remove_dc:
+        raise PnPuctError("--fit-map needs --remove-dc")
     stack = read_stack(args.stack)
     code = load_code(args.code)
     timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
     compressed = compress_stack(
         stack, code, timing,
         normalization=Normalization(args.normalization),
-        single_period=args.single_period, overwrite_input=True)
+        single_period=args.single_period, overwrite_input=True,
+        remove_dc=args.remove_dc)
+    if args.remove_dc:
+        compressed, fit_map = compressed
     write_stack(compressed, args.output)
     print(f"wrote compressed stack ({compressed.n_frames} frames) "
           f"to {args.output}")
+    if args.fit_map:
+        export_fit_map_csv(fit_map, args.fit_map)
+        print(f"wrote fit map to {args.fit_map}")
     return 0
 
 
@@ -239,6 +247,11 @@ def build_parser():
     pcomp.add_argument("--normalization", default="raw",
                        choices=[n.value for n in Normalization])
     pcomp.add_argument("--single-period", action="store_true")
+    pcomp.add_argument("--remove-dc", action="store_true",
+                       help="the stack is raw: remove the DC trend in the "
+                            "same pass")
+    pcomp.add_argument("--fit-map", help="with --remove-dc: CSV path for "
+                                         "per-pixel coefficients")
     pcomp.add_argument("-o", "--output", required=True)
     pcomp.set_defaults(func=_cmd_puct_compress)
     pdec = puct_cmds.add_parser("decimate", parents=[timing],

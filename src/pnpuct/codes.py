@@ -53,11 +53,18 @@ _PRIMITIVE_EXPONENTS = {
 
 
 def _int_field(value, field):
-    """``int(value)``, or an InvalidCode naming the field it came from."""
+    """``int(value)``, or an InvalidCode naming the field it came from.
+
+    A number must be integral (5.0 is 5, 4.9 is rejected, not
+    truncated); a string must spell an integer.
+    """
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InvalidCode(f"{field} = {value!r} is not an integer") from None
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not isinstance(value, str) and number != value:
+        raise InvalidCode(f"{field} = {value!r} is not an integer")
+    return number
 
 
 def primitive_taps(order):

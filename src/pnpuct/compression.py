@@ -14,6 +14,10 @@ periods read. That sum, seen as 2N bit rows of K frames per pixel, is
 filtered by one fixed N x 2N Toeplitz matrix of the code taps
 (polyphase decomposition; P. P. Vaidyanathan, *Multirate Systems and
 Filter Banks*, 1993).
+
+The filter runs on the blocks of columns of the one block loop of
+:mod:`pnpuct.dc_removal`; with ``remove_dc`` each raw block also gets
+its DC trend fitted there and removed in the same pass.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 # the kernel's modules first (ROADMAP item 1).
 import scipy.signal
 
+from . import dc_removal
 from .errors import (EmptyRegion, RegionOverlap, ShapeMismatch,
                      UnmodifiedCode)
 from .stack import ThermogramStack
@@ -54,18 +59,8 @@ class CompressedTrace:
         object.__setattr__(self, "values", values)
 
 
-# Pixel columns per block. Every block, the last one and a single trace
-# included, is zero-padded to this width, so each column goes through
-# the same BLAS call and its output does not depend on its neighbours.
-# Compressing 64x64x2480 LS31 K=40 frames (1 BLAS thread) took
-# 0.04-0.05 s at any width from 128 to 1024, with traced peaks of 24,
-# 28, 36 and 51 MB (20 MB of them the output).
-_BLOCK = 256
-
-
-def _compress_columns(traces, code, timing, normalization, single_period,
-                      dtype, overwrite=False):
-    """Matched filtering of every column of an (n_frames, n_pix) array.
+class _MatchedFilter:
+    """The matched filter of a modified code, applied a block at a time.
 
     The matched filter is the time-reversed modified code on every K-th
     tap, c'[b] = values[-b mod N]. Its steady periods therefore need
@@ -73,46 +68,103 @@ def _compress_columns(traces, code, timing, normalization, single_period,
     y[(i - 1)P : (i + 1)P]: output frame jK + p is
     sum_b c'[b] ybar[(N + j - b)K + p]. Seen as a (2N, K * w) array,
     ybar is filtered by one N x 2N Toeplitz matrix whose rows hold
-    c'[::-1] = roll(values, -1). The input must span the timing's
-    n_per periods. Returns the normalized mean of the steady periods as
-    a (period, n_pix) array of ``dtype``, and the number of periods
-    averaged. With ``overwrite`` the result is the first ``period``
-    rows of ``traces``, which must then be of ``dtype``: a block's
-    columns are all read into the fold before any of them is written.
+    c'[::-1] = roll(values, -1), divided by n_avg and the normalization
+    scale. The input must span the timing's n_per periods.
     """
-    if not code.is_modified:
-        raise UnmodifiedCode(
-            f"{code.kind.value} has sidelobes; modify the code first")
-    n_bit, k = code.n_bit, timing.k
-    n_frames, n_pix = traces.shape
-    if n_frames != timing.total_frames(n_bit):
-        raise ShapeMismatch(
-            f"{n_frames} frames given, timing implies "
-            f"{timing.total_frames(n_bit)}")
-    period = timing.frames_per_period(n_bit)
-    n_avg = 1 if single_period else timing.n_per - 1
-    scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
-             Normalization.PER_LENGTH: n_bit}[normalization]
-    row = np.roll(code.values, -1) / (n_avg * scale)
-    fold = np.empty((2 * period, _BLOCK))
-    bits = fold.reshape(2 * n_bit, k * _BLOCK)
-    toeplitz = np.zeros((n_bit, 2 * n_bit))
-    for j in range(n_bit):
-        toeplitz[j, j + 1: j + 1 + n_bit] = row
-    product = np.empty((n_bit, k * _BLOCK))
-    steady = product.reshape(n_bit, k, _BLOCK)
-    out = traces[:period] if overwrite else np.empty((period, n_pix), dtype)
-    by_bit = out.reshape(n_bit, k, n_pix)
-    for start in range(0, n_pix, _BLOCK):
-        m = min(_BLOCK, n_pix - start)
-        cols = slice(start, start + m)
-        fold[:, :m] = traces[:2 * period, cols]
-        fold[:, m:] = 0.0
+
+    def __init__(self, code, timing, normalization, single_period,
+                 n_frames):
+        if not code.is_modified:
+            raise UnmodifiedCode(
+                f"{code.kind.value} has sidelobes; modify the code first")
+        n_bit = code.n_bit
+        if n_frames != timing.total_frames(n_bit):
+            raise ShapeMismatch(
+                f"{n_frames} frames given, timing implies "
+                f"{timing.total_frames(n_bit)}")
+        self.n_avg = 1 if single_period else timing.n_per - 1
+        self.period = timing.frames_per_period(n_bit)
+        scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
+                 Normalization.PER_LENGTH: n_bit}[normalization]
+        row = np.roll(code.values, -1) / (self.n_avg * scale)
+        self._toeplitz = np.zeros((n_bit, 2 * n_bit))
+        for j in range(n_bit):
+            self._toeplitz[j, j + 1: j + 1 + n_bit] = row
+        self._spare = None
+
+    def __call__(self, a):
+        """The (period, w) filtered steady period of the columns of ``a``.
+
+        ``a`` is an (n_frames, w) float64 array. Its n_avg windows are
+        summed in place into a[:2P], the first period of every window
+        before the second. From n_per = 3 on, the product lands in
+        a[2P:3P], which the fold has read; for n_per = 2 it lands in one
+        more buffer, allocated once per width.
+        """
+        period, n_avg = self.period, self.n_avg
         for i in range(1, n_avg):
-            fold[:, :m] += traces[i * period: (i + 2) * period, cols]
-        np.matmul(toeplitz, bits, out=product)
-        by_bit[:, :, cols] = steady[:, :, :m]
-    return out, n_avg
+            a[:period] += a[i * period: (i + 1) * period]
+        for i in range(1, n_avg):
+            a[period: 2 * period] += a[(i + 1) * period: (i + 2) * period]
+        if len(a) >= 3 * period:
+            product = a[2 * period: 3 * period]
+        else:
+            if self._spare is None or self._spare.shape[1] != a.shape[1]:
+                self._spare = np.empty((period, a.shape[1]))
+            product = self._spare
+        n_bit = len(self._toeplitz)
+        np.matmul(self._toeplitz, a[:2 * period].reshape(2 * n_bit, -1),
+                  out=product.reshape(n_bit, -1))
+        return product
+
+
+def _compress_columns(traces, code, timing, normalization, single_period,
+                      dtype, overwrite=False):
+    """Matched filtering of every column of an (n_frames, n_pix) array.
+
+    Returns the normalized mean of the steady periods as a
+    (period, n_pix) array of ``dtype``, and the number of periods
+    averaged. With ``overwrite`` the result is the first ``period``
+    rows of ``traces``, which must then be of ``dtype``.
+    """
+    filt = _MatchedFilter(code, timing, normalization, single_period,
+                          len(traces))
+    out = (traces[:filt.period] if overwrite
+           else np.empty((filt.period, traces.shape[1]), dtype))
+    for cols, src, a in dc_removal._blocks(traces):
+        out[:, cols] = filt(a)[:, :src.shape[1]]
+    return out, filt.n_avg
+
+
+def _remove_dc_and_compress(traces, code, timing, normalization,
+                            single_period, overwrite, keep):
+    """:func:`_compress_columns` of raw float32 columns, DC removal fused.
+
+    Each column's trend is fitted as in :func:`remove_dc_stack`, and the
+    filtered DC-removed column is C(r) + keep * C(B) c: the filtered
+    residual r = y - B c plus the filtered trend basis, formed once per
+    call, times the coefficients. Both are float64; the sum is rounded
+    once. Invalid columns give zero. Returns the (period, n_pix) output,
+    the number of periods averaged and the (n_pix, 4) fit-map rows.
+    """
+    filt = _MatchedFilter(code, timing, normalization, single_period,
+                          len(traces))
+    period = filt.period
+    out = (traces[:period] if overwrite
+           else np.empty((period, traces.shape[1]), np.float32))
+    trend = dc_removal._Trend(len(traces), timing.dt)
+    kept = keep * filt(trend.basis.copy())
+    fits = np.empty((traces.shape[1], 4))
+    for cols, src, a in dc_removal._blocks(traces):
+        coefs, valid = trend.residual(a, src, fits[cols])
+        a[:, ~valid] = 0.0
+        product = filt(a)
+        np.matmul(kept, coefs, out=a[:period])
+        m = src.shape[1]
+        block = out[:, cols]
+        np.add(product[:, :m], a[:period, :m], out=block, casting="unsafe")
+        block[:, ~valid[:m]] = 0.0
+    return out, filt.n_avg, fits
 
 
 def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
@@ -137,8 +189,8 @@ def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
 
 
 def compress_stack(stack, code, timing, normalization=Normalization.RAW,
-                   single_period=False, overwrite_input=False
-                   ) -> ThermogramStack:
+                   single_period=False, overwrite_input=False,
+                   remove_dc=False):
     """Pixelwise compression of a DC-removed stack.
 
     Returns a stack of one period (K * N_bit frames) whose metadata
@@ -148,10 +200,26 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
     the period is written into the input's first frames, which the
     returned stack shares, and no stack-sized array is allocated. The
     returned stack then keeps the whole input buffer alive.
+
+    With ``remove_dc`` the stack is raw: DC removal runs in the same
+    pass, and the result is (compressed, fit map), the fit map that of
+    :func:`remove_dc_stack`, bit for bit. The compressed stack is the
+    float64 chain of :func:`remove_dc_stack` and compression rounded
+    once to float32, so it can differ from compressing the float32
+    DC-removed stack in the last bits. Unlike :func:`remove_dc_stack`,
+    this call does not pass the code through :func:`check_code`; the
+    pipeline checks its codes when it makes them.
     """
-    out, n_avg = _compress_columns(
-        stack.data.reshape(stack.n_frames, -1), code, timing, normalization,
-        single_period, np.float32, overwrite_input)
+    traces = stack.data.reshape(stack.n_frames, -1)
+    if remove_dc:
+        keep = dc_removal._validate_bias(code)
+        out, n_avg, fits = _remove_dc_and_compress(
+            traces, code, timing, normalization, single_period,
+            overwrite_input, keep)
+    else:
+        out, n_avg = _compress_columns(
+            traces, code, timing, normalization, single_period, np.float32,
+            overwrite_input)
     metadata = dict(stack.metadata)
     metadata.update({
         "stage": "compressed",
@@ -161,8 +229,13 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
         "normalization": normalization.value,
         "periods_averaged": str(n_avg),
     })
-    return ThermogramStack(data=out.reshape(-1, stack.ny, stack.nx),
-                           fps=stack.fps, metadata=metadata)
+    if remove_dc:
+        metadata["bias"] = repr(keep)
+    compressed = ThermogramStack(data=out.reshape(-1, stack.ny, stack.nx),
+                                 fps=stack.fps, metadata=metadata)
+    if not remove_dc:
+        return compressed
+    return compressed, fits.reshape(stack.ny, stack.nx, 4)
 
 
 def decimate_to_bit_rate(stack, timing, average=False):

@@ -16,7 +16,7 @@ import json
 import os
 
 from . import codes as codes_mod
-from .codes import CodeKind, save_code
+from .codes import CodeKind, check_code, save_code
 from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import InvalidConfig, PipelineStageError
@@ -63,6 +63,8 @@ def generate_codes(section):
         kind, modified_name, n_bit=section.get("n_bit"),
         order=section.get("order"), taps=section.get("taps"),
         sign=section.get("sign", "1"))
+    # DC removal and compression take the bias and gain as given
+    check_code(modified)
     # a binarized code is also the physical drive sequence
     excitation_code = modified if modified.kind is CodeKind.LS_4PLUS else standard
     return excitation_code, modified
@@ -107,8 +109,8 @@ def run_pipeline(config, out_dir=None, seed=None):
     artifacts = {}
 
     def emit(name, filename, writer, *args):
-        # write_stack returns the digest of what it wrote; the text
-        # writers return None
+        # write_stack and export_fit_map_csv return the digest of what
+        # they wrote; the other text writers return None
         path = os.path.join(directory, filename)
         artifacts[name] = path, writer(*args, path)
 
@@ -145,23 +147,23 @@ def run_pipeline(config, out_dir=None, seed=None):
             options["decimate_average"])
         emit("decimated_stack", "decimated_stack.tgs", write_stack, raw)
 
-    # DC removal and compression write into the stack they read, which
-    # is on disk by then (the input file, or the stack written above);
-    # compress_stack takes the flag positionally, so a stand-in taking
-    # (stack, code, *args) can replace it
-    removed, fit_map = _stage(
-        "dc_removal", remove_dc_stack, raw, modified_code, comp_timing,
-        overwrite_input=True)
-    if "dc_removed" in intermediates:
+    # one pass removes the DC trend and compresses; compress_stack takes
+    # its arguments positionally, so a stand-in taking (stack, code,
+    # *args) can replace it. It writes the period into the first frames
+    # of the stack it reads, which is on disk by then (the input file,
+    # or the stack written above), unless DC removal still needs that
+    # stack: then it allocates one period, and DC removal runs in place
+    keep_raw = "dc_removed" in intermediates
+    compressed, fit_map = _stage(
+        "compress", compress_stack, raw, modified_code, comp_timing,
+        normalization, options["single_period"], not keep_raw, True)
+    if keep_raw:
+        removed, _ = _stage("dc_removal", remove_dc_stack, raw, modified_code,
+                            comp_timing, overwrite_input=True)
         emit("dc_removed_stack", "dc_removed.tgs", write_stack, removed)
+        del removed
+    del raw
     emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
-    # removed, and compressed after it, share raw's buffer: of these
-    # only the fit map's memory is freed
-    del raw, fit_map
-
-    compressed = _stage(
-        "compress", compress_stack, removed, modified_code, comp_timing,
-        normalization, options["single_period"], True)
     emit("compressed_stack", "compressed.tgs", write_stack, compressed)
 
     def reports():

@@ -13,6 +13,20 @@ from pnpuct import (
 )
 
 
+def fusion_bound(code, scale, compressed, removed):
+    """Largest voxel difference between fused and two-stage compression.
+
+    The two-stage chain rounds each DC-removed sample to float32 first,
+    by at most 2^-24 of the largest one, and the filter weighs those
+    errors by at most sum(|c'|) / scale in all (the 1 / n_avg of the
+    mean cancels the n_avg windows summed). Each chain then rounds its
+    output once, by at most 2^-24 of the largest output value.
+    """
+    return 2.0 ** -24 * (2.0 * np.abs(compressed).max()
+                         + np.abs(code.values).sum() / scale
+                         * np.abs(removed).max())
+
+
 def run_pixel(model, standard_code, modified_code, timing, amplitude=1.0,
               noise=None, normalization=Normalization.RAW,
               single_period=False):

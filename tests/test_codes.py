@@ -359,6 +359,28 @@ class TestIntegerFields:
             MlsSpec(order="x")
         assert MlsSpec(order="5") == MlsSpec(order=5)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: MlsSpec(order=4.9), "order"),
+        (lambda: MlsSpec(order=np.float64(4.5)), "order"),
+        (lambda: MlsSpec(order=float("inf")), "order"),
+        (lambda: MlsSpec(order=float("nan")), "order"),
+        (lambda: MlsSpec(order=3, tap_coefficients=(1, 0.5, 1)),
+         "tap_coefficients"),
+        (lambda: MlsSpec(order=3, seed=(1, 1, -0.9)), "seed"),
+        (lambda: generate_ls(31.7), "n_bit"),
+        (lambda: make_codes("ls", n_bit=31.7), "n_bit"),
+        (lambda: make_codes("ls4_plus", n_bit=11, sign=0.5), "sign"),
+    ])
+    def test_fractional_number_rejected_not_truncated(self, build, field):
+        with pytest.raises(InvalidCode, match=f"^{field} = "):
+            build()
+
+    def test_integral_number_accepted(self):
+        assert MlsSpec(order=5.0) == MlsSpec(order=5)
+        assert MlsSpec(order=np.int64(5)) == MlsSpec(order=5)
+        assert (generate_ls(31.0).values.tobytes()
+                == generate_ls(31).values.tobytes())
+
 
 class TestPnCodeValidation:
     def test_length_must_match(self):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from pnpuct import (
     compress_stack,
     compress_trace,
     decimate_to_bit_rate,
+    design_matrix,
     generate_ls,
     generate_mls,
     impulse_response,
@@ -40,7 +42,7 @@ from pnpuct import (
     simulate_stack,
     snr_metric,
 )
-from pipeline_helpers import run_pixel
+from pipeline_helpers import fusion_bound, run_pixel
 
 SOUND = PixelModel(diffusivity=1e-6)
 PLUS_CODES = [
@@ -300,7 +302,7 @@ class TestCompressionProperties:
     def test_trace_equals_stack_pixel(self, code, k, n_per, ny, nx,
                                       normalization, single_period, seed):
         # ny * nx up to 300 straddles one block of columns
-        assert 100 < pnpuct.compression._BLOCK < 300
+        assert 100 < pnpuct.dc_removal._BLOCK < 300
         timing = _timing(k, n_per)
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(timing.total_frames(code.n_bit), ny, nx))
@@ -415,6 +417,68 @@ class TestCompressionProperties:
         np.testing.assert_allclose(
             shifted.values, np.roll(base.values, shift), rtol=0,
             atol=1e-12 * _output_bound(filt, one_period))
+
+
+class TestFusedDcRemoval:
+    """compress_stack(..., remove_dc=True) against the two stages."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
+           n_per=st.integers(2, 4), ny=st.integers(1, 3),
+           nx=st.integers(1, 100),
+           normalization=st.sampled_from(list(Normalization)),
+           single_period=st.booleans(), overwrite=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_fused_matches_two_stages(self, code, k, n_per, ny, nx,
+                                      normalization, single_period,
+                                      overwrite, seed, data):
+        timing = _timing(k, n_per)
+        n = timing.total_frames(code.n_bit)
+        rng = np.random.default_rng(seed)
+        traces = (design_matrix(np.arange(n) * timing.dt)
+                  @ rng.exponential(size=(3, ny * nx)))
+        traces += rng.normal(size=traces.shape)
+        dead = data.draw(st.integers(0, ny * nx - 1))
+        traces[:, dead] = 0.0
+        stack = ThermogramStack(
+            data=traces.reshape(n, ny, nx).astype(np.float32), fps=timing.fps)
+        if data.draw(st.booleans()):
+            # a dead pixel may also be non-finite (set after the stack's
+            # check): +inf and -inf one period apart meet in the fold
+            frame = data.draw(st.integers(0, n // n_per - 1))
+            flat = stack.data.reshape(n, -1)
+            flat[frame, dead] = np.inf
+            flat[frame + n // n_per, dead] = -np.inf
+        raw = stack.data.copy()
+        removed, fits = remove_dc_stack(stack, code, timing)
+        two = compress_stack(removed, code, timing, normalization,
+                             single_period)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused, fused_fits = compress_stack(
+                stack, code, timing, normalization, single_period, overwrite,
+                True)
+        assert np.shares_memory(fused.data, stack.data) == overwrite
+        if not overwrite:
+            assert stack.data.tobytes() == raw.tobytes()
+        assert fused_fits.tobytes() == fits.tobytes()
+        assert fused.metadata == two.metadata
+        scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
+                 Normalization.PER_LENGTH: code.n_bit}[normalization]
+        assert (np.abs(fused.data.astype(float) - two.data).max()
+                <= fusion_bound(code, scale, two.data, removed.data))
+        flat = fused.data.reshape(fused.n_frames, -1)
+        assert not flat[:, dead].any()
+        assert np.isnan(fused_fits.reshape(-1, 4)[dead]).all()
+        # one pixel on its own, zero-padded to a block, gives the same bits
+        jy, jx = divmod(data.draw(st.integers(0, ny * nx - 1)), nx)
+        at = (slice(None), slice(jy, jy + 1), slice(jx, jx + 1))
+        pixel = ThermogramStack(data=np.zeros_like(raw[at]), fps=timing.fps)
+        pixel.data[...] = raw[at]
+        one, one_fits = compress_stack(pixel, code, timing, normalization,
+                                       single_period, overwrite, True)
+        assert one.data.tobytes() == fused.data[at].tobytes()
+        assert one_fits.tobytes() == fits[at[1:]].tobytes()
 
 
 class TestDecimate:

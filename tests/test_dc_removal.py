@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import tracemalloc
 import warnings
@@ -472,6 +473,13 @@ class TestWholeStackSolver:
             "0,0,0.1,0.0,2.5,0.001",
             "1,0,nan,nan,nan,nan",
         ]
+
+    def test_fit_map_csv_returns_the_sha256_of_its_bytes(self, tmp_path):
+        fits = np.random.default_rng(4).normal(size=(3, 5, 4))
+        fits[2, 1] = np.nan
+        path = tmp_path / "fits.csv"
+        digest = export_fit_map_csv(fits, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_fit_map_csv_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -15,6 +15,7 @@ from pnpuct import (IndexOutOfRange, InvalidConfig, InvalidScene, MlsSpec,
                     read_stack, run_pipeline, write_stack)
 from pnpuct.cli import main
 from pnpuct.pipeline import _parse_config, generate_codes
+from pipeline_helpers import fusion_bound
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -100,6 +101,20 @@ class TestRunPipeline:
         assert not (tmp_path / "out" / "dc_removed.tgs").exists()
         assert "dc_removed_stack" not in manifest["artifacts"]
         assert (tmp_path / "out" / "compressed.tgs").exists()
+
+    def test_compressed_stack_does_not_depend_on_intermediates(self,
+                                                               tmp_path):
+        plain = run_pipeline(write_run_config(tmp_path / "a.cfg",
+                                              tmp_path / "a"))
+        asked = run_pipeline(write_run_config(
+            tmp_path / "b.cfg", tmp_path / "b",
+            output_extra="intermediates = dc_removed"))
+        assert ((tmp_path / "a" / "compressed.tgs").read_bytes()
+                == (tmp_path / "b" / "compressed.tgs").read_bytes())
+        extra = set(asked["artifacts"]) - set(plain["artifacts"])
+        assert extra == {"dc_removed_stack"}
+        for name, artifact in plain["artifacts"].items():
+            assert asked["artifacts"][name]["sha256"] == artifact["sha256"]
 
     @pytest.mark.parametrize("value", ["bogus", "dc_removed, raw"])
     def test_unknown_intermediate_rejected(self, tmp_path, value):
@@ -382,6 +397,17 @@ class TestCli:
         assert main(["metrics", "snr", "--stack", compressed,
                      "--signal", "0,0,2,2", "--reference", "2,0,2,3"]) == 0
 
+    def test_fit_map_needs_remove_dc(self, tmp_path, capsys):
+        code, stack = str(tmp_path / "c.txt"), str(tmp_path / "s.tgs")
+        main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7", "-o", code])
+        write_stack(ThermogramStack(data=np.ones((28, 1, 1), np.float32),
+                                    fps=2.0, metadata={"t_bit": "1"}), stack)
+        assert main(["puct", "compress", "--stack", stack, "--code", code,
+                     "--fit-map", str(tmp_path / "f.csv"),
+                     "-o", str(tmp_path / "out.tgs")]) == 2
+        assert "--remove-dc" in capsys.readouterr().err
+        assert not (tmp_path / "out.tgs").exists()
+
     def test_slow_frame_rate_round_trip(self, tmp_path):
         # fps = 0.1 is stored as float32; the chain must still find K = 1
         code_std = str(tmp_path / "std.txt")
@@ -518,8 +544,10 @@ class TestCliMatchesPipeline:
         std, plus = str(tmp_path / "std.txt"), str(tmp_path / "plus.txt")
         main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", std])
         main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7", "-o", plus])
-        raw, dc, fits, hhat = (str(tmp_path / name) for name in
-                               ("raw.tgs", "dc.tgs", "fit.csv", "hhat.tgs"))
+        raw, dc, fits, hhat, fused, fused_fits = (
+            str(tmp_path / name) for name in
+            ("raw.tgs", "dc.tgs", "fit.csv", "hhat.tgs", "fused.tgs",
+             "fused_fit.csv"))
         n_per = "2" if source == "scene" else "3"
         assert main(["sim", "run", "--scene", str(scene), "--code", std,
                      "--t-bit", "1", "--fps", "2", "--n-per", n_per,
@@ -528,6 +556,9 @@ class TestCliMatchesPipeline:
                      "--fit-map", fits, "-o", dc]) == 0
         assert main(["puct", "compress", "--stack", dc, "--code", plus,
                      "-o", hhat]) == 0
+        assert main(["puct", "compress", "--stack", raw, "--code", plus,
+                     "--remove-dc", "--fit-map", fused_fits,
+                     "-o", fused]) == 0
         sections = (SCENE_SECTIONS if source == "scene"
                     else f"[input]\nstack = {raw}\n")
         if timing is not None:
@@ -539,9 +570,17 @@ class TestCliMatchesPipeline:
                        f"intermediates = dc_removed\n")
         run_pipeline(cfg)
         assert read_stack(out / "compressed.tgs").n_frames == 14
-        for ours, theirs in [("dc_removed.tgs", dc), ("compressed.tgs", hhat),
-                             ("fit_map.csv", fits)]:
+        for ours, theirs in [("dc_removed.tgs", dc), ("compressed.tgs", fused),
+                             ("fit_map.csv", fits),
+                             ("fit_map.csv", fused_fits)]:
             assert (out / ours).read_bytes() == Path(theirs).read_bytes()
+        # the two-step chain rounds the DC-removed stack to float32 first
+        ours, theirs = read_stack(out / "compressed.tgs"), read_stack(hhat)
+        assert ours.metadata == theirs.metadata
+        bound = fusion_bound(load_code(plus), 1.0, theirs.data,
+                             read_stack(dc).data)
+        assert (np.abs(ours.data.astype(float) - theirs.data).max()
+                <= bound)
 
 
 LS31 = generate_ls(31)
