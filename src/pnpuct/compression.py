@@ -17,7 +17,9 @@ Filter Banks*, 1993).
 
 The filter runs on the blocks of columns of the one block loop of
 :mod:`pnpuct.dc_removal`; with ``remove_dc`` each raw block also gets
-its DC trend fitted there and removed in the same pass.
+its DC trend fitted there and removed in the same pass. The kept trend
+term is one in-place GEMM update of the filtered block,
+C(r) <- C(r) + bias C(B) c, before the block's one float32 store.
 """
 
 from __future__ import annotations
@@ -143,9 +145,10 @@ def _remove_dc_and_compress(traces, code, timing, normalization,
     Each column's trend is fitted as in :func:`remove_dc_stack`, and the
     filtered DC-removed column is C(r) + keep * C(B) c: the filtered
     residual r = y - B c plus the filtered trend basis, formed once per
-    call, times the coefficients. Both are float64; the sum is rounded
-    once. Invalid columns give zero. Returns the (period, n_pix) output,
-    the number of periods averaged and the (n_pix, 4) fit-map rows.
+    call, times the coefficients, added into the filtered block by one
+    GEMM update. Both are float64; the sum is rounded once. Invalid
+    columns give zero. Returns the (period, n_pix) output, the number
+    of periods averaged and the (n_pix, 4) fit-map rows.
     """
     filt = _MatchedFilter(code, timing, normalization, single_period,
                           len(traces))
@@ -156,13 +159,13 @@ def _remove_dc_and_compress(traces, code, timing, normalization,
     kept = keep * filt(trend.basis.copy())
     fits = np.empty((traces.shape[1], 4))
     for cols, src, a in dc_removal._blocks(traces):
-        coefs, valid = trend.residual(a, src, fits[cols])
+        coefs, valid = trend.residual(a, fits[cols])
         a[:, ~valid] = 0.0
         product = filt(a)
-        np.matmul(kept, coefs, out=a[:period])
+        dc_removal._gemm(1.0, kept, coefs, 1.0, product)
         m = src.shape[1]
         block = out[:, cols]
-        np.add(product[:, :m], a[:period, :m], out=block, casting="unsafe")
+        block[...] = product[:, :m]
         block[:, ~valid[:m]] = 0.0
     return out, filt.n_avg, fits
 

@@ -13,6 +13,11 @@ so does the matched filter of :mod:`pnpuct.compression`, alone or fused
 with the fit of :class:`_Trend`: both steps are linear, so the
 compressed DC-removed trace is C(y - (1 - bias) B c) = C(r) + bias C(B) c,
 with r the fit residual, and no trend or DC-removed trace is formed.
+
+Every trend product of the loop, B c in the residual r = y - B c, the
+DC output's (1 - bias) B c and the filtered kept term bias C(B) c, is
+one BLAS GEMM update C <- alpha A B + beta C (:func:`_gemm`), written
+into the block's buffer in the same pass that computes it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
@@ -57,6 +63,21 @@ class DcFit:
 # 0.10, 0.09 and 0.10 s at widths 128, 256, 512 and 1024, with traced
 # peaks of 4.2, 8.0, 15.7 and 31.0 MB.
 _BLOCK = 256
+
+
+def _gemm(alpha, x, y, beta, c):
+    """c <- alpha * x @ y + beta * c, in place, for float64 arrays.
+
+    BLAS dgemm runs on the transposed views, which are F-contiguous for
+    a C-contiguous ``c``: c.T <- alpha * y.T @ x.T + beta * c.T. With
+    beta = 0 the old contents of ``c`` are not read. dgemm copies a
+    target it cannot write in place and returns the copy, which would
+    leave ``c`` unchanged, so that raises instead.
+    """
+    target = c.T
+    if dgemm(alpha, y.T, x.T, beta, target, overwrite_c=True) is not target:
+        raise RuntimeError(
+            "dgemm copied its target; pass a C-contiguous float64 array")
 
 
 def _blocks(traces):
@@ -100,17 +121,17 @@ class _Trend:
             self._subsets.append((np.linalg.pinv(r[:, idx]), r[:, idx],
                                   np.eye(3)[:, idx]))
 
-    def residual(self, a, src, rows):
-        """Fit the block ``a`` of :func:`_blocks` and leave r = src - trend.
+    def residual(self, a, rows):
+        """Fit the block ``a`` of :func:`_blocks` and leave r = y - trend.
 
         ``rows``, the block's (m, 4) rows of the fit map, gets a1, a2,
         a3 and the rms of r. Returns the (3, _BLOCK) coefficients and
         the mask of valid columns. All-zero or non-finite columns, those
         whose |z|^2 overflows, and the padding are invalid: they get
         zero coefficients, so a zero trend, and a NaN row; their
-        residual may be non-finite. y is re-read from ``src``, which is
-        exact because float32 to float64 is exact and mixed
-        float32/float64 ufuncs compute in float64.
+        residual may be non-finite. ``a`` holds y exactly, float32 to
+        float64 being exact, and the trend is subtracted from it in the
+        GEMM update that computes it.
         """
         n = len(a)
         m = rows.shape[0]
@@ -140,8 +161,7 @@ class _Trend:
             better = (sol >= 0).all(axis=0) & (sq < best - margin)
             best = np.where(better, sq, best)
             coefs = np.where(better, lift @ sol, coefs)
-        np.matmul(self.basis, coefs, out=a)
-        np.subtract(src, a[:, :m], out=a[:, :m])
+        _gemm(-1.0, self.basis, coefs, 1.0, a)
         rms = np.sqrt(np.einsum("ij,ij->j", a, a) / n)
         rows[...] = np.where(valid, np.vstack([coefs, rms]),
                              np.nan)[:, :m].T
@@ -154,15 +174,13 @@ def _fit_and_remove(traces, out, dt, keep):
     ``out``, of the shape of ``traces``, may be ``traces`` itself. The
     scaled trend is formed in float64 and subtracted from the re-read
     trace, so float32 output is the float64 result rounded once; invalid
-    columns give zero. Returns the (n_pix, 4) fit-map rows. Both trends
-    of a block come from the same BLAS call, so they have the same bits.
+    columns give zero. Returns the (n_pix, 4) fit-map rows.
     """
     trend = _Trend(len(traces), dt)
     fits = np.empty((traces.shape[1], 4))
     for cols, src, a in _blocks(traces):
-        coefs, valid = trend.residual(a, src, fits[cols])
-        np.matmul(trend.basis, coefs, out=a)
-        a *= 1.0 - keep
+        coefs, valid = trend.residual(a, fits[cols])
+        _gemm(1.0 - keep, trend.basis, coefs, 0.0, a)
         m = src.shape[1]
         block = out[:, cols]
         np.subtract(src, a[:, :m], out=block, casting="unsafe")

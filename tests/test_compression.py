@@ -481,6 +481,62 @@ class TestFusedDcRemoval:
         assert one_fits.tobytes() == fits[at[1:]].tobytes()
 
 
+class TestGemmUpdate:
+    """dc_removal._gemm writes into the buffers of the block loop."""
+
+    BLOCK = pnpuct.dc_removal._BLOCK
+
+    @classmethod
+    def _targets(cls):
+        """The block buffer, the filter's spare buffer at n_per = 2 and
+        the a[2P:3P] slice it uses from n_per = 3 on."""
+        code = PLUS_CODES[0]
+        buffers = []
+        for n_per in (2, 3):
+            timing = _timing(2, n_per)
+            n = timing.total_frames(code.n_bit)
+            filt = pnpuct.compression._MatchedFilter(
+                code, timing, Normalization.RAW, False, n)
+            traces = np.ones((n, 3), np.float32)
+            _, _, a = next(pnpuct.dc_removal._blocks(traces))
+            product = filt(a)
+            assert product.shape == (filt.period, cls.BLOCK)
+            assert np.shares_memory(product, a) == (n_per == 3)
+            if n_per == 2:
+                buffers.append(a)
+            buffers.append(product)
+        return buffers
+
+    @pytest.mark.parametrize("alpha, beta", [(-1.0, 1.0), (0.5, 0.0),
+                                             (1.0, 1.0)])
+    def test_each_loop_buffer_is_updated_in_place(self, alpha, beta):
+        # integer operands: every summation order gives the same bits
+        rng = np.random.default_rng(0)
+        for target in self._targets():
+            x = rng.integers(-8, 8, (len(target), 3)).astype(float)
+            y = rng.integers(-8, 8, (3, self.BLOCK)).astype(float)
+            start = rng.integers(-8, 8, target.shape).astype(float)
+            target[...] = start
+            if beta == 0.0:
+                # the old contents are not read
+                target[0, 0] = np.nan
+            expected = alpha * (x @ y) + beta * start
+            pnpuct.dc_removal._gemm(alpha, x, y, beta, target)
+            np.testing.assert_array_equal(target, expected)
+
+    @pytest.mark.parametrize("layout", ["column slice", "fortran", "float32"])
+    def test_a_copied_target_raises(self, layout):
+        a = np.zeros((12, self.BLOCK))
+        target = {"column slice": a[:, :5],
+                  "fortran": np.asfortranarray(a),
+                  "float32": a.astype(np.float32)}[layout]
+        x = np.ones((12, 3))
+        y = np.ones((3, target.shape[1]))
+        with pytest.raises(RuntimeError, match="copied"):
+            pnpuct.dc_removal._gemm(1.0, x, y, 1.0, target)
+        assert not target.any()
+
+
 class TestDecimate:
     def test_identity_at_k1(self, ls31):
         timing = Timing(t_bit=1.0, fps=1.0, n_per=2)

@@ -15,6 +15,7 @@ from pnpuct import (
     BiasMismatch,
     CodeKind,
     DegenerateTrace,
+    MlsSpec,
     PixelModel,
     PnCode,
     SceneConfig,
@@ -27,6 +28,7 @@ from pnpuct import (
     export_fit_map_csv,
     fit_dc,
     generate_ls,
+    generate_mls,
     impulse_response,
     modify_for_perfect_pacf,
     remove_dc,
@@ -318,6 +320,8 @@ class TestRemoveDcStack:
 
 
 LS7_PLUS = modify_for_perfect_pacf(generate_ls(7))
+TREND_CODES = [LS7_PLUS, modify_for_perfect_pacf(generate_ls(31)),
+               modify_for_perfect_pacf(generate_mls(MlsSpec(order=4)))]
 
 
 @st.composite
@@ -497,3 +501,58 @@ class TestWholeStackSolver:
             for jx, fit in enumerate(row):
                 writer.writerow([jx, jy, *map(repr, fit)])
         assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+
+class TestTrendUpdates:
+    """The trend products of the block loop against their numpy formulas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(code=st.sampled_from(TREND_CODES), k=st.integers(1, 3),
+           n_per=st.integers(2, 4), n_pix=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_residual_and_output_match_numpy(self, code, k, n_per, n_pix,
+                                             seed, data):
+        timing = Timing(t_bit=1.0, fps=float(k), n_per=n_per)
+        n = timing.total_frames(code.n_bit)
+        rng = np.random.default_rng(seed)
+        basis = design_matrix(times_for(timing, n))
+        traces = basis @ rng.exponential(size=(3, n_pix))
+        traces += rng.normal(size=traces.shape)
+        traces = traces.astype(np.float32)
+        dead = data.draw(st.lists(st.integers(0, n_pix - 1), max_size=4,
+                                  unique=True))
+        traces[:, dead] = 0.0
+        # +inf and -inf one period apart, frame 0 included
+        frame = data.draw(st.integers(0, n // n_per - 1))
+        traces[frame, dead[1::2]] = np.inf
+        traces[frame + n // n_per, dead[1::2]] = -np.inf
+
+        trend = pnpuct.dc_removal._Trend(n, timing.dt)
+        for cols, src, a in pnpuct.dc_removal._blocks(traces):
+            m = src.shape[1]
+            coefs, valid = trend.residual(a, np.empty((m, 4)))
+            y = src.astype(np.float64)
+            ok = valid[:m]
+            assert not ok[np.isin(np.arange(cols.start, cols.stop),
+                                  dead)].any()
+            # the product at the loop's width: numpy may round the K = 3
+            # sums of a narrower slice differently, by an ulp of the trend
+            fitted = (basis @ coefs)[:, :m][:, ok]
+            ulp = np.spacing(np.maximum(np.abs(y[:, ok]), np.abs(fitted)))
+            assert (np.abs(a[:, :m][:, ok] - (y[:, ok] - fitted))
+                    <= ulp).all()
+            np.testing.assert_array_equal(a[:, :m][:, ~ok], y[:, ~ok])
+
+        keep = code.bias
+        out = np.empty_like(traces)
+        fits = pnpuct.dc_removal._fit_and_remove(traces, out, timing.dt,
+                                                 keep)
+        valid = ~np.isnan(fits).any(axis=1)
+        assert not valid[dead].any()
+        expected = (traces[:, valid]
+                    - (1.0 - keep) * (basis @ fits[valid, :3].T)
+                    ).astype(np.float32)
+        ulp = np.spacing(np.maximum(np.abs(out[:, valid]), np.abs(expected)))
+        assert (np.abs(out[:, valid] - expected) <= ulp).all()
+        assert not out[:, ~valid].any()
+        assert not np.signbit(out[:, ~valid]).any()
