@@ -27,6 +27,7 @@ from .errors import (
     NotPrime,
     UnsupportedLength,
 )
+from .stack import write_hashed
 
 CODE_TABLE_VERSION = "1"
 
@@ -559,8 +560,8 @@ def code_from_text(text) -> PnCode:
 
 
 def save_code(code, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(code_to_text(code))
+    """Write a code's descriptor; return the SHA-256 hex digest of it."""
+    return write_hashed(path, [code_to_text(code).encode("utf-8")])
 
 
 def load_code(path) -> PnCode:

@@ -35,10 +35,9 @@ import numpy as np
 import scipy.signal
 
 from . import dc_removal
-from .errors import (EmptyRegion, RegionOverlap, ShapeMismatch,
-                     UnmodifiedCode)
+from .errors import EmptyRegion, RegionOverlap, ShapeMismatch
 from .stack import ThermogramStack
-from .waveform import Timing
+from .waveform import Timing, build_matched_filter
 
 
 class Normalization(Enum):
@@ -64,21 +63,19 @@ class CompressedTrace:
 class _MatchedFilter:
     """The matched filter of a modified code, applied a block at a time.
 
-    The matched filter is the time-reversed modified code on every K-th
-    tap, c'[b] = values[-b mod N]. Its steady periods therefore need
-    only the fold ybar, the sum of the n_avg two-period windows
-    y[(i - 1)P : (i + 1)P]: output frame jK + p is
+    The filter is :func:`~pnpuct.waveform.build_matched_filter`'s,
+    nonzero only on every K-th tap, c'[b] = taps[bK]. Its steady periods
+    therefore need only the fold ybar, the sum of the n_avg two-period
+    windows y[(i - 1)P : (i + 1)P]: output frame jK + p is
     sum_b c'[b] ybar[(N + j - b)K + p]. Seen as a (2N, K * w) array,
     ybar is filtered by one N x 2N Toeplitz matrix whose rows hold
-    c'[::-1] = roll(values, -1), divided by n_avg and the normalization
-    scale. The input must span the timing's n_per periods.
+    c'[::-1], divided by n_avg and the normalization scale. The input
+    must span the timing's n_per periods.
     """
 
     def __init__(self, code, timing, normalization, single_period,
                  n_frames):
-        if not code.is_modified:
-            raise UnmodifiedCode(
-                f"{code.kind.value} has sidelobes; modify the code first")
+        filt = build_matched_filter(code, timing)
         n_bit = code.n_bit
         if n_frames != timing.total_frames(n_bit):
             raise ShapeMismatch(
@@ -86,9 +83,9 @@ class _MatchedFilter:
                 f"{timing.total_frames(n_bit)}")
         self.n_avg = 1 if single_period else timing.n_per - 1
         self.period = timing.frames_per_period(n_bit)
-        scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
+        scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: filt.gain,
                  Normalization.PER_LENGTH: n_bit}[normalization]
-        row = np.roll(code.values, -1) / (self.n_avg * scale)
+        row = filt.taps[::timing.k][::-1] / (self.n_avg * scale)
         self._toeplitz = np.zeros((n_bit, 2 * n_bit))
         for j in range(n_bit):
             self._toeplitz[j, j + 1: j + 1 + n_bit] = row

@@ -22,7 +22,6 @@ into the block's buffer in the same pass that computes it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from scipy.linalg.blas import dgemm
 
 from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
-from .stack import ThermogramStack
+from .stack import ThermogramStack, write_hashed
 
 _EXPONENTS = (1.0, 0.75, 0.5)
 
@@ -267,19 +266,14 @@ def export_fit_map_csv(fits, path):
     Degenerate pixels, NaN rows in the map, print as nan. The bytes are
     those of ``csv.writer`` on the ``repr`` of each value, CRLF line ends
     included; each pixel row is formatted, hashed and written as one
-    string. Returns the SHA-256 hex digest of the bytes written.
+    chunk. Returns the SHA-256 hex digest of the bytes written.
     """
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for text in _fit_map_rows(np.asarray(fits, dtype=float)):
-            data = text.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-    return digest.hexdigest()
+    return write_hashed(path, _fit_map_rows(np.asarray(fits, dtype=float)))
 
 
 def _fit_map_rows(fits):
-    yield "j_x,j_y,a1,a2,a3,rms\r\n"
+    yield b"j_x,j_y,a1,a2,a3,rms\r\n"
     for jy, row in enumerate(fits):
         yield "".join([f"{jx},{jy},{a!r},{b!r},{c!r},{r!r}\r\n"
-                       for jx, (a, b, c, r) in enumerate(row.tolist())])
+                       for jx, (a, b, c, r) in enumerate(row.tolist())]
+                      ).encode("utf-8")

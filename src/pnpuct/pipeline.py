@@ -105,12 +105,11 @@ def run_pipeline(config, out_dir=None, seed=None):
     timing, amplitude, normalization, options, directory, intermediates = (
         _stage("config", parse_all))
     os.makedirs(directory, exist_ok=True)
-    # name -> (path, SHA-256 or None); None is hashed from the file
+    # name -> (path, SHA-256 of the bytes written)
     artifacts = {}
 
     def emit(name, filename, writer, *args):
-        # write_stack and export_fit_map_csv return the digest of what
-        # they wrote; the other text writers return None
+        # every writer returns the digest of what it wrote
         path = os.path.join(directory, filename)
         artifacts[name] = path, writer(*args, path)
 
@@ -171,15 +170,13 @@ def run_pipeline(config, out_dir=None, seed=None):
         for token in _tokens(out.get("slices", "")):
             index = int(round(float(token) * compressed.fps))
             base = os.path.join(directory, f"slice_t{token}")
-            pgm, csvp, side = export_slice(compressed, index, base)
-            artifacts[f"slice_{token}_pgm"] = pgm, None
-            artifacts[f"slice_{token}_csv"] = csvp, None
-            artifacts[f"slice_{token}_bounds"] = side, None
+            written = export_slice(compressed, index, base)
+            for kind, path in zip(("pgm", "csv", "bounds"), written):
+                artifacts[f"slice_{token}_{kind}"] = path, written[path]
         for token in _tokens(out.get("pixels", "")):
             jx, _, jy = token.partition("x")
-            path = os.path.join(directory, f"pixel_{jx}_{jy}.csv")
-            export_pixel_trace(compressed, int(jx), int(jy), path)
-            artifacts[f"pixel_{token}"] = path, None
+            emit(f"pixel_{token}", f"pixel_{jx}_{jy}.csv", export_pixel_trace,
+                 compressed, int(jx), int(jy))
 
     _stage("report", reports)
 
@@ -191,7 +188,7 @@ def run_pipeline(config, out_dir=None, seed=None):
         "artifacts": {
             name: {
                 "path": os.path.basename(path),
-                "sha256": digest or _sha256(path),
+                "sha256": digest,
             }
             for name, (path, digest) in sorted(artifacts.items())
         },
@@ -209,12 +206,3 @@ def run_pipeline(config, out_dir=None, seed=None):
 def _tokens(text):
     """Non-empty, stripped items of a comma-separated config value."""
     return [t for t in (s.strip() for s in text.split(",")) if t]
-
-
-def _sha256(path):
-    """Digest of a file pnpuct wrote without hashing it: text and PGM."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

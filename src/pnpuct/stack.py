@@ -15,7 +15,6 @@ Stacks hold 32-bit intensities (camera realistic); pipeline math runs in
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 import struct
@@ -97,24 +96,42 @@ def _decode_metadata(blob) -> dict:
     return metadata
 
 
+def write_hashed(path, chunks):
+    """Write byte chunks to a file; return the SHA-256 hex digest of them.
+
+    Each chunk is hashed as it is written, so the file is not read back.
+    Every pnpuct writer goes through here, and the digest it returns is
+    the one a run manifest records.
+    """
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.hexdigest()
+
+
+def crlf_lines(*parts):
+    """UTF-8 bytes of the lines of each part, each ended by CRLF.
+
+    For rows of numbers, fields that need no quoting, these are the
+    bytes that ``csv.writer`` writes; one chunk per line.
+    """
+    for lines in parts:
+        for line in lines:
+            yield f"{line}\r\n".encode("utf-8")
+
+
 def write_stack(stack, path):
     """Write a stack and return the SHA-256 hex digest of the bytes written.
 
-    The round trip through :func:`read_stack` is bit-exact. The digest is
-    taken from the buffers as they are written, so the file is not read
-    back to hash it.
+    The round trip through :func:`read_stack` is bit-exact.
     """
     meta = _encode_metadata(stack.metadata)
     head = MAGIC + struct.pack("<IIIfI", stack.nx, stack.ny, stack.n_frames,
                                stack.fps, len(meta)) + meta
     # no copy on a little-endian host
-    data = stack.data.astype("<f4", copy=False)
-    digest = hashlib.sha256(head)
-    digest.update(data)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(data)
-    return digest.hexdigest()
+    return write_hashed(path, [head, stack.data.astype("<f4", copy=False)])
 
 
 def read_stack(path, digest=None) -> ThermogramStack:
@@ -178,8 +195,8 @@ def export_slice(stack, time_index, path):
     """Write one frame as 16-bit PGM plus a raw CSV matrix and a sidecar.
 
     The PGM is min-max scaled to [0, 65535]; the scaling bounds go to
-    ``<path>.txt`` and the unscaled values to ``<path>.csv``. Returns the
-    three paths written.
+    ``<path>.txt`` and the unscaled values to ``<path>.csv``. Returns
+    ``{path: SHA-256 hex digest}`` of the three files, in that order.
     """
     if not (0 <= time_index < stack.n_frames):
         raise IndexOutOfRange(
@@ -194,28 +211,24 @@ def export_slice(stack, time_index, path):
     if not pgm_path.endswith(".pgm"):
         pgm_path += ".pgm"
     base = pgm_path[:-4]
-    with open(pgm_path, "wb") as fh:
-        fh.write(f"P5\n{stack.nx} {stack.ny}\n65535\n".encode("ascii"))
-        fh.write(scaled.astype(">u2").tobytes())
-    csv_path = base + ".csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in frame:
-            writer.writerow([f"{v:.9g}" for v in row])
-    sidecar_path = base + ".txt"
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        fh.write(f"frame_index = {time_index}\n")
-        fh.write(f"time_s = {time_index / stack.fps!r}\n")
-        fh.write(f"scale_min = {lo!r}\n")
-        fh.write(f"scale_max = {hi!r}\n")
-    return pgm_path, csv_path, sidecar_path
+    pgm_head = f"P5\n{stack.nx} {stack.ny}\n65535\n".encode("ascii")
+    bounds = (f"frame_index = {time_index}\n"
+              f"time_s = {time_index / stack.fps!r}\n"
+              f"scale_min = {lo!r}\n"
+              f"scale_max = {hi!r}\n")
+    return {
+        pgm_path: write_hashed(pgm_path, [pgm_head, scaled.astype(">u2")]),
+        base + ".csv": write_hashed(base + ".csv", crlf_lines(
+            ",".join([f"{v:.9g}" for v in row]) for row in frame.tolist())),
+        base + ".txt": write_hashed(base + ".txt", [bounds.encode("utf-8")]),
+    }
 
 
 def export_pixel_trace(stack, jx, jy, path):
-    """Two-column CSV (time_s, value) of one pixel's time trend."""
+    """Two-column CSV (time_s, value) of one pixel's time trend.
+
+    Returns the SHA-256 hex digest of the bytes written.
+    """
     trace = stack.pixel_trace(jx, jy)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "value"])
-        for n, v in enumerate(trace):
-            writer.writerow([repr(n / stack.fps), repr(float(v))])
+    return write_hashed(path, crlf_lines(["time_s,value"], (
+        f"{n / stack.fps!r},{v!r}" for n, v in enumerate(trace.tolist()))))

@@ -9,7 +9,6 @@ n represents time n/FPS; bit b occupies samples [b*K, (b+1)*K).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -18,7 +17,7 @@ import numpy as np
 from .codes import PnCode
 from .errors import (InvalidWaveform, NonPositiveAmplitude, TimingMismatch,
                      UnmodifiedCode)
-from .stack import ThermogramStack
+from .stack import ThermogramStack, crlf_lines, write_hashed
 
 
 @dataclass(frozen=True)
@@ -210,13 +209,13 @@ def verify_resolution(code, timing) -> np.ndarray:
 
 
 def waveform_to_csv(wave, path):
-    """Two-column CSV (time_s, value) for driving external generators."""
+    """Two-column CSV (time_s, value) for driving external generators.
+
+    Returns the SHA-256 hex digest of the bytes written.
+    """
     dt = wave.timing.dt
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "value"])
-        for n, v in enumerate(wave.samples):
-            writer.writerow([repr(n * dt), repr(float(v))])
+    return write_hashed(path, crlf_lines(["time_s,value"], (
+        f"{n * dt!r},{v!r}" for n, v in enumerate(wave.samples.tolist()))))
 
 
 def excitation_metadata(wave) -> dict:
@@ -269,8 +268,9 @@ def waveform_to_stack(wave):
 
 
 def filter_to_csv(filt, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tap_index", "value"])
-        for n, v in enumerate(filt.taps):
-            writer.writerow([n, repr(float(v))])
+    """Two-column CSV (tap_index, value) of a matched filter.
+
+    Returns the SHA-256 hex digest of the bytes written.
+    """
+    return write_hashed(path, crlf_lines(["tap_index,value"], (
+        f"{n},{v!r}" for n, v in enumerate(filt.taps.tolist()))))

@@ -41,6 +41,7 @@ from pnpuct import (
     respond,
     simulate_stack,
     snr_metric,
+    verify_resolution,
 )
 from pipeline_helpers import fusion_bound, run_pixel
 
@@ -51,6 +52,12 @@ PLUS_CODES = [
     modify_for_perfect_pacf(generate_mls(MlsSpec(order=3))),
     modify_for_perfect_pacf(generate_mls(MlsSpec(order=4))),
     binarize_ls4(generate_ls(11), -1),
+]
+RESOLUTION_CODES = [
+    modify_for_perfect_pacf(generate_ls(31)),
+    modify_for_perfect_pacf(generate_ls(127)),
+    modify_for_perfect_pacf(generate_mls(MlsSpec(order=5))),
+    binarize_ls4(generate_ls(31), -1),
 ]
 
 
@@ -290,6 +297,24 @@ def _output_bound(filt, *inputs):
 
 
 class TestCompressionProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(code=st.sampled_from(RESOLUTION_CODES), k=st.integers(1, 8),
+           n_per=st.integers(2, 4))
+    def test_periodic_code_gives_the_resolution_function(self, code, k,
+                                                          n_per):
+        # the production core against verify_resolution, which is built
+        # from build_matched_filter: both run the one matched filter
+        timing = _timing(k, n_per)
+        y = np.tile(np.repeat(code.values, k), n_per)
+        out = compress_trace(y, code, timing).values
+        expected = verify_resolution(code, timing)
+        pulse = np.zeros(k * code.n_bit)
+        pulse[:k] = code.gain
+        np.testing.assert_allclose(expected, pulse, rtol=0,
+                                   atol=1e-9 * code.gain)
+        np.testing.assert_allclose(out, expected, rtol=0,
+                                   atol=1e-9 * code.gain)
+
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
            n_per=st.integers(2, 4), ny=st.integers(1, 3),

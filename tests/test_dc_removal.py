@@ -23,9 +23,12 @@ from pnpuct import (
     ThermogramStack,
     Timing,
     build_bipolar,
+    build_matched_filter,
     build_unipolar,
     design_matrix,
     export_fit_map_csv,
+    export_pixel_trace,
+    export_slice,
     fit_dc,
     generate_ls,
     generate_mls,
@@ -34,14 +37,45 @@ from pnpuct import (
     remove_dc,
     remove_dc_stack,
     respond,
+    save_code,
     simulate_stack,
+    waveform_to_csv,
+    write_stack,
 )
+from pnpuct.waveform import filter_to_csv
 
 SOUND = PixelModel(diffusivity=1e-6)
 
 
 def times_for(timing, n):
     return np.arange(n) * timing.dt
+
+
+def _writer_inputs(seed):
+    """A code, waveform, matched filter and stack for every pnpuct writer.
+
+    The values span many magnitudes, and fps = 10 makes times such as
+    3 * 0.1 = 0.30000000000000004 print with all their digits.
+    """
+    rng = np.random.default_rng(seed)
+    timing = Timing(t_bit=0.3, fps=10.0, n_per=2)
+    code = modify_for_perfect_pacf(generate_ls(7))
+    wave = build_unipolar(build_bipolar(generate_ls(7), timing), 2.0)
+    data = rng.normal(size=(6, 3, 5)) * 10.0 ** rng.integers(-30, 30,
+                                                              (6, 3, 5))
+    data[2, 1, 1] = -0.0
+    stack = ThermogramStack(data=data.astype(np.float32), fps=10.0)
+    return code, wave, build_matched_filter(code, timing), stack
+
+
+def _csv_writer_bytes(header, rows):
+    """What csv.writer writes for a header (if any) and rows, as UTF-8."""
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    if header:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return reference.getvalue().encode("utf-8")
 
 
 class TestFitDc:
@@ -479,11 +513,26 @@ class TestWholeStackSolver:
         ]
 
     def test_fit_map_csv_returns_the_sha256_of_its_bytes(self, tmp_path):
+        # and so does every other writer: a manifest records these digests
         fits = np.random.default_rng(4).normal(size=(3, 5, 4))
         fits[2, 1] = np.nan
         path = tmp_path / "fits.csv"
-        digest = export_fit_map_csv(fits, path)
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        written = {path: export_fit_map_csv(fits, path)}
+        code, wave, filt, stack = _writer_inputs(4)
+        for name, writer, args in [
+                ("code.txt", save_code, (code,)),
+                ("wave.csv", waveform_to_csv, (wave,)),
+                ("filter.csv", filter_to_csv, (filt,)),
+                ("stack.tgs", write_stack, (stack,)),
+                ("pixel.csv", export_pixel_trace, (stack, 3, 1))]:
+            written[tmp_path / name] = writer(*args, tmp_path / name)
+        exported = export_slice(stack, 2, tmp_path / "slice")
+        assert list(exported) == [str(tmp_path / f"slice.{ext}")
+                                  for ext in ("pgm", "csv", "txt")]
+        written.update(exported)
+        for path, digest in written.items():
+            with open(path, "rb") as fh:
+                assert digest == hashlib.sha256(fh.read()).hexdigest(), path
 
     def test_fit_map_csv_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -494,13 +543,33 @@ class TestWholeStackSolver:
         fits[0, 0] = [-0.0, 0.0, np.inf, 1e-310]
         path = tmp_path / "fits.csv"
         export_fit_map_csv(fits, path)
-        reference = io.StringIO(newline="")
-        writer = csv.writer(reference)
-        writer.writerow(["j_x", "j_y", "a1", "a2", "a3", "rms"])
-        for jy, row in enumerate(fits.tolist()):
-            for jx, fit in enumerate(row):
-                writer.writerow([jx, jy, *map(repr, fit)])
-        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+        assert path.read_bytes() == _csv_writer_bytes(
+            ["j_x", "j_y", "a1", "a2", "a3", "rms"],
+            [[jx, jy, *map(repr, fit)]
+             for jy, row in enumerate(fits.tolist())
+             for jx, fit in enumerate(row)])
+        # the other CSV writers against csv.writer on the same rows
+        code, wave, filt, stack = _writer_inputs(3)
+        dt, trace = wave.timing.dt, stack.pixel_trace(3, 1)
+        frame = stack.data[2].astype(np.float64)
+        cases = [
+            (waveform_to_csv, (wave,), ["time_s", "value"],
+             [[repr(n * dt), repr(float(v))]
+              for n, v in enumerate(wave.samples)]),
+            (filter_to_csv, (filt,), ["tap_index", "value"],
+             [[n, repr(float(v))] for n, v in enumerate(filt.taps)]),
+            (export_pixel_trace, (stack, 3, 1), ["time_s", "value"],
+             [[repr(n / stack.fps), repr(float(v))]
+              for n, v in enumerate(trace)]),
+        ]
+        for writer, args, header, rows in cases:
+            path = tmp_path / f"{writer.__name__}.csv"
+            writer(*args, path)
+            assert path.read_bytes() == _csv_writer_bytes(header, rows), path
+        csv_path = list(export_slice(stack, 2, tmp_path / "slice"))[1]
+        with open(csv_path, "rb") as fh:
+            assert fh.read() == _csv_writer_bytes(
+                None, [[f"{v:.9g}" for v in row] for row in frame])
 
 
 class TestTrendUpdates:
