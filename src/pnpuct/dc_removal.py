@@ -138,9 +138,12 @@ class _Trend:
         # frame 0 meets 0 * inf inside the product, which samples near
         # the float64 maximum overflow: valid below flags the NaN or inf
         # this gives, so numpy's warning would be noise; a finite z whose
-        # squares overflow makes |z|^2 inf, and its column invalid too
+        # squares overflow makes |z|^2 inf, and its column invalid too;
+        # einsum sums in a fixed order, where a BLAS product of q^T and a
+        # sums in an order set by the thread count, so the fit's bits
+        # would follow the number of BLAS threads
         with np.errstate(invalid="ignore", over="ignore"):
-            z = self._q.T @ a
+            z = np.einsum("ni,nj->ij", self._q, a)
             best = np.einsum("ij,ij->j", z, z)
         # a zero column has z = 0, so only the padding and the columns
         # with |z| = 0 can be all zero

@@ -23,6 +23,7 @@ which converges fast exactly where the image sum is slow.
 from __future__ import annotations
 
 import configparser
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,8 @@ class SceneConfig:
     Defects are painted in order, later ones winning, into the (ny, nx)
     ``labels`` map of indices into ``models``, the distinct visible
     models. Noise is additive white Gaussian per pixel per frame; the
-    stream for pixel (jx, jy) derives from (rng_seed, jx, jy).
+    stream for pixel (jx, jy) derives from (rng_seed, jx, jy), and
+    ``rng_seed`` must be a non-negative integer.
     """
 
     nx: int
@@ -109,6 +111,12 @@ class SceneConfig:
             raise InvalidScene("grid must be at least 1 x 1")
         if self.noise_sigma < 0:
             raise InvalidScene("noise_sigma must be non-negative")
+        if (isinstance(self.rng_seed, bool)
+                or not isinstance(self.rng_seed, numbers.Integral)
+                or self.rng_seed < 0):
+            raise InvalidScene(
+                f"rng_seed must be a non-negative integer, not {self.rng_seed!r}")
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
         defects = tuple(self.defects)
         index = {self.background: 0}
         labels = np.zeros((self.ny, self.nx), dtype=np.intp)
@@ -240,14 +248,90 @@ def lpt_reference(model, pulse, timing, duration) -> np.ndarray:
     return respond(h, wave)
 
 
+# NumPy's SeedSequence (O'Neill's seed_seq design) and the PCG64 seeding
+# step, pcg_setseq_128_srandom_r (O'Neill, HMC-CS-2014-0905)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_states(seed, jx, jy):
+    """``SeedSequence([seed, jx, jy]).generate_state(4, np.uint64)`` per pixel.
+
+    ``jx`` and ``jy`` are equal-length arrays of pixel indices below
+    2^32, ``seed`` a non-negative int. SeedSequence's mixing runs on
+    uint32 arrays, one element per pixel; its hash constants do not
+    depend on the data, so they advance as masked Python ints. Returns
+    a ``(len(jx), 4)`` uint64 array.
+    """
+    zero = np.zeros(len(jx), dtype=np.uint32)
+    # SeedSequence's split of each int into little-endian 32-bit words
+    entropy = ([zero + (seed >> shift & _MASK32)
+                for shift in range(0, max(seed.bit_length(), 1), 32)]
+               + [np.asarray(jx, dtype=np.uint32),
+                  np.asarray(jy, dtype=np.uint32)])
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * hash_a
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    # eight words cycling over the pool, paired little-endian
+    hash_b = _INIT_B
+    state = np.empty((len(jx), 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * hash_b
+        state[:, i] = value ^ value >> 16
+    return state.view(np.uint64)
+
+
+def _pcg64_state(words):
+    """``PCG64(seed_seq).state`` for the four words of ``_seed_states``.
+
+    The words give initstate = (hi, lo) and initseq = (inc_hi, inc_lo);
+    srandom sets inc = 2 initseq + 1 and steps state = state * M + inc
+    from 0, adding initstate between its two steps.
+    """
+    hi, lo, inc_hi, inc_lo = words.tolist()
+    inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+    state = ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def simulate_stack(scene, excitation) -> ThermogramStack:
     """Per-pixel responses plus seeded Gaussian noise, as a thermogram stack.
 
     Each distinct model of the scene gets one convolution, gathered to
-    its pixels through the label map one row at a time, so no float64
-    copy of the whole stack exists; the per-pixel noise stream is
-    seeded by (rng_seed, jx, jy), so serial and parallel evaluations are
-    bit-identical.
+    its pixels through the label map one row at a time into one reused
+    row buffer, so no float64 copy of the whole stack exists. Pixel
+    (jx, jy) adds the noise stream of ``default_rng([rng_seed, jx,
+    jy])``, so serial and parallel evaluations are bit-identical. One
+    vectorized SeedSequence pass seeds all pixels (:func:`_seed_states`),
+    and one Generator, set in turn to each pixel's PCG64 state
+    (:func:`_pcg64_state`), draws its noise into its place in the row
+    buffer: no Generator is built per pixel.
     """
     timing = excitation.timing
     n_frames = len(excitation.samples)
@@ -255,12 +339,25 @@ def simulate_stack(scene, excitation) -> ThermogramStack:
     traces = np.array([respond(impulse_response(model, timing, duration),
                                excitation) for model in scene.models])
     data = np.empty((n_frames, scene.ny, scene.nx), dtype=np.float32)
-    for jy in range(scene.ny):
-        row = traces[scene.labels[jy]]
-        if scene.noise_sigma > 0:
-            for jx in range(scene.nx):
-                rng = np.random.default_rng([scene.rng_seed, jx, jy])
-                row[jx] += rng.normal(0.0, scene.noise_sigma, n_frames)
+    row = np.empty((scene.nx, n_frames))
+    sigma = scene.noise_sigma
+    if sigma > 0:
+        rows, cols = np.divmod(np.arange(scene.ny * scene.nx), scene.nx)
+        states = iter(_seed_states(scene.rng_seed, cols, rows))
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+    for jy, labels in enumerate(scene.labels):
+        if sigma == 0:
+            np.take(traces, labels, axis=0, out=row)
+        else:
+            for pixel, label in zip(row, labels):
+                bitgen.state = _pcg64_state(next(states))
+                # the bits of trace + gen.normal(0.0, sigma, n_frames),
+                # drawn in place: normal is loc + scale * z
+                gen.standard_normal(out=pixel)
+                pixel *= sigma
+                pixel += 0.0
+                pixel += traces[label]
         data[:, jy, :] = row.T
     metadata = {
         "stage": "simulated",
@@ -331,7 +428,8 @@ def scene_from_parser(parser) -> SceneConfig:
 def load_scene_config(path) -> SceneConfig:
     """Read a scene description from an INI-style text file.
 
-    Sections: ``[scene]`` with nx, ny, noise_sigma, rng_seed;
+    Sections: ``[scene]`` with nx, ny, noise_sigma and rng_seed (a
+    non-negative integer, default 0);
     ``[background]`` with diffusivity, amplitude_scale and optionally
     depth/reflection; any number of ``[defect.<name>]`` sections with
     x0, y0, width, height plus model fields (unset fields inherit from

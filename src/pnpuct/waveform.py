@@ -211,11 +211,12 @@ def verify_resolution(code, timing) -> np.ndarray:
 def waveform_to_csv(wave, path):
     """Two-column CSV (time_s, value) for driving external generators.
 
-    Returns the SHA-256 hex digest of the bytes written.
+    Frame n is at n / fps, the time rule of the pixel-trace and slice
+    exports. Returns the SHA-256 hex digest of the bytes written.
     """
-    dt = wave.timing.dt
+    fps = wave.timing.fps
     return write_hashed(path, crlf_lines(["time_s,value"], (
-        f"{n * dt!r},{v!r}" for n, v in enumerate(wave.samples.tolist()))))
+        f"{n / fps!r},{v!r}" for n, v in enumerate(wave.samples.tolist()))))
 
 
 def excitation_metadata(wave) -> dict:

@@ -54,8 +54,9 @@ def times_for(timing, n):
 def _writer_inputs(seed):
     """A code, waveform, matched filter and stack for every pnpuct writer.
 
-    The values span many magnitudes, and fps = 10 makes times such as
-    3 * 0.1 = 0.30000000000000004 print with all their digits.
+    The values span many magnitudes, and at fps = 10 the two time rules
+    differ (3 * 0.1 = 0.30000000000000004, 3 / 10 = 0.3), so a CSV time
+    column shows which one its writer uses.
     """
     rng = np.random.default_rng(seed)
     timing = Timing(t_bit=0.3, fps=10.0, n_per=2)
@@ -550,11 +551,11 @@ class TestWholeStackSolver:
              for jx, fit in enumerate(row)])
         # the other CSV writers against csv.writer on the same rows
         code, wave, filt, stack = _writer_inputs(3)
-        dt, trace = wave.timing.dt, stack.pixel_trace(3, 1)
+        fps, trace = wave.timing.fps, stack.pixel_trace(3, 1)
         frame = stack.data[2].astype(np.float64)
         cases = [
             (waveform_to_csv, (wave,), ["time_s", "value"],
-             [[repr(n * dt), repr(float(v))]
+             [[repr(n / fps), repr(float(v))]
               for n, v in enumerate(wave.samples)]),
             (filter_to_csv, (filt,), ["tap_index", "value"],
              [[n, repr(float(v))] for n, v in enumerate(filt.taps)]),

@@ -2,11 +2,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnpuct
 from pnpuct import (IndexOutOfRange, InvalidConfig, InvalidScene, MlsSpec,
                     NotLs4Compatible, NotPrime, PipelineStageError,
                     PixelModel, Region, ThermogramStack, TimingMismatch,
@@ -159,6 +162,31 @@ class TestRunPipeline:
         b_hashes = {k: v["sha256"] for k, v in manifest_b["artifacts"].items()}
         assert a_hashes == b_hashes
 
+    def test_manifest_independent_of_blas_threads(self, tmp_path):
+        # 1524 frames: OpenBLAS's q^T a summed this fit's projection in
+        # another order at 2 threads than at 1, so fit_map.csv differed
+        text = write_run_config(tmp_path / "run.cfg", "out", fps="3.0",
+                                output_extra="intermediates = dc_removed"
+                                ).read_text()
+        text = (text.replace("n_bit = 31", "n_bit = 127")
+                .replace("n_per = 2", "n_per = 4")
+                .replace("noise_sigma = 0.0", "noise_sigma = 0.05"))
+        src = str(Path(pnpuct.__file__).resolve().parents[1])
+        manifests = []
+        for threads in ("1", "2"):
+            work = tmp_path / f"threads{threads}"
+            work.mkdir()
+            (work / "run.cfg").write_text(text)
+            # the variable is read when the library loads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            subprocess.run([sys.executable, "-c",
+                            "import pnpuct; pnpuct.run_pipeline('run.cfg')"],
+                           cwd=work, env=env, check=True)
+            manifests.append((work / "out" / "manifest.json").read_bytes())
+        assert "fit_map" in json.loads(manifests[0])["artifacts"]
+        assert manifests[0] == manifests[1]
+
     def test_timing_mismatch_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_run_config(tmp_path / "bad.cfg", out, t_bit="0.3333333")
@@ -289,6 +317,16 @@ directory = {tmp_path / "out"}
         assert info.value.stage == "simulate"
         assert isinstance(info.value.cause, InvalidScene)
         assert "[background]" in str(info.value)
+
+    def test_negative_rng_seed_is_a_scene_error(self, tmp_path):
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace("rng_seed = 7",
+                                               "rng_seed = -3"))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "simulate"
+        assert isinstance(info.value.cause, InvalidScene)
+        assert "rng_seed must be a non-negative integer" in str(info.value)
 
     def test_input_stack_without_timing_metadata(self, tmp_path):
         # neither [timing] nor the stack's metadata gives t_bit
@@ -514,6 +552,18 @@ class TestCli:
         main(base + ["--seed", "2", "-o", c])
         assert open(a, "rb").read() == open(b, "rb").read()
         assert open(a, "rb").read() != open(c, "rb").read()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        code_std = str(tmp_path / "std.txt")
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])
+        out = tmp_path / "raw.tgs"
+        capsys.readouterr()
+        assert main(["sim", "run", "--scene", self._scene(tmp_path),
+                     "--code", code_std, "--t-bit", "1", "--fps", "2",
+                     "--seed", "-3", "-o", str(out)]) == 2
+        assert ("error: rng_seed must be a non-negative integer"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_pipeline_run_and_failure_exit(self, tmp_path, capsys):
         cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")

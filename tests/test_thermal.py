@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnpuct import (
@@ -293,6 +293,35 @@ class TestSimulateStack:
         assert all(contrasts[i] > contrasts[i + 1]
                    for i in range(len(contrasts) - 1))
 
+    @pytest.mark.parametrize("seed", [-3, -1, 2.5, 7.0, "7", None, True])
+    def test_rng_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidScene, match="rng_seed"):
+            SceneConfig(nx=2, ny=2, background=SOUND, noise_sigma=0.5,
+                        rng_seed=seed)
+
+    def test_numpy_integer_seed_is_that_int(self):
+        wave = self._unipolar()
+        scene = SceneConfig(nx=2, ny=2, background=SOUND, noise_sigma=0.5,
+                            rng_seed=np.uint64(2 ** 63 + 1))
+        assert type(scene.rng_seed) is int
+        same = SceneConfig(nx=2, ny=2, background=SOUND, noise_sigma=0.5,
+                           rng_seed=2 ** 63 + 1)
+        np.testing.assert_array_equal(simulate_stack(scene, wave).data,
+                                      simulate_stack(same, wave).data)
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
+        2 ** 64 + 5, 2 ** 96, 2 ** 200 + 12345])
+    def test_seed_states_match_numpy_seeding(self, seed):
+        jx = np.array([0, 1, 0, 7, 63, 2 ** 31, 2 ** 32 - 1])
+        jy = np.array([0, 0, 1, 3, 63, 5, 2 ** 32 - 1])
+        words = thermal._seed_states(seed, jx, jy)
+        for row, x, y in zip(words, jx.tolist(), jy.tolist()):
+            seq = np.random.SeedSequence([seed, x, y])
+            np.testing.assert_array_equal(
+                row, seq.generate_state(4, np.uint64))
+            assert thermal._pcg64_state(row) == np.random.PCG64(seq).state
+
     def test_region_must_fit(self):
         with pytest.raises(ValueError):
             SceneConfig(nx=4, ny=4, background=SOUND,
@@ -322,7 +351,7 @@ def scenes(draw):
     return SceneConfig(nx=nx, ny=ny, background=draw(st.sampled_from(MODEL_POOL)),
                        defects=tuple(defects),
                        noise_sigma=draw(st.sampled_from([0.0, 0.3])),
-                       rng_seed=draw(st.integers(0, 2 ** 32 - 1)))
+                       rng_seed=draw(st.integers(0, 2 ** 200)))
 
 
 def per_pixel_stack(scene, wave):
@@ -352,6 +381,15 @@ class TestLabelMap:
 
     @settings(max_examples=40, deadline=None)
     @given(scene=scenes())
+    # one, two and three 32-bit words of seed
+    @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
+                               rng_seed=0))
+    @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
+                               rng_seed=2 ** 32 - 1))
+    @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
+                               rng_seed=2 ** 32))
+    @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
+                               rng_seed=2 ** 64))
     def test_matches_per_pixel_build(self, scene):
         stack = simulate_stack(scene, self.WAVE)
         np.testing.assert_array_equal(stack.data,
