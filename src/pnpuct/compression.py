@@ -13,7 +13,11 @@ period needs only the sum of the two-period windows that the steady
 periods read. That sum, seen as 2N bit rows of K frames per pixel, is
 filtered by one fixed N x 2N Toeplitz matrix of the code taps
 (polyphase decomposition; P. P. Vaidyanathan, *Multirate Systems and
-Filter Banks*, 1993).
+Filter Banks*, 1993). Half of that matrix is zero: it is a strictly
+upper triangle next to a lower one, so the product runs as two
+in-place triangular BLAS products (dtrmm; Dongarra et al., *ACM TOMS*
+16, 1990) on the two halves of the sum, and lands in its first period
+with no buffer beyond the block's.
 
 The filter runs on the blocks of columns of the one block loop of
 :mod:`pnpuct.dc_removal`; with ``remove_dc`` each raw block also gets
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 # Unused here. The bench's calibration kernel imports scipy.signal after
 # the bench reads its RSS baseline, so a package without this import
 # shows a false rise in rss_per_stack; drop it once the bench imports
@@ -68,9 +73,13 @@ class _MatchedFilter:
     therefore need only the fold ybar, the sum of the n_avg two-period
     windows y[(i - 1)P : (i + 1)P]: output frame jK + p is
     sum_b c'[b] ybar[(N + j - b)K + p]. Seen as a (2N, K * w) array,
-    ybar is filtered by one N x 2N Toeplitz matrix whose rows hold
-    c'[::-1], divided by n_avg and the normalization scale. The input
-    must span the timing's n_per periods.
+    ybar is filtered by an N x 2N Toeplitz matrix T whose row j holds
+    c'[::-1], divided by n_avg and the normalization scale, on columns
+    j + 1 ... j + N. Its first N columns are the strictly upper triangle
+    U, its last N the lower triangle L, diagonal included, so the
+    product U ybar[:N] + L ybar[N:] takes two triangular products of N^2
+    multiply-adds per column where T takes 2N^2. The input must span
+    the timing's n_per periods.
     """
 
     def __init__(self, code, timing, normalization, single_period,
@@ -86,35 +95,34 @@ class _MatchedFilter:
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: filt.gain,
                  Normalization.PER_LENGTH: n_bit}[normalization]
         row = filt.taps[::timing.k][::-1] / (self.n_avg * scale)
-        self._toeplitz = np.zeros((n_bit, 2 * n_bit))
-        for j in range(n_bit):
-            self._toeplitz[j, j + 1: j + 1 + n_bit] = row
-        self._spare = None
+        # T[j] = padded[N - j: 3N - j], so T[j, j + 1 + i] = row[i]
+        padded = np.concatenate([np.zeros(n_bit + 1), row,
+                                 np.zeros(n_bit - 1)])
+        toeplitz = sliding_window_view(padded, 2 * n_bit)[n_bit:0:-1]
+        self._upper = np.ascontiguousarray(toeplitz[:, :n_bit])
+        self._lower = np.ascontiguousarray(toeplitz[:, n_bit:])
 
     def __call__(self, a):
         """The (period, w) filtered steady period of the columns of ``a``.
 
-        ``a`` is an (n_frames, w) float64 array. Its n_avg windows are
-        summed in place into a[:2P], the first period of every window
-        before the second. From n_per = 3 on, the product lands in
-        a[2P:3P], which the fold has read; for n_per = 2 it lands in one
-        more buffer, allocated once per width.
+        ``a`` is a C-contiguous (n_frames, w) float64 array. Its n_avg
+        windows are summed in place into a[:2P], the first period of
+        every window before the second. The two triangular products then
+        overwrite a[:P] and a[P:2P], and their sum lands in a[:P], which
+        is returned: the filter needs no buffer beyond ``a``.
         """
         period, n_avg = self.period, self.n_avg
         for i in range(1, n_avg):
             a[:period] += a[i * period: (i + 1) * period]
         for i in range(1, n_avg):
             a[period: 2 * period] += a[(i + 1) * period: (i + 2) * period]
-        if len(a) >= 3 * period:
-            product = a[2 * period: 3 * period]
-        else:
-            if self._spare is None or self._spare.shape[1] != a.shape[1]:
-                self._spare = np.empty((period, a.shape[1]))
-            product = self._spare
-        n_bit = len(self._toeplitz)
-        np.matmul(self._toeplitz, a[:2 * period].reshape(2 * n_bit, -1),
-                  out=product.reshape(n_bit, -1))
-        return product
+        n_bit = len(self._upper)
+        lo = a[:period].reshape(n_bit, -1)
+        hi = a[period: 2 * period].reshape(n_bit, -1)
+        dc_removal._trmm(self._upper, lo, upper=True)
+        dc_removal._trmm(self._lower, hi, upper=False)
+        lo += hi
+        return a[:period]
 
 
 def _compress_columns(traces, code, timing, normalization, single_period,
@@ -177,9 +185,9 @@ def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
     sidelobes, and the same bits as that pixel of a compressed stack,
     here as float64. To get them, the column is zero-padded to a full
     block of ``_BLOCK`` columns, so one call costs about as much as 256
-    pixels of a stack: 1.7 ms at LS31 K=40 and 27 ms at LS1031 K=1 on a
-    2-vCPU VM with 1 BLAS thread. Compress many pixels with
-    :func:`compress_stack`.
+    pixels of a stack: 1.3-1.5 ms at LS31 K=40, 2.3-2.5 ms at LS127
+    K=10 and 20 ms at LS1031 K=1 on a 2-vCPU VM with 1 BLAS thread.
+    Compress many pixels with :func:`compress_stack`.
     """
     y = np.asarray(y_plus_ac, dtype=float)
     values, n_avg = _compress_columns(

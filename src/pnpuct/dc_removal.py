@@ -17,7 +17,9 @@ with r the fit residual, and no trend or DC-removed trace is formed.
 Every trend product of the loop, B c in the residual r = y - B c, the
 DC output's (1 - bias) B c and the filtered kept term bias C(B) c, is
 one BLAS GEMM update C <- alpha A B + beta C (:func:`_gemm`), written
-into the block's buffer in the same pass that computes it.
+into the block's buffer in the same pass that computes it. The matched
+filter's two products are in-place triangular BLAS updates of the same
+buffer (:func:`_trmm`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dtrmm
 
 from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
@@ -77,6 +79,21 @@ def _gemm(alpha, x, y, beta, c):
     if dgemm(alpha, y.T, x.T, beta, target, overwrite_c=True) is not target:
         raise RuntimeError(
             "dgemm copied its target; pass a C-contiguous float64 array")
+
+
+def _trmm(t, b, upper):
+    """b <- t @ b, in place, for float64 arrays and a triangular ``t``.
+
+    ``t`` is upper triangular if ``upper``, else lower; only that
+    triangle and the diagonal are read. BLAS dtrmm runs on the
+    transposed views, as in :func:`_gemm`: b.T <- b.T @ t.T, with t.T
+    of the other triangle. A target that dtrmm copied raises.
+    """
+    target = b.T
+    if dtrmm(1.0, t.T, target, side=1, lower=int(upper),
+             overwrite_b=1) is not target:
+        raise RuntimeError(
+            "dtrmm copied its target; pass a C-contiguous float64 array")
 
 
 def _blocks(traces):

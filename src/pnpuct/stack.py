@@ -111,15 +111,14 @@ def write_hashed(path, chunks):
     return digest.hexdigest()
 
 
-def crlf_lines(*parts):
+def crlf_text(*parts):
     """UTF-8 bytes of the lines of each part, each ended by CRLF.
 
     For rows of numbers, fields that need no quoting, these are the
-    bytes that ``csv.writer`` writes; one chunk per line.
+    bytes that ``csv.writer`` writes, joined into one chunk.
     """
-    for lines in parts:
-        for line in lines:
-            yield f"{line}\r\n".encode("utf-8")
+    return "".join([f"{line}\r\n" for lines in parts
+                    for line in lines]).encode("utf-8")
 
 
 def write_stack(stack, path):
@@ -218,8 +217,8 @@ def export_slice(stack, time_index, path):
               f"scale_max = {hi!r}\n")
     return {
         pgm_path: write_hashed(pgm_path, [pgm_head, scaled.astype(">u2")]),
-        base + ".csv": write_hashed(base + ".csv", crlf_lines(
-            ",".join([f"{v:.9g}" for v in row]) for row in frame.tolist())),
+        base + ".csv": write_hashed(base + ".csv", [crlf_text(
+            ",".join([f"{v:.9g}" for v in row]) for row in frame.tolist())]),
         base + ".txt": write_hashed(base + ".txt", [bounds.encode("utf-8")]),
     }
 
@@ -230,5 +229,5 @@ def export_pixel_trace(stack, jx, jy, path):
     Returns the SHA-256 hex digest of the bytes written.
     """
     trace = stack.pixel_trace(jx, jy)
-    return write_hashed(path, crlf_lines(["time_s,value"], (
-        f"{n / stack.fps!r},{v!r}" for n, v in enumerate(trace.tolist()))))
+    return write_hashed(path, [crlf_text(["time_s,value"], (
+        f"{n / stack.fps!r},{v!r}" for n, v in enumerate(trace.tolist())))])

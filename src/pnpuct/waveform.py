@@ -17,7 +17,7 @@ import numpy as np
 from .codes import PnCode
 from .errors import (InvalidWaveform, NonPositiveAmplitude, TimingMismatch,
                      UnmodifiedCode)
-from .stack import ThermogramStack, crlf_lines, write_hashed
+from .stack import ThermogramStack, crlf_text, write_hashed
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,8 @@ def waveform_to_csv(wave, path):
     exports. Returns the SHA-256 hex digest of the bytes written.
     """
     fps = wave.timing.fps
-    return write_hashed(path, crlf_lines(["time_s,value"], (
-        f"{n / fps!r},{v!r}" for n, v in enumerate(wave.samples.tolist()))))
+    return write_hashed(path, [crlf_text(["time_s,value"], (
+        f"{n / fps!r},{v!r}" for n, v in enumerate(wave.samples.tolist())))])
 
 
 def excitation_metadata(wave) -> dict:
@@ -273,5 +273,5 @@ def filter_to_csv(filt, path):
 
     Returns the SHA-256 hex digest of the bytes written.
     """
-    return write_hashed(path, crlf_lines(["tap_index,value"], (
-        f"{n},{v!r}" for n, v in enumerate(filt.taps.tolist()))))
+    return write_hashed(path, [crlf_text(["tap_index,value"], (
+        f"{n},{v!r}" for n, v in enumerate(filt.taps.tolist())))])

@@ -59,6 +59,7 @@ RESOLUTION_CODES = [
     modify_for_perfect_pacf(generate_mls(MlsSpec(order=5))),
     binarize_ls4(generate_ls(31), -1),
 ]
+LS1031_PLUS = modify_for_perfect_pacf(generate_ls(1031))
 
 
 def _camera_stack():
@@ -274,10 +275,17 @@ class TestCompressStack:
             compress_stack(stack, ls31, timing)
 
     def test_overwrite_input_allocates_no_stack(self, ls31_plus):
-        # 7.6 MB of fold and product buffers; the output alone is 20.3 MB
+        # the one 5.08 MB float64 block buffer, which the filter's product
+        # shares; the output alone is 20.3 MB
         stack, timing = _camera_stack()
         assert _peak_alloc(compress_stack, stack, ls31_plus, timing,
-                           overwrite_input=True) < 10e6
+                           overwrite_input=True) < 6e6
+
+    def test_fused_overwrite_input_allocates_no_stack(self, ls31_plus):
+        # the fused DC removal adds only per-call vectors and a fit map
+        stack, timing = _camera_stack()
+        assert _peak_alloc(compress_stack, stack, ls31_plus, timing,
+                           overwrite_input=True, remove_dc=True) < 6e6
 
     def test_frame_count_checked(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
@@ -383,6 +391,14 @@ class TestCompressionProperties:
            n_per=st.integers(2, 4), n_pix=st.integers(1, 3),
            normalization=st.sampled_from(list(Normalization)),
            single_period=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    # codes long enough that BLAS blocks the triangular products
+    @example(code=RESOLUTION_CODES[1], k=1, n_per=3, n_pix=3,
+             normalization=Normalization.RAW, single_period=False, seed=1)
+    @example(code=LS1031_PLUS, k=1, n_per=2, n_pix=2,
+             normalization=Normalization.PER_GAIN, single_period=False,
+             seed=2)
+    @example(code=LS1031_PLUS, k=1, n_per=3, n_pix=3,
+             normalization=Normalization.RAW, single_period=True, seed=3)
     def test_core_matches_direct_convolution(self, code, k, n_per, n_pix,
                                              normalization, single_period,
                                              seed):
@@ -507,14 +523,14 @@ class TestFusedDcRemoval:
 
 
 class TestGemmUpdate:
-    """dc_removal._gemm writes into the buffers of the block loop."""
+    """dc_removal._gemm and _trmm write into the block loop's buffer."""
 
     BLOCK = pnpuct.dc_removal._BLOCK
 
     @classmethod
     def _targets(cls):
-        """The block buffer, the filter's spare buffer at n_per = 2 and
-        the a[2P:3P] slice it uses from n_per = 3 on."""
+        """The block buffer and the filter's product, a[:P], at n_per = 2
+        and 3: the filter writes into the block buffer itself."""
         code = PLUS_CODES[0]
         buffers = []
         for n_per in (2, 3):
@@ -526,7 +542,9 @@ class TestGemmUpdate:
             _, _, a = next(pnpuct.dc_removal._blocks(traces))
             product = filt(a)
             assert product.shape == (filt.period, cls.BLOCK)
-            assert np.shares_memory(product, a) == (n_per == 3)
+            # a[:P]: the first rows of the block buffer
+            assert product.ctypes.data == a.ctypes.data
+            assert product.strides == a.strides
             if n_per == 2:
                 buffers.append(a)
             buffers.append(product)
@@ -560,6 +578,26 @@ class TestGemmUpdate:
         with pytest.raises(RuntimeError, match="copied"):
             pnpuct.dc_removal._gemm(1.0, x, y, 1.0, target)
         assert not target.any()
+
+    @pytest.mark.parametrize("layout", ["column slice", "fortran", "float32"])
+    def test_a_copied_trmm_target_raises(self, layout):
+        a = np.zeros((12, self.BLOCK))
+        target = {"column slice": a[:, :5],
+                  "fortran": np.asfortranarray(a),
+                  "float32": a.astype(np.float32)}[layout]
+        with pytest.raises(RuntimeError, match="copied"):
+            pnpuct.dc_removal._trmm(np.ones((12, 12)), target, upper=True)
+        assert not target.any()
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_trmm_reads_one_triangle(self, upper):
+        # integer operands: every summation order gives the same bits
+        rng = np.random.default_rng(1)
+        t = rng.integers(-8, 8, (12, 12)).astype(float)
+        b = rng.integers(-8, 8, (12, self.BLOCK)).astype(float)
+        expected = (np.triu(t) if upper else np.tril(t)) @ b
+        pnpuct.dc_removal._trmm(t, b, upper)
+        np.testing.assert_array_equal(b, expected)
 
 
 class TestDecimate:

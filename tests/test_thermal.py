@@ -390,6 +390,15 @@ class TestLabelMap:
                                rng_seed=2 ** 32))
     @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
                                rng_seed=2 ** 64))
+    # rows stored two at a time, the last store holding one row; and one
+    # row per store, for a row wider than a store
+    @example(scene=SceneConfig(
+        nx=thermal._STORE_PIXELS // 2 - 1, ny=5, background=SOUND,
+        defects=((Region(x0=90, y0=3, width=10, height=2), MODEL_POOL[2]),),
+        noise_sigma=0.3, rng_seed=3))
+    @example(scene=SceneConfig(nx=thermal._STORE_PIXELS + 1, ny=2,
+                               background=MODEL_POOL[1], noise_sigma=0.3,
+                               rng_seed=4))
     def test_matches_per_pixel_build(self, scene):
         stack = simulate_stack(scene, self.WAVE)
         np.testing.assert_array_equal(stack.data,
