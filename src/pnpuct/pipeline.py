@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 
 from . import codes as codes_mod
 from .codes import CodeKind, check_code, save_code
@@ -26,9 +27,11 @@ from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv)
 
 
-def _stage(name, fn, *args, **kwargs):
+@contextmanager
+def _stage(name):
+    """Run a block as stage ``name``: its errors become PipelineStageError."""
     try:
-        return fn(*args, **kwargs)
+        yield
     except PipelineStageError:
         raise
     except Exception as exc:
@@ -43,14 +46,6 @@ def _parse_config(source):
     if isinstance(source, configparser.ConfigParser):
         return source
     return read_ini(source)
-
-
-def _read_input(path):
-    """The [input] stack and its manifest record, hashed as it is read."""
-    digest = hashlib.sha256()
-    stack = read_stack(path, digest=digest)
-    return stack, {"path": path, "bytes": os.path.getsize(path),
-                   "sha256": digest.hexdigest()}
 
 
 def generate_codes(section):
@@ -73,17 +68,22 @@ def generate_codes(section):
 def run_pipeline(config, out_dir=None, seed=None):
     """Execute the full pipeline described by an INI config.
 
-    Returns the manifest dictionary; raises PipelineStageError with the
-    failing stage name on any error, in which case no manifest file is
-    written.
+    Returns the manifest dictionary. Any error, the failed write of an
+    artifact included, raises PipelineStageError with the name of the
+    stage that made that artifact, and no manifest file is written.
     """
-    parser = _stage("config", _parse_config, config)
+    with _stage("config"):
+        parser = _parse_config(config)
     # read before the timing: its metadata fills the [timing] keys left out
     raw = source = None
     if parser.has_option("input", "stack"):
-        raw, source = _stage("simulate", _read_input, parser["input"]["stack"])
-
-    def parse_all():
+        with _stage("simulate"):
+            path = parser["input"]["stack"]
+            digest = hashlib.sha256()
+            raw = read_stack(path, digest=digest)
+            source = {"path": path, "bytes": os.path.getsize(path),
+                      "sha256": digest.hexdigest()}
+    with _stage("config"):
         section = parser["timing"] if parser.has_section("timing") else {}
         timing = timing_of(raw, *map(section.get, ("t_bit", "fps", "n_per")))
         amplitude = float(parser.get("excitation", "amplitude", fallback="1.0"))
@@ -99,12 +99,7 @@ def run_pipeline(config, out_dir=None, seed=None):
             raise InvalidConfig(
                 f"[output] intermediates: unknown {', '.join(unknown)}; "
                 f"known: {', '.join(INTERMEDIATES)}")
-        return (timing, amplitude, normalization, options, directory,
-                intermediates)
 
-    timing, amplitude, normalization, options, directory, intermediates = (
-        _stage("config", parse_all))
-    os.makedirs(directory, exist_ok=True)
     # name -> (path, SHA-256 of the bytes written)
     artifacts = {}
 
@@ -113,38 +108,35 @@ def run_pipeline(config, out_dir=None, seed=None):
         path = os.path.join(directory, filename)
         artifacts[name] = path, writer(*args, path)
 
-    excitation_code, modified_code = _stage(
-        "codes", generate_codes, parser["code"])
-    emit("excitation_code", "excitation_code.txt", save_code, excitation_code)
-    emit("modified_code", "modified_code.txt", save_code, modified_code)
-
-    def make_waveforms():
+    with _stage("output"):
+        os.makedirs(directory, exist_ok=True)
+    with _stage("codes"):
+        excitation_code, modified_code = generate_codes(parser["code"])
+        emit("excitation_code", "excitation_code.txt", save_code,
+             excitation_code)
+        emit("modified_code", "modified_code.txt", save_code, modified_code)
+    with _stage("waveform"):
         bipolar = build_bipolar(excitation_code, timing)
         unipolar = build_unipolar(bipolar, amplitude)
-        filt = build_matched_filter(modified_code, timing)
-        return bipolar, unipolar, filt
-
-    bipolar, unipolar, filt = _stage("waveform", make_waveforms)
-    emit("bipolar_csv", "bipolar.csv", waveform_to_csv, bipolar)
-    emit("unipolar_csv", "unipolar.csv", waveform_to_csv, unipolar)
-    emit("filter_csv", "matched_filter.csv", filter_to_csv, filt)
-
-    def simulate():
-        scene = scene_from_parser(parser)
-        if seed is not None:
-            scene = dataclasses.replace(scene, rng_seed=int(seed))
-        return simulate_stack(scene, unipolar)
-
+        emit("bipolar_csv", "bipolar.csv", waveform_to_csv, bipolar)
+        emit("unipolar_csv", "unipolar.csv", waveform_to_csv, unipolar)
     if source is None:
-        raw = _stage("simulate", simulate)
-        emit("raw_stack", "raw_stack.tgs", write_stack, raw)
-
+        with _stage("simulate"):
+            scene = scene_from_parser(parser)
+            if seed is not None:
+                scene = dataclasses.replace(scene, rng_seed=int(seed))
+            raw = simulate_stack(scene, unipolar)
+            emit("raw_stack", "raw_stack.tgs", write_stack, raw)
     comp_timing = timing
     if options["decimate"]:
-        raw, comp_timing = _stage(
-            "decimate", decimate_to_bit_rate, raw, timing,
-            options["decimate_average"])
-        emit("decimated_stack", "decimated_stack.tgs", write_stack, raw)
+        with _stage("decimate"):
+            raw, comp_timing = decimate_to_bit_rate(
+                raw, timing, options["decimate_average"])
+            emit("decimated_stack", "decimated_stack.tgs", write_stack, raw)
+    with _stage("waveform"):
+        # the filter that compression runs: one tap per bit when decimated
+        emit("filter_csv", "matched_filter.csv", filter_to_csv,
+             build_matched_filter(modified_code, comp_timing))
 
     # one pass removes the DC trend and compresses; compress_stack takes
     # its arguments positionally, so a stand-in taking (stack, code,
@@ -153,19 +145,20 @@ def run_pipeline(config, out_dir=None, seed=None):
     # or the stack written above), unless DC removal still needs that
     # stack: then it allocates one period, and DC removal runs in place
     keep_raw = "dc_removed" in intermediates
-    compressed, fit_map = _stage(
-        "compress", compress_stack, raw, modified_code, comp_timing,
-        normalization, options["single_period"], not keep_raw, True)
+    with _stage("compress"):
+        compressed, fit_map = compress_stack(
+            raw, modified_code, comp_timing, normalization,
+            options["single_period"], not keep_raw, True)
+        emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
+        emit("compressed_stack", "compressed.tgs", write_stack, compressed)
     if keep_raw:
-        removed, _ = _stage("dc_removal", remove_dc_stack, raw, modified_code,
-                            comp_timing, overwrite_input=True)
-        emit("dc_removed_stack", "dc_removed.tgs", write_stack, removed)
+        with _stage("dc_removal"):
+            removed, _ = remove_dc_stack(raw, modified_code, comp_timing,
+                                         overwrite_input=True)
+            emit("dc_removed_stack", "dc_removed.tgs", write_stack, removed)
         del removed
     del raw
-    emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
-    emit("compressed_stack", "compressed.tgs", write_stack, compressed)
-
-    def reports():
+    with _stage("report"):
         out = parser["output"] if parser.has_section("output") else {}
         for token in _tokens(out.get("slices", "")):
             index = int(round(float(token) * compressed.fps))
@@ -177,28 +170,21 @@ def run_pipeline(config, out_dir=None, seed=None):
             jx, _, jy = token.partition("x")
             emit(f"pixel_{token}", f"pixel_{jx}_{jy}.csv", export_pixel_trace,
                  compressed, int(jx), int(jy))
-
-    _stage("report", reports)
-
-    manifest = {
-        "parameters": {
-            section: dict(parser[section]) for section in parser.sections()
-        },
-        "overrides": {"out_dir": out_dir, "seed": seed},
-        "artifacts": {
-            name: {
-                "path": os.path.basename(path),
-                "sha256": digest,
-            }
-            for name, (path, digest) in sorted(artifacts.items())
-        },
-    }
-    if source is not None:
-        manifest["input"] = source
-    manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _stage("output"):
+        manifest = {
+            "parameters": {section: dict(parser[section])
+                           for section in parser.sections()},
+            "overrides": {"out_dir": out_dir, "seed": seed},
+            "artifacts": {
+                name: {"path": os.path.basename(path), "sha256": digest}
+                for name, (path, digest) in sorted(artifacts.items())},
+        }
+        if source is not None:
+            manifest["input"] = source
+        manifest_path = os.path.join(directory, "manifest.json")
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     manifest["manifest_path"] = manifest_path
     return manifest
 

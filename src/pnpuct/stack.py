@@ -121,6 +121,12 @@ def crlf_text(*parts):
                     for line in lines]).encode("utf-8")
 
 
+def time_series_csv(samples, fps):
+    """CSV bytes of a trace: a ``time_s,value`` header, sample n at n / fps."""
+    return crlf_text(["time_s,value"], (
+        f"{n / fps!r},{v!r}" for n, v in enumerate(samples.tolist())))
+
+
 def write_stack(stack, path):
     """Write a stack and return the SHA-256 hex digest of the bytes written.
 
@@ -228,6 +234,5 @@ def export_pixel_trace(stack, jx, jy, path):
 
     Returns the SHA-256 hex digest of the bytes written.
     """
-    trace = stack.pixel_trace(jx, jy)
-    return write_hashed(path, [crlf_text(["time_s,value"], (
-        f"{n / stack.fps!r},{v!r}" for n, v in enumerate(trace.tolist())))])
+    return write_hashed(path, [time_series_csv(stack.pixel_trace(jx, jy),
+                                               stack.fps)])

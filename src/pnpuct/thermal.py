@@ -120,12 +120,16 @@ class SceneConfig:
         defects = tuple(self.defects)
         index = {self.background: 0}
         labels = np.zeros((self.ny, self.nx), dtype=np.intp)
-        for region, model in defects:
+        for entry in defects:
+            if not (isinstance(entry, tuple) and len(entry) == 2
+                    and isinstance(entry[0], Region)
+                    and isinstance(entry[1], PixelModel)):
+                raise InvalidScene(f"defect entry {entry!r} is not a "
+                                   "(Region, PixelModel) pair")
+            region, model = entry
             if (region.x0 + region.width > self.nx
                     or region.y0 + region.height > self.ny):
                 raise InvalidScene(f"defect region {region} outside the grid")
-            if not isinstance(model, PixelModel):
-                raise TypeError("defect entries are (Region, PixelModel)")
             labels[region.slices] = index.setdefault(model, len(index))
         # no trace for a model that later defects cover completely
         visible, labels = np.unique(labels, return_inverse=True)

@@ -9,7 +9,7 @@ n represents time n/FPS; bit b occupies samples [b*K, (b+1)*K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .codes import PnCode
 from .errors import (InvalidWaveform, NonPositiveAmplitude, TimingMismatch,
                      UnmodifiedCode)
-from .stack import ThermogramStack, crlf_text, write_hashed
+from .stack import ThermogramStack, crlf_text, time_series_csv, write_hashed
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,8 @@ def build_bipolar(code, timing) -> ExcitationWaveform:
                               timing=timing, source_code=code)
 
 
-def build_unipolar(bipolar, amplitude, n_per=None) -> ExcitationWaveform:
-    """Heat-source modulation: n_per periods of (A/2) * (x + 1).
+def build_unipolar(bipolar, amplitude) -> ExcitationWaveform:
+    """Heat-source modulation: (A/2) * (x + 1) over the timing's n_per periods.
 
     The output decomposes exactly into a constant A/2 step plus the
     scaled bipolar ripple; see :func:`unipolar_components`.
@@ -151,10 +151,6 @@ def build_unipolar(bipolar, amplitude, n_per=None) -> ExcitationWaveform:
     if amplitude <= 0:
         raise NonPositiveAmplitude(f"amplitude must be positive, got {amplitude}")
     timing = bipolar.timing
-    if n_per is None:
-        n_per = timing.n_per
-    else:
-        timing = replace(timing, n_per=int(n_per))
     samples = 0.5 * amplitude * (np.tile(bipolar.samples, timing.n_per) + 1.0)
     return ExcitationWaveform(samples=samples, kind=WaveformKind.UNIPOLAR_XTH,
                               timing=timing, source_code=bipolar.source_code,
@@ -214,9 +210,7 @@ def waveform_to_csv(wave, path):
     Frame n is at n / fps, the time rule of the pixel-trace and slice
     exports. Returns the SHA-256 hex digest of the bytes written.
     """
-    fps = wave.timing.fps
-    return write_hashed(path, [crlf_text(["time_s,value"], (
-        f"{n / fps!r},{v!r}" for n, v in enumerate(wave.samples.tolist())))])
+    return write_hashed(path, [time_series_csv(wave.samples, wave.timing.fps)])
 
 
 def excitation_metadata(wave) -> dict:

@@ -12,12 +12,14 @@ import pytest
 import pnpuct
 from pnpuct import (IndexOutOfRange, InvalidConfig, InvalidScene, MlsSpec,
                     NotLs4Compatible, NotPrime, PipelineStageError,
-                    PixelModel, Region, ThermogramStack, TimingMismatch,
-                    binarize_ls4, code_to_text, generate_ls, generate_mls,
+                    PixelModel, Region, ThermogramStack, Timing,
+                    TimingMismatch, binarize_ls4, build_matched_filter,
+                    code_to_text, generate_ls, generate_mls,
                     load_code, load_scene_config, modify_for_perfect_pacf,
                     read_stack, run_pipeline, write_stack)
 from pnpuct.cli import main
 from pnpuct.pipeline import _parse_config, generate_codes
+from pnpuct.waveform import filter_to_csv
 from pipeline_helpers import fusion_bound
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -249,6 +251,51 @@ directory = {tmp_path / "out"}
         compressed = read_stack(tmp_path / "out" / "compressed.tgs")
         assert compressed.n_frames == 31
         assert (tmp_path / "out" / "decimated_stack.tgs").exists()
+
+    def test_decimated_run_exports_the_bit_rate_filter(self, tmp_path):
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out",
+                               extra="decimate = true")
+        run_pipeline(cfg)
+        # compression of the decimated stack runs one tap per bit
+        code = modify_for_perfect_pacf(generate_ls(31))
+        expected = tmp_path / "expected.csv"
+        filter_to_csv(build_matched_filter(code, Timing(t_bit=1.0, fps=1.0)),
+                      expected)
+        exported = (tmp_path / "out" / "matched_filter.csv").read_bytes()
+        assert exported == expected.read_bytes()
+        assert len(exported.splitlines()) == 1 + 31
+
+    @pytest.mark.parametrize("artifact, stage, extra, output_extra", [
+        ("excitation_code.txt", "codes", "", ""),
+        ("bipolar.csv", "waveform", "", ""),
+        ("matched_filter.csv", "waveform", "", ""),
+        ("raw_stack.tgs", "simulate", "", ""),
+        ("decimated_stack.tgs", "decimate", "decimate = true", ""),
+        ("fit_map.csv", "compress", "", ""),
+        ("compressed.tgs", "compress", "", ""),
+        ("dc_removed.tgs", "dc_removal", "", "intermediates = dc_removed"),
+        ("pixel_3_2.csv", "report", "", ""),
+        ("manifest.json", "output", "", ""),
+    ])
+    def test_failed_write_stops_the_run_at_its_stage(
+            self, tmp_path, artifact, stage, extra, output_extra):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        cfg = write_run_config(tmp_path / "run.cfg", out, extra=extra,
+                               output_extra=output_extra)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == stage
+        assert isinstance(info.value.cause, OSError)
+        assert not (out / "manifest.json").is_file()
+
+    def test_output_directory_that_is_a_file(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("")
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(write_run_config(tmp_path / "run.cfg", out))
+        assert info.value.stage == "output"
+        assert out.read_text() == ""
 
     def test_boolean_word_forms(self, tmp_path):
         cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out",
@@ -573,6 +620,12 @@ class TestCli:
         assert main(["pipeline", "run", "--config", str(bad)]) == 2
         assert "[config]" in capsys.readouterr().err
         assert not (tmp_path / "out_bad").exists()
+
+    def test_pipeline_write_failure_exit(self, tmp_path, capsys):
+        (tmp_path / "out" / "excitation_code.txt").mkdir(parents=True)
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        assert main(["pipeline", "run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: [codes]")
 
     def test_cli_missing_file_error(self, tmp_path, capsys):
         assert main(["seq", "verify", str(tmp_path / "missing.txt")]) == 2

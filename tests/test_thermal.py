@@ -328,6 +328,15 @@ class TestSimulateStack:
                         defects=((Region(x0=3, y0=0, width=2, height=1),
                                   SOUND),))
 
+    @pytest.mark.parametrize("entry", [
+        (1, 2),
+        (Region(x0=0, y0=0, width=1, height=1), "x"),
+        Region(x0=0, y0=0, width=1, height=1),
+    ], ids=["numbers", "model_not_a_model", "bare_region"])
+    def test_malformed_defect_entry_is_a_scene_error(self, entry):
+        with pytest.raises(InvalidScene, match="defect entry"):
+            SceneConfig(nx=4, ny=4, background=SOUND, defects=(entry,))
+
 
 # equal models in separate entries must share one label
 MODEL_POOL = (

@@ -153,12 +153,13 @@ class TestBuildUnipolar:
         bipolar = ExcitationWaveform(
             samples=np.array([1.0, -1.0]), kind=WaveformKind.BIPOLAR_XPN,
             timing=Timing(t_bit=1.0, fps=1.0, n_per=2))
-        uni = build_unipolar(bipolar, amplitude=2.0, n_per=2)
+        uni = build_unipolar(bipolar, amplitude=2.0)
         np.testing.assert_array_equal(uni.samples, [2, 0, 2, 0])
 
     def test_mls7_on_count(self):
-        bipolar = build_bipolar(table1_mls7(), Timing(t_bit=1.0, fps=1.0))
-        uni = build_unipolar(bipolar, amplitude=1.0, n_per=2)
+        bipolar = build_bipolar(table1_mls7(),
+                                Timing(t_bit=1.0, fps=1.0, n_per=2))
+        uni = build_unipolar(bipolar, amplitude=1.0)
         assert len(uni.samples) == 14
         assert set(uni.samples) == {0.0, 1.0}
         assert np.sum(uni.samples[:7] == 1.0) == 4
@@ -176,8 +177,9 @@ class TestBuildUnipolar:
             build_unipolar(bipolar, amplitude=-1.0)
 
     def test_decomposition_identity(self):
-        bipolar = build_bipolar(generate_ls(11), Timing(t_bit=0.5, fps=8.0))
-        uni = build_unipolar(bipolar, amplitude=2.5, n_per=3)
+        bipolar = build_bipolar(generate_ls(11),
+                                Timing(t_bit=0.5, fps=8.0, n_per=3))
+        uni = build_unipolar(bipolar, amplitude=2.5)
         dc, ac = unipolar_components(uni)
         np.testing.assert_array_equal(dc + ac, uni.samples)
         np.testing.assert_array_equal(dc, np.full(len(uni.samples), 1.25))
