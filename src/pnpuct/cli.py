@@ -20,8 +20,9 @@ from .compression import (Normalization, compress_stack, decimate_to_bit_rate,
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import PnPuctError
 from .pipeline import run_pipeline
-from .stack import (FORMAT_VERSION, export_pixel_trace, export_slice,
-                    read_stack, write_stack)
+from .stack import (FORMAT_VERSION, check_unchanged, export_pixel_trace,
+                    export_slice, file_version, open_stack, read_stack,
+                    write_stack)
 from .thermal import Region, load_scene_config, simulate_stack
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv,
@@ -104,7 +105,8 @@ def _cmd_dc_remove(args):
 def _cmd_puct_compress(args):
     if args.fit_map and not args.remove_dc:
         raise PnPuctError("--fit-map needs --remove-dc")
-    stack = read_stack(args.stack)
+    version = file_version(args.stack)
+    stack = open_stack(args.stack)
     code = load_code(args.code)
     timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
     compressed = compress_stack(
@@ -114,6 +116,7 @@ def _cmd_puct_compress(args):
         remove_dc=args.remove_dc)
     if args.remove_dc:
         compressed, fit_map = compressed
+    check_unchanged(args.stack, version)
     write_stack(compressed, args.output)
     print(f"wrote compressed stack ({compressed.n_frames} frames) "
           f"to {args.output}")

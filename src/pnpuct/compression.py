@@ -204,10 +204,12 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
     Returns a stack of one period (K * N_bit frames) whose metadata
     records the compression parameters. By default every steady period
     is averaged; ``single_period`` keeps only the first. The input
-    stack is left untouched unless ``overwrite_input`` is true: then
-    the period is written into the input's first frames, which the
-    returned stack shares, and no stack-sized array is allocated. The
-    returned stack then keeps the whole input buffer alive.
+    stack is left untouched unless ``overwrite_input`` is true and its
+    data is writeable: then the period is written into the input's
+    first frames, which the returned stack shares, and no stack-sized
+    array is allocated. The returned stack then keeps the whole input
+    buffer alive. A read-only stack, such as one of
+    :func:`~pnpuct.stack.open_stack`, gets a new (period, n_pix) array.
 
     With ``remove_dc`` the stack is raw: DC removal runs in the same
     pass, and the result is (compressed, fit map), the fit map that of
@@ -219,6 +221,7 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
     pipeline checks its codes when it makes them.
     """
     traces = stack.data.reshape(stack.n_frames, -1)
+    overwrite_input = overwrite_input and traces.flags.writeable
     if remove_dc:
         keep = dc_removal._validate_bias(code)
         out, n_avg, fits = _remove_dc_and_compress(

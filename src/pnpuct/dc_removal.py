@@ -8,7 +8,9 @@ share that the bias of a modified sequence accounts for, so the output
 equals the response to the modified-sequence excitation.
 
 :func:`_blocks` is the one loop that reads raw or DC-removed traces,
-a block of columns at a time. The fit and removal here run in it, and
+a block of columns at a time, from memory or, for a stack mapped from
+its file, from one band of columns at a time copied out of the file
+(:func:`_bands`). The fit and removal here run in it, and
 so does the matched filter of :mod:`pnpuct.compression`, alone or fused
 with the fit of :class:`_Trend`: both steps are linear, so the
 compressed DC-removed trace is C(y - (1 - bias) B c) = C(r) + bias C(B) c,
@@ -31,7 +33,7 @@ from scipy.linalg.blas import dgemm, dtrmm
 
 from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
-from .stack import ThermogramStack, write_hashed
+from .stack import CHUNK_BYTES, ThermogramStack, page_dropper, write_hashed
 
 _EXPONENTS = (1.0, 0.75, 0.5)
 
@@ -65,6 +67,20 @@ class DcFit:
 # peaks of 4.2, 8.0, 15.7 and 31.0 MB.
 _BLOCK = 256
 
+# Bytes of a band of a file-mapped stack (stack.open_stack): the widest
+# whole number of _BLOCK columns of n_frames float32 samples within it,
+# one block at least, is copied out of the file at a time, in chunks of
+# stack.CHUNK_BYTES of frames and of _CHUNK_FRAMES frames at least. For
+# 64x64x2480 frames that is 4 bands of 1024 columns (10.2 MB) in chunks
+# of 64 frames: with the 20.3 MB period and a 5.1 MB block, a pipeline
+# run peaked 41.9 MB above its start (48.1 MB reading the stack whole).
+# At 320x256x2480 frames each of 80 bands maps all 812 MB of the file
+# once more, 2 MiB at a time, and drops it: gathering them took 0.39 s
+# of CPU, 0.15 s without the drops and 0.64 s in chunks of 3 frames
+# (1 MiB), against 3.7-4.1 s for a pipeline run.
+_BAND_BYTES = 10 << 20
+_CHUNK_FRAMES = 16
+
 
 def _gemm(alpha, x, y, beta, c):
     """c <- alpha * x @ y + beta * c, in place, for float64 arrays.
@@ -96,25 +112,55 @@ def _trmm(t, b, upper):
             "dtrmm copied its target; pass a C-contiguous float64 array")
 
 
+def _bands(traces):
+    """(cols, band) pairs that cover the columns of an (n, n_pix) array.
+
+    An array in memory is one band, the array itself. A view of a
+    mapped file is copied a band of _BAND_BYTES at a time into one
+    reused float32 buffer, a chunk of frames at a time, and the file
+    pages behind each chunk are dropped: the file is never resident.
+    Bands start at multiples of _BLOCK columns.
+    """
+    n, n_pix = traces.shape
+    if not traces.size or page_dropper(traces) is None:
+        yield slice(0, n_pix), traces
+        return
+    width = min(max(1, _BAND_BYTES // (4 * n * _BLOCK)) * _BLOCK, n_pix)
+    buffer = np.empty((n, width), np.float32)
+    step = max(_CHUNK_FRAMES, CHUNK_BYTES // (4 * n_pix))
+    for start in range(0, n_pix, width):
+        cols = slice(start, min(start + width, n_pix))
+        band = buffer[:, :cols.stop - start]
+        # each band reads the file from its first frame on
+        drop = page_dropper(traces)
+        for first in range(0, n, step):
+            band[first: first + step] = traces[first: first + step, cols]
+            drop(4 * n_pix * (first + step))
+        yield cols, band
+
+
 def _blocks(traces):
     """The one loop over blocks of the columns of an (n, n_pix) array.
 
-    Yields (cols, src, a) per block: the column slice, the view
-    ``traces[:, cols]`` and one float64 (n, _BLOCK) buffer, allocated
-    once per call, that holds the block's columns zero-padded to
-    _BLOCK. The caller may overwrite ``a``; the next block refills it.
-    Results may be written into the columns of ``traces`` once the
+    Yields (cols, src, a) per block: the column slice, the block's
+    columns as read (of ``traces`` itself, or of the band of
+    :func:`_bands` that holds them) and one float64 (n, _BLOCK) buffer,
+    allocated once per call, that holds the block's columns zero-padded
+    to _BLOCK. The caller may overwrite ``a``; the next block refills
+    it. Results may be written into the columns of ``traces`` once the
     caller no longer reads ``src``: later blocks read other columns.
     """
     n, n_pix = traces.shape
     a = np.empty((n, _BLOCK))
-    for start in range(0, n_pix, _BLOCK):
-        cols = slice(start, min(start + _BLOCK, n_pix))
-        src = traces[:, cols]
-        m = src.shape[1]
-        a[:, :m] = src
-        a[:, m:] = 0.0
-        yield cols, src, a
+    for band_cols, band in _bands(traces):
+        for start in range(band_cols.start, band_cols.stop, _BLOCK):
+            cols = slice(start, min(start + _BLOCK, band_cols.stop))
+            src = band[:, cols.start - band_cols.start:
+                       cols.stop - band_cols.start]
+            m = src.shape[1]
+            a[:, :m] = src
+            a[:, m:] = 0.0
+            yield cols, src, a
 
 
 class _Trend:
@@ -255,9 +301,10 @@ def remove_dc_stack(stack, code, timing, overwrite_input=False):
     Returns the DC-removed stack and a (ny, nx, 4) float64 fit map of
     a1, a2, a3 and rms residual per pixel; pixels rejected as degenerate
     hold NaN rows and pass through as zero traces. The input stack is
-    left untouched unless ``overwrite_input`` is true: then the result
-    is written into the input's buffer, which the returned stack shares,
-    and no stack-sized array is allocated.
+    left untouched unless ``overwrite_input`` is true and its data is
+    writeable: then the result is written into the input's buffer,
+    which the returned stack shares, and no stack-sized array is
+    allocated.
     """
     bias = _validate_bias(check_code(code))
     n_frames = stack.n_frames
@@ -266,7 +313,8 @@ def remove_dc_stack(stack, code, timing, overwrite_input=False):
         raise ShapeMismatch(
             f"stack has {n_frames} frames, timing implies {expected}")
     traces = stack.data.reshape(n_frames, -1)
-    out = traces if overwrite_input else np.empty_like(traces)
+    out = (traces if overwrite_input and traces.flags.writeable
+           else np.empty_like(traces))
     fits = _fit_and_remove(traces, out, timing.dt, bias)
     metadata = dict(stack.metadata)
     metadata.update({

@@ -125,6 +125,10 @@ class NonFiniteData(PnPuctError):
     """Stack data containing NaN or infinity."""
 
 
+class StackChanged(PnPuctError):
+    """Stack file whose size or modification time changed while in use."""
+
+
 class IndexOutOfRange(PnPuctError):
     """Frame index or pixel coordinate outside the stack."""
 

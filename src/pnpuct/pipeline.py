@@ -21,7 +21,8 @@ from .codes import CodeKind, check_code, save_code
 from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import InvalidConfig, PipelineStageError
-from .stack import export_pixel_trace, export_slice, read_stack, write_stack
+from .stack import (check_unchanged, export_pixel_trace, export_slice,
+                    file_version, open_stack, read_stack, write_stack)
 from .thermal import read_ini, scene_from_parser, simulate_stack
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv)
@@ -74,18 +75,6 @@ def run_pipeline(config, out_dir=None, seed=None):
     """
     with _stage("config"):
         parser = _parse_config(config)
-    # read before the timing: its metadata fills the [timing] keys left out
-    raw = source = None
-    if parser.has_option("input", "stack"):
-        with _stage("simulate"):
-            path = parser["input"]["stack"]
-            digest = hashlib.sha256()
-            raw = read_stack(path, digest=digest)
-            source = {"path": path, "bytes": os.path.getsize(path),
-                      "sha256": digest.hexdigest()}
-    with _stage("config"):
-        section = parser["timing"] if parser.has_section("timing") else {}
-        timing = timing_of(raw, *map(section.get, ("t_bit", "fps", "n_per")))
         amplitude = float(parser.get("excitation", "amplitude", fallback="1.0"))
         normalization = Normalization((parser.get(
             "compression", "normalization", fallback="raw") or "raw").lower())
@@ -99,6 +88,24 @@ def run_pipeline(config, out_dir=None, seed=None):
             raise InvalidConfig(
                 f"[output] intermediates: unknown {', '.join(unknown)}; "
                 f"known: {', '.join(INTERMEDIATES)}")
+    # decimation and the DC-removed stack need the whole raw stack in
+    # memory; without them an [input] stack is mapped, not read
+    keep_raw = "dc_removed" in intermediates
+    whole_raw = keep_raw or options["decimate"]
+    # read before the timing: its metadata fills the [timing] keys left out
+    raw = source = None
+    if parser.has_option("input", "stack"):
+        with _stage("simulate"):
+            path = parser["input"]["stack"]
+            digest = hashlib.sha256()
+            # taken first: any change after it shows when the run ends
+            version = file_version(path)
+            raw = (read_stack if whole_raw else open_stack)(path, digest)
+            source = {"path": path, "bytes": version[0],
+                      "sha256": digest.hexdigest()}
+    with _stage("config"):
+        section = parser["timing"] if parser.has_section("timing") else {}
+        timing = timing_of(raw, *map(section.get, ("t_bit", "fps", "n_per")))
 
     # name -> (path, SHA-256 of the bytes written)
     artifacts = {}
@@ -108,8 +115,12 @@ def run_pipeline(config, out_dir=None, seed=None):
         path = os.path.join(directory, filename)
         artifacts[name] = path, writer(*args, path)
 
+    manifest_path = os.path.join(directory, "manifest.json")
     with _stage("output"):
         os.makedirs(directory, exist_ok=True)
+        # a run that fails leaves no manifest of an earlier run behind
+        if os.path.isfile(manifest_path):
+            os.remove(manifest_path)
     with _stage("codes"):
         excitation_code, modified_code = generate_codes(parser["code"])
         emit("excitation_code", "excitation_code.txt", save_code,
@@ -143,8 +154,8 @@ def run_pipeline(config, out_dir=None, seed=None):
     # *args) can replace it. It writes the period into the first frames
     # of the stack it reads, which is on disk by then (the input file,
     # or the stack written above), unless DC removal still needs that
-    # stack: then it allocates one period, and DC removal runs in place
-    keep_raw = "dc_removed" in intermediates
+    # stack or it is a mapped input file: then it allocates one period,
+    # and DC removal runs in place
     with _stage("compress"):
         compressed, fit_map = compress_stack(
             raw, modified_code, comp_timing, normalization,
@@ -180,8 +191,8 @@ def run_pipeline(config, out_dir=None, seed=None):
                 for name, (path, digest) in sorted(artifacts.items())},
         }
         if source is not None:
+            check_unchanged(source["path"], version)
             manifest["input"] = source
-        manifest_path = os.path.join(directory, "manifest.json")
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -1,4 +1,6 @@
-"""Single-pixel pipeline runner shared by the unit and acceptance tests."""
+"""Single-pixel pipeline runner and checks shared by the test modules."""
+
+from pathlib import Path
 
 import numpy as np
 
@@ -45,3 +47,12 @@ def run_pixel(model, standard_code, modified_code, timing, amplitude=1.0,
                                 normalization=normalization,
                                 single_period=single_period)
     return compressed, y
+
+
+def resident_kib(array):
+    """Resident KiB of the file mapping under an open_stack array."""
+    start = f"{array.base.__array_interface__['data'][0]:x}-"
+    lines = Path("/proc/self/smaps").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(start))
+    return next(int(line.split()[1]) for line in lines[at + 1:]
+                if line.startswith("Rss:"))

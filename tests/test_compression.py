@@ -1,5 +1,7 @@
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,14 +38,17 @@ from pnpuct import (
     impulse_response,
     lpt_reference,
     modify_for_perfect_pacf,
+    open_stack,
+    read_stack,
     remove_dc,
     remove_dc_stack,
     respond,
     simulate_stack,
     snr_metric,
     verify_resolution,
+    write_stack,
 )
-from pipeline_helpers import fusion_bound, run_pixel
+from pipeline_helpers import fusion_bound, resident_kib, run_pixel
 
 SOUND = PixelModel(diffusivity=1e-6)
 PLUS_CODES = [
@@ -520,6 +525,81 @@ class TestFusedDcRemoval:
                                        single_period, overwrite, True)
         assert one.data.tobytes() == fused.data[at].tobytes()
         assert one_fits.tobytes() == fits[at[1:]].tobytes()
+
+
+class TestMappedInput:
+    """compress_stack of an open_stack file, against the file read whole."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
+           n_per=st.integers(2, 4), ny=st.integers(1, 3),
+           nx=st.integers(1, 300), band_blocks=st.integers(1, 2),
+           chunk_bytes=st.sampled_from([4, 4096, 1 << 20]),
+           remove_dc=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_banded_equals_whole(self, tmp_path_factory, code, k, n_per, ny,
+                                 nx, band_blocks, chunk_bytes, remove_dc,
+                                 seed, data):
+        timing = _timing(k, n_per)
+        n = timing.total_frames(code.n_bit)
+        rng = np.random.default_rng(seed)
+        traces = (design_matrix(np.arange(n) * timing.dt)
+                  @ rng.exponential(size=(3, ny * nx)))
+        traces += rng.normal(size=traces.shape)
+        dead = data.draw(st.lists(st.integers(0, ny * nx - 1), max_size=3))
+        traces[:, dead] = 0.0
+        path = tmp_path_factory.mktemp("mapped") / "raw.tgs"
+        write_stack(ThermogramStack(
+            data=traces.reshape(n, ny, nx).astype(np.float32),
+            fps=timing.fps, metadata={"odd": "x"}), path)
+        on_disk = path.read_bytes()
+        whole = compress_stack(read_stack(path), code, timing,
+                               remove_dc=remove_dc)
+        # bands of one or two blocks and chunks down to one frame
+        band_bytes = 4 * n * pnpuct.dc_removal._BLOCK * band_blocks
+        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", band_bytes), \
+                mock.patch.object(pnpuct.dc_removal, "CHUNK_BYTES",
+                                  chunk_bytes), \
+                mock.patch.object(pnpuct.stack, "CHUNK_BYTES", chunk_bytes):
+            banded = compress_stack(open_stack(path), code, timing,
+                                    overwrite_input=True, remove_dc=remove_dc)
+        if remove_dc:
+            (whole, fits), (banded, banded_fits) = whole, banded
+            assert banded_fits.tobytes() == fits.tobytes()
+        assert banded.data.tobytes() == whole.data.tobytes()
+        assert banded.metadata == whole.metadata
+        assert path.read_bytes() == on_disk
+
+    def test_dc_removal_of_a_mapped_stack_allocates(self, tmp_path, ls31_plus):
+        stack, timing = _camera_stack()
+        path = tmp_path / "raw.tgs"
+        write_stack(stack, path)
+        mapped = open_stack(path)
+        removed, fits = remove_dc_stack(mapped, ls31_plus, timing,
+                                        overwrite_input=True)
+        expected, expected_fits = remove_dc_stack(stack, ls31_plus, timing)
+        assert removed.data.tobytes() == expected.data.tobytes()
+        assert fits.tobytes() == expected_fits.tobytes()
+
+    def test_peak_stays_below_the_input(self, tmp_path, ls31_plus):
+        # the 20.3 MB period, a 10.2 MB band and a 5.1 MB block, against
+        # the 40.6 MB that reading the stack whole takes
+        stack, timing = _camera_stack()
+        path = tmp_path / "raw.tgs"
+        write_stack(stack, path)
+        del stack
+        tracemalloc.start()
+        try:
+            mapped = open_stack(path)
+            compress_stack(mapped, ls31_plus, timing, overwrite_input=True,
+                           remove_dc=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mapped.data.nbytes
+        if Path("/proc/self/smaps").exists():
+            # every band's pages were dropped behind it
+            assert resident_kib(mapped.data) == 0
 
 
 class TestGemmUpdate:

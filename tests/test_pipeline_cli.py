@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import pnpuct
+import pnpuct.cli
 from pnpuct import (IndexOutOfRange, InvalidConfig, InvalidScene, MlsSpec,
-                    NotLs4Compatible, NotPrime, PipelineStageError,
-                    PixelModel, Region, ThermogramStack, Timing,
-                    TimingMismatch, binarize_ls4, build_matched_filter,
+                    NonFiniteData, NotLs4Compatible, NotPrime,
+                    PipelineStageError, PixelModel, Region, StackChanged,
+                    ThermogramStack, Timing, TimingMismatch, binarize_ls4,
+                    build_matched_filter,
                     code_to_text, generate_ls, generate_mls,
                     load_code, load_scene_config, modify_for_perfect_pacf,
                     read_stack, run_pipeline, write_stack)
@@ -73,6 +75,20 @@ pixels = 0x0, 3x2
 {output_extra}
 """)
     return path
+
+
+def touch_file(path, change):
+    """Change a file in place, later mtime, or append a byte to it."""
+    if change == "appended":
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        return
+    with open(path, "r+b") as fh:
+        fh.seek(-4, os.SEEK_END)
+        fh.write(np.float32(1.5).tobytes())
+    # a rewrite within the clock tick of the last one keeps the mtime
+    stat = os.stat(path)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
 
 
 def file_sha256(path):
@@ -289,6 +305,19 @@ directory = {tmp_path / "out"}
         assert isinstance(info.value.cause, OSError)
         assert not (out / "manifest.json").is_file()
 
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(write_run_config(tmp_path / "run.cfg", out))
+        assert (out / "manifest.json").is_file()
+        cfg = write_run_config(tmp_path / "bad.cfg", out)
+        cfg.write_text(cfg.read_text().replace("slices = 3.0", "slices = 99"))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "report"
+        assert not (out / "manifest.json").exists()
+        # the artifacts the failed run rewrote are still there
+        assert (out / "compressed.tgs").is_file()
+
     def test_output_directory_that_is_a_file(self, tmp_path):
         out = tmp_path / "out"
         out.write_text("")
@@ -374,6 +403,56 @@ directory = {tmp_path / "out"}
         assert info.value.stage == "simulate"
         assert isinstance(info.value.cause, InvalidScene)
         assert "rng_seed must be a non-negative integer" in str(info.value)
+
+    def test_non_finite_input_stack(self, tmp_path):
+        raw = tmp_path / "raw.tgs"
+        run_pipeline(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"))
+        (tmp_path / "sim" / "raw_stack.tgs").rename(raw)
+        blob = bytearray(raw.read_bytes())
+        blob[-4:] = np.float32(np.nan).tobytes()
+        raw.write_bytes(bytes(blob))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
+                       f"[input]\nstack = {raw}\n")
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg, out_dir=tmp_path / "out")
+        assert info.value.stage == "simulate"
+        assert isinstance(info.value.cause, NonFiniteData)
+        assert not (tmp_path / "out").exists()
+        assert main(["pipeline", "run", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("change", ["rewritten", "appended"])
+    def test_input_changed_during_the_run(self, tmp_path, monkeypatch,
+                                          change):
+        raw = tmp_path / "raw.tgs"
+        sim = write_run_config(tmp_path / "sim.cfg", tmp_path / "sim")
+        sim.write_text(sim.read_text().replace("nx = 4\nny = 3",
+                                               "nx = 20\nny = 15"))
+        run_pipeline(sim)
+        (tmp_path / "sim" / "raw_stack.tgs").rename(raw)
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
+                       f"[input]\nstack = {raw}\n\n"
+                       f"[output]\ndirectory = {out}\n")
+        # 300 px in bands of one block, and the file changes between them
+        monkeypatch.setattr(pnpuct.dc_removal, "_BAND_BYTES", 1)
+        bands = pnpuct.dc_removal._bands
+
+        def changing(traces):
+            for i, band in enumerate(bands(traces)):
+                if i == 1:
+                    touch_file(raw, change)
+                yield band
+        monkeypatch.setattr(pnpuct.dc_removal, "_bands", changing)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "output"
+        assert isinstance(info.value.cause, StackChanged)
+        assert str(raw) in str(info.value)
+        assert (out / "compressed.tgs").is_file()
+        assert not (out / "manifest.json").exists()
 
     def test_input_stack_without_timing_metadata(self, tmp_path):
         # neither [timing] nor the stack's metadata gives t_bit
@@ -626,6 +705,27 @@ class TestCli:
         cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
         assert main(["pipeline", "run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: [codes]")
+
+    def test_compress_input_changed_exit(self, tmp_path, capsys,
+                                         monkeypatch):
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(SCENE_SECTIONS)
+        std, plus = str(tmp_path / "std.txt"), str(tmp_path / "plus.txt")
+        raw, out = tmp_path / "raw.tgs", tmp_path / "hhat.tgs"
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", std])
+        main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7", "-o", plus])
+        main(["sim", "run", "--scene", str(scene), "--code", std,
+              "--t-bit", "1", "--fps", "2", "-o", str(raw)])
+        compress = pnpuct.cli.compress_stack
+
+        def changing(stack, *args, **kwargs):
+            touch_file(raw, "rewritten")
+            return compress(stack, *args, **kwargs)
+        monkeypatch.setattr(pnpuct.cli, "compress_stack", changing)
+        assert main(["puct", "compress", "--stack", str(raw), "--code", plus,
+                     "--remove-dc", "-o", str(out)]) == 2
+        assert "changed after it was opened" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_missing_file_error(self, tmp_path, capsys):
         assert main(["seq", "verify", str(tmp_path / "missing.txt")]) == 2

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from pnpuct import (
     export_pixel_trace,
     export_slice,
     lpt_reference,
+    open_stack,
     read_stack,
     write_stack,
 )
+from pipeline_helpers import resident_kib
 
 
 def small_stack(seed=0, metadata=None):
@@ -44,12 +47,43 @@ def parse_pgm(path):
     return np.frombuffer(rest, dtype=">u2").reshape(h, w)
 
 
+def metadata_cases(test):
+    """Hypothesis cases of metadata that a TGS1 file can hold."""
+    return settings(max_examples=60, deadline=None)(given(
+        meta=st.dictionaries(
+            st.text(max_size=12).filter(lambda k: "\n" not in k
+                                        and "=" not in k),
+            st.text(max_size=12).filter(lambda v: "\n" not in v),
+            max_size=6))(test))
+
+
+def digest_cases(test):
+    """Hypothesis cases of whole stacks, zero-sized ones included."""
+    return settings(max_examples=60, deadline=None)(given(
+        data=hnp.arrays(
+            np.float32, hnp.array_shapes(min_dims=3, max_dims=3,
+                                         min_side=0, max_side=4),
+            elements=st.floats(-1e6, 1e6, width=32)),
+        fps=st.floats(1e-3, 1e4),
+        meta=st.dictionaries(
+            st.text(max_size=8).filter(lambda k: "\n" not in k
+                                       and "=" not in k),
+            st.text(max_size=8).filter(lambda v: "\n" not in v),
+            max_size=4))(example(
+                data=np.zeros((0, 2, 3), np.float32), fps=40.0,
+                meta={"kamera": "Wärmebild",
+                      "\u6e29\u5ea6": "\u00b0C \U0001f525"})(test)))
+
+
 class TestRoundTrip:
+    # the reader of the file cases, which TestOpenStack runs again
+    read = staticmethod(read_stack)
+
     def test_bit_exact(self, tmp_path):
         stack = small_stack()
         path = tmp_path / "s.tgs"
         write_stack(stack, path)
-        back = read_stack(path)
+        back = self.read(path)
         np.testing.assert_array_equal(back.data, stack.data)
         assert back.data.dtype == np.float32
         assert back.fps == np.float32(40.0)
@@ -59,7 +93,7 @@ class TestRoundTrip:
         stack = small_stack()
         a, b = tmp_path / "a.tgs", tmp_path / "b.tgs"
         write_stack(stack, a)
-        write_stack(read_stack(a), b)
+        write_stack(self.read(a), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_minimal_stack_size_formula(self, tmp_path):
@@ -88,7 +122,7 @@ class TestRoundTrip:
         path = tmp_path / "bad.tgs"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(BadMagic):
-            read_stack(path)
+            self.read(path)
 
     def test_truncated(self, tmp_path):
         stack = small_stack()
@@ -97,10 +131,10 @@ class TestRoundTrip:
         blob = path.read_bytes()
         path.write_bytes(blob[:-7])
         with pytest.raises(TruncatedFile):
-            read_stack(path)
+            self.read(path)
         path.write_bytes(blob[:10])
         with pytest.raises(TruncatedFile):
-            read_stack(path)
+            self.read(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         stack = small_stack()
@@ -108,7 +142,7 @@ class TestRoundTrip:
         write_stack(stack, path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(TrailingBytes):
-            read_stack(path)
+            self.read(path)
 
     def test_exact_fps_from_timing_metadata(self, tmp_path):
         # 0.1 is not a float32; the header alone reads back 0.10000000149
@@ -116,14 +150,14 @@ class TestRoundTrip:
                                 fps=0.1, metadata={"t_bit": "10.0", "k": "1"})
         path = tmp_path / "slow.tgs"
         write_stack(stack, path)
-        assert read_stack(path).fps == 0.1
+        assert self.read(path).fps == 0.1
         write_stack(ThermogramStack(data=stack.data, fps=0.1), path)
-        assert read_stack(path).fps == float(np.float32(0.1))
+        assert self.read(path).fps == float(np.float32(0.1))
         # metadata that disagrees with the header does not override it
         write_stack(ThermogramStack(data=stack.data, fps=0.1,
                                     metadata={"t_bit": "10.0", "k": "2"}),
                     path)
-        assert read_stack(path).fps == float(np.float32(0.1))
+        assert self.read(path).fps == float(np.float32(0.1))
 
     def test_non_finite_rejected_on_read(self, tmp_path):
         stack = small_stack()
@@ -135,7 +169,29 @@ class TestRoundTrip:
         blob[offset: offset + 4] = struct.pack("<f", float("nan"))
         path.write_bytes(bytes(blob))
         with pytest.raises(NonFiniteData):
-            read_stack(path)
+            self.read(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_non_finite_first_or_last_voxel_rejected_on_read(
+            self, tmp_path, index, value):
+        data = np.ones((3, 2, 4), dtype=np.float32)
+        path = tmp_path / "n.tgs"
+        # built valid, then the sample is set in the file
+        write_stack(ThermogramStack(data=data, fps=1.0,
+                                    metadata={"odd": "x"}), path)
+        blob = bytearray(path.read_bytes())
+        offset = len(blob) - 4 if index == -1 else len(blob) - data.nbytes
+        blob[offset: offset + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NonFiniteData, match="n.tgs: non-finite samples"):
+            self.read(path)
+
+    def test_empty_file_is_bad_magic(self, tmp_path):
+        path = tmp_path / "empty.tgs"
+        path.write_bytes(b"")
+        with pytest.raises(BadMagic, match="empty.tgs"):
+            self.read(path)
 
     @pytest.mark.parametrize("fps", [0.0, -25.0, float("nan"), float("inf")])
     def test_bad_header_fps_rejected(self, tmp_path, fps):
@@ -145,7 +201,7 @@ class TestRoundTrip:
         blob[16:20] = struct.pack("<f", fps)
         path.write_bytes(bytes(blob))
         with pytest.raises(BadHeader, match="fps.tgs"):
-            read_stack(path)
+            self.read(path)
 
     @pytest.mark.parametrize("fps", [0.0, float("nan"), float("inf")])
     def test_bad_fps_rejected_at_construction(self, fps):
@@ -156,7 +212,7 @@ class TestRoundTrip:
         meta = {"a": "x\ry", "b": "p q", "c\x1c": "v", "d": "1\u2028 = 2"}
         path = tmp_path / "m.tgs"
         write_stack(small_stack(metadata=meta), path)
-        assert read_stack(path).metadata == meta
+        assert self.read(path).metadata == meta
 
     @pytest.mark.parametrize("meta", [{"a\nb": "1"}, {"a=b": "1"},
                                       {"a": "1\n2"}])
@@ -164,34 +220,19 @@ class TestRoundTrip:
         with pytest.raises(UnencodableMetadata):
             write_stack(small_stack(metadata=meta), tmp_path / "u.tgs")
 
-    @settings(max_examples=60, deadline=None)
-    @given(meta=st.dictionaries(
-        st.text(max_size=12).filter(lambda k: "\n" not in k and "=" not in k),
-        st.text(max_size=12).filter(lambda v: "\n" not in v), max_size=6))
+    @metadata_cases
     def test_metadata_round_trip(self, tmp_path_factory, meta):
         stack = ThermogramStack(data=np.zeros((1, 1, 1), dtype=np.float32),
                                 fps=40.0, metadata=meta)
         path = tmp_path_factory.mktemp("meta") / "m.tgs"
         write_stack(stack, path)
-        back = read_stack(path)
+        back = self.read(path)
         assert back.metadata == meta
         rewritten = path.with_name("again.tgs")
         write_stack(back, rewritten)
         assert rewritten.read_bytes() == path.read_bytes()
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=hnp.arrays(
-               np.float32, hnp.array_shapes(min_dims=3, max_dims=3,
-                                            min_side=0, max_side=4),
-               elements=st.floats(-1e6, 1e6, width=32)),
-           fps=st.floats(1e-3, 1e4),
-           meta=st.dictionaries(
-               st.text(max_size=8).filter(lambda k: "\n" not in k
-                                          and "=" not in k),
-               st.text(max_size=8).filter(lambda v: "\n" not in v),
-               max_size=4))
-    @example(data=np.zeros((0, 2, 3), np.float32), fps=40.0,
-             meta={"kamera": "Wärmebild", "\u6e29\u5ea6": "\u00b0C \U0001f525"})
+    @digest_cases
     def test_digests_are_the_file_hash(self, tmp_path_factory, data, fps,
                                        meta):
         stack = ThermogramStack(data=data, fps=fps, metadata=meta)
@@ -200,7 +241,7 @@ class TestRoundTrip:
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
         assert written == expected
         digest = hashlib.sha256()
-        back = read_stack(path, digest=digest)
+        back = self.read(path, digest=digest)
         assert digest.hexdigest() == expected
         assert back.data.shape == data.shape
 
@@ -234,6 +275,65 @@ class TestRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestOpenStack:
+    """The file cases of TestRoundTrip, through open_stack."""
+
+    read = staticmethod(open_stack)
+    test_bit_exact = TestRoundTrip.test_bit_exact
+    test_rewrite_is_byte_identical = TestRoundTrip.test_rewrite_is_byte_identical
+    test_bad_magic = TestRoundTrip.test_bad_magic
+    test_empty_file_is_bad_magic = TestRoundTrip.test_empty_file_is_bad_magic
+    test_truncated = TestRoundTrip.test_truncated
+    test_trailing_bytes_rejected = TestRoundTrip.test_trailing_bytes_rejected
+    test_exact_fps_from_timing_metadata = (
+        TestRoundTrip.test_exact_fps_from_timing_metadata)
+    test_non_finite_rejected_on_read = (
+        TestRoundTrip.test_non_finite_rejected_on_read)
+    test_non_finite_first_or_last_voxel_rejected_on_read = (
+        TestRoundTrip.test_non_finite_first_or_last_voxel_rejected_on_read)
+    test_bad_header_fps_rejected = TestRoundTrip.test_bad_header_fps_rejected
+    test_line_breaks_other_than_newline_round_trip = (
+        TestRoundTrip.test_line_breaks_other_than_newline_round_trip)
+    # hypothesis tests are decorated once per class
+    test_metadata_round_trip = metadata_cases(
+        TestRoundTrip.test_metadata_round_trip.hypothesis.inner_test)
+    test_digests_are_the_file_hash = digest_cases(
+        TestRoundTrip.test_digests_are_the_file_hash.hypothesis.inner_test)
+
+    def test_data_is_a_read_only_view_of_the_file(self, tmp_path):
+        stack = small_stack()
+        path = tmp_path / "s.tgs"
+        write_stack(stack, path)
+        opened = open_stack(path)
+        assert not opened.data.flags.writeable
+        assert opened.data.shape == (5, 3, 4)
+        with pytest.raises(ValueError):
+            opened.data[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(opened.data, stack.data)
+
+    def test_zero_frames(self, tmp_path):
+        path = tmp_path / "z.tgs"
+        write_stack(ThermogramStack(data=np.empty((0, 2, 3), np.float32),
+                                    fps=4.0, metadata={"k": "1"}), path)
+        opened = open_stack(path)
+        assert opened.data.shape == (0, 2, 3)
+        assert opened.metadata == {"k": "1"}
+
+    @pytest.mark.skipif(not Path("/proc/self/smaps").exists(),
+                        reason="needs /proc/self/smaps")
+    def test_opening_leaves_no_page_of_the_file_resident(self, tmp_path):
+        # 8.8 MB of frames after a metadata blob of odd length: each
+        # 1 MiB chunk is hashed and checked, and its pages dropped
+        data = np.ones((626, 50, 70), dtype=np.float32)
+        path = tmp_path / "big.tgs"
+        write_stack(ThermogramStack(data=data, fps=1.0,
+                                    metadata={"x": "abc"}), path)
+        opened = open_stack(path)
+        assert resident_kib(opened.data) == 0
+        assert float(opened.data[100:110].sum()) == 10 * 50 * 70
+        assert resident_kib(opened.data) > 0
 
 
 class TestExportSlice:
