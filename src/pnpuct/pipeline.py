@@ -22,7 +22,7 @@ from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import InvalidConfig, PipelineStageError
 from .stack import (check_unchanged, export_pixel_trace, export_slice,
-                    file_version, open_stack, read_stack, write_stack)
+                    file_version, open_stack, write_stack)
 from .thermal import read_ini, scene_from_parser, simulate_stack
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv)
@@ -72,6 +72,9 @@ def run_pipeline(config, out_dir=None, seed=None):
     Returns the manifest dictionary. Any error, the failed write of an
     artifact included, raises PipelineStageError with the name of the
     stage that made that artifact, and no manifest file is written.
+    One exception: an ``[input]`` stack is read through a file mapping,
+    so a file truncated while the run reads it kills the process with
+    SIGBUS (see :func:`stack.open_stack`).
     """
     with _stage("config"):
         parser = _parse_config(config)
@@ -88,10 +91,7 @@ def run_pipeline(config, out_dir=None, seed=None):
             raise InvalidConfig(
                 f"[output] intermediates: unknown {', '.join(unknown)}; "
                 f"known: {', '.join(INTERMEDIATES)}")
-    # decimation and the DC-removed stack need the whole raw stack in
-    # memory; without them an [input] stack is mapped, not read
     keep_raw = "dc_removed" in intermediates
-    whole_raw = keep_raw or options["decimate"]
     # read before the timing: its metadata fills the [timing] keys left out
     raw = source = None
     if parser.has_option("input", "stack"):
@@ -100,7 +100,7 @@ def run_pipeline(config, out_dir=None, seed=None):
             digest = hashlib.sha256()
             # taken first: any change after it shows when the run ends
             version = file_version(path)
-            raw = (read_stack if whole_raw else open_stack)(path, digest)
+            raw = open_stack(path, digest)
             source = {"path": path, "bytes": version[0],
                       "sha256": digest.hexdigest()}
     with _stage("config"):
@@ -154,8 +154,9 @@ def run_pipeline(config, out_dir=None, seed=None):
     # *args) can replace it. It writes the period into the first frames
     # of the stack it reads, which is on disk by then (the input file,
     # or the stack written above), unless DC removal still needs that
-    # stack or it is a mapped input file: then it allocates one period,
-    # and DC removal runs in place
+    # stack or it is a read-only mapped input file: then it allocates
+    # one period. DC removal overwrites a stack in memory and allocates
+    # its output for a mapped one
     with _stage("compress"):
         compressed, fit_map = compress_stack(
             raw, modified_code, comp_timing, normalization,

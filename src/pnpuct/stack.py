@@ -220,7 +220,11 @@ def open_stack(path, digest=None) -> ThermogramStack:
     given, checked to be finite, and its pages are dropped, so the file
     is hashed and checked without being held in memory. Later reads of
     the data fault the pages they need back in from the page cache.
-    The file must not change while the stack is in use.
+    The file must not change while the stack is in use: a read of a
+    page past the end of a file truncated meanwhile is not an error
+    that Python can catch, it kills the process with SIGBUS. Where
+    ``mmap`` has no ``madvise`` (Windows), no pages are dropped: the
+    results are the same, but the file stays resident once read.
     """
     update = _updater(digest)
     with open(path, "rb") as fh:
@@ -231,7 +235,7 @@ def open_stack(path, digest=None) -> ThermogramStack:
         whole = np.frombuffer(mmap.mmap(fh.fileno(), size,
                                         access=mmap.ACCESS_READ), np.uint8)
     samples = whole[start:].view("<f4")
-    drop = page_dropper(samples)
+    drop = page_dropper(samples) or (lambda stop: None)
     step = CHUNK_BYTES // 4
     # one mask for every chunk: a new one per chunk would be mapped and
     # faulted in afresh each time under a small mmap threshold
@@ -254,7 +258,8 @@ def page_dropper(array):
     """A function that drops the file pages under a mapped array, or None.
 
     ``array`` is a C-contiguous view of the data of an
-    :func:`open_stack` stack; for any other array the result is None.
+    :func:`open_stack` stack; for any other array, or where ``mmap``
+    has no ``madvise``, the result is None.
     Else it is drop(stop): the file pages before byte ``stop`` of
     ``array`` leave the process's resident set, in whole 2 MiB blocks
     or, once ``stop`` reaches the end of the file, all of them. A later
@@ -262,7 +267,8 @@ def page_dropper(array):
     ``stop`` no lower than the last one.
     """
     whole = array.base
-    if not (isinstance(whole, np.ndarray)
+    if not (hasattr(mmap, "MADV_DONTNEED")
+            and isinstance(whole, np.ndarray)
             and isinstance(whole.base, memoryview)
             and isinstance(whole.base.obj, mmap.mmap)):
         return None

@@ -601,6 +601,25 @@ class TestMappedInput:
             # every band's pages were dropped behind it
             assert resident_kib(mapped.data) == 0
 
+    def test_without_madvise_the_mapping_is_read_in_place(
+            self, tmp_path, monkeypatch, ls31_plus):
+        # Windows' mmap has no madvise: no page is dropped and the
+        # mapping is read as one band, with the same results
+        timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
+        data = np.random.default_rng(1).standard_normal(
+            (timing.total_frames(31), 3, 300), dtype=np.float32)
+        path = tmp_path / "raw.tgs"
+        write_stack(ThermogramStack(data=data, fps=timing.fps), path)
+        expected = compress_stack(read_stack(path), ls31_plus, timing,
+                                  remove_dc=True)
+        monkeypatch.delattr(pnpuct.stack.mmap, "MADV_DONTNEED")
+        mapped = open_stack(path)
+        assert pnpuct.stack.page_dropper(mapped.data.reshape(-1)) is None
+        result = compress_stack(mapped, ls31_plus, timing,
+                                overwrite_input=True, remove_dc=True)
+        assert result[0].data.tobytes() == expected[0].data.tobytes()
+        assert result[1].tobytes() == expected[1].tobytes()
+
 
 class TestGemmUpdate:
     """dc_removal._gemm and _trmm write into the block loop's buffer."""

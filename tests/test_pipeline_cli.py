@@ -268,6 +268,22 @@ directory = {tmp_path / "out"}
         assert compressed.n_frames == 31
         assert (tmp_path / "out" / "decimated_stack.tgs").exists()
 
+    def test_decimated_input_stack_equals_the_simulated_run(self, tmp_path):
+        # the mapped [input] stack is decimated as the one in memory is
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "sim",
+                               extra="decimate = true")
+        run_pipeline(cfg)
+        raw = tmp_path / "raw.tgs"
+        (tmp_path / "sim" / "raw_stack.tgs").rename(raw)
+        text = cfg.read_text().replace(
+            f"directory = {tmp_path / 'sim'}", f"directory = {tmp_path / 'in'}")
+        text = text[:text.index("[scene]")] + text[text.index("[output]"):]
+        cfg.write_text(text + f"\n[input]\nstack = {raw}\n")
+        run_pipeline(cfg)
+        for name in ("decimated_stack.tgs", "compressed.tgs", "fit_map.csv"):
+            assert ((tmp_path / "in" / name).read_bytes()
+                    == (tmp_path / "sim" / name).read_bytes())
+
     def test_decimated_run_exports_the_bit_rate_filter(self, tmp_path):
         cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out",
                                extra="decimate = true")
