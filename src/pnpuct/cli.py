@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .compression import (Normalization, compress_stack, decimate_to_bit_rate,
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import PnPuctError
 from .pipeline import run_pipeline
-from .stack import (FORMAT_VERSION, check_unchanged, export_pixel_trace,
-                    export_slice, file_version, open_stack, read_stack,
-                    write_stack)
+from .stack import (FORMAT_VERSION, check_not_input, check_unchanged,
+                    export_pixel_trace, export_slice, file_version,
+                    open_stack, slice_paths, write_stack)
 from .thermal import Region, load_scene_config, simulate_stack
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv,
@@ -88,12 +89,28 @@ def _cmd_sim_run(args):
     return 0
 
 
+@contextmanager
+def _mapped_stack(args, *outputs):
+    """The ``--stack`` of a command, opened with :func:`open_stack`.
+
+    Each of ``outputs`` (None for one not asked for) that is the stack
+    file is refused before it is opened, so nothing is written over the
+    mapping. The file is checked to be unchanged when the block
+    ends without error: a command that writes a stack does so after the
+    block, so a changed input leaves no output.
+    """
+    version = file_version(args.stack)
+    for path in filter(None, outputs):
+        check_not_input(path, args.stack)
+    yield open_stack(args.stack)
+    check_unchanged(args.stack, version)
+
+
 def _cmd_dc_remove(args):
-    stack = read_stack(args.stack)
-    code = load_code(args.code)
-    timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
-    removed, fit_map = remove_dc_stack(stack, code, timing,
-                                       overwrite_input=True)
+    with _mapped_stack(args, args.output, args.fit_map) as stack:
+        code = load_code(args.code)
+        timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
+        removed, fit_map = remove_dc_stack(stack, code, timing)
     write_stack(removed, args.output)
     print(f"wrote DC-removed stack to {args.output}")
     if args.fit_map:
@@ -105,18 +122,15 @@ def _cmd_dc_remove(args):
 def _cmd_puct_compress(args):
     if args.fit_map and not args.remove_dc:
         raise PnPuctError("--fit-map needs --remove-dc")
-    version = file_version(args.stack)
-    stack = open_stack(args.stack)
-    code = load_code(args.code)
-    timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
-    compressed = compress_stack(
-        stack, code, timing,
-        normalization=Normalization(args.normalization),
-        single_period=args.single_period, overwrite_input=True,
-        remove_dc=args.remove_dc)
+    with _mapped_stack(args, args.output, args.fit_map) as stack:
+        code = load_code(args.code)
+        timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
+        compressed = compress_stack(
+            stack, code, timing,
+            normalization=Normalization(args.normalization),
+            single_period=args.single_period, remove_dc=args.remove_dc)
     if args.remove_dc:
         compressed, fit_map = compressed
-    check_unchanged(args.stack, version)
     write_stack(compressed, args.output)
     print(f"wrote compressed stack ({compressed.n_frames} frames) "
           f"to {args.output}")
@@ -127,9 +141,10 @@ def _cmd_puct_compress(args):
 
 
 def _cmd_puct_decimate(args):
-    stack = read_stack(args.stack)
-    timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
-    decimated, _ = decimate_to_bit_rate(stack, timing, average=args.average)
+    with _mapped_stack(args, args.output) as stack:
+        timing = timing_of(stack, args.t_bit, args.fps, args.n_per)
+        decimated, _ = decimate_to_bit_rate(stack, timing,
+                                            average=args.average)
     write_stack(decimated, args.output)
     print(f"wrote decimated stack ({decimated.n_frames} frames) "
           f"to {args.output}")
@@ -137,18 +152,18 @@ def _cmd_puct_decimate(args):
 
 
 def _cmd_report_slice(args):
-    stack = read_stack(args.stack)
-    index = args.index
-    if index is None:
-        index = int(round(args.time * stack.fps))
-    paths = export_slice(stack, index, args.output)
+    with _mapped_stack(args, *slice_paths(args.output)) as stack:
+        index = args.index
+        if index is None:
+            index = int(round(args.time * stack.fps))
+        paths = export_slice(stack, index, args.output)
     print("wrote " + ", ".join(paths))
     return 0
 
 
 def _cmd_report_pixel(args):
-    stack = read_stack(args.stack)
-    export_pixel_trace(stack, args.x, args.y, args.output)
+    with _mapped_stack(args, args.output) as stack:
+        export_pixel_trace(stack, args.x, args.y, args.output)
     print(f"wrote pixel ({args.x}, {args.y}) trace to {args.output}")
     return 0
 
@@ -161,9 +176,9 @@ def _parse_region(token):
 
 
 def _cmd_metrics_snr(args):
-    stack = read_stack(args.stack)
-    value = snr_metric(stack, _parse_region(args.signal),
-                       _parse_region(args.reference))
+    with _mapped_stack(args) as stack:
+        value = snr_metric(stack, _parse_region(args.signal),
+                           _parse_region(args.reference))
     print(f"snr_db = {value!r}")
     return 0
 

@@ -41,7 +41,7 @@ import scipy.signal
 
 from . import dc_removal
 from .errors import EmptyRegion, RegionOverlap, ShapeMismatch
-from .stack import ThermogramStack
+from .stack import CHUNK_BYTES, ThermogramStack
 from .waveform import Timing, build_matched_filter
 
 
@@ -279,13 +279,10 @@ def decimate_to_bit_rate(stack, timing, average=False):
             new_timing)
 
 
-def _region_block(stack, region):
-    """(n_frames, n_pix) float64 copy of the pixels of a region."""
-    if (region.x0 + region.width > stack.nx
-            or region.y0 + region.height > stack.ny):
-        raise EmptyRegion(f"region {region} does not fit the stack")
-    block = stack.data[(slice(None),) + region.slices].astype(np.float64)
-    return block.reshape(stack.n_frames, -1)
+def _region_block(stack, region, frames):
+    """(n, n_pix) float64 copy of the pixels of a region in some frames."""
+    block = stack.data[(frames,) + region.slices].astype(np.float64)
+    return block.reshape(block.shape[0], -1)
 
 
 def snr_metric(stack, region_signal, region_reference) -> float:
@@ -300,23 +297,37 @@ def snr_metric(stack, region_signal, region_reference) -> float:
     in both numerator and denominator. A noiseless uniform reference has
     exactly zero residual and returns +inf (saturated); zero contrast
     (e.g. identical regions) returns -inf. The reference region should
-    be thermally uniform and hold at least two pixels.
+    be thermally uniform and hold at least two pixels. The regions are
+    read a chunk of frames at a time, so no copy of a whole region is
+    made.
     """
     if region_signal != region_reference and all(
             max(a.start, b.start) < min(a.stop, b.stop)
             for a, b in zip(region_signal.slices, region_reference.slices)):
         raise RegionOverlap("signal and reference regions overlap")
-    m_sig = _region_block(stack, region_signal).mean(axis=1)
-    block = _region_block(stack, region_reference)
-    m_ref = block.mean(axis=1)
+    regions = (region_signal, region_reference)
+    for region in regions:
+        if (region.x0 + region.width > stack.nx
+                or region.y0 + region.height > stack.ny):
+            raise EmptyRegion(f"region {region} does not fit the stack")
+    n_pix = region_reference.width * region_reference.height
+    # the float64 block of each region over a chunk of frames fits in
+    # CHUNK_BYTES
+    step = max(1, CHUNK_BYTES // max(8 * r.width * r.height for r in regions))
+    m_sig, m_ref = np.empty((2, stack.n_frames))
+    square_sum = 0.0
+    for first in range(0, stack.n_frames, step):
+        frames = slice(first, first + step)
+        m_sig[frames] = _region_block(stack, region_signal, frames).mean(axis=1)
+        block = _region_block(stack, region_reference, frames)
+        m_ref[frames] = block.mean(axis=1)
+        block -= m_ref[frames, None]
+        square_sum += np.sum(np.square(block, out=block))
     contrast = float(np.abs(m_sig - m_ref).max())
-    n_pix = block.shape[1]
     if n_pix < 2:
         noise_of_mean = 0.0
     else:
-        block -= m_ref[:, None]
-        pixel_std = np.sqrt(np.sum(np.square(block, out=block))
-                            / (stack.n_frames * (n_pix - 1)))
+        pixel_std = np.sqrt(square_sum / (stack.n_frames * (n_pix - 1)))
         noise_of_mean = float(pixel_std / np.sqrt(n_pix))
     if contrast == 0.0:
         return float("-inf")

@@ -129,6 +129,10 @@ class StackChanged(PnPuctError):
     """Stack file whose size or modification time changed while in use."""
 
 
+class OverwritesInput(PnPuctError):
+    """Output path that names the stack file being read."""
+
+
 class IndexOutOfRange(PnPuctError):
     """Frame index or pixel coordinate outside the stack."""
 

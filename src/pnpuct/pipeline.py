@@ -21,8 +21,9 @@ from .codes import CodeKind, check_code, save_code
 from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import InvalidConfig, PipelineStageError
-from .stack import (check_unchanged, export_pixel_trace, export_slice,
-                    file_version, open_stack, write_stack)
+from .stack import (check_not_input, check_unchanged, export_pixel_trace,
+                    export_slice, file_version, open_stack, slice_paths,
+                    write_stack)
 from .thermal import read_ini, scene_from_parser, simulate_stack
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv)
@@ -72,9 +73,11 @@ def run_pipeline(config, out_dir=None, seed=None):
     Returns the manifest dictionary. Any error, the failed write of an
     artifact included, raises PipelineStageError with the name of the
     stage that made that artifact, and no manifest file is written.
-    One exception: an ``[input]`` stack is read through a file mapping,
-    so a file truncated while the run reads it kills the process with
-    SIGBUS (see :func:`stack.open_stack`).
+    An ``[input]`` stack is read through a file mapping, so no file the
+    run writes may be the input: such a write is refused with
+    OverwritesInput, at the stage of that file, before it is made. A
+    file truncated by another process while the run reads it kills the
+    process with SIGBUS (see :func:`stack.open_stack`).
     """
     with _stage("config"):
         parser = _parse_config(config)
@@ -110,14 +113,21 @@ def run_pipeline(config, out_dir=None, seed=None):
     # name -> (path, SHA-256 of the bytes written)
     artifacts = {}
 
+    def writable(path):
+        # the one check of every path the run writes or removes
+        if source is not None:
+            check_not_input(path, source["path"])
+        return path
+
     def emit(name, filename, writer, *args):
         # every writer returns the digest of what it wrote
-        path = os.path.join(directory, filename)
+        path = writable(os.path.join(directory, filename))
         artifacts[name] = path, writer(*args, path)
 
     manifest_path = os.path.join(directory, "manifest.json")
     with _stage("output"):
         os.makedirs(directory, exist_ok=True)
+        writable(manifest_path)
         # a run that fails leaves no manifest of an earlier run behind
         if os.path.isfile(manifest_path):
             os.remove(manifest_path)
@@ -175,6 +185,8 @@ def run_pipeline(config, out_dir=None, seed=None):
         for token in _tokens(out.get("slices", "")):
             index = int(round(float(token) * compressed.fps))
             base = os.path.join(directory, f"slice_t{token}")
+            for path in slice_paths(base):
+                writable(path)
             written = export_slice(compressed, index, base)
             for kind, path in zip(("pgm", "csv", "bounds"), written):
                 artifacts[f"slice_{token}_{kind}"] = path, written[path]

@@ -12,10 +12,11 @@ Layout of a TGS1 file, all integers little-endian:
 Stacks hold 32-bit intensities (camera realistic); pipeline math runs in
 64-bit and narrows only when a new stack is built.
 
-:func:`read_stack` loads a file's frames into memory. :func:`open_stack`
-maps them read-only instead: its stack's data is a view of the file, and
-its readers drop the file pages they are done with (:func:`page_dropper`),
-so a stack larger than memory can be processed a band at a time.
+:func:`open_stack` is the one reader of a file's frames. It maps them
+read-only: its stack's data is a view of the file, and its readers drop
+the file pages they are done with (:func:`page_dropper`), so a stack
+larger than memory can be processed a band at a time.
+:func:`read_stack` is :func:`open_stack` plus one copy into memory.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadHeader, BadMagic, IndexOutOfRange, InvalidStack,
-                     NonFiniteData, StackChanged, TrailingBytes,
-                     TruncatedFile, UnencodableMetadata)
+                     NonFiniteData, OverwritesInput, StackChanged,
+                     TrailingBytes, TruncatedFile, UnencodableMetadata)
 
 MAGIC = b"TGS1"
 FORMAT_VERSION = "TGS1"
@@ -187,46 +188,46 @@ def _read_header(fh, path, update):
     return (n_frames, ny, nx), _exact_fps(fps, metadata), metadata
 
 
-def _updater(digest):
-    return digest.update if digest is not None else (lambda _: None)
-
-
 def read_stack(path, digest=None) -> ThermogramStack:
-    """Read a TGS1 file, checking its header, length and samples.
+    """Read a TGS1 file into a writeable stack in memory.
 
-    Every byte read is fed to ``digest``, a ``hashlib`` object, when one
-    is given: for a file that reads without error it then holds the hash
-    of the whole file.
+    The file is opened and checked by :func:`open_stack`, with its
+    errors, and ``digest`` is fed as there. The frames are then copied
+    out of the mapping CHUNK_BYTES at a time, dropping the file pages
+    behind each chunk, so the file is not resident next to the copy.
+    As for :func:`open_stack`, the file must not be truncated meanwhile.
     """
-    update = _updater(digest)
-    with open(path, "rb") as fh:
-        shape, fps, metadata = _read_header(fh, path, update)
-        data = np.empty(shape, dtype="<f4")
-        if fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
-            raise TruncatedFile(f"{path}: frames incomplete")
-        update(data)
-    try:
-        return ThermogramStack(data=data, fps=fps, metadata=metadata)
-    except NonFiniteData as exc:
-        raise NonFiniteData(f"{path}: non-finite samples") from exc
+    stack = open_stack(path, digest)
+    mapped = stack.data.reshape(-1)
+    drop = page_dropper(stack.data) or (lambda stop: None)
+    # the stack's samples were checked: it takes the copy as they are
+    stack.data = np.empty(stack.data.shape, np.float32)
+    copy = stack.data.reshape(-1)
+    step = CHUNK_BYTES // 4
+    for first in range(0, copy.size, step):
+        copy[first: first + step] = mapped[first: first + step]
+        drop(4 * (first + step))
+    return stack
 
 
 def open_stack(path, digest=None) -> ThermogramStack:
     """Open a TGS1 file as a stack whose data is a read-only file mapping.
 
-    The header is checked as by :func:`read_stack`, with the same
-    errors, before anything is mapped. The frames are then read once,
-    CHUNK_BYTES at a time: each chunk is fed to ``digest`` when one is
-    given, checked to be finite, and its pages are dropped, so the file
-    is hashed and checked without being held in memory. Later reads of
-    the data fault the pages they need back in from the page cache.
+    The header, metadata and file size are checked before anything is
+    mapped. The frames are then read once, CHUNK_BYTES at a time: each
+    chunk is fed to ``digest``, a ``hashlib`` object, when one is given,
+    checked to be finite, and its pages are dropped, so the file is
+    hashed and checked without being held in memory. For a file that
+    opens without error ``digest`` then holds the hash of the whole
+    file. Later reads of the data fault the pages they need back in
+    from the page cache.
     The file must not change while the stack is in use: a read of a
     page past the end of a file truncated meanwhile is not an error
     that Python can catch, it kills the process with SIGBUS. Where
     ``mmap`` has no ``madvise`` (Windows), no pages are dropped: the
     results are the same, but the file stays resident once read.
     """
-    update = _updater(digest)
+    update = digest.update if digest is not None else (lambda _: None)
     with open(path, "rb") as fh:
         shape, fps, metadata = _read_header(fh, path, update)
         start = fh.tell()
@@ -300,6 +301,17 @@ def check_unchanged(path, version):
         raise StackChanged(f"{path}: changed after it was opened")
 
 
+def check_not_input(path, stack_path):
+    """Raise OverwritesInput if writing ``path`` would write ``stack_path``.
+
+    A stack file that is read through its mapping must not be written
+    over: truncating it under its readers kills the process with SIGBUS.
+    """
+    if os.path.exists(path) and os.path.samefile(path, stack_path):
+        raise OverwritesInput(
+            f"{path}: is the stack {stack_path} being read")
+
+
 def _exact_fps(stored, metadata):
     """Frame rate without the float32 rounding of the header.
 
@@ -330,10 +342,7 @@ def export_slice(stack, time_index, path):
         scaled = np.round((frame - lo) / (hi - lo) * 65535.0)
     else:
         scaled = np.zeros_like(frame)
-    pgm_path = str(path)
-    if not pgm_path.endswith(".pgm"):
-        pgm_path += ".pgm"
-    base = pgm_path[:-4]
+    pgm_path, csv_path, txt_path = slice_paths(path)
     pgm_head = f"P5\n{stack.nx} {stack.ny}\n65535\n".encode("ascii")
     bounds = (f"frame_index = {time_index}\n"
               f"time_s = {time_index / stack.fps!r}\n"
@@ -341,10 +350,19 @@ def export_slice(stack, time_index, path):
               f"scale_max = {hi!r}\n")
     return {
         pgm_path: write_hashed(pgm_path, [pgm_head, scaled.astype(">u2")]),
-        base + ".csv": write_hashed(base + ".csv", [crlf_text(
+        csv_path: write_hashed(csv_path, [crlf_text(
             ",".join([f"{v:.9g}" for v in row]) for row in frame.tolist())]),
-        base + ".txt": write_hashed(base + ".txt", [bounds.encode("utf-8")]),
+        txt_path: write_hashed(txt_path, [bounds.encode("utf-8")]),
     }
+
+
+def slice_paths(path):
+    """The PGM, CSV and sidecar paths that :func:`export_slice` writes."""
+    pgm_path = str(path)
+    if not pgm_path.endswith(".pgm"):
+        pgm_path += ".pgm"
+    base = pgm_path[:-4]
+    return pgm_path, base + ".csv", base + ".txt"
 
 
 def export_pixel_trace(stack, jx, jy, path):

@@ -9,6 +9,7 @@ import pytest
 import pnpuct.compression
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pnpuct import (
     EmptyRegion,
@@ -749,6 +750,30 @@ class TestDecimate:
         assert rel < 0.02
 
 
+def _snr_whole_regions(stack, region_signal, region_reference):
+    """snr_metric's formula on one float64 copy of each whole region."""
+    def block(region):
+        return stack.data[(slice(None),) + region.slices].astype(
+            np.float64).reshape(stack.n_frames, -1)
+
+    m_sig = block(region_signal).mean(axis=1)
+    ref = block(region_reference)
+    m_ref = ref.mean(axis=1)
+    contrast = float(np.abs(m_sig - m_ref).max())
+    n_pix = ref.shape[1]
+    noise_of_mean = 0.0
+    if n_pix >= 2:
+        ref -= m_ref[:, None]
+        noise_of_mean = float(np.sqrt(np.sum(np.square(ref))
+                                      / (stack.n_frames * (n_pix - 1)))
+                              / np.sqrt(n_pix))
+    if contrast == 0.0:
+        return float("-inf")
+    if noise_of_mean == 0.0:
+        return float("inf")
+    return 20.0 * float(np.log10(contrast / noise_of_mean))
+
+
 class TestSnrMetric:
     def _stack(self, noise_sigma=0.0, seed=1):
         defect = PixelModel(diffusivity=1e-6, defect_depth=0.5e-3,
@@ -788,6 +813,56 @@ class TestSnrMetric:
         block_bytes = stack.n_frames * 32 * 64 * 8
         peak = _peak_alloc(snr_metric, stack, signal, reference)
         assert peak < 1.2 * block_bytes
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_chunks_of_frames_match_whole_regions(self, data):
+        n_frames = data.draw(st.integers(1, 30))
+        ny, nx = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 6))
+        stack_data = data.draw(hnp.arrays(
+            np.float32, (n_frames, ny, nx),
+            elements=st.floats(-1e3, 1e3, width=32)))
+        split = data.draw(st.integers(1, nx - 1))
+
+        def region(x0, x1):
+            width = data.draw(st.integers(1, x1 - x0))
+            y0 = data.draw(st.integers(0, ny - 1))
+            return Region(data.draw(st.integers(x0, x1 - width)), y0, width,
+                          data.draw(st.integers(1, ny - y0)))
+
+        signal = region(0, split)
+        reference = (signal if data.draw(st.booleans())
+                     else region(split, nx))
+        if data.draw(st.booleans()):
+            # every reference pixel equal in each frame: no residual
+            stack_data[(slice(None),) + reference.slices] = (
+                stack_data[:, reference.y0:reference.y0 + 1,
+                           reference.x0:reference.x0 + 1])
+        stack = ThermogramStack(data=stack_data, fps=1.0)
+        expected = _snr_whole_regions(stack, signal, reference)
+        # a chunk of 1 to n_frames + 1 frames of the larger region
+        frames = data.draw(st.integers(1, n_frames + 1))
+        pixels = max(r.width * r.height for r in (signal, reference))
+        with mock.patch.object(pnpuct.compression, "CHUNK_BYTES",
+                               8 * pixels * frames):
+            value = snr_metric(stack, signal, reference)
+        if np.isinf(expected):
+            assert value == expected
+        else:
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_no_float64_copy_of_the_whole_reference_region(self):
+        # a 1240 x 32 x 64 reference, the shape of measured_ls31's
+        # compressed stack's background: 20.3 MB as float64
+        data = np.random.default_rng(0).standard_normal(
+            (1240, 32, 128), dtype=np.float32)
+        stack = ThermogramStack(data=data, fps=40.0)
+        signal, reference = Region(0, 0, 64, 32), Region(64, 0, 64, 32)
+        expected = _snr_whole_regions(stack, signal, reference)
+        peak = _peak_alloc(snr_metric, stack, signal, reference)
+        assert peak < 1240 * 32 * 64 * 8 / 4
+        assert snr_metric(stack, signal, reference) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_empty_or_outside_region(self):
         stack = self._stack()

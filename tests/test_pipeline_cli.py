@@ -95,6 +95,27 @@ def file_sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# argv of each command that reads a --stack, given the stack, a
+# modified code and an output path
+STACK_COMMANDS = {
+    "dc-remove": lambda stack, code, out: [
+        "dc", "remove", "--stack", stack, "--code", code, "-o", out],
+    "puct-compress": lambda stack, code, out: [
+        "puct", "compress", "--stack", stack, "--code", code, "--remove-dc",
+        "-o", out],
+    "puct-decimate": lambda stack, code, out: [
+        "puct", "decimate", "--stack", stack, "-o", out],
+    "report-slice": lambda stack, code, out: [
+        "report", "slice", "--stack", stack, "--index", "3", "-o", out],
+    "report-pixel": lambda stack, code, out: [
+        "report", "pixel", "--stack", stack, "--x", "1", "--y", "2",
+        "-o", out],
+    "metrics-snr": lambda stack, code, out: [
+        "metrics", "snr", "--stack", stack, "--signal", "0,0,2,2",
+        "--reference", "2,0,2,2"],
+}
+
+
 class TestRunPipeline:
     def test_artifacts_and_manifest(self, tmp_path):
         cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out",
@@ -470,6 +491,39 @@ directory = {tmp_path / "out"}
         assert (out / "compressed.tgs").is_file()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("artifact, stage, compression", [
+        # K = 1: the decimated stack is the mapped input itself
+        ("decimated_stack.tgs", "decimate", "decimate = true"),
+        ("compressed.tgs", "compress", ""),
+        ("manifest.json", "output", ""),
+    ])
+    def test_run_never_writes_over_its_input(self, tmp_path, artifact, stage,
+                                             compression):
+        run_pipeline(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim",
+                                      fps="1.0"))
+        out = tmp_path / "out"
+        out.mkdir()
+        stack = out / artifact
+        (tmp_path / "sim" / "raw_stack.tgs").rename(stack)
+        digest = file_sha256(stack)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
+                       f"[input]\nstack = {stack}\n\n"
+                       f"[compression]\n{compression}\n\n"
+                       f"[output]\ndirectory = {out}\n")
+        # in a child process: a write over the mapped input would kill it
+        # with SIGBUS
+        src = str(Path(pnpuct.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "pnpuct.cli", "pipeline", "run",
+             "--config", str(cfg)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"error: [{stage}] {stack}: ")
+        assert "being read" in result.stderr
+        assert file_sha256(stack) == digest
+
     def test_input_stack_without_timing_metadata(self, tmp_path):
         # neither [timing] nor the stack's metadata gives t_bit
         stack = tmp_path / "bare.tgs"
@@ -741,6 +795,66 @@ class TestCli:
         assert main(["puct", "compress", "--stack", str(raw), "--code", plus,
                      "--remove-dc", "-o", str(out)]) == 2
         assert "changed after it was opened" in capsys.readouterr().err
+        assert not out.exists()
+
+    def _stack_and_code(self, tmp_path):
+        std, plus = str(tmp_path / "std.txt"), str(tmp_path / "plus.txt")
+        raw = tmp_path / "raw.tgs"
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", std])
+        main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7", "-o", plus])
+        main(["sim", "run", "--scene", self._scene(tmp_path), "--code", std,
+              "--t-bit", "1", "--fps", "2", "-o", str(raw)])
+        return raw, plus
+
+    @pytest.mark.parametrize("command", STACK_COMMANDS)
+    def test_stack_changed_mid_command_exits_2(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        raw, plus = self._stack_and_code(tmp_path)
+        out = tmp_path / "out.tgs"
+        opened = pnpuct.cli.open_stack
+
+        def changing(path):
+            stack = opened(path)
+            touch_file(path, "rewritten")
+            return stack
+        monkeypatch.setattr(pnpuct.cli, "open_stack", changing)
+        capsys.readouterr()
+        assert main(STACK_COMMANDS[command](str(raw), plus, str(out))) == 2
+        assert "changed after it was opened" in capsys.readouterr().err
+        # the commands that write a stack check before they write
+        if command in ("dc-remove", "puct-compress", "puct-decimate"):
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, stack_name, flag, output", [
+        ("dc-remove", "raw.tgs", "-o", "raw.tgs"),
+        ("dc-remove", "raw.tgs", "--fit-map", "raw.tgs"),
+        ("puct-compress", "raw.tgs", "-o", "raw.tgs"),
+        ("puct-compress", "raw.tgs", "--fit-map", "raw.tgs"),
+        ("puct-decimate", "raw.tgs", "-o", "raw.tgs"),
+        ("puct-decimate", "raw.tgs", "-o", "link.tgs"),
+        # -o s writes s.pgm, s.csv and s.txt
+        ("report-slice", "s.csv", "-o", "s"),
+        ("report-pixel", "raw.tgs", "-o", "raw.tgs"),
+    ], ids=["dc-remove", "dc-remove-fit-map", "puct-compress",
+            "puct-compress-fit-map", "puct-decimate", "puct-decimate-link",
+            "report-slice", "report-pixel"])
+    def test_output_naming_the_stack_exits_2(self, tmp_path, capsys, command,
+                                             stack_name, flag, output):
+        raw, plus = self._stack_and_code(tmp_path)
+        stack = raw.rename(tmp_path / stack_name)
+        if output == "link.tgs":
+            os.link(stack, tmp_path / output)
+        digest = file_sha256(stack)
+        out = tmp_path / "out.tgs"
+        argv = STACK_COMMANDS[command](str(stack), plus, str(out))
+        if flag == "-o":
+            argv[argv.index("-o") + 1] = str(tmp_path / output)
+        else:
+            argv += [flag, str(tmp_path / output)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "being read" in capsys.readouterr().err
+        assert file_sha256(stack) == digest
         assert not out.exists()
 
     def test_cli_missing_file_error(self, tmp_path, capsys):

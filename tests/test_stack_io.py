@@ -28,6 +28,7 @@ from pnpuct import (
     read_stack,
     write_stack,
 )
+from pnpuct.stack import page_dropper
 from pipeline_helpers import resident_kib
 
 
@@ -334,6 +335,41 @@ class TestOpenStack:
         assert resident_kib(opened.data) == 0
         assert float(opened.data[100:110].sum()) == 10 * 50 * 70
         assert resident_kib(opened.data) > 0
+
+
+class TestReadStack:
+    """read_stack is open_stack plus one copy into memory."""
+
+    @pytest.mark.parametrize("metadata", [{}, {"x": "abc"}],
+                             ids=["aligned", "unaligned"])
+    def test_a_writeable_copy_of_the_opened_stack(self, tmp_path, metadata):
+        # 1.26 MB of frames, more than one chunk, with signed zeros; odd
+        # metadata leaves the mapped frames unaligned
+        data = np.random.default_rng(0).standard_normal(
+            (90, 50, 70), dtype=np.float32)
+        data[0, 0, :2] = [0.0, -0.0]
+        path = tmp_path / "s.tgs"
+        write_stack(ThermogramStack(data=data, fps=2.0, metadata=metadata),
+                    path)
+        read, opened = read_stack(path), open_stack(path)
+        assert read.data.dtype == np.float32
+        assert read.data.flags.writeable and read.data.flags.c_contiguous
+        assert page_dropper(read.data) is None
+        assert read.data.tobytes() == opened.data.tobytes()
+        assert (read.fps, read.metadata) == (opened.fps, opened.metadata)
+        read.data[0, 0, 0] = 1.0
+        assert opened.data[0, 0, 0] == 0.0
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                        reason="needs /proc/self/maps")
+    def test_no_mapping_of_the_file_is_left(self, tmp_path):
+        path = tmp_path / "s.tgs"
+        write_stack(small_stack(), path)
+        stack = read_stack(path)
+        assert str(path) not in Path("/proc/self/maps").read_text()
+        opened = open_stack(path)
+        assert str(path) in Path("/proc/self/maps").read_text()
+        np.testing.assert_array_equal(stack.data, opened.data)
 
 
 class TestExportSlice:
