@@ -83,8 +83,8 @@ def _cmd_sim_run(args):
     code = load_code(args.code)
     timing = timing_of(None, args.t_bit, args.fps, args.n_per)
     unipolar = build_unipolar(build_bipolar(code, timing), args.amplitude)
-    stack = simulate_stack(scene, unipolar)
-    write_stack(stack, args.output)
+    # written band by band: the stack is never resident
+    stack = simulate_stack(scene, unipolar, args.output)
     print(f"wrote {stack.n_frames}x{stack.ny}x{stack.nx} stack to {args.output}")
     return 0
 

@@ -77,7 +77,8 @@ _BLOCK = 256
 # At 320x256x2480 frames each of 80 bands maps all 812 MB of the file
 # once more, 2 MiB at a time, and drops it: gathering them took 0.39 s
 # of CPU, 0.15 s without the drops and 0.64 s in chunks of 3 frames
-# (1 MiB), against 3.7-4.1 s for a pipeline run.
+# (1 MiB), against 3.7-4.1 s for a pipeline run. thermal.simulate_stack
+# fills its stack in bands of whole pixel rows within the same budget.
 _BAND_BYTES = 10 << 20
 _CHUNK_FRAMES = 16
 

@@ -73,11 +73,14 @@ def run_pipeline(config, out_dir=None, seed=None):
     Returns the manifest dictionary. Any error, the failed write of an
     artifact included, raises PipelineStageError with the name of the
     stage that made that artifact, and no manifest file is written.
-    An ``[input]`` stack is read through a file mapping, so no file the
-    run writes may be the input: such a write is refused with
-    OverwritesInput, at the stage of that file, before it is made. A
-    file truncated by another process while the run reads it kills the
-    process with SIGBUS (see :func:`stack.open_stack`).
+    The raw stack, an ``[input]`` stack or the ``raw_stack.tgs`` that a
+    simulated scene is written into, is read through a file mapping, so
+    no other file the run writes may be it: such a write is refused
+    with OverwritesInput, at the stage of that file, before it is made.
+    A change to it during the run stops the run with StackChanged at
+    the last stage, ``output``. A file truncated by another process
+    while the run reads it kills the process with SIGBUS (see
+    :func:`stack.open_stack`).
     """
     with _stage("config"):
         parser = _parse_config(config)
@@ -94,9 +97,8 @@ def run_pipeline(config, out_dir=None, seed=None):
             raise InvalidConfig(
                 f"[output] intermediates: unknown {', '.join(unknown)}; "
                 f"known: {', '.join(INTERMEDIATES)}")
-    keep_raw = "dc_removed" in intermediates
     # read before the timing: its metadata fills the [timing] keys left out
-    raw = source = None
+    raw = source = mapped = None
     if parser.has_option("input", "stack"):
         with _stage("simulate"):
             path = parser["input"]["stack"]
@@ -106,6 +108,7 @@ def run_pipeline(config, out_dir=None, seed=None):
             raw = open_stack(path, digest)
             source = {"path": path, "bytes": version[0],
                       "sha256": digest.hexdigest()}
+            mapped = path
     with _stage("config"):
         section = parser["timing"] if parser.has_section("timing") else {}
         timing = timing_of(raw, *map(section.get, ("t_bit", "fps", "n_per")))
@@ -115,8 +118,8 @@ def run_pipeline(config, out_dir=None, seed=None):
 
     def writable(path):
         # the one check of every path the run writes or removes
-        if source is not None:
-            check_not_input(path, source["path"])
+        if mapped is not None:
+            check_not_input(path, mapped)
         return path
 
     def emit(name, filename, writer, *args):
@@ -146,8 +149,13 @@ def run_pipeline(config, out_dir=None, seed=None):
             scene = scene_from_parser(parser)
             if seed is not None:
                 scene = dataclasses.replace(scene, rng_seed=int(seed))
-            raw = simulate_stack(scene, unipolar)
-            emit("raw_stack", "raw_stack.tgs", write_stack, raw)
+            path = writable(os.path.join(directory, "raw_stack.tgs"))
+            digest = hashlib.sha256()
+            # written band by band and mapped: never resident
+            raw = simulate_stack(scene, unipolar, path, digest)
+            version = file_version(path)
+            mapped = path
+            artifacts["raw_stack"] = path, digest.hexdigest()
     comp_timing = timing
     if options["decimate"]:
         with _stage("decimate"):
@@ -159,24 +167,19 @@ def run_pipeline(config, out_dir=None, seed=None):
         emit("filter_csv", "matched_filter.csv", filter_to_csv,
              build_matched_filter(modified_code, comp_timing))
 
-    # one pass removes the DC trend and compresses; compress_stack takes
-    # its arguments positionally, so a stand-in taking (stack, code,
-    # *args) can replace it. It writes the period into the first frames
-    # of the stack it reads, which is on disk by then (the input file,
-    # or the stack written above), unless DC removal still needs that
-    # stack or it is a read-only mapped input file: then it allocates
-    # one period. DC removal overwrites a stack in memory and allocates
-    # its output for a mapped one
+    # one pass removes the DC trend and compresses (overwrite_input
+    # False, remove_dc True); compress_stack takes its arguments
+    # positionally, so a stand-in taking (stack, code, *args) can
+    # replace it
     with _stage("compress"):
         compressed, fit_map = compress_stack(
             raw, modified_code, comp_timing, normalization,
-            options["single_period"], not keep_raw, True)
+            options["single_period"], False, True)
         emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
         emit("compressed_stack", "compressed.tgs", write_stack, compressed)
-    if keep_raw:
+    if "dc_removed" in intermediates:
         with _stage("dc_removal"):
-            removed, _ = remove_dc_stack(raw, modified_code, comp_timing,
-                                         overwrite_input=True)
+            removed, _ = remove_dc_stack(raw, modified_code, comp_timing)
             emit("dc_removed_stack", "dc_removed.tgs", write_stack, removed)
         del removed
     del raw
@@ -203,8 +206,8 @@ def run_pipeline(config, out_dir=None, seed=None):
                 name: {"path": os.path.basename(path), "sha256": digest}
                 for name, (path, digest) in sorted(artifacts.items())},
         }
+        check_unchanged(mapped, version)
         if source is not None:
-            check_unchanged(source["path"], version)
             manifest["input"] = source
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)

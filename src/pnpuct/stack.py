@@ -17,6 +17,8 @@ read-only: its stack's data is a view of the file, and its readers drop
 the file pages they are done with (:func:`page_dropper`), so a stack
 larger than memory can be processed a band at a time.
 :func:`read_stack` is :func:`open_stack` plus one copy into memory.
+:func:`create_stack` is the writer's side of the same mapping: a new
+file whose frames are stored in place, a band at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import hashlib
 import mmap
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,16 +146,58 @@ def time_series_csv(samples, fps):
         f"{n / fps!r},{v!r}" for n, v in enumerate(samples.tolist())))
 
 
+def _header(shape, fps, metadata):
+    """Header and metadata bytes of a TGS1 file of (n_frames, ny, nx) frames."""
+    n_frames, ny, nx = shape
+    meta = _encode_metadata(metadata)
+    return MAGIC + struct.pack("<IIIfI", nx, ny, n_frames, fps,
+                               len(meta)) + meta
+
+
 def write_stack(stack, path):
     """Write a stack and return the SHA-256 hex digest of the bytes written.
 
     The round trip through :func:`read_stack` is bit-exact.
     """
-    meta = _encode_metadata(stack.metadata)
-    head = MAGIC + struct.pack("<IIIfI", stack.nx, stack.ny, stack.n_frames,
-                               stack.fps, len(meta)) + meta
+    head = _header(stack.data.shape, stack.fps, stack.metadata)
     # no copy on a little-endian host
     return write_hashed(path, [head, stack.data.astype("<f4", copy=False)])
+
+
+@contextmanager
+def create_stack(path, shape, fps, metadata):
+    """Create a TGS1 file of ``shape`` frames, to be filled in place.
+
+    The header bytes are those :func:`write_stack` writes for the same
+    shape, frame rate and metadata. The frames' bytes are preallocated
+    with ``os.posix_fallocate``, so a disk too full for them raises
+    OSError (ENOSPC) here. Where that call is missing (macOS, Windows)
+    the file is extended sparse instead: a store into the mapping that
+    finds the disk full then kills the process with SIGBUS, which
+    Python cannot catch.
+
+    Yields (frames, write). ``frames`` is the (n_frames, ny, nx)
+    float32 array over a shared mapping of the frames, all zero at
+    first: what is stored into it goes to the file, and
+    :func:`page_dropper` of it drops the pages stored. The file must
+    not be truncated while it is in use: a store past its end kills
+    the process with SIGBUS too. ``write(chunk)`` writes a C-contiguous
+    (m, ny, nx) little-endian float32 chunk of whole frames through the
+    file instead, after those that the calls before it wrote, from the
+    first frame on.
+    """
+    head = _header(shape, fps, metadata)
+    size = len(head) + 4 * int(np.prod(shape))
+    with open(path, "wb+") as fh:
+        fh.write(head)
+        fh.flush()
+        allocate = getattr(os, "posix_fallocate", None)
+        if allocate is None:
+            fh.truncate(size)
+        else:
+            allocate(fh.fileno(), 0, size)
+        whole = np.frombuffer(mmap.mmap(fh.fileno(), size), np.uint8)
+        yield whole[len(head):].view("<f4").reshape(shape), fh.write
 
 
 def _read_header(fh, path, update):

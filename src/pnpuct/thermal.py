@@ -31,7 +31,9 @@ from scipy.special import erfc
 
 from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
                      RateMismatch, SeriesNotConverged)
-from .stack import ThermogramStack
+from . import dc_removal
+from .stack import (CHUNK_BYTES, ThermogramStack, create_stack, open_stack,
+                    page_dropper)
 from .waveform import ExcitationWaveform, WaveformKind, excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -252,14 +254,6 @@ def lpt_reference(model, pulse, timing, duration) -> np.ndarray:
     return respond(h, wave)
 
 
-# Pixels per float32 store of simulate_stack: whole rows, at least one,
-# cast into a buffer before one transposed write into the time-major
-# stack. Storing the rows of 48 x 48 px x 3810 frames one at a time from
-# float64 took 30-35 ms; through a buffer of 1, 4, 5 and 8 rows it took
-# 33, 20-23, 21 and 21 ms (process CPU, best of 30, a 2-vCPU VM). The
-# buffer holds half the bytes of a compression block of as many columns.
-_STORE_PIXELS = 256
-
 # NumPy's SeedSequence (O'Neill's seed_seq design) and the PCG64 seeding
 # step, pcg_setseq_128_srandom_r (O'Neill, HMC-CS-2014-0905)
 _MASK32 = 0xFFFFFFFF
@@ -332,8 +326,19 @@ def _pcg64_state(words):
             "has_uint32": 0, "uinteger": 0}
 
 
-def simulate_stack(scene, excitation) -> ThermogramStack:
+def simulate_stack(scene, excitation, path=None,
+                   digest=None) -> ThermogramStack:
     """Per-pixel responses plus seeded Gaussian noise, as a thermogram stack.
+
+    Without ``path`` the stack is built in a new float32 array. With
+    ``path`` it is written, band by band, straight into a new TGS1 file
+    there, the bytes :func:`~pnpuct.stack.write_stack` would write of
+    the stack built in memory, and the file is then opened with
+    :func:`~pnpuct.stack.open_stack`, which feeds ``digest`` and checks
+    the samples in one pass: the stack returned is a read-only view of
+    the file, and no simulated stack is ever resident. Errors of the
+    series raise before the file is created; a full disk raises OSError
+    when the file is created (see :func:`~pnpuct.stack.create_stack`).
 
     Each distinct model of the scene gets one convolution, gathered to
     its pixels through the label map one row at a time into one reused
@@ -344,18 +349,49 @@ def simulate_stack(scene, excitation) -> ThermogramStack:
     and one Generator, set in turn to each pixel's PCG64 state
     (:func:`_pcg64_state`), draws its noise into its place in the row
     buffer: no Generator is built per pixel. Each finished row is cast
-    to float32 into a buffer of a few rows, and each full buffer goes
-    into the time-major stack in one transposed store.
+    to float32 into a band of whole rows within
+    ``dc_removal._BAND_BYTES``, and each full band goes into the
+    time-major frames a chunk of frames at a time (see :func:`_store`).
     """
     timing = excitation.timing
     n_frames = len(excitation.samples)
     duration = n_frames * timing.dt
     traces = np.array([respond(impulse_response(model, timing, duration),
                                excitation) for model in scene.models])
-    data = np.empty((n_frames, scene.ny, scene.nx), dtype=np.float32)
+    shape = (n_frames, scene.ny, scene.nx)
+    metadata = {
+        "stage": "simulated",
+        "rng_seed": str(scene.rng_seed),
+        "noise_sigma": repr(scene.noise_sigma),
+        **excitation_metadata(excitation),
+    }
+    if path is None:
+        data = np.empty(shape, dtype=np.float32)
+        _simulate_into(scene, traces, data)
+        return ThermogramStack(data=data, fps=timing.fps, metadata=metadata)
+    with create_stack(path, shape, timing.fps, metadata) as (frames, write):
+        _simulate_into(scene, traces, frames, write)
+    del frames
+    return open_stack(path, digest)
+
+
+def _simulate_into(scene, traces, data, write=None):
+    """The one row loop of :func:`simulate_stack`, filling ``data``.
+
+    ``data`` is the (n_frames, ny, nx) float32 destination, an array in
+    memory or the mapped frames of :func:`~pnpuct.stack.create_stack`,
+    whose ``write`` is then given too.
+    """
+    n_frames = traces.shape[1]
     row = np.empty((scene.nx, n_frames))
-    chunk = np.empty((max(1, _STORE_PIXELS // scene.nx), scene.nx, n_frames),
-                     dtype=np.float32)
+    # The band budget: the most whole rows within dc_removal._BAND_BYTES,
+    # the bands compression copies out of a mapped stack, and one row at
+    # least. 64 x 64 px x 2480 frames went from bands of 16 rows into
+    # an array in memory, in chunks of 64 frames, in 17-18 ms, as from
+    # stores of four rows (process CPU, best of 5, a 2-vCPU VM).
+    band = np.empty((max(1, min(scene.ny, dc_removal._BAND_BYTES
+                                // (4 * n_frames * scene.nx))),
+                     scene.nx, n_frames), dtype=np.float32)
     sigma = scene.noise_sigma
     if sigma > 0:
         rows, cols = np.divmod(np.arange(scene.ny * scene.nx), scene.nx)
@@ -374,17 +410,42 @@ def simulate_stack(scene, excitation) -> ThermogramStack:
                 pixel *= sigma
                 pixel += 0.0
                 pixel += traces[label]
-        i = jy % len(chunk)
-        chunk[i] = row
-        if i == len(chunk) - 1 or jy == scene.ny - 1:
-            data[:, jy - i: jy + 1, :] = chunk[:i + 1].transpose(2, 0, 1)
-    metadata = {
-        "stage": "simulated",
-        "rng_seed": str(scene.rng_seed),
-        "noise_sigma": repr(scene.noise_sigma),
-        **excitation_metadata(excitation),
-    }
-    return ThermogramStack(data=data, fps=timing.fps, metadata=metadata)
+        i = jy % len(band)
+        band[i] = row
+        if i == len(band) - 1 or jy == scene.ny - 1:
+            _store(band[:i + 1], data, jy - i, write)
+
+
+def _store(band, data, first_row, write=None):
+    """Store a (rows, nx, n_frames) band into the rows of time-major frames.
+
+    The band goes in one transposed store per chunk of frames, chunks
+    sized as in :func:`pnpuct.dc_removal._bands`. Into a mapped file,
+    the pages behind each chunk are dropped, so the file is never
+    resident. A band of every row, whose chunks are whole frames, is
+    staged a chunk at a time and written with ``write`` instead, when
+    it is given: the page faults of stores through the mapping cost
+    more than the writes (10 MB of frames: 16 ms against 7 ms, process
+    CPU on a 2-vCPU VM, ext4), and the page cache the writes fill is
+    read back faster.
+    """
+    n_frames, ny, nx = data.shape
+    rows = slice(first_row, first_row + len(band))
+    step = max(dc_removal._CHUNK_FRAMES, CHUNK_BYTES // (4 * ny * nx))
+    staging = (np.empty((min(step, n_frames), ny, nx), "<f4")
+               if write is not None and len(band) == ny else None)
+    # each band writes the file from its first frame on
+    drop = page_dropper(data) or (lambda stop: None)
+    for first in range(0, n_frames, step):
+        frames = slice(first, first + step)
+        chunk = band[:, :, frames].transpose(2, 0, 1)
+        if staging is None:
+            data[frames, rows] = chunk
+            drop(4 * ny * nx * (first + step))
+        else:
+            staged = staging[:len(chunk)]
+            staged[...] = chunk
+            write(staged)
 
 
 # --- scene configuration files ---

@@ -1,9 +1,11 @@
+import errno
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -490,6 +492,79 @@ directory = {tmp_path / "out"}
         assert str(raw) in str(info.value)
         assert (out / "compressed.tgs").is_file()
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("change", ["rewritten", "appended"])
+    def test_raw_stack_changed_during_the_run(self, tmp_path, monkeypatch,
+                                              change):
+        # the simulated stack is read back through its mapping as an
+        # [input] stack is, and checked the same way
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        cfg.write_text(cfg.read_text().replace("nx = 4\nny = 3",
+                                               "nx = 20\nny = 15"))
+        monkeypatch.setattr(pnpuct.dc_removal, "_BAND_BYTES", 1)
+        bands = pnpuct.dc_removal._bands
+
+        def changing(traces):
+            for i, band in enumerate(bands(traces)):
+                if i == 1:
+                    touch_file(out / "raw_stack.tgs", change)
+                yield band
+        monkeypatch.setattr(pnpuct.dc_removal, "_bands", changing)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "output"
+        assert isinstance(info.value.cause, StackChanged)
+        assert "raw_stack.tgs" in str(info.value)
+        assert not (out / "manifest.json").exists()
+
+    def test_full_disk_stops_the_run_at_simulate(self, tmp_path,
+                                                 monkeypatch, capsys):
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        run_pipeline(cfg)
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "simulate"
+        assert info.value.cause.errno == errno.ENOSPC
+        # the rerun removed the manifest of the first run
+        assert not (out / "manifest.json").exists()
+        capsys.readouterr()
+        assert main(["pipeline", "run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: [simulate]")
+        code_std = str(tmp_path / "std.txt")
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(SCENE_SECTIONS)
+        capsys.readouterr()
+        assert main(["sim", "run", "--scene", str(scene), "--code", code_std,
+                     "--t-bit", "1", "--fps", "2",
+                     "-o", str(tmp_path / "raw.tgs")]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+
+    def test_simulated_run_peak_stays_below_the_stack(self, tmp_path):
+        # 64 x 64 px, LS31 at K = 40, n_per = 2: a 40.6 MB raw stack. It
+        # is written band by band and compressed from its file, so the
+        # peak is that of compressing a mapped stack: the 20.3 MB period,
+        # a 10.2 MB band and a 5.1 MB block (36.0 MB, 0.89 of the stack).
+        # Holding the simulated stack in memory took 46.2 MB (1.14)
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out",
+                               fps="40.0")
+        cfg.write_text(cfg.read_text().replace("nx = 4\nny = 3",
+                                               "nx = 64\nny = 64"))
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raw_bytes = 4 * 64 * 64 * 2480
+        assert os.path.getsize(tmp_path / "out" / "raw_stack.tgs") > raw_bytes
+        assert peak < 0.9 * raw_bytes
 
     @pytest.mark.parametrize("artifact, stage, compression", [
         # K = 1: the decimated stack is the mapped input itself

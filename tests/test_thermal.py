@@ -1,3 +1,10 @@
+import errno
+import hashlib
+import os
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +31,12 @@ from pnpuct import (
     lpt_reference,
     respond,
     simulate_stack,
+    write_stack,
 )
+import pnpuct.dc_removal
 from pnpuct import thermal
 from fd_oracle import fd_impulse_response
+from pipeline_helpers import resident_kib
 
 SQRT_PI = np.sqrt(np.pi)
 SOUND = PixelModel(diffusivity=1e-6)
@@ -389,27 +399,32 @@ class TestLabelMap:
                                                                fps=2.0)), 1.0)
 
     @settings(max_examples=40, deadline=None)
-    @given(scene=scenes())
+    @given(scene=scenes(), band_rows=st.sampled_from([None, 0.5, 1, 2.5]))
     # one, two and three 32-bit words of seed
     @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
-                               rng_seed=0))
+                               rng_seed=0), band_rows=None)
     @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
-                               rng_seed=2 ** 32 - 1))
+                               rng_seed=2 ** 32 - 1), band_rows=None)
     @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
-                               rng_seed=2 ** 32))
+                               rng_seed=2 ** 32), band_rows=None)
     @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
-                               rng_seed=2 ** 64))
-    # rows stored two at a time, the last store holding one row; and one
-    # row per store, for a row wider than a store
+                               rng_seed=2 ** 64), band_rows=None)
+    # bands of two rows, the last band holding one row; and one row per
+    # band, for a row wider than a band
     @example(scene=SceneConfig(
-        nx=thermal._STORE_PIXELS // 2 - 1, ny=5, background=SOUND,
+        nx=127, ny=5, background=SOUND,
         defects=((Region(x0=90, y0=3, width=10, height=2), MODEL_POOL[2]),),
-        noise_sigma=0.3, rng_seed=3))
-    @example(scene=SceneConfig(nx=thermal._STORE_PIXELS + 1, ny=2,
-                               background=MODEL_POOL[1], noise_sigma=0.3,
-                               rng_seed=4))
-    def test_matches_per_pixel_build(self, scene):
-        stack = simulate_stack(scene, self.WAVE)
+        noise_sigma=0.3, rng_seed=3), band_rows=2.5)
+    @example(scene=SceneConfig(nx=257, ny=2, background=MODEL_POOL[1],
+                               noise_sigma=0.3, rng_seed=4), band_rows=0.5)
+    def test_matches_per_pixel_build(self, scene, band_rows):
+        # band_rows: the band budget in rows of the scene, None for the
+        # default budget
+        row_bytes = 4 * len(self.WAVE.samples) * scene.nx
+        budget = (pnpuct.dc_removal._BAND_BYTES if band_rows is None
+                  else int(band_rows * row_bytes))
+        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", budget):
+            stack = simulate_stack(scene, self.WAVE)
         np.testing.assert_array_equal(stack.data,
                                       per_pixel_stack(scene, self.WAVE))
 
@@ -423,6 +438,139 @@ class TestLabelMap:
         else:
             with pytest.raises(IndexOutOfRange):
                 scene.model_at(jx, jy)
+
+
+@st.composite
+def wide_scenes(draw):
+    """Grids of 1-40 x 1-12 px with up to three defects, noisy or not."""
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    defects = []
+    for _ in range(draw(st.integers(0, 3))):
+        x0, y0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        region = Region(x0=x0, y0=y0, width=draw(st.integers(1, nx - x0)),
+                        height=draw(st.integers(1, ny - y0)))
+        defects.append((region, draw(st.sampled_from(MODEL_POOL[1:]))))
+    return SceneConfig(nx=nx, ny=ny, background=SOUND,
+                       defects=tuple(defects),
+                       noise_sigma=draw(st.sampled_from([0.0, 0.3])),
+                       rng_seed=draw(st.integers(0, 2 ** 64)))
+
+
+class TestSimulatedFile:
+    """simulate_stack with a path writes what write_stack writes."""
+
+    @staticmethod
+    def _wave(n_per):
+        return build_unipolar(build_bipolar(generate_ls(7), Timing(
+            t_bit=1.0, fps=2.0, n_per=n_per)), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=wide_scenes(), n_per=st.integers(2, 3),
+           band_rows=st.integers(0, 13), spare=st.floats(0.0, 0.99),
+           chunk_frames=st.integers(1, 45), hash_bytes=st.integers(4, 5000))
+    # bands of one row cut by a budget below one row, chunks of one frame
+    @example(scene=SceneConfig(nx=40, ny=12, background=SOUND,
+                               noise_sigma=0.3, rng_seed=5),
+             n_per=3, band_rows=0, spare=0.5, chunk_frames=1,
+             hash_bytes=4096)
+    # one band of every row, written through the file
+    @example(scene=SceneConfig(nx=3, ny=12, background=SOUND,
+                               defects=((Region(0, 4, 2, 3), MODEL_POOL[2]),),
+                               noise_sigma=0.3, rng_seed=6),
+             n_per=2, band_rows=12, spare=0.0, chunk_frames=5,
+             hash_bytes=7)
+    def test_file_bytes_equal_write_stack(self, tmp_path_factory, scene,
+                                          n_per, band_rows, spare,
+                                          chunk_frames, hash_bytes):
+        wave = self._wave(n_per)
+        n_frames = len(wave.samples)
+        expected = simulate_stack(scene, wave)
+        directory = tmp_path_factory.mktemp("sim")
+        digest = write_stack(expected, directory / "memory.tgs")
+        # a budget of band_rows rows and a spare fraction of a row: bands
+        # cut at every row count, and never hold less than one row; the
+        # file is hashed hash_bytes at a time
+        row_bytes = 4 * n_frames * scene.nx
+        sha = hashlib.sha256()
+        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES",
+                               int((band_rows + spare) * row_bytes)), \
+                mock.patch.object(pnpuct.dc_removal, "_CHUNK_FRAMES", 1), \
+                mock.patch.object(thermal, "CHUNK_BYTES",
+                                  4 * scene.nx * scene.ny * chunk_frames), \
+                mock.patch.object(pnpuct.stack, "CHUNK_BYTES", hash_bytes):
+            mapped = simulate_stack(scene, wave, directory / "file.tgs", sha)
+        assert ((directory / "file.tgs").read_bytes()
+                == (directory / "memory.tgs").read_bytes())
+        assert sha.hexdigest() == digest
+        assert not mapped.data.flags.writeable
+        assert mapped.data.tobytes() == expected.data.tobytes()
+        assert (mapped.fps, mapped.metadata) == (expected.fps,
+                                                 expected.metadata)
+
+    def test_without_posix_fallocate_the_file_is_the_same(
+            self, tmp_path, monkeypatch):
+        # macOS and Windows have no posix_fallocate: the file is extended
+        # sparse, then filled through the same mapping
+        scene = SceneConfig(nx=5, ny=4, background=SOUND, noise_sigma=0.3,
+                            rng_seed=8)
+        wave = self._wave(2)
+        write_stack(simulate_stack(scene, wave), tmp_path / "memory.tgs")
+        monkeypatch.delattr(pnpuct.stack.os, "posix_fallocate")
+        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES",
+                               4 * len(wave.samples) * scene.nx):
+            simulate_stack(scene, wave, tmp_path / "file.tgs")
+        assert ((tmp_path / "file.tgs").read_bytes()
+                == (tmp_path / "memory.tgs").read_bytes())
+
+    def test_full_disk_is_an_os_error(self, tmp_path, monkeypatch):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        scene = SceneConfig(nx=2, ny=2, background=SOUND)
+        with pytest.raises(OSError) as info:
+            simulate_stack(scene, self._wave(2), tmp_path / "file.tgs")
+        assert info.value.errno == errno.ENOSPC
+
+    def test_series_errors_raise_before_the_file_is_made(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(thermal, "_MAX_TERMS", 1)
+        thin = PixelModel(diffusivity=1e-6, defect_depth=1e-5,
+                          reflection_coeff=0.9)
+        scene = SceneConfig(nx=2, ny=2, background=thin)
+        with pytest.raises(SeriesNotConverged):
+            simulate_stack(scene, self._wave(2), tmp_path / "file.tgs")
+        assert not (tmp_path / "file.tgs").exists()
+
+    def test_simulating_leaves_no_page_of_the_file_resident(
+            self, tmp_path, monkeypatch):
+        # 64 x 64 px x 2480 frames (40.6 MB) in four bands of 16 rows:
+        # the traced peak, 12.7 MB, is one 10.2 MB band, a 1.3 MB
+        # float64 row and the responses
+        wave = build_unipolar(build_bipolar(generate_ls(31), Timing(
+            t_bit=1.0, fps=40.0, n_per=2)), 1.0)
+        scene = SceneConfig(nx=64, ny=64, background=SOUND)
+        tracemalloc.start()
+        try:
+            mapped = simulate_stack(scene, wave, tmp_path / "file.tgs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * mapped.data.nbytes
+        if not Path("/proc/self/smaps").exists():
+            return
+        # every band's pages were dropped behind it, and so were those
+        # of the pass that hashed the file
+        resident = []
+        store = thermal._store
+
+        def stored(band, data, first_row, write):
+            store(band, data, first_row, write)
+            resident.append(resident_kib(data))
+        monkeypatch.setattr(thermal, "_store", stored)
+        mapped = simulate_stack(scene, wave, tmp_path / "again.tgs")
+        assert resident == [0, 0, 0, 0]
+        assert resident_kib(mapped.data) == 0
 
 
 class TestSceneConfigFile:
