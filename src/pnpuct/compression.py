@@ -126,25 +126,23 @@ class _MatchedFilter:
 
 
 def _compress_columns(traces, code, timing, normalization, single_period,
-                      dtype, overwrite=False):
+                      dtype):
     """Matched filtering of every column of an (n_frames, n_pix) array.
 
-    Returns the normalized mean of the steady periods as a
+    Returns the normalized mean of the steady periods as a new
     (period, n_pix) array of ``dtype``, and the number of periods
-    averaged. With ``overwrite`` the result is the first ``period``
-    rows of ``traces``, which must then be of ``dtype``.
+    averaged.
     """
     filt = _MatchedFilter(code, timing, normalization, single_period,
                           len(traces))
-    out = (traces[:filt.period] if overwrite
-           else np.empty((filt.period, traces.shape[1]), dtype))
+    out = np.empty((filt.period, traces.shape[1]), dtype)
     for cols, src, a in dc_removal._blocks(traces):
         out[:, cols] = filt(a)[:, :src.shape[1]]
     return out, filt.n_avg
 
 
 def _remove_dc_and_compress(traces, code, timing, normalization,
-                            single_period, overwrite, keep):
+                            single_period, keep):
     """:func:`_compress_columns` of raw float32 columns, DC removal fused.
 
     Each column's trend is fitted as in :func:`remove_dc_stack`, and the
@@ -158,8 +156,7 @@ def _remove_dc_and_compress(traces, code, timing, normalization,
     filt = _MatchedFilter(code, timing, normalization, single_period,
                           len(traces))
     period = filt.period
-    out = (traces[:period] if overwrite
-           else np.empty((period, traces.shape[1]), np.float32))
+    out = np.empty((period, traces.shape[1]), np.float32)
     trend = dc_removal._Trend(len(traces), timing.dt)
     kept = keep * filt(trend.basis.copy())
     fits = np.empty((traces.shape[1], 4))
@@ -197,19 +194,13 @@ def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
 
 
 def compress_stack(stack, code, timing, normalization=Normalization.RAW,
-                   single_period=False, overwrite_input=False,
-                   remove_dc=False):
+                   single_period=False, remove_dc=False):
     """Pixelwise compression of a DC-removed stack.
 
     Returns a stack of one period (K * N_bit frames) whose metadata
     records the compression parameters. By default every steady period
-    is averaged; ``single_period`` keeps only the first. The input
-    stack is left untouched unless ``overwrite_input`` is true and its
-    data is writeable: then the period is written into the input's
-    first frames, which the returned stack shares, and no stack-sized
-    array is allocated. The returned stack then keeps the whole input
-    buffer alive. A read-only stack, such as one of
-    :func:`~pnpuct.stack.open_stack`, gets a new (period, n_pix) array.
+    is averaged; ``single_period`` keeps only the first. The result is
+    a new (period, n_pix) array; the input stack is left untouched.
 
     With ``remove_dc`` the stack is raw: DC removal runs in the same
     pass, and the result is (compressed, fit map), the fit map that of
@@ -221,16 +212,13 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
     pipeline checks its codes when it makes them.
     """
     traces = stack.data.reshape(stack.n_frames, -1)
-    overwrite_input = overwrite_input and traces.flags.writeable
     if remove_dc:
         keep = dc_removal._validate_bias(code)
         out, n_avg, fits = _remove_dc_and_compress(
-            traces, code, timing, normalization, single_period,
-            overwrite_input, keep)
+            traces, code, timing, normalization, single_period, keep)
     else:
         out, n_avg = _compress_columns(
-            traces, code, timing, normalization, single_period, np.float32,
-            overwrite_input)
+            traces, code, timing, normalization, single_period, np.float32)
     metadata = dict(stack.metadata)
     metadata.update({
         "stage": "compressed",
@@ -265,7 +253,6 @@ def decimate_to_bit_rate(stack, timing, average=False):
             f"{stack.n_frames} frames do not divide into bits of {k} frames")
     if average:
         data = stack.data.reshape(-1, k, stack.ny, stack.nx).mean(axis=1)
-        data = data.astype(np.float32)
     else:
         data = stack.data[::k]
     new_timing = Timing(t_bit=timing.t_bit, fps=timing.fps / k,
@@ -297,9 +284,9 @@ def snr_metric(stack, region_signal, region_reference) -> float:
     in both numerator and denominator. A noiseless uniform reference has
     exactly zero residual and returns +inf (saturated); zero contrast
     (e.g. identical regions) returns -inf. The reference region should
-    be thermally uniform and hold at least two pixels. The regions are
-    read a chunk of frames at a time, so no copy of a whole region is
-    made.
+    be thermally uniform and hold at least two pixels. A stack of no
+    frames raises EmptyRegion. The regions are read a chunk of frames
+    at a time, so no copy of a whole region is made.
     """
     if region_signal != region_reference and all(
             max(a.start, b.start) < min(a.stop, b.stop)
@@ -310,6 +297,8 @@ def snr_metric(stack, region_signal, region_reference) -> float:
         if (region.x0 + region.width > stack.nx
                 or region.y0 + region.height > stack.ny):
             raise EmptyRegion(f"region {region} does not fit the stack")
+    if not stack.n_frames:
+        raise EmptyRegion("the stack has no frames")
     n_pix = region_reference.width * region_reference.height
     # the float64 block of each region over a chunk of frames fits in
     # CHUNK_BYTES

@@ -9,7 +9,6 @@ configs yield identical manifests.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import hashlib
 import json
@@ -44,12 +43,6 @@ def _stage(name):
 INTERMEDIATES = ("dc_removed",)
 
 
-def _parse_config(source):
-    if isinstance(source, configparser.ConfigParser):
-        return source
-    return read_ini(source)
-
-
 def generate_codes(section):
     """Standard excitation code and modified compression code from [code]."""
     kind = section.get("kind", "ls").lower()
@@ -68,7 +61,7 @@ def generate_codes(section):
 
 
 def run_pipeline(config, out_dir=None, seed=None):
-    """Execute the full pipeline described by an INI config.
+    """Execute the full pipeline described by the INI file ``config``.
 
     Returns the manifest dictionary. Any error, the failed write of an
     artifact included, raises PipelineStageError with the name of the
@@ -83,7 +76,7 @@ def run_pipeline(config, out_dir=None, seed=None):
     :func:`stack.open_stack`).
     """
     with _stage("config"):
-        parser = _parse_config(config)
+        parser = read_ini(config)
         amplitude = float(parser.get("excitation", "amplitude", fallback="1.0"))
         normalization = Normalization((parser.get(
             "compression", "normalization", fallback="raw") or "raw").lower())
@@ -167,14 +160,13 @@ def run_pipeline(config, out_dir=None, seed=None):
         emit("filter_csv", "matched_filter.csv", filter_to_csv,
              build_matched_filter(modified_code, comp_timing))
 
-    # one pass removes the DC trend and compresses (overwrite_input
-    # False, remove_dc True); compress_stack takes its arguments
-    # positionally, so a stand-in taking (stack, code, *args) can
-    # replace it
+    # one pass removes the DC trend and compresses (remove_dc True);
+    # compress_stack takes its arguments positionally, so a stand-in
+    # taking (stack, code, *args) can replace it
     with _stage("compress"):
         compressed, fit_map = compress_stack(
             raw, modified_code, comp_timing, normalization,
-            options["single_period"], False, True)
+            options["single_period"], True)
         emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
         emit("compressed_stack", "compressed.tgs", write_stack, compressed)
     if "dc_removed" in intermediates:

@@ -222,7 +222,10 @@ def _read_header(fh, path, update):
     update(blob)
     if len(blob) < meta_len:
         raise TruncatedFile(f"{path}: metadata incomplete")
-    metadata = _decode_metadata(blob)
+    try:
+        metadata = _decode_metadata(blob)
+    except UnicodeDecodeError as exc:
+        raise BadHeader(f"{path}: metadata is not UTF-8: {exc}") from exc
     expected = 24 + meta_len + 4 * n_frames * ny * nx
     if size < expected:
         raise TruncatedFile(
@@ -233,16 +236,16 @@ def _read_header(fh, path, update):
     return (n_frames, ny, nx), _exact_fps(fps, metadata), metadata
 
 
-def read_stack(path, digest=None) -> ThermogramStack:
+def read_stack(path) -> ThermogramStack:
     """Read a TGS1 file into a writeable stack in memory.
 
     The file is opened and checked by :func:`open_stack`, with its
-    errors, and ``digest`` is fed as there. The frames are then copied
-    out of the mapping CHUNK_BYTES at a time, dropping the file pages
-    behind each chunk, so the file is not resident next to the copy.
-    As for :func:`open_stack`, the file must not be truncated meanwhile.
+    errors. The frames are then copied out of the mapping CHUNK_BYTES
+    at a time, dropping the file pages behind each chunk, so the file
+    is not resident next to the copy. As for :func:`open_stack`, the
+    file must not be truncated meanwhile.
     """
-    stack = open_stack(path, digest)
+    stack = open_stack(path)
     mapped = stack.data.reshape(-1)
     drop = page_dropper(stack.data) or (lambda stop: None)
     # the stack's samples were checked: it takes the copy as they are

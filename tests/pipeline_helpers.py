@@ -1,5 +1,6 @@
 """Single-pixel pipeline runner and checks shared by the test modules."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,10 @@ def run_pixel(model, standard_code, modified_code, timing, amplitude=1.0,
                                 normalization=normalization,
                                 single_period=single_period)
     return compressed, y
+
+
+def file_sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def resident_kib(array):

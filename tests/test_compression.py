@@ -49,7 +49,8 @@ from pnpuct import (
     verify_resolution,
     write_stack,
 )
-from pipeline_helpers import fusion_bound, resident_kib, run_pixel
+from pipeline_helpers import (file_sha256, fusion_bound, resident_kib,
+                              run_pixel)
 
 SOUND = PixelModel(diffusivity=1e-6)
 PLUS_CODES = [
@@ -280,19 +281,6 @@ class TestCompressStack:
         with pytest.raises(UnmodifiedCode):
             compress_stack(stack, ls31, timing)
 
-    def test_overwrite_input_allocates_no_stack(self, ls31_plus):
-        # the one 5.08 MB float64 block buffer, which the filter's product
-        # shares; the output alone is 20.3 MB
-        stack, timing = _camera_stack()
-        assert _peak_alloc(compress_stack, stack, ls31_plus, timing,
-                           overwrite_input=True) < 6e6
-
-    def test_fused_overwrite_input_allocates_no_stack(self, ls31_plus):
-        # the fused DC removal adds only per-call vectors and a fit map
-        stack, timing = _camera_stack()
-        assert _peak_alloc(compress_stack, stack, ls31_plus, timing,
-                           overwrite_input=True, remove_dc=True) < 6e6
-
     def test_frame_count_checked(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
         stack = ThermogramStack(data=np.ones((100, 1, 1), dtype=np.float32),
@@ -381,16 +369,12 @@ class TestCompressionProperties:
                  data.draw(st.integers(0, ny * nx - 1))] = np.nan
             with pytest.raises(NonFiniteData):
                 compress_stack(*args)
-            with pytest.raises(NonFiniteData):
-                compress_stack(*args, overwrite_input=True)
             return
         before = stack.data.tobytes()
-        expected = compress_stack(*args)
+        result = compress_stack(*args)
         assert stack.data.tobytes() == before
-        out = compress_stack(*args, overwrite_input=True)
-        assert np.shares_memory(out.data, stack.data)
-        assert out.data.tobytes() == expected.data.tobytes()
-        assert out.metadata == expected.metadata
+        assert not np.shares_memory(result.data, stack.data)
+        assert not result.data.reshape(result.n_frames, -1)[:, dead].any()
 
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
@@ -474,11 +458,11 @@ class TestFusedDcRemoval:
            n_per=st.integers(2, 4), ny=st.integers(1, 3),
            nx=st.integers(1, 100),
            normalization=st.sampled_from(list(Normalization)),
-           single_period=st.booleans(), overwrite=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+           single_period=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
     def test_fused_matches_two_stages(self, code, k, n_per, ny, nx,
-                                      normalization, single_period,
-                                      overwrite, seed, data):
+                                      normalization, single_period, seed,
+                                      data):
         timing = _timing(k, n_per)
         n = timing.total_frames(code.n_bit)
         rng = np.random.default_rng(seed)
@@ -503,11 +487,9 @@ class TestFusedDcRemoval:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fused, fused_fits = compress_stack(
-                stack, code, timing, normalization, single_period, overwrite,
-                True)
-        assert np.shares_memory(fused.data, stack.data) == overwrite
-        if not overwrite:
-            assert stack.data.tobytes() == raw.tobytes()
+                stack, code, timing, normalization, single_period, True)
+        assert not np.shares_memory(fused.data, stack.data)
+        assert stack.data.tobytes() == raw.tobytes()
         assert fused_fits.tobytes() == fits.tobytes()
         assert fused.metadata == two.metadata
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
@@ -523,7 +505,7 @@ class TestFusedDcRemoval:
         pixel = ThermogramStack(data=np.zeros_like(raw[at]), fps=timing.fps)
         pixel.data[...] = raw[at]
         one, one_fits = compress_stack(pixel, code, timing, normalization,
-                                       single_period, overwrite, True)
+                                       single_period, True)
         assert one.data.tobytes() == fused.data[at].tobytes()
         assert one_fits.tobytes() == fits[at[1:]].tobytes()
 
@@ -563,7 +545,7 @@ class TestMappedInput:
                                   chunk_bytes), \
                 mock.patch.object(pnpuct.stack, "CHUNK_BYTES", chunk_bytes):
             banded = compress_stack(open_stack(path), code, timing,
-                                    overwrite_input=True, remove_dc=remove_dc)
+                                    remove_dc=remove_dc)
         if remove_dc:
             (whole, fits), (banded, banded_fits) = whole, banded
             assert banded_fits.tobytes() == fits.tobytes()
@@ -575,12 +557,13 @@ class TestMappedInput:
         stack, timing = _camera_stack()
         path = tmp_path / "raw.tgs"
         write_stack(stack, path)
+        on_disk = file_sha256(path)
         mapped = open_stack(path)
-        removed, fits = remove_dc_stack(mapped, ls31_plus, timing,
-                                        overwrite_input=True)
+        removed, fits = remove_dc_stack(mapped, ls31_plus, timing)
         expected, expected_fits = remove_dc_stack(stack, ls31_plus, timing)
         assert removed.data.tobytes() == expected.data.tobytes()
         assert fits.tobytes() == expected_fits.tobytes()
+        assert file_sha256(path) == on_disk
 
     def test_peak_stays_below_the_input(self, tmp_path, ls31_plus):
         # the 20.3 MB period, a 10.2 MB band and a 5.1 MB block, against
@@ -589,14 +572,15 @@ class TestMappedInput:
         path = tmp_path / "raw.tgs"
         write_stack(stack, path)
         del stack
+        on_disk = file_sha256(path)
         tracemalloc.start()
         try:
             mapped = open_stack(path)
-            compress_stack(mapped, ls31_plus, timing, overwrite_input=True,
-                           remove_dc=True)
+            compress_stack(mapped, ls31_plus, timing, remove_dc=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert file_sha256(path) == on_disk
         assert peak < mapped.data.nbytes
         if Path("/proc/self/smaps").exists():
             # every band's pages were dropped behind it
@@ -616,10 +600,11 @@ class TestMappedInput:
         monkeypatch.delattr(pnpuct.stack.mmap, "MADV_DONTNEED")
         mapped = open_stack(path)
         assert pnpuct.stack.page_dropper(mapped.data.reshape(-1)) is None
-        result = compress_stack(mapped, ls31_plus, timing,
-                                overwrite_input=True, remove_dc=True)
+        on_disk = path.read_bytes()
+        result = compress_stack(mapped, ls31_plus, timing, remove_dc=True)
         assert result[0].data.tobytes() == expected[0].data.tobytes()
         assert result[1].tobytes() == expected[1].tobytes()
+        assert path.read_bytes() == on_disk
 
 
 class TestGemmUpdate:
@@ -870,6 +855,13 @@ class TestSnrMetric:
             snr_metric(stack, Region(0, 0, 3, 4), Region(5, 0, 3, 4))
         with pytest.raises(ValueError):
             Region(0, 0, 0, 2)
+
+    def test_zero_frames_is_empty_region(self):
+        # TGS1 allows a stack of no frames; it has no peak contrast
+        stack = ThermogramStack(data=np.empty((0, 4, 6), np.float32),
+                                fps=1.0)
+        with pytest.raises(EmptyRegion, match="no frames"):
+            snr_metric(stack, Region(0, 0, 3, 4), Region(3, 0, 3, 4))
 
     def test_overlap_rejected(self):
         stack = self._stack(noise_sigma=0.1)

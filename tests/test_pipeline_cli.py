@@ -1,8 +1,8 @@
 import errno
-import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -22,9 +22,10 @@ from pnpuct import (IndexOutOfRange, InvalidConfig, InvalidScene, MlsSpec,
                     load_code, load_scene_config, modify_for_perfect_pacf,
                     read_stack, run_pipeline, write_stack)
 from pnpuct.cli import main
-from pnpuct.pipeline import _parse_config, generate_codes
+from pnpuct.pipeline import generate_codes
+from pnpuct.thermal import read_ini
 from pnpuct.waveform import filter_to_csv
-from pipeline_helpers import fusion_bound
+from pipeline_helpers import file_sha256, fusion_bound
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -91,10 +92,6 @@ def touch_file(path, change):
     # a rewrite within the clock tick of the last one keeps the mtime
     stat = os.stat(path)
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
-
-
-def file_sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # argv of each command that reads a --stack, given the stack, a
@@ -706,6 +703,27 @@ class TestCli:
         assert main(["metrics", "snr", "--stack", compressed,
                      "--signal", "0,0,2,2", "--reference", "2,0,2,3"]) == 0
 
+    def test_non_utf8_metadata_exits_2(self, tmp_path, capsys):
+        code, stack = str(tmp_path / "c.txt"), tmp_path / "latin.tgs"
+        main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7", "-o", code])
+        meta = b"\xff\xfe = 1"
+        stack.write_bytes(b"TGS1" + struct.pack("<IIIfI", 1, 1, 2, 1.0,
+                                                len(meta))
+                          + meta + np.zeros(2, "<f4").tobytes())
+        capsys.readouterr()
+        assert main(["puct", "compress", "--stack", str(stack), "--code", code,
+                     "-o", str(tmp_path / "out.tgs")]) == 2
+        assert "latin.tgs: metadata is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out.tgs").exists()
+
+    def test_snr_of_a_zero_frame_stack_exits_2(self, tmp_path, capsys):
+        stack = str(tmp_path / "empty.tgs")
+        write_stack(ThermogramStack(data=np.empty((0, 4, 4), np.float32),
+                                    fps=2.0), stack)
+        assert main(["metrics", "snr", "--stack", stack, "--signal",
+                     "0,0,2,2", "--reference", "2,0,2,2"]) == 2
+        assert "no frames" in capsys.readouterr().err
+
     def test_fit_map_needs_remove_dc(self, tmp_path, capsys):
         code, stack = str(tmp_path / "c.txt"), str(tmp_path / "s.tgs")
         main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7", "-o", code])
@@ -1106,7 +1124,7 @@ class TestReadmeConfigs:
                        reflection_coeff=0.9)),)
 
     def test_run_block(self, blocks):
-        parser = _parse_config(blocks[1])
+        parser = read_ini(blocks[1])
         assert parser.sections() == ["code", "timing", "excitation",
                                      "compression", "output"]
         assert dict(parser["code"]) == {"kind": "ls", "n_bit": "31",

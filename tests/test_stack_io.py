@@ -209,6 +209,15 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             ThermogramStack(data=np.ones((1, 1, 1), dtype=np.float32), fps=fps)
 
+    def test_non_utf8_metadata_is_bad_header(self, tmp_path):
+        path = tmp_path / "latin.tgs"
+        meta = b"\xff\xfe = 1"
+        path.write_bytes(b"TGS1" + struct.pack("<IIIfI", 1, 1, 2, 1.0,
+                                               len(meta))
+                         + meta + np.zeros(2, "<f4").tobytes())
+        with pytest.raises(BadHeader, match="latin.tgs: metadata"):
+            self.read(path)
+
     def test_line_breaks_other_than_newline_round_trip(self, tmp_path):
         meta = {"a": "x\ry", "b": "p q", "c\x1c": "v", "d": "1\u2028 = 2"}
         path = tmp_path / "m.tgs"
@@ -239,12 +248,8 @@ class TestRoundTrip:
         stack = ThermogramStack(data=data, fps=fps, metadata=meta)
         path = tmp_path_factory.mktemp("digest") / "d.tgs"
         written = write_stack(stack, path)
-        expected = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert written == expected
-        digest = hashlib.sha256()
-        back = self.read(path, digest=digest)
-        assert digest.hexdigest() == expected
-        assert back.data.shape == data.shape
+        assert written == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert self.read(path).data.shape == data.shape
 
     def test_non_finite_rejected_at_construction(self):
         data = np.ones((2, 2, 2), dtype=np.float32)
@@ -295,13 +300,26 @@ class TestOpenStack:
     test_non_finite_first_or_last_voxel_rejected_on_read = (
         TestRoundTrip.test_non_finite_first_or_last_voxel_rejected_on_read)
     test_bad_header_fps_rejected = TestRoundTrip.test_bad_header_fps_rejected
+    test_non_utf8_metadata_is_bad_header = (
+        TestRoundTrip.test_non_utf8_metadata_is_bad_header)
     test_line_breaks_other_than_newline_round_trip = (
         TestRoundTrip.test_line_breaks_other_than_newline_round_trip)
     # hypothesis tests are decorated once per class
     test_metadata_round_trip = metadata_cases(
         TestRoundTrip.test_metadata_round_trip.hypothesis.inner_test)
-    test_digests_are_the_file_hash = digest_cases(
-        TestRoundTrip.test_digests_are_the_file_hash.hypothesis.inner_test)
+
+    @digest_cases
+    def test_digests_are_the_file_hash(self, tmp_path_factory, data, fps,
+                                       meta):
+        # open_stack hashes the file as it reads it
+        stack = ThermogramStack(data=data, fps=fps, metadata=meta)
+        path = tmp_path_factory.mktemp("digest") / "d.tgs"
+        written = write_stack(stack, path)
+        digest = hashlib.sha256()
+        back = open_stack(path, digest)
+        assert digest.hexdigest() == written == hashlib.sha256(
+            path.read_bytes()).hexdigest()
+        assert back.data.shape == data.shape
 
     def test_data_is_a_read_only_view_of_the_file(self, tmp_path):
         stack = small_stack()
