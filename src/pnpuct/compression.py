@@ -41,7 +41,7 @@ import scipy.signal
 
 from . import dc_removal
 from .errors import EmptyRegion, RegionOverlap, ShapeMismatch
-from .stack import CHUNK_BYTES, ThermogramStack
+from .stack import CHUNK_BYTES, ThermogramStack, page_dropper
 from .waveform import Timing, build_matched_filter
 
 
@@ -125,23 +125,26 @@ class _MatchedFilter:
         return a[:period]
 
 
-def _compress_columns(traces, code, timing, normalization, single_period,
-                      dtype):
+def _compress_columns(bands, shape, code, timing, normalization,
+                      single_period, dtype):
     """Matched filtering of every column of an (n_frames, n_pix) array.
 
-    Returns the normalized mean of the steady periods as a new
+    ``bands`` are the (cols, band) pairs of the array, as
+    :func:`pnpuct.dc_removal._blocks` reads them, and ``shape`` its
+    shape. Returns the normalized mean of the steady periods as a new
     (period, n_pix) array of ``dtype``, and the number of periods
     averaged.
     """
+    n_frames, n_pix = shape
     filt = _MatchedFilter(code, timing, normalization, single_period,
-                          len(traces))
-    out = np.empty((filt.period, traces.shape[1]), dtype)
-    for cols, src, a in dc_removal._blocks(traces):
+                          n_frames)
+    out = np.empty((filt.period, n_pix), dtype)
+    for cols, src, a in dc_removal._blocks(bands):
         out[:, cols] = filt(a)[:, :src.shape[1]]
     return out, filt.n_avg
 
 
-def _remove_dc_and_compress(traces, code, timing, normalization,
+def _remove_dc_and_compress(bands, shape, code, timing, normalization,
                             single_period, keep):
     """:func:`_compress_columns` of raw float32 columns, DC removal fused.
 
@@ -153,14 +156,14 @@ def _remove_dc_and_compress(traces, code, timing, normalization,
     columns give zero. Returns the (period, n_pix) output, the number
     of periods averaged and the (n_pix, 4) fit-map rows.
     """
+    n_frames, n_pix = shape
     filt = _MatchedFilter(code, timing, normalization, single_period,
-                          len(traces))
-    period = filt.period
-    out = np.empty((period, traces.shape[1]), np.float32)
-    trend = dc_removal._Trend(len(traces), timing.dt)
+                          n_frames)
+    out = np.empty((filt.period, n_pix), np.float32)
+    trend = dc_removal._Trend(n_frames, timing.dt)
     kept = keep * filt(trend.basis.copy())
-    fits = np.empty((traces.shape[1], 4))
-    for cols, src, a in dc_removal._blocks(traces):
+    fits = np.empty((n_pix, 4))
+    for cols, src, a in dc_removal._blocks(bands):
         coefs, valid = trend.residual(a, fits[cols])
         a[:, ~valid] = 0.0
         product = filt(a)
@@ -186,9 +189,10 @@ def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
     K=10 and 20 ms at LS1031 K=1 on a 2-vCPU VM with 1 BLAS thread.
     Compress many pixels with :func:`compress_stack`.
     """
-    y = np.asarray(y_plus_ac, dtype=float)
+    y = np.asarray(y_plus_ac, dtype=float)[:, None]
     values, n_avg = _compress_columns(
-        y[:, None], code, timing, normalization, single_period, np.float64)
+        dc_removal._bands(y), y.shape, code, timing, normalization,
+        single_period, np.float64)
     return CompressedTrace(values=values[:, 0], normalization=normalization,
                            periods_averaged=n_avg)
 
@@ -210,15 +214,20 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
     DC-removed stack in the last bits. Unlike :func:`remove_dc_stack`,
     this call does not pass the code through :func:`check_code`; the
     pipeline checks its codes when it makes them.
+
+    The stack may also be a :class:`pnpuct.thermal.SimulatedStack`,
+    which is then simulated a band at a time as it is compressed.
     """
-    traces = stack.data.reshape(stack.n_frames, -1)
+    bands = dc_removal._stack_bands(stack)
+    shape = (stack.n_frames, stack.ny * stack.nx)
     if remove_dc:
         keep = dc_removal._validate_bias(code)
         out, n_avg, fits = _remove_dc_and_compress(
-            traces, code, timing, normalization, single_period, keep)
+            bands, shape, code, timing, normalization, single_period, keep)
     else:
         out, n_avg = _compress_columns(
-            traces, code, timing, normalization, single_period, np.float32)
+            bands, shape, code, timing, normalization, single_period,
+            np.float32)
     metadata = dict(stack.metadata)
     metadata.update({
         "stage": "compressed",
@@ -243,7 +252,10 @@ def decimate_to_bit_rate(stack, timing, average=False):
     By default the first frame of each bit interval is kept; ``average``
     bins all K frames of a bit instead. Returns the decimated stack and
     the matching timing with K = 1. A K = 1 input passes through
-    unchanged.
+    unchanged. The input is read a chunk of whole bits, of CHUNK_BYTES
+    of frames or one bit, at a time; for a stack mapped from its file
+    the pages behind each chunk are dropped, so the file is never
+    resident.
     """
     k = timing.k
     if k == 1:
@@ -251,10 +263,18 @@ def decimate_to_bit_rate(stack, timing, average=False):
     if stack.n_frames % k != 0:
         raise ShapeMismatch(
             f"{stack.n_frames} frames do not divide into bits of {k} frames")
-    if average:
-        data = stack.data.reshape(-1, k, stack.ny, stack.nx).mean(axis=1)
-    else:
-        data = stack.data[::k]
+    bits = stack.data.reshape(-1, k, stack.ny, stack.nx)
+    data = np.empty((len(bits), stack.ny, stack.nx), np.float32)
+    bit_bytes = 4 * k * stack.ny * stack.nx
+    step = max(1, CHUNK_BYTES // max(bit_bytes, 1))
+    drop = page_dropper(stack.data) or (lambda stop: None)
+    for first in range(0, len(bits), step):
+        chunk = bits[first: first + step]
+        if average:
+            chunk.mean(axis=1, out=data[first: first + step])
+        else:
+            data[first: first + step] = chunk[:, 0]
+        drop(bit_bytes * (first + step))
     new_timing = Timing(t_bit=timing.t_bit, fps=timing.fps / k,
                         n_per=timing.n_per)
     metadata = dict(stack.metadata)

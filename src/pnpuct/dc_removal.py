@@ -8,9 +8,11 @@ share that the bias of a modified sequence accounts for, so the output
 equals the response to the modified-sequence excitation.
 
 :func:`_blocks` is the one loop that reads raw or DC-removed traces,
-a block of columns at a time, from memory or, for a stack mapped from
-its file, from one band of columns at a time copied out of the file
-(:func:`_bands`). The fit and removal here run in it, and
+a block of columns at a time, out of bands of whole blocks: of a stack
+in memory, of a stack mapped from its file, copied out of the file a
+band at a time (:func:`_bands`), or of a scene simulated a band at a
+time (:class:`pnpuct.thermal.SimulatedStack`). The fit and removal here
+run in it, and
 so does the matched filter of :mod:`pnpuct.compression`, alone or fused
 with the fit of :class:`_Trend`: both steps are linear, so the
 compressed DC-removed trace is C(y - (1 - bias) B c) = C(r) + bias C(B) c,
@@ -77,8 +79,8 @@ _BLOCK = 256
 # At 320x256x2480 frames each of 80 bands maps all 812 MB of the file
 # once more, 2 MiB at a time, and drops it: gathering them took 0.39 s
 # of CPU, 0.15 s without the drops and 0.64 s in chunks of 3 frames
-# (1 MiB), against 3.7-4.1 s for a pipeline run. thermal.simulate_stack
-# fills its stack in bands of whole pixel rows within the same budget.
+# (1 MiB), against 3.7-4.1 s for a pipeline run. A simulated scene is
+# made in the same bands (thermal.SimulatedStack).
 _BAND_BYTES = 10 << 20
 _CHUNK_FRAMES = 16
 
@@ -113,20 +115,26 @@ def _trmm(t, b, upper):
             "dtrmm copied its target; pass a C-contiguous float64 array")
 
 
+def _band_width(n, n_pix):
+    """Columns of a band of n-sample float32 columns: the most whole
+    blocks within _BAND_BYTES, one block at least, or all n_pix."""
+    return min(max(1, _BAND_BYTES // (4 * n * _BLOCK)) * _BLOCK, n_pix)
+
+
 def _bands(traces):
     """(cols, band) pairs that cover the columns of an (n, n_pix) array.
 
     An array in memory is one band, the array itself. A view of a
-    mapped file is copied a band of _BAND_BYTES at a time into one
-    reused float32 buffer, a chunk of frames at a time, and the file
-    pages behind each chunk are dropped: the file is never resident.
-    Bands start at multiples of _BLOCK columns.
+    mapped file is copied a band of :func:`_band_width` columns at a
+    time into one reused float32 buffer, a chunk of frames at a time,
+    and the file pages behind each chunk are dropped: the file is never
+    resident.
     """
     n, n_pix = traces.shape
     if not traces.size or page_dropper(traces) is None:
         yield slice(0, n_pix), traces
         return
-    width = min(max(1, _BAND_BYTES // (4 * n * _BLOCK)) * _BLOCK, n_pix)
+    width = _band_width(n, n_pix)
     buffer = np.empty((n, width), np.float32)
     step = max(_CHUNK_FRAMES, CHUNK_BYTES // (4 * n_pix))
     for start in range(0, n_pix, width):
@@ -140,19 +148,33 @@ def _bands(traces):
         yield cols, band
 
 
-def _blocks(traces):
+def _stack_bands(stack):
+    """(cols, band) pairs of the pixel columns of a stack's frames.
+
+    A :class:`pnpuct.thermal.SimulatedStack` simulates them (its
+    ``bands``); any other stack gives :func:`_bands` of its data.
+    """
+    if hasattr(stack, "bands"):
+        return stack.bands()
+    return _bands(stack.data.reshape(stack.n_frames, -1))
+
+
+def _blocks(bands):
     """The one loop over blocks of the columns of an (n, n_pix) array.
 
-    Yields (cols, src, a) per block: the column slice, the block's
-    columns as read (of ``traces`` itself, or of the band of
-    :func:`_bands` that holds them) and one float64 (n, _BLOCK) buffer,
+    ``bands`` yields (cols, band) pairs, in order, that cover the
+    columns: ``cols`` a slice starting at a multiple of _BLOCK, ``band``
+    the (n, w) array of those columns, read before the next pair is
+    drawn. Yields (cols, src, a) per block: the column slice, the
+    block's columns in its band and one float64 (n, _BLOCK) buffer,
     allocated once per call, that holds the block's columns zero-padded
     to _BLOCK. The caller may overwrite ``a``; the next block refills
     it.
     """
-    n, n_pix = traces.shape
-    a = np.empty((n, _BLOCK))
-    for band_cols, band in _bands(traces):
+    a = None
+    for band_cols, band in bands:
+        if a is None:
+            a = np.empty((len(band), _BLOCK))
         for start in range(band_cols.start, band_cols.stop, _BLOCK):
             cols = slice(start, min(start + _BLOCK, band_cols.stop))
             src = band[:, cols.start - band_cols.start:
@@ -233,18 +255,20 @@ class _Trend:
         return coefs, valid
 
 
-def _fit_and_remove(traces, dt, keep, dtype):
-    """Each column of ``traces`` minus (1 - keep) times its fitted trend.
+def _fit_and_remove(bands, shape, dt, keep, dtype):
+    """Each column of an array minus (1 - keep) times its fitted trend.
 
-    Returns a new array of ``dtype`` and the shape of ``traces``, and
-    the (n_pix, 4) fit-map rows. The scaled trend is formed in float64
-    and subtracted from the re-read trace, so float32 output is the
-    float64 result rounded once; invalid columns give zero.
+    ``bands`` are the (cols, band) pairs of the array, as
+    :func:`_blocks` reads them, and ``shape`` its (n, n_pix) shape.
+    Returns a new array of ``dtype`` and that shape, and the (n_pix, 4)
+    fit-map rows. The scaled trend is formed in float64 and subtracted
+    from the re-read trace, so float32 output is the float64 result
+    rounded once; invalid columns give zero.
     """
-    out = np.empty(traces.shape, dtype)
-    trend = _Trend(len(traces), dt)
-    fits = np.empty((traces.shape[1], 4))
-    for cols, src, a in _blocks(traces):
+    out = np.empty(shape, dtype)
+    trend = _Trend(shape[0], dt)
+    fits = np.empty((shape[1], 4))
+    for cols, src, a in _blocks(bands):
         coefs, valid = trend.residual(a, fits[cols])
         _gemm(1.0 - keep, trend.basis, coefs, 0.0, a)
         m = src.shape[1]
@@ -258,7 +282,8 @@ def _fit_and_remove(traces, dt, keep, dtype):
 def _fit_trace(trace, timing, keep):
     """One column of :func:`_fit_and_remove` in float64, and its fit."""
     trace = np.asarray(trace, dtype=float)[:, None]
-    out, (row,) = _fit_and_remove(trace, timing.dt, keep, np.float64)
+    out, (row,) = _fit_and_remove(_bands(trace), trace.shape, timing.dt,
+                                  keep, np.float64)
     if np.isnan(row).any():
         raise DegenerateTrace("trace is all zero or has no finite fit")
     return out[:, 0], DcFit(*row.tolist())
@@ -301,7 +326,8 @@ def remove_dc_stack(stack, code, timing):
     Returns a new DC-removed stack and a (ny, nx, 4) float64 fit map of
     a1, a2, a3 and rms residual per pixel; pixels rejected as degenerate
     hold NaN rows and pass through as zero traces. The input stack is
-    left untouched.
+    left untouched. It may also be a
+    :class:`pnpuct.thermal.SimulatedStack`, simulated a band at a time.
     """
     bias = _validate_bias(check_code(code))
     n_frames = stack.n_frames
@@ -309,7 +335,8 @@ def remove_dc_stack(stack, code, timing):
     if n_frames != expected:
         raise ShapeMismatch(
             f"stack has {n_frames} frames, timing implies {expected}")
-    out, fits = _fit_and_remove(stack.data.reshape(n_frames, -1),
+    out, fits = _fit_and_remove(_stack_bands(stack),
+                                (n_frames, stack.ny * stack.nx),
                                 timing.dt, bias, np.float32)
     metadata = dict(stack.metadata)
     metadata.update({
@@ -318,7 +345,7 @@ def remove_dc_stack(stack, code, timing):
         "code_n_bit": str(code.n_bit),
         "bias": repr(bias),
     })
-    removed = ThermogramStack(data=out.reshape(stack.data.shape),
+    removed = ThermogramStack(data=out.reshape(n_frames, stack.ny, stack.nx),
                               fps=stack.fps, metadata=metadata)
     return removed, fits.reshape(stack.ny, stack.nx, 4)
 

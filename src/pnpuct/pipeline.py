@@ -23,7 +23,8 @@ from .errors import InvalidConfig, PipelineStageError
 from .stack import (check_not_input, check_unchanged, export_pixel_trace,
                     export_slice, file_version, open_stack, slice_paths,
                     write_stack)
-from .thermal import read_ini, scene_from_parser, simulate_stack
+from .thermal import (SimulatedStack, read_ini, scene_from_parser,
+                      simulate_stack)
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv)
 
@@ -41,6 +42,15 @@ def _stage(name):
 
 # stacks written only when [output] intermediates names them
 INTERMEDIATES = ("dc_removed",)
+
+
+class _SimulatedScene(SimulatedStack):
+    """A scene simulated as it is compressed; its errors name stage
+    ``simulate``, not the stage that reads it."""
+
+    def bands(self):
+        with _stage("simulate"):
+            yield from super().bands()
 
 
 def generate_codes(section):
@@ -66,14 +76,22 @@ def run_pipeline(config, out_dir=None, seed=None):
     Returns the manifest dictionary. Any error, the failed write of an
     artifact included, raises PipelineStageError with the name of the
     stage that made that artifact, and no manifest file is written.
-    The raw stack, an ``[input]`` stack or the ``raw_stack.tgs`` that a
-    simulated scene is written into, is read through a file mapping, so
-    no other file the run writes may be it: such a write is refused
-    with OverwritesInput, at the stage of that file, before it is made.
-    A change to it during the run stops the run with StackChanged at
-    the last stage, ``output``. A file truncated by another process
-    while the run reads it kills the process with SIGBUS (see
-    :func:`stack.open_stack`).
+
+    A simulated scene is compressed straight from its bands as they are
+    simulated (:class:`~pnpuct.thermal.SimulatedStack`): no raw stack
+    is stored, and an error in its samples stops the run at stage
+    ``simulate``. Only when a later stage reads the raw stack again,
+    to decimate it or to write its DC-removed stack, is it written to
+    ``raw_stack.tgs`` by :func:`~pnpuct.thermal.simulate_stack`,
+    recorded in the manifest and read back through its mapping.
+
+    A raw stack read through a file mapping, an ``[input]`` stack or
+    ``raw_stack.tgs``, may be no other file the run writes: such a
+    write is refused with OverwritesInput, at the stage of that file,
+    before it is made. A change to it during the run stops the run with
+    StackChanged at the last stage, ``output``. A file truncated by
+    another process while the run reads it kills the process with
+    SIGBUS (see :func:`stack.open_stack`).
     """
     with _stage("config"):
         parser = read_ini(config)
@@ -142,13 +160,16 @@ def run_pipeline(config, out_dir=None, seed=None):
             scene = scene_from_parser(parser)
             if seed is not None:
                 scene = dataclasses.replace(scene, rng_seed=int(seed))
-            path = writable(os.path.join(directory, "raw_stack.tgs"))
-            digest = hashlib.sha256()
-            # written band by band and mapped: never resident
-            raw = simulate_stack(scene, unipolar, path, digest)
-            version = file_version(path)
-            mapped = path
-            artifacts["raw_stack"] = path, digest.hexdigest()
+            if options["decimate"] or "dc_removed" in intermediates:
+                path = writable(os.path.join(directory, "raw_stack.tgs"))
+                digest = hashlib.sha256()
+                # written band by band and mapped: never resident
+                raw = simulate_stack(scene, unipolar, path, digest)
+                version = file_version(path)
+                mapped = path
+                artifacts["raw_stack"] = path, digest.hexdigest()
+            else:
+                raw = _SimulatedScene(scene, unipolar)
     comp_timing = timing
     if options["decimate"]:
         with _stage("decimate"):
@@ -198,7 +219,8 @@ def run_pipeline(config, out_dir=None, seed=None):
                 name: {"path": os.path.basename(path), "sha256": digest}
                 for name, (path, digest) in sorted(artifacts.items())},
         }
-        check_unchanged(mapped, version)
+        if mapped is not None:
+            check_unchanged(mapped, version)
         if source is not None:
             manifest["input"] = source
         with open(manifest_path, "w", encoding="utf-8") as fh:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
-                     RateMismatch, SeriesNotConverged)
+                     NonFiniteData, RateMismatch, SeriesNotConverged)
 from . import dc_removal
 from .stack import (CHUNK_BYTES, ThermogramStack, create_stack, open_stack,
                     page_dropper)
@@ -326,122 +326,156 @@ def _pcg64_state(words):
             "has_uint32": 0, "uinteger": 0}
 
 
+class SimulatedStack:
+    """The stack of a simulated scene, made a band at a time as it is read.
+
+    Construction computes each distinct model's response, so errors of
+    the series raise here; no sample is stored. ``fps``, ``metadata``,
+    ``n_frames``, ``ny`` and ``nx`` are those of the stack
+    :func:`simulate_stack` returns. ``data`` holds no sample: it is NaN
+    broadcast to the stack's shape, read-only, for code that sizes a
+    stack by its data. Each call of :meth:`bands` simulates the scene
+    anew, bit for bit.
+    """
+
+    def __init__(self, scene, excitation):
+        timing = excitation.timing
+        n_frames = len(excitation.samples)
+        duration = n_frames * timing.dt
+        self.scene = scene
+        self._traces = np.array([
+            respond(impulse_response(model, timing, duration), excitation)
+            for model in scene.models])
+        self.fps = timing.fps
+        self.metadata = {
+            "stage": "simulated",
+            "rng_seed": str(scene.rng_seed),
+            "noise_sigma": repr(scene.noise_sigma),
+            **excitation_metadata(excitation),
+        }
+        self.n_frames, self.ny, self.nx = n_frames, scene.ny, scene.nx
+        self.data = np.broadcast_to(np.float32(np.nan),
+                                    (n_frames, scene.ny, scene.nx))
+
+    def bands(self):
+        """(cols, band) pairs of the stack's flattened pixel columns.
+
+        The bands have the geometry of ``dc_removal._bands``: whole
+        ``_BLOCK`` columns, in pixel order, within ``_BAND_BYTES``.
+        ``band`` is an (n_frames, w) float32 view of one reused buffer,
+        valid until the next pair is drawn. A band with a non-finite
+        sample raises NonFiniteData before it is yielded.
+
+        Each distinct model has one convolution, gathered to its pixels
+        through the label map, so no float64 copy of the stack exists.
+        Pixel (jx, jy) adds the noise stream of ``default_rng([rng_seed,
+        jx, jy])``, so serial and parallel evaluations are bit-identical.
+        One vectorized SeedSequence pass seeds all pixels
+        (:func:`_seed_states`), and one Generator, set in turn to each
+        pixel's PCG64 state (:func:`_pcg64_state`), draws its noise into
+        one reused float64 trace: no Generator is built per pixel. Each
+        finished trace is cast to float32 into its column of the band,
+        which is stored pixel-major and read through its transpose.
+        """
+        scene, traces = self.scene, self._traces
+        n_frames = traces.shape[1]
+        n_pix = scene.ny * scene.nx
+        labels = scene.labels.reshape(-1)
+        buffer = np.empty((dc_removal._band_width(n_frames, n_pix),
+                           n_frames), np.float32)
+        sigma = scene.noise_sigma
+        if sigma > 0:
+            jy, jx = np.divmod(np.arange(n_pix), scene.nx)
+            states = _seed_states(scene.rng_seed, jx, jy)
+            bitgen = np.random.PCG64(0)
+            gen = np.random.Generator(bitgen)
+            trace = np.empty(n_frames)
+        for start in range(0, n_pix, len(buffer)):
+            cols = slice(start, min(start + len(buffer), n_pix))
+            band = buffer[:cols.stop - start]
+            # a sample beyond float32 casts to inf, which the check finds
+            with np.errstate(over="ignore"):
+                if sigma == 0:
+                    for pixel, label in zip(band, labels[cols]):
+                        pixel[...] = traces[label]
+                else:
+                    for pixel, label, words in zip(band, labels[cols],
+                                                   states[cols]):
+                        bitgen.state = _pcg64_state(words)
+                        # the bits of trace + gen.normal(0.0, sigma,
+                        # n_frames), drawn in place: normal is loc + scale * z
+                        gen.standard_normal(out=trace)
+                        trace *= sigma
+                        trace += 0.0
+                        trace += traces[label]
+                        pixel[...] = trace
+            # min and max reduce without a band-sized mask; NaN propagates
+            if not np.isfinite([band.min(), band.max()]).all():
+                raise NonFiniteData(
+                    f"simulated pixels {cols.start}-{cols.stop - 1} "
+                    "(flattened) have non-finite samples")
+            yield cols, band.T
+
+
 def simulate_stack(scene, excitation, path=None,
                    digest=None) -> ThermogramStack:
     """Per-pixel responses plus seeded Gaussian noise, as a thermogram stack.
 
-    Without ``path`` the stack is built in a new float32 array. With
-    ``path`` it is written, band by band, straight into a new TGS1 file
-    there, the bytes :func:`~pnpuct.stack.write_stack` would write of
-    the stack built in memory, and the file is then opened with
+    The bands of :meth:`SimulatedStack.bands` are stored, a chunk of
+    frames at a time (see :func:`_store`). Without ``path`` they go
+    into a new float32 array. With ``path`` they are written straight
+    into a new TGS1 file there, the bytes
+    :func:`~pnpuct.stack.write_stack` would write of the stack built in
+    memory, and the file is then opened with
     :func:`~pnpuct.stack.open_stack`, which feeds ``digest`` and checks
     the samples in one pass: the stack returned is a read-only view of
     the file, and no simulated stack is ever resident. Errors of the
     series raise before the file is created; a full disk raises OSError
-    when the file is created (see :func:`~pnpuct.stack.create_stack`).
-
-    Each distinct model of the scene gets one convolution, gathered to
-    its pixels through the label map one row at a time into one reused
-    row buffer, so no float64 copy of the whole stack exists. Pixel
-    (jx, jy) adds the noise stream of ``default_rng([rng_seed, jx,
-    jy])``, so serial and parallel evaluations are bit-identical. One
-    vectorized SeedSequence pass seeds all pixels (:func:`_seed_states`),
-    and one Generator, set in turn to each pixel's PCG64 state
-    (:func:`_pcg64_state`), draws its noise into its place in the row
-    buffer: no Generator is built per pixel. Each finished row is cast
-    to float32 into a band of whole rows within
-    ``dc_removal._BAND_BYTES``, and each full band goes into the
-    time-major frames a chunk of frames at a time (see :func:`_store`).
+    when the file is created (see :func:`~pnpuct.stack.create_stack`);
+    a non-finite sample raises NonFiniteData.
     """
-    timing = excitation.timing
-    n_frames = len(excitation.samples)
-    duration = n_frames * timing.dt
-    traces = np.array([respond(impulse_response(model, timing, duration),
-                               excitation) for model in scene.models])
-    shape = (n_frames, scene.ny, scene.nx)
-    metadata = {
-        "stage": "simulated",
-        "rng_seed": str(scene.rng_seed),
-        "noise_sigma": repr(scene.noise_sigma),
-        **excitation_metadata(excitation),
-    }
+    simulated = SimulatedStack(scene, excitation)
+    shape = simulated.data.shape
     if path is None:
         data = np.empty(shape, dtype=np.float32)
-        _simulate_into(scene, traces, data)
-        return ThermogramStack(data=data, fps=timing.fps, metadata=metadata)
-    with create_stack(path, shape, timing.fps, metadata) as (frames, write):
-        _simulate_into(scene, traces, frames, write)
+        for cols, band in simulated.bands():
+            _store(band, data.reshape(len(data), -1), cols)
+        return ThermogramStack(data=data, fps=simulated.fps,
+                               metadata=simulated.metadata)
+    with create_stack(path, shape, simulated.fps,
+                      simulated.metadata) as (frames, write):
+        for cols, band in simulated.bands():
+            _store(band, frames.reshape(len(frames), -1), cols, write)
     del frames
     return open_stack(path, digest)
 
 
-def _simulate_into(scene, traces, data, write=None):
-    """The one row loop of :func:`simulate_stack`, filling ``data``.
+def _store(band, data, cols, write=None):
+    """Store an (n_frames, w) band into the columns ``cols`` of ``data``.
 
-    ``data`` is the (n_frames, ny, nx) float32 destination, an array in
-    memory or the mapped frames of :func:`~pnpuct.stack.create_stack`,
-    whose ``write`` is then given too.
+    ``data`` is the (n_frames, n_pix) view of time-major frames. The
+    band goes in one store per chunk of frames, chunks sized as in
+    :func:`pnpuct.dc_removal._bands`. Into a mapped file, the pages
+    behind each chunk are dropped, so the file is never resident. A
+    band of every column, whose chunks are whole frames, is staged a
+    chunk at a time and written with ``write`` instead, when it is
+    given: the page faults of stores through the mapping cost more than
+    the writes (10 MB of frames: 16 ms against 7 ms, process CPU on a
+    2-vCPU VM, ext4), and the page cache the writes fill is read back
+    faster.
     """
-    n_frames = traces.shape[1]
-    row = np.empty((scene.nx, n_frames))
-    # The band budget: the most whole rows within dc_removal._BAND_BYTES,
-    # the bands compression copies out of a mapped stack, and one row at
-    # least. 64 x 64 px x 2480 frames went from bands of 16 rows into
-    # an array in memory, in chunks of 64 frames, in 17-18 ms, as from
-    # stores of four rows (process CPU, best of 5, a 2-vCPU VM).
-    band = np.empty((max(1, min(scene.ny, dc_removal._BAND_BYTES
-                                // (4 * n_frames * scene.nx))),
-                     scene.nx, n_frames), dtype=np.float32)
-    sigma = scene.noise_sigma
-    if sigma > 0:
-        rows, cols = np.divmod(np.arange(scene.ny * scene.nx), scene.nx)
-        states = iter(_seed_states(scene.rng_seed, cols, rows))
-        bitgen = np.random.PCG64(0)
-        gen = np.random.Generator(bitgen)
-    for jy, labels in enumerate(scene.labels):
-        if sigma == 0:
-            np.take(traces, labels, axis=0, out=row)
-        else:
-            for pixel, label in zip(row, labels):
-                bitgen.state = _pcg64_state(next(states))
-                # the bits of trace + gen.normal(0.0, sigma, n_frames),
-                # drawn in place: normal is loc + scale * z
-                gen.standard_normal(out=pixel)
-                pixel *= sigma
-                pixel += 0.0
-                pixel += traces[label]
-        i = jy % len(band)
-        band[i] = row
-        if i == len(band) - 1 or jy == scene.ny - 1:
-            _store(band[:i + 1], data, jy - i, write)
-
-
-def _store(band, data, first_row, write=None):
-    """Store a (rows, nx, n_frames) band into the rows of time-major frames.
-
-    The band goes in one transposed store per chunk of frames, chunks
-    sized as in :func:`pnpuct.dc_removal._bands`. Into a mapped file,
-    the pages behind each chunk are dropped, so the file is never
-    resident. A band of every row, whose chunks are whole frames, is
-    staged a chunk at a time and written with ``write`` instead, when
-    it is given: the page faults of stores through the mapping cost
-    more than the writes (10 MB of frames: 16 ms against 7 ms, process
-    CPU on a 2-vCPU VM, ext4), and the page cache the writes fill is
-    read back faster.
-    """
-    n_frames, ny, nx = data.shape
-    rows = slice(first_row, first_row + len(band))
-    step = max(dc_removal._CHUNK_FRAMES, CHUNK_BYTES // (4 * ny * nx))
-    staging = (np.empty((min(step, n_frames), ny, nx), "<f4")
-               if write is not None and len(band) == ny else None)
+    n_frames, n_pix = data.shape
+    step = max(dc_removal._CHUNK_FRAMES, CHUNK_BYTES // (4 * n_pix))
+    staging = (np.empty((min(step, n_frames), n_pix), "<f4")
+               if write is not None and band.shape[1] == n_pix else None)
     # each band writes the file from its first frame on
     drop = page_dropper(data) or (lambda stop: None)
     for first in range(0, n_frames, step):
         frames = slice(first, first + step)
-        chunk = band[:, :, frames].transpose(2, 0, 1)
+        chunk = band[frames]
         if staging is None:
-            data[frames, rows] = chunk
-            drop(4 * ny * nx * (first + step))
+            data[frames, cols] = chunk
+            drop(4 * n_pix * (first + step))
         else:
             staged = staging[:len(chunk)]
             staged[...] = chunk

@@ -23,6 +23,7 @@ from pnpuct import (
     RegionOverlap,
     SceneConfig,
     ShapeMismatch,
+    SimulatedStack,
     ThermogramStack,
     Timing,
     UnmodifiedCode,
@@ -398,7 +399,8 @@ class TestCompressionProperties:
         traces = np.random.default_rng(seed).normal(
             size=(n_per * period, n_pix))
         out, n_avg = pnpuct.compression._compress_columns(
-            traces, code, timing, normalization, single_period, np.float64)
+            pnpuct.dc_removal._bands(traces), traces.shape, code, timing,
+            normalization, single_period, np.float64)
         assert n_avg == (1 if single_period else n_per - 1)
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
                  Normalization.PER_LENGTH: code.n_bit}[normalization]
@@ -607,6 +609,37 @@ class TestMappedInput:
         assert path.read_bytes() == on_disk
 
 
+class TestSimulatedInput:
+    """A SimulatedStack reads as the stack simulate_stack stores."""
+
+    @pytest.mark.parametrize("band_bytes", [1, 10 << 20],
+                             ids=["one-block-bands", "one-band"])
+    def test_results_equal_those_of_the_stored_stack(self, band_bytes):
+        # 300 px: bands of 256 and 44 px, or one band
+        code = PLUS_CODES[0]
+        timing = _timing(2, 3)
+        wave = build_unipolar(build_bipolar(generate_ls(7), timing), 1.0)
+        scene = SceneConfig(
+            nx=20, ny=15, background=SOUND,
+            defects=((Region(x0=3, y0=4, width=9, height=8), PixelModel(
+                diffusivity=1e-6, defect_depth=1e-3, reflection_coeff=0.9)),),
+            noise_sigma=0.3, rng_seed=9)
+        stored = simulate_stack(scene, wave)
+
+        def digest(results):
+            # stacks by their data, fit maps as they are
+            return [getattr(r, "data", r).tobytes() for r in results]
+        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", band_bytes):
+            simulated = SimulatedStack(scene, wave)
+            for run in (lambda x: remove_dc_stack(x, code, timing),
+                        lambda x: compress_stack(x, code, timing,
+                                                 remove_dc=True),
+                        lambda x: (compress_stack(x, code, timing),)):
+                assert digest(run(simulated)) == digest(run(stored))
+        assert (simulated.fps, simulated.metadata) == (stored.fps,
+                                                       stored.metadata)
+
+
 class TestGemmUpdate:
     """dc_removal._gemm and _trmm write into the block loop's buffer."""
 
@@ -624,7 +657,8 @@ class TestGemmUpdate:
             filt = pnpuct.compression._MatchedFilter(
                 code, timing, Normalization.RAW, False, n)
             traces = np.ones((n, 3), np.float32)
-            _, _, a = next(pnpuct.dc_removal._blocks(traces))
+            _, _, a = next(pnpuct.dc_removal._blocks(
+                pnpuct.dc_removal._bands(traces)))
             product = filt(a)
             assert product.shape == (filt.period, cls.BLOCK)
             # a[:P]: the first rows of the block buffer
@@ -716,6 +750,45 @@ class TestDecimate:
         np.testing.assert_array_equal(first.data[:, 0, 0], [0, 4, 8])
         binned, _ = decimate_to_bit_rate(stack, timing, average=True)
         np.testing.assert_array_equal(binned.data[:, 0, 0], [1.5, 5.5, 9.5])
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(2, 12), n_bits=st.integers(1, 30),
+           ny=st.integers(1, 3), nx=st.integers(1, 40),
+           chunk_bytes=st.sampled_from([4, 100, 4096, 1 << 20]),
+           average=st.booleans(), mapped=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_chunks_of_bits_give_the_whole_stack_result(
+            self, tmp_path_factory, k, n_bits, ny, nx, chunk_bytes, average,
+            mapped, seed):
+        data = 100 * np.random.default_rng(seed).standard_normal(
+            (n_bits * k, ny, nx), dtype=np.float32)
+        stack = ThermogramStack(data=data, fps=float(k))
+        if mapped:
+            path = tmp_path_factory.mktemp("decimate") / "raw.tgs"
+            write_stack(stack, path)
+            stack = open_stack(path)
+        # the formulas of a stack decimated whole
+        expected = (data.reshape(-1, k, ny, nx).mean(axis=1) if average
+                    else data[::k])
+        with mock.patch.object(pnpuct.compression, "CHUNK_BYTES",
+                               chunk_bytes):
+            out, _ = decimate_to_bit_rate(
+                stack, Timing(t_bit=1.0, fps=float(k), n_per=2), average)
+        assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("average", [False, True])
+    def test_mapped_stack_is_not_left_resident(self, tmp_path, average):
+        if not Path("/proc/self/smaps").exists():
+            pytest.skip("no /proc/self/smaps")
+        stack, timing = _camera_stack()
+        path = tmp_path / "raw.tgs"
+        write_stack(stack, path)
+        mapped = open_stack(path)
+        out, _ = decimate_to_bit_rate(mapped, timing, average)
+        expected, _ = decimate_to_bit_rate(stack, timing, average)
+        assert out.data.tobytes() == expected.data.tobytes()
+        # the pages behind every chunk of bits were dropped
+        assert resident_kib(mapped.data) == 0
 
     def test_decimated_pipeline_matches_full_rate(self, ls31, ls31_plus):
         full_timing = Timing(t_bit=1.0, fps=40.0, n_per=2)

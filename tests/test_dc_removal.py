@@ -595,7 +595,8 @@ class TestTrendUpdates:
         traces[frame + n // n_per, dead[1::2]] = -np.inf
 
         trend = pnpuct.dc_removal._Trend(n, timing.dt)
-        for cols, src, a in pnpuct.dc_removal._blocks(traces):
+        for cols, src, a in pnpuct.dc_removal._blocks(
+                pnpuct.dc_removal._bands(traces)):
             m = src.shape[1]
             coefs, valid = trend.residual(a, np.empty((m, 4)))
             y = src.astype(np.float64)
@@ -611,8 +612,9 @@ class TestTrendUpdates:
             np.testing.assert_array_equal(a[:, :m][:, ~ok], y[:, ~ok])
 
         keep = code.bias
-        out, fits = pnpuct.dc_removal._fit_and_remove(traces, timing.dt,
-                                                      keep, np.float32)
+        out, fits = pnpuct.dc_removal._fit_and_remove(
+            pnpuct.dc_removal._bands(traces), traces.shape, timing.dt, keep,
+            np.float32)
         assert out.dtype == np.float32
         valid = ~np.isnan(fits).any(axis=1)
         assert not valid[dead].any()

@@ -7,24 +7,29 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pnpuct
 import pnpuct.cli
 from pnpuct import (IndexOutOfRange, InvalidConfig, InvalidScene, MlsSpec,
-                    NonFiniteData, NotLs4Compatible, NotPrime,
+                    NonFiniteData, Normalization, NotLs4Compatible, NotPrime,
                     PipelineStageError, PixelModel, Region, StackChanged,
                     ThermogramStack, Timing, TimingMismatch, binarize_ls4,
-                    build_matched_filter,
+                    build_matched_filter, compress_stack,
                     code_to_text, generate_ls, generate_mls,
                     load_code, load_scene_config, modify_for_perfect_pacf,
-                    read_stack, run_pipeline, write_stack)
+                    read_stack, run_pipeline, simulate_stack, write_stack)
 from pnpuct.cli import main
+from pnpuct.dc_removal import export_fit_map_csv
 from pnpuct.pipeline import generate_codes
-from pnpuct.thermal import read_ini
-from pnpuct.waveform import filter_to_csv
+from pnpuct.thermal import read_ini, scene_from_parser
+from pnpuct.waveform import (build_bipolar, build_unipolar, filter_to_csv,
+                             timing_of)
 from pipeline_helpers import file_sha256, fusion_bound
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -78,6 +83,17 @@ pixels = 0x0, 3x2
 {output_extra}
 """)
     return path
+
+
+def simulate_raw(cfg, path):
+    """Write to ``path`` the raw stack that a run of ``cfg`` simulates."""
+    parser = read_ini(cfg)
+    excitation_code, _ = generate_codes(parser["code"])
+    timing = timing_of(None, *map(parser["timing"].get,
+                                  ("t_bit", "fps", "n_per")))
+    wave = build_unipolar(build_bipolar(excitation_code, timing),
+                          float(parser["excitation"]["amplitude"]))
+    return simulate_stack(scene_from_parser(parser), wave, path)
 
 
 def touch_file(path, change):
@@ -136,6 +152,74 @@ class TestRunPipeline:
             assert artifact["sha256"] == file_sha256(out / artifact["path"])
         assert "input" not in manifest
 
+    def test_default_simulated_run_writes_no_raw_stack(self, tmp_path):
+        manifest = run_pipeline(write_run_config(tmp_path / "run.cfg",
+                                                 tmp_path / "out"))
+        assert not (tmp_path / "out" / "raw_stack.tgs").exists()
+        assert "raw_stack" not in manifest["artifacts"]
+        # a decimated run reads the raw stack again, from its file
+        decimated = run_pipeline(write_run_config(
+            tmp_path / "dec.cfg", tmp_path / "dec", extra="decimate = true"))
+        assert decimated["artifacts"]["raw_stack"]["sha256"] == file_sha256(
+            tmp_path / "dec" / "raw_stack.tgs")
+
+    @settings(max_examples=30, deadline=None)
+    @given(nx=st.integers(2, 40), ny=st.integers(2, 16),
+           sigma=st.sampled_from(["0.0", "0.3"]), k=st.integers(1, 3),
+           n_per=st.integers(2, 3), one_block_bands=st.booleans())
+    # 255, 256 and 258 px: a pixel short of one block, one block, and a
+    # block and two pixels, in bands of one block
+    @example(nx=15, ny=17, sigma="0.3", k=2, n_per=3, one_block_bands=True)
+    @example(nx=16, ny=16, sigma="0.0", k=1, n_per=2, one_block_bands=True)
+    @example(nx=2, ny=129, sigma="0.3", k=3, n_per=2, one_block_bands=True)
+    def test_fused_run_equals_compressing_the_written_stack(
+            self, tmp_path_factory, nx, ny, sigma, k, n_per,
+            one_block_bands):
+        work = tmp_path_factory.mktemp("fused")
+        text = write_run_config(work / "run.cfg", work / "out",
+                                fps=str(k)).read_text()
+        for old, new in [("n_bit = 31", "n_bit = 7"),
+                         ("n_per = 2", f"n_per = {n_per}"),
+                         ("nx = 4\nny = 3", f"nx = {nx}\nny = {ny}"),
+                         ("noise_sigma = 0.0", f"noise_sigma = {sigma}"),
+                         ("slices = 3.0\npixels = 0x0, 3x2\n", "")]:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = work / "run.cfg"
+        cfg.write_text(text)
+        budget = 1 if one_block_bands else pnpuct.dc_removal._BAND_BYTES
+        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", budget):
+            run_pipeline(cfg)
+            raw = simulate_raw(cfg, work / "raw.tgs")
+            parser = read_ini(cfg)
+            _, modified = generate_codes(parser["code"])
+            timing = timing_of(raw, None, None, None)
+            compressed, fits = compress_stack(
+                raw, modified, timing, Normalization.PER_LENGTH, False, True)
+        assert not (work / "out" / "raw_stack.tgs").exists()
+        write_stack(compressed, work / "compressed.tgs")
+        export_fit_map_csv(fits, work / "fit_map.csv")
+        for name in ("compressed.tgs", "fit_map.csv"):
+            assert ((work / "out" / name).read_bytes()
+                    == (work / name).read_bytes())
+
+    @pytest.mark.parametrize("output_extra", ["", "intermediates = dc_removed"],
+                             ids=["fused", "written"])
+    def test_non_finite_simulated_samples_stop_at_simulate(
+            self, tmp_path, output_extra):
+        # noise of 1e39 overflows float32
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out,
+                               output_extra=output_extra)
+        cfg.write_text(cfg.read_text().replace("noise_sigma = 0.0",
+                                               "noise_sigma = 1e39"))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "simulate"
+        assert isinstance(info.value.cause, NonFiniteData)
+        assert not (out / "compressed.tgs").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_intermediate_stack_only_on_request(self, tmp_path):
         cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
         manifest = run_pipeline(cfg)
@@ -153,7 +237,7 @@ class TestRunPipeline:
         assert ((tmp_path / "a" / "compressed.tgs").read_bytes()
                 == (tmp_path / "b" / "compressed.tgs").read_bytes())
         extra = set(asked["artifacts"]) - set(plain["artifacts"])
-        assert extra == {"dc_removed_stack"}
+        assert extra == {"dc_removed_stack", "raw_stack"}
         for name, artifact in plain["artifacts"].items():
             assert asked["artifacts"][name]["sha256"] == artifact["sha256"]
 
@@ -171,8 +255,8 @@ class TestRunPipeline:
 
     def test_input_stack_recorded_not_copied(self, tmp_path):
         raw = tmp_path / "raw.tgs"
-        run_pipeline(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"))
-        (tmp_path / "sim" / "raw_stack.tgs").rename(raw)
+        simulate_raw(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"),
+                     raw)
         out = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
@@ -321,7 +405,7 @@ directory = {tmp_path / "out"}
         ("excitation_code.txt", "codes", "", ""),
         ("bipolar.csv", "waveform", "", ""),
         ("matched_filter.csv", "waveform", "", ""),
-        ("raw_stack.tgs", "simulate", "", ""),
+        ("raw_stack.tgs", "simulate", "", "intermediates = dc_removed"),
         ("decimated_stack.tgs", "decimate", "decimate = true", ""),
         ("fit_map.csv", "compress", "", ""),
         ("compressed.tgs", "compress", "", ""),
@@ -442,8 +526,8 @@ directory = {tmp_path / "out"}
 
     def test_non_finite_input_stack(self, tmp_path):
         raw = tmp_path / "raw.tgs"
-        run_pipeline(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"))
-        (tmp_path / "sim" / "raw_stack.tgs").rename(raw)
+        simulate_raw(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"),
+                     raw)
         blob = bytearray(raw.read_bytes())
         blob[-4:] = np.float32(np.nan).tobytes()
         raw.write_bytes(bytes(blob))
@@ -465,8 +549,7 @@ directory = {tmp_path / "out"}
         sim = write_run_config(tmp_path / "sim.cfg", tmp_path / "sim")
         sim.write_text(sim.read_text().replace("nx = 4\nny = 3",
                                                "nx = 20\nny = 15"))
-        run_pipeline(sim)
-        (tmp_path / "sim" / "raw_stack.tgs").rename(raw)
+        simulate_raw(sim, raw)
         out = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
@@ -493,10 +576,11 @@ directory = {tmp_path / "out"}
     @pytest.mark.parametrize("change", ["rewritten", "appended"])
     def test_raw_stack_changed_during_the_run(self, tmp_path, monkeypatch,
                                               change):
-        # the simulated stack is read back through its mapping as an
-        # [input] stack is, and checked the same way
+        # a simulated stack that is written is read back through its
+        # mapping as an [input] stack is, and checked the same way
         out = tmp_path / "out"
-        cfg = write_run_config(tmp_path / "run.cfg", out)
+        cfg = write_run_config(tmp_path / "run.cfg", out,
+                               output_extra="intermediates = dc_removed")
         cfg.write_text(cfg.read_text().replace("nx = 4\nny = 3",
                                                "nx = 20\nny = 15"))
         monkeypatch.setattr(pnpuct.dc_removal, "_BAND_BYTES", 1)
@@ -518,7 +602,9 @@ directory = {tmp_path / "out"}
     def test_full_disk_stops_the_run_at_simulate(self, tmp_path,
                                                  monkeypatch, capsys):
         out = tmp_path / "out"
-        cfg = write_run_config(tmp_path / "run.cfg", out)
+        # a run that writes raw_stack.tgs
+        cfg = write_run_config(tmp_path / "run.cfg", out,
+                               output_extra="intermediates = dc_removed")
         run_pipeline(cfg)
 
         def full(fd, offset, length):
@@ -545,9 +631,9 @@ directory = {tmp_path / "out"}
 
     def test_simulated_run_peak_stays_below_the_stack(self, tmp_path):
         # 64 x 64 px, LS31 at K = 40, n_per = 2: a 40.6 MB raw stack. It
-        # is written band by band and compressed from its file, so the
-        # peak is that of compressing a mapped stack: the 20.3 MB period,
-        # a 10.2 MB band and a 5.1 MB block (36.0 MB, 0.89 of the stack).
+        # is compressed as it is simulated, a band at a time, so the peak
+        # is that of compressing a mapped stack: the 20.3 MB period, a
+        # 10.2 MB band and a 5.1 MB block (36.0 MB, 0.89 of the stack).
         # Holding the simulated stack in memory took 46.2 MB (1.14)
         cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out",
                                fps="40.0")
@@ -560,7 +646,7 @@ directory = {tmp_path / "out"}
         finally:
             tracemalloc.stop()
         raw_bytes = 4 * 64 * 64 * 2480
-        assert os.path.getsize(tmp_path / "out" / "raw_stack.tgs") > raw_bytes
+        assert not (tmp_path / "out" / "raw_stack.tgs").exists()
         assert peak < 0.9 * raw_bytes
 
     @pytest.mark.parametrize("artifact, stage, compression", [
@@ -571,12 +657,11 @@ directory = {tmp_path / "out"}
     ])
     def test_run_never_writes_over_its_input(self, tmp_path, artifact, stage,
                                              compression):
-        run_pipeline(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim",
-                                      fps="1.0"))
         out = tmp_path / "out"
         out.mkdir()
         stack = out / artifact
-        (tmp_path / "sim" / "raw_stack.tgs").rename(stack)
+        simulate_raw(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim",
+                                      fps="1.0"), stack)
         digest = file_sha256(stack)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"

@@ -15,6 +15,7 @@ from pnpuct import (
     IndexOutOfRange,
     InvalidConfig,
     InvalidScene,
+    NonFiniteData,
     PixelModel,
     RateMismatch,
     RectPulse,
@@ -399,31 +400,36 @@ class TestLabelMap:
                                                                fps=2.0)), 1.0)
 
     @settings(max_examples=40, deadline=None)
-    @given(scene=scenes(), band_rows=st.sampled_from([None, 0.5, 1, 2.5]))
+    @given(scene=scenes(), band_px=st.sampled_from([None, 1, 2, 5]))
     # one, two and three 32-bit words of seed
     @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
-                               rng_seed=0), band_rows=None)
+                               rng_seed=0), band_px=None)
     @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
-                               rng_seed=2 ** 32 - 1), band_rows=None)
+                               rng_seed=2 ** 32 - 1), band_px=None)
     @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
-                               rng_seed=2 ** 32), band_rows=None)
+                               rng_seed=2 ** 32), band_px=None)
     @example(scene=SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=0.3,
-                               rng_seed=2 ** 64), band_rows=None)
-    # bands of two rows, the last band holding one row; and one row per
-    # band, for a row wider than a band
+                               rng_seed=2 ** 64), band_px=None)
+    # bands of two rows, the last band holding one row; bands that end
+    # inside rows; and three bands of 256 px, the last of 2, over rows
+    # of 257
     @example(scene=SceneConfig(
         nx=127, ny=5, background=SOUND,
         defects=((Region(x0=90, y0=3, width=10, height=2), MODEL_POOL[2]),),
-        noise_sigma=0.3, rng_seed=3), band_rows=2.5)
+        noise_sigma=0.3, rng_seed=3), band_px=254)
+    @example(scene=SceneConfig(
+        nx=127, ny=5, background=SOUND,
+        defects=((Region(x0=90, y0=3, width=10, height=2), MODEL_POOL[2]),),
+        noise_sigma=0.3, rng_seed=3), band_px=100)
     @example(scene=SceneConfig(nx=257, ny=2, background=MODEL_POOL[1],
-                               noise_sigma=0.3, rng_seed=4), band_rows=0.5)
-    def test_matches_per_pixel_build(self, scene, band_rows):
-        # band_rows: the band budget in rows of the scene, None for the
-        # default budget
-        row_bytes = 4 * len(self.WAVE.samples) * scene.nx
-        budget = (pnpuct.dc_removal._BAND_BYTES if band_rows is None
-                  else int(band_rows * row_bytes))
-        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", budget):
+                               noise_sigma=0.3, rng_seed=4), band_px=256)
+    def test_matches_per_pixel_build(self, scene, band_px):
+        # band_px: the pixels of a band, as blocks of band_px columns
+        # and a budget below one block; None for the default geometry
+        block = band_px or pnpuct.dc_removal._BLOCK
+        budget = 1 if band_px else pnpuct.dc_removal._BAND_BYTES
+        with mock.patch.object(pnpuct.dc_removal, "_BLOCK", block), \
+                mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", budget):
             stack = simulate_stack(scene, self.WAVE)
         np.testing.assert_array_equal(stack.data,
                                       per_pixel_stack(scene, self.WAVE))
@@ -466,34 +472,38 @@ class TestSimulatedFile:
 
     @settings(max_examples=60, deadline=None)
     @given(scene=wide_scenes(), n_per=st.integers(2, 3),
-           band_rows=st.integers(0, 13), spare=st.floats(0.0, 0.99),
-           chunk_frames=st.integers(1, 45), hash_bytes=st.integers(4, 5000))
-    # bands of one row cut by a budget below one row, chunks of one frame
+           block=st.integers(1, 64), band_blocks=st.integers(0, 4),
+           spare=st.floats(0.0, 0.99), chunk_frames=st.integers(1, 45),
+           hash_bytes=st.integers(4, 5000))
+    # bands of one pixel cut by a budget below one block, chunks of one
+    # frame
     @example(scene=SceneConfig(nx=40, ny=12, background=SOUND,
                                noise_sigma=0.3, rng_seed=5),
-             n_per=3, band_rows=0, spare=0.5, chunk_frames=1,
+             n_per=3, block=1, band_blocks=0, spare=0.5, chunk_frames=1,
              hash_bytes=4096)
-    # one band of every row, written through the file
+    # one band of every pixel, written through the file
     @example(scene=SceneConfig(nx=3, ny=12, background=SOUND,
                                defects=((Region(0, 4, 2, 3), MODEL_POOL[2]),),
                                noise_sigma=0.3, rng_seed=6),
-             n_per=2, band_rows=12, spare=0.0, chunk_frames=5,
+             n_per=2, block=64, band_blocks=1, spare=0.0, chunk_frames=5,
              hash_bytes=7)
     def test_file_bytes_equal_write_stack(self, tmp_path_factory, scene,
-                                          n_per, band_rows, spare,
+                                          n_per, block, band_blocks, spare,
                                           chunk_frames, hash_bytes):
         wave = self._wave(n_per)
         n_frames = len(wave.samples)
         expected = simulate_stack(scene, wave)
         directory = tmp_path_factory.mktemp("sim")
         digest = write_stack(expected, directory / "memory.tgs")
-        # a budget of band_rows rows and a spare fraction of a row: bands
-        # cut at every row count, and never hold less than one row; the
-        # file is hashed hash_bytes at a time
-        row_bytes = 4 * n_frames * scene.nx
+        # blocks of ``block`` pixels and a budget of band_blocks blocks and
+        # a spare fraction of one: bands cut at every block count, inside
+        # rows or not, and never hold less than one block; the file is
+        # hashed hash_bytes at a time
+        block_bytes = 4 * n_frames * block
         sha = hashlib.sha256()
-        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES",
-                               int((band_rows + spare) * row_bytes)), \
+        with mock.patch.object(pnpuct.dc_removal, "_BLOCK", block), \
+                mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES",
+                                  int((band_blocks + spare) * block_bytes)), \
                 mock.patch.object(pnpuct.dc_removal, "_CHUNK_FRAMES", 1), \
                 mock.patch.object(thermal, "CHUNK_BYTES",
                                   4 * scene.nx * scene.ny * chunk_frames), \
@@ -510,14 +520,15 @@ class TestSimulatedFile:
     def test_without_posix_fallocate_the_file_is_the_same(
             self, tmp_path, monkeypatch):
         # macOS and Windows have no posix_fallocate: the file is extended
-        # sparse, then filled through the same mapping
+        # sparse, then filled through the same mapping, a band of a row
+        # at a time
         scene = SceneConfig(nx=5, ny=4, background=SOUND, noise_sigma=0.3,
                             rng_seed=8)
         wave = self._wave(2)
         write_stack(simulate_stack(scene, wave), tmp_path / "memory.tgs")
         monkeypatch.delattr(pnpuct.stack.os, "posix_fallocate")
-        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES",
-                               4 * len(wave.samples) * scene.nx):
+        with mock.patch.object(pnpuct.dc_removal, "_BLOCK", scene.nx), \
+                mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", 1):
             simulate_stack(scene, wave, tmp_path / "file.tgs")
         assert ((tmp_path / "file.tgs").read_bytes()
                 == (tmp_path / "memory.tgs").read_bytes())
@@ -532,6 +543,15 @@ class TestSimulatedFile:
             simulate_stack(scene, self._wave(2), tmp_path / "file.tgs")
         assert info.value.errno == errno.ENOSPC
 
+    @pytest.mark.parametrize("to_file", [False, True],
+                             ids=["memory", "file"])
+    def test_non_finite_samples_raise(self, tmp_path, to_file):
+        # noise of 1e39 overflows float32
+        scene = SceneConfig(nx=3, ny=2, background=SOUND, noise_sigma=1e39)
+        with pytest.raises(NonFiniteData):
+            simulate_stack(scene, self._wave(2),
+                           tmp_path / "file.tgs" if to_file else None)
+
     def test_series_errors_raise_before_the_file_is_made(self, tmp_path,
                                                          monkeypatch):
         monkeypatch.setattr(thermal, "_MAX_TERMS", 1)
@@ -544,9 +564,9 @@ class TestSimulatedFile:
 
     def test_simulating_leaves_no_page_of_the_file_resident(
             self, tmp_path, monkeypatch):
-        # 64 x 64 px x 2480 frames (40.6 MB) in four bands of 16 rows:
-        # the traced peak, 12.7 MB, is one 10.2 MB band, a 1.3 MB
-        # float64 row and the responses
+        # 64 x 64 px x 2480 frames (40.6 MB) in four bands of 1024 px
+        # (16 rows): the traced peak is about one 10.2 MB band, a float64
+        # trace and the responses
         wave = build_unipolar(build_bipolar(generate_ls(31), Timing(
             t_bit=1.0, fps=40.0, n_per=2)), 1.0)
         scene = SceneConfig(nx=64, ny=64, background=SOUND)
@@ -564,8 +584,8 @@ class TestSimulatedFile:
         resident = []
         store = thermal._store
 
-        def stored(band, data, first_row, write):
-            store(band, data, first_row, write)
+        def stored(band, data, cols, write):
+            store(band, data, cols, write)
             resident.append(resident_kib(data))
         monkeypatch.setattr(thermal, "_store", stored)
         mapped = simulate_stack(scene, wave, tmp_path / "again.tgs")
