@@ -41,7 +41,7 @@ import scipy.signal
 
 from . import dc_removal
 from .errors import EmptyRegion, RegionOverlap, ShapeMismatch
-from .stack import CHUNK_BYTES, ThermogramStack, page_dropper
+from .stack import CHUNK_BYTES, ThermogramStack, chunks
 from .waveform import Timing, build_matched_filter
 
 
@@ -253,9 +253,9 @@ def decimate_to_bit_rate(stack, timing, average=False):
     bins all K frames of a bit instead. Returns the decimated stack and
     the matching timing with K = 1. A K = 1 input passes through
     unchanged. The input is read a chunk of whole bits, of CHUNK_BYTES
-    of frames or one bit, at a time; for a stack mapped from its file
-    the pages behind each chunk are dropped, so the file is never
-    resident.
+    of frames or one bit, at a time (:func:`pnpuct.stack.chunks`); for a
+    stack mapped from its file the pages behind each chunk are dropped,
+    so the file is never resident.
     """
     k = timing.k
     if k == 1:
@@ -265,16 +265,13 @@ def decimate_to_bit_rate(stack, timing, average=False):
             f"{stack.n_frames} frames do not divide into bits of {k} frames")
     bits = stack.data.reshape(-1, k, stack.ny, stack.nx)
     data = np.empty((len(bits), stack.ny, stack.nx), np.float32)
-    bit_bytes = 4 * k * stack.ny * stack.nx
-    step = max(1, CHUNK_BYTES // max(bit_bytes, 1))
-    drop = page_dropper(stack.data) or (lambda stop: None)
-    for first in range(0, len(bits), step):
-        chunk = bits[first: first + step]
+    step = max(1, CHUNK_BYTES // max(4 * k * stack.ny * stack.nx, 1))
+    for chunk, kept in zip(chunks(bits, step), chunks(data, step),
+                           strict=True):
         if average:
-            chunk.mean(axis=1, out=data[first: first + step])
+            chunk.mean(axis=1, out=kept)
         else:
-            data[first: first + step] = chunk[:, 0]
-        drop(bit_bytes * (first + step))
+            kept[...] = chunk[:, 0]
     new_timing = Timing(t_bit=timing.t_bit, fps=timing.fps / k,
                         n_per=timing.n_per)
     metadata = dict(stack.metadata)
@@ -286,9 +283,9 @@ def decimate_to_bit_rate(stack, timing, average=False):
             new_timing)
 
 
-def _region_block(stack, region, frames):
+def _region_block(frames, region):
     """(n, n_pix) float64 copy of the pixels of a region in some frames."""
-    block = stack.data[(frames,) + region.slices].astype(np.float64)
+    block = frames[(slice(None),) + region.slices].astype(np.float64)
     return block.reshape(block.shape[0], -1)
 
 
@@ -306,7 +303,8 @@ def snr_metric(stack, region_signal, region_reference) -> float:
     (e.g. identical regions) returns -inf. The reference region should
     be thermally uniform and hold at least two pixels. A stack of no
     frames raises EmptyRegion. The regions are read a chunk of frames
-    at a time, so no copy of a whole region is made.
+    at a time, so no copy of a whole region is made, and the pages of a
+    stack mapped from its file are dropped behind each chunk.
     """
     if region_signal != region_reference and all(
             max(a.start, b.start) < min(a.stop, b.stop)
@@ -325,12 +323,12 @@ def snr_metric(stack, region_signal, region_reference) -> float:
     step = max(1, CHUNK_BYTES // max(8 * r.width * r.height for r in regions))
     m_sig, m_ref = np.empty((2, stack.n_frames))
     square_sum = 0.0
-    for first in range(0, stack.n_frames, step):
-        frames = slice(first, first + step)
-        m_sig[frames] = _region_block(stack, region_signal, frames).mean(axis=1)
-        block = _region_block(stack, region_reference, frames)
-        m_ref[frames] = block.mean(axis=1)
-        block -= m_ref[frames, None]
+    for frames, sig, ref in zip(chunks(stack.data, step), chunks(m_sig, step),
+                                chunks(m_ref, step), strict=True):
+        sig[...] = _region_block(frames, region_signal).mean(axis=1)
+        block = _region_block(frames, region_reference)
+        ref[...] = block.mean(axis=1)
+        block -= ref[:, None]
         square_sum += np.sum(np.square(block, out=block))
     contrast = float(np.abs(m_sig - m_ref).max())
     if n_pix < 2:

@@ -35,7 +35,8 @@ from scipy.linalg.blas import dgemm, dtrmm
 
 from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
-from .stack import CHUNK_BYTES, ThermogramStack, page_dropper, write_hashed
+from .stack import (_CHUNK_FRAMES, CHUNK_BYTES, ThermogramStack, chunks,
+                    drops_pages, write_hashed)
 
 _EXPONENTS = (1.0, 0.75, 0.5)
 
@@ -72,17 +73,17 @@ _BLOCK = 256
 # Bytes of a band of a file-mapped stack (stack.open_stack): the widest
 # whole number of _BLOCK columns of n_frames float32 samples within it,
 # one block at least, is copied out of the file at a time, in chunks of
-# stack.CHUNK_BYTES of frames and of _CHUNK_FRAMES frames at least. For
-# 64x64x2480 frames that is 4 bands of 1024 columns (10.2 MB) in chunks
-# of 64 frames: with the 20.3 MB period and a 5.1 MB block, a pipeline
-# run peaked 41.9 MB above its start (48.1 MB reading the stack whole).
+# stack.CHUNK_BYTES of frames and of stack._CHUNK_FRAMES frames at
+# least. For 64x64x2480 frames that is 4 bands of 1024 columns (10.2
+# MB) in chunks of 64 frames: with the 20.3 MB period and a 5.1 MB
+# block, a pipeline run peaked 41.9 MB above its start (48.1 MB reading
+# the stack whole).
 # At 320x256x2480 frames each of 80 bands maps all 812 MB of the file
 # once more, 2 MiB at a time, and drops it: gathering them took 0.39 s
 # of CPU, 0.15 s without the drops and 0.64 s in chunks of 3 frames
 # (1 MiB), against 3.7-4.1 s for a pipeline run. A simulated scene is
 # made in the same bands (thermal.SimulatedStack).
 _BAND_BYTES = 10 << 20
-_CHUNK_FRAMES = 16
 
 
 def _gemm(alpha, x, y, beta, c):
@@ -125,13 +126,14 @@ def _bands(traces):
     """(cols, band) pairs that cover the columns of an (n, n_pix) array.
 
     An array in memory is one band, the array itself. A view of a
-    mapped file is copied a band of :func:`_band_width` columns at a
-    time into one reused float32 buffer, a chunk of frames at a time,
-    and the file pages behind each chunk are dropped: the file is never
-    resident.
+    mapped file (:func:`pnpuct.stack.drops_pages`) is copied a band of
+    :func:`_band_width` columns at a time into one reused float32
+    buffer, a chunk of frames at a time through
+    :func:`pnpuct.stack.chunks`, which drops the file pages behind each
+    chunk: the file is never resident.
     """
     n, n_pix = traces.shape
-    if not traces.size or page_dropper(traces) is None:
+    if not traces.size or not drops_pages(traces):
         yield slice(0, n_pix), traces
         return
     width = _band_width(n, n_pix)
@@ -141,10 +143,9 @@ def _bands(traces):
         cols = slice(start, min(start + width, n_pix))
         band = buffer[:, :cols.stop - start]
         # each band reads the file from its first frame on
-        drop = page_dropper(traces)
-        for first in range(0, n, step):
-            band[first: first + step] = traces[first: first + step, cols]
-            drop(4 * n_pix * (first + step))
+        for chunk, gathered in zip(chunks(traces, step), chunks(band, step),
+                                   strict=True):
+            gathered[...] = chunk[:, cols]
         yield cols, band
 
 

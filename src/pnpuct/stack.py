@@ -13,12 +13,14 @@ Stacks hold 32-bit intensities (camera realistic); pipeline math runs in
 64-bit and narrows only when a new stack is built.
 
 :func:`open_stack` is the one reader of a file's frames. It maps them
-read-only: its stack's data is a view of the file, and its readers drop
-the file pages they are done with (:func:`page_dropper`), so a stack
-larger than memory can be processed a band at a time.
-:func:`read_stack` is :func:`open_stack` plus one copy into memory.
-:func:`create_stack` is the writer's side of the same mapping: a new
-file whose frames are stored in place, a band at a time.
+read-only: its stack's data is a view of the file. Every reader of a
+stack walks it a chunk of frames at a time with :func:`chunks`, which
+drops the file pages behind each chunk of a mapped stack, so a stack
+larger than memory is read with memory bounded by the chunk, not by
+the stack. :func:`read_stack` is :func:`open_stack` plus one copy into
+memory. :func:`write_bands` is the writer's side: a new file whose
+frames are stored a band of pixels at a time. This module is the only
+one that drops pages.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import hashlib
 import mmap
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,10 @@ MAGIC = b"TGS1"
 FORMAT_VERSION = "TGS1"
 # bytes of a mapped file that a reader touches between page drops
 CHUNK_BYTES = 1 << 20
+# frames of a chunk of a band of pixel columns, at least: a band of few
+# columns reads or stores whole 2 MiB blocks of the file between drops
+# (dc_removal._bands, write_bands)
+_CHUNK_FRAMES = 16
 # A read of a mapped file maps the whole folio of page cache that holds
 # it, up to 2 MiB, as one huge page where it can (x86-64 and arm64), so
 # pages are dropped in whole aligned 2 MiB blocks: dropping part of one
@@ -47,6 +52,10 @@ CHUNK_BYTES = 1 << 20
 # frames with a drop every 1 MiB took 1.41 s of CPU at page bounds and
 # 1.12 s at 2 MiB bounds.
 _FOLIO = 2 << 20
+
+
+class _FileMap(mmap.mmap):
+    """A file mapped here: dropping pages of any other mapping can lose data."""
 
 
 @dataclass(eq=False)
@@ -83,9 +92,14 @@ class ThermogramStack:
         return self.data.shape[2]
 
     def pixel_trace(self, jx, jy) -> np.ndarray:
-        """Time trend of one pixel as float64."""
+        """Time trend of one pixel as float64, read through :func:`chunks`."""
         self._check_pixel(jx, jy)
-        return self.data[:, jy, jx].astype(np.float64)
+        trace = np.empty(self.n_frames)
+        step = max(1, CHUNK_BYTES // (4 * self.ny * self.nx))
+        for frames, out in zip(chunks(self.data, step), chunks(trace, step),
+                               strict=True):
+            out[...] = frames[:, jy, jx]
+        return trace
 
     def _check_pixel(self, jx, jy):
         if not (0 <= jx < self.nx and 0 <= jy < self.ny):
@@ -164,30 +178,35 @@ def write_stack(stack, path):
     return write_hashed(path, [head, stack.data.astype("<f4", copy=False)])
 
 
-@contextmanager
-def create_stack(path, shape, fps, metadata):
-    """Create a TGS1 file of ``shape`` frames, to be filled in place.
+def write_bands(path, shape, fps, metadata, bands):
+    """Write a TGS1 file of ``shape`` frames from bands of pixel columns.
 
-    The header bytes are those :func:`write_stack` writes for the same
-    shape, frame rate and metadata. The frames' bytes are preallocated
-    with ``os.posix_fallocate``, so a disk too full for them raises
-    OSError (ENOSPC) here. Where that call is missing (macOS, Windows)
-    the file is extended sparse instead: a store into the mapping that
-    finds the disk full then kills the process with SIGBUS, which
-    Python cannot catch.
+    ``bands`` yields (cols, band) pairs, in order, that cover the
+    flattened pixel columns of the (n_frames, ny * nx) frames: ``cols``
+    a slice and ``band`` the (n_frames, w) samples of those columns,
+    read before the next pair is drawn. The file holds the bytes
+    :func:`write_stack` writes of the same stack.
 
-    Yields (frames, write). ``frames`` is the (n_frames, ny, nx)
-    float32 array over a shared mapping of the frames, all zero at
-    first: what is stored into it goes to the file, and
-    :func:`page_dropper` of it drops the pages stored. The file must
-    not be truncated while it is in use: a store past its end kills
-    the process with SIGBUS too. ``write(chunk)`` writes a C-contiguous
-    (m, ny, nx) little-endian float32 chunk of whole frames through the
-    file instead, after those that the calls before it wrote, from the
-    first frame on.
+    The frames' bytes are preallocated with ``os.posix_fallocate``, so a
+    disk too full for them raises OSError (ENOSPC) before any band is
+    drawn. Where that call is missing (macOS, Windows) the file is
+    extended sparse instead: a store into the mapping that finds the
+    disk full then kills the process with SIGBUS, which Python cannot
+    catch. A band is stored into a shared mapping of the frames, a
+    chunk of frames at a time (at least _CHUNK_FRAMES), and
+    :func:`chunks` drops the pages behind each chunk, so the file is
+    never resident; it must not be truncated meanwhile, or a store past
+    its end kills the process with SIGBUS too. A band of every column,
+    whose chunks are whole frames, is staged a chunk at a time and
+    written through the file instead: the page faults of stores through
+    the mapping cost more than the writes (10 MB of frames: 16 ms
+    against 7 ms, process CPU on a 2-vCPU VM, ext4), and the page cache
+    the writes fill is read back faster.
     """
     head = _header(shape, fps, metadata)
-    size = len(head) + 4 * int(np.prod(shape))
+    n_frames, n_pix = shape[0], shape[1] * shape[2]
+    size = len(head) + 4 * n_frames * n_pix
+    step = max(_CHUNK_FRAMES, CHUNK_BYTES // max(4 * n_pix, 1))
     with open(path, "wb+") as fh:
         fh.write(head)
         fh.flush()
@@ -196,8 +215,20 @@ def create_stack(path, shape, fps, metadata):
             fh.truncate(size)
         else:
             allocate(fh.fileno(), 0, size)
-        whole = np.frombuffer(mmap.mmap(fh.fileno(), size), np.uint8)
-        yield whole[len(head):].view("<f4").reshape(shape), fh.write
+        whole = np.frombuffer(_FileMap(fh.fileno(), size), np.uint8)
+        frames = whole[len(head):].view("<f4").reshape(n_frames, n_pix)
+        for cols, band in bands:
+            if band.shape[1] < n_pix:
+                # each band writes the file from its first frame on
+                for chunk, stored in zip(chunks(band, step),
+                                         chunks(frames, step), strict=True):
+                    stored[:, cols] = chunk
+                continue
+            staging = np.empty((min(step, n_frames), n_pix), "<f4")
+            for chunk in chunks(band, step):
+                staged = staging[:len(chunk)]
+                staged[...] = chunk
+                fh.write(staged)
 
 
 def _read_header(fh, path, update):
@@ -247,14 +278,12 @@ def read_stack(path) -> ThermogramStack:
     """
     stack = open_stack(path)
     mapped = stack.data.reshape(-1)
-    drop = page_dropper(stack.data) or (lambda stop: None)
     # the stack's samples were checked: it takes the copy as they are
     stack.data = np.empty(stack.data.shape, np.float32)
-    copy = stack.data.reshape(-1)
     step = CHUNK_BYTES // 4
-    for first in range(0, copy.size, step):
-        copy[first: first + step] = mapped[first: first + step]
-        drop(4 * (first + step))
+    for chunk, copy in zip(chunks(mapped, step),
+                           chunks(stack.data.reshape(-1), step), strict=True):
+        copy[...] = chunk
     return stack
 
 
@@ -281,20 +310,17 @@ def open_stack(path, digest=None) -> ThermogramStack:
         start = fh.tell()
         # the header check leaves a file of at least 24 bytes to map
         size = start + 4 * int(np.prod(shape))
-        whole = np.frombuffer(mmap.mmap(fh.fileno(), size,
-                                        access=mmap.ACCESS_READ), np.uint8)
+        whole = np.frombuffer(_FileMap(fh.fileno(), size,
+                                       access=mmap.ACCESS_READ), np.uint8)
     samples = whole[start:].view("<f4")
-    drop = page_dropper(samples) or (lambda stop: None)
     step = CHUNK_BYTES // 4
     # one mask for every chunk: a new one per chunk would be mapped and
     # faulted in afresh each time under a small mmap threshold
     finite = np.empty(min(step, samples.size), bool)
-    for first in range(0, samples.size, step):
-        chunk = samples[first: first + step]
+    for chunk in chunks(samples, step):
         update(chunk)
         if not np.isfinite(chunk, out=finite[:chunk.size]).all():
             raise NonFiniteData(f"{path}: non-finite samples")
-        drop(4 * (first + step))
     # checked above: the stack is built on an empty view, so that its
     # constructor does not scan the samples a second time
     stack = ThermogramStack(data=samples[:0].reshape((0,) + shape[1:]),
@@ -303,38 +329,48 @@ def open_stack(path, digest=None) -> ThermogramStack:
     return stack
 
 
-def page_dropper(array):
-    """A function that drops the file pages under a mapped array, or None.
+def drops_pages(array):
+    """Whether :func:`chunks` drops the file pages under ``array``.
 
-    ``array`` is a C-contiguous view of the data of an
-    :func:`open_stack` stack; for any other array, or where ``mmap``
-    has no ``madvise``, the result is None.
-    Else it is drop(stop): the file pages before byte ``stop`` of
-    ``array`` leave the process's resident set, in whole 2 MiB blocks
-    or, once ``stop`` reaches the end of the file, all of them. A later
-    read faults them back in from the page cache. Each call must pass a
-    ``stop`` no lower than the last one.
+    True, where ``mmap`` has ``madvise``, for a C-contiguous view of a
+    file mapped here: the data of an :func:`open_stack` stack or the
+    frames that :func:`write_bands` stores. False for any other array,
+    an anonymous mapping's too: dropping its private pages zeroes them.
     """
     whole = array.base
-    if not (hasattr(mmap, "MADV_DONTNEED")
+    return (hasattr(mmap, "MADV_DONTNEED") and array.flags.c_contiguous
             and isinstance(whole, np.ndarray)
             and isinstance(whole.base, memoryview)
-            and isinstance(whole.base.obj, mmap.mmap)):
-        return None
-    mapping = whole.base.obj
-    offset = (array.__array_interface__["data"][0]
-              - whole.__array_interface__["data"][0])
-    dropped = 0
+            and isinstance(whole.base.obj, _FileMap))
 
-    def drop(stop):
-        nonlocal dropped
-        stop = min(offset + stop, len(mapping))
+
+def chunks(array, step):
+    """Slices of ``step`` rows of ``array`` over axis 0, in order.
+
+    Where :func:`drops_pages` of ``array`` holds, the file pages before
+    the end of each slice leave the process's resident set when the
+    next slice is drawn, in whole 2 MiB blocks, and all of them once the
+    slices reach the end of the file. A later read faults them back in
+    from the page cache. Any other array drops nothing. Walk two arrays
+    together with ``zip(..., strict=True)``: it draws every walk to its
+    end, so the last pages are dropped whichever comes first.
+    """
+    mapping = None
+    if drops_pages(array):
+        mapping = array.base.base.obj
+        offset = (array.__array_interface__["data"][0]
+                  - array.base.__array_interface__["data"][0])
+    dropped = 0
+    for first in range(0, len(array), step):
+        yield array[first: first + step]
+        if mapping is None:
+            continue
+        stop = min(offset + array.strides[0] * (first + step), len(mapping))
         if stop < len(mapping):
             stop -= stop % _FOLIO
         if stop > dropped:
             mapping.madvise(mmap.MADV_DONTNEED, dropped, stop - dropped)
             dropped = stop
-    return drop
 
 
 def file_version(path):

@@ -32,8 +32,7 @@ from scipy.special import erfc
 from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
                      NonFiniteData, RateMismatch, SeriesNotConverged)
 from . import dc_removal
-from .stack import (CHUNK_BYTES, ThermogramStack, create_stack, open_stack,
-                    page_dropper)
+from .stack import ThermogramStack, open_stack, write_bands
 from .waveform import ExcitationWaveform, WaveformKind, excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -421,65 +420,29 @@ def simulate_stack(scene, excitation, path=None,
                    digest=None) -> ThermogramStack:
     """Per-pixel responses plus seeded Gaussian noise, as a thermogram stack.
 
-    The bands of :meth:`SimulatedStack.bands` are stored, a chunk of
-    frames at a time (see :func:`_store`). Without ``path`` they go
-    into a new float32 array. With ``path`` they are written straight
-    into a new TGS1 file there, the bytes
+    The bands of :meth:`SimulatedStack.bands` are stored. Without
+    ``path`` they go into a new float32 array, one assignment a band.
+    With ``path`` they are written straight into a new TGS1 file there by
+    :func:`~pnpuct.stack.write_bands`, the bytes
     :func:`~pnpuct.stack.write_stack` would write of the stack built in
     memory, and the file is then opened with
     :func:`~pnpuct.stack.open_stack`, which feeds ``digest`` and checks
     the samples in one pass: the stack returned is a read-only view of
     the file, and no simulated stack is ever resident. Errors of the
     series raise before the file is created; a full disk raises OSError
-    when the file is created (see :func:`~pnpuct.stack.create_stack`);
-    a non-finite sample raises NonFiniteData.
+    when the file is created; a non-finite sample raises NonFiniteData.
     """
     simulated = SimulatedStack(scene, excitation)
     shape = simulated.data.shape
     if path is None:
         data = np.empty(shape, dtype=np.float32)
         for cols, band in simulated.bands():
-            _store(band, data.reshape(len(data), -1), cols)
+            data.reshape(len(data), -1)[:, cols] = band
         return ThermogramStack(data=data, fps=simulated.fps,
                                metadata=simulated.metadata)
-    with create_stack(path, shape, simulated.fps,
-                      simulated.metadata) as (frames, write):
-        for cols, band in simulated.bands():
-            _store(band, frames.reshape(len(frames), -1), cols, write)
-    del frames
+    write_bands(path, shape, simulated.fps, simulated.metadata,
+                simulated.bands())
     return open_stack(path, digest)
-
-
-def _store(band, data, cols, write=None):
-    """Store an (n_frames, w) band into the columns ``cols`` of ``data``.
-
-    ``data`` is the (n_frames, n_pix) view of time-major frames. The
-    band goes in one store per chunk of frames, chunks sized as in
-    :func:`pnpuct.dc_removal._bands`. Into a mapped file, the pages
-    behind each chunk are dropped, so the file is never resident. A
-    band of every column, whose chunks are whole frames, is staged a
-    chunk at a time and written with ``write`` instead, when it is
-    given: the page faults of stores through the mapping cost more than
-    the writes (10 MB of frames: 16 ms against 7 ms, process CPU on a
-    2-vCPU VM, ext4), and the page cache the writes fill is read back
-    faster.
-    """
-    n_frames, n_pix = data.shape
-    step = max(dc_removal._CHUNK_FRAMES, CHUNK_BYTES // (4 * n_pix))
-    staging = (np.empty((min(step, n_frames), n_pix), "<f4")
-               if write is not None and band.shape[1] == n_pix else None)
-    # each band writes the file from its first frame on
-    drop = page_dropper(data) or (lambda stop: None)
-    for first in range(0, n_frames, step):
-        frames = slice(first, first + step)
-        chunk = band[frames]
-        if staging is None:
-            data[frames, cols] = chunk
-            drop(4 * n_pix * (first + step))
-        else:
-            staged = staging[:len(chunk)]
-            staged[...] = chunk
-            write(staged)
 
 
 # --- scene configuration files ---

@@ -1,6 +1,7 @@
 """Single-pixel pipeline runner and checks shared by the test modules."""
 
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +62,13 @@ def resident_kib(array):
     at = next(i for i, line in enumerate(lines) if line.startswith(start))
     return next(int(line.split()[1]) for line in lines[at + 1:]
                 if line.startswith("Rss:"))
+
+
+def file_resident_kib(path):
+    """Resident KiB of the mappings of a file, which must be mapped."""
+    name = " " + os.path.realpath(path)
+    lines = Path("/proc/self/smaps").read_text().splitlines()
+    starts = [at for at, line in enumerate(lines) if line.endswith(name)]
+    assert starts, f"{path} is not mapped"
+    return sum(next(int(line.split()[1]) for line in lines[at + 1:]
+                    if line.startswith("Rss:")) for at in starts)

@@ -601,7 +601,7 @@ class TestMappedInput:
                                   remove_dc=True)
         monkeypatch.delattr(pnpuct.stack.mmap, "MADV_DONTNEED")
         mapped = open_stack(path)
-        assert pnpuct.stack.page_dropper(mapped.data.reshape(-1)) is None
+        assert not pnpuct.stack.drops_pages(mapped.data.reshape(-1))
         on_disk = path.read_bytes()
         result = compress_stack(mapped, ls31_plus, timing, remove_dc=True)
         assert result[0].data.tobytes() == expected[0].data.tobytes()
@@ -921,6 +921,25 @@ class TestSnrMetric:
         assert peak < 1240 * 32 * 64 * 8 / 4
         assert snr_metric(stack, signal, reference) == pytest.approx(
             expected, rel=1e-12)
+
+    @pytest.mark.parametrize("signal, reference", [
+        (Region(0, 0, 32, 64), Region(32, 0, 32, 64)),
+        (Region(10, 20, 8, 8), Region(40, 50, 24, 14)),
+    ], ids=["halves", "small"])
+    def test_mapped_stack_is_not_left_resident(self, tmp_path, signal,
+                                               reference):
+        if not Path("/proc/self/smaps").exists():
+            pytest.skip("no /proc/self/smaps")
+        # 600 frames of 64 x 64 px (9.8 MB); a reference region of 64
+        # frames per 1 MiB chunk, or of 312 frames
+        data = np.random.default_rng(3).standard_normal(
+            (600, 64, 64), dtype=np.float32)
+        path = tmp_path / "c.tgs"
+        write_stack(ThermogramStack(data=data, fps=40.0), path)
+        mapped = open_stack(path)
+        value = snr_metric(mapped, signal, reference)
+        assert resident_kib(mapped.data) == 0
+        assert value == snr_metric(read_stack(path), signal, reference)
 
     def test_empty_or_outside_region(self):
         stack = self._stack()

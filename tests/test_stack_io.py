@@ -1,4 +1,5 @@
 import hashlib
+import mmap
 import struct
 import tracemalloc
 from pathlib import Path
@@ -28,7 +29,8 @@ from pnpuct import (
     read_stack,
     write_stack,
 )
-from pnpuct.stack import page_dropper
+import pnpuct.stack
+from pnpuct.stack import chunks, drops_pages
 from pipeline_helpers import resident_kib
 
 
@@ -354,6 +356,88 @@ class TestOpenStack:
         assert float(opened.data[100:110].sum()) == 10 * 50 * 70
         assert resident_kib(opened.data) > 0
 
+    @pytest.mark.skipif(not Path("/proc/self/smaps").exists(),
+                        reason="needs /proc/self/smaps")
+    @pytest.mark.parametrize("jx, jy", [(0, 0), (69, 49), (13, 31)])
+    def test_pixel_trace_leaves_no_page_of_the_file_resident(self, tmp_path,
+                                                             jx, jy):
+        # 4.2 MB of frames: the trace reads one sample in every page
+        data = np.random.default_rng(2).standard_normal(
+            (300, 50, 70), dtype=np.float32)
+        path = tmp_path / "s.tgs"
+        write_stack(ThermogramStack(data=data, fps=1.0,
+                                    metadata={"x": "abc"}), path)
+        opened = open_stack(path)
+        trace = opened.pixel_trace(jx, jy)
+        assert resident_kib(opened.data) == 0
+        expected = read_stack(path).pixel_trace(jx, jy)
+        assert trace.dtype == expected.dtype == np.float64
+        assert trace.tobytes() == expected.tobytes()
+
+
+class TestChunks:
+    """stack.chunks walks axis 0 and drops the pages of a mapped file."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(length=st.integers(0, 300), width=st.integers(1, 40),
+           step=st.integers(1, 303))
+    def test_slices_cover_axis_0_once_in_order(self, length, width, step):
+        array = np.random.default_rng(length).standard_normal((length, width))
+        before = array.tobytes()
+        slices = list(chunks(array, step))
+        assert [len(s) for s in slices] == [
+            min(step, length - first) for first in range(0, length, step)]
+        assert all(np.shares_memory(s, array) for s in slices)
+        assert b"".join(s.tobytes() for s in slices) == before
+        # an array in memory drops nothing: it keeps its bytes
+        assert not drops_pages(array)
+        assert array.tobytes() == before
+
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"),
+                        reason="needs private mappings")
+    def test_an_anonymous_mapping_keeps_its_bytes(self):
+        # dropping the pages of a private anonymous mapping zeroes them
+        whole = np.frombuffer(mmap.mmap(
+            -1, 4 * 300 * 2048, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+            np.uint8)
+        stack = ThermogramStack(data=whole.view("<f4").reshape(300, 32, 64),
+                                fps=1.0)
+        stack.data[...] = 1.0
+        assert not drops_pages(stack.data)
+        assert (stack.pixel_trace(0, 0) == 1.0).all()
+        assert (stack.data == 1.0).all()
+
+    @pytest.mark.skipif(not Path("/proc/self/smaps").exists(),
+                        reason="needs /proc/self/smaps")
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.integers(0, 300), nx=st.integers(1, 2048),
+           step=st.integers(1, 303), madvise=st.booleans())
+    # 2.5 MB in chunks of 16 KiB, 1 MiB and more than the whole
+    @example(length=300, nx=2048, step=2, madvise=True)
+    @example(length=300, nx=2048, step=128, madvise=True)
+    @example(length=300, nx=2048, step=301, madvise=False)
+    def test_a_pass_over_a_mapped_stack(self, tmp_path_factory, length, nx,
+                                        step, madvise):
+        # frames after a metadata blob of odd length; without madvise
+        # (Windows) the slices are the same and every page read stays
+        # resident
+        frames = np.random.default_rng(nx).standard_normal(
+            (length, 1, nx), dtype=np.float32)
+        path = tmp_path_factory.mktemp("chunks") / "s.tgs"
+        write_stack(ThermogramStack(data=frames, fps=1.0,
+                                    metadata={"x": "abc"}), path)
+        with pytest.MonkeyPatch.context() as patch:
+            if not madvise:
+                patch.delattr(pnpuct.stack.mmap, "MADV_DONTNEED")
+            opened = open_stack(path)
+            assert drops_pages(opened.data) == madvise
+            slices = [s.copy() for s in chunks(opened.data, step)]
+        assert b"".join(s.tobytes() for s in slices) == frames.tobytes()
+        if madvise:
+            assert resident_kib(opened.data) == 0
+        else:
+            assert resident_kib(opened.data) * 1024 >= frames.nbytes
+
 
 class TestReadStack:
     """read_stack is open_stack plus one copy into memory."""
@@ -372,7 +456,7 @@ class TestReadStack:
         read, opened = read_stack(path), open_stack(path)
         assert read.data.dtype == np.float32
         assert read.data.flags.writeable and read.data.flags.c_contiguous
-        assert page_dropper(read.data) is None
+        assert not drops_pages(read.data)
         assert read.data.tobytes() == opened.data.tobytes()
         assert (read.fps, read.metadata) == (opened.fps, opened.metadata)
         read.data[0, 0, 0] = 1.0

@@ -37,7 +37,7 @@ from pnpuct import (
 import pnpuct.dc_removal
 from pnpuct import thermal
 from fd_oracle import fd_impulse_response
-from pipeline_helpers import resident_kib
+from pipeline_helpers import file_resident_kib, resident_kib
 
 SQRT_PI = np.sqrt(np.pi)
 SOUND = PixelModel(diffusivity=1e-6)
@@ -497,16 +497,17 @@ class TestSimulatedFile:
         digest = write_stack(expected, directory / "memory.tgs")
         # blocks of ``block`` pixels and a budget of band_blocks blocks and
         # a spare fraction of one: bands cut at every block count, inside
-        # rows or not, and never hold less than one block; the file is
-        # hashed hash_bytes at a time
+        # rows or not, and never hold less than one block; they are
+        # stored in chunks of chunk_frames frames, or of hash_bytes of
+        # frames where that is more, and the file is hashed hash_bytes at
+        # a time
         block_bytes = 4 * n_frames * block
         sha = hashlib.sha256()
         with mock.patch.object(pnpuct.dc_removal, "_BLOCK", block), \
                 mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES",
                                   int((band_blocks + spare) * block_bytes)), \
-                mock.patch.object(pnpuct.dc_removal, "_CHUNK_FRAMES", 1), \
-                mock.patch.object(thermal, "CHUNK_BYTES",
-                                  4 * scene.nx * scene.ny * chunk_frames), \
+                mock.patch.object(pnpuct.stack, "_CHUNK_FRAMES",
+                                  chunk_frames), \
                 mock.patch.object(pnpuct.stack, "CHUNK_BYTES", hash_bytes):
             mapped = simulate_stack(scene, wave, directory / "file.tgs", sha)
         assert ((directory / "file.tgs").read_bytes()
@@ -582,12 +583,16 @@ class TestSimulatedFile:
         # every band's pages were dropped behind it, and so were those
         # of the pass that hashed the file
         resident = []
-        store = thermal._store
+        write_bands = thermal.write_bands
 
-        def stored(band, data, cols, write):
-            store(band, data, cols, write)
-            resident.append(resident_kib(data))
-        monkeypatch.setattr(thermal, "_store", stored)
+        def watched(path, shape, fps, metadata, bands):
+            def stored():
+                # write_bands draws the next band once it stored this one
+                for pair in bands:
+                    yield pair
+                    resident.append(file_resident_kib(path))
+            write_bands(path, shape, fps, metadata, stored())
+        monkeypatch.setattr(thermal, "write_bands", watched)
         mapped = simulate_stack(scene, wave, tmp_path / "again.tgs")
         assert resident == [0, 0, 0, 0]
         assert resident_kib(mapped.data) == 0
