@@ -311,7 +311,8 @@ def build_parser():
     prun = pipe_cmds.add_parser("run", help="execute a run config")
     prun.add_argument("--config", required=True)
     prun.add_argument("--out-dir", help="override the config output directory")
-    prun.add_argument("--seed", type=int, help="override the scene rng seed")
+    prun.add_argument("--seed", type=int,
+                      help="override the scene rng seed (no [input] stack)")
     prun.set_defaults(func=_cmd_pipeline_run)
 
     return parser

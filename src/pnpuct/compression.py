@@ -19,11 +19,12 @@ in-place triangular BLAS products (dtrmm; Dongarra et al., *ACM TOMS*
 16, 1990) on the two halves of the sum, and lands in its first period
 with no buffer beyond the block's.
 
-The filter runs on the blocks of columns of the one block loop of
-:mod:`pnpuct.dc_removal`; with ``remove_dc`` each raw block also gets
-its DC trend fitted there and removed in the same pass. The kept trend
-term is one in-place GEMM update of the filtered block,
-C(r) <- C(r) + bias C(B) c, before the block's one float32 store.
+The filter is the op of the one core of :mod:`pnpuct.dc_removal`,
+whose DC removal is the same core with the identity op. With
+``remove_dc`` each raw block also gets its DC trend fitted there, and
+the kept trend term is one in-place GEMM update of the filtered
+residual, C(r) <- C(r) + bias C(B) c, before the block's one float32
+store.
 """
 
 from __future__ import annotations
@@ -125,56 +126,6 @@ class _MatchedFilter:
         return a[:period]
 
 
-def _compress_columns(bands, shape, code, timing, normalization,
-                      single_period, dtype):
-    """Matched filtering of every column of an (n_frames, n_pix) array.
-
-    ``bands`` are the (cols, band) pairs of the array, as
-    :func:`pnpuct.dc_removal._blocks` reads them, and ``shape`` its
-    shape. Returns the normalized mean of the steady periods as a new
-    (period, n_pix) array of ``dtype``, and the number of periods
-    averaged.
-    """
-    n_frames, n_pix = shape
-    filt = _MatchedFilter(code, timing, normalization, single_period,
-                          n_frames)
-    out = np.empty((filt.period, n_pix), dtype)
-    for cols, src, a in dc_removal._blocks(bands):
-        out[:, cols] = filt(a)[:, :src.shape[1]]
-    return out, filt.n_avg
-
-
-def _remove_dc_and_compress(bands, shape, code, timing, normalization,
-                            single_period, keep):
-    """:func:`_compress_columns` of raw float32 columns, DC removal fused.
-
-    Each column's trend is fitted as in :func:`remove_dc_stack`, and the
-    filtered DC-removed column is C(r) + keep * C(B) c: the filtered
-    residual r = y - B c plus the filtered trend basis, formed once per
-    call, times the coefficients, added into the filtered block by one
-    GEMM update. Both are float64; the sum is rounded once. Invalid
-    columns give zero. Returns the (period, n_pix) output, the number
-    of periods averaged and the (n_pix, 4) fit-map rows.
-    """
-    n_frames, n_pix = shape
-    filt = _MatchedFilter(code, timing, normalization, single_period,
-                          n_frames)
-    out = np.empty((filt.period, n_pix), np.float32)
-    trend = dc_removal._Trend(n_frames, timing.dt)
-    kept = keep * filt(trend.basis.copy())
-    fits = np.empty((n_pix, 4))
-    for cols, src, a in dc_removal._blocks(bands):
-        coefs, valid = trend.residual(a, fits[cols])
-        a[:, ~valid] = 0.0
-        product = filt(a)
-        dc_removal._gemm(1.0, kept, coefs, 1.0, product)
-        m = src.shape[1]
-        block = out[:, cols]
-        block[...] = product[:, :m]
-        block[:, ~valid[:m]] = 0.0
-    return out, filt.n_avg, fits
-
-
 def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
                    single_period=False) -> CompressedTrace:
     """Compress one DC-removed trace with the matched filter of a code.
@@ -190,11 +141,11 @@ def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
     Compress many pixels with :func:`compress_stack`.
     """
     y = np.asarray(y_plus_ac, dtype=float)[:, None]
-    values, n_avg = _compress_columns(
-        dc_removal._bands(y), y.shape, code, timing, normalization,
-        single_period, np.float64)
+    filt = _MatchedFilter(code, timing, normalization, single_period, len(y))
+    values, _ = dc_removal._columns(dc_removal._bands(y), y.shape, filt,
+                                    filt.period, np.float64)
     return CompressedTrace(values=values[:, 0], normalization=normalization,
-                           periods_averaged=n_avg)
+                           periods_averaged=filt.n_avg)
 
 
 def compress_stack(stack, code, timing, normalization=Normalization.RAW,
@@ -218,16 +169,12 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
     The stack may also be a :class:`pnpuct.thermal.SimulatedStack`,
     which is then simulated a band at a time as it is compressed.
     """
-    bands = dc_removal._stack_bands(stack)
-    shape = (stack.n_frames, stack.ny * stack.nx)
-    if remove_dc:
-        keep = dc_removal._validate_bias(code)
-        out, n_avg, fits = _remove_dc_and_compress(
-            bands, shape, code, timing, normalization, single_period, keep)
-    else:
-        out, n_avg = _compress_columns(
-            bands, shape, code, timing, normalization, single_period,
-            np.float32)
+    keep = dc_removal._validate_bias(code) if remove_dc else None
+    filt = _MatchedFilter(code, timing, normalization, single_period,
+                          stack.n_frames)
+    out, fits = dc_removal._columns(
+        dc_removal._stack_bands(stack), (stack.n_frames, stack.ny * stack.nx),
+        filt, filt.period, np.float32, keep, timing.dt)
     metadata = dict(stack.metadata)
     metadata.update({
         "stage": "compressed",
@@ -235,7 +182,7 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
         "code_n_bit": str(code.n_bit),
         "k": str(timing.k),
         "normalization": normalization.value,
-        "periods_averaged": str(n_avg),
+        "periods_averaged": str(filt.n_avg),
     })
     if remove_dc:
         metadata["bias"] = repr(keep)

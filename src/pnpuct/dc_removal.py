@@ -7,23 +7,24 @@ scaled copy is subtracted: scaling by (1 - bias) keeps exactly the DC
 share that the bias of a modified sequence accounts for, so the output
 equals the response to the modified-sequence excitation.
 
-:func:`_blocks` is the one loop that reads raw or DC-removed traces,
-a block of columns at a time, out of bands of whole blocks: of a stack
-in memory, of a stack mapped from its file, copied out of the file a
-band at a time (:func:`_bands`), or of a scene simulated a band at a
-time (:class:`pnpuct.thermal.SimulatedStack`). The fit and removal here
-run in it, and
-so does the matched filter of :mod:`pnpuct.compression`, alone or fused
-with the fit of :class:`_Trend`: both steps are linear, so the
-compressed DC-removed trace is C(y - (1 - bias) B c) = C(r) + bias C(B) c,
-with r the fit residual, and no trend or DC-removed trace is formed.
+:func:`_columns` is the one core that transforms traces, a block of
+columns at a time (:func:`_blocks`), read out of bands of whole blocks:
+of a stack in memory, of a stack mapped from its file, copied out of
+the file a band at a time (:func:`_bands`), or of a scene simulated a
+band at a time (:class:`pnpuct.thermal.SimulatedStack`). It applies a
+linear op to each block, fused, when asked, with the fit of
+:class:`_Trend`: the op of the DC-removed trace is then
+op(y - (1 - bias) B c) = op(r) + bias op(B) c, with r the fit residual,
+and no trend or DC-removed trace is formed. DC removal is that core
+with the identity op, and :mod:`pnpuct.compression` the same core with
+the matched filter, alone or fused with the fit.
 
-Every trend product of the loop, B c in the residual r = y - B c, the
-DC output's (1 - bias) B c and the filtered kept term bias C(B) c, is
-one BLAS GEMM update C <- alpha A B + beta C (:func:`_gemm`), written
-into the block's buffer in the same pass that computes it. The matched
-filter's two products are in-place triangular BLAS updates of the same
-buffer (:func:`_trmm`).
+Every trend product of the core, B c in the residual r = y - B c and
+the kept term bias op(B) c, is one BLAS GEMM update
+C <- alpha A B + beta C (:func:`_gemm`), written into the block's
+buffer in the same pass that computes it. The matched filter's two
+products are in-place triangular BLAS updates of the same buffer
+(:func:`_trmm`).
 """
 
 from __future__ import annotations
@@ -256,35 +257,54 @@ class _Trend:
         return coefs, valid
 
 
-def _fit_and_remove(bands, shape, dt, keep, dtype):
-    """Each column of an array minus (1 - keep) times its fitted trend.
+def _columns(bands, shape, op, rows, dtype, keep=None, dt=None):
+    """The one loop that transforms every column of an (n, n_pix) array.
 
-    ``bands`` are the (cols, band) pairs of the array, as
-    :func:`_blocks` reads them, and ``shape`` its (n, n_pix) shape.
-    Returns a new array of ``dtype`` and that shape, and the (n_pix, 4)
-    fit-map rows. The scaled trend is formed in float64 and subtracted
-    from the re-read trace, so float32 output is the float64 result
-    rounded once; invalid columns give zero.
+    ``bands`` are the (cols, band) pairs of the array, as :func:`_blocks`
+    reads them, and ``shape`` its (n, n_pix) shape. ``op`` is a linear
+    map of the columns of a C-contiguous float64 (n, w) array, computed
+    in place: it returns a (rows, w) view of its input. Returns a new
+    (rows, n_pix) array of ``dtype`` and the (n_pix, 4) fit-map rows.
+
+    Without ``keep`` each column y gives op(y) and there is no fit map.
+    With ``keep`` (a share of the trend, and ``dt`` the frame interval)
+    each column is fitted by :class:`_Trend` and gives op(y - (1 - keep)
+    B c) as op(r) + keep op(B) c: the residual r = y - B c through
+    ``op``, plus op(B), formed once per call, times the coefficients,
+    added by one GEMM update. Both are float64; the sum is rounded once.
+    Invalid columns give zero.
     """
-    out = np.empty(shape, dtype)
-    trend = _Trend(shape[0], dt)
-    fits = np.empty((shape[1], 4))
+    n, n_pix = shape
+    out = np.empty((rows, n_pix), dtype)
+    fits = None
+    if keep is not None:
+        trend = _Trend(n, dt)
+        kept = keep * op(trend.basis.copy())
+        fits = np.empty((n_pix, 4))
     for cols, src, a in _blocks(bands):
-        coefs, valid = trend.residual(a, fits[cols])
-        _gemm(1.0 - keep, trend.basis, coefs, 0.0, a)
-        m = src.shape[1]
-        block = out[:, cols]
-        np.subtract(src, a[:, :m], out=block, casting="unsafe")
-        # an invalid column may hold non-finite values or -0.0
-        block[:, ~valid[:m]] = 0.0
+        if fits is not None:
+            coefs, valid = trend.residual(a, fits[cols])
+            # an invalid column's residual may hold non-finite values
+            a[:, ~valid] = 0.0
+        product = op(a)
+        if fits is not None:
+            _gemm(1.0, kept, coefs, 1.0, product)
+            # op of a zero column may hold -0.0
+            product[:, ~valid] = 0.0
+        out[:, cols] = product[:, :src.shape[1]]
     return out, fits
 
 
+def _identity(a):
+    """The op of :func:`_columns` that DC removal runs: ``a`` itself."""
+    return a
+
+
 def _fit_trace(trace, timing, keep):
-    """One column of :func:`_fit_and_remove` in float64, and its fit."""
+    """One column of :func:`remove_dc_stack` in float64, and its fit."""
     trace = np.asarray(trace, dtype=float)[:, None]
-    out, (row,) = _fit_and_remove(_bands(trace), trace.shape, timing.dt,
-                                  keep, np.float64)
+    out, (row,) = _columns(_bands(trace), trace.shape, _identity,
+                           len(trace), np.float64, keep, timing.dt)
     if np.isnan(row).any():
         raise DegenerateTrace("trace is all zero or has no finite fit")
     return out[:, 0], DcFit(*row.tolist())
@@ -336,9 +356,8 @@ def remove_dc_stack(stack, code, timing):
     if n_frames != expected:
         raise ShapeMismatch(
             f"stack has {n_frames} frames, timing implies {expected}")
-    out, fits = _fit_and_remove(_stack_bands(stack),
-                                (n_frames, stack.ny * stack.nx),
-                                timing.dt, bias, np.float32)
+    out, fits = _columns(_stack_bands(stack), (n_frames, stack.ny * stack.nx),
+                         _identity, n_frames, np.float32, bias, timing.dt)
     metadata = dict(stack.metadata)
     metadata.update({
         "stage": "dc_removed",

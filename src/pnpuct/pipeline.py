@@ -76,6 +76,8 @@ def run_pipeline(config, out_dir=None, seed=None):
     Returns the manifest dictionary. Any error, the failed write of an
     artifact included, raises PipelineStageError with the name of the
     stage that made that artifact, and no manifest file is written.
+    ``seed`` replaces the scene's ``rng_seed``; with an ``[input]``
+    stack it raises InvalidConfig at stage ``config``.
 
     A simulated scene is compressed straight from its bands as they are
     simulated (:class:`~pnpuct.thermal.SimulatedStack`): no raw stack
@@ -108,6 +110,10 @@ def run_pipeline(config, out_dir=None, seed=None):
             raise InvalidConfig(
                 f"[output] intermediates: unknown {', '.join(unknown)}; "
                 f"known: {', '.join(INTERMEDIATES)}")
+        if seed is not None and parser.has_option("input", "stack"):
+            raise InvalidConfig(
+                "a seed sets the noise of a simulated scene; an [input] "
+                "stack has none")
     # read before the timing: its metadata fills the [timing] keys left out
     raw = source = mapped = None
     if parser.has_option("input", "stack"):

@@ -350,7 +350,7 @@ class TestCompressionProperties:
            normalization=st.sampled_from(list(Normalization)),
            single_period=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
            data=st.data())
-    def test_overwrite_input_gives_the_default_result_in_place(
+    def test_result_is_a_new_array_with_zero_dead_pixels(
             self, code, k, n_per, ny, nx, normalization, single_period, seed,
             data):
         timing = _timing(k, n_per)
@@ -398,9 +398,12 @@ class TestCompressionProperties:
         period = len(filt.taps)
         traces = np.random.default_rng(seed).normal(
             size=(n_per * period, n_pix))
-        out, n_avg = pnpuct.compression._compress_columns(
-            pnpuct.dc_removal._bands(traces), traces.shape, code, timing,
-            normalization, single_period, np.float64)
+        matched = pnpuct.compression._MatchedFilter(
+            code, timing, normalization, single_period, len(traces))
+        out, _ = pnpuct.dc_removal._columns(
+            pnpuct.dc_removal._bands(traces), traces.shape, matched,
+            period, np.float64)
+        n_avg = matched.n_avg
         assert n_avg == (1 if single_period else n_per - 1)
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
                  Normalization.PER_LENGTH: code.n_bit}[normalization]
@@ -510,6 +513,55 @@ class TestFusedDcRemoval:
                                        single_period, True)
         assert one.data.tobytes() == fused.data[at].tobytes()
         assert one_fits.tobytes() == fits[at[1:]].tobytes()
+
+
+class TestBlockWidth:
+    """A column's result does not depend on the width of the blocks.
+
+    DC removal, compression and the two fused are one loop over blocks
+    of dc_removal._BLOCK columns, each zero-padded to that width; each
+    output column must be that of the column alone, at any width.
+    """
+
+    WIDTHS = (64, 512)
+
+    @staticmethod
+    def _run(mode, stack, code, timing):
+        if mode == "dc_removal":
+            removed, fits = remove_dc_stack(stack, code, timing)
+            return removed.data.tobytes(), fits.tobytes()
+        if mode == "compression":
+            return compress_stack(stack, code, timing).data.tobytes(),
+        compressed, fits = compress_stack(stack, code, timing,
+                                          Normalization.RAW, False, True)
+        return compressed.data.tobytes(), fits.tobytes()
+
+    @pytest.mark.parametrize("mode", ["dc_removal", "compression", "fused"])
+    @pytest.mark.parametrize("code", [PLUS_CODES[0], RESOLUTION_CODES[0],
+                                      LS1031_PLUS], ids=["ls7", "ls31",
+                                                         "ls1031"])
+    @settings(max_examples=6, deadline=None)
+    @given(n_pix=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
+           dead=st.lists(st.integers(0, 599), max_size=3))
+    # 600 columns straddle blocks of every width
+    @example(n_pix=600, seed=1, dead=[0, 255, 599])
+    def test_a_column_does_not_depend_on_the_block_width(self, mode, code,
+                                                         n_pix, seed, dead):
+        timing = _timing(1, 2)
+        n = timing.total_frames(code.n_bit)
+        rng = np.random.default_rng(seed)
+        traces = (design_matrix(np.arange(n) * timing.dt)
+                  @ rng.exponential(size=(3, n_pix)))
+        traces += rng.normal(size=traces.shape)
+        traces[:, [d for d in dead if d < n_pix]] = 0.0
+        stack = ThermogramStack(
+            data=traces.reshape(n, 1, n_pix).astype(np.float32),
+            fps=timing.fps)
+        assert pnpuct.dc_removal._BLOCK == 256
+        expected = self._run(mode, stack, code, timing)
+        for width in self.WIDTHS:
+            with mock.patch.object(pnpuct.dc_removal, "_BLOCK", width):
+                assert self._run(mode, stack, code, timing) == expected, width
 
 
 class TestMappedInput:

@@ -452,7 +452,7 @@ class TestWholeStackSolver:
     @given(k=st.integers(1, 3), n_per=st.integers(2, 4), ny=st.integers(1, 3),
            nx=st.integers(1, 100), seed=st.integers(0, 2 ** 32 - 1),
            data=st.data())
-    def test_overwrite_input_gives_the_default_result_in_place(
+    def test_result_is_a_new_array_with_zero_dead_pixels(
             self, k, n_per, ny, nx, seed, data):
         # ny * nx up to 300 straddles one block of columns
         assert 100 < pnpuct.dc_removal._BLOCK < 300
@@ -612,9 +612,9 @@ class TestTrendUpdates:
             np.testing.assert_array_equal(a[:, :m][:, ~ok], y[:, ~ok])
 
         keep = code.bias
-        out, fits = pnpuct.dc_removal._fit_and_remove(
-            pnpuct.dc_removal._bands(traces), traces.shape, timing.dt, keep,
-            np.float32)
+        out, fits = pnpuct.dc_removal._columns(
+            pnpuct.dc_removal._bands(traces), traces.shape,
+            pnpuct.dc_removal._identity, n, np.float32, keep, timing.dt)
         assert out.dtype == np.float32
         valid = ~np.isnan(fits).any(axis=1)
         assert not valid[dead].any()

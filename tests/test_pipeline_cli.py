@@ -273,6 +273,23 @@ class TestRunPipeline:
         for artifact in manifest["artifacts"].values():
             assert artifact["sha256"] == file_sha256(out / artifact["path"])
 
+    def test_seed_with_an_input_stack_is_a_config_error(self, tmp_path):
+        # a measured stack has no scene whose noise a seed could pick
+        raw = tmp_path / "raw.tgs"
+        simulate_raw(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"),
+                     raw)
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
+                       f"[input]\nstack = {raw}\n\n"
+                       f"[output]\ndirectory = {out}\n")
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg, seed=5)
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, InvalidConfig)
+        assert "seed" in str(info.value)
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         cfg_a = write_run_config(tmp_path / "a.cfg", tmp_path / "out_a")
         cfg_b = write_run_config(tmp_path / "b.cfg", tmp_path / "out_b")
@@ -947,6 +964,20 @@ class TestCli:
         assert main(["pipeline", "run", "--config", str(bad)]) == 2
         assert "[config]" in capsys.readouterr().err
         assert not (tmp_path / "out_bad").exists()
+
+    def test_pipeline_seed_with_an_input_stack_exits_2(self, tmp_path,
+                                                       capsys):
+        raw = tmp_path / "raw.tgs"
+        simulate_raw(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"),
+                     raw)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
+                       f"[input]\nstack = {raw}\n\n"
+                       f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["pipeline", "run", "--config", str(cfg),
+                     "--seed", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: [config]")
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_write_failure_exit(self, tmp_path, capsys):
         (tmp_path / "out" / "excitation_code.txt").mkdir(parents=True)
