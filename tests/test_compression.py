@@ -692,6 +692,65 @@ class TestSimulatedInput:
                                                        stored.metadata)
 
 
+class TestDerivedMetadata:
+    """The whole metadata of every stack derived from another."""
+
+    # LS7 at K = 2 and n_per = 2: 28 frames of 4 x 4 px
+    TIMING = Timing(t_bit=1.0, fps=2.0, n_per=2)
+    SCENE = SceneConfig(nx=4, ny=4, background=SOUND, noise_sigma=0.1,
+                        rng_seed=3)
+    MEASURED = {"stage": "measured", "k": "2", "bias": "0.5", "odd": "x"}
+    SIMULATED = {"stage": "simulated", "rng_seed": "3", "noise_sigma": "0.1",
+                 "t_bit": "1.0", "n_per": "2", "k": "2", "code_kind": "LS",
+                 "code_n_bit": "7", "amplitude": "1.0"}
+    CODE_KEYS = {"code_kind": "LS_PLUS", "code_n_bit": "7"}
+    BIAS = {"bias": "0.3779644730092272"}
+    COMPRESSED = {"stage": "compressed", "k": "2", "normalization": "raw",
+                  "periods_averaged": "1", **CODE_KEYS}
+    # (derived stack of a source, the keys it sets, its frame rate / source's)
+    OPS = {
+        "remove_dc_stack": (
+            lambda s, c, t: remove_dc_stack(s, c, t)[0],
+            {"stage": "dc_removed", **CODE_KEYS, **BIAS}, 1),
+        "compress_stack": (
+            lambda s, c, t: compress_stack(s, c, t), COMPRESSED, 1),
+        "compress_stack_remove_dc": (
+            lambda s, c, t: compress_stack(s, c, t, remove_dc=True)[0],
+            {**COMPRESSED, **BIAS}, 1),
+        "decimate_first_frame": (
+            lambda s, c, t: decimate_to_bit_rate(s, t)[0],
+            {"decimated": "first_frame", "k": "1"}, 2),
+        "decimate_mean": (
+            lambda s, c, t: decimate_to_bit_rate(s, t, average=True)[0],
+            {"decimated": "mean", "k": "1"}, 2),
+    }
+
+    def _source(self, kind, op, tmp_path):
+        wave = build_unipolar(build_bipolar(generate_ls(7), self.TIMING), 1.0)
+        if kind == "simulated":
+            # decimation reads frames, which a SimulatedStack does not
+            # store: it decimates the stack that simulate_stack stores
+            if op.startswith("decimate"):
+                return simulate_stack(self.SCENE, wave), self.SIMULATED
+            return SimulatedStack(self.SCENE, wave), self.SIMULATED
+        stack = ThermogramStack(data=simulate_stack(self.SCENE, wave).data,
+                                fps=self.TIMING.fps, metadata=self.MEASURED)
+        if kind == "mapped":
+            write_stack(stack, tmp_path / "raw.tgs")
+            stack = open_stack(tmp_path / "raw.tgs")
+        return stack, self.MEASURED
+
+    @pytest.mark.parametrize("kind", ["in_memory", "mapped", "simulated"])
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_source_metadata_updated_by_the_op(self, tmp_path, op, kind):
+        source, metadata = self._source(kind, op, tmp_path)
+        run, keys, rate_divisor = self.OPS[op]
+        derived = run(source, PLUS_CODES[0], self.TIMING)
+        assert derived.metadata == {**metadata, **keys}
+        assert derived.fps == self.TIMING.fps / rate_divisor
+        assert source.metadata == metadata
+
+
 class TestGemmUpdate:
     """dc_removal._gemm and _trmm write into the block loop's buffer."""
 
