@@ -42,7 +42,7 @@ import scipy.signal
 
 from . import dc_removal
 from .errors import EmptyRegion, RegionOverlap, ShapeMismatch
-from .stack import CHUNK_BYTES, ThermogramStack, chunks
+from .stack import CHUNK_BYTES, check_stored, chunks, derived_stack
 from .waveform import Timing, build_matched_filter
 
 
@@ -80,17 +80,12 @@ class _MatchedFilter:
     U, its last N the lower triangle L, diagonal included, so the
     product U ybar[:N] + L ybar[N:] takes two triangular products of N^2
     multiply-adds per column where T takes 2N^2. The input must span
-    the timing's n_per periods.
+    the timing's n_per periods (:func:`pnpuct.dc_removal._check_frames`).
     """
 
-    def __init__(self, code, timing, normalization, single_period,
-                 n_frames):
+    def __init__(self, code, timing, normalization, single_period):
         filt = build_matched_filter(code, timing)
         n_bit = code.n_bit
-        if n_frames != timing.total_frames(n_bit):
-            raise ShapeMismatch(
-                f"{n_frames} frames given, timing implies "
-                f"{timing.total_frames(n_bit)}")
         self.n_avg = 1 if single_period else timing.n_per - 1
         self.period = timing.frames_per_period(n_bit)
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: filt.gain,
@@ -140,11 +135,10 @@ def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
     K=10 and 20 ms at LS1031 K=1 on a 2-vCPU VM with 1 BLAS thread.
     Compress many pixels with :func:`compress_stack`.
     """
-    y = np.asarray(y_plus_ac, dtype=float)[:, None]
-    filt = _MatchedFilter(code, timing, normalization, single_period, len(y))
-    values, _ = dc_removal._columns(dc_removal._bands(y), y.shape, filt,
-                                    filt.period, np.float64)
-    return CompressedTrace(values=values[:, 0], normalization=normalization,
+    filt = _MatchedFilter(code, timing, normalization, single_period)
+    dc_removal._check_frames(len(y_plus_ac), code, timing)
+    values, _ = dc_removal._trace(y_plus_ac, filt, filt.period)
+    return CompressedTrace(values=values, normalization=normalization,
                            periods_averaged=filt.n_avg)
 
 
@@ -152,10 +146,11 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
                    single_period=False, remove_dc=False):
     """Pixelwise compression of a DC-removed stack.
 
-    Returns a stack of one period (K * N_bit frames) whose metadata
-    records the compression parameters. By default every steady period
-    is averaged; ``single_period`` keeps only the first. The result is
-    a new (period, n_pix) array; the input stack is left untouched.
+    Returns a new stack of one period (K * N_bit frames) whose metadata
+    records the compression parameters; the input is left untouched,
+    and may be a :class:`pnpuct.thermal.SimulatedStack`, simulated a
+    band at a time. By default every steady period is averaged;
+    ``single_period`` keeps only the first.
 
     With ``remove_dc`` the stack is raw: DC removal runs in the same
     pass, and the result is (compressed, fit map), the fit map that of
@@ -165,32 +160,15 @@ def compress_stack(stack, code, timing, normalization=Normalization.RAW,
     DC-removed stack in the last bits. Unlike :func:`remove_dc_stack`,
     this call does not pass the code through :func:`check_code`; the
     pipeline checks its codes when it makes them.
-
-    The stack may also be a :class:`pnpuct.thermal.SimulatedStack`,
-    which is then simulated a band at a time as it is compressed.
     """
     keep = dc_removal._validate_bias(code) if remove_dc else None
-    filt = _MatchedFilter(code, timing, normalization, single_period,
-                          stack.n_frames)
-    out, fits = dc_removal._columns(
-        dc_removal._stack_bands(stack), (stack.n_frames, stack.ny * stack.nx),
-        filt, filt.period, np.float32, keep, timing.dt)
-    metadata = dict(stack.metadata)
-    metadata.update({
-        "stage": "compressed",
-        "code_kind": code.kind.value,
-        "code_n_bit": str(code.n_bit),
-        "k": str(timing.k),
-        "normalization": normalization.value,
-        "periods_averaged": str(filt.n_avg),
-    })
-    if remove_dc:
-        metadata["bias"] = repr(keep)
-    compressed = ThermogramStack(data=out.reshape(-1, stack.ny, stack.nx),
-                                 fps=stack.fps, metadata=metadata)
-    if not remove_dc:
-        return compressed
-    return compressed, fits.reshape(stack.ny, stack.nx, 4)
+    filt = _MatchedFilter(code, timing, normalization, single_period)
+    compressed, fits = dc_removal._transform(
+        stack, code, timing, filt, filt.period, keep,
+        {"stage": "compressed", "k": str(timing.k),
+         "normalization": normalization.value,
+         "periods_averaged": str(filt.n_avg)})
+    return (compressed, fits) if remove_dc else compressed
 
 
 def decimate_to_bit_rate(stack, timing, average=False):
@@ -207,6 +185,7 @@ def decimate_to_bit_rate(stack, timing, average=False):
     k = timing.k
     if k == 1:
         return stack, timing
+    check_stored(stack)
     if stack.n_frames % k != 0:
         raise ShapeMismatch(
             f"{stack.n_frames} frames do not divide into bits of {k} frames")
@@ -221,13 +200,9 @@ def decimate_to_bit_rate(stack, timing, average=False):
             kept[...] = chunk[:, 0]
     new_timing = Timing(t_bit=timing.t_bit, fps=timing.fps / k,
                         n_per=timing.n_per)
-    metadata = dict(stack.metadata)
-    metadata.update({
-        "decimated": "mean" if average else "first_frame",
-        "k": "1",
-    })
-    return (ThermogramStack(data=data, fps=new_timing.fps, metadata=metadata),
-            new_timing)
+    return derived_stack(stack, data, new_timing.fps, {
+        "decimated": "mean" if average else "first_frame", "k": "1",
+    }), new_timing
 
 
 def _region_block(frames, region):
@@ -253,6 +228,7 @@ def snr_metric(stack, region_signal, region_reference) -> float:
     at a time, so no copy of a whole region is made, and the pages of a
     stack mapped from its file are dropped behind each chunk.
     """
+    check_stored(stack)
     if region_signal != region_reference and all(
             max(a.start, b.start) < min(a.stop, b.stop)
             for a, b in zip(region_signal.slices, region_reference.slices)):

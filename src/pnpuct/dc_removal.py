@@ -8,16 +8,14 @@ share that the bias of a modified sequence accounts for, so the output
 equals the response to the modified-sequence excitation.
 
 :func:`_columns` is the one core that transforms traces, a block of
-columns at a time (:func:`_blocks`), read out of bands of whole blocks:
-of a stack in memory, of a stack mapped from its file, copied out of
-the file a band at a time (:func:`_bands`), or of a scene simulated a
-band at a time (:class:`pnpuct.thermal.SimulatedStack`). It applies a
-linear op to each block, fused, when asked, with the fit of
-:class:`_Trend`: the op of the DC-removed trace is then
-op(y - (1 - bias) B c) = op(r) + bias op(B) c, with r the fit residual,
-and no trend or DC-removed trace is formed. DC removal is that core
-with the identity op, and :mod:`pnpuct.compression` the same core with
-the matched filter, alone or fused with the fit.
+columns at a time (:func:`_blocks`) out of bands of whole blocks; a
+stack enters it through :func:`_transform`, a trace through
+:func:`_trace`. It applies a linear op to each block, fused, when
+asked, with the fit of :class:`_Trend`: the op of the DC-removed trace
+is then op(y - (1 - bias) B c) = op(r) + bias op(B) c, with r the fit
+residual, and no trend or DC-removed trace is formed. DC removal is
+that core with the identity op, and :mod:`pnpuct.compression` the same
+core with the matched filter, alone or fused with the fit.
 
 Every trend product of the core, B c in the residual r = y - B c and
 the kept term bias op(B) c, is one BLAS GEMM update
@@ -36,7 +34,7 @@ from scipy.linalg.blas import dgemm, dtrmm
 
 from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
-from .stack import (_CHUNK_FRAMES, CHUNK_BYTES, ThermogramStack, chunks,
+from .stack import (_CHUNK_FRAMES, CHUNK_BYTES, chunks, derived_stack,
                     drops_pages, write_hashed)
 
 _EXPONENTS = (1.0, 0.75, 0.5)
@@ -148,17 +146,6 @@ def _bands(traces):
                                    strict=True):
             gathered[...] = chunk[:, cols]
         yield cols, band
-
-
-def _stack_bands(stack):
-    """(cols, band) pairs of the pixel columns of a stack's frames.
-
-    A :class:`pnpuct.thermal.SimulatedStack` simulates them (its
-    ``bands``); any other stack gives :func:`_bands` of its data.
-    """
-    if hasattr(stack, "bands"):
-        return stack.bands()
-    return _bands(stack.data.reshape(stack.n_frames, -1))
 
 
 def _blocks(bands):
@@ -295,6 +282,46 @@ def _columns(bands, shape, op, rows, dtype, keep=None, dt=None):
     return out, fits
 
 
+def _check_frames(n_frames, code, timing):
+    """The frame rule: exactly n_per periods of the code, else ShapeMismatch."""
+    expected = timing.total_frames(code.n_bit)
+    if n_frames != expected:
+        raise ShapeMismatch(
+            f"{n_frames} frames given, timing implies {expected}")
+
+
+def _transform(stack, code, timing, op, rows, keep, metadata):
+    """The one way from a stack through :func:`_columns` to a new stack.
+
+    Reads the ``bands()`` of a :class:`pnpuct.thermal.SimulatedStack`
+    as they are simulated, else :func:`_bands` of the stack's data.
+    Returns the float32 (rows, ny, nx) stack, its metadata the source's
+    plus the code's, ``metadata`` and the bias kept, if any; and the
+    (ny, nx, 4) fit map, or None without ``keep``.
+    """
+    _check_frames(stack.n_frames, code, timing)
+    shape = stack.n_frames, stack.ny * stack.nx
+    bands = (stack.bands() if hasattr(stack, "bands")
+             else _bands(stack.data.reshape(shape)))
+    out, fits = _columns(bands, shape, op, rows, np.float32, keep, timing.dt)
+    metadata = {"code_kind": code.kind.value, "code_n_bit": str(code.n_bit),
+                **metadata}
+    if keep is not None:
+        metadata["bias"] = repr(keep)
+        fits = fits.reshape(stack.ny, stack.nx, 4)
+    return derived_stack(stack, out.reshape(rows, stack.ny, stack.nx),
+                         stack.fps, metadata), fits
+
+
+def _trace(trace, op, rows, keep=None, dt=None):
+    """:func:`_columns` of one trace, in float64: its (rows,) result and
+    its (1, 4) fit-map rows, or None without ``keep``."""
+    column = np.asarray(trace, dtype=float)[:, None]
+    out, fits = _columns(_bands(column), column.shape, op, rows, np.float64,
+                         keep, dt)
+    return out[:, 0], fits
+
+
 def _identity(a):
     """The op of :func:`_columns` that DC removal runs: ``a`` itself."""
     return a
@@ -302,12 +329,10 @@ def _identity(a):
 
 def _fit_trace(trace, timing, keep):
     """One column of :func:`remove_dc_stack` in float64, and its fit."""
-    trace = np.asarray(trace, dtype=float)[:, None]
-    out, (row,) = _columns(_bands(trace), trace.shape, _identity,
-                           len(trace), np.float64, keep, timing.dt)
+    values, (row,) = _trace(trace, _identity, len(trace), keep, timing.dt)
     if np.isnan(row).any():
         raise DegenerateTrace("trace is all zero or has no finite fit")
-    return out[:, 0], DcFit(*row.tolist())
+    return values, DcFit(*row.tolist())
 
 
 def fit_dc(trace, timing) -> DcFit:
@@ -350,24 +375,9 @@ def remove_dc_stack(stack, code, timing):
     left untouched. It may also be a
     :class:`pnpuct.thermal.SimulatedStack`, simulated a band at a time.
     """
-    bias = _validate_bias(check_code(code))
-    n_frames = stack.n_frames
-    expected = timing.total_frames(code.n_bit)
-    if n_frames != expected:
-        raise ShapeMismatch(
-            f"stack has {n_frames} frames, timing implies {expected}")
-    out, fits = _columns(_stack_bands(stack), (n_frames, stack.ny * stack.nx),
-                         _identity, n_frames, np.float32, bias, timing.dt)
-    metadata = dict(stack.metadata)
-    metadata.update({
-        "stage": "dc_removed",
-        "code_kind": code.kind.value,
-        "code_n_bit": str(code.n_bit),
-        "bias": repr(bias),
-    })
-    removed = ThermogramStack(data=out.reshape(n_frames, stack.ny, stack.nx),
-                              fps=stack.fps, metadata=metadata)
-    return removed, fits.reshape(stack.ny, stack.nx, 4)
+    return _transform(stack, code, timing, _identity, stack.n_frames,
+                      _validate_bias(check_code(code)),
+                      {"stage": "dc_removed"})
 
 
 def export_fit_map_csv(fits, path):

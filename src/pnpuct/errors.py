@@ -98,7 +98,7 @@ class RegionOverlap(PnPuctError, ValueError):
 # --- stack I/O ---
 
 class InvalidStack(PnPuctError, ValueError):
-    """Stack data that is not 3-D, or a frame rate that is not positive."""
+    """Stack data that is not 3-D or not stored, or an fps not positive."""
 
 
 class BadMagic(PnPuctError):

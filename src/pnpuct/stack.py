@@ -93,7 +93,9 @@ class ThermogramStack:
 
     def pixel_trace(self, jx, jy) -> np.ndarray:
         """Time trend of one pixel as float64, read through :func:`chunks`."""
-        self._check_pixel(jx, jy)
+        if not (0 <= jx < self.nx and 0 <= jy < self.ny):
+            raise IndexOutOfRange(
+                f"pixel ({jx}, {jy}) outside {self.nx} x {self.ny} grid")
         trace = np.empty(self.n_frames)
         step = max(1, CHUNK_BYTES // (4 * self.ny * self.nx))
         for frames, out in zip(chunks(self.data, step), chunks(trace, step),
@@ -101,10 +103,19 @@ class ThermogramStack:
             out[...] = frames[:, jy, jx]
         return trace
 
-    def _check_pixel(self, jx, jy):
-        if not (0 <= jx < self.nx and 0 <= jy < self.ny):
-            raise IndexOutOfRange(
-                f"pixel ({jx}, {jy}) outside {self.nx} x {self.ny} grid")
+
+def derived_stack(source, data, fps, metadata):
+    """The one maker of a stack from another: metadata the source's, updated."""
+    return ThermogramStack(data=data, fps=fps,
+                           metadata={**source.metadata, **metadata})
+
+
+def check_stored(stack):
+    """InvalidStack for a stack made as it is read, with ``bands()``."""
+    if hasattr(stack, "bands"):
+        raise InvalidStack(
+            "the stack holds no samples: read it through its bands(), or "
+            "store it with simulate_stack")
 
 
 def _encode_metadata(metadata) -> bytes:
@@ -417,6 +428,7 @@ def export_slice(stack, time_index, path):
     ``<path>.txt`` and the unscaled values to ``<path>.csv``. Returns
     ``{path: SHA-256 hex digest}`` of the three files, in that order.
     """
+    check_stored(stack)
     if not (0 <= time_index < stack.n_frames):
         raise IndexOutOfRange(
             f"frame {time_index} outside 0..{stack.n_frames - 1}")
@@ -454,5 +466,6 @@ def export_pixel_trace(stack, jx, jy, path):
 
     Returns the SHA-256 hex digest of the bytes written.
     """
+    check_stored(stack)
     return write_hashed(path, [time_series_csv(stack.pixel_trace(jx, jy),
                                                stack.fps)])

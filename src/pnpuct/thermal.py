@@ -32,7 +32,7 @@ from scipy.special import erfc
 from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
                      NonFiniteData, RateMismatch, SeriesNotConverged)
 from . import dc_removal
-from .stack import ThermogramStack, open_stack, write_bands
+from .stack import ThermogramStack, derived_stack, open_stack, write_bands
 from .waveform import ExcitationWaveform, WaveformKind, excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -333,8 +333,8 @@ class SimulatedStack:
     ``n_frames``, ``ny`` and ``nx`` are those of the stack
     :func:`simulate_stack` returns. ``data`` holds no sample: it is NaN
     broadcast to the stack's shape, read-only, for code that sizes a
-    stack by its data. Each call of :meth:`bands` simulates the scene
-    anew, bit for bit.
+    stack by its data; readers of frames raise InvalidStack. Each call
+    of :meth:`bands` simulates the scene anew, bit for bit.
     """
 
     def __init__(self, scene, excitation):
@@ -438,8 +438,7 @@ def simulate_stack(scene, excitation, path=None,
         data = np.empty(shape, dtype=np.float32)
         for cols, band in simulated.bands():
             data.reshape(len(data), -1)[:, cols] = band
-        return ThermogramStack(data=data, fps=simulated.fps,
-                               metadata=simulated.metadata)
+        return derived_stack(simulated, data, simulated.fps, {})
     write_bands(path, shape, simulated.fps, simulated.metadata,
                 simulated.bands())
     return open_stack(path, digest)

@@ -399,7 +399,7 @@ class TestCompressionProperties:
         traces = np.random.default_rng(seed).normal(
             size=(n_per * period, n_pix))
         matched = pnpuct.compression._MatchedFilter(
-            code, timing, normalization, single_period, len(traces))
+            code, timing, normalization, single_period)
         out, _ = pnpuct.dc_removal._columns(
             pnpuct.dc_removal._bands(traces), traces.shape, matched,
             period, np.float64)
@@ -766,7 +766,7 @@ class TestGemmUpdate:
             timing = _timing(2, n_per)
             n = timing.total_frames(code.n_bit)
             filt = pnpuct.compression._MatchedFilter(
-                code, timing, Normalization.RAW, False, n)
+                code, timing, Normalization.RAW, False)
             traces = np.ones((n, 3), np.float32)
             _, _, a = next(pnpuct.dc_removal._blocks(
                 pnpuct.dc_removal._bands(traces)))

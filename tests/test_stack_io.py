@@ -14,19 +14,28 @@ from pnpuct import (
     BadHeader,
     BadMagic,
     IndexOutOfRange,
+    InvalidStack,
     NonFiniteData,
     PixelModel,
     RectPulse,
+    Region,
+    SceneConfig,
+    SimulatedStack,
     ThermogramStack,
     Timing,
     TrailingBytes,
     TruncatedFile,
     UnencodableMetadata,
+    build_bipolar,
+    build_unipolar,
+    decimate_to_bit_rate,
     export_pixel_trace,
     export_slice,
+    generate_ls,
     lpt_reference,
     open_stack,
     read_stack,
+    snr_metric,
     write_stack,
 )
 import pnpuct.stack
@@ -546,3 +555,39 @@ class TestExportPixelTrace:
         values = np.array([float(r.split(",")[1]) for r in rows])
         after_pulse = values[12:]
         assert np.all(np.diff(after_pulse) <= 0)
+
+
+class TestFramesOfASimulatedStack:
+    """A SimulatedStack stores no sample: its frames' readers refuse it."""
+
+    @pytest.fixture
+    def simulated(self):
+        # a 4 x 4 px LS7 scene at K = 4
+        timing = Timing(t_bit=1.0, fps=4.0, n_per=2)
+        wave = build_unipolar(build_bipolar(generate_ls(7), timing), 1.0)
+        scene = SceneConfig(nx=4, ny=4, background=PixelModel(
+            diffusivity=1e-6), noise_sigma=0.1, rng_seed=5)
+        return SimulatedStack(scene, wave), timing
+
+    def test_snr_metric(self, simulated):
+        stack, _ = simulated
+        with pytest.raises(InvalidStack, match=r"no samples.*bands\(\)"):
+            snr_metric(stack, Region(x0=0, y0=0, width=2, height=2),
+                       Region(x0=2, y0=0, width=2, height=2))
+
+    def test_export_slice(self, simulated, tmp_path):
+        stack, _ = simulated
+        with pytest.raises(InvalidStack, match=r"no samples.*bands\(\)"):
+            export_slice(stack, 1, tmp_path / "s")
+        assert not list(tmp_path.iterdir())
+
+    def test_decimate_to_bit_rate(self, simulated):
+        stack, timing = simulated
+        with pytest.raises(InvalidStack, match=r"no samples.*bands\(\)"):
+            decimate_to_bit_rate(stack, timing)
+
+    def test_export_pixel_trace(self, simulated, tmp_path):
+        stack, _ = simulated
+        with pytest.raises(InvalidStack, match=r"no samples.*bands\(\)"):
+            export_pixel_trace(stack, 1, 2, tmp_path / "p.csv")
+        assert not list(tmp_path.iterdir())
