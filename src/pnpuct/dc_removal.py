@@ -283,7 +283,7 @@ def _columns(bands, shape, op, rows, dtype, keep=None, dt=None):
 
 
 def _check_frames(n_frames, code, timing):
-    """The frame rule: exactly n_per periods of the code, else ShapeMismatch."""
+    """The frame rule: n_per periods of the code exactly, or ShapeMismatch."""
     expected = timing.total_frames(code.n_bit)
     if n_frames != expected:
         raise ShapeMismatch(

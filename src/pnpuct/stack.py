@@ -105,13 +105,14 @@ class ThermogramStack:
 
 
 def derived_stack(source, data, fps, metadata):
-    """The one maker of a stack from another: metadata the source's, updated."""
+    """A new stack from ``source``: its metadata updated by ``metadata``."""
     return ThermogramStack(data=data, fps=fps,
                            metadata={**source.metadata, **metadata})
 
 
 def check_stored(stack):
-    """InvalidStack for a stack made as it is read, with ``bands()``."""
+    """Raise InvalidStack for a stack that stores no samples: one made as
+    it is read, with ``bands()`` (:class:`pnpuct.thermal.SimulatedStack`)."""
     if hasattr(stack, "bands"):
         raise InvalidStack(
             "the stack holds no samples: read it through its bands(), or "

@@ -707,7 +707,7 @@ class TestDerivedMetadata:
     BIAS = {"bias": "0.3779644730092272"}
     COMPRESSED = {"stage": "compressed", "k": "2", "normalization": "raw",
                   "periods_averaged": "1", **CODE_KEYS}
-    # (derived stack of a source, the keys it sets, its frame rate / source's)
+    # (derived stack of a source, the keys it sets, the source's fps over its)
     OPS = {
         "remove_dc_stack": (
             lambda s, c, t: remove_dc_stack(s, c, t)[0],
