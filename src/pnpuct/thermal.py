@@ -333,8 +333,9 @@ class SimulatedStack:
     ``n_frames``, ``ny`` and ``nx`` are those of the stack
     :func:`simulate_stack` returns. ``data`` holds no sample: it is NaN
     broadcast to the stack's shape, read-only, for code that sizes a
-    stack by its data; readers of frames raise InvalidStack. Each call
-    of :meth:`bands` simulates the scene anew, bit for bit.
+    stack by its data. :meth:`bands`, a stored stack's band protocol, is
+    its only reader; readers of frames raise InvalidStack. Each call of
+    :meth:`bands` simulates the scene anew, bit for bit.
     """
 
     def __init__(self, scene, excitation):
@@ -356,14 +357,14 @@ class SimulatedStack:
         self.data = np.broadcast_to(np.float32(np.nan),
                                     (n_frames, scene.ny, scene.nx))
 
-    def bands(self):
+    def bands(self, width):
         """(cols, band) pairs of the stack's flattened pixel columns.
 
-        The bands have the geometry of ``dc_removal._bands``: whole
-        ``_BLOCK`` columns, in pixel order, within ``_BAND_BYTES``.
-        ``band`` is an (n_frames, w) float32 view of one reused buffer,
-        valid until the next pair is drawn. A band with a non-finite
-        sample raises NonFiniteData before it is yielded.
+        As :meth:`pnpuct.stack.ThermogramStack.bands`: ``width`` columns
+        a band, in order, each an (n_frames, w) float32 view of one
+        reused buffer, valid until the next pair is drawn; the samples
+        do not depend on ``width``. A band with a non-finite sample
+        raises NonFiniteData before it is yielded.
 
         Each distinct model has one convolution, gathered to its pixels
         through the label map, so no float64 copy of the stack exists.
@@ -380,8 +381,7 @@ class SimulatedStack:
         n_frames = traces.shape[1]
         n_pix = scene.ny * scene.nx
         labels = scene.labels.reshape(-1)
-        buffer = np.empty((dc_removal._band_width(n_frames, n_pix),
-                           n_frames), np.float32)
+        buffer = np.empty((width, n_frames), np.float32)
         sigma = scene.noise_sigma
         if sigma > 0:
             jy, jx = np.divmod(np.arange(n_pix), scene.nx)
@@ -434,13 +434,14 @@ def simulate_stack(scene, excitation, path=None,
     """
     simulated = SimulatedStack(scene, excitation)
     shape = simulated.data.shape
+    bands = simulated.bands(dc_removal._band_width(shape[0],
+                                                   shape[1] * shape[2]))
     if path is None:
         data = np.empty(shape, dtype=np.float32)
-        for cols, band in simulated.bands():
+        for cols, band in bands:
             data.reshape(len(data), -1)[:, cols] = band
         return derived_stack(simulated, data, simulated.fps, {})
-    write_bands(path, shape, simulated.fps, simulated.metadata,
-                simulated.bands())
+    write_bands(path, shape, simulated.fps, simulated.metadata, bands)
     return open_stack(path, digest)
 
 

@@ -401,8 +401,8 @@ class TestCompressionProperties:
         matched = pnpuct.compression._MatchedFilter(
             code, timing, normalization, single_period)
         out, _ = pnpuct.dc_removal._columns(
-            pnpuct.dc_removal._bands(traces), traces.shape, matched,
-            period, np.float64)
+            [(slice(0, n_pix), traces)], traces.shape, matched, period,
+            np.float64)
         n_avg = matched.n_avg
         assert n_avg == (1 if single_period else n_per - 1)
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
@@ -595,8 +595,6 @@ class TestMappedInput:
         # bands of one or two blocks and chunks down to one frame
         band_bytes = 4 * n * pnpuct.dc_removal._BLOCK * band_blocks
         with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", band_bytes), \
-                mock.patch.object(pnpuct.dc_removal, "CHUNK_BYTES",
-                                  chunk_bytes), \
                 mock.patch.object(pnpuct.stack, "CHUNK_BYTES", chunk_bytes):
             banded = compress_stack(open_stack(path), code, timing,
                                     remove_dc=remove_dc)
@@ -769,7 +767,7 @@ class TestGemmUpdate:
                 code, timing, Normalization.RAW, False)
             traces = np.ones((n, 3), np.float32)
             _, _, a = next(pnpuct.dc_removal._blocks(
-                pnpuct.dc_removal._bands(traces)))
+                [(slice(0, 3), traces)]))
             product = filt(a)
             assert product.shape == (filt.period, cls.BLOCK)
             # a[:P]: the first rows of the block buffer

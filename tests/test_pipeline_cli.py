@@ -574,14 +574,14 @@ directory = {tmp_path / "out"}
                        f"[output]\ndirectory = {out}\n")
         # 300 px in bands of one block, and the file changes between them
         monkeypatch.setattr(pnpuct.dc_removal, "_BAND_BYTES", 1)
-        bands = pnpuct.dc_removal._bands
+        bands = ThermogramStack.bands
 
-        def changing(traces):
-            for i, band in enumerate(bands(traces)):
+        def changing(stack, width):
+            for i, band in enumerate(bands(stack, width)):
                 if i == 1:
                     touch_file(raw, change)
                 yield band
-        monkeypatch.setattr(pnpuct.dc_removal, "_bands", changing)
+        monkeypatch.setattr(ThermogramStack, "bands", changing)
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(cfg)
         assert info.value.stage == "output"
@@ -601,14 +601,14 @@ directory = {tmp_path / "out"}
         cfg.write_text(cfg.read_text().replace("nx = 4\nny = 3",
                                                "nx = 20\nny = 15"))
         monkeypatch.setattr(pnpuct.dc_removal, "_BAND_BYTES", 1)
-        bands = pnpuct.dc_removal._bands
+        bands = ThermogramStack.bands
 
-        def changing(traces):
-            for i, band in enumerate(bands(traces)):
+        def changing(stack, width):
+            for i, band in enumerate(bands(stack, width)):
                 if i == 1:
                     touch_file(out / "raw_stack.tgs", change)
                 yield band
-        monkeypatch.setattr(pnpuct.dc_removal, "_bands", changing)
+        monkeypatch.setattr(ThermogramStack, "bands", changing)
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(cfg)
         assert info.value.stage == "output"

@@ -35,11 +35,13 @@ from pnpuct import (
     lpt_reference,
     open_stack,
     read_stack,
+    simulate_stack,
     snr_metric,
     write_stack,
 )
+import pnpuct.dc_removal
 import pnpuct.stack
-from pnpuct.stack import chunks, drops_pages
+from pnpuct.stack import check_stored, chunks, drops_pages
 from pipeline_helpers import resident_kib
 
 
@@ -591,3 +593,68 @@ class TestFramesOfASimulatedStack:
         with pytest.raises(InvalidStack, match=r"no samples.*bands\(\)"):
             export_pixel_trace(stack, 1, 2, tmp_path / "p.csv")
         assert not list(tmp_path.iterdir())
+
+
+def _walk(bands):
+    """The cols of each (cols, band) pair, and every band's samples side by
+    side, copied as each band is drawn."""
+    pairs = [(cols, band.copy()) for cols, band in bands]
+    assert all(band.dtype == np.float32 for _, band in pairs)
+    return [cols for cols, _ in pairs], np.hstack([b for _, b in pairs])
+
+
+class TestBands:
+    """bands(width): the one way a stored or simulated stack reaches the
+    block core."""
+
+    @pytest.mark.skipif(not Path("/proc/self/smaps").exists(),
+                        reason="needs /proc/self/smaps")
+    @settings(max_examples=25, deadline=None)
+    @given(nx=st.integers(1, 40), ny=st.integers(1, 20), k=st.integers(1, 3),
+           blocks=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+    # 800 px: four bands of one block, the last one short
+    @example(nx=40, ny=20, k=3, blocks=1, seed=5)
+    def test_the_band_protocol(self, tmp_path_factory, nx, ny, k, blocks,
+                               seed):
+        timing = Timing(t_bit=1.0, fps=float(k), n_per=2)
+        wave = build_unipolar(build_bipolar(generate_ls(7), timing), 1.0)
+        scene = SceneConfig(nx=nx, ny=ny, background=PixelModel(
+            diffusivity=1e-6), noise_sigma=0.1, rng_seed=seed)
+        n_pix, block = nx * ny, pnpuct.dc_removal._BLOCK
+        width = blocks * block
+        in_memory = simulate_stack(scene, wave)
+        n = in_memory.n_frames
+        samples = in_memory.data.reshape(n, n_pix)
+
+        # a stack in memory is one band: its data, read in place
+        [(cols, band)] = in_memory.bands(width)
+        assert cols == slice(0, n_pix)
+        assert band.shape == (n, n_pix)
+        assert np.shares_memory(band, in_memory.data)
+        assert band.tobytes() == samples.tobytes()
+
+        # a mapped stack: bands of width columns, in order, of every
+        # column, and no page of the file resident after the walk
+        path = tmp_path_factory.mktemp("bands") / "s.tgs"
+        write_stack(in_memory, path)
+        mapped = open_stack(path)
+        spans, walked = _walk(mapped.bands(width))
+        assert spans == [slice(s, min(s + width, n_pix))
+                         for s in range(0, n_pix, width)]
+        assert resident_kib(mapped.data) == 0
+        assert walked.tobytes() == read_stack(path).data.reshape(
+            n, n_pix).tobytes() == samples.tobytes()
+
+        # a simulated stack: the same samples at any width
+        simulated = SimulatedStack(scene, wave)
+        for w in (width, block):
+            spans, walked = _walk(simulated.bands(w))
+            assert spans == [slice(s, min(s + w, n_pix))
+                             for s in range(0, n_pix, w)]
+            assert walked.tobytes() == samples.tobytes()
+
+        # only a ThermogramStack stores samples
+        with pytest.raises(InvalidStack, match=r"no samples"):
+            check_stored(simulated)
+        check_stored(mapped)
+        check_stored(in_memory)

@@ -94,7 +94,10 @@ class TestImpulseResponse:
             impulse_response(defective, timing, 5.0),
             impulse_response(SOUND, timing, 5.0))
 
-    @pytest.mark.parametrize("depth,r", [(1e-3, 0.5), (0.5e-3, 0.9)])
+    # the R = 1 layers cross from the image series to the mode series
+    # at d^2 / (pi alpha): 0.08 s and 0.32 s
+    @pytest.mark.parametrize("depth,r", [(1e-3, 0.5), (0.5e-3, 0.9),
+                                         (0.5e-3, 1.0), (1e-3, 1.0)])
     def test_against_finite_difference_oracle(self, depth, r):
         timing = Timing(t_bit=1.0, fps=40.0)
         duration = 4.0
