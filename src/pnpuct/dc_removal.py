@@ -111,8 +111,8 @@ def _trmm(t, b, upper):
 
 def _band_width(n, n_pix):
     """Columns of a band of n-sample float32 columns: the most whole
-    blocks within _BAND_BYTES, one block at least, or all n_pix."""
-    return min(max(1, _BAND_BYTES // (4 * n * _BLOCK)) * _BLOCK, n_pix)
+    blocks within _BAND_BYTES, one block at least, or all n_pix (1 if none)."""
+    return min(max(1, _BAND_BYTES // (4 * n * _BLOCK)) * _BLOCK, n_pix) or 1
 
 
 def _blocks(bands):

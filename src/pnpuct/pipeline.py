@@ -102,6 +102,9 @@ def run_pipeline(config, out_dir=None, seed=None):
             "compression", "normalization", fallback="raw") or "raw").lower())
         options = {key: parser.getboolean("compression", key, fallback=False)
                    for key in ("single_period", "decimate", "decimate_average")}
+        if options["decimate_average"] and not options["decimate"]:
+            raise InvalidConfig(
+                "[compression] decimate_average = true needs decimate = true")
         directory = out_dir or parser.get("output", "directory", fallback="out")
         intermediates = _tokens(parser.get(
             "output", "intermediates", fallback="").lower())

@@ -18,14 +18,15 @@ stack walks it a chunk of frames at a time with :func:`chunks`, which
 drops the file pages behind each chunk of a mapped stack, so a stack
 larger than memory is read with memory bounded by the chunk, not by
 the stack. :func:`read_stack` is :func:`open_stack` plus one copy into
-memory. :func:`write_bands` is the writer's side: a new file whose
-frames are stored a band of pixels at a time. This module is the only
-one that drops pages.
+memory. :func:`write_stack` writes a stack a chunk of frames at a
+time; :func:`write_bands` stores a new file's frames a band of pixels
+at a time. This module is the only one that drops pages.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import mmap
 import os
 import struct
@@ -106,8 +107,9 @@ class ThermogramStack:
     def bands(self, width):
         """(cols, band) pairs, in order, of the flattened pixel columns:
         ``band`` the (n_frames, w) samples of columns ``cols``, read
-        before the next pair is drawn. A stack in memory is one band,
-        its (n_frames, ny * nx) data in place. A mapped stack is copied
+        before the next pair is drawn; ``width`` must be a positive
+        integer (InvalidStack). A stack in memory is one band, its
+        (n_frames, ny * nx) data in place. A mapped stack is copied
         ``width`` columns at a time into one reused buffer, in chunks of
         frames through :func:`chunks`, so the file is never resident. At
         320x256x2480 frames each of 80 bands of 1024 columns maps all
@@ -115,6 +117,7 @@ class ThermogramStack:
         CPU, 0.15 s without the drops and 0.64 s in chunks of 3 frames
         (1 MiB), against 3.7-4.1 s for a pipeline run.
         """
+        check_width(width)
         n_pix = self.ny * self.nx
         traces = self.data.reshape(self.n_frames, n_pix)
         if not traces.size or not drops_pages(traces):
@@ -145,6 +148,12 @@ def check_stored(stack):
         raise InvalidStack(
             "the stack holds no samples: read it through its bands(), or "
             "store it with simulate_stack")
+
+
+def check_width(width):
+    """Raise InvalidStack unless a band's ``width`` is a positive integer."""
+    if not isinstance(width, (int, np.integer)) or width < 1:
+        raise InvalidStack(f"band width {width!r} is not a positive integer")
 
 
 def _encode_metadata(metadata) -> bytes:
@@ -211,11 +220,16 @@ def _header(shape, fps, metadata):
 def write_stack(stack, path):
     """Write a stack and return the SHA-256 hex digest of the bytes written.
 
-    The round trip through :func:`read_stack` is bit-exact.
+    :func:`check_stored` comes first; the frames are then read through
+    :func:`chunks`, CHUNK_BYTES (one frame at least) at a time. The
+    round trip through :func:`read_stack` is bit-exact.
     """
+    check_stored(stack)
     head = _header(stack.data.shape, stack.fps, stack.metadata)
+    step = max(1, CHUNK_BYTES // max(4 * stack.ny * stack.nx, 1))
     # no copy on a little-endian host
-    return write_hashed(path, [head, stack.data.astype("<f4", copy=False)])
+    frames = chunks(stack.data.astype("<f4", copy=False), step)
+    return write_hashed(path, itertools.chain([head], frames))
 
 
 def write_bands(path, shape, fps, metadata, bands):
@@ -236,12 +250,7 @@ def write_bands(path, shape, fps, metadata, bands):
     chunk of frames at a time (at least _CHUNK_FRAMES), and
     :func:`chunks` drops the pages behind each chunk, so the file is
     never resident; it must not be truncated meanwhile, or a store past
-    its end kills the process with SIGBUS too. A band of every column,
-    whose chunks are whole frames, is staged a chunk at a time and
-    written through the file instead: the page faults of stores through
-    the mapping cost more than the writes (10 MB of frames: 16 ms
-    against 7 ms, process CPU on a 2-vCPU VM, ext4), and the page cache
-    the writes fill is read back faster.
+    its end kills the process with SIGBUS too.
     """
     head = _header(shape, fps, metadata)
     n_frames, n_pix = shape[0], shape[1] * shape[2]
@@ -258,17 +267,10 @@ def write_bands(path, shape, fps, metadata, bands):
         whole = np.frombuffer(_FileMap(fh.fileno(), size), np.uint8)
         frames = whole[len(head):].view("<f4").reshape(n_frames, n_pix)
         for cols, band in bands:
-            if band.shape[1] < n_pix:
-                # each band writes the file from its first frame on
-                for chunk, stored in zip(chunks(band, step),
-                                         chunks(frames, step), strict=True):
-                    stored[:, cols] = chunk
-                continue
-            staging = np.empty((min(step, n_frames), n_pix), "<f4")
-            for chunk in chunks(band, step):
-                staged = staging[:len(chunk)]
-                staged[...] = chunk
-                fh.write(staged)
+            # each band writes the file from its first frame on
+            for chunk, stored in zip(chunks(band, step),
+                                     chunks(frames, step), strict=True):
+                stored[:, cols] = chunk
 
 
 def _read_header(fh, path, update):

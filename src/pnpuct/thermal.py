@@ -32,7 +32,8 @@ from scipy.special import erfc
 from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
                      NonFiniteData, RateMismatch, SeriesNotConverged)
 from . import dc_removal
-from .stack import ThermogramStack, derived_stack, open_stack, write_bands
+from .stack import (ThermogramStack, check_width, derived_stack, open_stack,
+                    write_bands)
 from .waveform import ExcitationWaveform, WaveformKind, excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -332,8 +333,8 @@ class SimulatedStack:
     the series raise here; no sample is stored. ``fps``, ``metadata``,
     ``n_frames``, ``ny`` and ``nx`` are those of the stack
     :func:`simulate_stack` returns. ``data`` holds no sample: it is NaN
-    broadcast to the stack's shape, read-only, for code that sizes a
-    stack by its data. :meth:`bands`, a stored stack's band protocol, is
+    broadcast to the stack's shape, read-only, and no code of the
+    package reads it. :meth:`bands`, a stored stack's band protocol, is
     its only reader; readers of frames raise InvalidStack. Each call of
     :meth:`bands` simulates the scene anew, bit for bit.
     """
@@ -363,8 +364,8 @@ class SimulatedStack:
         As :meth:`pnpuct.stack.ThermogramStack.bands`: ``width`` columns
         a band, in order, each an (n_frames, w) float32 view of one
         reused buffer, valid until the next pair is drawn; the samples
-        do not depend on ``width``. A band with a non-finite sample
-        raises NonFiniteData before it is yielded.
+        do not depend on ``width``, a positive integer (InvalidStack).
+        A band with a non-finite sample raises NonFiniteData first.
 
         Each distinct model has one convolution, gathered to its pixels
         through the label map, so no float64 copy of the stack exists.
@@ -377,6 +378,7 @@ class SimulatedStack:
         finished trace is cast to float32 into its column of the band,
         which is stored pixel-major and read through its transpose.
         """
+        check_width(width)
         scene, traces = self.scene, self._traces
         n_frames = traces.shape[1]
         n_pix = scene.ny * scene.nx
@@ -433,7 +435,7 @@ def simulate_stack(scene, excitation, path=None,
     when the file is created; a non-finite sample raises NonFiniteData.
     """
     simulated = SimulatedStack(scene, excitation)
-    shape = simulated.data.shape
+    shape = simulated.n_frames, simulated.ny, simulated.nx
     bands = simulated.bands(dc_removal._band_width(shape[0],
                                                    shape[1] * shape[2]))
     if path is None:

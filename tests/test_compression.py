@@ -638,6 +638,22 @@ class TestMappedInput:
             # every band's pages were dropped behind it
             assert resident_kib(mapped.data) == 0
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_a_stack_of_no_pixels(self, tmp_path, ls31_plus, shape):
+        # one band of no columns, whose width is still a positive integer
+        timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
+        data = np.empty((timing.total_frames(31),) + shape, np.float32)
+        path = tmp_path / "raw.tgs"
+        write_stack(ThermogramStack(data=data, fps=timing.fps), path)
+        for stack in (read_stack(path), open_stack(path)):
+            result, fits = compress_stack(stack, ls31_plus, timing,
+                                          remove_dc=True)
+            assert result.data.shape == (timing.total_frames(31) // 2,
+                                         ) + shape
+            assert fits.shape == shape + (4,)
+            removed, _ = remove_dc_stack(stack, ls31_plus, timing)
+            assert removed.data.shape == data.shape
+
     def test_without_madvise_the_mapping_is_read_in_place(
             self, tmp_path, monkeypatch, ls31_plus):
         # Windows' mmap has no madvise: no page is dropped and the

@@ -481,6 +481,24 @@ directory = {tmp_path / "out"}
         assert info.value.stage == "config"
         assert not out.exists()
 
+    def test_decimate_average_needs_decimate(self, tmp_path, capsys):
+        # alone it would compress at full rate under a manifest that
+        # records decimate_average = true
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out,
+                               extra="decimate_average = true")
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, InvalidConfig)
+        assert re.search(r"decimate_average.*\bdecimate = true",
+                         str(info.value.cause))
+        assert not out.exists()
+        capsys.readouterr()
+        assert main(["pipeline", "run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: [config]")
+        assert not out.exists()
+
     def test_mls_route(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"""

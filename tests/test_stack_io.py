@@ -3,6 +3,7 @@ import mmap
 import struct
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -386,6 +387,48 @@ class TestOpenStack:
         assert trace.tobytes() == expected.tobytes()
 
 
+class TestWriteStack:
+    """write_stack walks its stack through chunks, as every reader does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=hnp.arrays(
+               np.float32, hnp.array_shapes(min_dims=3, max_dims=3,
+                                            min_side=0, max_side=6),
+               elements=st.floats(-1e6, 1e6, width=32)),
+           chunk_bytes=st.integers(4, 1 << 20))
+    # chunks of one frame of one sample, and a stack of no frames
+    @example(data=np.arange(6, dtype=np.float32).reshape(6, 1, 1),
+             chunk_bytes=4)
+    @example(data=np.zeros((0, 2, 3), np.float32), chunk_bytes=4)
+    def test_bytes_and_digest(self, tmp_path_factory, data, chunk_bytes):
+        stack = ThermogramStack(data=data, fps=40.0, metadata={"k": "1"})
+        expected = (pnpuct.stack._header(data.shape, 40.0, {"k": "1"})
+                    + data.astype("<f4").tobytes())
+        directory = tmp_path_factory.mktemp("write")
+        with mock.patch.object(pnpuct.stack, "CHUNK_BYTES", chunk_bytes):
+            digest = write_stack(stack, directory / "memory.tgs")
+            again = write_stack(open_stack(directory / "memory.tgs"),
+                                directory / "mapped.tgs")
+        for name in ("memory.tgs", "mapped.tgs"):
+            assert (directory / name).read_bytes() == expected
+        assert digest == again == hashlib.sha256(expected).hexdigest()
+
+    @pytest.mark.skipif(not Path("/proc/self/smaps").exists(),
+                        reason="needs /proc/self/smaps")
+    def test_a_mapped_stack_is_written_with_no_page_resident(self, tmp_path):
+        # 8.8 MB of frames, written 1 MiB at a time
+        data = np.random.default_rng(3).standard_normal(
+            (626, 50, 70), dtype=np.float32)
+        source = tmp_path / "source.tgs"
+        write_stack(ThermogramStack(data=data, fps=1.0,
+                                    metadata={"x": "abc"}), source)
+        opened = open_stack(source)
+        digest = write_stack(opened, tmp_path / "copy.tgs")
+        assert resident_kib(opened.data) == 0
+        assert (tmp_path / "copy.tgs").read_bytes() == source.read_bytes()
+        assert digest == hashlib.sha256(source.read_bytes()).hexdigest()
+
+
 class TestChunks:
     """stack.chunks walks axis 0 and drops the pages of a mapped file."""
 
@@ -594,6 +637,13 @@ class TestFramesOfASimulatedStack:
             export_pixel_trace(stack, 1, 2, tmp_path / "p.csv")
         assert not list(tmp_path.iterdir())
 
+    def test_write_stack(self, simulated, tmp_path):
+        # its placeholder data would reshape to a view of one NaN
+        stack, _ = simulated
+        with pytest.raises(InvalidStack, match=r"no samples.*bands\(\)"):
+            write_stack(stack, tmp_path / "s.tgs")
+        assert not list(tmp_path.iterdir())
+
 
 def _walk(bands):
     """The cols of each (cols, band) pair, and every band's samples side by
@@ -658,3 +708,19 @@ class TestBands:
             check_stored(simulated)
         check_stored(mapped)
         check_stored(in_memory)
+
+    @pytest.mark.parametrize("width", [0, -256, 1.5])
+    @pytest.mark.parametrize("kind", ["memory", "mapped", "simulated"])
+    def test_a_width_that_is_not_a_positive_integer(self, tmp_path, kind,
+                                                    width):
+        timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
+        wave = build_unipolar(build_bipolar(generate_ls(7), timing), 1.0)
+        scene = SceneConfig(nx=4, ny=4, background=PixelModel(
+            diffusivity=1e-6), noise_sigma=0.1, rng_seed=5)
+        if kind == "simulated":
+            stack = SimulatedStack(scene, wave)
+        else:
+            stack = simulate_stack(scene, wave, tmp_path / "s.tgs"
+                                   if kind == "mapped" else None)
+        with pytest.raises(InvalidStack, match="positive integer"):
+            next(stack.bands(width))

@@ -484,7 +484,7 @@ class TestSimulatedFile:
                                noise_sigma=0.3, rng_seed=5),
              n_per=3, block=1, band_blocks=0, spare=0.5, chunk_frames=1,
              hash_bytes=4096)
-    # one band of every pixel, written through the file
+    # one band of every pixel
     @example(scene=SceneConfig(nx=3, ny=12, background=SOUND,
                                defects=((Region(0, 4, 2, 3), MODEL_POOL[2]),),
                                noise_sigma=0.3, rng_seed=6),
@@ -520,6 +520,31 @@ class TestSimulatedFile:
         assert mapped.data.tobytes() == expected.data.tobytes()
         assert (mapped.fps, mapped.metadata) == (expected.fps,
                                                  expected.metadata)
+
+    def test_the_placeholder_data_is_not_read(self, tmp_path, monkeypatch):
+        scene = SceneConfig(nx=5, ny=4, background=SOUND, noise_sigma=0.3,
+                            rng_seed=8)
+        wave = self._wave(2)
+        expected = simulate_stack(scene, wave)
+        write_stack(expected, tmp_path / "memory.tgs")
+
+        class Unread(thermal.SimulatedStack):
+            @property
+            def data(self):
+                raise AssertionError("SimulatedStack.data was read")
+
+            @data.setter
+            def data(self, value):
+                pass
+
+        monkeypatch.setattr(thermal, "SimulatedStack", Unread)
+        stored = simulate_stack(scene, wave)
+        assert stored.data.tobytes() == expected.data.tobytes()
+        assert (stored.fps, stored.metadata) == (expected.fps,
+                                                 expected.metadata)
+        simulate_stack(scene, wave, tmp_path / "file.tgs")
+        assert ((tmp_path / "file.tgs").read_bytes()
+                == (tmp_path / "memory.tgs").read_bytes())
 
     def test_without_posix_fallocate_the_file_is_the_same(
             self, tmp_path, monkeypatch):
