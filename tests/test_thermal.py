@@ -15,6 +15,7 @@ from pnpuct import (
     IndexOutOfRange,
     InvalidConfig,
     InvalidScene,
+    InvalidWaveform,
     NonFiniteData,
     PixelModel,
     RateMismatch,
@@ -41,6 +42,13 @@ from pipeline_helpers import file_resident_kib, resident_kib
 
 SQRT_PI = np.sqrt(np.pi)
 SOUND = PixelModel(diffusivity=1e-6)
+# a sound pixel, shallow and deep interfaces of either sign, and a thin
+# insulated layer, whose R = 1 takes the mode series
+MODELS = (SOUND,
+          PixelModel(diffusivity=1e-6, defect_depth=5e-4, reflection_coeff=0.9),
+          PixelModel(diffusivity=1e-6, defect_depth=2e-3,
+                     reflection_coeff=-0.5),
+          PixelModel(diffusivity=1e-6, defect_depth=1e-5, reflection_coeff=1.0))
 
 
 def wave_from(samples, fps, t_bit=None):
@@ -230,6 +238,42 @@ class TestRespond:
         with pytest.raises(RateMismatch):
             respond(h, wave_from(np.ones(10), 10.0), h_fps=20.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.one_of(st.integers(1, 3000),
+                       st.sampled_from([2, 3, 1031, 2477, 2999])),
+           length=st.sampled_from(["shorter", "equal", "longer"]),
+           rows=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, length="equal", rows=1, seed=0)
+    @example(n=2999, length="longer", rows=2, seed=1)
+    def test_matches_the_direct_sum(self, n, length, rows, seed):
+        rng = np.random.default_rng(seed)
+        m = {"shorter": max(n // 3, 1), "equal": n, "longer": n + 57}[length]
+        fps = 40.0
+        wave = wave_from(rng.normal(size=n), fps)
+        h = rng.normal(size=(rows, m))
+        out = respond(h, wave)
+        assert out.shape == (rows, n)
+        for row, h_row in zip(out, h):
+            direct = np.convolve(wave.samples, h_row)[:n] / fps
+            error = np.abs(row - direct).max()
+            assert error <= 1e-13 * np.abs(direct).max()
+            # each row of a stack is the response to that row alone
+            np.testing.assert_array_equal(row, respond(h_row, wave))
+
+    def test_scalar_response_scales_the_excitation(self):
+        x = np.arange(1.0, 6.0)
+        np.testing.assert_allclose(respond(2.0, wave_from(x, 10.0)),
+                                   2.0 * x / 10.0, rtol=1e-15)
+
+    def test_empty_response_or_excitation_is_invalid(self):
+        h = impulse_response(SOUND, Timing(t_bit=1.0, fps=10.0), 2.0)
+        with pytest.raises(InvalidWaveform):
+            respond(h[:0], wave_from(np.ones(10), 10.0))
+        with pytest.raises(InvalidWaveform):
+            respond(np.ones((3, 0)), wave_from(np.ones(10), 10.0))
+        with pytest.raises(InvalidWaveform):
+            respond(h, wave_from(np.ones(0), 10.0))
+
 
 class TestLptReference:
     def test_short_pulse_limit(self):
@@ -249,12 +293,46 @@ class TestLptReference:
         n = int(0.5 * fps)
         np.testing.assert_array_equal(short[:n], long[:n])
 
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("pulse_s", [1 / 40, 1.0, 12.0])
+    def test_matches_the_convolved_pulse(self, model, pulse_s):
+        # pulses of 1 frame, 40 frames and longer than the 10 s span
+        fps, amplitude = 40.0, 1.5
+        timing = Timing(t_bit=1.0, fps=fps)
+        out = lpt_reference(model, RectPulse(pulse_s, amplitude), timing, 10.0)
+        h = impulse_response(model, timing, 10.0)
+        x = np.zeros(len(h))
+        x[:int(round(pulse_s * fps))] = amplitude
+        direct = np.convolve(x, h)[:len(x)] / fps
+        assert out.shape == direct.shape
+        assert np.abs(out - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_pulse_under_half_a_frame_is_invalid(self):
+        timing = Timing(t_bit=1.0, fps=40.0)
+        with pytest.raises(InvalidWaveform, match="RectPulse.*40.0 fps"):
+            lpt_reference(SOUND, RectPulse(0.4 / 40, 1.0), timing, 10.0)
+        with pytest.raises(InvalidScene):
+            lpt_reference(SOUND, RectPulse(1.0, 1.0), timing, 0.4 / 40)
+
 
 class TestSimulateStack:
     def _unipolar(self, n_bit=7, fps=2.0, amplitude=1.0):
         code = generate_ls(n_bit)
         timing = Timing(t_bit=1.0, fps=fps, n_per=2)
         return build_unipolar(build_bipolar(code, timing), amplitude)
+
+    def test_traces_are_each_models_response(self):
+        wave = self._unipolar(n_bit=31, fps=10.0)
+        scene = SceneConfig(
+            nx=4, ny=1, background=SOUND,
+            defects=tuple((Region(i, 0, 1, 1), model)
+                          for i, model in enumerate(MODELS[1:], 1)))
+        traces = thermal.SimulatedStack(scene, wave)._traces
+        assert len(traces) == len(MODELS)
+        for trace, model in zip(traces, scene.models):
+            np.testing.assert_array_equal(
+                trace, respond(impulse_response(model, wave.timing,
+                                                wave.duration), wave))
 
     def test_uniform_noiseless_scene(self):
         scene = SceneConfig(nx=4, ny=3, background=SOUND)
