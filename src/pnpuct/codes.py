@@ -382,8 +382,8 @@ def make_codes(kind, modified=None, *, n_bit=None, order=None, taps=None,
 
     ``kind`` is ``ls`` (needs ``n_bit``) or ``mls`` (needs ``order``; comma
     lists ``taps`` and ``seed`` as in :class:`MlsSpec`). ``modified`` is
-    None (code is the standard one), ``ls_plus`` or ``mls_plus`` (add the
-    perfect-PACF bias) or ``ls4_plus`` (zero replaced by ``sign``). A
+    None (code is the standard one), ``<kind>_plus`` (add the perfect-PACF
+    bias) or ``ls4_plus`` (zero replaced by ``sign``). A
     modified name passed as ``kind`` implies its standard kind.
     """
     if modified is None and kind in ("ls_plus", "mls_plus", "ls4_plus"):
@@ -403,11 +403,11 @@ def make_codes(kind, modified=None, *, n_bit=None, order=None, taps=None,
         raise InvalidCode(f"unknown code kind {kind!r}")
     if modified is None:
         return standard, standard
-    if modified in ("ls_plus", "mls_plus"):
+    if modified == f"{kind}_plus":
         return standard, modify_for_perfect_pacf(standard)
     if modified == "ls4_plus":
         return standard, binarize_ls4(standard, sign)
-    raise InvalidCode(f"unknown modified kind {modified!r}")
+    raise InvalidCode(f"code kind {kind!r} has no modified kind {modified!r}")
 
 
 def pacf_values(values) -> np.ndarray:

@@ -177,10 +177,9 @@ def decimate_to_bit_rate(stack, timing, average=False):
     By default the first frame of each bit interval is kept; ``average``
     bins all K frames of a bit instead. Returns the decimated stack and
     the matching timing with K = 1. A K = 1 input passes through
-    unchanged. The input is read a chunk of whole bits, of CHUNK_BYTES
-    of frames or one bit, at a time (:func:`pnpuct.stack.chunks`); for a
-    stack mapped from its file the pages behind each chunk are dropped,
-    so the file is never resident.
+    unchanged. The input is read through :func:`pnpuct.stack.chunks`, a
+    chunk of whole bits at a time, so a stack mapped from its file is
+    never resident.
     """
     k = timing.k
     if k == 1:
@@ -191,13 +190,8 @@ def decimate_to_bit_rate(stack, timing, average=False):
             f"{stack.n_frames} frames do not divide into bits of {k} frames")
     bits = stack.data.reshape(-1, k, stack.ny, stack.nx)
     data = np.empty((len(bits), stack.ny, stack.nx), np.float32)
-    step = max(1, CHUNK_BYTES // max(4 * k * stack.ny * stack.nx, 1))
-    for chunk, kept in zip(chunks(bits, step), chunks(data, step),
-                           strict=True):
-        if average:
-            chunk.mean(axis=1, out=kept)
-        else:
-            kept[...] = chunk[:, 0]
+    for rows, chunk in chunks(bits):
+        data[rows] = chunk.mean(axis=1) if average else chunk[:, 0]
     new_timing = Timing(t_bit=timing.t_bit, fps=timing.fps / k,
                         n_per=timing.n_per)
     return derived_stack(stack, data, new_timing.fps, {
@@ -241,17 +235,15 @@ def snr_metric(stack, region_signal, region_reference) -> float:
     if not stack.n_frames:
         raise EmptyRegion("the stack has no frames")
     n_pix = region_reference.width * region_reference.height
-    # the float64 block of each region over a chunk of frames fits in
-    # CHUNK_BYTES
+    # each region's float64 block over a chunk of frames fits CHUNK_BYTES
     step = max(1, CHUNK_BYTES // max(8 * r.width * r.height for r in regions))
     m_sig, m_ref = np.empty((2, stack.n_frames))
     square_sum = 0.0
-    for frames, sig, ref in zip(chunks(stack.data, step), chunks(m_sig, step),
-                                chunks(m_ref, step), strict=True):
-        sig[...] = _region_block(frames, region_signal).mean(axis=1)
+    for rows, frames in chunks(stack.data, step):
+        m_sig[rows] = _region_block(frames, region_signal).mean(axis=1)
         block = _region_block(frames, region_reference)
-        ref[...] = block.mean(axis=1)
-        block -= ref[:, None]
+        m_ref[rows] = block.mean(axis=1)
+        block -= m_ref[rows, None]
         square_sum += np.sum(np.square(block, out=block))
     contrast = float(np.abs(m_sig - m_ref).max())
     if n_pix < 2:

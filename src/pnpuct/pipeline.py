@@ -97,11 +97,17 @@ def run_pipeline(config, out_dir=None, seed=None):
     """
     with _stage("config"):
         parser = read_ini(config)
-        amplitude = float(parser.get("excitation", "amplitude", fallback="1.0"))
-        normalization = Normalization((parser.get(
-            "compression", "normalization", fallback="raw") or "raw").lower())
-        options = {key: parser.getboolean("compression", key, fallback=False)
+        amplitude = _option(parser, "excitation", "amplitude", float, "1.0")
+        normalization = _option(parser, "compression", "normalization",
+                                lambda t: Normalization(t.lower() or "raw"), "")
+        options = {key: _option(parser, "compression", key,
+                                lambda t: parser.BOOLEAN_STATES[t.lower()], "no")
                    for key in ("single_period", "decimate", "decimate_average")}
+        # times and pixels out of the stack's range stop the run at report
+        slices = _option(parser, "output", "slices", lambda text: [
+            (t, float(t)) for t in _tokens(text)], "")
+        pixels = _option(parser, "output", "pixels", lambda text: [
+            (t, *map(int, t.partition("x")[::2])) for t in _tokens(text)], "")
         if options["decimate_average"] and not options["decimate"]:
             raise InvalidConfig(
                 "[compression] decimate_average = true needs decimate = true")
@@ -206,19 +212,17 @@ def run_pipeline(config, out_dir=None, seed=None):
         del removed
     del raw
     with _stage("report"):
-        out = parser["output"] if parser.has_section("output") else {}
-        for token in _tokens(out.get("slices", "")):
-            index = int(round(float(token) * compressed.fps))
+        for token, time in slices:
+            index = int(round(time * compressed.fps))
             base = os.path.join(directory, f"slice_t{token}")
             for path in slice_paths(base):
                 writable(path)
             written = export_slice(compressed, index, base)
             for kind, path in zip(("pgm", "csv", "bounds"), written):
                 artifacts[f"slice_{token}_{kind}"] = path, written[path]
-        for token in _tokens(out.get("pixels", "")):
-            jx, _, jy = token.partition("x")
-            emit(f"pixel_{token}", f"pixel_{jx}_{jy}.csv", export_pixel_trace,
-                 compressed, int(jx), int(jy))
+        for token, jx, jy in pixels:
+            emit(f"pixel_{token}", f"pixel_{token.replace('x', '_')}.csv",
+                 export_pixel_trace, compressed, jx, jy)
     with _stage("output"):
         manifest = {
             "parameters": {section: dict(parser[section])
@@ -237,6 +241,16 @@ def run_pipeline(config, out_dir=None, seed=None):
             fh.write("\n")
     manifest["manifest_path"] = manifest_path
     return manifest
+
+
+def _option(parser, section, key, parse, fallback):
+    """``parse`` of the text of ``[section] key``, or of ``fallback`` where
+    it is unset; a text that ``parse`` rejects is an InvalidConfig."""
+    text = parser.get(section, key, fallback=fallback)
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise InvalidConfig(f"[{section}] {key} = {text!r} is invalid") from None
 
 
 def _tokens(text):

@@ -98,10 +98,8 @@ class ThermogramStack:
             raise IndexOutOfRange(
                 f"pixel ({jx}, {jy}) outside {self.nx} x {self.ny} grid")
         trace = np.empty(self.n_frames)
-        step = max(1, CHUNK_BYTES // (4 * self.ny * self.nx))
-        for frames, out in zip(chunks(self.data, step), chunks(trace, step),
-                               strict=True):
-            out[...] = frames[:, jy, jx]
+        for rows, frames in chunks(self.data):
+            trace[rows] = frames[:, jy, jx]
         return trace
 
     def bands(self, width):
@@ -129,9 +127,8 @@ class ThermogramStack:
             cols = slice(start, min(start + width, n_pix))
             band = buffer[:, :cols.stop - start]
             # each band reads the file from its first frame on
-            for chunk, gathered in zip(chunks(traces, step),
-                                       chunks(band, step), strict=True):
-                gathered[...] = chunk[:, cols]
+            for rows, chunk in chunks(traces, step):
+                band[rows] = chunk[:, cols]
             yield cols, band
 
 
@@ -221,15 +218,13 @@ def write_stack(stack, path):
     """Write a stack and return the SHA-256 hex digest of the bytes written.
 
     :func:`check_stored` comes first; the frames are then read through
-    :func:`chunks`, CHUNK_BYTES (one frame at least) at a time. The
-    round trip through :func:`read_stack` is bit-exact.
+    :func:`chunks`. The round trip through :func:`read_stack` is bit-exact.
     """
     check_stored(stack)
     head = _header(stack.data.shape, stack.fps, stack.metadata)
-    step = max(1, CHUNK_BYTES // max(4 * stack.ny * stack.nx, 1))
     # no copy on a little-endian host
-    frames = chunks(stack.data.astype("<f4", copy=False), step)
-    return write_hashed(path, itertools.chain([head], frames))
+    frames = chunks(stack.data.astype("<f4", copy=False))
+    return write_hashed(path, itertools.chain([head], (c for _, c in frames)))
 
 
 def write_bands(path, shape, fps, metadata, bands):
@@ -268,9 +263,8 @@ def write_bands(path, shape, fps, metadata, bands):
         frames = whole[len(head):].view("<f4").reshape(n_frames, n_pix)
         for cols, band in bands:
             # each band writes the file from its first frame on
-            for chunk, stored in zip(chunks(band, step),
-                                     chunks(frames, step), strict=True):
-                stored[:, cols] = chunk
+            for rows, stored in chunks(frames, step):
+                stored[:, cols] = band[rows]
 
 
 def _read_header(fh, path, update):
@@ -313,19 +307,16 @@ def read_stack(path) -> ThermogramStack:
     """Read a TGS1 file into a writeable stack in memory.
 
     The file is opened and checked by :func:`open_stack`, with its
-    errors. The frames are then copied out of the mapping CHUNK_BYTES
-    at a time, dropping the file pages behind each chunk, so the file
-    is not resident next to the copy. As for :func:`open_stack`, the
-    file must not be truncated meanwhile.
+    errors. The frames are then copied out through :func:`chunks`, so
+    the file is not resident next to the copy. As for :func:`open_stack`,
+    the file must not be truncated meanwhile.
     """
     stack = open_stack(path)
-    mapped = stack.data.reshape(-1)
     # the stack's samples were checked: it takes the copy as they are
-    stack.data = np.empty(stack.data.shape, np.float32)
-    step = CHUNK_BYTES // 4
-    for chunk, copy in zip(chunks(mapped, step),
-                           chunks(stack.data.reshape(-1), step), strict=True):
-        copy[...] = chunk
+    copy = np.empty(stack.data.size, np.float32)
+    for rows, chunk in chunks(stack.data.reshape(-1)):
+        copy[rows] = chunk
+    stack.data = copy.reshape(stack.data.shape)
     return stack
 
 
@@ -359,7 +350,7 @@ def open_stack(path, digest=None) -> ThermogramStack:
     # one mask for every chunk: a new one per chunk would be mapped and
     # faulted in afresh each time under a small mmap threshold
     finite = np.empty(min(step, samples.size), bool)
-    for chunk in chunks(samples, step):
+    for _, chunk in chunks(samples, step):
         update(chunk)
         if not np.isfinite(chunk, out=finite[:chunk.size]).all():
             raise NonFiniteData(f"{path}: non-finite samples")
@@ -386,25 +377,27 @@ def drops_pages(array):
             and isinstance(whole.base.obj, _FileMap))
 
 
-def chunks(array, step):
-    """Slices of ``step`` rows of ``array`` over axis 0, in order.
+def chunks(array, step=None):
+    """(rows, chunk) pairs over axis 0 of ``array``, in order: ``chunk``
+    is the view ``array[rows]`` of ``step`` rows, by default CHUNK_BYTES
+    of rows (one at least). A reader indexes its outputs with ``rows``.
 
     Where :func:`drops_pages` of ``array`` holds, the file pages before
     the end of each slice leave the process's resident set when the
     next slice is drawn, in whole 2 MiB blocks, and all of them once the
     slices reach the end of the file. A later read faults them back in
-    from the page cache. Any other array drops nothing. Walk two arrays
-    together with ``zip(..., strict=True)``: it draws every walk to its
-    end, so the last pages are dropped whichever comes first.
+    from the page cache. Any other array drops nothing.
     """
+    if step is None:
+        step = max(1, CHUNK_BYTES // max(array[:1].nbytes, 1))
     mapping = None
     if drops_pages(array):
         mapping = array.base.base.obj
-        offset = (array.__array_interface__["data"][0]
-                  - array.base.__array_interface__["data"][0])
+        offset = array.ctypes.data - array.base.ctypes.data
     dropped = 0
     for first in range(0, len(array), step):
-        yield array[first: first + step]
+        rows = slice(first, min(first + step, len(array)))
+        yield rows, array[rows]
         if mapping is None:
             continue
         stop = min(offset + array.strides[0] * (first + step), len(mapping))

@@ -148,8 +148,8 @@ def build_unipolar(bipolar, amplitude) -> ExcitationWaveform:
     """
     if bipolar.kind is not WaveformKind.BIPOLAR_XPN:
         raise InvalidWaveform("input must be a bipolar coded waveform")
-    if amplitude <= 0:
-        raise NonPositiveAmplitude(f"amplitude must be positive, got {amplitude}")
+    if not 0 < amplitude < np.inf:
+        raise NonPositiveAmplitude(f"amplitude {amplitude} is not in (0, inf)")
     timing = bipolar.timing
     samples = 0.5 * amplitude * (np.tile(bipolar.samples, timing.n_per) + 1.0)
     return ExcitationWaveform(samples=samples, kind=WaveformKind.UNIPOLAR_XTH,

@@ -320,3 +320,50 @@ directory = {tmp_path / out}
         assert np.all(np.abs(np.delete(acf, length - 1)) == 0.0)
     report(10, "round trip bit-exact, pipeline hashes reproducible, "
                "Barker/Golay reference laws exact")
+
+
+def _fold(values, trace, n_bit, k):
+    """The steady period of the cyclic matched filter of ``values`` on
+    the first two periods of ``trace``: out[jK + p] = sum_b v[-b mod N]
+    y[(N + j - b)K + p], the formula that compression runs."""
+    bits = trace[:2 * n_bit * k].reshape(2 * n_bit, k)
+    j, b = np.ogrid[:n_bit, :n_bit]
+    taps = values[-np.arange(n_bit) % n_bit]
+    return np.einsum("b,jbk->jk", taps, bits[n_bit + j - b]).reshape(-1)
+
+
+def test_c11_sidelobes_of_the_unmodified_chain():
+    # the prior-art chain: the standard LS drives and filters, and the
+    # whole fitted trend is removed (keep = 0); it is held here, since
+    # the library refuses to compress with an unmodified code
+    table = []
+    for n_bit, fps in ((31, 40.0), (127, 10.0)):
+        timing = Timing(t_bit=1.0, fps=fps, n_per=2)
+        standard = generate_ls(n_bit)
+        modified = modify_for_perfect_pacf(standard)
+        wave = build_unipolar(build_bipolar(standard, timing), 1.0)
+        y = respond(impulse_response(SOUND, timing, wave.duration), wave)
+        y_ac = remove_dc(y, modified, timing)
+        compressed = compress_trace(y_ac, modified, timing).values
+        # the formula is the library's on the modified code
+        folded = _fold(modified.values, y_ac, n_bit, timing.k)
+        assert (np.abs(folded - compressed).max()
+                <= 2e-15 * np.abs(compressed).max())
+        trend = (design_matrix(np.arange(len(y)) * timing.dt)
+                 @ fit_dc(y, timing).coefficients)
+        # scaled by the gain sum(v^2) times A / 2, as the modified chain
+        prior = (_fold(standard.values, y - trend, n_bit, timing.k)
+                 / (np.sum(standard.values ** 2) * 0.5))
+        reference = lpt_reference(
+            SOUND, RectPulse(duration=timing.t_bit, amplitude=1.0), timing,
+            timing.t_meas(n_bit))
+        ours, theirs = (
+            np.sqrt(np.mean((x - reference) ** 2)) / reference.max()
+            for x in (compressed / (modified.gain * 0.5), prior))
+        undershoot = prior.min() / prior.max()
+        assert theirs >= 5 * ours
+        assert undershoot < -0.05
+        table.append(f"LS{n_bit} K={timing.k}: modified {ours:.2%}, "
+                     f"unmodified {theirs:.2%}, min {undershoot:+.3f} of peak")
+    report(11, "sound pixel, rel RMS vs long-pulse reference; "
+               + "; ".join(table))

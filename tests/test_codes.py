@@ -146,6 +146,18 @@ class TestModify:
         direct = pacf_direct(plus.values)
         np.testing.assert_allclose(direct, [3, 0, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("kind, modified, size", [
+        ("mls", "ls_plus", {"order": 3}),
+        ("ls", "mls_plus", {"n_bit": 31}),
+    ])
+    def test_modified_kind_of_the_other_family_rejected(self, kind,
+                                                        modified, size):
+        # make_codes("mls", "ls_plus") returned an MLS+ code
+        with pytest.raises(InvalidCode, match=f"{kind!r}.*{modified!r}"):
+            make_codes(kind, modified, **size)
+        _, code = make_codes(kind, f"{kind}_plus", **size)
+        assert code.kind is CodeKind[f"{kind.upper()}_PLUS"]
+
     def test_already_modified(self, ls31_plus):
         with pytest.raises(AlreadyModified):
             modify_for_perfect_pacf(ls31_plus)

@@ -895,8 +895,7 @@ class TestDecimate:
         # the formulas of a stack decimated whole
         expected = (data.reshape(-1, k, ny, nx).mean(axis=1) if average
                     else data[::k])
-        with mock.patch.object(pnpuct.compression, "CHUNK_BYTES",
-                               chunk_bytes):
+        with mock.patch.object(pnpuct.stack, "CHUNK_BYTES", chunk_bytes):
             out, _ = decimate_to_bit_rate(
                 stack, Timing(t_bit=1.0, fps=float(k), n_per=2), average)
         assert out.data.tobytes() == expected.tobytes()

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import pnpuct
 import pnpuct.cli
-from pnpuct import (IndexOutOfRange, InvalidConfig, InvalidScene, MlsSpec,
+from pnpuct import (IndexOutOfRange, InvalidCode, InvalidConfig, InvalidScene,
+                    MlsSpec,
                     NonFiniteData, Normalization, NotLs4Compatible, NotPrime,
                     PipelineStageError, PixelModel, Region, StackChanged,
                     ThermogramStack, Timing, TimingMismatch, binarize_ls4,
@@ -480,6 +481,47 @@ directory = {tmp_path / "out"}
             run_pipeline(cfg)
         assert info.value.stage == "config"
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("output", "pixels", "0x0, 1x"),
+        ("output", "pixels", "3"),
+        ("output", "slices", "3.0, abc"),
+        ("excitation", "amplitude", "one"),
+        ("compression", "normalization", "per_bit"),
+        ("compression", "single_period", "ture"),
+        ("compression", "decimate", "2"),
+        ("compression", "decimate_average", "maybe"),
+    ])
+    def test_unparsable_value_names_its_key_before_any_write(
+            self, tmp_path, section, key, value):
+        # pixels and slices used to fail at report, after compressed.tgs
+        # and fit_map.csv were written, with a bare ValueError
+        out = tmp_path / "out"
+        text = write_run_config(tmp_path / "run.cfg", out).read_text()
+        text = re.sub(rf"(?m)^{key} = .*$", "", text).replace(
+            f"[{section}]", f"[{section}]\n{key} = {value}")
+        (tmp_path / "run.cfg").write_text(text)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(tmp_path / "run.cfg")
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, InvalidConfig)
+        assert f"[{section}] {key} = {value!r}" in str(info.value.cause)
+        assert not out.exists()
+
+    def test_modified_kind_of_the_other_family_stops_at_codes(self,
+                                                               tmp_path):
+        # an LS+ code under an MLS excitation, recorded as ls_plus, was run
+        # as MLS+
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        cfg.write_text(cfg.read_text().replace(
+            "kind = ls\nn_bit = 31", "kind = mls\norder = 5"))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "codes"
+        assert isinstance(info.value.cause, InvalidCode)
+        assert re.search("'mls'.*'ls_plus'", str(info.value.cause))
+        assert not (out / "modified_code.txt").exists()
 
     def test_decimate_average_needs_decimate(self, tmp_path, capsys):
         # alone it would compress at full rate under a manifest that
@@ -1187,14 +1229,14 @@ class TestCodeFactory:
          modify_for_perfect_pacf(LS31)),
         ({"kind": "LS", "n_bit": "31", "modified": "ls_plus"}, LS31,
          modify_for_perfect_pacf(LS31)),
-        ({"kind": "ls", "n_bit": "31", "modified": "mls_plus"}, LS31,
+        ({"kind": "ls", "n_bit": "31", "modified": "LS_PLUS"}, LS31,
          modify_for_perfect_pacf(LS31)),
         ({"kind": "ls", "n_bit": "31", "modified": "ls4_plus"},
          binarize_ls4(LS31, 1), binarize_ls4(LS31, 1)),
         ({"kind": "ls", "n_bit": "31", "modified": "ls4_plus", "sign": "-1"},
          binarize_ls4(LS31, -1), binarize_ls4(LS31, -1)),
         ({"kind": "mls", "order": "5"}, MLS5, modify_for_perfect_pacf(MLS5)),
-        ({"kind": "mls", "order": "5", "modified": "ls_plus"}, MLS5,
+        ({"kind": "MLS", "order": "5", "modified": "auto"}, MLS5,
          modify_for_perfect_pacf(MLS5)),
         ({"kind": "mls", "order": "5", "modified": "mls_plus"}, MLS5,
          modify_for_perfect_pacf(MLS5)),
@@ -1219,6 +1261,9 @@ class TestCodeFactory:
         ({"kind": "golay", "n_bit": "32"}, ValueError),
         ({"kind": "ls", "n_bit": "31", "modified": "plus"}, ValueError),
         ({"kind": "ls", "n_bit": "31", "modified": "ls4-plus"}, ValueError),
+        # a modified kind of the other code family
+        ({"kind": "ls", "n_bit": "31", "modified": "mls_plus"}, InvalidCode),
+        ({"kind": "mls", "order": "5", "modified": "ls_plus"}, InvalidCode),
     ])
     def test_config_rejections(self, section, error):
         with pytest.raises(error):

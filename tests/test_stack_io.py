@@ -430,7 +430,8 @@ class TestWriteStack:
 
 
 class TestChunks:
-    """stack.chunks walks axis 0 and drops the pages of a mapped file."""
+    """stack.chunks walks axis 0 in (rows, chunk) pairs and drops the
+    pages of a mapped file."""
 
     @settings(max_examples=100, deadline=None)
     @given(length=st.integers(0, 300), width=st.integers(1, 40),
@@ -438,7 +439,14 @@ class TestChunks:
     def test_slices_cover_axis_0_once_in_order(self, length, width, step):
         array = np.random.default_rng(length).standard_normal((length, width))
         before = array.tobytes()
-        slices = list(chunks(array, step))
+        pairs = list(chunks(array, step))
+        # the rows cover axis 0 once, in order, and each chunk is their view
+        assert [(r.start, r.stop) for r, _ in pairs] == [
+            (first, min(first + step, length))
+            for first in range(0, length, step)]
+        assert all(c.base is array and np.array_equal(c, array[r])
+                   for r, c in pairs)
+        slices = [c for _, c in pairs]
         assert [len(s) for s in slices] == [
             min(step, length - first) for first in range(0, length, step)]
         assert all(np.shares_memory(s, array) for s in slices)
@@ -446,6 +454,19 @@ class TestChunks:
         # an array in memory drops nothing: it keeps its bytes
         assert not drops_pages(array)
         assert array.tobytes() == before
+
+    # float64 rows of 24 bytes: CHUNK_BYTES of rows, one row at least;
+    # rows of no bytes are walked CHUNK_BYTES rows at a time
+    @pytest.mark.parametrize("shape, chunk_bytes, step", [
+        ((10, 3), 48, 2), ((10, 3), 50, 2), ((10, 3), 4, 1),
+        ((10, 3), 1 << 20, 10), ((10, 0), 4, 4), ((0, 3), 48, 1)])
+    def test_default_step_is_chunk_bytes_of_rows(self, shape, chunk_bytes,
+                                                 step):
+        array = np.zeros(shape)
+        with mock.patch.object(pnpuct.stack, "CHUNK_BYTES", chunk_bytes):
+            rows = [r for r, _ in chunks(array)]
+        assert rows == [slice(first, min(first + step, shape[0]))
+                        for first in range(0, shape[0], step)]
 
     @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"),
                         reason="needs private mappings")
@@ -485,7 +506,7 @@ class TestChunks:
                 patch.delattr(pnpuct.stack.mmap, "MADV_DONTNEED")
             opened = open_stack(path)
             assert drops_pages(opened.data) == madvise
-            slices = [s.copy() for s in chunks(opened.data, step)]
+            slices = [s.copy() for _, s in chunks(opened.data, step)]
         assert b"".join(s.tobytes() for s in slices) == frames.tobytes()
         if madvise:
             assert resident_kib(opened.data) == 0

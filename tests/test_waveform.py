@@ -176,6 +176,14 @@ class TestBuildUnipolar:
         with pytest.raises(NonPositiveAmplitude):
             build_unipolar(bipolar, amplitude=-1.0)
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+    def test_non_finite_amplitude(self, amplitude):
+        # it stopped a run only at stage simulate, on the non-finite
+        # samples it made
+        bipolar = build_bipolar(generate_ls(7), Timing(t_bit=1.0, fps=1.0))
+        with pytest.raises(NonPositiveAmplitude):
+            build_unipolar(bipolar, amplitude=amplitude)
+
     def test_decomposition_identity(self):
         bipolar = build_bipolar(generate_ls(11),
                                 Timing(t_bit=0.5, fps=8.0, n_per=3))
