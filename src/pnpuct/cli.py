@@ -23,7 +23,7 @@ from .errors import PnPuctError
 from .pipeline import run_pipeline
 from .stack import (FORMAT_VERSION, check_not_input, check_unchanged,
                     export_pixel_trace, export_slice, file_version,
-                    open_stack, slice_paths, write_stack)
+                    frame_at, open_stack, slice_paths, write_stack)
 from .thermal import Region, load_scene_config, simulate_stack
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv,
@@ -153,9 +153,7 @@ def _cmd_puct_decimate(args):
 
 def _cmd_report_slice(args):
     with _mapped_stack(args, *slice_paths(args.output)) as stack:
-        index = args.index
-        if index is None:
-            index = int(round(args.time * stack.fps))
+        index = args.index if args.time is None else frame_at(stack, args.time)
         paths = export_slice(stack, index, args.output)
     print("wrote " + ", ".join(paths))
     return 0

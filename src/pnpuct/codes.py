@@ -93,18 +93,7 @@ MODIFIED_KINDS = frozenset({CodeKind.MLS_PLUS, CodeKind.LS_PLUS, CodeKind.LS_4PL
 
 def is_prime(n):
     """Deterministic trial division, adequate for desk-scale code lengths."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
 
 
 @dataclass(frozen=True)
@@ -250,8 +239,7 @@ def generate_mls(spec) -> PnCode:
     m = spec.order
     n_bit = (1 << m) - 1
     # recurrence coefficient for lag i is the polynomial coefficient of x^(M-i)
-    lag_taps = [spec.tap_coefficients[m - i] if i < m else spec.tap_coefficients[0]
-                for i in range(1, m + 1)]
+    lag_taps = [spec.tap_coefficients[m - i] for i in range(1, m + 1)]
     bits = [(1 + s) // 2 for s in spec.seed]
     state0 = tuple(bits)
     period = None

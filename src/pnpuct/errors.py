@@ -54,7 +54,7 @@ class TimingMismatch(PnPuctError):
 
 
 class NonPositiveAmplitude(PnPuctError):
-    """Heat-flux amplitude that is zero or negative."""
+    """Heat-flux amplitude that is not positive and finite."""
 
 
 class UnmodifiedCode(PnPuctError):

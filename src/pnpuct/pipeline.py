@@ -12,8 +12,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
+from functools import partial
 
 from . import codes as codes_mod
 from .codes import CodeKind, check_code, save_code
@@ -21,10 +23,10 @@ from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import InvalidConfig, PipelineStageError
 from .stack import (check_not_input, check_unchanged, export_pixel_trace,
-                    export_slice, file_version, open_stack, slice_paths,
-                    write_stack)
-from .thermal import (SimulatedStack, read_ini, scene_from_parser,
-                      simulate_stack)
+                    export_slice, file_version, frame_at, open_stack,
+                    slice_paths, write_stack)
+from .thermal import (SimulatedStack, config_value, read_ini,
+                      scene_from_parser, simulate_stack)
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv)
 
@@ -97,23 +99,27 @@ def run_pipeline(config, out_dir=None, seed=None):
     """
     with _stage("config"):
         parser = read_ini(config)
-        amplitude = _option(parser, "excitation", "amplitude", float, "1.0")
-        normalization = _option(parser, "compression", "normalization",
-                                lambda t: Normalization(t.lower() or "raw"), "")
-        options = {key: _option(parser, "compression", key,
-                                lambda t: parser.BOOLEAN_STATES[t.lower()], "no")
+        if not parser.has_section("code"):
+            raise InvalidConfig("run config has no [code] section")
+        option = partial(config_value, parser, error=InvalidConfig)
+        amplitude = option("excitation", "amplitude", float, 1.0)
+        normalization = option("compression", "normalization",
+                               lambda t: Normalization(t.lower() or "raw"),
+                               Normalization.RAW)
+        options = {key: option("compression", key,
+                               lambda t: parser.BOOLEAN_STATES[t.lower()], False)
                    for key in ("single_period", "decimate", "decimate_average")}
         # times and pixels out of the stack's range stop the run at report
-        slices = _option(parser, "output", "slices", lambda text: [
-            (t, float(t)) for t in _tokens(text)], "")
-        pixels = _option(parser, "output", "pixels", lambda text: [
-            (t, *map(int, t.partition("x")[::2])) for t in _tokens(text)], "")
+        slices = option("output", "slices", lambda text: [
+            (t, _finite(t)) for t in _tokens(text)], [])
+        pixels = option("output", "pixels", lambda text: [
+            (t, *map(int, t.partition("x")[::2])) for t in _tokens(text)], [])
         if options["decimate_average"] and not options["decimate"]:
             raise InvalidConfig(
                 "[compression] decimate_average = true needs decimate = true")
-        directory = out_dir or parser.get("output", "directory", fallback="out")
-        intermediates = _tokens(parser.get(
-            "output", "intermediates", fallback="").lower())
+        directory = out_dir or option("output", "directory", str, "out")
+        intermediates = option("output", "intermediates",
+                               lambda text: _tokens(text.lower()), [])
         unknown = sorted(set(intermediates) - set(INTERMEDIATES))
         if unknown:
             raise InvalidConfig(
@@ -213,7 +219,7 @@ def run_pipeline(config, out_dir=None, seed=None):
     del raw
     with _stage("report"):
         for token, time in slices:
-            index = int(round(time * compressed.fps))
+            index = frame_at(compressed, time)
             base = os.path.join(directory, f"slice_t{token}")
             for path in slice_paths(base):
                 writable(path)
@@ -243,14 +249,12 @@ def run_pipeline(config, out_dir=None, seed=None):
     return manifest
 
 
-def _option(parser, section, key, parse, fallback):
-    """``parse`` of the text of ``[section] key``, or of ``fallback`` where
-    it is unset; a text that ``parse`` rejects is an InvalidConfig."""
-    text = parser.get(section, key, fallback=fallback)
-    try:
-        return parse(text)
-    except (KeyError, ValueError):
-        raise InvalidConfig(f"[{section}] {key} = {text!r} is invalid") from None
+def _finite(text):
+    """``float`` of ``text``; InvalidConfig unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidConfig(f"{text!r} is not finite")
+    return value
 
 
 def _tokens(text):

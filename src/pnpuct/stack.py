@@ -445,6 +445,14 @@ def _exact_fps(stored, metadata):
     return exact if np.float32(exact) == np.float32(stored) else float(stored)
 
 
+def frame_at(stack, seconds):
+    """round(seconds * fps) of ``stack``; IndexOutOfRange if not finite."""
+    frame = seconds * stack.fps
+    if not np.isfinite(frame):
+        raise IndexOutOfRange(f"time {seconds!r} s is no frame of the stack")
+    return int(round(frame))
+
+
 def export_slice(stack, time_index, path):
     """Write one frame as 16-bit PGM plus a raw CSV matrix and a sidecar.
 

@@ -60,12 +60,14 @@ class PixelModel:
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
-        if self.diffusivity <= 0:
-            raise InvalidScene("diffusivity must be positive")
-        if self.defect_depth is not None and self.defect_depth <= 0:
-            raise InvalidScene("defect_depth must be positive when present")
+        if not 0 < self.diffusivity < np.inf:
+            raise InvalidScene("diffusivity must be positive and finite")
+        if self.defect_depth is not None and not 0 < self.defect_depth < np.inf:
+            raise InvalidScene("defect_depth must be positive and finite")
         if not (-1.0 < self.reflection_coeff <= 1.0):
             raise InvalidScene("reflection_coeff must lie in (-1, 1]")
+        if not np.isfinite(self.amplitude_scale):
+            raise InvalidScene("amplitude_scale must be finite")
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,8 @@ class SceneConfig:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise InvalidScene("grid must be at least 1 x 1")
-        if self.noise_sigma < 0:
-            raise InvalidScene("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise InvalidScene("noise_sigma must be non-negative and finite")
         if (isinstance(self.rng_seed, bool)
                 or not isinstance(self.rng_seed, numbers.Integral)
                 or self.rng_seed < 0):
@@ -489,57 +491,37 @@ def simulate_stack(scene, excitation, path=None,
 # --- scene configuration files ---
 
 
-def _model_from_section(section, fallback=None):
-    base = fallback or PixelModel(diffusivity=1e-6)
-    return PixelModel(
-        diffusivity=_key(section, "diffusivity", float, base.diffusivity),
-        defect_depth=_key(section, "depth", float, base.defect_depth),
-        reflection_coeff=_key(section, "reflection", float,
-                              base.reflection_coeff),
-        amplitude_scale=_key(section, "amplitude_scale", float,
-                             base.amplitude_scale),
-    )
-
-
+# the PixelModel field of each model key of [background] and [defect.*]
+_MODEL_KEYS = {"diffusivity": "diffusivity", "depth": "defect_depth",
+               "reflection": "reflection_coeff",
+               "amplitude_scale": "amplitude_scale"}
 _REQUIRED = object()
 
 
-def _key(section, key, parse, default=_REQUIRED):
-    """``parse`` of a key's text; InvalidScene names the section and key."""
-    if key not in section:
-        if default is _REQUIRED:
-            raise InvalidScene(f"[{section.name}] has no {key!r} key")
-        return default
-    text = section[key]
-    try:
-        return parse(text)
-    except ValueError:
-        kind = "an integer" if parse is int else "a number"
-        raise InvalidScene(
-            f"[{section.name}] {key} = {text!r} is not {kind}") from None
+def _model_from_section(parser, section, fallback=None):
+    base = fallback or PixelModel(diffusivity=1e-6)
+    return PixelModel(**{
+        name: config_value(parser, section, key, float, getattr(base, name))
+        for key, name in _MODEL_KEYS.items()})
 
 
 def scene_from_parser(parser) -> SceneConfig:
     for name in ("scene", "background"):
         if not parser.has_section(name):
             raise InvalidScene(f"scene config has no [{name}] section")
-    scene = parser["scene"]
-    background = _model_from_section(parser["background"])
-    defects = []
-    for name in parser.sections():
-        if not name.startswith("defect"):
-            continue
-        sec = parser[name]
-        region = Region(*(_key(sec, key, int)
-                          for key in ("x0", "y0", "width", "height")))
-        defects.append((region, _model_from_section(sec, fallback=background)))
+    background = _model_from_section(parser, "background")
+    defects = tuple(
+        (Region(*(config_value(parser, name, key, int)
+                  for key in ("x0", "y0", "width", "height"))),
+         _model_from_section(parser, name, background))
+        for name in parser.sections() if name.startswith("defect"))
     return SceneConfig(
-        nx=_key(scene, "nx", int),
-        ny=_key(scene, "ny", int),
+        nx=config_value(parser, "scene", "nx", int),
+        ny=config_value(parser, "scene", "ny", int),
         background=background,
-        defects=tuple(defects),
-        noise_sigma=_key(scene, "noise_sigma", float, 0.0),
-        rng_seed=_key(scene, "rng_seed", int, 0),
+        defects=defects,
+        noise_sigma=config_value(parser, "scene", "noise_sigma", float, 0.0),
+        rng_seed=config_value(parser, "scene", "rng_seed", int, 0),
     )
 
 
@@ -565,3 +547,21 @@ def read_ini(path) -> configparser.ConfigParser:
         except configparser.Error as exc:
             raise InvalidConfig(str(exc)) from exc
     return parser
+
+
+def config_value(parser, section, key, parse, default=_REQUIRED,
+                 error=InvalidScene):
+    """``parse`` of the text of ``[section] key``, the one rule of every
+    scene and run key, or ``default``, not parsed, where it is unset.
+    ``error`` names the section and key of an unset key without a
+    default, and also the text where ``parse`` raises ValueError or
+    KeyError."""
+    if not parser.has_option(section, key):
+        if default is _REQUIRED:
+            raise error(f"[{section}] has no {key!r} key")
+        return default
+    text = parser.get(section, key)
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise error(f"[{section}] {key} = {text!r} is invalid") from None

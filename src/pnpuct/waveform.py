@@ -74,10 +74,10 @@ class RectPulse:
     amplitude: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise InvalidWaveform("duration must be positive")
-        if self.amplitude <= 0:
-            raise NonPositiveAmplitude("amplitude must be positive")
+        if not 0 < self.duration < np.inf:
+            raise InvalidWaveform("duration must be positive and finite")
+        if not 0 < self.amplitude < np.inf:
+            raise NonPositiveAmplitude("amplitude must be positive and finite")
 
 
 class WaveformKind(Enum):

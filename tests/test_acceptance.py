@@ -333,13 +333,15 @@ def _fold(values, trace, n_bit, k):
 
 
 def test_c11_sidelobes_of_the_unmodified_chain():
-    # the prior-art chain: the standard LS drives and filters, and the
-    # whole fitted trend is removed (keep = 0); it is held here, since
+    # the prior-art chain: the standard LS or MLS drives and filters, and
+    # the whole fitted trend is removed (keep = 0); it is held here, since
     # the library refuses to compress with an unmodified code
     table = []
-    for n_bit, fps in ((31, 40.0), (127, 10.0)):
+    for standard, fps in ((generate_ls(31), 40.0), (generate_ls(127), 10.0),
+                          (generate_mls(MlsSpec(order=5)), 40.0),
+                          (generate_mls(MlsSpec(order=7)), 10.0)):
+        n_bit = standard.n_bit
         timing = Timing(t_bit=1.0, fps=fps, n_per=2)
-        standard = generate_ls(n_bit)
         modified = modify_for_perfect_pacf(standard)
         wave = build_unipolar(build_bipolar(standard, timing), 1.0)
         y = respond(impulse_response(SOUND, timing, wave.duration), wave)
@@ -363,7 +365,8 @@ def test_c11_sidelobes_of_the_unmodified_chain():
         undershoot = prior.min() / prior.max()
         assert theirs >= 5 * ours
         assert undershoot < -0.05
-        table.append(f"LS{n_bit} K={timing.k}: modified {ours:.2%}, "
+        table.append(f"{standard.kind.value}{n_bit} K={timing.k}: "
+                     f"modified {ours:.2%}, "
                      f"unmodified {theirs:.2%}, min {undershoot:+.3f} of peak")
     report(11, "sound pixel, rel RMS vs long-pulse reference; "
                + "; ".join(table))

@@ -486,6 +486,11 @@ directory = {tmp_path / "out"}
         ("output", "pixels", "0x0, 1x"),
         ("output", "pixels", "3"),
         ("output", "slices", "3.0, abc"),
+        # no finite time: these passed config and stopped the run at
+        # report, cannot convert float infinity to integer
+        ("output", "slices", "3.0, inf"),
+        ("output", "slices", "nan"),
+        ("output", "slices", "1e400"),
         ("excitation", "amplitude", "one"),
         ("compression", "normalization", "per_bit"),
         ("compression", "single_period", "ture"),
@@ -522,6 +527,18 @@ directory = {tmp_path / "out"}
         assert isinstance(info.value.cause, InvalidCode)
         assert re.search("'mls'.*'ls_plus'", str(info.value.cause))
         assert not (out / "modified_code.txt").exists()
+
+    def test_missing_code_section_is_a_config_error(self, tmp_path):
+        # it stopped the run at stage codes with a bare KeyError: 'code'
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        cfg.write_text(cfg.read_text().replace("[code]", "[codes]"))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, InvalidConfig)
+        assert "[code]" in str(info.value.cause)
+        assert not out.exists()
 
     def test_decimate_average_needs_decimate(self, tmp_path, capsys):
         # alone it would compress at full rate under a manifest that
@@ -864,6 +881,20 @@ class TestCli:
                      "-o", str(tmp_path / "pix.csv")]) == 0
         assert main(["metrics", "snr", "--stack", compressed,
                      "--signal", "0,0,2,2", "--reference", "2,0,2,3"]) == 0
+
+    @pytest.mark.parametrize("time", ["inf", "-inf", "nan", "1e308"])
+    def test_report_slice_at_no_finite_frame_exits_2(self, tmp_path, capsys,
+                                                     time):
+        # inf raised an uncaught OverflowError, and nan printed "cannot
+        # convert float NaN to integer"
+        stack = tmp_path / "s.tgs"
+        write_stack(ThermogramStack(data=np.zeros((4, 2, 2), np.float32),
+                                    fps=2.0), stack)
+        capsys.readouterr()
+        assert main(["report", "slice", "--stack", str(stack),
+                     f"--time={time}", "-o", str(tmp_path / "slice")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: time {float(time)!r} s")
+        assert not list(tmp_path.glob("slice*"))
 
     def test_non_utf8_metadata_exits_2(self, tmp_path, capsys):
         code, stack = str(tmp_path / "c.txt"), tmp_path / "latin.tgs"

@@ -42,7 +42,7 @@ from pnpuct import (
 )
 import pnpuct.dc_removal
 import pnpuct.stack
-from pnpuct.stack import check_stored, chunks, drops_pages
+from pnpuct.stack import check_stored, chunks, drops_pages, frame_at
 from pipeline_helpers import resident_kib
 
 
@@ -586,6 +586,18 @@ class TestExportSlice:
             export_slice(stack, 5, tmp_path / "s")
         with pytest.raises(IndexOutOfRange):
             export_slice(stack, -1, tmp_path / "s")
+
+    def test_frame_at_rounds_the_time_at_the_frame_rate(self):
+        stack = ThermogramStack(data=np.zeros((8, 1, 1), np.float32), fps=2.0)
+        assert [frame_at(stack, t) for t in (0.0, 1.2, 1.3, -1.0)] == [
+            0, 2, 3, -2]
+
+    @pytest.mark.parametrize("seconds", [np.inf, -np.inf, np.nan, 1e308])
+    def test_frame_at_no_finite_frame(self, seconds):
+        # 1e308 s is finite, but not at 2 fps
+        stack = ThermogramStack(data=np.zeros((8, 1, 1), np.float32), fps=2.0)
+        with pytest.raises(IndexOutOfRange, match="no frame"):
+            frame_at(stack, seconds)
 
 
 class TestExportPixelTrace:

@@ -180,6 +180,23 @@ class TestImpulseResponse:
         with pytest.raises(ValueError):
             PixelModel(diffusivity=1e-6, reflection_coeff=1.5)
 
+    @pytest.mark.parametrize("fields", [
+        {"diffusivity": np.nan},
+        {"diffusivity": np.inf},
+        {"defect_depth": np.nan, "reflection_coeff": 0.9},
+        {"defect_depth": np.inf, "reflection_coeff": 1.0},
+        {"amplitude_scale": np.nan},
+        {"amplitude_scale": np.inf},
+        {"amplitude_scale": -np.inf},
+    ], ids=["alpha-nan", "alpha-inf", "depth-nan", "depth-inf",
+            "scale-nan", "scale-inf", "scale-minus-inf"])
+    def test_non_finite_model_rejected(self, fields):
+        # a NaN diffusivity or depth ran the image series to its term cap
+        # (1.2 s at 10 fps over 10 s) before it raised; the others gave
+        # non-finite responses
+        with pytest.raises(InvalidScene, match="finite"):
+            PixelModel(**{"diffusivity": 1e-6, **fields})
+
 
 class TestRespond:
     def test_unit_sample_gives_scaled_kernel(self):
@@ -390,6 +407,11 @@ class TestSimulateStack:
         with pytest.raises(InvalidScene, match="rng_seed"):
             SceneConfig(nx=2, ny=2, background=SOUND, noise_sigma=0.5,
                         rng_seed=seed)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_noise_sigma_must_be_finite(self, sigma):
+        with pytest.raises(InvalidScene, match="noise_sigma"):
+            SceneConfig(nx=2, ny=2, background=SOUND, noise_sigma=sigma)
 
     def test_numpy_integer_seed_is_that_int(self):
         wave = self._unipolar()

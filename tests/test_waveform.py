@@ -4,6 +4,7 @@ import pytest
 from pnpuct import (
     CodeKind,
     ExcitationWaveform,
+    InvalidWaveform,
     MlsSpec,
     NonPositiveAmplitude,
     PnCode,
@@ -120,6 +121,15 @@ class TestRectPulse:
             RectPulse(duration=3.0, amplitude=0.0)
         with pytest.raises(ValueError):
             RectPulse(duration=0.0, amplitude=1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        # such a pulse reached lpt_reference: a non-finite amplitude gave
+        # non-finite samples, a duration a bare ValueError or OverflowError
+        with pytest.raises(InvalidWaveform, match="finite"):
+            RectPulse(duration=value, amplitude=1.0)
+        with pytest.raises(NonPositiveAmplitude, match="finite"):
+            RectPulse(duration=1.0, amplitude=value)
 
 
 class TestBuildBipolar:
