@@ -219,7 +219,7 @@ class Pacf:
 
 
 def generate_mls(spec) -> PnCode:
-    """Generate a maximum-length sequence from a shift-register spec.
+    """Generate a maximum-length sequence from an :class:`MlsSpec`.
 
     The register bits follow the linear recurrence in GF(2) implied by
     the feedback polynomial; bit 1 maps to +1 and bit 0 to -1, matching
@@ -231,34 +231,25 @@ def generate_mls(spec) -> PnCode:
     ------
     NonPrimitivePolynomial
         If the state cycle length is a proper divisor of 2**M - 1.
-    InvalidSeed
-        If the seed is malformed or the trivial register state.
     """
-    if not isinstance(spec, MlsSpec):
-        spec = MlsSpec(order=_int_field(spec, "order"))
     m = spec.order
     n_bit = (1 << m) - 1
     # recurrence coefficient for lag i is the polynomial coefficient of x^(M-i)
     lag_taps = [spec.tap_coefficients[m - i] for i in range(1, m + 1)]
     bits = [(1 + s) // 2 for s in spec.seed]
     state0 = tuple(bits)
-    period = None
-    while len(bits) < n_bit + m:
-        n = len(bits)
+    # the constant tap is 1, so the step is invertible and the seed state
+    # recurs within 2**M - 1 steps: only an earlier return can reject it
+    for n in range(m, n_bit + m - 1):
         acc = 0
         for i in range(1, m + 1):
             if lag_taps[i - 1]:
                 acc ^= bits[n - i]
         bits.append(acc)
-        if period is None and tuple(bits[n - m + 1: n + 1]) == state0:
-            period = n - m + 1
-            if period < n_bit:
-                raise NonPrimitivePolynomial(
-                    f"state cycle of length {period} < {n_bit}; "
-                    "feedback polynomial is not primitive")
-    if period is None or period != n_bit:
-        raise NonPrimitivePolynomial(
-            f"state cycle did not close at length {n_bit}")
+        if tuple(bits[n - m + 1:]) == state0:
+            raise NonPrimitivePolynomial(
+                f"state cycle of length {n - m + 1} < {n_bit}; "
+                "feedback polynomial is not primitive")
     values = 2.0 * np.array(bits[:n_bit], dtype=float) - 1.0
     return PnCode(kind=CodeKind.MLS, n_bit=n_bit, values=values, gain=float(n_bit))
 
@@ -401,18 +392,12 @@ def make_codes(kind, modified=None, *, n_bit=None, order=None, taps=None,
 def pacf_values(values) -> np.ndarray:
     """Cyclic autocorrelation of a raw sequence via the convolution theorem.
 
-    The spectrum magnitude squared is inverted back to lag domain; the
-    imaginary residue is checked against 1e-9 of the peak before being
-    discarded.
+    The spectrum magnitude squared is inverted back to lag domain.
+    X conj(X) is real up to one rounding, so the imaginary part of its
+    inverse is rounding alone, and only the real part is returned.
     """
-    values = np.asarray(values, dtype=float)
-    spectrum = np.fft.fft(values)
-    out = np.fft.ifft(spectrum * np.conj(spectrum))
-    peak = abs(out[0])
-    limit = 1e-9 * peak if peak > 0 else 1e-9
-    if np.abs(out.imag).max(initial=0.0) > limit:
-        raise InvalidCode("imaginary residue above 1e-9 of peak")
-    return out.real
+    spectrum = np.fft.fft(np.asarray(values, dtype=float))
+    return np.fft.ifft(spectrum * np.conj(spectrum)).real
 
 
 def pacf(code) -> Pacf:

@@ -67,10 +67,6 @@ class InvalidScene(PnPuctError, ValueError):
     """Pixel model, region, grid or response span that cannot be simulated."""
 
 
-class RateMismatch(PnPuctError):
-    """Impulse response and excitation sampled at different frame rates."""
-
-
 class SeriesNotConverged(PnPuctError):
     """Image-source series still above its tail tolerance at the term cap."""
 

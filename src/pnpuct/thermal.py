@@ -31,8 +31,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import erfc
 
 from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
-                     InvalidWaveform, NonFiniteData, RateMismatch,
-                     SeriesNotConverged)
+                     InvalidWaveform, NonFiniteData, SeriesNotConverged)
 from . import dc_removal
 from .stack import (ThermogramStack, check_width, derived_stack, open_stack,
                     write_bands)
@@ -216,17 +215,19 @@ def _antiderivative(edges, model):
 
 def _frames(seconds, fps, error, what):
     """round(seconds * fps), the frames of a span; ``error`` naming
-    ``what`` and the frame rate if that is none."""
-    n = int(round(seconds * fps))
+    ``what`` and the frame rate if that is none or not finite."""
+    frames = seconds * fps
+    n = int(round(frames)) if np.isfinite(frames) else 0
     if n < 1:
-        raise error(f"{what} rounds to no frame at {fps} fps")
+        raise error(f"{what} rounds to no finite frame at {fps} fps")
     return n
 
 
 def _edges(timing, duration):
     """The frame edges 0, dt, ..., n dt of ``duration`` seconds, n >= 1
     (InvalidScene)."""
-    n_frames = _frames(duration, timing.fps, InvalidScene, "duration")
+    n_frames = _frames(duration, timing.fps, InvalidScene,
+                       f"duration {duration!r} s")
     return np.arange(n_frames + 1, dtype=float) * timing.dt
 
 
@@ -240,7 +241,7 @@ def impulse_response(model, timing, duration) -> np.ndarray:
     return np.diff(_antiderivative(edges, model)) / timing.dt
 
 
-def respond(h, excitation, h_fps=None) -> np.ndarray:
+def respond(h, excitation) -> np.ndarray:
     """Linear response of a pixel, or of a stack of them, to an excitation.
 
     The discrete convolution of the excitation x with each response in
@@ -254,12 +255,8 @@ def respond(h, excitation, h_fps=None) -> np.ndarray:
     n = 20,620 for the package's models), so the response is causal
     only to that rounding: a later sample of x can move an earlier
     output by an ulp. An empty ``h`` or excitation raises
-    InvalidWaveform; ``h_fps``, when given, must match the excitation
-    frame rate (RateMismatch).
+    InvalidWaveform.
     """
-    fps = excitation.timing.fps
-    if h_fps is not None and abs(h_fps - fps) > 1e-9 * fps:
-        raise RateMismatch(f"h sampled at {h_fps} fps, excitation at {fps} fps")
     x = excitation.samples
     h = np.atleast_1d(np.asarray(h, dtype=float))[..., :len(x)]
     if not (len(x) and h.shape[-1]):
@@ -267,7 +264,7 @@ def respond(h, excitation, h_fps=None) -> np.ndarray:
                               f"excitation of {len(x)}: neither may be empty")
     size = next_fast_len(len(x) + h.shape[-1] - 1, real=True)
     y = irfft(rfft(x, size) * rfft(h, size), size)
-    return y[..., :len(x)] / fps
+    return y[..., :len(x)] / excitation.timing.fps
 
 
 def lpt_reference(model, pulse, timing, duration) -> np.ndarray:
@@ -281,7 +278,7 @@ def lpt_reference(model, pulse, timing, duration) -> np.ndarray:
     no convolution, and exactly causal, as every frame t < n_on is
     ``A * F[t + 1]`` bit for bit whatever n_on. It equals :func:`respond`
     of the pulse and :func:`impulse_response` to rounding, a few ulp of
-    the largest output. A ``duration`` that rounds to no frame raises
+    the largest output. A ``duration`` that rounds to no finite frame raises
     InvalidScene, a pulse that does InvalidWaveform.
     """
     f = _antiderivative(_edges(timing, duration), model)
@@ -539,8 +536,10 @@ def load_scene_config(path) -> SceneConfig:
 
 
 def read_ini(path) -> configparser.ConfigParser:
-    """Parse an INI file; ``;`` after whitespace starts a comment anywhere."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    """Parse an INI file; ``;`` after whitespace starts a comment anywhere.
+    A value is its text as written: ``%`` is not interpolated."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                       interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             parser.read_file(fh)

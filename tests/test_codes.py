@@ -72,6 +72,18 @@ class TestGenerateMls:
         with pytest.raises(NonPrimitivePolynomial):
             MlsSpec(order=3, tap_coefficients=(0, 1, 1))
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: primitive_taps(17), "no built-in polynomial for order 17"),
+        (lambda: MlsSpec(order=1), "order must be at least 2"),
+        (lambda: MlsSpec(order=3, tap_coefficients=(1, 1)),
+         "tap_coefficients must be 3 binary values"),
+        (lambda: MlsSpec(order=3, tap_coefficients=(1, 2, 0)),
+         "tap_coefficients must be 3 binary values"),
+    ], ids=["no-table-entry", "order-1", "taps-short", "taps-not-binary"])
+    def test_malformed_spec_rejected(self, build, match):
+        with pytest.raises(InvalidCode, match=match):
+            build()
+
     def test_trivial_seed_rejected(self):
         with pytest.raises(InvalidSeed):
             MlsSpec(order=3, seed=(-1, -1, -1))
@@ -184,6 +196,11 @@ class TestBinarizeLs4:
     def test_base_is_fully_binary(self):
         code = binarize_ls4(generate_ls(11), +1)
         np.testing.assert_allclose(np.abs(code.base_values), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("sign", [0, 2, -3])
+    def test_sign_must_be_plus_or_minus_one(self, sign):
+        with pytest.raises(InvalidCode, match="sign must be"):
+            binarize_ls4(generate_ls(7), sign)
 
     @pytest.mark.parametrize("n", [5, 13, 17, 29])
     def test_incompatible_length(self, n):
@@ -413,6 +430,38 @@ class TestPnCodeValidation:
         with pytest.raises(ValueError):
             PnCode(kind=CodeKind.LS, n_bit=7, values=LS7.copy(), gain=6.0,
                    bias=0.1)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"kind": CodeKind.MLS, "n_bit": 6, "values": np.ones(6)},
+         r"MLS length must be 2\*\*M - 1"),
+        ({"kind": CodeKind.MLS, "n_bit": 7,
+          "values": np.array([1, 1, 1, 1, 1, -1, -1.0])},
+         "MLS element sum must be"),
+        ({"kind": CodeKind.LS, "n_bit": 9, "values": np.ones(9)},
+         "LS length must be prime"),
+        ({"kind": CodeKind.LS, "n_bit": 7,
+          "values": np.array([0, 1, 1, -1, 1, -1, -0.5])},
+         "LS values past the first must be bipolar"),
+        ({"kind": CodeKind.LS_4PLUS, "n_bit": 13, "values": np.ones(13),
+          "sign_choice": 1},
+         "LS_4PLUS length must be prime with n_bit % 4 == 3"),
+        ({"kind": CodeKind.LS_4PLUS, "n_bit": 7, "values": np.ones(7)},
+         "LS_4PLUS requires sign_choice"),
+        ({"kind": CodeKind.LS_4PLUS, "n_bit": 7, "values": LS7.copy(),
+          "sign_choice": 1},
+         "LS_4PLUS first element must equal sign_choice"),
+        ({"kind": CodeKind.LS_4PLUS, "n_bit": 7, "sign_choice": -1,
+          "values": np.array([-1, 1, 1, -1, 1, -1, 0.5])},
+         "LS_4PLUS base values must be bipolar"),
+        ({"kind": CodeKind.MLS, "n_bit": 7, "values": MLS7 + 0.5,
+          "bias": 0.5},
+         "standard kinds carry zero bias"),
+    ], ids=["mls-length", "mls-sum", "ls-length", "ls-bipolar",
+            "ls4-length", "ls4-sign", "ls4-first", "ls4-bipolar",
+            "standard-bias"])
+    def test_each_kind_rule_named(self, fields, match):
+        with pytest.raises(InvalidCode, match=match):
+            PnCode(gain=7.0, **fields)
 
     def test_values_immutable(self, ls31):
         with pytest.raises(ValueError):

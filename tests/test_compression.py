@@ -853,6 +853,14 @@ class TestDecimate:
         assert out is stack
         assert out_timing is timing
 
+    @pytest.mark.parametrize("average", [False, True])
+    def test_frames_that_are_not_whole_bits(self, average):
+        timing = Timing(t_bit=1.0, fps=4.0, n_per=2)
+        stack = ThermogramStack(data=np.ones((10, 1, 2), dtype=np.float32),
+                                fps=4.0)
+        with pytest.raises(ShapeMismatch, match="10 frames .* bits of 4"):
+            decimate_to_bit_rate(stack, timing, average)
+
     def test_frame_count_after_decimation(self):
         # 40 fps, 0.5 s bits, 61-bit code, 2 periods: 122 frames remain
         code = generate_ls(61)

@@ -274,6 +274,46 @@ class TestRunPipeline:
         for artifact in manifest["artifacts"].values():
             assert artifact["sha256"] == file_sha256(out / artifact["path"])
 
+    def test_input_path_with_a_percent_sign_is_read_as_written(self,
+                                                              tmp_path):
+        # the default interpolation refused the '%', with a bare
+        # InterpolationSyntaxError
+        raw = tmp_path / "raw.tgs"
+        simulate_raw(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"),
+                     raw)
+        percent = tmp_path / "raw 100%.tgs"
+        percent.write_bytes(raw.read_bytes())
+        for name, path in (("plain", raw), ("percent", percent)):
+            (tmp_path / f"{name}.cfg").write_text(
+                f"[code]\nkind = ls\nn_bit = 31\n\n[input]\nstack = {path}\n\n"
+                f"[output]\ndirectory = {tmp_path / name}\n")
+        run_pipeline(tmp_path / "plain.cfg")
+        manifest = run_pipeline(tmp_path / "percent.cfg")
+        assert manifest["input"]["path"] == str(percent)
+        assert ((tmp_path / "percent" / "compressed.tgs").read_bytes()
+                == (tmp_path / "plain" / "compressed.tgs").read_bytes())
+
+    def test_seed_sets_the_scenes_rng_seed(self, tmp_path):
+        noisy = "noise_sigma = 0.5"
+        runs = {}
+        for name, rng_seed, seed in (("override", 7, 3), ("config", 3, None)):
+            cfg = write_run_config(tmp_path / f"{name}.cfg", tmp_path / name)
+            cfg.write_text(cfg.read_text()
+                           .replace("noise_sigma = 0.0", noisy)
+                           .replace("rng_seed = 7", f"rng_seed = {rng_seed}"))
+            runs[name] = run_pipeline(cfg, seed=seed)
+        assert runs["override"]["overrides"]["seed"] == 3
+        digests = {name: {k: v["sha256"] for k, v in run["artifacts"].items()}
+                   for name, run in runs.items()}
+        assert digests["override"] == digests["config"]
+        unseeded = write_run_config(tmp_path / "unseeded.cfg",
+                                    tmp_path / "unseeded")
+        unseeded.write_text(unseeded.read_text().replace("noise_sigma = 0.0",
+                                                         noisy))
+        run_pipeline(unseeded)
+        assert ((tmp_path / "unseeded" / "compressed.tgs").read_bytes()
+                != (tmp_path / "override" / "compressed.tgs").read_bytes())
+
     def test_seed_with_an_input_stack_is_a_config_error(self, tmp_path):
         # a measured stack has no scene whose noise a seed could pick
         raw = tmp_path / "raw.tgs"
@@ -492,6 +532,8 @@ directory = {tmp_path / "out"}
         ("output", "slices", "nan"),
         ("output", "slices", "1e400"),
         ("excitation", "amplitude", "one"),
+        # a '%' raised InterpolationSyntaxError
+        ("excitation", "amplitude", "1%"),
         ("compression", "normalization", "per_bit"),
         ("compression", "single_period", "ture"),
         ("compression", "decimate", "2"),
@@ -917,6 +959,18 @@ class TestCli:
                      "0,0,2,2", "--reference", "2,0,2,2"]) == 2
         assert "no frames" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("signal, reference", [
+        ("0,0,2", "2,0,2,2"), ("0,0,2,2", "2,0,2,2,1")])
+    def test_snr_region_of_other_than_four_numbers_exits_2(
+            self, tmp_path, capsys, signal, reference):
+        stack = str(tmp_path / "s.tgs")
+        write_stack(ThermogramStack(data=np.ones((3, 4, 4), np.float32),
+                                    fps=2.0), stack)
+        assert main(["metrics", "snr", "--stack", stack, "--signal", signal,
+                     "--reference", reference]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: region must be x0,y0,width,height")
+
     def test_fit_map_needs_remove_dc(self, tmp_path, capsys):
         code, stack = str(tmp_path / "c.txt"), str(tmp_path / "s.tgs")
         main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "7", "-o", code])
@@ -997,7 +1051,9 @@ class TestCli:
         SCENE_SECTIONS.replace("[scene]", ""),
         SCENE_SECTIONS.replace("ny = 3", "ny = 3\nny = 4"),
         SCENE_SECTIONS.replace("ny = 3", ""),
-    ], ids=["no-section-header", "duplicate-key", "missing-key"])
+        # a '%' raised InterpolationSyntaxError, with a traceback
+        SCENE_SECTIONS.replace("nx = 4", "nx = 4%"),
+    ], ids=["no-section-header", "duplicate-key", "missing-key", "percent"])
     def test_malformed_scene_exits_2(self, tmp_path, capsys, text):
         code_std = str(tmp_path / "std.txt")
         main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])

@@ -151,6 +151,13 @@ class TestRoundTrip:
         with pytest.raises(TruncatedFile):
             self.read(path)
 
+    def test_metadata_past_the_end_is_truncated(self, tmp_path):
+        path = tmp_path / "meta.tgs"
+        path.write_bytes(b"TGS1" + struct.pack("<IIIfI", 1, 1, 1, 1.0, 64)
+                         + b"a = 1")
+        with pytest.raises(TruncatedFile, match="metadata incomplete"):
+            self.read(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         stack = small_stack()
         path = tmp_path / "long.tgs"
@@ -264,6 +271,11 @@ class TestRoundTrip:
         written = write_stack(stack, path)
         assert written == hashlib.sha256(path.read_bytes()).hexdigest()
         assert self.read(path).data.shape == data.shape
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2,), (1, 1, 1, 1)])
+    def test_data_must_be_three_dimensional(self, shape):
+        with pytest.raises(InvalidStack, match=r"\(n_frames, ny, nx\)"):
+            ThermogramStack(data=np.ones(shape, dtype=np.float32), fps=1.0)
 
     def test_non_finite_rejected_at_construction(self):
         data = np.ones((2, 2, 2), dtype=np.float32)

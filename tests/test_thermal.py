@@ -18,7 +18,6 @@ from pnpuct import (
     InvalidWaveform,
     NonFiniteData,
     PixelModel,
-    RateMismatch,
     RectPulse,
     Region,
     SceneConfig,
@@ -250,11 +249,6 @@ class TestRespond:
         np.testing.assert_allclose(out_shifted[shift:], out[:-shift],
                                    rtol=1e-12, atol=1e-12)
 
-    def test_rate_mismatch(self):
-        h = impulse_response(SOUND, Timing(t_bit=1.0, fps=10.0), 2.0)
-        with pytest.raises(RateMismatch):
-            respond(h, wave_from(np.ones(10), 10.0), h_fps=20.0)
-
     @settings(max_examples=60, deadline=None)
     @given(n=st.one_of(st.integers(1, 3000),
                        st.sampled_from([2, 3, 1031, 2477, 2999])),
@@ -330,6 +324,17 @@ class TestLptReference:
             lpt_reference(SOUND, RectPulse(0.4 / 40, 1.0), timing, 10.0)
         with pytest.raises(InvalidScene):
             lpt_reference(SOUND, RectPulse(1.0, 1.0), timing, 0.4 / 40)
+
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+    def test_a_span_of_no_finite_frame_is_a_scene_error(self, duration):
+        # int(round(duration * fps)) raised a bare ValueError or
+        # OverflowError
+        timing = Timing(t_bit=1.0, fps=10.0)
+        with pytest.raises(InvalidScene, match=f"duration {duration!r} s"):
+            impulse_response(SOUND, timing, duration)
+        with pytest.raises(InvalidScene, match=f"duration {duration!r} s"):
+            lpt_reference(SOUND, RectPulse(1.0, 1.0), timing, duration)
 
 
 class TestSimulateStack:
@@ -441,6 +446,16 @@ class TestSimulateStack:
             SceneConfig(nx=4, ny=4, background=SOUND,
                         defects=((Region(x0=3, y0=0, width=2, height=1),
                                   SOUND),))
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: Region(x0=-1, y0=0, width=1, height=1), "origin"),
+        (lambda: Region(x0=0, y0=-2, width=1, height=1), "origin"),
+        (lambda: SceneConfig(nx=0, ny=4, background=SOUND), "1 x 1"),
+        (lambda: SceneConfig(nx=4, ny=0, background=SOUND), "1 x 1"),
+    ], ids=["x0", "y0", "nx", "ny"])
+    def test_negative_origin_or_empty_grid(self, build, match):
+        with pytest.raises(InvalidScene, match=match):
+            build()
 
     @pytest.mark.parametrize("entry", [
         (1, 2),
@@ -800,8 +815,12 @@ reflection = 0.9
         ("ny = 2", "ny = 2\nnoise_sigma = loud",
          r"\[scene\] noise_sigma = 'loud'"),
         ("ny = 2", "ny = 2\nrng_seed = 0x1f", r"\[scene\] rng_seed = '0x1f'"),
+        # the default interpolation raised InterpolationSyntaxError
+        ("nx = 2", "nx = 4%", r"^\[scene\] nx = '4%' is invalid$"),
+        ("diffusivity = 1e-6", "diffusivity = 1e-6%(x)s",
+         r"\[background\] diffusivity = '1e-6%\(x\)s'"),
     ], ids=["int", "fraction", "defect-int", "float", "defect-float",
-            "noise", "seed"])
+            "noise", "seed", "percent", "interpolation"])
     def test_malformed_value_named(self, tmp_path, old, new, match):
         text = ("[scene]\nnx = 2\nny = 2\n[background]\ndiffusivity = 1e-6\n"
                 "[defect.a]\nx0 = 0\ny0 = 0\nwidth = 1\nheight = 1\n")

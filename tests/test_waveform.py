@@ -18,6 +18,7 @@ from pnpuct import (
     build_bipolar,
     build_matched_filter,
     build_unipolar,
+    cyclic_convolve,
     generate_ls,
     generate_mls,
     modify_for_perfect_pacf,
@@ -214,6 +215,34 @@ class TestBuildUnipolar:
         t_meas = timing.t_meas(7)
         expected = 0.5 * 2.0 * timing.n_per * t_meas * (1 + 1 / 7)
         assert energy == pytest.approx(expected, rel=1e-12)
+
+
+class TestWaveformRules:
+    TIMING = Timing(t_bit=1.0, fps=1.0, n_per=2)
+
+    @pytest.mark.parametrize("kind, samples, amplitude, match", [
+        (WaveformKind.BIPOLAR_XPN, np.ones(6), None, "span one period"),
+        (WaveformKind.UNIPOLAR_XTH, np.ones(7), 1.0, "span n_per periods"),
+        (WaveformKind.UNIPOLAR_XTH, np.full(14, 3.0), 2.0,
+         r"lie in \[0, amplitude\]"),
+    ], ids=["bipolar-length", "unipolar-length", "unipolar-range"])
+    def test_samples_checked(self, kind, samples, amplitude, match):
+        with pytest.raises(InvalidWaveform, match=match):
+            ExcitationWaveform(samples=samples, kind=kind, timing=self.TIMING,
+                               source_code=table1_mls7(), amplitude=amplitude)
+
+    def test_unipolar_of_a_unipolar_wave(self):
+        uni = build_unipolar(build_bipolar(table1_mls7(), self.TIMING), 1.0)
+        with pytest.raises(InvalidWaveform, match="must be a bipolar"):
+            build_unipolar(uni, 1.0)
+
+    def test_components_of_a_bipolar_wave(self):
+        with pytest.raises(InvalidWaveform, match="expected a unipolar"):
+            unipolar_components(build_bipolar(table1_mls7(), self.TIMING))
+
+    def test_cyclic_convolve_needs_equal_lengths(self):
+        with pytest.raises(InvalidWaveform, match="equal lengths"):
+            cyclic_convolve(np.ones(3), np.ones(4))
 
 
 class TestMatchedFilter:
