@@ -197,6 +197,23 @@ def build_parser():
                  f"(stack format {FORMAT_VERSION}, "
                  f"code table v{CODE_TABLE_VERSION})"))
     groups = parser.add_subparsers(dest="group", required=True)
+    group_cmds = {
+        name: groups.add_parser(name, help=text).add_subparsers(
+            dest="command", required=True)
+        for name, text in (("seq", "pseudo-noise code tools"),
+                           ("wave", "excitation waveform tools"),
+                           ("sim", "synthetic measurement"),
+                           ("dc", "DC component removal"),
+                           ("puct", "pulse compression"),
+                           ("report", "exports for plotting"),
+                           ("metrics", "quality metrics"),
+                           ("pipeline", "full run orchestration"))}
+
+    def command(group, name, func, text, *parents):
+        cmd = group_cmds[group].add_parser(name, parents=parents, help=text)
+        cmd.set_defaults(func=func)
+        return cmd
+
     # parsed by timing_of: a given value wins, a read stack fills the rest
     timing = argparse.ArgumentParser(add_help=False)
     timing.add_argument("--t-bit", help="bit duration in s; default: a "
@@ -204,10 +221,15 @@ def build_parser():
     timing.add_argument("--fps", help="frame rate; default: a read stack's")
     timing.add_argument("--n-per", help="excitation periods; default: a "
                                         "read stack's metadata, else 2")
+    # the arguments that several commands take alike
+    stack, code, output = (argparse.ArgumentParser(add_help=False)
+                           for _ in range(3))
+    stack.add_argument("--stack", required=True)
+    code.add_argument("--code", required=True)
+    output.add_argument("-o", "--output", required=True)
 
-    seq = groups.add_parser("seq", help="pseudo-noise code tools")
-    seq_cmds = seq.add_subparsers(dest="command", required=True)
-    gen = seq_cmds.add_parser("gen", help="generate a code descriptor")
+    gen = command("seq", "gen", _cmd_seq_gen, "generate a code descriptor",
+                  output)
     gen.add_argument("--kind", required=True,
                      choices=["mls", "ls", "mls-plus", "ls-plus", "ls4-plus"])
     gen.add_argument("--n-bit", type=int, help="length for LS kinds")
@@ -217,49 +239,28 @@ def build_parser():
     gen.add_argument("--lfsr-seed", help="comma list of +1/-1 register values")
     gen.add_argument("--sign", type=int, default=1, choices=[-1, 1],
                      help="zero replacement sign for ls4-plus")
-    gen.add_argument("-o", "--output", required=True)
-    gen.set_defaults(func=_cmd_seq_gen)
-    ver = seq_cmds.add_parser("verify", help="check a code's autocorrelation")
+    ver = command("seq", "verify", _cmd_seq_verify,
+                  "check a code's autocorrelation")
     ver.add_argument("code")
     ver.add_argument("--tolerance", type=float, default=1e-9)
-    ver.set_defaults(func=_cmd_seq_verify)
 
-    wave = groups.add_parser("wave", help="excitation waveform tools")
-    wave_cmds = wave.add_subparsers(dest="command", required=True)
-    wgen = wave_cmds.add_parser("gen", parents=[timing],
-                                help="waveform and filter CSV exports")
-    wgen.add_argument("--code", required=True)
+    wgen = command("wave", "gen", _cmd_wave_gen,
+                   "waveform and filter CSV exports", timing, code)
     wgen.add_argument("--amplitude", type=float, default=1.0)
     wgen.add_argument("--out-dir", required=True)
-    wgen.set_defaults(func=_cmd_wave_gen)
 
-    sim = groups.add_parser("sim", help="synthetic measurement")
-    sim_cmds = sim.add_subparsers(dest="command", required=True)
-    srun = sim_cmds.add_parser("run", parents=[timing],
-                               help="simulate a thermogram stack")
+    srun = command("sim", "run", _cmd_sim_run, "simulate a thermogram stack",
+                   timing, code, output)
     srun.add_argument("--scene", required=True)
-    srun.add_argument("--code", required=True)
     srun.add_argument("--amplitude", type=float, default=1.0)
     srun.add_argument("--seed", type=int, help="override the scene rng seed")
-    srun.add_argument("-o", "--output", required=True)
-    srun.set_defaults(func=_cmd_sim_run)
 
-    dc = groups.add_parser("dc", help="DC component removal")
-    dc_cmds = dc.add_subparsers(dest="command", required=True)
-    drem = dc_cmds.add_parser("remove", parents=[timing],
-                              help="fit and remove step heating")
-    drem.add_argument("--stack", required=True)
-    drem.add_argument("--code", required=True)
+    drem = command("dc", "remove", _cmd_dc_remove,
+                   "fit and remove step heating", timing, stack, code, output)
     drem.add_argument("--fit-map", help="CSV path for per-pixel coefficients")
-    drem.add_argument("-o", "--output", required=True)
-    drem.set_defaults(func=_cmd_dc_remove)
 
-    puct = groups.add_parser("puct", help="pulse compression")
-    puct_cmds = puct.add_subparsers(dest="command", required=True)
-    pcomp = puct_cmds.add_parser("compress", parents=[timing],
-                                 help="matched-filter compression")
-    pcomp.add_argument("--stack", required=True)
-    pcomp.add_argument("--code", required=True)
+    pcomp = command("puct", "compress", _cmd_puct_compress,
+                    "matched-filter compression", timing, stack, code, output)
     pcomp.add_argument("--normalization", default="raw",
                        choices=[n.value for n in Normalization])
     pcomp.add_argument("--single-period", action="store_true")
@@ -268,50 +269,34 @@ def build_parser():
                             "same pass")
     pcomp.add_argument("--fit-map", help="with --remove-dc: CSV path for "
                                          "per-pixel coefficients")
-    pcomp.add_argument("-o", "--output", required=True)
-    pcomp.set_defaults(func=_cmd_puct_compress)
-    pdec = puct_cmds.add_parser("decimate", parents=[timing],
-                                help="drop to one frame per bit")
-    pdec.add_argument("--stack", required=True)
+    pdec = command("puct", "decimate", _cmd_puct_decimate,
+                   "drop to one frame per bit", timing, stack, output)
     pdec.add_argument("--average", action="store_true",
                       help="bin-average the K frames of each bit")
-    pdec.add_argument("-o", "--output", required=True)
-    pdec.set_defaults(func=_cmd_puct_decimate)
 
-    report = groups.add_parser("report", help="exports for plotting")
-    report_cmds = report.add_subparsers(dest="command", required=True)
-    rslice = report_cmds.add_parser("slice", help="one frame as PGM + CSV")
-    rslice.add_argument("--stack", required=True)
+    rslice = command("report", "slice", _cmd_report_slice,
+                     "one frame as PGM + CSV", stack, output)
     idx = rslice.add_mutually_exclusive_group(required=True)
     idx.add_argument("--index", type=int)
     idx.add_argument("--time", type=float, help="seconds from the start")
-    rslice.add_argument("-o", "--output", required=True)
-    rslice.set_defaults(func=_cmd_report_slice)
-    rpixel = report_cmds.add_parser("pixel", help="one pixel trace as CSV")
-    rpixel.add_argument("--stack", required=True)
+    rpixel = command("report", "pixel", _cmd_report_pixel,
+                     "one pixel trace as CSV", stack, output)
     rpixel.add_argument("--x", type=int, required=True)
     rpixel.add_argument("--y", type=int, required=True)
-    rpixel.add_argument("-o", "--output", required=True)
-    rpixel.set_defaults(func=_cmd_report_pixel)
 
-    metrics = groups.add_parser("metrics", help="quality metrics")
-    metrics_cmds = metrics.add_subparsers(dest="command", required=True)
-    msnr = metrics_cmds.add_parser("snr", help="contrast-to-noise in dB")
-    msnr.add_argument("--stack", required=True)
+    msnr = command("metrics", "snr", _cmd_metrics_snr,
+                   "contrast-to-noise in dB", stack)
     msnr.add_argument("--signal", required=True,
                       help="region as x0,y0,width,height")
     msnr.add_argument("--reference", required=True,
                       help="region as x0,y0,width,height")
-    msnr.set_defaults(func=_cmd_metrics_snr)
 
-    pipe = groups.add_parser("pipeline", help="full run orchestration")
-    pipe_cmds = pipe.add_subparsers(dest="command", required=True)
-    prun = pipe_cmds.add_parser("run", help="execute a run config")
+    prun = command("pipeline", "run", _cmd_pipeline_run,
+                   "execute a run config")
     prun.add_argument("--config", required=True)
     prun.add_argument("--out-dir", help="override the config output directory")
     prun.add_argument("--seed", type=int,
                       help="override the scene rng seed (no [input] stack)")
-    prun.set_defaults(func=_cmd_pipeline_run)
 
     return parser
 

@@ -42,7 +42,8 @@ import scipy.signal
 
 from . import dc_removal
 from .errors import EmptyRegion, RegionOverlap, ShapeMismatch
-from .stack import CHUNK_BYTES, check_stored, chunks, derived_stack
+from .stack import (CHUNK_BYTES, check_finite, check_stored, chunks,
+                    derived_stack)
 from .waveform import Timing, build_matched_filter
 
 
@@ -128,16 +129,19 @@ def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
     This is one pixel of :func:`compress_stack`: the same arguments, the
     same frame rule (exactly ``timing.total_frames(code.n_bit)``
     samples, else ``ShapeMismatch``), ``UnmodifiedCode`` for a code with
-    sidelobes, and the same bits as that pixel of a compressed stack,
-    here as float64. To get them, the column is zero-padded to a full
-    block of ``_BLOCK`` columns, so one call costs about as much as 256
-    pixels of a stack: 1.3-1.5 ms at LS31 K=40, 2.3-2.5 ms at LS127
-    K=10 and 20 ms at LS1031 K=1 on a 2-vCPU VM with 1 BLAS thread.
+    sidelobes, ``NonFiniteData`` for a NaN or inf sample, and the same
+    bits as that pixel of a compressed stack, here as float64. To get
+    them, the column is zero-padded to a full block of ``_BLOCK``
+    columns, so one call costs about as much as 256 pixels of a stack:
+    a median of 1.0-1.1 ms of CPU at LS31 K=40, 1.7 ms at LS127 K=10 and
+    11.5 ms at LS1031 K=1 on a 2-vCPU Xeon VM with 1 BLAS thread.
     Compress many pixels with :func:`compress_stack`.
     """
     filt = _MatchedFilter(code, timing, normalization, single_period)
-    dc_removal._check_frames(len(y_plus_ac), code, timing)
-    values, _ = dc_removal._trace(y_plus_ac, filt, filt.period)
+    y = np.asarray(y_plus_ac, dtype=float)
+    dc_removal._check_frames(len(y), code, timing)
+    check_finite(y, "trace samples must be finite")
+    values, _ = dc_removal._trace(y, filt, filt.period)
     return CompressedTrace(values=values, normalization=normalization,
                            periods_averaged=filt.n_avg)
 

@@ -118,7 +118,7 @@ class UnencodableMetadata(PnPuctError):
 
 
 class NonFiniteData(PnPuctError):
-    """Stack data containing NaN or infinity."""
+    """Stack or trace data containing NaN or infinity."""
 
 
 class StackChanged(PnPuctError):

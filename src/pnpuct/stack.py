@@ -44,7 +44,6 @@ FORMAT_VERSION = "TGS1"
 CHUNK_BYTES = 1 << 20
 # frames of a chunk of a band of pixel columns, at least: a band of few
 # columns reads or stores whole 2 MiB blocks of the file between drops
-# (ThermogramStack.bands, write_bands)
 _CHUNK_FRAMES = 16
 # A read of a mapped file maps the whole folio of page cache that holds
 # it, up to 2 MiB, as one huge page where it can (x86-64 and arm64), so
@@ -71,9 +70,7 @@ class ThermogramStack:
         data = np.ascontiguousarray(self.data, dtype=np.float32)
         if data.ndim != 3:
             raise InvalidStack("data must be (n_frames, ny, nx)")
-        # min and max reduce without a stack-sized mask; NaN propagates
-        if data.size and not np.isfinite([data.min(), data.max()]).all():
-            raise NonFiniteData("stack data must be finite")
+        check_finite(data, "stack data must be finite")
         if not 0 < self.fps < np.inf:
             raise InvalidStack("fps must be positive and finite")
         self.data = data
@@ -122,7 +119,7 @@ class ThermogramStack:
             yield slice(0, n_pix), traces
             return
         buffer = np.empty((self.n_frames, width), np.float32)
-        step = max(_CHUNK_FRAMES, CHUNK_BYTES // (4 * n_pix))
+        step = _frame_step(n_pix)
         for start in range(0, n_pix, width):
             cols = slice(start, min(start + width, n_pix))
             band = buffer[:, :cols.stop - start]
@@ -130,6 +127,27 @@ class ThermogramStack:
             for rows, chunk in chunks(traces, step):
                 band[rows] = chunk[:, cols]
             yield cols, band
+
+
+def _frame_step(n_pix):
+    """Frames of a chunk of a band of n_pix columns (see _CHUNK_FRAMES)."""
+    return max(_CHUNK_FRAMES, CHUNK_BYTES // max(4 * n_pix, 1))
+
+
+def check_finite(array, message, update=None):
+    """The one finiteness rule: NonFiniteData(message) at the first NaN
+    or inf of ``array``, read through :func:`chunks`, each chunk fed to
+    ``update`` first if given. One mask serves every chunk: a new one
+    per chunk would be mapped and faulted in afresh each time under a
+    small mmap threshold."""
+    finite = None
+    for _, chunk in chunks(array):
+        if update is not None:
+            update(chunk)
+        if finite is None:
+            finite = np.empty(chunk.shape, bool)
+        if not np.isfinite(chunk, out=finite[:len(chunk)]).all():
+            raise NonFiniteData(message)
 
 
 def derived_stack(source, data, fps, metadata):
@@ -250,7 +268,7 @@ def write_bands(path, shape, fps, metadata, bands):
     head = _header(shape, fps, metadata)
     n_frames, n_pix = shape[0], shape[1] * shape[2]
     size = len(head) + 4 * n_frames * n_pix
-    step = max(_CHUNK_FRAMES, CHUNK_BYTES // max(4 * n_pix, 1))
+    step = _frame_step(n_pix)
     with open(path, "wb+") as fh:
         fh.write(head)
         fh.flush()
@@ -324,13 +342,13 @@ def open_stack(path, digest=None) -> ThermogramStack:
     """Open a TGS1 file as a stack whose data is a read-only file mapping.
 
     The header, metadata and file size are checked before anything is
-    mapped. The frames are then read once, CHUNK_BYTES at a time: each
-    chunk is fed to ``digest``, a ``hashlib`` object, when one is given,
-    checked to be finite, and its pages are dropped, so the file is
-    hashed and checked without being held in memory. For a file that
-    opens without error ``digest`` then holds the hash of the whole
-    file. Later reads of the data fault the pages they need back in
-    from the page cache.
+    mapped. The frames are then read once by :func:`check_finite`,
+    CHUNK_BYTES at a time: each chunk is fed to ``digest``, a ``hashlib``
+    object, when one is given, checked, and its pages are dropped, so
+    the file is hashed and checked without being held in memory. For a
+    file that opens without error ``digest`` then holds the hash of the
+    whole file. Later reads of the data fault the pages they need back
+    in from the page cache.
     The file must not change while the stack is in use: a read of a
     page past the end of a file truncated meanwhile is not an error
     that Python can catch, it kills the process with SIGBUS. Where
@@ -346,14 +364,7 @@ def open_stack(path, digest=None) -> ThermogramStack:
         whole = np.frombuffer(_FileMap(fh.fileno(), size,
                                        access=mmap.ACCESS_READ), np.uint8)
     samples = whole[start:].view("<f4")
-    step = CHUNK_BYTES // 4
-    # one mask for every chunk: a new one per chunk would be mapped and
-    # faulted in afresh each time under a small mmap threshold
-    finite = np.empty(min(step, samples.size), bool)
-    for _, chunk in chunks(samples, step):
-        update(chunk)
-        if not np.isfinite(chunk, out=finite[:chunk.size]).all():
-            raise NonFiniteData(f"{path}: non-finite samples")
+    check_finite(samples, f"{path}: non-finite samples", update)
     # checked above: the stack is built on an empty view, so that its
     # constructor does not scan the samples a second time
     stack = ThermogramStack(data=samples[:0].reshape((0,) + shape[1:]),

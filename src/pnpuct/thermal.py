@@ -31,10 +31,10 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import erfc
 
 from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
-                     InvalidWaveform, NonFiniteData, SeriesNotConverged)
+                     InvalidWaveform, SeriesNotConverged)
 from . import dc_removal
-from .stack import (ThermogramStack, check_width, derived_stack, open_stack,
-                    write_bands)
+from .stack import (ThermogramStack, check_finite, check_width, derived_stack,
+                    open_stack, write_bands)
 from .waveform import excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -448,11 +448,8 @@ class SimulatedStack:
                         trace += 0.0
                         trace += traces[label]
                         pixel[...] = trace
-            # min and max reduce without a band-sized mask; NaN propagates
-            if not np.isfinite([band.min(), band.max()]).all():
-                raise NonFiniteData(
-                    f"simulated pixels {cols.start}-{cols.stop - 1} "
-                    "(flattened) have non-finite samples")
+            check_finite(band, f"simulated pixels {cols.start}-{cols.stop - 1}"
+                         " (flattened) have non-finite samples")
             yield cols, band.T
 
 

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from pnpuct import (
+    CodeKind,
+    ExcitationWaveform,
     MlsSpec,
     Normalization,
     PixelModel,
@@ -21,6 +23,7 @@ from pnpuct import (
     RectPulse,
     SceneConfig,
     Timing,
+    WaveformKind,
     binarize_ls4,
     build_bipolar,
     build_matched_filter,
@@ -332,11 +335,31 @@ def _fold(values, trace, n_bit, k):
     return np.einsum("b,jbk->jk", taps, bits[n_bit + j - b]).reshape(-1)
 
 
+def _correlate(values, trace, k):
+    """The acyclic matched filter of ``values`` on ``trace``: out[jK + p]
+    = sum_b v[b] y[(b + j)K + p] for the first L = len(values) lags j,
+    each a complete sum over the code, as ``trace`` spans 2L - 1 bits."""
+    n_bit = len(values)
+    bits = trace[:(2 * n_bit - 1) * k].reshape(2 * n_bit - 1, k)
+    j, b = np.ogrid[:n_bit, :n_bit]
+    return np.einsum("b,jbk->jk", values, bits[b + j]).reshape(-1)
+
+
+def _rel_rms(x, reference):
+    return np.sqrt(np.mean((x - reference) ** 2)) / reference.max()
+
+
+def _unipolar(samples, timing):
+    """A heat-flux modulation of the given samples, for :func:`respond`."""
+    return ExcitationWaveform(samples=samples, kind=WaveformKind.UNIPOLAR_XTH,
+                              timing=timing)
+
+
 def test_c11_sidelobes_of_the_unmodified_chain():
     # the prior-art chain: the standard LS or MLS drives and filters, and
     # the whole fitted trend is removed (keep = 0); it is held here, since
     # the library refuses to compress with an unmodified code
-    table = []
+    table, modified_error = [], {}
     for standard, fps in ((generate_ls(31), 40.0), (generate_ls(127), 10.0),
                           (generate_mls(MlsSpec(order=5)), 40.0),
                           (generate_mls(MlsSpec(order=7)), 10.0)):
@@ -344,7 +367,8 @@ def test_c11_sidelobes_of_the_unmodified_chain():
         timing = Timing(t_bit=1.0, fps=fps, n_per=2)
         modified = modify_for_perfect_pacf(standard)
         wave = build_unipolar(build_bipolar(standard, timing), 1.0)
-        y = respond(impulse_response(SOUND, timing, wave.duration), wave)
+        h = impulse_response(SOUND, timing, wave.duration)
+        y = respond(h, wave)
         y_ac = remove_dc(y, modified, timing)
         compressed = compress_trace(y_ac, modified, timing).values
         # the formula is the library's on the modified code
@@ -356,17 +380,63 @@ def test_c11_sidelobes_of_the_unmodified_chain():
         # scaled by the gain sum(v^2) times A / 2, as the modified chain
         prior = (_fold(standard.values, y - trend, n_bit, timing.k)
                  / (np.sum(standard.values ** 2) * 0.5))
+        # the exact DC part (1 - bias) (A/2) (h * 1) in place of the
+        # fitted trend (ROADMAP item 7): what the modified chain keeps
+        # without the error of the trend fit
+        step = respond(h, _unipolar(np.full(len(y), 0.5), timing))
+        exact = compress_trace(y - (1.0 - modified.bias) * step, modified,
+                               timing).values
         reference = lpt_reference(
             SOUND, RectPulse(duration=timing.t_bit, amplitude=1.0), timing,
             timing.t_meas(n_bit))
-        ours, theirs = (
-            np.sqrt(np.mean((x - reference) ** 2)) / reference.max()
-            for x in (compressed / (modified.gain * 0.5), prior))
+        ours, theirs, exact_dc = (
+            _rel_rms(x, reference)
+            for x in (compressed / (modified.gain * 0.5), prior,
+                      exact / (modified.gain * 0.5)))
         undershoot = prior.min() / prior.max()
         assert theirs >= 5 * ours
         assert undershoot < -0.05
+        if standard.kind is CodeKind.LS:
+            modified_error[timing.k] = ours
         table.append(f"{standard.kind.value}{n_bit} K={timing.k}: "
-                     f"modified {ours:.2%}, "
+                     f"modified {ours:.2%} (exact DC {exact_dc:.2%}), "
                      f"unmodified {theirs:.2%}, min {undershoot:+.3f} of peak")
+    # a Golay pair: each member drives its own record, the code and then
+    # as long again with the heat off, so that the acyclic filter of
+    # every lag is complete; the two filtered records are summed
+    for n_bit, fps in ((32, 40.0), (128, 10.0)):
+        timing = Timing(t_bit=1.0, fps=fps, n_per=2)
+        k = timing.k
+        window = np.repeat(np.arange(2 * n_bit) < n_bit, k) * 1.0
+        h = impulse_response(SOUND, timing, len(window) * timing.dt)
+        dc = respond(h, _unipolar(0.5 * window, timing))
+        fitted, exact = [], []
+        for member in golay_pair(n_bit):
+            bipolar = np.repeat(np.concatenate([member, np.zeros(n_bit)]), k)
+            y = respond(h, _unipolar(0.5 * (bipolar + window), timing))
+            trend = (design_matrix(np.arange(len(y)) * timing.dt)
+                     @ fit_dc(y, timing).coefficients)
+            fitted.append(_correlate(member, y - trend, k))
+            exact.append(_correlate(member, y - dc, k))
+        # scaled by the pair's gain 2L times A / 2
+        pair, pair_exact = (sum(x) / (2 * n_bit * 0.5)
+                            for x in (fitted, exact))
+        member_exact = exact[0] / (n_bit * 0.5)
+        reference = lpt_reference(
+            SOUND, RectPulse(duration=timing.t_bit, amplitude=1.0), timing,
+            timing.t_meas(n_bit))
+        theirs, alone = (_rel_rms(x, reference) for x in (pair, member_exact))
+        # with the exact DC the pair's sidelobes cancel to rounding, where
+        # one member alone keeps them; the fitted trend, which cannot
+        # follow the heat going off, leaves the pair far from the
+        # reference, next to the modified LS chain at the same K
+        assert (np.abs(pair_exact - reference).max()
+                <= 1e-14 * reference.max())
+        assert alone >= 0.05
+        assert theirs >= 5 * modified_error[k]
+        table.append(f"Golay{n_bit} pair K={k}: exact DC "
+                     f"{_rel_rms(pair_exact, reference):.1e} (one member "
+                     f"{alone:.2%}), fitted trend {theirs:.2%}, min "
+                     f"{pair.min() / pair.max():+.3f} of peak")
     report(11, "sound pixel, rel RMS vs long-pulse reference; "
                + "; ".join(table))

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -356,7 +357,7 @@ class TestSerialization:
         np.testing.assert_array_equal(back.values, code.values)
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCode, match="^not a pncode v1 descriptor$"):
             code_from_text("not a descriptor")
 
     @pytest.mark.parametrize("old, new, match", [
@@ -413,22 +414,27 @@ class TestIntegerFields:
 
 class TestPnCodeValidation:
     def test_length_must_match(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCode,
+                           match="^values length must equal n_bit$"):
             PnCode(kind=CodeKind.MLS, n_bit=7, values=np.ones(6), gain=7.0)
 
     def test_mls_must_be_bipolar(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCode, match="^MLS values must be bipolar$"):
             PnCode(kind=CodeKind.MLS, n_bit=7,
                    values=np.array([1, 2, -1, 1, -1, 1, -1.0]), gain=7.0)
 
     def test_ls_balance_checked(self):
         bad = np.array([0, 1, 1, 1, 1, -1, -1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCode, match=re.escape(
+                "LS must have (n_bit-1)/2 entries equal +1")):
             PnCode(kind=CodeKind.LS, n_bit=7, values=bad, gain=6.0)
 
     def test_standard_kind_rejects_bias(self):
-        with pytest.raises(ValueError):
-            PnCode(kind=CodeKind.LS, n_bit=7, values=LS7.copy(), gain=6.0,
+        # LS7 + 0.1 leaves the bipolar LS7 once the bias is taken off, so
+        # every LS rule passes and the bias rule is the one that fires
+        with pytest.raises(InvalidCode,
+                           match="^standard kinds carry zero bias$"):
+            PnCode(kind=CodeKind.LS, n_bit=7, values=LS7 + 0.1, gain=6.0,
                    bias=0.1)
 
     @pytest.mark.parametrize("fields, match", [
@@ -439,6 +445,8 @@ class TestPnCodeValidation:
          "MLS element sum must be"),
         ({"kind": CodeKind.LS, "n_bit": 9, "values": np.ones(9)},
          "LS length must be prime"),
+        ({"kind": CodeKind.LS, "n_bit": 7, "values": LS7 + 0.1},
+         "LS first element must be 0"),
         ({"kind": CodeKind.LS, "n_bit": 7,
           "values": np.array([0, 1, 1, -1, 1, -1, -0.5])},
          "LS values past the first must be bipolar"),
@@ -456,7 +464,7 @@ class TestPnCodeValidation:
         ({"kind": CodeKind.MLS, "n_bit": 7, "values": MLS7 + 0.5,
           "bias": 0.5},
          "standard kinds carry zero bias"),
-    ], ids=["mls-length", "mls-sum", "ls-length", "ls-bipolar",
+    ], ids=["mls-length", "mls-sum", "ls-length", "ls-first", "ls-bipolar",
             "ls4-length", "ls4-sign", "ls4-first", "ls4-bipolar",
             "standard-bias"])
     def test_each_kind_rule_named(self, fields, match):
@@ -464,7 +472,7 @@ class TestPnCodeValidation:
             PnCode(gain=7.0, **fields)
 
     def test_values_immutable(self, ls31):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             ls31.values[0] = 5.0
 
 

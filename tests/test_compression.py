@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from pnpuct import (
     EmptyRegion,
+    InvalidScene,
     MlsSpec,
     NonFiniteData,
     Normalization,
@@ -129,6 +130,21 @@ class TestCompressTrace:
             data=np.ones((n_frames, 1, 1), dtype=np.float32), fps=2.0)
         with pytest.raises(error):
             compress_stack(stack, code, timing)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 61, 123])
+    def test_non_finite_sample_raises(self, ls31_plus, value, index):
+        # a trace is held to a stack's rule: a stack of the same samples
+        # is refused at construction
+        timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
+        y = np.zeros(124)
+        y[index] = value
+        with pytest.raises(NonFiniteData,
+                           match="^trace samples must be finite$"):
+            compress_trace(y, ls31_plus, timing)
+        with pytest.raises(NonFiniteData,
+                           match="^stack data must be finite$"):
+            ThermogramStack(data=y.reshape(124, 1, 1), fps=timing.fps)
 
     def test_fft_matches_direct_convolution(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=3)
@@ -1077,7 +1093,7 @@ class TestSnrMetric:
         stack = self._stack()
         with pytest.raises(EmptyRegion):
             snr_metric(stack, Region(0, 0, 3, 4), Region(5, 0, 3, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidScene, match="at least one pixel"):
             Region(0, 0, 0, 2)
 
     def test_zero_frames_is_empty_region(self):
@@ -1089,7 +1105,7 @@ class TestSnrMetric:
 
     def test_overlap_rejected(self):
         stack = self._stack(noise_sigma=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(RegionOverlap, match="regions overlap$"):
             snr_metric(stack, Region(0, 0, 4, 4), Region(3, 0, 3, 4))
 
     def test_overlap_is_a_typed_error(self):

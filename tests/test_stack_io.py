@@ -227,7 +227,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("fps", [0.0, float("nan"), float("inf")])
     def test_bad_fps_rejected_at_construction(self, fps):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidStack,
+                           match="^fps must be positive and finite$"):
             ThermogramStack(data=np.ones((1, 1, 1), dtype=np.float32), fps=fps)
 
     def test_non_utf8_metadata_is_bad_header(self, tmp_path):
@@ -354,7 +355,7 @@ class TestOpenStack:
         opened = open_stack(path)
         assert not opened.data.flags.writeable
         assert opened.data.shape == (5, 3, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             opened.data[0, 0, 0] = 1.0
         np.testing.assert_array_equal(opened.data, stack.data)
 

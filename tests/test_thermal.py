@@ -172,11 +172,11 @@ class TestImpulseResponse:
                                    atol=1e-11 * np.abs(reference).max())
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidScene, match="^diffusivity must be"):
             PixelModel(diffusivity=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidScene, match="^defect_depth must be"):
             PixelModel(diffusivity=1e-6, defect_depth=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidScene, match="^reflection_coeff must lie"):
             PixelModel(diffusivity=1e-6, reflection_coeff=1.5)
 
     @pytest.mark.parametrize("fields", [
@@ -442,7 +442,7 @@ class TestSimulateStack:
             assert thermal._pcg64_state(row) == np.random.PCG64(seq).state
 
     def test_region_must_fit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidScene, match="outside the grid$"):
             SceneConfig(nx=4, ny=4, background=SOUND,
                         defects=((Region(x0=3, y0=0, width=2, height=1),
                                   SOUND),))

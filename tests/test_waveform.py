@@ -120,7 +120,8 @@ class TestRectPulse:
         RectPulse(duration=3.0, amplitude=1.0)
         with pytest.raises(NonPositiveAmplitude):
             RectPulse(duration=3.0, amplitude=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidWaveform,
+                           match="^duration must be positive and finite$"):
             RectPulse(duration=0.0, amplitude=1.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
