@@ -11,7 +11,7 @@ Barker and Golay reference codes are included for sidelobe comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -418,22 +418,9 @@ def pacf_direct(values) -> np.ndarray:
 # --- reference codes for sidelobe comparison ---
 
 
-class ReferenceKind(Enum):
-    BARKER13 = "BARKER13"
-    GOLAY_A = "GOLAY_A"
-    GOLAY_B = "GOLAY_B"
-
-
-_BARKER13 = np.array([1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1], dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceCode:
-    kind: ReferenceKind
-    values: np.ndarray
-
-    def acyclic_autocorrelation(self):
-        return acyclic_autocorrelation(self.values)
+# the longest Barker code: acyclic sidelobes of magnitude 1 at most
+BARKER13 = np.array([1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1], dtype=float)
+BARKER13.flags.writeable = False
 
 
 def acyclic_autocorrelation(values) -> np.ndarray:
@@ -453,34 +440,6 @@ def golay_pair(length):
     while len(a) < length:
         a, b = np.concatenate([a, b]), np.concatenate([a, -b])
     return a, b
-
-
-def reference_code(kind, length=None) -> ReferenceCode:
-    """Barker-13 (length 13), or a Golay member of a given power-of-2 length."""
-    kind = ReferenceKind(kind)
-    if kind is ReferenceKind.BARKER13:
-        if length not in (None, 13):
-            raise UnsupportedLength("Barker reference is fixed at length 13")
-        return ReferenceCode(kind, _BARKER13.copy())
-    if length is None:
-        raise UnsupportedLength("Golay reference needs an explicit length")
-    a, b = golay_pair(length)
-    return ReferenceCode(kind, a if kind is ReferenceKind.GOLAY_A else b)
-
-
-def reference_autocorrelation(kind, length=None):
-    """Acyclic autocorrelation of a reference code.
-
-    Barker returns a single lag vector. Either Golay kind returns the
-    triple (acf_a, acf_b, acf_sum), since the pair is only meaningful
-    together: the members' sidelobes are opposite and cancel in the sum.
-    """
-    kind = ReferenceKind(kind)
-    if kind is ReferenceKind.BARKER13:
-        return reference_code(kind, length).acyclic_autocorrelation()
-    acf_a, acf_b = (reference_code(k, length).acyclic_autocorrelation()
-                    for k in (ReferenceKind.GOLAY_A, ReferenceKind.GOLAY_B))
-    return acf_a, acf_b, acf_a + acf_b
 
 
 # --- text descriptor serialization ---

@@ -29,7 +29,6 @@ store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,8 +41,7 @@ import scipy.signal
 
 from . import dc_removal
 from .errors import EmptyRegion, RegionOverlap, ShapeMismatch
-from .stack import (CHUNK_BYTES, check_finite, check_stored, chunks,
-                    derived_stack)
+from .stack import CHUNK_BYTES, check_stored, chunks, derived_stack
 from .waveform import Timing, build_matched_filter
 
 
@@ -51,20 +49,6 @@ class Normalization(Enum):
     RAW = "raw"
     PER_GAIN = "per_gain"
     PER_LENGTH = "per_length"
-
-
-@dataclass(frozen=True, eq=False)
-class CompressedTrace:
-    """One steady-state period of the compression output for a pixel."""
-
-    values: np.ndarray
-    normalization: Normalization
-    periods_averaged: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 class _MatchedFilter:
@@ -123,27 +107,26 @@ class _MatchedFilter:
 
 
 def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
-                   single_period=False) -> CompressedTrace:
+                   single_period=False) -> np.ndarray:
     """Compress one DC-removed trace with the matched filter of a code.
 
-    This is one pixel of :func:`compress_stack`: the same arguments, the
-    same frame rule (exactly ``timing.total_frames(code.n_bit)``
-    samples, else ``ShapeMismatch``), ``UnmodifiedCode`` for a code with
-    sidelobes, ``NonFiniteData`` for a NaN or inf sample, and the same
-    bits as that pixel of a compressed stack, here as float64. To get
-    them, the column is zero-padded to a full block of ``_BLOCK``
-    columns, so one call costs about as much as 256 pixels of a stack:
-    a median of 1.0-1.1 ms of CPU at LS31 K=40, 1.7 ms at LS127 K=10 and
-    11.5 ms at LS1031 K=1 on a 2-vCPU Xeon VM with 1 BLAS thread.
+    Returns its steady period, a float64 array of K * N_bit samples:
+    the mean of every steady period, or the first alone with
+    ``single_period``. This is one pixel of :func:`compress_stack`: the
+    same arguments, the same frame rule (exactly
+    ``timing.total_frames(code.n_bit)`` samples, else
+    ``ShapeMismatch``), ``UnmodifiedCode`` for a code with sidelobes,
+    ``NonFiniteData`` for a NaN or inf sample, and the same bits as that
+    pixel of a compressed stack, here as float64. To get them, the
+    column is zero-padded to a full block of ``_BLOCK`` columns, so one
+    call costs about as much as 256 pixels of a stack: a median of
+    1.0-1.1 ms of CPU at LS31 K=40, 1.7 ms at LS127 K=10 and 11.5 ms at
+    LS1031 K=1 on a 2-vCPU Xeon VM with 1 BLAS thread.
     Compress many pixels with :func:`compress_stack`.
     """
     filt = _MatchedFilter(code, timing, normalization, single_period)
-    y = np.asarray(y_plus_ac, dtype=float)
-    dc_removal._check_frames(len(y), code, timing)
-    check_finite(y, "trace samples must be finite")
-    values, _ = dc_removal._trace(y, filt, filt.period)
-    return CompressedTrace(values=values, normalization=normalization,
-                           periods_averaged=filt.n_avg)
+    dc_removal._check_frames(len(y_plus_ac), code, timing)
+    return dc_removal._trace(y_plus_ac, filt, filt.period)[0]
 
 
 def compress_stack(stack, code, timing, normalization=Normalization.RAW,

@@ -34,7 +34,7 @@ from scipy.linalg.blas import dgemm, dtrmm
 
 from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
-from .stack import derived_stack, write_hashed
+from .stack import check_finite, derived_stack, write_hashed
 
 _EXPONENTS = (1.0, 0.75, 0.5)
 
@@ -283,8 +283,10 @@ def _transform(stack, code, timing, op, rows, keep, metadata):
 
 def _trace(trace, op, rows, keep=None, dt=None):
     """:func:`_columns` of one trace, in float64: its (rows,) result and
-    its (1, 4) fit-map rows, or None without ``keep``."""
+    its (1, 4) fit-map rows, or None without ``keep``. A NaN or inf
+    sample raises NonFiniteData, as it does in a stack."""
     column = np.asarray(trace, dtype=float)[:, None]
+    check_finite(column, "trace samples must be finite")
     out, fits = _columns([(slice(0, 1), column)], column.shape, op, rows,
                          np.float64, keep, dt)
     return out[:, 0], fits
@@ -309,6 +311,8 @@ def fit_dc(trace, timing) -> DcFit:
     Times are n * dt from the timing. The solution is the global
     optimum of the constrained problem, and equals the fit the same
     trace gets inside :func:`remove_dc_stack`, at :func:`remove_dc`'s cost.
+    A NaN or inf sample raises NonFiniteData; an all-zero trace, or one
+    whose fit overflows, DegenerateTrace. So does :func:`remove_dc`.
     """
     return _fit_trace(trace, timing, 0.0)[1]
 

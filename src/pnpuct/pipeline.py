@@ -111,7 +111,7 @@ def run_pipeline(config, out_dir=None, seed=None):
                    for key in ("single_period", "decimate", "decimate_average")}
         # times and pixels out of the stack's range stop the run at report
         slices = option("output", "slices", lambda text: [
-            (t, _finite(t)) for t in _tokens(text)], [])
+            (t, float(t)) for t in _tokens(text)], [])
         pixels = option("output", "pixels", lambda text: [
             (t, *map(int, t.partition("x")[::2])) for t in _tokens(text)], [])
         if options["decimate_average"] and not options["decimate"]:
@@ -144,6 +144,10 @@ def run_pipeline(config, out_dir=None, seed=None):
     with _stage("config"):
         section = parser["timing"] if parser.has_section("timing") else {}
         timing = timing_of(raw, *map(section.get, ("t_bit", "fps", "n_per")))
+        # a time of no finite frame is no frame of any stack
+        if not all(math.isfinite(t * timing.fps) for _, t in slices):
+            raise InvalidConfig(f"[output] slices = "
+                                f"{parser.get('output', 'slices')!r} is invalid")
 
     # name -> (path, SHA-256 of the bytes written)
     artifacts = {}
@@ -247,14 +251,6 @@ def run_pipeline(config, out_dir=None, seed=None):
             fh.write("\n")
     manifest["manifest_path"] = manifest_path
     return manifest
-
-
-def _finite(text):
-    """``float`` of ``text``; InvalidConfig unless it is finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise InvalidConfig(f"{text!r} is not finite")
-    return value
 
 
 def _tokens(text):

@@ -36,8 +36,9 @@ def run_pixel(model, standard_code, modified_code, timing, amplitude=1.0,
               single_period=False):
     """Simulate one pixel and run DC removal plus compression.
 
-    Returns (compressed_trace, raw_trace). ``noise`` is an optional
-    array added to the simulated trace before processing.
+    Returns (compressed period, raw trace), both float64 arrays.
+    ``noise`` is an optional array added to the simulated trace before
+    processing.
     """
     unipolar = build_unipolar(build_bipolar(standard_code, timing), amplitude)
     h = impulse_response(model, timing, unipolar.duration)

@@ -3,8 +3,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnpuct import (
+    BARKER13,
     AlreadyModified,
     BiasMismatch,
     CodeKind,
@@ -16,7 +19,6 @@ from pnpuct import (
     NotLs4Compatible,
     NotPrime,
     PnCode,
-    ReferenceKind,
     UnsupportedLength,
     acyclic_autocorrelation,
     binarize_ls4,
@@ -32,8 +34,6 @@ from pnpuct import (
     pacf_direct,
     pacf_values,
     primitive_taps,
-    reference_autocorrelation,
-    reference_code,
 )
 from conftest import LS7, LS11, LS31, MLS7, is_cyclic_shift
 
@@ -286,52 +286,46 @@ class TestPerfectPacfSweep:
 
 class TestReferenceCodes:
     def test_barker13_sidelobes(self):
-        acf = reference_autocorrelation(ReferenceKind.BARKER13)
+        acf = acyclic_autocorrelation(BARKER13)
+        assert len(acf) == 13
         assert acf[0] == 13.0
         assert np.abs(acf[1:]).max() <= 1.0
-
-    def test_barker13_code_object(self):
-        code = reference_code(ReferenceKind.BARKER13)
-        assert len(code.values) == 13
-        np.testing.assert_array_equal(code.acyclic_autocorrelation(),
-                                      reference_autocorrelation("BARKER13"))
+        assert not BARKER13.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            BARKER13[0] = -1.0
 
     def test_golay_16_sum_is_spike(self):
-        acf_a, acf_b, total = reference_autocorrelation(ReferenceKind.GOLAY_A, 16)
+        acf_a, acf_b = map(acyclic_autocorrelation, golay_pair(16))
+        total = acf_a + acf_b
         assert total[0] == 32.0
         np.testing.assert_array_equal(total[1:], np.zeros(15))
         # individual members do have sidelobes; they cancel pairwise
         assert np.abs(acf_a[1:]).max() > 0
         np.testing.assert_array_equal(acf_a[1:], -acf_b[1:])
 
+    @settings(max_examples=20, deadline=None)
+    @given(length=st.integers(0, 10).map(lambda e: 1 << e))
+    def test_golay_pair_is_complementary(self, length):
+        # lengths 1, 2, 4, ..., 1024
+        acf_a, acf_b = map(acyclic_autocorrelation, golay_pair(length))
+        total = acf_a + acf_b
+        assert total[0] == 2.0 * length
+        np.testing.assert_array_equal(total[1:], np.zeros(length - 1))
+        if length >= 2:
+            for acf in (acf_a, acf_b):
+                assert np.abs(acf[1:]).max() > 0
+
     def test_golay_2_by_hand(self):
         a, b = golay_pair(2)
         np.testing.assert_array_equal(a, [1, 1])
         np.testing.assert_array_equal(b, [1, -1])
-        _, _, total = reference_autocorrelation(ReferenceKind.GOLAY_B, 2)
+        total = acyclic_autocorrelation(a) + acyclic_autocorrelation(b)
         np.testing.assert_array_equal(total, [4, 0])
 
     def test_unsupported_lengths(self):
-        for make in (reference_code, reference_autocorrelation):
+        for length in (0, 12):
             with pytest.raises(UnsupportedLength):
-                make(ReferenceKind.GOLAY_A, 12)
-            with pytest.raises(UnsupportedLength):
-                make(ReferenceKind.BARKER13, 7)
-        with pytest.raises(UnsupportedLength):
-            golay_pair(0)
-
-    @pytest.mark.parametrize("kind", ["GOLAY_A", "GOLAY_B"])
-    def test_golay_needs_explicit_length(self, kind):
-        for make in (reference_code, reference_autocorrelation):
-            with pytest.raises(UnsupportedLength, match="explicit length"):
-                make(kind)
-
-    def test_golay_codes_match_pair_autocorrelation(self):
-        acf_a, acf_b, _ = reference_autocorrelation("GOLAY_A", 8)
-        np.testing.assert_array_equal(
-            reference_code("GOLAY_A", 8).acyclic_autocorrelation(), acf_a)
-        np.testing.assert_array_equal(
-            reference_code("GOLAY_B", 8).acyclic_autocorrelation(), acf_b)
+                golay_pair(length)
 
     def test_acyclic_autocorrelation_lag0(self):
         v = np.array([1.0, -1.0, 1.0])

@@ -36,6 +36,7 @@ from pnpuct import (
     compress_trace,
     decimate_to_bit_rate,
     design_matrix,
+    fit_dc,
     generate_ls,
     generate_mls,
     impulse_response,
@@ -94,21 +95,21 @@ class TestCompressTrace:
         timing = Timing(t_bit=1.0, fps=3.0, n_per=2)
         y = np.tile(np.repeat(ls31_plus.values, 3), 2)
         out = compress_trace(y, ls31_plus, timing)
-        np.testing.assert_allclose(out.values[:3], 31.0, rtol=1e-9)
-        np.testing.assert_allclose(out.values[3:], 0.0, atol=1e-9 * 31)
-        assert out.periods_averaged == 1
+        np.testing.assert_allclose(out[:3], 31.0, rtol=1e-9)
+        np.testing.assert_allclose(out[3:], 0.0, atol=1e-9 * 31)
 
     def test_zeros_give_zeros(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
         out = compress_trace(np.zeros(124), ls31_plus, timing)
-        np.testing.assert_array_equal(out.values, np.zeros(62))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.zeros(62))
 
     def test_transparency_vs_lpt_reference(self, ls31, ls31_plus):
         timing = Timing(t_bit=1.0, fps=40.0, n_per=2)
         compressed, _ = run_pixel(SOUND, ls31, ls31_plus, timing)
         reference = lpt_reference(SOUND, RectPulse(duration=1.0, amplitude=1.0),
                                   timing, timing.t_meas(31))
-        scaled = compressed.values / (ls31_plus.gain * 0.5)
+        scaled = compressed / (ls31_plus.gain * 0.5)
         err = np.sqrt(np.mean((scaled - reference) ** 2))
         assert err < 0.02 * reference.max()
 
@@ -135,13 +136,17 @@ class TestCompressTrace:
     @pytest.mark.parametrize("index", [0, 61, 123])
     def test_non_finite_sample_raises(self, ls31_plus, value, index):
         # a trace is held to a stack's rule: a stack of the same samples
-        # is refused at construction
+        # is refused at construction; fit_dc and remove_dc raised
+        # DegenerateTrace for it
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
         y = np.zeros(124)
         y[index] = value
-        with pytest.raises(NonFiniteData,
-                           match="^trace samples must be finite$"):
-            compress_trace(y, ls31_plus, timing)
+        for call in (lambda: compress_trace(y, ls31_plus, timing),
+                     lambda: fit_dc(y, timing),
+                     lambda: remove_dc(y, ls31_plus, timing)):
+            with pytest.raises(NonFiniteData,
+                               match="^trace samples must be finite$"):
+                call()
         with pytest.raises(NonFiniteData,
                            match="^stack data must be finite$"):
             ThermogramStack(data=y.reshape(124, 1, 1), fps=timing.fps)
@@ -156,7 +161,7 @@ class TestCompressTrace:
         conv = np.convolve(y, filt.taps)
         direct = np.mean([conv[period: 2 * period], conv[2 * period: 3 * period]],
                          axis=0)
-        np.testing.assert_allclose(out.values, direct, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(out, direct, rtol=1e-10, atol=1e-10)
 
     def test_single_period_flag(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=3)
@@ -165,15 +170,14 @@ class TestCompressTrace:
         y = rng.normal(size=3 * 62)
         single = compress_trace(y, ls31_plus, timing, single_period=True)
         conv = np.convolve(y, filt.taps)
-        np.testing.assert_allclose(single.values, conv[62:124], rtol=1e-10)
-        assert single.periods_averaged == 1
+        np.testing.assert_allclose(single, conv[62:124], rtol=1e-10)
 
     def test_gain_linearity(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
         rng = np.random.default_rng(14)
         y = rng.normal(size=124)
-        base = compress_trace(y, ls31_plus, timing).values
-        scaled = compress_trace(2.5 * y, ls31_plus, timing).values
+        base = compress_trace(y, ls31_plus, timing)
+        scaled = compress_trace(2.5 * y, ls31_plus, timing)
         np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-12)
 
     @staticmethod
@@ -231,8 +235,8 @@ class TestCompressTrace:
             avg, _ = run_pixel(SOUND, ls31, ls31_plus, timing, noise=noise)
             single, _ = run_pixel(SOUND, ls31, ls31_plus, timing, noise=noise,
                                   single_period=True)
-            var_avg.append(np.var(avg.values - clean.values))
-            var_single.append(np.var(single.values - clean.values))
+            var_avg.append(np.var(avg - clean))
+            var_single.append(np.var(single - clean))
         ratio = np.mean(var_avg) / np.mean(var_single)
         assert 0.4 < ratio < 0.6
 
@@ -263,7 +267,7 @@ class TestCompressStack:
         out = compress_stack(removed, ls31_plus, timing)
         trace = compress_trace(removed.pixel_trace(0, 0), ls31_plus, timing)
         np.testing.assert_array_equal(out.data[:, 0, 0],
-                                      np.float32(trace.values))
+                                      np.float32(trace))
 
     def test_normalizations_are_exact_scalings(self, ls31, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=2)
@@ -325,7 +329,7 @@ class TestCompressionProperties:
         # from build_matched_filter: both run the one matched filter
         timing = _timing(k, n_per)
         y = np.tile(np.repeat(code.values, k), n_per)
-        out = compress_trace(y, code, timing).values
+        out = compress_trace(y, code, timing)
         expected = verify_resolution(code, timing)
         pulse = np.zeros(k * code.n_bit)
         pulse[:k] = code.gain
@@ -357,7 +361,7 @@ class TestCompressionProperties:
                 trace = compress_trace(stack.pixel_trace(jx, jy), code,
                                        timing, normalization, single_period)
                 np.testing.assert_array_equal(out.data[:, jy, jx],
-                                              np.float32(trace.values))
+                                              np.float32(trace))
 
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
@@ -443,9 +447,9 @@ class TestCompressionProperties:
         filt = build_matched_filter(code, timing)
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=(2, timing.total_frames(code.n_bit)))
-        combined = compress_trace(a * x + b * y, code, timing).values
-        separate = (a * compress_trace(x, code, timing).values
-                    + b * compress_trace(y, code, timing).values)
+        combined = compress_trace(a * x + b * y, code, timing)
+        separate = (a * compress_trace(x, code, timing)
+                    + b * compress_trace(y, code, timing))
         # with subnormal a * x or b * y the relative bound underflows to 0,
         # while each rounding there still costs up to one subnormal step
         subnormal = len(filt.taps) * np.finfo(float).smallest_subnormal
@@ -467,7 +471,7 @@ class TestCompressionProperties:
         shifted = compress_trace(np.tile(np.roll(one_period, shift), n_per),
                                  code, timing)
         np.testing.assert_allclose(
-            shifted.values, np.roll(base.values, shift), rtol=0,
+            shifted, np.roll(base, shift), rtol=0,
             atol=1e-12 * _output_bound(filt, one_period))
 
 
@@ -941,7 +945,7 @@ class TestDecimate:
     def test_decimated_pipeline_matches_full_rate(self, ls31, ls31_plus):
         full_timing = Timing(t_bit=1.0, fps=40.0, n_per=2)
         compressed_full, _ = run_pixel(SOUND, ls31, ls31_plus, full_timing)
-        at_bits = compressed_full.values[::full_timing.k]
+        at_bits = compressed_full[::full_timing.k]
 
         # decimated route: subsample the raw trace, then DC removal and
         # compression at one frame per bit
@@ -951,7 +955,7 @@ class TestDecimate:
         dec_timing = Timing(t_bit=1.0, fps=1.0, n_per=2)
         y_ac = remove_dc(y, ls31_plus, dec_timing)
         compressed_dec = compress_trace(y_ac, ls31_plus, dec_timing)
-        rel = (np.linalg.norm(compressed_dec.values - at_bits)
+        rel = (np.linalg.norm(compressed_dec - at_bits)
                / np.linalg.norm(at_bits))
         assert rel < 0.02
 

@@ -16,6 +16,7 @@ from pnpuct import (
     CodeKind,
     DegenerateTrace,
     MlsSpec,
+    NonFiniteData,
     PixelModel,
     PnCode,
     SceneConfig,
@@ -118,7 +119,7 @@ class TestFitDc:
             fit_dc(np.zeros(50), timing)
         bad = np.ones(50)
         bad[3] = np.nan
-        with pytest.raises(DegenerateTrace):
+        with pytest.raises(NonFiniteData):
             fit_dc(bad, timing)
 
     def test_overflowing_trace_is_degenerate(self, ls31):

@@ -531,6 +531,9 @@ directory = {tmp_path / "out"}
         ("output", "slices", "3.0, inf"),
         ("output", "slices", "nan"),
         ("output", "slices", "1e400"),
+        # finite, but its frame 1e308 * fps is not: this passed config,
+        # wrote seven artifacts and stopped the run at report
+        ("output", "slices", "1e308"),
         ("excitation", "amplitude", "one"),
         # a '%' raised InterpolationSyntaxError
         ("excitation", "amplitude", "1%"),
