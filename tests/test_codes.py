@@ -290,6 +290,12 @@ class TestReferenceCodes:
         assert len(acf) == 13
         assert acf[0] == 13.0
         assert np.abs(acf[1:]).max() <= 1.0
+
+    def test_barker13_code_object(self):
+        # the published reference is the tabulated code, and read-only
+        assert BARKER13.dtype == np.float64
+        np.testing.assert_array_equal(
+            BARKER13, [1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1])
         assert not BARKER13.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             BARKER13[0] = -1.0
@@ -314,6 +320,14 @@ class TestReferenceCodes:
         if length >= 2:
             for acf in (acf_a, acf_b):
                 assert np.abs(acf[1:]).max() > 0
+
+    def test_golay_codes_match_pair_autocorrelation(self):
+        # each member's autocorrelation is the lag sum by direct summation
+        for member in golay_pair(8):
+            direct = [np.sum(member[:8 - lag] * member[lag:])
+                      for lag in range(8)]
+            np.testing.assert_array_equal(acyclic_autocorrelation(member),
+                                          direct)
 
     def test_golay_2_by_hand(self):
         a, b = golay_pair(2)
