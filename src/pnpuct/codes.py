@@ -408,13 +408,6 @@ def pacf(code) -> Pacf:
     return Pacf(values=vals, peak=peak, max_sidelobe=side)
 
 
-def pacf_direct(values) -> np.ndarray:
-    """Direct O(N^2) cyclic autocorrelation; integer exact for int input."""
-    values = np.asarray(values)
-    n = len(values)
-    return np.array([np.sum(values * np.roll(values, -lag)) for lag in range(n)])
-
-
 # --- reference codes for sidelobe comparison ---
 
 
@@ -432,7 +425,7 @@ def acyclic_autocorrelation(values) -> np.ndarray:
 
 def golay_pair(length):
     """Complementary pair of the given power-of-2 length by recursive doubling."""
-    length = int(length)
+    length = _int_field(length, "length")
     if length < 1 or length & (length - 1):
         raise UnsupportedLength(f"Golay length must be a power of 2, got {length}")
     a = np.array([1.0])

@@ -54,9 +54,9 @@ class Normalization(Enum):
 class _MatchedFilter:
     """The matched filter of a modified code, applied a block at a time.
 
-    The filter is :func:`~pnpuct.waveform.build_matched_filter`'s,
-    nonzero only on every K-th tap, c'[b] = taps[bK]. Its steady periods
-    therefore need only the fold ybar, the sum of the n_avg two-period
+    The filter is :func:`~pnpuct.waveform.build_matched_filter`'s, one
+    tap c'[b] per bit, K frames apart. Its steady periods therefore
+    need only the fold ybar, the sum of the n_avg two-period
     windows y[(i - 1)P : (i + 1)P]: output frame jK + p is
     sum_b c'[b] ybar[(N + j - b)K + p]. Seen as a (2N, K * w) array,
     ybar is filtered by an N x 2N Toeplitz matrix T whose row j holds
@@ -75,7 +75,7 @@ class _MatchedFilter:
         self.period = timing.frames_per_period(n_bit)
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: filt.gain,
                  Normalization.PER_LENGTH: n_bit}[normalization]
-        row = filt.taps[::timing.k][::-1] / (self.n_avg * scale)
+        row = filt.bit_taps[::-1] / (self.n_avg * scale)
         # T[j] = padded[N - j: 3N - j], so T[j, j + 1 + i] = row[i]
         padded = np.concatenate([np.zeros(n_bit + 1), row,
                                  np.zeros(n_bit - 1)])
@@ -113,7 +113,7 @@ def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
     Returns its steady period, a float64 array of K * N_bit samples:
     the mean of every steady period, or the first alone with
     ``single_period``. This is one pixel of :func:`compress_stack`: the
-    same arguments, the same frame rule (exactly
+    same arguments, the same frame rule (a 1-D array of exactly
     ``timing.total_frames(code.n_bit)`` samples, else
     ``ShapeMismatch``), ``UnmodifiedCode`` for a code with sidelobes,
     ``NonFiniteData`` for a NaN or inf sample, and the same bits as that
@@ -125,8 +125,8 @@ def compress_trace(y_plus_ac, code, timing, normalization=Normalization.RAW,
     Compress many pixels with :func:`compress_stack`.
     """
     filt = _MatchedFilter(code, timing, normalization, single_period)
-    dc_removal._check_frames(len(y_plus_ac), code, timing)
-    return dc_removal._trace(y_plus_ac, filt, filt.period)[0]
+    return dc_removal._trace(y_plus_ac, filt, filt.period,
+                             frames=timing.total_frames(code.n_bit))[0]
 
 
 def compress_stack(stack, code, timing, normalization=Normalization.RAW,

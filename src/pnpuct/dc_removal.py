@@ -250,9 +250,8 @@ def _columns(bands, shape, op, rows, dtype, keep=None, dt=None):
     return out, fits
 
 
-def _check_frames(n_frames, code, timing):
-    """The frame rule: n_per periods of the code exactly, or ShapeMismatch."""
-    expected = timing.total_frames(code.n_bit)
+def _check_frames(n_frames, expected):
+    """The frame rule: ``expected`` frames exactly, or ShapeMismatch."""
     if n_frames != expected:
         raise ShapeMismatch(
             f"{n_frames} frames given, timing implies {expected}")
@@ -268,7 +267,7 @@ def _transform(stack, code, timing, op, rows, keep, metadata):
     source's plus the code's, ``metadata`` and the bias kept, if any;
     and the (ny, nx, 4) fit map, or None without ``keep``.
     """
-    _check_frames(stack.n_frames, code, timing)
+    _check_frames(stack.n_frames, timing.total_frames(code.n_bit))
     shape = stack.n_frames, stack.ny * stack.nx
     out, fits = _columns(stack.bands(_band_width(*shape)), shape, op, rows,
                          np.float32, keep, timing.dt)
@@ -281,11 +280,19 @@ def _transform(stack, code, timing, op, rows, keep, metadata):
                          stack.fps, metadata), fits
 
 
-def _trace(trace, op, rows, keep=None, dt=None):
+def _trace(trace, op, rows, keep=None, dt=None, frames=None):
     """:func:`_columns` of one trace, in float64: its (rows,) result and
-    its (1, 4) fit-map rows, or None without ``keep``. A NaN or inf
-    sample raises NonFiniteData, as it does in a stack."""
-    column = np.asarray(trace, dtype=float)[:, None]
+    its (1, 4) fit-map rows, or None without ``keep``. A trace that is
+    not a non-empty 1-D array, or not of ``frames`` samples when that is
+    given, raises ShapeMismatch; a NaN or inf sample NonFiniteData, as
+    it does in a stack."""
+    column = np.asarray(trace, dtype=float)
+    if column.ndim != 1 or not len(column):
+        raise ShapeMismatch(f"a trace is a non-empty 1-D array, "
+                            f"not one of shape {column.shape}")
+    if frames is not None:
+        _check_frames(len(column), frames)
+    column = column[:, None]
     check_finite(column, "trace samples must be finite")
     out, fits = _columns([(slice(0, 1), column)], column.shape, op, rows,
                          np.float64, keep, dt)
@@ -299,7 +306,7 @@ def _identity(a):
 
 def _fit_trace(trace, timing, keep):
     """One column of :func:`remove_dc_stack` in float64, and its fit."""
-    values, (row,) = _trace(trace, _identity, len(trace), keep, timing.dt)
+    values, (row,) = _trace(trace, _identity, np.size(trace), keep, timing.dt)
     if np.isnan(row).any():
         raise DegenerateTrace("trace is all zero or has no finite fit")
     return values, DcFit(*row.tolist())
@@ -311,8 +318,9 @@ def fit_dc(trace, timing) -> DcFit:
     Times are n * dt from the timing. The solution is the global
     optimum of the constrained problem, and equals the fit the same
     trace gets inside :func:`remove_dc_stack`, at :func:`remove_dc`'s cost.
-    A NaN or inf sample raises NonFiniteData; an all-zero trace, or one
-    whose fit overflows, DegenerateTrace. So does :func:`remove_dc`.
+    A trace that is not a non-empty 1-D array raises ShapeMismatch, a
+    NaN or inf sample NonFiniteData, and an all-zero trace, or one whose
+    fit overflows, DegenerateTrace. So does :func:`remove_dc`.
     """
     return _fit_trace(trace, timing, 0.0)[1]
 

@@ -117,15 +117,21 @@ class ExcitationWaveform:
 
 @dataclass(frozen=True, eq=False)
 class MatchedFilter:
-    """Zero-padded, time-reversed copy of a modified code."""
+    """Time-reversed copy of a modified code, one tap per bit.
 
-    taps: np.ndarray
+    ``bit_taps[b]`` is c[-b mod N]. At the frame rate the filter has
+    K * N taps: tap bK is ``bit_taps[b]`` and the K - 1 taps after it
+    are zero, the form that :func:`filter_to_csv` writes.
+    """
+
+    bit_taps: np.ndarray
+    k: int
     gain: float
 
     def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=float)
-        taps.flags.writeable = False
-        object.__setattr__(self, "taps", taps)
+        bit_taps = np.asarray(self.bit_taps, dtype=float)
+        bit_taps.flags.writeable = False
+        object.__setattr__(self, "bit_taps", bit_taps)
 
 
 def build_bipolar(code, timing) -> ExcitationWaveform:
@@ -144,7 +150,7 @@ def build_unipolar(bipolar, amplitude) -> ExcitationWaveform:
     """Heat-source modulation: (A/2) * (x + 1) over the timing's n_per periods.
 
     The output decomposes exactly into a constant A/2 step plus the
-    scaled bipolar ripple; see :func:`unipolar_components`.
+    bipolar ripple scaled by A/2.
     """
     if bipolar.kind is not WaveformKind.BIPOLAR_XPN:
         raise InvalidWaveform("input must be a bipolar coded waveform")
@@ -157,51 +163,18 @@ def build_unipolar(bipolar, amplitude) -> ExcitationWaveform:
                               amplitude=float(amplitude))
 
 
-def unipolar_components(wave):
-    """(DC, AC) split of a unipolar waveform; their sum is the waveform."""
-    if wave.kind is not WaveformKind.UNIPOLAR_XTH or wave.amplitude is None:
-        raise InvalidWaveform(
-            "expected a unipolar waveform with known amplitude")
-    dc = np.full(len(wave.samples), 0.5 * wave.amplitude)
-    return dc, wave.samples - dc
-
-
 def build_matched_filter(code, timing) -> MatchedFilter:
-    """K*N_bit filter taps: the time-reversed modified code on a zero grid.
+    """The matched filter of a modified code at the timing's K.
 
-    Tap n equals code value (-n/K) mod N_bit when n is a multiple of K
-    and zero elsewhere. Compression must use the perfect-PACF sequence
-    even when the physical excitation used the standard or binary one.
+    Compression must use the perfect-PACF sequence even when the
+    physical excitation used the standard or binary one.
     """
     if not code.is_modified:
         raise UnmodifiedCode(
             f"{code.kind.value} has sidelobes; modify the code first")
-    k, n = timing.k, code.n_bit
-    taps = np.zeros(k * n)
-    idx = np.arange(n)
-    taps[idx * k] = code.values[(-idx) % n]
-    return MatchedFilter(taps=taps, gain=code.gain)
-
-
-def cyclic_convolve(a, b) -> np.ndarray:
-    """Cyclic convolution of two equal-length sequences via the DFT."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if len(a) != len(b):
-        raise InvalidWaveform("cyclic convolution needs equal lengths")
-    return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=len(a))
-
-
-def verify_resolution(code, timing) -> np.ndarray:
-    """Resolution function: oversampled code cyclically convolved with its filter.
-
-    For a perfect-PACF code the result is the code gain on the first K
-    samples and zero elsewhere, i.e. the compression output is the
-    response to a virtual rectangular pulse of one bit duration.
-    """
-    filt = build_matched_filter(code, timing)
-    upsampled = np.repeat(code.values, timing.k)
-    return cyclic_convolve(upsampled, filt.taps)
+    n = code.n_bit
+    return MatchedFilter(bit_taps=code.values[(-np.arange(n)) % n],
+                         k=timing.k, gain=code.gain)
 
 
 def waveform_to_csv(wave, path):
@@ -263,9 +236,11 @@ def waveform_to_stack(wave):
 
 
 def filter_to_csv(filt, path):
-    """Two-column CSV (tap_index, value) of a matched filter.
+    """Two-column CSV (tap_index, value) of a matched filter's K * N taps.
 
     Returns the SHA-256 hex digest of the bytes written.
     """
+    taps = np.zeros((len(filt.bit_taps), filt.k))
+    taps[:, 0] = filt.bit_taps
     return write_hashed(path, [crlf_text(["tap_index,value"], (
-        f"{n},{v!r}" for n, v in enumerate(filt.taps.tolist())))])
+        f"{n},{v!r}" for n, v in enumerate(taps.ravel().tolist())))])

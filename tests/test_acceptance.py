@@ -28,7 +28,6 @@ from pnpuct import (
     acyclic_autocorrelation,
     binarize_ls4,
     build_bipolar,
-    build_matched_filter,
     build_unipolar,
     compress_stack,
     compress_trace,
@@ -42,7 +41,6 @@ from pnpuct import (
     lpt_reference,
     modify_for_perfect_pacf,
     pacf,
-    pacf_direct,
     read_stack,
     remove_dc,
     remove_dc_stack,
@@ -50,10 +48,10 @@ from pnpuct import (
     run_pipeline,
     simulate_stack,
     snr_metric,
-    verify_resolution,
     write_stack,
 )
-from conftest import LS7, LS11, LS31, MLS7, is_cyclic_shift
+from conftest import (LS7, LS11, LS31, MLS7, is_cyclic_shift, pacf_direct,
+                      resolution_function)
 from fd_oracle import fd_impulse_response
 from pipeline_helpers import run_pixel
 
@@ -111,12 +109,13 @@ def test_c02_tabulated_sequences():
 
 
 def test_c03_resolution_function_exactness(perfect_family):
+    # the compression core's filter op on each periodic code
     worst = 0.0
     count = 0
     for k in (1, 3, 20, 40, 56, 76):
         timing = Timing(t_bit=float(k), fps=1.0)
         for code in perfect_family:
-            res = verify_resolution(code, timing)
+            res = resolution_function(code, timing)
             expected = np.zeros(k * code.n_bit)
             expected[:k] = code.gain
             worst = max(worst, np.abs(res - expected).max() / code.gain)
@@ -439,3 +438,56 @@ def test_c11_sidelobes_of_the_unmodified_chain():
                      f"{pair.min() / pair.max():+.3f} of peak")
     report(11, "sound pixel, rel RMS vs long-pulse reference; "
                + "; ".join(table))
+
+
+def _partial_correlation_output(values, r, k):
+    """Item 13's decomposition of the exact-DC output, bit j of one
+    period: r_j + (1/g) sum_{L=j+1}^{j+N} S_j(L) r_L, with S_j(L) =
+    sum_{b=0}^{N+j-L} c[-b mod N] c[N+j-b-L], for c the modified code,
+    g = sum c^2 and r_L the K frames of bit L of the one-bit pulse
+    response ``r`` over 2N bits. S_j(L) is the code's correlation over
+    the part of the first two-period window that the heat, on from t = 0,
+    has reached."""
+    n_bit = len(values)
+    bits = r.reshape(2 * n_bit, k)
+    reversed_code = values[-np.arange(n_bit) % n_bit]
+    gain = np.sum(values ** 2)
+    out = bits[:n_bit].copy()
+    for j in range(n_bit):
+        for lag in range(j + 1, j + n_bit + 1):
+            m = n_bit + j - lag
+            s = np.dot(reversed_code[:m + 1], values[m::-1])
+            out[j] += s / gain * bits[lag]
+    return out.reshape(-1)
+
+
+def test_c12_partial_correlations_set_the_floor():
+    # with the exact DC the modified chain's output is the one-bit
+    # reference plus the code's partial correlations with the reference's
+    # later bits: the floor of C11's exact-DC column is that term
+    floors = []
+    for standard, fps in ((generate_ls(31), 40.0),
+                          (generate_mls(MlsSpec(order=5)), 40.0),
+                          (generate_ls(127), 10.0),
+                          (generate_mls(MlsSpec(order=7)), 10.0)):
+        n_bit = standard.n_bit
+        timing = Timing(t_bit=1.0, fps=fps, n_per=2)
+        modified = modify_for_perfect_pacf(standard)
+        wave = build_unipolar(build_bipolar(standard, timing), 1.0)
+        h = impulse_response(SOUND, timing, wave.duration)
+        y = respond(h, wave)
+        step = respond(h, _unipolar(np.full(len(y), 0.5), timing))
+        exact = (compress_trace(y - (1.0 - modified.bias) * step, modified,
+                                timing) / (modified.gain * 0.5))
+        r = lpt_reference(
+            SOUND, RectPulse(duration=timing.t_bit, amplitude=1.0), timing,
+            2 * timing.t_meas(n_bit))
+        predicted = _partial_correlation_output(modified.values, r,
+                                                timing.k)
+        deviation = np.abs(exact - predicted).max() / np.abs(predicted).max()
+        assert deviation <= 1e-14
+        floor = _rel_rms(exact, r[:len(exact)])
+        floors.append(f"{standard.kind.value}{n_bit} K={timing.k} "
+                      f"{floor:.2%} (decomposition within {deviation:.1e})")
+    report(12, "exact-DC floor vs long-pulse reference is the partial-"
+               "correlation term; " + "; ".join(floors))

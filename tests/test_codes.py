@@ -31,11 +31,10 @@ from pnpuct import (
     make_codes,
     modify_for_perfect_pacf,
     pacf,
-    pacf_direct,
     pacf_values,
     primitive_taps,
 )
-from conftest import LS7, LS11, LS31, MLS7, is_cyclic_shift
+from conftest import LS7, LS11, LS31, MLS7, is_cyclic_shift, pacf_direct
 
 
 class TestGenerateMls:
@@ -340,6 +339,14 @@ class TestReferenceCodes:
         for length in (0, 12):
             with pytest.raises(UnsupportedLength):
                 golay_pair(length)
+
+    @pytest.mark.parametrize("length", [2.5, 8.5, "8.0", None])
+    def test_non_integral_length_rejected(self, length):
+        # 2.5 was truncated to a pair of length 2
+        with pytest.raises(InvalidCode,
+                           match=f"^length = {re.escape(repr(length))} "
+                                 "is not an integer$"):
+            golay_pair(length)
 
     def test_acyclic_autocorrelation_lag0(self):
         v = np.array([1.0, -1.0, 1.0])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -49,9 +50,9 @@ from pnpuct import (
     respond,
     simulate_stack,
     snr_metric,
-    verify_resolution,
     write_stack,
 )
+from conftest import dense_taps
 from pipeline_helpers import (file_sha256, fusion_bound, resident_kib,
                               run_pixel)
 
@@ -132,6 +133,31 @@ class TestCompressTrace:
         with pytest.raises(error):
             compress_stack(stack, code, timing)
 
+    @pytest.mark.parametrize("call, trace", [
+        ("compress_trace", np.ones((14, 1))),
+        ("compress_trace", np.ones((7, 2))),
+        ("compress_trace", np.float64(3)),
+        ("fit_dc", np.ones((14, 1))),
+        ("fit_dc", np.ones(0)),
+        ("fit_dc", np.float64(3)),
+        ("remove_dc", np.ones((14, 2))),
+        ("remove_dc", np.ones(0)),
+        ("remove_dc", np.float64(3)),
+    ], ids=["compress-14x1", "compress-7x2", "compress-scalar", "fit-14x1",
+            "fit-empty", "fit-scalar", "remove-14x2", "remove-empty",
+            "remove-scalar"])
+    def test_trace_must_be_a_non_empty_vector(self, call, trace):
+        # these raised bare ValueError and TypeError from inside the core
+        code = modify_for_perfect_pacf(generate_ls(7))
+        timing = Timing(t_bit=1.0, fps=1.0)
+        args = {"compress_trace": (trace, code, timing),
+                "fit_dc": (trace, timing),
+                "remove_dc": (trace, code, timing)}[call]
+        shape = re.escape(str(trace.shape))
+        with pytest.raises(ShapeMismatch, match="^a trace is a non-empty "
+                           f"1-D array, not one of shape {shape}$"):
+            getattr(pnpuct, call)(*args)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("index", [0, 61, 123])
     def test_non_finite_sample_raises(self, ls31_plus, value, index):
@@ -153,23 +179,21 @@ class TestCompressTrace:
 
     def test_fft_matches_direct_convolution(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=3)
-        filt = build_matched_filter(ls31_plus, timing)
         rng = np.random.default_rng(12)
         y = rng.normal(size=3 * 62)
         out = compress_trace(y, ls31_plus, timing)
         period = 62
-        conv = np.convolve(y, filt.taps)
+        conv = np.convolve(y, dense_taps(ls31_plus, timing.k))
         direct = np.mean([conv[period: 2 * period], conv[2 * period: 3 * period]],
                          axis=0)
         np.testing.assert_allclose(out, direct, rtol=1e-10, atol=1e-10)
 
     def test_single_period_flag(self, ls31_plus):
         timing = Timing(t_bit=1.0, fps=2.0, n_per=3)
-        filt = build_matched_filter(ls31_plus, timing)
         rng = np.random.default_rng(13)
         y = rng.normal(size=3 * 62)
         single = compress_trace(y, ls31_plus, timing, single_period=True)
-        conv = np.convolve(y, filt.taps)
+        conv = np.convolve(y, dense_taps(ls31_plus, timing.k))
         np.testing.assert_allclose(single, conv[62:124], rtol=1e-10)
 
     def test_gain_linearity(self, ls31_plus):
@@ -193,9 +217,8 @@ class TestCompressTrace:
             samples=0.5 * np.tile(np.repeat(plus.values, k), n_per),
             kind=WaveformKind.BIPOLAR_XPN, timing=timing)
         y_ac = respond(h(len(x_mod.samples), timing.dt), x_mod)
-        filt = build_matched_filter(plus, timing)
-        conv = np.convolve(y_ac, filt.taps)
-        period = len(filt.taps)
+        conv = np.convolve(y_ac, dense_taps(plus, k))
+        period = timing.frames_per_period(plus.n_bit)
         p1 = conv[period: 2 * period]
         p2 = conv[2 * period: 3 * period]
         return np.linalg.norm(p2 - p1) / np.linalg.norm(p1)
@@ -316,7 +339,7 @@ def _timing(k, n_per):
 
 def _output_bound(filt, *inputs):
     """Bound on |output| of filtering inputs of these magnitudes."""
-    return np.abs(filt.taps).sum() * sum(np.abs(x).max() for x in inputs)
+    return np.abs(filt.bit_taps).sum() * sum(np.abs(x).max() for x in inputs)
 
 
 class TestCompressionProperties:
@@ -325,18 +348,12 @@ class TestCompressionProperties:
            n_per=st.integers(2, 4))
     def test_periodic_code_gives_the_resolution_function(self, code, k,
                                                           n_per):
-        # the production core against verify_resolution, which is built
-        # from build_matched_filter: both run the one matched filter
         timing = _timing(k, n_per)
         y = np.tile(np.repeat(code.values, k), n_per)
         out = compress_trace(y, code, timing)
-        expected = verify_resolution(code, timing)
         pulse = np.zeros(k * code.n_bit)
         pulse[:k] = code.gain
-        np.testing.assert_allclose(expected, pulse, rtol=0,
-                                   atol=1e-9 * code.gain)
-        np.testing.assert_allclose(out, expected, rtol=0,
-                                   atol=1e-9 * code.gain)
+        np.testing.assert_allclose(out, pulse, rtol=0, atol=1e-9 * code.gain)
 
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
@@ -415,7 +432,8 @@ class TestCompressionProperties:
                                              seed):
         timing = _timing(k, n_per)
         filt = build_matched_filter(code, timing)
-        period = len(filt.taps)
+        taps = dense_taps(code, k)
+        period = len(taps)
         traces = np.random.default_rng(seed).normal(
             size=(n_per * period, n_pix))
         matched = pnpuct.compression._MatchedFilter(
@@ -428,7 +446,7 @@ class TestCompressionProperties:
         scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
                  Normalization.PER_LENGTH: code.n_bit}[normalization]
         for j in range(n_pix):
-            conv = np.convolve(traces[:, j], filt.taps)
+            conv = np.convolve(traces[:, j], taps)
             direct = np.mean([conv[i * period: (i + 1) * period]
                               for i in range(1, n_avg + 1)], axis=0) / scale
             np.testing.assert_allclose(
@@ -452,7 +470,8 @@ class TestCompressionProperties:
                     + b * compress_trace(y, code, timing))
         # with subnormal a * x or b * y the relative bound underflows to 0,
         # while each rounding there still costs up to one subnormal step
-        subnormal = len(filt.taps) * np.finfo(float).smallest_subnormal
+        subnormal = (timing.frames_per_period(code.n_bit)
+                     * np.finfo(float).smallest_subnormal)
         np.testing.assert_allclose(
             combined, separate, rtol=0,
             atol=1e-12 * _output_bound(filt, a * x, b * y) + subnormal)
@@ -464,7 +483,7 @@ class TestCompressionProperties:
     def test_cyclic_shift_equivariance(self, code, k, n_per, shift, seed):
         timing = _timing(k, n_per)
         filt = build_matched_filter(code, timing)
-        period = len(filt.taps)
+        period = timing.frames_per_period(code.n_bit)
         shift %= period
         one_period = np.random.default_rng(seed).normal(size=period)
         base = compress_trace(np.tile(one_period, n_per), code, timing)

@@ -44,6 +44,7 @@ from pnpuct import (
     write_stack,
 )
 from pnpuct.waveform import filter_to_csv
+from conftest import dense_taps
 
 SOUND = PixelModel(diffusivity=1e-6)
 
@@ -556,7 +557,8 @@ class TestWholeStackSolver:
              [[repr(n / fps), repr(float(v))]
               for n, v in enumerate(wave.samples)]),
             (filter_to_csv, (filt,), ["tap_index", "value"],
-             [[n, repr(float(v))] for n, v in enumerate(filt.taps)]),
+             [[n, repr(float(v))]
+              for n, v in enumerate(dense_taps(code, wave.timing.k))]),
             (export_pixel_trace, (stack, 3, 1), ["time_s", "value"],
              [[repr(n / stack.fps), repr(float(v))]
               for n, v in enumerate(trace)]),

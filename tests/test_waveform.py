@@ -18,16 +18,13 @@ from pnpuct import (
     build_bipolar,
     build_matched_filter,
     build_unipolar,
-    cyclic_convolve,
     generate_ls,
     generate_mls,
     modify_for_perfect_pacf,
-    unipolar_components,
-    verify_resolution,
     waveform_to_csv,
 )
-from pnpuct.waveform import timing_of
-from conftest import MLS7
+from pnpuct.waveform import filter_to_csv, timing_of
+from conftest import MLS7, dense_taps, resolution_function
 
 
 def cyclic_convolve_direct(a, b):
@@ -200,9 +197,8 @@ class TestBuildUnipolar:
         bipolar = build_bipolar(generate_ls(11),
                                 Timing(t_bit=0.5, fps=8.0, n_per=3))
         uni = build_unipolar(bipolar, amplitude=2.5)
-        dc, ac = unipolar_components(uni)
-        np.testing.assert_array_equal(dc + ac, uni.samples)
-        np.testing.assert_array_equal(dc, np.full(len(uni.samples), 1.25))
+        np.testing.assert_array_equal(uni.samples - 1.25,
+                                      1.25 * np.tile(bipolar.samples, 3))
 
     def test_energy_bookkeeping(self):
         code = table1_mls7()
@@ -237,63 +233,62 @@ class TestWaveformRules:
         with pytest.raises(InvalidWaveform, match="must be a bipolar"):
             build_unipolar(uni, 1.0)
 
-    def test_components_of_a_bipolar_wave(self):
-        with pytest.raises(InvalidWaveform, match="expected a unipolar"):
-            unipolar_components(build_bipolar(table1_mls7(), self.TIMING))
-
-    def test_cyclic_convolve_needs_equal_lengths(self):
-        with pytest.raises(InvalidWaveform, match="equal lengths"):
-            cyclic_convolve(np.ones(3), np.ones(4))
-
 
 class TestMatchedFilter:
     def test_k1_time_reversed(self, ls31_plus):
         filt = build_matched_filter(ls31_plus, Timing(t_bit=1.0, fps=1.0))
         expected = ls31_plus.values[(-np.arange(31)) % 31]
-        np.testing.assert_array_equal(filt.taps, expected)
+        np.testing.assert_array_equal(filt.bit_taps, expected)
+        assert not filt.bit_taps.flags.writeable
+        assert filt.k == 1
         assert filt.gain == 31.0
 
-    def test_ls11_4plus_k3_layout(self):
+    def test_ls11_4plus_k3_layout(self, tmp_path):
         code = binarize_ls4(generate_ls(11), +1)
         filt = build_matched_filter(code, Timing(t_bit=3.0, fps=1.0))
-        assert len(filt.taps) == 33
-        nonzero = np.flatnonzero(filt.taps)
+        path = tmp_path / "filter.csv"
+        filter_to_csv(filt, path)
+        header, *rows = path.read_text().splitlines()
+        assert header == "tap_index,value"
+        index, taps = zip(*(row.split(",") for row in rows))
+        assert [int(n) for n in index] == list(range(33))
+        taps = np.array([float(v) for v in taps])
+        nonzero = np.flatnonzero(taps)
         np.testing.assert_array_equal(nonzero, np.arange(0, 33, 3))
-        assert len(nonzero) == 11
+        np.testing.assert_array_equal(taps[nonzero], filt.bit_taps)
+        np.testing.assert_array_equal(taps, dense_taps(code, 3))
 
     def test_unmodified_rejected(self, ls31):
         with pytest.raises(UnmodifiedCode):
             build_matched_filter(ls31, Timing(t_bit=1.0, fps=40.0))
 
 
-class TestVerifyResolution:
+class TestResolutionFunction:
+    """The compression core's filter op on the periodic code."""
+
     def test_ls31_plus_k1(self, ls31_plus):
-        res = verify_resolution(ls31_plus, Timing(t_bit=1.0, fps=1.0))
+        res = resolution_function(ls31_plus, Timing(t_bit=1.0, fps=1.0))
         assert res[0] == pytest.approx(31.0, rel=1e-12)
         np.testing.assert_allclose(res[1:], 0.0, atol=1e-9)
 
     def test_ls11_4plus_k3(self):
         code = binarize_ls4(generate_ls(11), +1)
-        res = verify_resolution(code, Timing(t_bit=3.0, fps=1.0))
+        res = resolution_function(code, Timing(t_bit=3.0, fps=1.0))
         np.testing.assert_allclose(res[:3], 12.0, rtol=1e-12)
         np.testing.assert_allclose(res[3:], 0.0, atol=1e-9)
 
     def test_mls7_plus_k4_against_direct_oracle(self, mls7):
         code = modify_for_perfect_pacf(mls7)
-        timing = Timing(t_bit=4.0, fps=1.0)
-        res = verify_resolution(code, timing)
+        res = resolution_function(code, Timing(t_bit=4.0, fps=1.0))
         np.testing.assert_allclose(res[:4], 8.0, rtol=1e-12)
         np.testing.assert_allclose(res[4:], 0.0, atol=1e-9)
         upsampled = np.repeat(code.values, 4)
-        from pnpuct import build_matched_filter as bmf
-
-        taps = bmf(code, timing).taps
-        oracle = cyclic_convolve_direct(upsampled, taps)
+        oracle = cyclic_convolve_direct(upsampled, dense_taps(code, 4))
         np.testing.assert_allclose(res, oracle, atol=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 20])
     def test_resolution_exactness_sample(self, k, ls31_plus):
-        res = verify_resolution(ls31_plus, Timing(t_bit=float(k), fps=1.0))
+        res = resolution_function(ls31_plus, Timing(t_bit=float(k), fps=1.0))
         gain = ls31_plus.gain
         np.testing.assert_allclose(res[:k], gain, rtol=1e-9)
         assert np.abs(res[k:]).max() < 1e-9 * gain
