@@ -22,8 +22,8 @@ from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import PnPuctError
 from .pipeline import run_pipeline
 from .stack import (FORMAT_VERSION, check_not_input, check_unchanged,
-                    export_pixel_trace, export_slice, file_version,
-                    frame_at, open_stack, slice_paths, write_stack)
+                    export_pixel_trace, export_slice, frame_at, open_stack,
+                    slice_paths, write_stack)
 from .thermal import Region, load_scene_config, simulate_stack
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv,
@@ -95,15 +95,15 @@ def _mapped_stack(args, *outputs):
 
     Each of ``outputs`` (None for one not asked for) that is the stack
     file is refused before it is opened, so nothing is written over the
-    mapping. The file is checked to be unchanged when the block
-    ends without error: a command that writes a stack does so after the
-    block, so a changed input leaves no output.
+    mapping. The file is checked to be unchanged since it was opened
+    when the block ends without error: a command that writes a stack
+    does so after the block, so a changed input leaves no output.
     """
-    version = file_version(args.stack)
     for path in filter(None, outputs):
         check_not_input(path, args.stack)
-    yield open_stack(args.stack)
-    check_unchanged(args.stack, version)
+    stack = open_stack(args.stack)
+    yield stack
+    check_unchanged(stack.file)
 
 
 def _cmd_dc_remove(args):

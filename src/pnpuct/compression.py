@@ -33,10 +33,15 @@ from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-# Unused here. The bench's calibration kernel imports scipy.signal after
-# the bench reads its RSS baseline, so a package without this import
-# shows a false rise in rss_per_stack; drop it once the bench imports
-# the kernel's modules first (ROADMAP item 1).
+# Unused here. Since `import pnpuct` imports no submodule, only what
+# imports this module pays for it (about half the CPU and 40 MB of the
+# max RSS of a fresh `import pnpuct.cli`): pnpuct.pipeline, pnpuct.cli
+# and so every CLI command, and a first read of one of this module's
+# names from pnpuct. The bench's runs process imports the pipeline
+# before it reads its RSS baseline, and its calibration kernel imports
+# scipy.signal after, so a package without this import shows a false
+# rise in rss_per_stack; drop it once the bench imports the kernel's
+# modules first (ROADMAP items 1a and 2).
 import scipy.signal
 
 from . import dc_removal

@@ -23,8 +23,8 @@ from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import InvalidConfig, PipelineStageError
 from .stack import (check_not_input, check_unchanged, export_pixel_trace,
-                    export_slice, file_version, frame_at, open_stack,
-                    slice_paths, write_stack)
+                    export_slice, frame_at, open_stack, slice_paths,
+                    write_stack)
 from .thermal import (SimulatedStack, config_value, read_ini,
                       scene_from_parser, simulate_stack)
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
@@ -92,7 +92,8 @@ def run_pipeline(config, out_dir=None, seed=None):
     A raw stack read through a file mapping, an ``[input]`` stack or
     ``raw_stack.tgs``, may be no other file the run writes: such a
     write is refused with OverwritesInput, at the stage of that file,
-    before it is made. A change to it during the run stops the run with
+    before it is made. A change to it after :func:`stack.open_stack`
+    took its size and mtime, before its hash pass, stops the run with
     StackChanged at the last stage, ``output``. A file truncated by
     another process while the run reads it kills the process with
     SIGBUS (see :func:`stack.open_stack`).
@@ -135,12 +136,12 @@ def run_pipeline(config, out_dir=None, seed=None):
         with _stage("simulate"):
             path = parser["input"]["stack"]
             digest = hashlib.sha256()
-            # taken first: any change after it shows when the run ends
-            version = file_version(path)
             raw = open_stack(path, digest)
-            source = {"path": path, "bytes": version[0],
+            # its size and mtime from before the hash pass: any change
+            # since shows when the run ends
+            mapped = raw.file
+            source = {"path": path, "bytes": mapped.size,
                       "sha256": digest.hexdigest()}
-            mapped = path
     with _stage("config"):
         section = parser["timing"] if parser.has_section("timing") else {}
         timing = timing_of(raw, *map(section.get, ("t_bit", "fps", "n_per")))
@@ -155,7 +156,7 @@ def run_pipeline(config, out_dir=None, seed=None):
     def writable(path):
         # the one check of every path the run writes or removes
         if mapped is not None:
-            check_not_input(path, mapped)
+            check_not_input(path, mapped.path)
         return path
 
     def emit(name, filename, writer, *args):
@@ -190,8 +191,7 @@ def run_pipeline(config, out_dir=None, seed=None):
                 digest = hashlib.sha256()
                 # written band by band and mapped: never resident
                 raw = simulate_stack(scene, unipolar, path, digest)
-                version = file_version(path)
-                mapped = path
+                mapped = raw.file
                 artifacts["raw_stack"] = path, digest.hexdigest()
             else:
                 raw = _SimulatedScene(scene, unipolar)
@@ -243,7 +243,7 @@ def run_pipeline(config, out_dir=None, seed=None):
                 for name, (path, digest) in sorted(artifacts.items())},
         }
         if mapped is not None:
-            check_unchanged(mapped, version)
+            check_unchanged(mapped)
         if source is not None:
             manifest["input"] = source
         with open(manifest_path, "w", encoding="utf-8") as fh:

@@ -31,6 +31,7 @@ import mmap
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,13 +59,28 @@ class _FileMap(mmap.mmap):
     """A file mapped here: dropping pages of any other mapping can lose data."""
 
 
+class StackFile(NamedTuple):
+    """The file of an :func:`open_stack` stack, with its size and
+    modification time in ns from before it was mapped: a rewrite since
+    changes one of them."""
+
+    path: str
+    size: int
+    mtime_ns: int
+
+
 @dataclass(eq=False)
 class ThermogramStack:
-    """Frames over time for a pixel grid, with self-describing metadata."""
+    """Frames over time for a pixel grid, with self-describing metadata.
+
+    ``file`` is the :class:`StackFile` whose mapping ``data`` is, for a
+    stack of :func:`open_stack`; None for a stack in memory.
+    """
 
     data: np.ndarray
     fps: float
     metadata: dict = field(default_factory=dict)
+    file: StackFile | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.float32)
@@ -235,10 +251,14 @@ def _header(shape, fps, metadata):
 def write_stack(stack, path):
     """Write a stack and return the SHA-256 hex digest of the bytes written.
 
-    :func:`check_stored` comes first; the frames are then read through
-    :func:`chunks`. The round trip through :func:`read_stack` is bit-exact.
+    :func:`check_stored` comes first, then :func:`check_not_input` of
+    the file an :func:`open_stack` stack maps, before ``path`` is
+    opened; the frames are then read through :func:`chunks`. The round
+    trip through :func:`read_stack` is bit-exact.
     """
     check_stored(stack)
+    if stack.file is not None:
+        check_not_input(path, stack.file.path)
     head = _header(stack.data.shape, stack.fps, stack.metadata)
     # no copy on a little-endian host
     frames = chunks(stack.data.astype("<f4", copy=False))
@@ -285,14 +305,13 @@ def write_bands(path, shape, fps, metadata, bands):
                 stored[:, cols] = band[rows]
 
 
-def _read_header(fh, path, update):
+def _read_header(fh, path, size, update):
     """Shape, frame rate and metadata of an open TGS1 file, checked.
 
     Reads the header and metadata, feeding their bytes to ``update``,
-    and checks the file's size against them, so ``fh`` is left at the
-    first frame with exactly the frames' bytes after it.
+    and checks the file's ``size`` against them, so ``fh`` is left at
+    the first frame with exactly the frames' bytes after it.
     """
-    size = os.fstat(fh.fileno()).st_size
     header = fh.read(24)
     update(header)
     if header[:4] != MAGIC:
@@ -335,20 +354,23 @@ def read_stack(path) -> ThermogramStack:
     for rows, chunk in chunks(stack.data.reshape(-1)):
         copy[rows] = chunk
     stack.data = copy.reshape(stack.data.shape)
+    stack.file = None
     return stack
 
 
 def open_stack(path, digest=None) -> ThermogramStack:
     """Open a TGS1 file as a stack whose data is a read-only file mapping.
 
-    The header, metadata and file size are checked before anything is
-    mapped. The frames are then read once by :func:`check_finite`,
-    CHUNK_BYTES at a time: each chunk is fed to ``digest``, a ``hashlib``
-    object, when one is given, checked, and its pages are dropped, so
-    the file is hashed and checked without being held in memory. For a
-    file that opens without error ``digest`` then holds the hash of the
-    whole file. Later reads of the data fault the pages they need back
-    in from the page cache.
+    The file's size and modification time are taken first, as the
+    stack's ``file`` (:class:`StackFile`), so a change made at any time
+    after shows in :func:`check_unchanged`. The header, metadata and
+    file size are checked before anything is mapped. The frames are
+    then read once by :func:`check_finite`, CHUNK_BYTES at a time: each
+    chunk is fed to ``digest``, a ``hashlib`` object, when one is given,
+    checked, and its pages are dropped, so the file is hashed and
+    checked without being held in memory. For a file that opens without
+    error ``digest`` then holds the hash of the whole file. Later reads
+    of the data fault the pages they need back in from the page cache.
     The file must not change while the stack is in use: a read of a
     page past the end of a file truncated meanwhile is not an error
     that Python can catch, it kills the process with SIGBUS. Where
@@ -357,7 +379,9 @@ def open_stack(path, digest=None) -> ThermogramStack:
     """
     update = digest.update if digest is not None else (lambda _: None)
     with open(path, "rb") as fh:
-        shape, fps, metadata = _read_header(fh, path, update)
+        st = os.fstat(fh.fileno())
+        file = StackFile(os.fspath(path), st.st_size, st.st_mtime_ns)
+        shape, fps, metadata = _read_header(fh, path, file.size, update)
         start = fh.tell()
         # the header check leaves a file of at least 24 bytes to map
         size = start + 4 * int(np.prod(shape))
@@ -370,6 +394,7 @@ def open_stack(path, digest=None) -> ThermogramStack:
     stack = ThermogramStack(data=samples[:0].reshape((0,) + shape[1:]),
                             fps=fps, metadata=metadata)
     stack.data = samples.reshape(shape)
+    stack.file = file
     return stack
 
 
@@ -419,16 +444,12 @@ def chunks(array, step=None):
             dropped = stop
 
 
-def file_version(path):
-    """Size and modification time in ns of a file: a rewrite changes one."""
-    st = os.stat(path)
-    return st.st_size, st.st_mtime_ns
-
-
-def check_unchanged(path, version):
-    """Raise StackChanged unless ``path`` is still at ``version``."""
-    if file_version(path) != version:
-        raise StackChanged(f"{path}: changed after it was opened")
+def check_unchanged(file):
+    """Raise StackChanged unless the :class:`StackFile` ``file`` still
+    has its size and modification time."""
+    st = os.stat(file.path)
+    if (st.st_size, st.st_mtime_ns) != (file.size, file.mtime_ns):
+        raise StackChanged(f"{file.path}: changed after it was opened")
 
 
 def check_not_input(path, stack_path):

@@ -738,6 +738,28 @@ directory = {tmp_path / "out"}
         assert "raw_stack.tgs" in str(info.value)
         assert not (out / "manifest.json").exists()
 
+    def test_raw_stack_changed_right_after_its_hash_pass(self, tmp_path,
+                                                         monkeypatch):
+        # the size and mtime checked at the end of the run are those
+        # from before the hash pass, so the manifest's raw_stack digest
+        # is never that of another file
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out,
+                               output_extra="intermediates = dc_removed")
+        opened = pnpuct.thermal.open_stack
+
+        def changing(path, digest=None):
+            stack = opened(path, digest)
+            touch_file(path, "rewritten")
+            return stack
+        monkeypatch.setattr(pnpuct.thermal, "open_stack", changing)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "output"
+        assert isinstance(info.value.cause, StackChanged)
+        assert "raw_stack.tgs" in str(info.value)
+        assert not (out / "manifest.json").exists()
+
     def test_full_disk_stops_the_run_at_simulate(self, tmp_path,
                                                  monkeypatch, capsys):
         out = tmp_path / "out"

@@ -1,6 +1,9 @@
 import hashlib
 import mmap
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -17,6 +20,7 @@ from pnpuct import (
     IndexOutOfRange,
     InvalidStack,
     NonFiniteData,
+    OverwritesInput,
     PixelModel,
     RectPulse,
     Region,
@@ -359,6 +363,18 @@ class TestOpenStack:
             opened.data[0, 0, 0] = 1.0
         np.testing.assert_array_equal(opened.data, stack.data)
 
+    def test_the_file_is_recorded_as_it_was_when_opened(self, tmp_path):
+        path = tmp_path / "s.tgs"
+        write_stack(small_stack(), path)
+        before = os.stat(path)
+        opened = open_stack(path)
+        assert opened.file == (str(path), before.st_size, before.st_mtime_ns)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10 ** 9))
+        assert opened.file.mtime_ns == before.st_mtime_ns
+        # a stack in memory maps no file
+        assert small_stack().file is None
+        assert read_stack(path).file is None
+
     def test_zero_frames(self, tmp_path):
         path = tmp_path / "z.tgs"
         write_stack(ThermogramStack(data=np.empty((0, 2, 3), np.float32),
@@ -425,6 +441,34 @@ class TestWriteStack:
         for name in ("memory.tgs", "mapped.tgs"):
             assert (directory / name).read_bytes() == expected
         assert digest == again == hashlib.sha256(expected).hexdigest()
+
+    def test_a_mapped_stack_is_not_written_over_its_own_file(self, tmp_path):
+        # 16 KiB of frames; in a child process, as truncating the file
+        # under its mapping would kill it with SIGBUS
+        path = tmp_path / "s.tgs"
+        write_stack(ThermogramStack(data=np.ones((64, 8, 8), np.float32),
+                                    fps=2.0), path)
+        before = path.read_bytes()
+        script = ("import sys\n"
+                  "import pnpuct as pn\n"
+                  "try:\n"
+                  "    pn.write_stack(pn.open_stack(sys.argv[1]), sys.argv[1])\n"
+                  "except pn.OverwritesInput as exc:\n"
+                  "    print(exc)\n")
+        src = str(Path(pnpuct.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{path}: is the stack {path} being read\n"
+        assert path.read_bytes() == before
+        # in process too, and to another path of the same file
+        link = tmp_path / "link.tgs"
+        link.symlink_to(path)
+        with pytest.raises(OverwritesInput):
+            write_stack(open_stack(path), link)
+        assert path.read_bytes() == before
 
     @pytest.mark.skipif(not Path("/proc/self/smaps").exists(),
                         reason="needs /proc/self/smaps")
