@@ -14,16 +14,16 @@ __version__ = "0.1.0"
 # the public names of the package, by the module that defines them
 _PUBLIC = {
     "codes": (
-        "BARKER13", "CODE_TABLE_VERSION", "CodeKind", "MlsSpec", "Pacf",
-        "PnCode", "acyclic_autocorrelation", "binarize_ls4", "check_code",
+        "BARKER13", "CODE_TABLE_VERSION", "CodeKind", "MlsSpec", "PnCode",
+        "acyclic_autocorrelation", "binarize_ls4", "check_code",
         "code_from_text", "code_to_text", "generate_ls", "generate_mls",
         "golay_pair", "load_code", "make_codes", "modify_for_perfect_pacf",
-        "pacf", "pacf_values", "perfect_bias", "primitive_taps", "save_code"),
+        "pacf", "perfect_bias", "primitive_taps", "save_code"),
     "compression": (
         "Normalization", "compress_stack", "compress_trace",
         "decimate_to_bit_rate", "snr_metric"),
     "dc_removal": (
-        "DcFit", "design_matrix", "export_fit_map_csv", "fit_dc", "remove_dc",
+        "design_matrix", "export_fit_map_csv", "fit_dc", "remove_dc",
         "remove_dc_stack"),
     "errors": (
         "AlreadyModified", "BadHeader", "BadMagic", "BiasMismatch",

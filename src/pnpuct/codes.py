@@ -209,15 +209,6 @@ class PnCode:
         return self.kind in MODIFIED_KINDS
 
 
-@dataclass(frozen=True, eq=False)
-class Pacf:
-    """Periodic autocorrelation of a code: full lag vector plus summaries."""
-
-    values: np.ndarray
-    peak: float
-    max_sidelobe: float
-
-
 def generate_mls(spec) -> PnCode:
     """Generate a maximum-length sequence from an :class:`MlsSpec`.
 
@@ -389,23 +380,17 @@ def make_codes(kind, modified=None, *, n_bit=None, order=None, taps=None,
     raise InvalidCode(f"code kind {kind!r} has no modified kind {modified!r}")
 
 
-def pacf_values(values) -> np.ndarray:
-    """Cyclic autocorrelation of a raw sequence via the convolution theorem.
+def pacf(values) -> np.ndarray:
+    """Periodic (cyclic) autocorrelation of a sequence, lag 0 first.
 
-    The spectrum magnitude squared is inverted back to lag domain.
-    X conj(X) is real up to one rounding, so the imaginary part of its
-    inverse is rounding alone, and only the real part is returned.
+    Of a code, pass ``code.values``: lag 0 is its peak, the gain, and
+    the rest its sidelobes. The spectrum magnitude squared is inverted
+    back to lag domain (the convolution theorem). X conj(X) is real up
+    to one rounding, so the imaginary part of its inverse is rounding
+    alone, and only the real float64 part is returned.
     """
     spectrum = np.fft.fft(np.asarray(values, dtype=float))
     return np.fft.ifft(spectrum * np.conj(spectrum)).real
-
-
-def pacf(code) -> Pacf:
-    """Periodic autocorrelation of a code."""
-    vals = pacf_values(code.values)
-    peak = float(vals[0])
-    side = float(np.abs(vals[1:]).max()) if code.n_bit > 1 else 0.0
-    return Pacf(values=vals, peak=peak, max_sidelobe=side)
 
 
 # --- reference codes for sidelobe comparison ---
@@ -491,4 +476,8 @@ def save_code(code, path):
 
 def load_code(path) -> PnCode:
     with open(path, "r", encoding="utf-8") as fh:
-        return code_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidCode(f"{path}: not UTF-8 text: {exc}") from exc
+    return code_from_text(text)

@@ -27,8 +27,6 @@ products are in-place triangular BLAS updates of the same buffer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrmm
 
@@ -43,20 +41,6 @@ def design_matrix(times) -> np.ndarray:
     """Columns t, t^0.75, t^0.5 evaluated at the given times."""
     t = np.asarray(times, dtype=float)
     return np.stack([t ** e for e in _EXPONENTS], axis=1)
-
-
-@dataclass(frozen=True)
-class DcFit:
-    """Non-negative coefficients of the trend fit plus its residual."""
-
-    a1: float
-    a2: float
-    a3: float
-    rms_residual: float
-
-    @property
-    def coefficients(self):
-        return np.array([self.a1, self.a2, self.a3])
 
 
 # Pixel columns per block. Every block, the last one and a single trace
@@ -305,19 +289,21 @@ def _identity(a):
 
 
 def _fit_trace(trace, timing, keep):
-    """One column of :func:`remove_dc_stack` in float64, and its fit."""
+    """One column of :func:`remove_dc_stack` in float64, and its fit row."""
     values, (row,) = _trace(trace, _identity, np.size(trace), keep, timing.dt)
     if np.isnan(row).any():
         raise DegenerateTrace("trace is all zero or has no finite fit")
-    return values, DcFit(*row.tolist())
+    return values, row
 
 
-def fit_dc(trace, timing) -> DcFit:
+def fit_dc(trace, timing) -> np.ndarray:
     """Non-negative least-squares trend fit of a pixel trace.
 
-    Times are n * dt from the timing. The solution is the global
-    optimum of the constrained problem, and equals the fit the same
-    trace gets inside :func:`remove_dc_stack`, at :func:`remove_dc`'s cost.
+    Returns the float64 array [a1, a2, a3, rms residual]: the row, bit
+    for bit, that the same trace gets in :func:`remove_dc_stack`'s fit
+    map, at :func:`remove_dc`'s cost. Times are n * dt from the timing,
+    and the trend is ``design_matrix(t) @ fit[:3]``. The solution is the
+    global optimum of the constrained problem.
     A trace that is not a non-empty 1-D array raises ShapeMismatch, a
     NaN or inf sample NonFiniteData, and an all-zero trace, or one whose
     fit overflows, DegenerateTrace. So does :func:`remove_dc`.

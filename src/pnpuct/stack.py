@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import mmap
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -87,7 +88,7 @@ class ThermogramStack:
         if data.ndim != 3:
             raise InvalidStack("data must be (n_frames, ny, nx)")
         check_finite(data, "stack data must be finite")
-        if not 0 < self.fps < np.inf:
+        if not 0 < real(self.fps) < np.inf:
             raise InvalidStack("fps must be positive and finite")
         self.data = data
         self.fps = float(self.fps)
@@ -164,6 +165,13 @@ def check_finite(array, message, update=None):
             finite = np.empty(chunk.shape, bool)
         if not np.isfinite(chunk, out=finite[:len(chunk)]).all():
             raise NonFiniteData(message)
+
+
+def real(value):
+    """``value`` if it is a real number, else NaN. Every range check of
+    a real argument is written so that NaN fails it, so a string or None
+    fails it too, with that check's typed error."""
+    return value if isinstance(value, numbers.Real) else np.nan
 
 
 def derived_stack(source, data, fps, metadata):

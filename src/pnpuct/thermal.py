@@ -34,7 +34,7 @@ from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
                      InvalidWaveform, SeriesNotConverged)
 from . import dc_removal
 from .stack import (ThermogramStack, check_finite, check_width, derived_stack,
-                    open_stack, write_bands)
+                    open_stack, real, write_bands)
 from .waveform import excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -59,14 +59,20 @@ class PixelModel:
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.diffusivity < np.inf:
+        if not 0 < real(self.diffusivity) < np.inf:
             raise InvalidScene("diffusivity must be positive and finite")
-        if self.defect_depth is not None and not 0 < self.defect_depth < np.inf:
+        if (self.defect_depth is not None
+                and not 0 < real(self.defect_depth) < np.inf):
             raise InvalidScene("defect_depth must be positive and finite")
-        if not (-1.0 < self.reflection_coeff <= 1.0):
+        if not (-1.0 < real(self.reflection_coeff) <= 1.0):
             raise InvalidScene("reflection_coeff must lie in (-1, 1]")
-        if not np.isfinite(self.amplitude_scale):
+        if not np.isfinite(real(self.amplitude_scale)):
             raise InvalidScene("amplitude_scale must be finite")
+
+
+def _is_integer(value):
+    """The rule of every integer field of a scene: an Integral, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,9 @@ class Region:
     height: int
 
     def __post_init__(self):
+        if not all(map(_is_integer,
+                       (self.x0, self.y0, self.width, self.height))):
+            raise InvalidScene(f"region fields must be integers: {self}")
         if self.width < 1 or self.height < 1:
             raise InvalidScene("region must span at least one pixel")
         if self.x0 < 0 or self.y0 < 0:
@@ -112,13 +121,13 @@ class SceneConfig:
     labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise InvalidScene("grid must be at least 1 x 1")
-        if not 0 <= self.noise_sigma < np.inf:
+        if not (_is_integer(self.nx) and _is_integer(self.ny)
+                and self.nx >= 1 and self.ny >= 1):
+            raise InvalidScene(f"grid must be at least 1 x 1 integer pixels, "
+                               f"not {self.nx!r} x {self.ny!r}")
+        if not 0 <= real(self.noise_sigma) < np.inf:
             raise InvalidScene("noise_sigma must be non-negative and finite")
-        if (isinstance(self.rng_seed, bool)
-                or not isinstance(self.rng_seed, numbers.Integral)
-                or self.rng_seed < 0):
+        if not _is_integer(self.rng_seed) or self.rng_seed < 0:
             raise InvalidScene(
                 f"rng_seed must be a non-negative integer, not {self.rng_seed!r}")
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
@@ -216,7 +225,7 @@ def _antiderivative(edges, model):
 def _frames(seconds, fps, error, what):
     """round(seconds * fps), the frames of a span; ``error`` naming
     ``what`` and the frame rate if that is none or not finite."""
-    frames = seconds * fps
+    frames = real(seconds) * fps
     n = int(round(frames)) if np.isfinite(frames) else 0
     if n < 1:
         raise error(f"{what} rounds to no finite frame at {fps} fps")
@@ -542,6 +551,8 @@ def read_ini(path) -> configparser.ConfigParser:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise InvalidConfig(str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"{path}: not UTF-8 text: {exc}") from exc
     return parser
 
 

@@ -17,7 +17,8 @@ import numpy as np
 from .codes import PnCode
 from .errors import (InvalidWaveform, NonPositiveAmplitude, TimingMismatch,
                      UnmodifiedCode)
-from .stack import ThermogramStack, crlf_text, time_series_csv, write_hashed
+from .stack import (ThermogramStack, crlf_text, real, time_series_csv,
+                    write_hashed)
 
 
 @dataclass(frozen=True)
@@ -33,15 +34,15 @@ class Timing:
     n_per: int = 2
 
     def __post_init__(self):
-        # each test is written so that NaN fails it
-        if not (self.t_bit > 0 and self.fps > 0):
+        # each test is written so that NaN, and so a non-number, fails it
+        if not (real(self.t_bit) > 0 and real(self.fps) > 0):
             raise TimingMismatch("t_bit and fps must be positive")
         product = self.t_bit * self.fps
         k = int(round(product)) if np.isfinite(product) else 0
         if k < 1 or abs(product - k) > 1e-9 * max(1.0, product):
             raise TimingMismatch(
                 f"t_bit * fps = {product!r} is not a positive integer")
-        if not (self.n_per >= 2 and float(self.n_per).is_integer()):
+        if not (real(self.n_per) >= 2 and float(self.n_per).is_integer()):
             raise TimingMismatch(
                 f"n_per = {self.n_per!r} is not an integer of at least 2")
         object.__setattr__(self, "n_per", int(self.n_per))
@@ -74,9 +75,9 @@ class RectPulse:
     amplitude: float
 
     def __post_init__(self):
-        if not 0 < self.duration < np.inf:
+        if not 0 < real(self.duration) < np.inf:
             raise InvalidWaveform("duration must be positive and finite")
-        if not 0 < self.amplitude < np.inf:
+        if not 0 < real(self.amplitude) < np.inf:
             raise NonPositiveAmplitude("amplitude must be positive and finite")
 
 
@@ -154,7 +155,7 @@ def build_unipolar(bipolar, amplitude) -> ExcitationWaveform:
     """
     if bipolar.kind is not WaveformKind.BIPOLAR_XPN:
         raise InvalidWaveform("input must be a bipolar coded waveform")
-    if not 0 < amplitude < np.inf:
+    if not 0 < real(amplitude) < np.inf:
         raise NonPositiveAmplitude(f"amplitude {amplitude} is not in (0, inf)")
     timing = bipolar.timing
     samples = 0.5 * amplitude * (np.tile(bipolar.samples, timing.n_per) + 1.0)

@@ -31,7 +31,6 @@ from pnpuct import (
     make_codes,
     modify_for_perfect_pacf,
     pacf,
-    pacf_values,
     primitive_taps,
 )
 from conftest import LS7, LS11, LS31, MLS7, is_cyclic_shift, pacf_direct
@@ -210,22 +209,29 @@ class TestBinarizeLs4:
 
 class TestPacf:
     def test_ls7_standard(self):
-        result = pacf(generate_ls(7))
-        np.testing.assert_allclose(result.values, [6, -1, -1, -1, -1, -1, -1],
+        lags = pacf(generate_ls(7).values)
+        np.testing.assert_allclose(lags, [6, -1, -1, -1, -1, -1, -1],
                                    atol=1e-12)
-        assert result.peak == pytest.approx(6.0)
+        assert lags[0] == pytest.approx(6.0)
 
     def test_mls7_standard(self, mls7):
-        result = pacf(mls7)
-        assert result.values[0] == pytest.approx(7.0)
-        np.testing.assert_allclose(result.values[1:], -1.0, atol=1e-12)
+        lags = pacf(mls7.values)
+        assert lags[0] == pytest.approx(7.0)
+        np.testing.assert_allclose(lags[1:], -1.0, atol=1e-12)
 
     def test_all_zero_sequence(self):
-        np.testing.assert_array_equal(pacf_values(np.zeros(9)), np.zeros(9))
+        np.testing.assert_array_equal(pacf(np.zeros(9)), np.zeros(9))
+
+    @pytest.mark.parametrize("values", [[1, -1, 1], (2.5,), np.ones(4, int)],
+                             ids=["list", "tuple", "int-array"])
+    def test_lag_vector_of_any_sequence(self, values):
+        lags = pacf(values)
+        assert isinstance(lags, np.ndarray) and lags.dtype == np.float64
+        np.testing.assert_allclose(lags, pacf_direct(np.asarray(values)),
+                                   atol=1e-12)
 
     def test_peak_is_energy(self, ls31_plus):
-        result = pacf(ls31_plus)
-        assert result.peak == pytest.approx(
+        assert pacf(ls31_plus.values)[0] == pytest.approx(
             float(np.sum(ls31_plus.values ** 2)), rel=1e-12)
 
     def test_fft_matches_direct_on_random_codes(self):
@@ -233,7 +239,7 @@ class TestPacf:
         for _ in range(50):
             n = int(rng.integers(4, 200))
             values = rng.choice([-1.0, 1.0], size=n)
-            fft_result = pacf_values(values)
+            fft_result = pacf(values)
             direct = pacf_direct(values)
             np.testing.assert_allclose(fft_result, direct,
                                        rtol=1e-10, atol=1e-10)
@@ -242,11 +248,11 @@ class TestPacf:
         rng = np.random.default_rng(11)
         for p in (7, 31, 61):
             values = generate_ls(p).values
-            base = pacf_values(values)
+            base = pacf(values)
             for _ in range(3):
                 shift = int(rng.integers(1, p))
                 np.testing.assert_allclose(
-                    pacf_values(np.roll(values, shift)), base, atol=1e-10)
+                    pacf(np.roll(values, shift)), base, atol=1e-10)
 
 
 def _perfect_code_family(max_mls_order=10, max_prime=199):
@@ -266,9 +272,9 @@ class TestPerfectPacfSweep:
     def test_sweep_small(self):
         # every built-in MLS order and every prime below 1000
         for code in _perfect_code_family(max_mls_order=16, max_prime=1000):
-            result = pacf(code)
-            assert result.max_sidelobe < 1e-9 * result.peak
-            assert abs(result.peak - code.gain) < 1e-9 * code.gain
+            lags = pacf(code.values)
+            assert np.abs(lags[1:]).max() < 1e-9 * lags[0]
+            assert abs(lags[0] - code.gain) < 1e-9 * code.gain
 
     def test_standard_law_exact_integer(self):
         for order in range(2, 11):
@@ -384,6 +390,13 @@ class TestSerialization:
         text = code_to_text(modify_for_perfect_pacf(generate_ls(31)))
         with pytest.raises(InvalidCode, match=match):
             code_from_text(text.replace(old, new))
+
+    def test_non_utf8_file_is_invalid_code(self, tmp_path):
+        # a UTF-16 byte-order mark: a bare UnicodeDecodeError before
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(bytes.fromhex("fffe00626164"))
+        with pytest.raises(InvalidCode, match="utf16.txt: not UTF-8"):
+            load_code(path)
 
 
 class TestIntegerFields:

@@ -76,3 +76,12 @@ class TestNamespace:
             pnpuct.no_such_name
         assert not isinstance(info.value, PnPuctError)
         assert not hasattr(pnpuct, "no_such_name")
+
+    @pytest.mark.parametrize("name, module", [
+        ("DcFit", "dc_removal"), ("Pacf", "codes"), ("pacf_values", "codes")])
+    def test_a_removed_result_wrapper_is_no_name(self, name, module):
+        # fit_dc returns its fit-map row and pacf its lag vector
+        assert len(pnpuct.__all__) == 89
+        with pytest.raises(AttributeError, match=name):
+            getattr(pnpuct, name)
+        assert not hasattr(importlib.import_module(f"pnpuct.{module}"), name)

@@ -880,6 +880,50 @@ class TestCli:
         main(["seq", "gen", "--kind", "ls", "--n-bit", "31", "-o", code_path])
         assert main(["seq", "verify", code_path]) == 0
 
+    @pytest.mark.parametrize("flags, lines", [
+        ("--kind ls --n-bit 31", [
+            "kind=LS n_bit=31",
+            "pacf_peak=30.0 gain=30.0 rel_err=0.000e+00",
+            "max_sidelobe=1.0000000000000016 rel=3.333e-02"]),
+        ("--kind ls-plus --n-bit 31", [
+            "kind=LS_PLUS n_bit=31",
+            "pacf_peak=30.999999999999996 gain=31.0 rel_err=1.146e-16",
+            "max_sidelobe=3.896524679974743e-15 rel=1.257e-16"]),
+        ("--kind mls --order 5", [
+            "kind=MLS n_bit=31",
+            "pacf_peak=31.0 gain=31.0 rel_err=0.000e+00",
+            "max_sidelobe=1.0000000000000024 rel=3.226e-02"]),
+        ("--kind mls-plus --order 7", [
+            "kind=MLS_PLUS n_bit=127",
+            "pacf_peak=128.00000000000003 gain=128.0 rel_err=2.220e-16",
+            "max_sidelobe=1.471696810487866e-14 rel=1.150e-16"]),
+        ("--kind ls4-plus --n-bit 11", [
+            "kind=LS_4PLUS n_bit=11",
+            "pacf_peak=12.0 gain=12.0 rel_err=0.000e+00",
+            "max_sidelobe=1.0248532933113163e-15 rel=8.540e-17"]),
+    ], ids=["LS31", "LS31+", "MLS31", "MLS127+", "LS4+11"])
+    def test_seq_verify_output(self, tmp_path, capsys, flags, lines):
+        code_path = str(tmp_path / "code.txt")
+        assert main(["seq", "gen", *flags.split(), "-o", code_path]) == 0
+        capsys.readouterr()
+        assert main(["seq", "verify", code_path]) == 0
+        assert capsys.readouterr().out == "\n".join([*lines, "ok", ""])
+
+    def test_seq_verify_fails_a_standard_ls_off_the_residues(self, tmp_path,
+                                                             capsys):
+        # three +1 and three -1 after the zero pass PnCode's LS checks,
+        # but 1, 2 and 3 are not the quadratic residues 1, 2 and 4 mod 7
+        code_path = tmp_path / "ls7.txt"
+        code_path.write_text(
+            "pncode v1\nkind: LS\nn_bit: 7\nbias: 0.0\ngain: 6.0\n"
+            "values: 0.0 1.0 1.0 1.0 -1.0 -1.0 -1.0\n", encoding="utf-8")
+        assert main(["seq", "verify", str(code_path)]) == 1
+        assert capsys.readouterr().out == (
+            "kind=LS n_bit=7\n"
+            "pacf_peak=6.0 gain=6.0 rel_err=0.000e+00\n"
+            "max_sidelobe=5.0 rel=8.333e-01\n"
+            "FAILED\n")
+
     def test_seq_verify_forged_gain_exits_2(self, tmp_path, capsys):
         code_path = tmp_path / "code.txt"
         main(["seq", "gen", "--kind", "ls-plus", "--n-bit", "31",

@@ -229,7 +229,8 @@ class TestRoundTrip:
         with pytest.raises(BadHeader, match="fps.tgs"):
             self.read(path)
 
-    @pytest.mark.parametrize("fps", [0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("fps", [0.0, float("nan"), float("inf"), "10",
+                                     None])
     def test_bad_fps_rejected_at_construction(self, fps):
         with pytest.raises(InvalidStack,
                            match="^fps must be positive and finite$"):

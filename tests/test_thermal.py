@@ -187,12 +187,16 @@ class TestImpulseResponse:
         {"amplitude_scale": np.nan},
         {"amplitude_scale": np.inf},
         {"amplitude_scale": -np.inf},
+        {"diffusivity": "1e-6"},
+        {"defect_depth": "0.001", "reflection_coeff": 0.9},
+        {"amplitude_scale": None},
     ], ids=["alpha-nan", "alpha-inf", "depth-nan", "depth-inf",
-            "scale-nan", "scale-inf", "scale-minus-inf"])
+            "scale-nan", "scale-inf", "scale-minus-inf", "alpha-str",
+            "depth-str", "scale-none"])
     def test_non_finite_model_rejected(self, fields):
         # a NaN diffusivity or depth ran the image series to its term cap
         # (1.2 s at 10 fps over 10 s) before it raised; the others gave
-        # non-finite responses
+        # non-finite responses, and a string or None a bare TypeError
         with pytest.raises(InvalidScene, match="finite"):
             PixelModel(**{"diffusivity": 1e-6, **fields})
 
@@ -326,7 +330,8 @@ class TestLptReference:
             lpt_reference(SOUND, RectPulse(1.0, 1.0), timing, 0.4 / 40)
 
 
-    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf, "10",
+                                          None])
     def test_a_span_of_no_finite_frame_is_a_scene_error(self, duration):
         # int(round(duration * fps)) raised a bare ValueError or
         # OverflowError
@@ -413,7 +418,7 @@ class TestSimulateStack:
             SceneConfig(nx=2, ny=2, background=SOUND, noise_sigma=0.5,
                         rng_seed=seed)
 
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, "0.1", None])
     def test_noise_sigma_must_be_finite(self, sigma):
         with pytest.raises(InvalidScene, match="noise_sigma"):
             SceneConfig(nx=2, ny=2, background=SOUND, noise_sigma=sigma)
@@ -456,6 +461,26 @@ class TestSimulateStack:
     def test_negative_origin_or_empty_grid(self, build, match):
         with pytest.raises(InvalidScene, match=match):
             build()
+
+    @pytest.mark.parametrize("region, grid", [
+        ({"width": 1.5}, {}),
+        ({"height": 1.0}, {}),
+        ({"x0": "0"}, {}),
+        ({"y0": True}, {}),
+        ({"width": np.float64(1.0)}, {}),
+        ({}, {"nx": 2.5}),
+        ({}, {"ny": np.float64(2.0)}),
+        ({}, {"nx": "2"}),
+        ({}, {"ny": None}),
+    ], ids=["width-1.5", "height-1.0", "x0-str", "y0-bool", "width-float64",
+            "nx-2.5", "ny-float64", "nx-str", "ny-none"])
+    def test_integer_fields_take_integers_only(self, region, grid):
+        # a float width was accepted and failed as a bare TypeError when
+        # it sliced the label map; a float nx or ny failed the same way
+        with pytest.raises(InvalidScene, match="integer"):
+            SceneConfig(**{"nx": 2, "ny": 2, **grid}, background=SOUND,
+                        defects=((Region(**{"x0": 0, "y0": 0, "width": 1,
+                                            "height": 1, **region}), SOUND),))
 
     @pytest.mark.parametrize("entry", [
         (1, 2),
@@ -787,6 +812,15 @@ reflection = 0.9
         path.write_text(text)
         with pytest.raises(InvalidConfig):
             load_scene_config(path)
+
+    @pytest.mark.parametrize("read", [load_scene_config, thermal.read_ini],
+                             ids=["load_scene_config", "read_ini"])
+    def test_non_utf8_file_is_invalid_config(self, tmp_path, read):
+        # a UTF-16 byte-order mark: a bare UnicodeDecodeError before
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(bytes.fromhex("fffe00626164"))
+        with pytest.raises(InvalidConfig, match="utf16.cfg: not UTF-8"):
+            read(path)
 
     @pytest.mark.parametrize("drop, match", [
         ("[background]\ndiffusivity = 1e-6\n", r"\[background\] section"),

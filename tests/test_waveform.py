@@ -71,6 +71,10 @@ class TestTiming:
         (1.0, 1.0, 2.7),
         (1.0, 1.0, np.nan),
         (1.0, 1.0, np.inf),
+        ("1", 10.0, 2),
+        (1.0, "10", 2),
+        (1.0, 10.0, "3"),
+        (None, 10.0, 2),
     ])
     def test_non_finite_or_fractional_rejected(self, t_bit, fps, n_per):
         with pytest.raises(TimingMismatch):
@@ -121,10 +125,11 @@ class TestRectPulse:
                            match="^duration must be positive and finite$"):
             RectPulse(duration=0.0, amplitude=1.0)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "1", None])
     def test_non_finite_rejected(self, value):
         # such a pulse reached lpt_reference: a non-finite amplitude gave
-        # non-finite samples, a duration a bare ValueError or OverflowError
+        # non-finite samples, a duration a bare ValueError or OverflowError;
+        # a string or None was a bare TypeError
         with pytest.raises(InvalidWaveform, match="finite"):
             RectPulse(duration=value, amplitude=1.0)
         with pytest.raises(NonPositiveAmplitude, match="finite"):
@@ -185,7 +190,7 @@ class TestBuildUnipolar:
         with pytest.raises(NonPositiveAmplitude):
             build_unipolar(bipolar, amplitude=-1.0)
 
-    @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, "1", None])
     def test_non_finite_amplitude(self, amplitude):
         # it stopped a run only at stage simulate, on the non-finite
         # samples it made
