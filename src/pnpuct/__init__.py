@@ -44,9 +44,9 @@ _PUBLIC = {
         "impulse_response", "load_scene_config", "lpt_reference", "respond",
         "simulate_stack"),
     "waveform": (
-        "ExcitationWaveform", "MatchedFilter", "RectPulse", "Timing",
-        "WaveformKind", "build_bipolar", "build_matched_filter",
-        "build_unipolar", "waveform_to_csv", "waveform_to_stack"),
+        "ExcitationWaveform", "RectPulse", "Timing", "WaveformKind",
+        "build_bipolar", "build_matched_filter", "build_unipolar",
+        "waveform_to_csv", "waveform_to_stack"),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
 # pnpuct.<module> imports the module, as the import system binds it here

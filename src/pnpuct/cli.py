@@ -71,8 +71,8 @@ def _cmd_wave_gen(args):
                 os.path.join(args.out_dir, "unipolar_trace.tgs"))
     written = ["bipolar.csv", "unipolar.csv", "unipolar_trace.tgs"]
     if code.is_modified:
-        filt = build_matched_filter(code, timing)
-        filter_to_csv(filt, os.path.join(args.out_dir, "matched_filter.csv"))
+        filter_to_csv(build_matched_filter(code), timing.k,
+                      os.path.join(args.out_dir, "matched_filter.csv"))
         written.append("matched_filter.csv")
     print(f"wrote {', '.join(written)} to {args.out_dir}")
     return 0

@@ -74,13 +74,12 @@ class _MatchedFilter:
     """
 
     def __init__(self, code, timing, normalization, single_period):
-        filt = build_matched_filter(code, timing)
         n_bit = code.n_bit
         self.n_avg = 1 if single_period else timing.n_per - 1
         self.period = timing.frames_per_period(n_bit)
-        scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: filt.gain,
+        scale = {Normalization.RAW: 1.0, Normalization.PER_GAIN: code.gain,
                  Normalization.PER_LENGTH: n_bit}[normalization]
-        row = filt.bit_taps[::-1] / (self.n_avg * scale)
+        row = build_matched_filter(code)[::-1] / (self.n_avg * scale)
         # T[j] = padded[N - j: 3N - j], so T[j, j + 1 + i] = row[i]
         padded = np.concatenate([np.zeros(n_bit + 1), row,
                                  np.zeros(n_bit - 1)])

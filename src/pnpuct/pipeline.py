@@ -204,7 +204,7 @@ def run_pipeline(config, out_dir=None, seed=None):
     with _stage("waveform"):
         # the filter that compression runs: one tap per bit when decimated
         emit("filter_csv", "matched_filter.csv", filter_to_csv,
-             build_matched_filter(modified_code, comp_timing))
+             build_matched_filter(modified_code), comp_timing.k)
 
     # one pass removes the DC trend and compresses (remove_dc True);
     # compress_stack takes its arguments positionally, so a stand-in

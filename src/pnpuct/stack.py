@@ -108,7 +108,8 @@ class ThermogramStack:
 
     def pixel_trace(self, jx, jy) -> np.ndarray:
         """Time trend of one pixel as float64, read through :func:`chunks`."""
-        if not (0 <= jx < self.nx and 0 <= jy < self.ny):
+        if not (is_integer(jx) and is_integer(jy)
+                and 0 <= jx < self.nx and 0 <= jy < self.ny):
             raise IndexOutOfRange(
                 f"pixel ({jx}, {jy}) outside {self.nx} x {self.ny} grid")
         trace = np.empty(self.n_frames)
@@ -174,6 +175,11 @@ def real(value):
     return value if isinstance(value, numbers.Real) else np.nan
 
 
+def is_integer(value):
+    """The one integer rule of an argument: an Integral, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def derived_stack(source, data, fps, metadata):
     """A new stack from ``source``: its metadata updated by ``metadata``."""
     return ThermogramStack(data=data, fps=fps,
@@ -191,7 +197,7 @@ def check_stored(stack):
 
 def check_width(width):
     """Raise InvalidStack unless a band's ``width`` is a positive integer."""
-    if not isinstance(width, (int, np.integer)) or width < 1:
+    if not is_integer(width) or width < 1:
         raise InvalidStack(f"band width {width!r} is not a positive integer")
 
 
@@ -486,8 +492,9 @@ def _exact_fps(stored, metadata):
 
 
 def frame_at(stack, seconds):
-    """round(seconds * fps) of ``stack``; IndexOutOfRange if not finite."""
-    frame = seconds * stack.fps
+    """round(seconds * fps) of ``stack``; IndexOutOfRange if not finite,
+    or if ``seconds`` is no real number."""
+    frame = real(seconds) * stack.fps
     if not np.isfinite(frame):
         raise IndexOutOfRange(f"time {seconds!r} s is no frame of the stack")
     return int(round(frame))
@@ -501,7 +508,7 @@ def export_slice(stack, time_index, path):
     ``{path: SHA-256 hex digest}`` of the three files, in that order.
     """
     check_stored(stack)
-    if not (0 <= time_index < stack.n_frames):
+    if not (is_integer(time_index) and 0 <= time_index < stack.n_frames):
         raise IndexOutOfRange(
             f"frame {time_index} outside 0..{stack.n_frames - 1}")
     frame = stack.data[time_index].astype(np.float64)

@@ -23,7 +23,6 @@ which converges fast exactly where the image sum is slow.
 from __future__ import annotations
 
 import configparser
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
                      InvalidWaveform, SeriesNotConverged)
 from . import dc_removal
 from .stack import (ThermogramStack, check_finite, check_width, derived_stack,
-                    open_stack, real, write_bands)
+                    is_integer, open_stack, real, write_bands)
 from .waveform import excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -70,11 +69,6 @@ class PixelModel:
             raise InvalidScene("amplitude_scale must be finite")
 
 
-def _is_integer(value):
-    """The rule of every integer field of a scene: an Integral, not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Region:
     """Rectangle of pixels: x0 <= jx < x0 + width, y0 <= jy < y0 + height."""
@@ -85,7 +79,7 @@ class Region:
     height: int
 
     def __post_init__(self):
-        if not all(map(_is_integer,
+        if not all(map(is_integer,
                        (self.x0, self.y0, self.width, self.height))):
             raise InvalidScene(f"region fields must be integers: {self}")
         if self.width < 1 or self.height < 1:
@@ -108,7 +102,8 @@ class SceneConfig:
     ``labels`` map of indices into ``models``, the distinct visible
     models. Noise is additive white Gaussian per pixel per frame; the
     stream for pixel (jx, jy) derives from (rng_seed, jx, jy), and
-    ``rng_seed`` must be a non-negative integer.
+    ``rng_seed`` must be a non-negative integer. ``noise_sigma`` is
+    stored as a float, so equal scenes write equal bytes.
     """
 
     nx: int
@@ -121,13 +116,14 @@ class SceneConfig:
     labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (_is_integer(self.nx) and _is_integer(self.ny)
+        if not (is_integer(self.nx) and is_integer(self.ny)
                 and self.nx >= 1 and self.ny >= 1):
             raise InvalidScene(f"grid must be at least 1 x 1 integer pixels, "
                                f"not {self.nx!r} x {self.ny!r}")
         if not 0 <= real(self.noise_sigma) < np.inf:
             raise InvalidScene("noise_sigma must be non-negative and finite")
-        if not _is_integer(self.rng_seed) or self.rng_seed < 0:
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        if not is_integer(self.rng_seed) or self.rng_seed < 0:
             raise InvalidScene(
                 f"rng_seed must be a non-negative integer, not {self.rng_seed!r}")
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
@@ -155,7 +151,8 @@ class SceneConfig:
         object.__setattr__(self, "labels", labels)
 
     def model_at(self, jx, jy) -> PixelModel:
-        if not (0 <= jx < self.nx and 0 <= jy < self.ny):
+        if not (is_integer(jx) and is_integer(jy)
+                and 0 <= jx < self.nx and 0 <= jy < self.ny):
             raise IndexOutOfRange(
                 f"pixel ({jx}, {jy}) outside {self.nx} x {self.ny} grid")
         return self.models[self.labels[jy, jx]]

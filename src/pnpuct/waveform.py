@@ -1,10 +1,11 @@
 """Excitation waveforms and matched filters built from a pseudo-noise code.
 
-A code plus a bit duration and a frame rate yields three sampled objects:
-the bipolar coded waveform (one period, each bit held for K frames), the
-unipolar heat-source modulation (several periods, shifted into [0, A]),
-and the zero-padded matched filter used by the compression stage. Sample
-n represents time n/FPS; bit b occupies samples [b*K, (b+1)*K).
+A code plus a bit duration and a frame rate yields the bipolar coded
+waveform (one period, each bit held for K frames) and the unipolar
+heat-source modulation (several periods, shifted into [0, A]); the code
+alone yields the matched filter of the compression stage, one tap per
+bit. Sample n represents time n/FPS; bit b occupies samples
+[b*K, (b+1)*K).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ class Timing:
     """Bit duration, frame rate and period count of a measurement.
 
     The product t_bit * fps must be a positive integer K: each bit of
-    the sequence spans exactly K frames.
+    the sequence spans exactly K frames. t_bit and fps are stored as
+    floats and n_per as an int, so equal timings write equal bytes.
     """
 
     t_bit: float
@@ -37,6 +39,8 @@ class Timing:
         # each test is written so that NaN, and so a non-number, fails it
         if not (real(self.t_bit) > 0 and real(self.fps) > 0):
             raise TimingMismatch("t_bit and fps must be positive")
+        object.__setattr__(self, "t_bit", float(self.t_bit))
+        object.__setattr__(self, "fps", float(self.fps))
         product = self.t_bit * self.fps
         k = int(round(product)) if np.isfinite(product) else 0
         if k < 1 or abs(product - k) > 1e-9 * max(1.0, product):
@@ -116,25 +120,6 @@ class ExcitationWaveform:
         return len(self.samples) * self.timing.dt
 
 
-@dataclass(frozen=True, eq=False)
-class MatchedFilter:
-    """Time-reversed copy of a modified code, one tap per bit.
-
-    ``bit_taps[b]`` is c[-b mod N]. At the frame rate the filter has
-    K * N taps: tap bK is ``bit_taps[b]`` and the K - 1 taps after it
-    are zero, the form that :func:`filter_to_csv` writes.
-    """
-
-    bit_taps: np.ndarray
-    k: int
-    gain: float
-
-    def __post_init__(self):
-        bit_taps = np.asarray(self.bit_taps, dtype=float)
-        bit_taps.flags.writeable = False
-        object.__setattr__(self, "bit_taps", bit_taps)
-
-
 def build_bipolar(code, timing) -> ExcitationWaveform:
     """One period of the coded waveform: bit b held for K frames.
 
@@ -164,18 +149,23 @@ def build_unipolar(bipolar, amplitude) -> ExcitationWaveform:
                               amplitude=float(amplitude))
 
 
-def build_matched_filter(code, timing) -> MatchedFilter:
-    """The matched filter of a modified code at the timing's K.
+def build_matched_filter(code) -> np.ndarray:
+    """The matched filter of a modified code, one tap per bit.
 
-    Compression must use the perfect-PACF sequence even when the
-    physical excitation used the standard or binary one.
+    Returns the read-only float64 vector c[-b mod N]: the code reversed
+    in time. At the frame rate the filter has K * N taps: tap bK is
+    tap b of this vector and the K - 1 taps after it are zero, the form
+    that :func:`filter_to_csv` writes. Compression must use the
+    perfect-PACF sequence even when the physical excitation used the
+    standard or binary one.
     """
     if not code.is_modified:
         raise UnmodifiedCode(
             f"{code.kind.value} has sidelobes; modify the code first")
     n = code.n_bit
-    return MatchedFilter(bit_taps=code.values[(-np.arange(n)) % n],
-                         k=timing.k, gain=code.gain)
+    taps = code.values[(-np.arange(n)) % n]
+    taps.flags.writeable = False
+    return taps
 
 
 def waveform_to_csv(wave, path):
@@ -236,12 +226,13 @@ def waveform_to_stack(wave):
     return ThermogramStack(data=data, fps=wave.timing.fps, metadata=metadata)
 
 
-def filter_to_csv(filt, path):
+def filter_to_csv(bit_taps, k, path):
     """Two-column CSV (tap_index, value) of a matched filter's K * N taps.
 
-    Returns the SHA-256 hex digest of the bytes written.
+    ``bit_taps`` is :func:`build_matched_filter`'s vector and ``k`` the
+    frames per bit. Returns the SHA-256 hex digest of the bytes written.
     """
-    taps = np.zeros((len(filt.bit_taps), filt.k))
-    taps[:, 0] = filt.bit_taps
+    taps = np.zeros((len(bit_taps), k))
+    taps[:, 0] = bit_taps
     return write_hashed(path, [crlf_text(["tap_index,value"], (
         f"{n},{v!r}" for n, v in enumerate(taps.ravel().tolist())))])

@@ -337,9 +337,9 @@ def _timing(k, n_per):
     return Timing(t_bit=1.0, fps=float(k), n_per=n_per)
 
 
-def _output_bound(filt, *inputs):
+def _output_bound(bit_taps, *inputs):
     """Bound on |output| of filtering inputs of these magnitudes."""
-    return np.abs(filt.bit_taps).sum() * sum(np.abs(x).max() for x in inputs)
+    return np.abs(bit_taps).sum() * sum(np.abs(x).max() for x in inputs)
 
 
 class TestCompressionProperties:
@@ -431,7 +431,7 @@ class TestCompressionProperties:
                                              normalization, single_period,
                                              seed):
         timing = _timing(k, n_per)
-        filt = build_matched_filter(code, timing)
+        bit_taps = build_matched_filter(code)
         taps = dense_taps(code, k)
         period = len(taps)
         traces = np.random.default_rng(seed).normal(
@@ -451,7 +451,7 @@ class TestCompressionProperties:
                               for i in range(1, n_avg + 1)], axis=0) / scale
             np.testing.assert_allclose(
                 out[:, j], direct, rtol=0,
-                atol=1e-12 * _output_bound(filt, traces[:, j]) / scale)
+                atol=1e-12 * _output_bound(bit_taps, traces[:, j]) / scale)
 
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
@@ -462,7 +462,7 @@ class TestCompressionProperties:
              seed=0)
     def test_linearity(self, code, k, n_per, a, b, seed):
         timing = _timing(k, n_per)
-        filt = build_matched_filter(code, timing)
+        bit_taps = build_matched_filter(code)
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=(2, timing.total_frames(code.n_bit)))
         combined = compress_trace(a * x + b * y, code, timing)
@@ -474,7 +474,7 @@ class TestCompressionProperties:
                      * np.finfo(float).smallest_subnormal)
         np.testing.assert_allclose(
             combined, separate, rtol=0,
-            atol=1e-12 * _output_bound(filt, a * x, b * y) + subnormal)
+            atol=1e-12 * _output_bound(bit_taps, a * x, b * y) + subnormal)
 
     @settings(max_examples=30, deadline=None)
     @given(code=st.sampled_from(PLUS_CODES), k=st.integers(1, 3),
@@ -482,7 +482,7 @@ class TestCompressionProperties:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_cyclic_shift_equivariance(self, code, k, n_per, shift, seed):
         timing = _timing(k, n_per)
-        filt = build_matched_filter(code, timing)
+        bit_taps = build_matched_filter(code)
         period = timing.frames_per_period(code.n_bit)
         shift %= period
         one_period = np.random.default_rng(seed).normal(size=period)
@@ -491,7 +491,7 @@ class TestCompressionProperties:
                                  code, timing)
         np.testing.assert_allclose(
             shifted, np.roll(base, shift), rtol=0,
-            atol=1e-12 * _output_bound(filt, one_period))
+            atol=1e-12 * _output_bound(bit_taps, one_period))
 
 
 class TestFusedDcRemoval:

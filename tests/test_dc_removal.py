@@ -68,7 +68,7 @@ def _writer_inputs(seed):
                                                               (6, 3, 5))
     data[2, 1, 1] = -0.0
     stack = ThermogramStack(data=data.astype(np.float32), fps=10.0)
-    return code, wave, build_matched_filter(code, timing), stack
+    return code, wave, build_matched_filter(code), stack
 
 
 def _csv_writer_bytes(header, rows):
@@ -522,11 +522,11 @@ class TestWholeStackSolver:
         fits[2, 1] = np.nan
         path = tmp_path / "fits.csv"
         written = {path: export_fit_map_csv(fits, path)}
-        code, wave, filt, stack = _writer_inputs(4)
+        code, wave, bit_taps, stack = _writer_inputs(4)
         for name, writer, args in [
                 ("code.txt", save_code, (code,)),
                 ("wave.csv", waveform_to_csv, (wave,)),
-                ("filter.csv", filter_to_csv, (filt,)),
+                ("filter.csv", filter_to_csv, (bit_taps, wave.timing.k)),
                 ("stack.tgs", write_stack, (stack,)),
                 ("pixel.csv", export_pixel_trace, (stack, 3, 1))]:
             written[tmp_path / name] = writer(*args, tmp_path / name)
@@ -553,14 +553,14 @@ class TestWholeStackSolver:
              for jy, row in enumerate(fits.tolist())
              for jx, fit in enumerate(row)])
         # the other CSV writers against csv.writer on the same rows
-        code, wave, filt, stack = _writer_inputs(3)
+        code, wave, bit_taps, stack = _writer_inputs(3)
         fps, trace = wave.timing.fps, stack.pixel_trace(3, 1)
         frame = stack.data[2].astype(np.float64)
         cases = [
             (waveform_to_csv, (wave,), ["time_s", "value"],
              [[repr(n / fps), repr(float(v))]
               for n, v in enumerate(wave.samples)]),
-            (filter_to_csv, (filt,), ["tap_index", "value"],
+            (filter_to_csv, (bit_taps, wave.timing.k), ["tap_index", "value"],
              [[n, repr(float(v))]
               for n, v in enumerate(dense_taps(code, wave.timing.k))]),
             (export_pixel_trace, (stack, 3, 1), ["time_s", "value"],

@@ -78,10 +78,12 @@ class TestNamespace:
         assert not hasattr(pnpuct, "no_such_name")
 
     @pytest.mark.parametrize("name, module", [
-        ("DcFit", "dc_removal"), ("Pacf", "codes"), ("pacf_values", "codes")])
+        ("DcFit", "dc_removal"), ("Pacf", "codes"), ("pacf_values", "codes"),
+        ("MatchedFilter", "waveform")])
     def test_a_removed_result_wrapper_is_no_name(self, name, module):
-        # fit_dc returns its fit-map row and pacf its lag vector
-        assert len(pnpuct.__all__) == 89
+        # fit_dc returns its fit-map row, pacf its lag vector and
+        # build_matched_filter its taps
+        assert len(pnpuct.__all__) == 88
         with pytest.raises(AttributeError, match=name):
             getattr(pnpuct, name)
         assert not hasattr(importlib.import_module(f"pnpuct.{module}"), name)

@@ -20,7 +20,7 @@ from pnpuct import (IndexOutOfRange, InvalidCode, InvalidConfig, InvalidScene,
                     MlsSpec,
                     NonFiniteData, Normalization, NotLs4Compatible, NotPrime,
                     PipelineStageError, PixelModel, Region, StackChanged,
-                    ThermogramStack, Timing, TimingMismatch, binarize_ls4,
+                    ThermogramStack, TimingMismatch, binarize_ls4,
                     build_matched_filter, compress_stack,
                     code_to_text, generate_ls, generate_mls,
                     load_code, load_scene_config, modify_for_perfect_pacf,
@@ -453,8 +453,7 @@ directory = {tmp_path / "out"}
         # compression of the decimated stack runs one tap per bit
         code = modify_for_perfect_pacf(generate_ls(31))
         expected = tmp_path / "expected.csv"
-        filter_to_csv(build_matched_filter(code, Timing(t_bit=1.0, fps=1.0)),
-                      expected)
+        filter_to_csv(build_matched_filter(code), 1, expected)
         exported = (tmp_path / "out" / "matched_filter.csv").read_bytes()
         assert exported == expected.read_bytes()
         assert len(exported.splitlines()) == 1 + 31

@@ -645,12 +645,20 @@ class TestExportSlice:
         with pytest.raises(IndexOutOfRange):
             export_slice(stack, -1, tmp_path / "s")
 
+    @pytest.mark.parametrize("index", [1.5, True, np.float64(1.0), None])
+    def test_an_index_that_is_not_an_integer(self, tmp_path, index):
+        # refused before any of the three files is written
+        with pytest.raises(IndexOutOfRange):
+            export_slice(small_stack(), index, tmp_path / "s")
+        assert not list(tmp_path.iterdir())
+
     def test_frame_at_rounds_the_time_at_the_frame_rate(self):
         stack = ThermogramStack(data=np.zeros((8, 1, 1), np.float32), fps=2.0)
         assert [frame_at(stack, t) for t in (0.0, 1.2, 1.3, -1.0)] == [
             0, 2, 3, -2]
 
-    @pytest.mark.parametrize("seconds", [np.inf, -np.inf, np.nan, 1e308])
+    @pytest.mark.parametrize("seconds",
+                             [np.inf, -np.inf, np.nan, 1e308, None, "1"])
     def test_frame_at_no_finite_frame(self, seconds):
         # 1e308 s is finite, but not at 2 fps
         stack = ThermogramStack(data=np.zeros((8, 1, 1), np.float32), fps=2.0)
@@ -675,6 +683,17 @@ class TestExportPixelTrace:
         stack = small_stack()
         with pytest.raises(IndexOutOfRange):
             export_pixel_trace(stack, 9, 0, tmp_path / "p.csv")
+
+    @pytest.mark.parametrize("jx, jy", [
+        (1.5, 0), (True, 0), (0, np.float64(1.0)), (None, 0)])
+    def test_a_pixel_that_is_not_an_integer(self, tmp_path, jx, jy):
+        stack = small_stack()
+        assert len(stack.pixel_trace(np.int64(1), np.uint8(0))) == 5
+        with pytest.raises(IndexOutOfRange):
+            stack.pixel_trace(jx, jy)
+        with pytest.raises(IndexOutOfRange):
+            export_pixel_trace(stack, jx, jy, tmp_path / "p.csv")
+        assert not list(tmp_path.iterdir())
 
     def test_pulse_scenario_cooling(self, tmp_path):
         # 3 s pulse observed for 50 s: the exported trace cools after
@@ -800,7 +819,7 @@ class TestBands:
         check_stored(mapped)
         check_stored(in_memory)
 
-    @pytest.mark.parametrize("width", [0, -256, 1.5])
+    @pytest.mark.parametrize("width", [0, -256, 1.5, True])
     @pytest.mark.parametrize("kind", ["memory", "mapped", "simulated"])
     def test_a_width_that_is_not_a_positive_integer(self, tmp_path, kind,
                                                     width):

@@ -433,6 +433,22 @@ class TestSimulateStack:
         np.testing.assert_array_equal(simulate_stack(scene, wave).data,
                                       simulate_stack(same, wave).data)
 
+    def test_equal_scenes_and_timings_write_equal_bytes(self, tmp_path):
+        # t_bit, fps and noise_sigma are stored as floats, so the stack
+        # metadata holds the same text for an int or a numpy scalar
+        written = set()
+        for t_bit, fps, sigma in [
+                (1, 2, 0.5), (1.0, 2.0, np.float32(0.5)),
+                (np.float64(1.0), np.float32(2.0), np.float64(0.5))]:
+            timing = Timing(t_bit, fps)
+            wave = build_unipolar(build_bipolar(generate_ls(7), timing), 1.0)
+            scene = SceneConfig(nx=2, ny=2, background=SOUND,
+                                noise_sigma=sigma, rng_seed=3)
+            path = tmp_path / "s.tgs"
+            simulate_stack(scene, wave, path)
+            written.add(path.read_bytes())
+        assert len(written) == 1
+
     @pytest.mark.parametrize("seed", [
         0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
         2 ** 64 + 5, 2 ** 96, 2 ** 200 + 12345])
@@ -587,6 +603,14 @@ class TestLabelMap:
         else:
             with pytest.raises(IndexOutOfRange):
                 scene.model_at(jx, jy)
+
+    @pytest.mark.parametrize("jx, jy", [
+        (1.5, 0), (True, 0), (0, np.float64(1.0)), (None, 0), ("1", 0)])
+    def test_model_at_takes_integers_only(self, jx, jy):
+        scene = SceneConfig(nx=3, ny=3, background=SOUND)
+        assert scene.model_at(np.int64(1), np.uint8(0)) is SOUND
+        with pytest.raises(IndexOutOfRange):
+            scene.model_at(jx, jy)
 
 
 @st.composite

@@ -21,7 +21,10 @@ from pnpuct import (
     generate_ls,
     generate_mls,
     modify_for_perfect_pacf,
+    open_stack,
     waveform_to_csv,
+    waveform_to_stack,
+    write_stack,
 )
 from pnpuct.waveform import filter_to_csv, timing_of
 from conftest import MLS7, dense_taps, resolution_function
@@ -114,6 +117,17 @@ class TestTimingOf:
         stack = None if stack is None else self.stack(**stack)
         with pytest.raises(TimingMismatch):
             timing_of(stack, *args)
+
+    @pytest.mark.parametrize("t_bit, fps", [
+        (1, 40), (1.0, 40.0), (np.float64(1.0), np.float32(40.0))])
+    def test_a_written_stack_gives_back_its_timing(self, tmp_path, t_bit,
+                                                   fps):
+        timing = Timing(t_bit, fps, 3)
+        assert (type(timing.t_bit), type(timing.fps)) == (float, float)
+        wave = build_unipolar(build_bipolar(generate_ls(7), timing), 1.0)
+        path = tmp_path / "w.tgs"
+        write_stack(waveform_to_stack(wave), path)
+        assert timing_of(open_stack(path)) == timing
 
 
 class TestRectPulse:
@@ -241,18 +255,17 @@ class TestWaveformRules:
 
 class TestMatchedFilter:
     def test_k1_time_reversed(self, ls31_plus):
-        filt = build_matched_filter(ls31_plus, Timing(t_bit=1.0, fps=1.0))
+        taps = build_matched_filter(ls31_plus)
         expected = ls31_plus.values[(-np.arange(31)) % 31]
-        np.testing.assert_array_equal(filt.bit_taps, expected)
-        assert not filt.bit_taps.flags.writeable
-        assert filt.k == 1
-        assert filt.gain == 31.0
+        np.testing.assert_array_equal(taps, expected)
+        assert taps.dtype == np.float64
+        assert not taps.flags.writeable
 
     def test_ls11_4plus_k3_layout(self, tmp_path):
         code = binarize_ls4(generate_ls(11), +1)
-        filt = build_matched_filter(code, Timing(t_bit=3.0, fps=1.0))
+        bit_taps = build_matched_filter(code)
         path = tmp_path / "filter.csv"
-        filter_to_csv(filt, path)
+        filter_to_csv(bit_taps, 3, path)
         header, *rows = path.read_text().splitlines()
         assert header == "tap_index,value"
         index, taps = zip(*(row.split(",") for row in rows))
@@ -260,12 +273,12 @@ class TestMatchedFilter:
         taps = np.array([float(v) for v in taps])
         nonzero = np.flatnonzero(taps)
         np.testing.assert_array_equal(nonzero, np.arange(0, 33, 3))
-        np.testing.assert_array_equal(taps[nonzero], filt.bit_taps)
+        np.testing.assert_array_equal(taps[nonzero], bit_taps)
         np.testing.assert_array_equal(taps, dense_taps(code, 3))
 
     def test_unmodified_rejected(self, ls31):
         with pytest.raises(UnmodifiedCode):
-            build_matched_filter(ls31, Timing(t_bit=1.0, fps=40.0))
+            build_matched_filter(ls31)
 
 
 class TestResolutionFunction:
