@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # the public names of the package, by the module that defines them
 _PUBLIC = {
     "codes": (
-        "BARKER13", "CODE_TABLE_VERSION", "CodeKind", "MlsSpec", "PnCode",
+        "BARKER13", "CODE_TABLE_VERSION", "CodeKind", "PnCode",
         "acyclic_autocorrelation", "binarize_ls4", "check_code",
         "code_from_text", "code_to_text", "generate_ls", "generate_mls",
         "golay_pair", "load_code", "make_codes", "modify_for_perfect_pacf",
@@ -44,9 +44,9 @@ _PUBLIC = {
         "impulse_response", "load_scene_config", "lpt_reference", "respond",
         "simulate_stack"),
     "waveform": (
-        "ExcitationWaveform", "RectPulse", "Timing", "WaveformKind",
-        "build_bipolar", "build_matched_filter", "build_unipolar",
-        "waveform_to_csv", "waveform_to_stack"),
+        "ExcitationWaveform", "RectPulse", "Timing", "build_bipolar",
+        "build_matched_filter", "build_unipolar", "waveform_to_csv",
+        "waveform_to_stack"),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
 # pnpuct.<module> imports the module, as the import system binds it here

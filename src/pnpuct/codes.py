@@ -57,13 +57,14 @@ def _int_field(value, field):
     """``int(value)``, or an InvalidCode naming the field it came from.
 
     A number must be integral (5.0 is 5, 4.9 is rejected, not
-    truncated); a string must spell an integer.
+    truncated) and not a bool; a string must spell an integer.
     """
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or not isinstance(value, str) and number != value:
+    if (number is None or isinstance(value, (bool, np.bool_))
+            or not isinstance(value, str) and number != value):
         raise InvalidCode(f"{field} = {value!r} is not an integer")
     return number
 
@@ -94,55 +95,6 @@ MODIFIED_KINDS = frozenset({CodeKind.MLS_PLUS, CodeKind.LS_PLUS, CodeKind.LS_4PL
 def is_prime(n):
     """Deterministic trial division, adequate for desk-scale code lengths."""
     return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
-
-
-@dataclass(frozen=True)
-class MlsSpec:
-    """Shift-register description for an MLS.
-
-    Parameters
-    ----------
-    order : int
-        Number of register taps M; the sequence length is 2**M - 1.
-    tap_coefficients : tuple of int, optional
-        Binary coefficients of the feedback polynomial, constant term
-        first (length M, excluding the implicit leading term). Defaults
-        to a built-in primitive polynomial for 2 <= M <= 16.
-    seed : tuple of int, optional
-        Bipolar register state of length M; defaults to all +1. The all
-        -1 state maps to the register fixed point and is rejected.
-    """
-
-    order: int
-    tap_coefficients: tuple = None
-    seed: tuple = None
-
-    def __post_init__(self):
-        order = _int_field(self.order, "order")
-        if order < 2:
-            raise InvalidCode("order must be at least 2")
-        object.__setattr__(self, "order", order)
-        taps = self.tap_coefficients
-        if taps is None:
-            taps = primitive_taps(self.order)
-        taps = tuple(_int_field(t, "tap_coefficients") for t in taps)
-        if len(taps) != self.order or any(t not in (0, 1) for t in taps):
-            raise InvalidCode(
-                "tap_coefficients must be %d binary values" % self.order)
-        if taps[0] != 1:
-            raise NonPrimitivePolynomial("constant coefficient must be 1")
-        object.__setattr__(self, "tap_coefficients", taps)
-        seed = self.seed
-        if seed is None:
-            seed = (1,) * self.order
-        seed = tuple(_int_field(s, "seed") for s in seed)
-        if len(seed) == 0:
-            raise InvalidSeed("seed must not be empty")
-        if len(seed) != self.order or any(s not in (-1, 1) for s in seed):
-            raise InvalidSeed("seed must be %d values of +1 or -1" % self.order)
-        if all(s == -1 for s in seed):
-            raise InvalidSeed("all -1 seed is the trivial register state")
-        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +161,20 @@ class PnCode:
         return self.kind in MODIFIED_KINDS
 
 
-def generate_mls(spec) -> PnCode:
-    """Generate a maximum-length sequence from an :class:`MlsSpec`.
+def generate_mls(order, tap_coefficients=None, seed=None) -> PnCode:
+    """Generate the maximum-length sequence of a shift register.
+
+    Parameters
+    ----------
+    order : int
+        Number of register taps M; the sequence length is 2**M - 1.
+    tap_coefficients : sequence of int, optional
+        Binary coefficients of the feedback polynomial, constant term
+        first (length M, excluding the implicit leading term). Defaults
+        to a built-in primitive polynomial for 2 <= M <= 16.
+    seed : sequence of int, optional
+        Bipolar register state of length M; defaults to all +1. The all
+        -1 state maps to the register fixed point and is rejected.
 
     The register bits follow the linear recurrence in GF(2) implied by
     the feedback polynomial; bit 1 maps to +1 and bit 0 to -1, matching
@@ -220,14 +184,35 @@ def generate_mls(spec) -> PnCode:
 
     Raises
     ------
+    InvalidCode, InvalidSeed
+        If the order and taps, or the seed, are malformed.
     NonPrimitivePolynomial
-        If the state cycle length is a proper divisor of 2**M - 1.
+        If the constant coefficient is 0, or the state cycle length is a
+        proper divisor of 2**M - 1.
     """
-    m = spec.order
+    m = _int_field(order, "order")
+    if m < 2:
+        raise InvalidCode("order must be at least 2")
+    if tap_coefficients is None:
+        tap_coefficients = primitive_taps(m)
+    taps = tuple(_int_field(t, "tap_coefficients") for t in tap_coefficients)
+    if len(taps) != m or any(t not in (0, 1) for t in taps):
+        raise InvalidCode("tap_coefficients must be %d binary values" % m)
+    if taps[0] != 1:
+        raise NonPrimitivePolynomial("constant coefficient must be 1")
+    if seed is None:
+        seed = (1,) * m
+    seed = tuple(_int_field(s, "seed") for s in seed)
+    if len(seed) == 0:
+        raise InvalidSeed("seed must not be empty")
+    if len(seed) != m or any(s not in (-1, 1) for s in seed):
+        raise InvalidSeed("seed must be %d values of +1 or -1" % m)
+    if all(s == -1 for s in seed):
+        raise InvalidSeed("all -1 seed is the trivial register state")
     n_bit = (1 << m) - 1
     # recurrence coefficient for lag i is the polynomial coefficient of x^(M-i)
-    lag_taps = [spec.tap_coefficients[m - i] for i in range(1, m + 1)]
-    bits = [(1 + s) // 2 for s in spec.seed]
+    lag_taps = [taps[m - i] for i in range(1, m + 1)]
+    bits = [(1 + s) // 2 for s in seed]
     state0 = tuple(bits)
     # the constant tap is 1, so the step is invertible and the seed state
     # recurs within 2**M - 1 steps: only an earlier return can reject it
@@ -351,7 +336,7 @@ def make_codes(kind, modified=None, *, n_bit=None, order=None, taps=None,
     """(standard, code) from code-kind names; code is the one to use.
 
     ``kind`` is ``ls`` (needs ``n_bit``) or ``mls`` (needs ``order``; comma
-    lists ``taps`` and ``seed`` as in :class:`MlsSpec`). ``modified`` is
+    lists ``taps`` and ``seed`` as in :func:`generate_mls`). ``modified`` is
     None (code is the standard one), ``<kind>_plus`` (add the perfect-PACF
     bias) or ``ls4_plus`` (zero replaced by ``sign``). A
     modified name passed as ``kind`` implies its standard kind.
@@ -365,10 +350,8 @@ def make_codes(kind, modified=None, *, n_bit=None, order=None, taps=None,
     elif kind == "mls":
         if order is None:
             raise InvalidCode("an MLS code needs an order")
-        standard = generate_mls(MlsSpec(
-            order=_int_field(order, "order"),
-            tap_coefficients=taps.split(",") if taps else None,
-            seed=seed.split(",") if seed else None))
+        standard = generate_mls(order, taps.split(",") if taps else None,
+                                seed.split(",") if seed else None)
     else:
         raise InvalidCode(f"unknown code kind {kind!r}")
     if modified is None:

@@ -32,7 +32,8 @@ from scipy.linalg.blas import dgemm, dtrmm
 
 from .codes import check_code
 from .errors import DegenerateTrace, ShapeMismatch
-from .stack import check_finite, derived_stack, write_hashed
+from . import stack as stack_mod
+from .stack import band_width, check_finite, derived_stack, write_hashed
 
 _EXPONENTS = (1.0, 0.75, 0.5)
 
@@ -41,26 +42,6 @@ def design_matrix(times) -> np.ndarray:
     """Columns t, t^0.75, t^0.5 evaluated at the given times."""
     t = np.asarray(times, dtype=float)
     return np.stack([t ** e for e in _EXPONENTS], axis=1)
-
-
-# Pixel columns per block. Every block, the last one and a single trace
-# included, is zero-padded to this width, so each column goes through
-# the same BLAS calls and its result does not depend on its neighbours.
-# Removing the DC trend of 64x64x2480 LS31 K=40 frames and compressing
-# them in one pass (1 BLAS thread, 2-vCPU Xeon VM) took 0.07, 0.06, 0.06
-# and 0.06 s of CPU at widths 128, 256, 512 and 1024, with traced peaks
-# of 23.2, 25.8, 30.9 and 41.2 MB, the 20.3 MB output included.
-_BLOCK = 256
-
-# Bytes of a band of a stack's columns (the width of its bands(width)):
-# the widest whole number of _BLOCK columns of n_frames float32 samples
-# within it, one block at least. For 64x64x2480 frames that is 4 bands
-# of 1024 columns (10.2 MB): with the 20.3 MB period and a 5.1 MB block,
-# a pipeline run from the file peaked 41.9 MB above its start (48.1 MB
-# reading the stack whole). A mapped stack is copied out of its file
-# (stack.ThermogramStack.bands) and a simulated scene is made
-# (thermal.SimulatedStack.bands) in bands of this width.
-_BAND_BYTES = 10 << 20
 
 
 def _gemm(alpha, x, y, beta, c):
@@ -93,30 +74,25 @@ def _trmm(t, b, upper):
             "dtrmm copied its target; pass a C-contiguous float64 array")
 
 
-def _band_width(n, n_pix):
-    """Columns of a band of n-sample float32 columns: the most whole
-    blocks within _BAND_BYTES, one block at least, or all n_pix (1 if none)."""
-    return min(max(1, _BAND_BYTES // (4 * n * _BLOCK)) * _BLOCK, n_pix) or 1
-
-
 def _blocks(bands):
     """The one loop over blocks of the columns of an (n, n_pix) array.
 
     ``bands`` yields (cols, band) pairs, in order, that cover the
     columns: ``cols`` a slice starting at a multiple of _BLOCK, ``band``
     the (n, w) array of those columns, read before the next pair is
-    drawn. Yields (cols, src, a) per block: the column slice, the
-    block's columns in its band and one float64 (n, _BLOCK) buffer,
-    allocated once per call, that holds the block's columns zero-padded
-    to _BLOCK. The caller may overwrite ``a``; the next block refills
-    it.
+    drawn. Yields (cols, src, a) per block of ``stack._BLOCK`` columns:
+    the column slice, the block's columns in its band and one float64
+    (n, _BLOCK) buffer, allocated once per call, that holds the block's
+    columns zero-padded to _BLOCK. The caller may overwrite ``a``; the
+    next block refills it.
     """
+    block = stack_mod._BLOCK
     a = None
     for band_cols, band in bands:
         if a is None:
-            a = np.empty((len(band), _BLOCK))
-        for start in range(band_cols.start, band_cols.stop, _BLOCK):
-            cols = slice(start, min(start + _BLOCK, band_cols.stop))
+            a = np.empty((len(band), block))
+        for start in range(band_cols.start, band_cols.stop, block):
+            cols = slice(start, min(start + block, band_cols.stop))
             src = band[:, cols.start - band_cols.start:
                        cols.stop - band_cols.start]
             m = src.shape[1]
@@ -180,7 +156,7 @@ class _Trend:
         z[:, ~valid] = 0.0
         best[~valid] = 0.0
         margin = (n * np.finfo(float).eps) ** 2 * best
-        coefs = np.zeros((3, _BLOCK))
+        coefs = np.zeros((3, a.shape[1]))
         for pinv, r_s, lift in self._subsets:
             sol = pinv @ z
             gap = z - r_s @ sol
@@ -244,16 +220,16 @@ def _check_frames(n_frames, expected):
 def _transform(stack, code, timing, op, rows, keep, metadata):
     """The one way from a stack through :func:`_columns` to a new stack.
 
-    Reads the stack's ``bands`` of :func:`_band_width` columns, whatever
-    the stack: a :class:`pnpuct.stack.ThermogramStack` in memory or
-    mapped, or a :class:`pnpuct.thermal.SimulatedStack` simulated as it
-    is read. Returns the float32 (rows, ny, nx) stack, its metadata the
-    source's plus the code's, ``metadata`` and the bias kept, if any;
-    and the (ny, nx, 4) fit map, or None without ``keep``.
+    Reads the stack's ``bands`` of :func:`pnpuct.stack.band_width`
+    columns, whatever the stack: a :class:`pnpuct.stack.ThermogramStack`
+    in memory or mapped, or a :class:`pnpuct.thermal.SimulatedStack`
+    simulated as it is read. Returns the float32 (rows, ny, nx) stack,
+    its metadata the source's plus the code's, ``metadata`` and the bias
+    kept, if any; and the (ny, nx, 4) fit map, or None without ``keep``.
     """
     _check_frames(stack.n_frames, timing.total_frames(code.n_bit))
     shape = stack.n_frames, stack.ny * stack.nx
-    out, fits = _columns(stack.bands(_band_width(*shape)), shape, op, rows,
+    out, fits = _columns(stack.bands(band_width(*shape)), shape, op, rows,
                          np.float32, keep, timing.dt)
     metadata = {"code_kind": code.kind.value, "code_n_bit": str(code.n_bit),
                 **metadata}

@@ -54,6 +54,25 @@ _CHUNK_FRAMES = 16
 # frames with a drop every 1 MiB took 1.41 s of CPU at page bounds and
 # 1.12 s at 2 MiB bounds.
 _FOLIO = 2 << 20
+# Pixel columns per block of the DC-removal and compression core
+# (pnpuct.dc_removal._blocks). Every block, the last one and a single
+# trace included, is zero-padded to this width, so each column goes
+# through the same BLAS calls and its result does not depend on its
+# neighbours. Removing the DC trend of 64x64x2480 LS31 K=40 frames and
+# compressing them in one pass (1 BLAS thread, 2-vCPU Xeon VM) took
+# 0.07, 0.06, 0.06 and 0.06 s of CPU at widths 128, 256, 512 and 1024,
+# with traced peaks of 23.2, 25.8, 30.9 and 41.2 MB, the 20.3 MB output
+# included.
+_BLOCK = 256
+# Bytes of a band of a stack's columns (the width of its bands(width)):
+# the widest whole number of _BLOCK columns of n_frames float32 samples
+# within it, one block at least (band_width). For 64x64x2480 frames that
+# is 4 bands of 1024 columns (10.2 MB): with the 20.3 MB period and a
+# 5.1 MB block, a pipeline run from the file peaked 41.9 MB above its
+# start (48.1 MB reading the stack whole). A mapped stack is copied out
+# of its file (ThermogramStack.bands) and a simulated scene is made
+# (thermal.SimulatedStack.bands) in bands of this width.
+_BAND_BYTES = 10 << 20
 
 
 class _FileMap(mmap.mmap):
@@ -169,10 +188,18 @@ def check_finite(array, message, update=None):
 
 
 def real(value):
-    """``value`` if it is a real number, else NaN. Every range check of
-    a real argument is written so that NaN fails it, so a string or None
-    fails it too, with that check's typed error."""
-    return value if isinstance(value, numbers.Real) else np.nan
+    """The one rule of a real argument: ``float(value)`` of a real number
+    that is not a bool, +-inf for an int beyond the float range, else
+    NaN. Every range check of a real argument is written so that NaN
+    fails it, so a string, None or a bool fails it too, and so does an
+    infinite value where the value must be finite, each with that
+    check's typed error."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return np.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
 
 
 def is_integer(value):
@@ -193,6 +220,15 @@ def check_stored(stack):
         raise InvalidStack(
             "the stack holds no samples: read it through its bands(), or "
             "store it with simulate_stack")
+
+
+def band_width(n_frames, n_pix):
+    """Columns of a band of n_frames-sample float32 columns, the width
+    that every reader of a whole stack's bands passes: the most whole
+    blocks within _BAND_BYTES, one block at least, or all n_pix (1 if
+    none)."""
+    return min(max(1, _BAND_BYTES // (4 * n_frames * _BLOCK)) * _BLOCK,
+               n_pix) or 1
 
 
 def check_width(width):

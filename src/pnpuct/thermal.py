@@ -31,9 +31,8 @@ from scipy.special import erfc
 
 from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
                      InvalidWaveform, SeriesNotConverged)
-from . import dc_removal
-from .stack import (ThermogramStack, check_finite, check_width, derived_stack,
-                    is_integer, open_stack, real, write_bands)
+from .stack import (ThermogramStack, band_width, check_finite, check_width,
+                    derived_stack, is_integer, open_stack, real, write_bands)
 from .waveform import excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -477,8 +476,7 @@ def simulate_stack(scene, excitation, path=None,
     """
     simulated = SimulatedStack(scene, excitation)
     shape = simulated.n_frames, simulated.ny, simulated.nx
-    bands = simulated.bands(dc_removal._band_width(shape[0],
-                                                   shape[1] * shape[2]))
+    bands = simulated.bands(band_width(shape[0], shape[1] * shape[2]))
     if path is None:
         data = np.empty(shape, dtype=np.float32)
         for cols, band in bands:

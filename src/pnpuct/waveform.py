@@ -11,7 +11,6 @@ bit. Sample n represents time n/FPS; bit b occupies samples
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -37,16 +36,17 @@ class Timing:
 
     def __post_init__(self):
         # each test is written so that NaN, and so a non-number, fails it
-        if not (real(self.t_bit) > 0 and real(self.fps) > 0):
+        t_bit, fps, n_per = real(self.t_bit), real(self.fps), real(self.n_per)
+        if not (t_bit > 0 and fps > 0):
             raise TimingMismatch("t_bit and fps must be positive")
-        object.__setattr__(self, "t_bit", float(self.t_bit))
-        object.__setattr__(self, "fps", float(self.fps))
+        object.__setattr__(self, "t_bit", t_bit)
+        object.__setattr__(self, "fps", fps)
         product = self.t_bit * self.fps
         k = int(round(product)) if np.isfinite(product) else 0
         if k < 1 or abs(product - k) > 1e-9 * max(1.0, product):
             raise TimingMismatch(
                 f"t_bit * fps = {product!r} is not a positive integer")
-        if not (real(self.n_per) >= 2 and float(self.n_per).is_integer()):
+        if not (n_per >= 2 and n_per.is_integer()):
             raise TimingMismatch(
                 f"n_per = {self.n_per!r} is not an integer of at least 2")
         object.__setattr__(self, "n_per", int(self.n_per))
@@ -85,15 +85,14 @@ class RectPulse:
             raise NonPositiveAmplitude("amplitude must be positive and finite")
 
 
-class WaveformKind(Enum):
-    BIPOLAR_XPN = "BIPOLAR_XPN"
-    UNIPOLAR_XTH = "UNIPOLAR_XTH"
-
-
 @dataclass(frozen=True, eq=False)
 class ExcitationWaveform:
+    """Samples at the timing's frame rate. An ``amplitude`` marks the
+    unipolar modulation of :func:`build_unipolar`, samples in [0,
+    amplitude] over n_per periods of a ``source_code``; without one a
+    drive spans one period of its ``source_code``."""
+
     samples: np.ndarray
-    kind: WaveformKind
     timing: Timing
     source_code: PnCode = None
     amplitude: float = None
@@ -104,13 +103,13 @@ class ExcitationWaveform:
         object.__setattr__(self, "samples", samples)
         if self.source_code is not None:
             per = self.timing.frames_per_period(self.source_code.n_bit)
-            if self.kind is WaveformKind.BIPOLAR_XPN and len(samples) != per:
+            if self.amplitude is None and len(samples) != per:
                 raise InvalidWaveform("bipolar waveform must span one period")
-            if (self.kind is WaveformKind.UNIPOLAR_XTH
+            if (self.amplitude is not None
                     and len(samples) != self.timing.n_per * per):
                 raise InvalidWaveform(
                     "unipolar waveform must span n_per periods")
-        if self.kind is WaveformKind.UNIPOLAR_XTH and self.amplitude is not None:
+        if self.amplitude is not None:
             if samples.min() < -1e-12 or samples.max() > self.amplitude + 1e-12:
                 raise InvalidWaveform(
                     "unipolar samples must lie in [0, amplitude]")
@@ -128,8 +127,7 @@ def build_bipolar(code, timing) -> ExcitationWaveform:
     fully bipolar, for a standard LS the single zero bit is kept.
     """
     samples = np.repeat(code.base_values, timing.k)
-    return ExcitationWaveform(samples=samples, kind=WaveformKind.BIPOLAR_XPN,
-                              timing=timing, source_code=code)
+    return ExcitationWaveform(samples=samples, timing=timing, source_code=code)
 
 
 def build_unipolar(bipolar, amplitude) -> ExcitationWaveform:
@@ -138,14 +136,14 @@ def build_unipolar(bipolar, amplitude) -> ExcitationWaveform:
     The output decomposes exactly into a constant A/2 step plus the
     bipolar ripple scaled by A/2.
     """
-    if bipolar.kind is not WaveformKind.BIPOLAR_XPN:
+    if bipolar.amplitude is not None:
         raise InvalidWaveform("input must be a bipolar coded waveform")
     if not 0 < real(amplitude) < np.inf:
         raise NonPositiveAmplitude(f"amplitude {amplitude} is not in (0, inf)")
     timing = bipolar.timing
     samples = 0.5 * amplitude * (np.tile(bipolar.samples, timing.n_per) + 1.0)
-    return ExcitationWaveform(samples=samples, kind=WaveformKind.UNIPOLAR_XTH,
-                              timing=timing, source_code=bipolar.source_code,
+    return ExcitationWaveform(samples=samples, timing=timing,
+                              source_code=bipolar.source_code,
                               amplitude=float(amplitude))
 
 
@@ -220,7 +218,8 @@ def timing_of(stack=None, t_bit=None, fps=None, n_per=None) -> Timing:
 
 def waveform_to_stack(wave):
     """Pack a waveform as a 1 x 1 trace in the binary stack container."""
-    metadata = {"stage": "waveform", "waveform_kind": wave.kind.value,
+    kind = "BIPOLAR_XPN" if wave.amplitude is None else "UNIPOLAR_XTH"
+    metadata = {"stage": "waveform", "waveform_kind": kind,
                 **excitation_metadata(wave)}
     data = np.asarray(wave.samples, dtype=np.float32).reshape(-1, 1, 1)
     return ThermogramStack(data=data, fps=wave.timing.fps, metadata=metadata)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pnpuct import (MlsSpec, Normalization, Timing, generate_ls, generate_mls,
+from pnpuct import (Normalization, Timing, generate_ls, generate_mls,
                     modify_for_perfect_pacf)
 from pnpuct.compression import _MatchedFilter
 
@@ -61,7 +61,7 @@ def ls31_plus(ls31):
 
 @pytest.fixture(scope="session")
 def mls7():
-    return generate_mls(MlsSpec(order=3))
+    return generate_mls(3)
 
 
 @pytest.fixture(scope="session")

@@ -17,14 +17,12 @@ from pnpuct import (
     BARKER13,
     CodeKind,
     ExcitationWaveform,
-    MlsSpec,
     Normalization,
     PixelModel,
     Region,
     RectPulse,
     SceneConfig,
     Timing,
-    WaveformKind,
     acyclic_autocorrelation,
     binarize_ls4,
     build_bipolar,
@@ -66,7 +64,7 @@ def report(criterion, detail):
 
 @pytest.fixture(scope="module")
 def perfect_family():
-    codes = [modify_for_perfect_pacf(generate_mls(MlsSpec(order=m)))
+    codes = [modify_for_perfect_pacf(generate_mls(m))
              for m in range(2, 11)]
     codes += [modify_for_perfect_pacf(generate_ls(p)) for p in PRIMES_TO_199]
     for p in PRIMES_TO_199:
@@ -87,7 +85,7 @@ def test_c01_perfect_pacf_sweep(perfect_family):
     assert worst_gain < 1e-9
     # two-valued law of the unmodified codes, exact in integer arithmetic
     for m in range(2, 11):
-        values = generate_mls(MlsSpec(order=m)).values.astype(np.int64)
+        values = generate_mls(m).values.astype(np.int64)
         direct = pacf_direct(values)
         assert direct[0] == len(values) and np.all(direct[1:] == -1)
     for p in PRIMES_TO_199:
@@ -103,7 +101,7 @@ def test_c02_tabulated_sequences():
     np.testing.assert_array_equal(generate_ls(7).values, LS7)
     np.testing.assert_array_equal(generate_ls(11).values, LS11)
     np.testing.assert_array_equal(generate_ls(31).values, LS31)
-    mls = generate_mls(MlsSpec(order=3))
+    mls = generate_mls(3)
     assert is_cyclic_shift(mls.values, MLS7)
     report(2, "LS7/LS11/LS31 byte-equal; MLS7 cyclic shift of the tabulated row")
 
@@ -348,8 +346,7 @@ def _rel_rms(x, reference):
 
 def _unipolar(samples, timing):
     """A heat-flux modulation of the given samples, for :func:`respond`."""
-    return ExcitationWaveform(samples=samples, kind=WaveformKind.UNIPOLAR_XTH,
-                              timing=timing)
+    return ExcitationWaveform(samples=samples, timing=timing)
 
 
 def test_c11_sidelobes_of_the_unmodified_chain():
@@ -358,8 +355,8 @@ def test_c11_sidelobes_of_the_unmodified_chain():
     # the library refuses to compress with an unmodified code
     table, modified_error = [], {}
     for standard, fps in ((generate_ls(31), 40.0), (generate_ls(127), 10.0),
-                          (generate_mls(MlsSpec(order=5)), 40.0),
-                          (generate_mls(MlsSpec(order=7)), 10.0)):
+                          (generate_mls(5), 40.0),
+                          (generate_mls(7), 10.0)):
         n_bit = standard.n_bit
         timing = Timing(t_bit=1.0, fps=fps, n_per=2)
         modified = modify_for_perfect_pacf(standard)
@@ -466,9 +463,9 @@ def test_c12_partial_correlations_set_the_floor():
     # later bits: the floor of C11's exact-DC column is that term
     floors = []
     for standard, fps in ((generate_ls(31), 40.0),
-                          (generate_mls(MlsSpec(order=5)), 40.0),
+                          (generate_mls(5), 40.0),
                           (generate_ls(127), 10.0),
-                          (generate_mls(MlsSpec(order=7)), 10.0)):
+                          (generate_mls(7), 10.0)):
         n_bit = standard.n_bit
         timing = Timing(t_bit=1.0, fps=fps, n_per=2)
         modified = modify_for_perfect_pacf(standard)

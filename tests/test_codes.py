@@ -14,7 +14,6 @@ from pnpuct import (
     GainMismatch,
     InvalidCode,
     InvalidSeed,
-    MlsSpec,
     NonPrimitivePolynomial,
     NotLs4Compatible,
     NotPrime,
@@ -38,25 +37,25 @@ from conftest import LS7, LS11, LS31, MLS7, is_cyclic_shift, pacf_direct
 
 class TestGenerateMls:
     def test_m3_is_cyclic_shift_of_tabulated(self):
-        code = generate_mls(MlsSpec(order=3, tap_coefficients=(1, 1, 0)))
+        code = generate_mls(3, tap_coefficients=(1, 1, 0))
         assert code.n_bit == 7
         assert code.kind is CodeKind.MLS
         assert is_cyclic_shift(code.values, MLS7)
 
     def test_m3_default_taps_match_x3_x_1(self):
         assert primitive_taps(3) == (1, 1, 0)
-        code = generate_mls(MlsSpec(order=3))
+        code = generate_mls(3)
         assert is_cyclic_shift(code.values, MLS7)
 
     def test_m2_pacf(self):
-        code = generate_mls(MlsSpec(order=2))
+        code = generate_mls(2)
         assert code.n_bit == 3
         np.testing.assert_array_equal(
             pacf_direct(code.values.astype(int)), [3, -1, -1])
 
     def test_m4_pacf_by_direct_summation(self):
         # x^4 + x + 1
-        code = generate_mls(MlsSpec(order=4, tap_coefficients=(1, 1, 0, 0)))
+        code = generate_mls(4, tap_coefficients=(1, 1, 0, 0))
         assert code.n_bit == 15
         direct = pacf_direct(code.values.astype(int))
         assert direct[0] == 15
@@ -65,18 +64,18 @@ class TestGenerateMls:
     def test_non_primitive_rejected(self):
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2
         with pytest.raises(NonPrimitivePolynomial):
-            generate_mls(MlsSpec(order=4, tap_coefficients=(1, 0, 1, 0)))
+            generate_mls(4, tap_coefficients=(1, 0, 1, 0))
 
     def test_even_constant_term_rejected(self):
         with pytest.raises(NonPrimitivePolynomial):
-            MlsSpec(order=3, tap_coefficients=(0, 1, 1))
+            generate_mls(3, tap_coefficients=(0, 1, 1))
 
     @pytest.mark.parametrize("build, match", [
         (lambda: primitive_taps(17), "no built-in polynomial for order 17"),
-        (lambda: MlsSpec(order=1), "order must be at least 2"),
-        (lambda: MlsSpec(order=3, tap_coefficients=(1, 1)),
+        (lambda: generate_mls(1), "order must be at least 2"),
+        (lambda: generate_mls(3, tap_coefficients=(1, 1)),
          "tap_coefficients must be 3 binary values"),
-        (lambda: MlsSpec(order=3, tap_coefficients=(1, 2, 0)),
+        (lambda: generate_mls(3, tap_coefficients=(1, 2, 0)),
          "tap_coefficients must be 3 binary values"),
     ], ids=["no-table-entry", "order-1", "taps-short", "taps-not-binary"])
     def test_malformed_spec_rejected(self, build, match):
@@ -85,30 +84,30 @@ class TestGenerateMls:
 
     def test_trivial_seed_rejected(self):
         with pytest.raises(InvalidSeed):
-            MlsSpec(order=3, seed=(-1, -1, -1))
+            generate_mls(3, seed=(-1, -1, -1))
 
     def test_malformed_seed_rejected(self):
         with pytest.raises(InvalidSeed):
-            MlsSpec(order=3, seed=(1, 1))
+            generate_mls(3, seed=(1, 1))
         with pytest.raises(InvalidSeed):
-            MlsSpec(order=3, seed=(1, 0, 1))
+            generate_mls(3, seed=(1, 0, 1))
         with pytest.raises(InvalidSeed):
-            MlsSpec(order=3, seed=())
+            generate_mls(3, seed=())
 
     def test_any_seed_gives_shift_of_same_sequence(self):
-        reference = generate_mls(MlsSpec(order=4)).values
+        reference = generate_mls(4).values
         for seed in [(1, -1, 1, -1), (-1, -1, -1, 1), (1, 1, -1, 1)]:
-            code = generate_mls(MlsSpec(order=4, seed=seed))
+            code = generate_mls(4, seed=seed)
             assert is_cyclic_shift(code.values, reference)
 
     @pytest.mark.parametrize("order", range(2, 17))
     def test_builtin_table_period(self, order):
-        code = generate_mls(MlsSpec(order=order))
+        code = generate_mls(order)
         assert code.n_bit == 2 ** order - 1
 
     def test_balance(self):
         for order in range(2, 11):
-            code = generate_mls(MlsSpec(order=order))
+            code = generate_mls(order)
             assert abs(code.values.sum()) == 1.0
 
 
@@ -259,7 +258,7 @@ def _perfect_code_family(max_mls_order=10, max_prime=199):
     primes = [p for p in range(3, max_prime + 1)
               if all(p % q for q in range(2, int(p ** 0.5) + 1))]
     for order in range(2, max_mls_order + 1):
-        yield modify_for_perfect_pacf(generate_mls(MlsSpec(order=order)))
+        yield modify_for_perfect_pacf(generate_mls(order))
     for p in primes:
         yield modify_for_perfect_pacf(generate_ls(p))
     for p in primes:
@@ -278,7 +277,7 @@ class TestPerfectPacfSweep:
 
     def test_standard_law_exact_integer(self):
         for order in range(2, 11):
-            values = generate_mls(MlsSpec(order=order)).values.astype(np.int64)
+            values = generate_mls(order).values.astype(np.int64)
             direct = pacf_direct(values)
             assert direct[0] == len(values)
             assert np.all(direct[1:] == -1)
@@ -362,9 +361,9 @@ class TestReferenceCodes:
 class TestSerialization:
     @pytest.mark.parametrize("make", [
         lambda: generate_ls(31),
-        lambda: generate_mls(MlsSpec(order=5)),
+        lambda: generate_mls(5),
         lambda: modify_for_perfect_pacf(generate_ls(61)),
-        lambda: modify_for_perfect_pacf(generate_mls(MlsSpec(order=4))),
+        lambda: modify_for_perfect_pacf(generate_mls(4)),
         lambda: binarize_ls4(generate_ls(19), -1),
     ])
     def test_round_trip_exact(self, make):
@@ -401,9 +400,9 @@ class TestSerialization:
 
 class TestIntegerFields:
     @pytest.mark.parametrize("build, field", [
-        (lambda: MlsSpec(order=3, tap_coefficients=("x", "1", "0")),
+        (lambda: generate_mls(3, tap_coefficients=("x", "1", "0")),
          "tap_coefficients"),
-        (lambda: MlsSpec(order=3, seed=("a", "1", "1")), "seed"),
+        (lambda: generate_mls(3, seed=("a", "1", "1")), "seed"),
         (lambda: make_codes("mls", order="x"), "order"),
         (lambda: make_codes("ls", n_bit="x"), "n_bit"),
         (lambda: make_codes("ls4_plus", n_bit="11", sign="x"), "sign"),
@@ -414,17 +413,18 @@ class TestIntegerFields:
 
     def test_spec_order_not_an_integer(self):
         with pytest.raises(InvalidCode, match="^order = 'x' "):
-            MlsSpec(order="x")
-        assert MlsSpec(order="5") == MlsSpec(order=5)
+            generate_mls("x")
+        assert (generate_mls("5").values.tobytes()
+                == generate_mls(5).values.tobytes())
 
     @pytest.mark.parametrize("build, field", [
-        (lambda: MlsSpec(order=4.9), "order"),
-        (lambda: MlsSpec(order=np.float64(4.5)), "order"),
-        (lambda: MlsSpec(order=float("inf")), "order"),
-        (lambda: MlsSpec(order=float("nan")), "order"),
-        (lambda: MlsSpec(order=3, tap_coefficients=(1, 0.5, 1)),
+        (lambda: generate_mls(4.9), "order"),
+        (lambda: generate_mls(np.float64(4.5)), "order"),
+        (lambda: generate_mls(float("inf")), "order"),
+        (lambda: generate_mls(float("nan")), "order"),
+        (lambda: generate_mls(3, tap_coefficients=(1, 0.5, 1)),
          "tap_coefficients"),
-        (lambda: MlsSpec(order=3, seed=(1, 1, -0.9)), "seed"),
+        (lambda: generate_mls(3, seed=(1, 1, -0.9)), "seed"),
         (lambda: generate_ls(31.7), "n_bit"),
         (lambda: make_codes("ls", n_bit=31.7), "n_bit"),
         (lambda: make_codes("ls4_plus", n_bit=11, sign=0.5), "sign"),
@@ -433,9 +433,25 @@ class TestIntegerFields:
         with pytest.raises(InvalidCode, match=f"^{field} = "):
             build()
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: golay_pair(True), "length"),
+        (lambda: golay_pair(np.True_), "length"),
+        (lambda: binarize_ls4(generate_ls(7), True), "sign"),
+        (lambda: make_codes("ls", "ls4_plus", n_bit=7, sign=True), "sign"),
+        (lambda: generate_mls(3, tap_coefficients=(True, True, False)),
+         "tap_coefficients"),
+        (lambda: generate_mls(3, seed=(True, 1, 1)), "seed"),
+    ], ids=["golay", "golay-numpy", "sign", "make_codes-sign", "taps", "seed"])
+    def test_a_bool_is_not_an_integer(self, build, field):
+        # as in stack.is_integer; True was taken as 1, so golay_pair(True)
+        # was a pair of length 1 and sign True was +1
+        with pytest.raises(InvalidCode, match=f"^{field} = (np\\.)?True"):
+            build()
+
     def test_integral_number_accepted(self):
-        assert MlsSpec(order=5.0) == MlsSpec(order=5)
-        assert MlsSpec(order=np.int64(5)) == MlsSpec(order=5)
+        for order in (5.0, np.int64(5)):
+            assert (generate_mls(order).values.tobytes()
+                    == generate_mls(5).values.tobytes())
         assert (generate_ls(31.0).values.tobytes()
                 == generate_ls(31).values.tobytes())
 
@@ -505,7 +521,7 @@ class TestPnCodeValidation:
 
 
 MODIFIED_CODES = {
-    "mls_plus": lambda: modify_for_perfect_pacf(generate_mls(MlsSpec(order=5))),
+    "mls_plus": lambda: modify_for_perfect_pacf(generate_mls(5)),
     "ls_plus": lambda: modify_for_perfect_pacf(generate_ls(31)),
     "ls4_plus+1": lambda: binarize_ls4(generate_ls(31), +1),
     "ls4_plus-1": lambda: binarize_ls4(generate_ls(31), -1),

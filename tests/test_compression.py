@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 from pnpuct import (
     EmptyRegion,
     InvalidScene,
-    MlsSpec,
     NonFiniteData,
     Normalization,
     PixelModel,
@@ -60,14 +59,14 @@ SOUND = PixelModel(diffusivity=1e-6)
 PLUS_CODES = [
     modify_for_perfect_pacf(generate_ls(7)),
     modify_for_perfect_pacf(generate_ls(13)),
-    modify_for_perfect_pacf(generate_mls(MlsSpec(order=3))),
-    modify_for_perfect_pacf(generate_mls(MlsSpec(order=4))),
+    modify_for_perfect_pacf(generate_mls(3)),
+    modify_for_perfect_pacf(generate_mls(4)),
     binarize_ls4(generate_ls(11), -1),
 ]
 RESOLUTION_CODES = [
     modify_for_perfect_pacf(generate_ls(31)),
     modify_for_perfect_pacf(generate_ls(127)),
-    modify_for_perfect_pacf(generate_mls(MlsSpec(order=5))),
+    modify_for_perfect_pacf(generate_mls(5)),
     binarize_ls4(generate_ls(31), -1),
 ]
 LS1031_PLUS = modify_for_perfect_pacf(generate_ls(1031))
@@ -208,14 +207,14 @@ class TestCompressTrace:
     def _period_residual(h, t_bit, k, n_per=3):
         """Relative RMS difference of consecutive steady periods for the
         exact response to the modified-sequence excitation."""
-        from pnpuct import ExcitationWaveform, WaveformKind
+        from pnpuct import ExcitationWaveform
 
         code = generate_ls(31)
         plus = modify_for_perfect_pacf(code)
         timing = Timing(t_bit=t_bit, fps=k / t_bit, n_per=n_per)
         x_mod = ExcitationWaveform(
             samples=0.5 * np.tile(np.repeat(plus.values, k), n_per),
-            kind=WaveformKind.BIPOLAR_XPN, timing=timing)
+            timing=timing)
         y_ac = respond(h(len(x_mod.samples), timing.dt), x_mod)
         conv = np.convolve(y_ac, dense_taps(plus, k))
         period = timing.frames_per_period(plus.n_bit)
@@ -367,7 +366,7 @@ class TestCompressionProperties:
     def test_trace_equals_stack_pixel(self, code, k, n_per, ny, nx,
                                       normalization, single_period, seed):
         # ny * nx up to 300 straddles one block of columns
-        assert 100 < pnpuct.dc_removal._BLOCK < 300
+        assert 100 < pnpuct.stack._BLOCK < 300
         timing = _timing(k, n_per)
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(timing.total_frames(code.n_bit), ny, nx))
@@ -558,7 +557,7 @@ class TestBlockWidth:
     """A column's result does not depend on the width of the blocks.
 
     DC removal, compression and the two fused are one loop over blocks
-    of dc_removal._BLOCK columns, each zero-padded to that width; each
+    of stack._BLOCK columns, each zero-padded to that width; each
     output column must be that of the column alone, at any width.
     """
 
@@ -596,10 +595,10 @@ class TestBlockWidth:
         stack = ThermogramStack(
             data=traces.reshape(n, 1, n_pix).astype(np.float32),
             fps=timing.fps)
-        assert pnpuct.dc_removal._BLOCK == 256
+        assert pnpuct.stack._BLOCK == 256
         expected = self._run(mode, stack, code, timing)
         for width in self.WIDTHS:
-            with mock.patch.object(pnpuct.dc_removal, "_BLOCK", width):
+            with mock.patch.object(pnpuct.stack, "_BLOCK", width):
                 assert self._run(mode, stack, code, timing) == expected, width
 
 
@@ -632,8 +631,8 @@ class TestMappedInput:
         whole = compress_stack(read_stack(path), code, timing,
                                remove_dc=remove_dc)
         # bands of one or two blocks and chunks down to one frame
-        band_bytes = 4 * n * pnpuct.dc_removal._BLOCK * band_blocks
-        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", band_bytes), \
+        band_bytes = 4 * n * pnpuct.stack._BLOCK * band_blocks
+        with mock.patch.object(pnpuct.stack, "_BAND_BYTES", band_bytes), \
                 mock.patch.object(pnpuct.stack, "CHUNK_BYTES", chunk_bytes):
             banded = compress_stack(open_stack(path), code, timing,
                                     remove_dc=remove_dc)
@@ -734,7 +733,7 @@ class TestSimulatedInput:
         def digest(results):
             # stacks by their data, fit maps as they are
             return [getattr(r, "data", r).tobytes() for r in results]
-        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", band_bytes):
+        with mock.patch.object(pnpuct.stack, "_BAND_BYTES", band_bytes):
             simulated = SimulatedStack(scene, wave)
             for run in (lambda x: remove_dc_stack(x, code, timing),
                         lambda x: compress_stack(x, code, timing,
@@ -807,7 +806,7 @@ class TestDerivedMetadata:
 class TestGemmUpdate:
     """dc_removal._gemm and _trmm write into the block loop's buffer."""
 
-    BLOCK = pnpuct.dc_removal._BLOCK
+    BLOCK = pnpuct.stack._BLOCK
 
     @classmethod
     def _targets(cls):

@@ -15,7 +15,6 @@ from pnpuct import (
     BiasMismatch,
     CodeKind,
     DegenerateTrace,
-    MlsSpec,
     NonFiniteData,
     PixelModel,
     PnCode,
@@ -235,18 +234,17 @@ class TestRemoveDc:
         fit = fit_dc(y, timing)
         y_ac = remove_dc(y, ls31_plus, timing)
 
-        from pnpuct import ExcitationWaveform, WaveformKind
+        from pnpuct import ExcitationWaveform
 
         modified_wave = ExcitationWaveform(
             samples=0.5 * amplitude * np.tile(
                 np.repeat(ls31_plus.values, timing.k), 2),
-            kind=WaveformKind.BIPOLAR_XPN, timing=timing)
+            timing=timing)
         target = respond(h, modified_wave)
 
         trend = design_matrix(times_for(timing, len(y))) @ fit[:3]
         step = ExcitationWaveform(
-            samples=np.full(len(y), 0.5 * amplitude),
-            kind=WaveformKind.BIPOLAR_XPN, timing=timing)
+            samples=np.full(len(y), 0.5 * amplitude), timing=timing)
         true_dc = respond(h, step)
         # identity: difference equals the scaled trend-fit error exactly
         np.testing.assert_allclose(
@@ -358,7 +356,7 @@ class TestRemoveDcStack:
 
 LS7_PLUS = modify_for_perfect_pacf(generate_ls(7))
 TREND_CODES = [LS7_PLUS, modify_for_perfect_pacf(generate_ls(31)),
-               modify_for_perfect_pacf(generate_mls(MlsSpec(order=4)))]
+               modify_for_perfect_pacf(generate_mls(4))]
 
 
 @st.composite
@@ -461,7 +459,7 @@ class TestWholeStackSolver:
     def test_result_is_a_new_array_with_zero_dead_pixels(
             self, k, n_per, ny, nx, seed, data):
         # ny * nx up to 300 straddles one block of columns
-        assert 100 < pnpuct.dc_removal._BLOCK < 300
+        assert 100 < pnpuct.stack._BLOCK < 300
         timing = Timing(t_bit=1.0, fps=float(k), n_per=n_per)
         n = timing.total_frames(LS7_PLUS.n_bit)
         rng = np.random.default_rng(seed)

@@ -37,7 +37,8 @@ class TestFreshInterpreter:
     def test_a_stage_loads_no_stage_it_does_not_use(self):
         modules = loaded_after("from pnpuct.thermal import SimulatedStack")
         assert "pnpuct.thermal" in modules
-        assert not modules & {"scipy.signal", "pnpuct.compression",
+        assert not modules & {"scipy.signal", "scipy.linalg",
+                              "pnpuct.dc_removal", "pnpuct.compression",
                               "pnpuct.pipeline", "pnpuct.cli"}
 
     def test_a_submodule_resolves_before_anything_imports_it(self):
@@ -79,11 +80,13 @@ class TestNamespace:
 
     @pytest.mark.parametrize("name, module", [
         ("DcFit", "dc_removal"), ("Pacf", "codes"), ("pacf_values", "codes"),
-        ("MatchedFilter", "waveform")])
+        ("MatchedFilter", "waveform"), ("MlsSpec", "codes"),
+        ("WaveformKind", "waveform")])
     def test_a_removed_result_wrapper_is_no_name(self, name, module):
         # fit_dc returns its fit-map row, pacf its lag vector and
-        # build_matched_filter its taps
-        assert len(pnpuct.__all__) == 88
+        # build_matched_filter its taps; generate_mls takes the register
+        # and an amplitude marks a unipolar waveform
+        assert len(pnpuct.__all__) == 86
         with pytest.raises(AttributeError, match=name):
             getattr(pnpuct, name)
         assert not hasattr(importlib.import_module(f"pnpuct.{module}"), name)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import pnpuct
 import pnpuct.cli
 from pnpuct import (IndexOutOfRange, InvalidCode, InvalidConfig, InvalidScene,
-                    MlsSpec,
                     NonFiniteData, Normalization, NotLs4Compatible, NotPrime,
                     PipelineStageError, PixelModel, Region, StackChanged,
                     ThermogramStack, TimingMismatch, binarize_ls4,
@@ -188,8 +187,8 @@ class TestRunPipeline:
             text = text.replace(old, new)
         cfg = work / "run.cfg"
         cfg.write_text(text)
-        budget = 1 if one_block_bands else pnpuct.dc_removal._BAND_BYTES
-        with mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", budget):
+        budget = 1 if one_block_bands else pnpuct.stack._BAND_BYTES
+        with mock.patch.object(pnpuct.stack, "_BAND_BYTES", budget):
             run_pipeline(cfg)
             raw = simulate_raw(cfg, work / "raw.tgs")
             parser = read_ini(cfg)
@@ -694,7 +693,7 @@ directory = {tmp_path / "out"}
                        f"[input]\nstack = {raw}\n\n"
                        f"[output]\ndirectory = {out}\n")
         # 300 px in bands of one block, and the file changes between them
-        monkeypatch.setattr(pnpuct.dc_removal, "_BAND_BYTES", 1)
+        monkeypatch.setattr(pnpuct.stack, "_BAND_BYTES", 1)
         bands = ThermogramStack.bands
 
         def changing(stack, width):
@@ -721,7 +720,7 @@ directory = {tmp_path / "out"}
                                output_extra="intermediates = dc_removed")
         cfg.write_text(cfg.read_text().replace("nx = 4\nny = 3",
                                                "nx = 20\nny = 15"))
-        monkeypatch.setattr(pnpuct.dc_removal, "_BAND_BYTES", 1)
+        monkeypatch.setattr(pnpuct.stack, "_BAND_BYTES", 1)
         bands = ThermogramStack.bands
 
         def changing(stack, width):
@@ -1341,9 +1340,9 @@ class TestCliMatchesPipeline:
 
 
 LS31 = generate_ls(31)
-MLS5 = generate_mls(MlsSpec(order=5))
-MLS4_TAPS = generate_mls(MlsSpec(order=4, tap_coefficients=(1, 0, 0, 1),
-                                 seed=(1, -1, 1, 1)))
+MLS5 = generate_mls(5)
+MLS4_TAPS = generate_mls(4, tap_coefficients=(1, 0, 0, 1),
+                         seed=(1, -1, 1, 1))
 
 
 class TestCodeFactory:
@@ -1397,9 +1396,9 @@ class TestCodeFactory:
          modify_for_perfect_pacf(MLS5)),
         ({"kind": "mls", "order": "4", "taps": "1,0,0,1",
           "modified": "auto"},
-         generate_mls(MlsSpec(order=4, tap_coefficients=(1, 0, 0, 1))),
+         generate_mls(4, tap_coefficients=(1, 0, 0, 1)),
          modify_for_perfect_pacf(
-             generate_mls(MlsSpec(order=4, tap_coefficients=(1, 0, 0, 1))))),
+             generate_mls(4, tap_coefficients=(1, 0, 0, 1)))),
     ])
     def test_config_matches_generators(self, section, excitation, modified):
         got_excitation, got_modified = generate_codes(section)

@@ -18,8 +18,11 @@ from pnpuct import (
     BadHeader,
     BadMagic,
     IndexOutOfRange,
+    InvalidScene,
     InvalidStack,
+    InvalidWaveform,
     NonFiniteData,
+    NonPositiveAmplitude,
     OverwritesInput,
     PixelModel,
     RectPulse,
@@ -28,6 +31,7 @@ from pnpuct import (
     SimulatedStack,
     ThermogramStack,
     Timing,
+    TimingMismatch,
     TrailingBytes,
     TruncatedFile,
     UnencodableMetadata,
@@ -37,6 +41,7 @@ from pnpuct import (
     export_pixel_trace,
     export_slice,
     generate_ls,
+    impulse_response,
     lpt_reference,
     open_stack,
     read_stack,
@@ -44,7 +49,6 @@ from pnpuct import (
     snr_metric,
     write_stack,
 )
-import pnpuct.dc_removal
 import pnpuct.stack
 from pnpuct.stack import check_stored, chunks, drops_pages, frame_at
 from pipeline_helpers import resident_kib
@@ -780,7 +784,7 @@ class TestBands:
         wave = build_unipolar(build_bipolar(generate_ls(7), timing), 1.0)
         scene = SceneConfig(nx=nx, ny=ny, background=PixelModel(
             diffusivity=1e-6), noise_sigma=0.1, rng_seed=seed)
-        n_pix, block = nx * ny, pnpuct.dc_removal._BLOCK
+        n_pix, block = nx * ny, pnpuct.stack._BLOCK
         width = blocks * block
         in_memory = simulate_stack(scene, wave)
         n = in_memory.n_frames
@@ -834,3 +838,53 @@ class TestBands:
                                    if kind == "mapped" else None)
         with pytest.raises(InvalidStack, match="positive integer"):
             next(stack.bands(width))
+
+
+HUGE = 10 ** 400
+
+
+def _wave():
+    return build_bipolar(generate_ls(7), Timing(t_bit=1.0, fps=1.0))
+
+
+def _frame_of(seconds):
+    return frame_at(small_stack(), seconds)
+
+
+@pytest.mark.parametrize("build, error", [
+    # an int beyond the float range was compared exactly, then stored or
+    # multiplied as a float: a bare OverflowError, or accepted
+    (lambda: Timing(HUGE, 1.0), TimingMismatch),
+    (lambda: Timing(1.0, 40.0, n_per=HUGE), TimingMismatch),
+    (lambda: SceneConfig(nx=1, ny=1, background=PixelModel(1e-6),
+                         noise_sigma=HUGE), InvalidScene),
+    (lambda: ThermogramStack(data=np.ones((1, 1, 1), np.float32), fps=HUGE),
+     InvalidStack),
+    (lambda: build_unipolar(_wave(), HUGE), NonPositiveAmplitude),
+    (lambda: impulse_response(PixelModel(1e-6), Timing(1.0, 1.0), HUGE),
+     InvalidScene),
+    (lambda: _frame_of(HUGE), IndexOutOfRange),
+    (lambda: _frame_of(-HUGE), IndexOutOfRange),
+    (lambda: RectPulse(HUGE, 1.0), InvalidWaveform),
+    (lambda: PixelModel(diffusivity=HUGE), InvalidScene),
+    (lambda: PixelModel(diffusivity=1e-6, defect_depth=HUGE), InvalidScene),
+    (lambda: PixelModel(diffusivity=1e-6, amplitude_scale=-HUGE),
+     InvalidScene),
+    # a bool is no real number
+    (lambda: Timing(True, 40.0), TimingMismatch),
+    (lambda: PixelModel(diffusivity=True), InvalidScene),
+    (lambda: RectPulse(True, True), InvalidWaveform),
+    (lambda: SceneConfig(nx=1, ny=1, background=PixelModel(1e-6),
+                         noise_sigma=True), InvalidScene),
+    (lambda: ThermogramStack(data=np.ones((1, 1, 1), np.float32), fps=True),
+     InvalidStack),
+], ids=["timing-t_bit", "timing-n_per", "noise_sigma", "stack-fps",
+        "amplitude", "duration", "seconds", "negative-seconds",
+        "pulse-duration", "diffusivity", "defect_depth", "amplitude_scale",
+        "timing-bool", "diffusivity-bool", "pulse-bool", "noise_sigma-bool",
+        "stack-fps-bool"])
+def test_a_huge_int_or_a_bool_is_no_real_argument(build, error):
+    # stack.real gives +-inf for the first and NaN for the second, and
+    # each range check fails with its typed error
+    with pytest.raises(error):
+        build()

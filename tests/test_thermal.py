@@ -23,7 +23,6 @@ from pnpuct import (
     SceneConfig,
     SeriesNotConverged,
     Timing,
-    WaveformKind,
     build_bipolar,
     build_unipolar,
     generate_ls,
@@ -34,7 +33,7 @@ from pnpuct import (
     simulate_stack,
     write_stack,
 )
-import pnpuct.dc_removal
+import pnpuct.stack
 from pnpuct import thermal
 from fd_oracle import fd_impulse_response
 from pipeline_helpers import file_resident_kib, resident_kib
@@ -53,7 +52,7 @@ MODELS = (SOUND,
 def wave_from(samples, fps, t_bit=None):
     timing = Timing(t_bit=t_bit if t_bit else 1.0 / fps, fps=fps)
     return ExcitationWaveform(samples=np.asarray(samples, dtype=float),
-                              kind=WaveformKind.BIPOLAR_XPN, timing=timing)
+                              timing=timing)
 
 
 def image_series_response(model, dt, n_frames):
@@ -401,8 +400,7 @@ class TestSimulateStack:
         timing = Timing(t_bit=1.0, fps=4.0)
         pulse = np.zeros(4 * 20)
         pulse[: 4 * 3] = 1.0
-        wave = ExcitationWaveform(samples=pulse, kind=WaveformKind.BIPOLAR_XPN,
-                                  timing=timing)
+        wave = ExcitationWaveform(samples=pulse, timing=timing)
         stack = simulate_stack(scene, wave)
         t_index = int(6.0 * 4)
         background_value = stack.data[t_index, 1, 1]
@@ -585,10 +583,10 @@ class TestLabelMap:
     def test_matches_per_pixel_build(self, scene, band_px):
         # band_px: the pixels of a band, as blocks of band_px columns
         # and a budget below one block; None for the default geometry
-        block = band_px or pnpuct.dc_removal._BLOCK
-        budget = 1 if band_px else pnpuct.dc_removal._BAND_BYTES
-        with mock.patch.object(pnpuct.dc_removal, "_BLOCK", block), \
-                mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", budget):
+        block = band_px or pnpuct.stack._BLOCK
+        budget = 1 if band_px else pnpuct.stack._BAND_BYTES
+        with mock.patch.object(pnpuct.stack, "_BLOCK", block), \
+                mock.patch.object(pnpuct.stack, "_BAND_BYTES", budget):
             stack = simulate_stack(scene, self.WAVE)
         np.testing.assert_array_equal(stack.data,
                                       per_pixel_stack(scene, self.WAVE))
@@ -670,8 +668,8 @@ class TestSimulatedFile:
         # a time
         block_bytes = 4 * n_frames * block
         sha = hashlib.sha256()
-        with mock.patch.object(pnpuct.dc_removal, "_BLOCK", block), \
-                mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES",
+        with mock.patch.object(pnpuct.stack, "_BLOCK", block), \
+                mock.patch.object(pnpuct.stack, "_BAND_BYTES",
                                   int((band_blocks + spare) * block_bytes)), \
                 mock.patch.object(pnpuct.stack, "_CHUNK_FRAMES",
                                   chunk_frames), \
@@ -720,8 +718,8 @@ class TestSimulatedFile:
         wave = self._wave(2)
         write_stack(simulate_stack(scene, wave), tmp_path / "memory.tgs")
         monkeypatch.delattr(pnpuct.stack.os, "posix_fallocate")
-        with mock.patch.object(pnpuct.dc_removal, "_BLOCK", scene.nx), \
-                mock.patch.object(pnpuct.dc_removal, "_BAND_BYTES", 1):
+        with mock.patch.object(pnpuct.stack, "_BLOCK", scene.nx), \
+                mock.patch.object(pnpuct.stack, "_BAND_BYTES", 1):
             simulate_stack(scene, wave, tmp_path / "file.tgs")
         assert ((tmp_path / "file.tgs").read_bytes()
                 == (tmp_path / "memory.tgs").read_bytes())

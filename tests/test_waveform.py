@@ -5,7 +5,6 @@ from pnpuct import (
     CodeKind,
     ExcitationWaveform,
     InvalidWaveform,
-    MlsSpec,
     NonPositiveAmplitude,
     PnCode,
     RectPulse,
@@ -13,7 +12,6 @@ from pnpuct import (
     Timing,
     TimingMismatch,
     UnmodifiedCode,
-    WaveformKind,
     binarize_ls4,
     build_bipolar,
     build_matched_filter,
@@ -171,7 +169,7 @@ class TestBuildBipolar:
 
     def test_kind_and_duration(self):
         wave = build_bipolar(generate_ls(31), Timing(t_bit=1.0, fps=40.0))
-        assert wave.kind is WaveformKind.BIPOLAR_XPN
+        assert wave.amplitude is None
         assert len(wave.samples) == 1240
         assert wave.duration == pytest.approx(31.0)
 
@@ -179,7 +177,7 @@ class TestBuildBipolar:
 class TestBuildUnipolar:
     def test_two_sample_by_hand(self):
         bipolar = ExcitationWaveform(
-            samples=np.array([1.0, -1.0]), kind=WaveformKind.BIPOLAR_XPN,
+            samples=np.array([1.0, -1.0]),
             timing=Timing(t_bit=1.0, fps=1.0, n_per=2))
         uni = build_unipolar(bipolar, amplitude=2.0)
         np.testing.assert_array_equal(uni.samples, [2, 0, 2, 0])
@@ -236,15 +234,14 @@ class TestBuildUnipolar:
 class TestWaveformRules:
     TIMING = Timing(t_bit=1.0, fps=1.0, n_per=2)
 
-    @pytest.mark.parametrize("kind, samples, amplitude, match", [
-        (WaveformKind.BIPOLAR_XPN, np.ones(6), None, "span one period"),
-        (WaveformKind.UNIPOLAR_XTH, np.ones(7), 1.0, "span n_per periods"),
-        (WaveformKind.UNIPOLAR_XTH, np.full(14, 3.0), 2.0,
-         r"lie in \[0, amplitude\]"),
+    @pytest.mark.parametrize("samples, amplitude, match", [
+        (np.ones(6), None, "span one period"),
+        (np.ones(7), 1.0, "span n_per periods"),
+        (np.full(14, 3.0), 2.0, r"lie in \[0, amplitude\]"),
     ], ids=["bipolar-length", "unipolar-length", "unipolar-range"])
-    def test_samples_checked(self, kind, samples, amplitude, match):
+    def test_samples_checked(self, samples, amplitude, match):
         with pytest.raises(InvalidWaveform, match=match):
-            ExcitationWaveform(samples=samples, kind=kind, timing=self.TIMING,
+            ExcitationWaveform(samples=samples, timing=self.TIMING,
                                source_code=table1_mls7(), amplitude=amplitude)
 
     def test_unipolar_of_a_unipolar_wave(self):
@@ -334,6 +331,10 @@ class TestBinaryTraceExport:
         assert stack.data.shape == (28, 1, 1)
         assert stack.metadata["waveform_kind"] == "UNIPOLAR_XTH"
         assert stack.metadata["amplitude"] == "2.0"
+        # a waveform without an amplitude is the bipolar drive
+        bipolar = waveform_to_stack(build_bipolar(generate_ls(7), timing))
+        assert bipolar.metadata["waveform_kind"] == "BIPOLAR_XPN"
+        assert "amplitude" not in bipolar.metadata
         path = tmp_path / "w.tgs"
         write_stack(stack, path)
         back = read_stack(path)
