@@ -1,10 +1,12 @@
 """End-to-end run orchestration: generate, simulate, remove DC, compress.
 
-A run is described by an INI config (see README for the schema) and
-produces a fixed artifact set in the output directory plus a manifest
-recording every parameter, the SHA-256 of every artifact and, for an
-``[input]`` stack, the input's path, size and SHA-256, so identical
-configs yield identical manifests.
+A run is described by an INI config (see README for the schema).
+:func:`plan` reads it once through the key tables, :data:`RUN_KEYS` and
+:data:`~pnpuct.thermal.SCENE_KEYS`, and :func:`execute` runs the plan:
+a fixed artifact set in the output directory plus a manifest recording
+every parameter, the SHA-256 of every artifact and, for an ``[input]``
+stack, the input's path, size and SHA-256, so identical configs yield
+identical manifests.
 """
 
 from __future__ import annotations
@@ -14,19 +16,18 @@ import hashlib
 import json
 import math
 import os
+from configparser import ConfigParser
 from contextlib import contextmanager
-from functools import partial
 
-from . import codes as codes_mod
-from .codes import CodeKind, check_code, save_code
+from .codes import CodeKind, check_code, make_codes, save_code
 from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import InvalidConfig, PipelineStageError
 from .stack import (check_not_input, check_unchanged, export_pixel_trace,
                     export_slice, frame_at, open_stack, slice_paths,
                     write_stack)
-from .thermal import (SimulatedStack, config_value, read_ini,
-                      scene_from_parser, simulate_stack)
+from .thermal import (SCENE_KEYS, SimulatedStack, check_names, read_ini,
+                      read_section, scene_from_parser, simulate_stack)
 from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
                        filter_to_csv, timing_of, waveform_to_csv)
 
@@ -44,6 +45,132 @@ def _stage(name):
 
 # stacks written only when [output] intermediates names them
 INTERMEDIATES = ("dc_removed",)
+# TGS1 stores nx, ny and n_frames as uint32
+_MAX_SIZE = 2 ** 32 - 1
+
+
+def _items(parse):
+    """The parse of a comma list: ``parse`` of each non-empty item."""
+    return lambda text: tuple(
+        parse(item) for item in map(str.strip, text.split(",")) if item)
+
+
+def _intermediate(name):
+    """``name`` in lower case; ValueError where INTERMEDIATES lacks it."""
+    return INTERMEDIATES[INTERMEDIATES.index(name.lower())]
+
+
+_BOOLEAN = (lambda text: ConfigParser.BOOLEAN_STATES[text.lower()], False)
+# Every section and key of a run config but the scene's (SCENE_KEYS),
+# each key with its parse and default. The [code] keys are the
+# arguments of codes.make_codes and the [timing] keys those of
+# waveform.timing_of, which parse them.
+RUN_KEYS = {
+    "code": {"kind": (str.lower, "ls"), "modified": (str.lower, "auto"),
+             "n_bit": (str, None), "order": (str, None), "taps": (str, None),
+             "sign": (str, "1")},
+    "timing": dict.fromkeys(("t_bit", "fps", "n_per"), (str, None)),
+    "excitation": {"amplitude": (float, 1.0)},
+    "compression": {
+        "normalization": (lambda text: Normalization(text.lower() or "raw"),
+                          Normalization.RAW),
+        "single_period": _BOOLEAN, "decimate": _BOOLEAN,
+        "decimate_average": _BOOLEAN},
+    "input": {"stack": (str, None)},
+    "output": {
+        "directory": (str, "out"),
+        # times and pixels out of the stack's range stop the run at report
+        "slices": (_items(lambda item: (item, float(item))), ()),
+        "pixels": (_items(lambda item: (
+            item, *map(int, item.partition("x")[::2]))), ()),
+        "intermediates": (_items(_intermediate), ())},
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class Plan:
+    """A run config as :func:`plan` read it: each section of
+    :data:`RUN_KEYS` as its values by key, ``scene`` as its sections'
+    text (None beside an ``[input]`` stack), and for the manifest the
+    INI text as written and :func:`plan`'s ``out_dir`` and ``seed``."""
+
+    code: dict
+    timing: dict
+    excitation: dict
+    compression: dict
+    input: dict
+    output: dict
+    scene: dict
+    parameters: dict
+    overrides: dict
+
+
+def plan(config, out_dir=None, seed=None) -> Plan:
+    """Read the INI file ``config`` once, through the key tables, into a
+    :class:`Plan`; ``out_dir`` replaces ``[output] directory`` and
+    ``seed`` the scene's ``rng_seed``.
+
+    Each fault stops the run at stage ``config``, before anything is
+    written or allocated, with an InvalidConfig: a section or key that
+    neither :data:`RUN_KEYS` nor :data:`~pnpuct.thermal.SCENE_KEYS`
+    holds, a run key whose text does not parse, no ``[code]`` section,
+    ``decimate_average`` without ``decimate``, a seed beside an
+    ``[input]`` stack, or a simulated run that no TGS1 stack can hold
+    (:func:`_check_size`; its timing is read here, so a TimingMismatch
+    stops it here too).
+    """
+    with _stage("config"):
+        parser = read_ini(config)
+        # the one read of the text: the manifest's parameters
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+        check_names(sections, {**RUN_KEYS, **SCENE_KEYS})
+        if "code" not in sections:
+            raise InvalidConfig("run config has no [code] section")
+        run = {name: read_section(sections, name, keys, InvalidConfig)
+               for name, keys in RUN_KEYS.items()}
+        compression = run["compression"]
+        if compression["decimate_average"] and not compression["decimate"]:
+            raise InvalidConfig(
+                "[compression] decimate_average = true needs decimate = true")
+        scene = None
+        if run["input"]["stack"] is not None:
+            if seed is not None:
+                raise InvalidConfig("a seed sets the noise of a simulated "
+                                    "scene; an [input] stack has none")
+        else:
+            scene = {name: section for name, section in sections.items()
+                     if name not in RUN_KEYS}
+            _check_size(timing_of(**run["timing"]), run["code"],
+                        scene.get("scene", {}))
+        if out_dir:
+            # recorded as text: the manifest is JSON
+            out_dir = run["output"]["directory"] = os.fspath(out_dir)
+        return Plan(**run, scene=scene, parameters=sections,
+                    overrides={"out_dir": out_dir, "seed": seed})
+
+
+def _integer(text):
+    """``int(text)``, or 0 where it spells no integer: the stage that
+    reads the key names it."""
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        return 0
+
+
+def _check_size(timing, code, scene):
+    """InvalidConfig for a run that no TGS1 stack can hold: more than
+    2^32 - 1 frames, n_per * K * N for the N bits the [code] keys ask
+    for, or pixels in the [scene] nx or ny."""
+    # an order past 32 is too long whatever the timing
+    n_bit = (2 ** min(_integer(code["order"]), 33) - 1
+             if code["kind"] == "mls" else _integer(code["n_bit"]))
+    for what, size in (("n_per * K * N", timing.n_per * timing.k * n_bit),
+                       ("[scene] nx", _integer(scene.get("nx"))),
+                       ("[scene] ny", _integer(scene.get("ny")))):
+        if size > _MAX_SIZE:
+            raise InvalidConfig(f"{what} = {size} is above 2^32 - 1, the "
+                                "most a TGS1 stack holds")
 
 
 class _SimulatedScene(SimulatedStack):
@@ -55,16 +182,14 @@ class _SimulatedScene(SimulatedStack):
             yield from super().bands(width)
 
 
-def generate_codes(section):
-    """Standard excitation code and modified compression code from [code]."""
-    kind = section.get("kind", "ls").lower()
-    modified_name = section.get("modified", "auto").lower()
-    if modified_name == "auto":
-        modified_name = "ls_plus" if kind == "ls" else "mls_plus"
-    standard, modified = codes_mod.make_codes(
-        kind, modified_name, n_bit=section.get("n_bit"),
-        order=section.get("order"), taps=section.get("taps"),
-        sign=section.get("sign", "1"))
+def generate_codes(code):
+    """Standard excitation code and modified compression code of the
+    ``[code]`` values ``code`` of a :class:`Plan`."""
+    modified = code["modified"]
+    if modified == "auto":
+        modified = "ls_plus" if code["kind"] == "ls" else "mls_plus"
+    # the [code] keys are make_codes' arguments
+    standard, modified = make_codes(**dict(code, modified=modified))
     # DC removal and compression take the bias and gain as given
     check_code(modified)
     # a binarized code is also the physical drive sequence
@@ -73,13 +198,23 @@ def generate_codes(section):
 
 
 def run_pipeline(config, out_dir=None, seed=None):
-    """Execute the full pipeline described by the INI file ``config``.
+    """Run the INI file ``config``: ``execute(plan(config, out_dir, seed))``.
 
-    Returns the manifest dictionary. Any error, the failed write of an
-    artifact included, raises PipelineStageError with the name of the
-    stage that made that artifact, and no manifest file is written.
-    ``seed`` replaces the scene's ``rng_seed``; with an ``[input]``
-    stack it raises InvalidConfig at stage ``config``.
+    Returns the manifest dictionary; :func:`plan` and :func:`execute`
+    hold the stages and their errors.
+    """
+    return execute(plan(config, out_dir, seed))
+
+
+def execute(plan):
+    """Run the stages of the :class:`Plan` ``plan``; return the manifest.
+
+    Any error, the failed write of an artifact included, raises
+    PipelineStageError with the name of the stage that made that
+    artifact, and no manifest file is written. An ``[input]`` stack is
+    opened first, in stage ``simulate``; in stage ``config`` it fills
+    the timing keys left out, and the frames that timing asks for are
+    checked as :func:`plan` checks a simulated run's.
 
     A simulated scene is compressed straight from its bands as they are
     simulated (:class:`~pnpuct.thermal.SimulatedStack`): no raw stack
@@ -98,43 +233,13 @@ def run_pipeline(config, out_dir=None, seed=None):
     another process while the run reads it kills the process with
     SIGBUS (see :func:`stack.open_stack`).
     """
-    with _stage("config"):
-        parser = read_ini(config)
-        if not parser.has_section("code"):
-            raise InvalidConfig("run config has no [code] section")
-        option = partial(config_value, parser, error=InvalidConfig)
-        amplitude = option("excitation", "amplitude", float, 1.0)
-        normalization = option("compression", "normalization",
-                               lambda t: Normalization(t.lower() or "raw"),
-                               Normalization.RAW)
-        options = {key: option("compression", key,
-                               lambda t: parser.BOOLEAN_STATES[t.lower()], False)
-                   for key in ("single_period", "decimate", "decimate_average")}
-        # times and pixels out of the stack's range stop the run at report
-        slices = option("output", "slices", lambda text: [
-            (t, float(t)) for t in _tokens(text)], [])
-        pixels = option("output", "pixels", lambda text: [
-            (t, *map(int, t.partition("x")[::2])) for t in _tokens(text)], [])
-        if options["decimate_average"] and not options["decimate"]:
-            raise InvalidConfig(
-                "[compression] decimate_average = true needs decimate = true")
-        directory = out_dir or option("output", "directory", str, "out")
-        intermediates = option("output", "intermediates",
-                               lambda text: _tokens(text.lower()), [])
-        unknown = sorted(set(intermediates) - set(INTERMEDIATES))
-        if unknown:
-            raise InvalidConfig(
-                f"[output] intermediates: unknown {', '.join(unknown)}; "
-                f"known: {', '.join(INTERMEDIATES)}")
-        if seed is not None and parser.has_option("input", "stack"):
-            raise InvalidConfig(
-                "a seed sets the noise of a simulated scene; an [input] "
-                "stack has none")
+    compression, output = plan.compression, plan.output
+    directory, intermediates = output["directory"], output["intermediates"]
     # read before the timing: its metadata fills the [timing] keys left out
     raw = source = mapped = None
-    if parser.has_option("input", "stack"):
+    if plan.scene is None:
         with _stage("simulate"):
-            path = parser["input"]["stack"]
+            path = plan.input["stack"]
             digest = hashlib.sha256()
             raw = open_stack(path, digest)
             # its size and mtime from before the hash pass: any change
@@ -143,12 +248,14 @@ def run_pipeline(config, out_dir=None, seed=None):
             source = {"path": path, "bytes": mapped.size,
                       "sha256": digest.hexdigest()}
     with _stage("config"):
-        section = parser["timing"] if parser.has_section("timing") else {}
-        timing = timing_of(raw, *map(section.get, ("t_bit", "fps", "n_per")))
+        timing = timing_of(raw, **plan.timing)
+        if raw is not None:
+            _check_size(timing, plan.code, {})
         # a time of no finite frame is no frame of any stack
-        if not all(math.isfinite(t * timing.fps) for _, t in slices):
+        if not all(math.isfinite(t * timing.fps) for _, t in output["slices"]):
             raise InvalidConfig(f"[output] slices = "
-                                f"{parser.get('output', 'slices')!r} is invalid")
+                                f"{plan.parameters['output']['slices']!r} "
+                                "is invalid")
 
     # name -> (path, SHA-256 of the bytes written)
     artifacts = {}
@@ -172,21 +279,22 @@ def run_pipeline(config, out_dir=None, seed=None):
         if os.path.isfile(manifest_path):
             os.remove(manifest_path)
     with _stage("codes"):
-        excitation_code, modified_code = generate_codes(parser["code"])
+        excitation_code, modified_code = generate_codes(plan.code)
         emit("excitation_code", "excitation_code.txt", save_code,
              excitation_code)
         emit("modified_code", "modified_code.txt", save_code, modified_code)
     with _stage("waveform"):
         bipolar = build_bipolar(excitation_code, timing)
-        unipolar = build_unipolar(bipolar, amplitude)
+        unipolar = build_unipolar(bipolar, plan.excitation["amplitude"])
         emit("bipolar_csv", "bipolar.csv", waveform_to_csv, bipolar)
         emit("unipolar_csv", "unipolar.csv", waveform_to_csv, unipolar)
     if source is None:
         with _stage("simulate"):
-            scene = scene_from_parser(parser)
+            scene = scene_from_parser(plan.scene)
+            seed = plan.overrides["seed"]
             if seed is not None:
                 scene = dataclasses.replace(scene, rng_seed=int(seed))
-            if options["decimate"] or "dc_removed" in intermediates:
+            if compression["decimate"] or "dc_removed" in intermediates:
                 path = writable(os.path.join(directory, "raw_stack.tgs"))
                 digest = hashlib.sha256()
                 # written band by band and mapped: never resident
@@ -196,10 +304,10 @@ def run_pipeline(config, out_dir=None, seed=None):
             else:
                 raw = _SimulatedScene(scene, unipolar)
     comp_timing = timing
-    if options["decimate"]:
+    if compression["decimate"]:
         with _stage("decimate"):
             raw, comp_timing = decimate_to_bit_rate(
-                raw, timing, options["decimate_average"])
+                raw, timing, compression["decimate_average"])
             emit("decimated_stack", "decimated_stack.tgs", write_stack, raw)
     with _stage("waveform"):
         # the filter that compression runs: one tap per bit when decimated
@@ -211,8 +319,8 @@ def run_pipeline(config, out_dir=None, seed=None):
     # taking (stack, code, *args) can replace it
     with _stage("compress"):
         compressed, fit_map = compress_stack(
-            raw, modified_code, comp_timing, normalization,
-            options["single_period"], True)
+            raw, modified_code, comp_timing, compression["normalization"],
+            compression["single_period"], True)
         emit("fit_map", "fit_map.csv", export_fit_map_csv, fit_map)
         emit("compressed_stack", "compressed.tgs", write_stack, compressed)
     if "dc_removed" in intermediates:
@@ -222,7 +330,7 @@ def run_pipeline(config, out_dir=None, seed=None):
         del removed
     del raw
     with _stage("report"):
-        for token, time in slices:
+        for token, time in output["slices"]:
             index = frame_at(compressed, time)
             base = os.path.join(directory, f"slice_t{token}")
             for path in slice_paths(base):
@@ -230,14 +338,13 @@ def run_pipeline(config, out_dir=None, seed=None):
             written = export_slice(compressed, index, base)
             for kind, path in zip(("pgm", "csv", "bounds"), written):
                 artifacts[f"slice_{token}_{kind}"] = path, written[path]
-        for token, jx, jy in pixels:
+        for token, jx, jy in output["pixels"]:
             emit(f"pixel_{token}", f"pixel_{token.replace('x', '_')}.csv",
                  export_pixel_trace, compressed, jx, jy)
     with _stage("output"):
         manifest = {
-            "parameters": {section: dict(parser[section])
-                           for section in parser.sections()},
-            "overrides": {"out_dir": out_dir, "seed": seed},
+            "parameters": plan.parameters,
+            "overrides": plan.overrides,
             "artifacts": {
                 name: {"path": os.path.basename(path), "sha256": digest}
                 for name, (path, digest) in sorted(artifacts.items())},
@@ -251,8 +358,3 @@ def run_pipeline(config, out_dir=None, seed=None):
             fh.write("\n")
     manifest["manifest_path"] = manifest_path
     return manifest
-
-
-def _tokens(text):
-    """Non-empty, stripped items of a comma-separated config value."""
-    return [t for t in (s.strip() for s in text.split(",")) if t]

@@ -33,7 +33,7 @@ from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
                      InvalidWaveform, SeriesNotConverged)
 from .stack import (ThermogramStack, band_width, check_finite, check_width,
                     derived_stack, is_integer, open_stack, real, write_bands)
-from .waveform import excitation_metadata
+from .waveform import MAX_SCALE, excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
 # Term cap of every series: an image series with |R| near 1 needs about
@@ -57,15 +57,17 @@ class PixelModel:
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
-        if not 0 < real(self.diffusivity) < np.inf:
-            raise InvalidScene("diffusivity must be positive and finite")
+        if not 0 < real(self.diffusivity) <= MAX_SCALE:
+            raise InvalidScene(f"diffusivity must be positive, finite and "
+                               f"at most {MAX_SCALE:.8g}")
         if (self.defect_depth is not None
                 and not 0 < real(self.defect_depth) < np.inf):
             raise InvalidScene("defect_depth must be positive and finite")
         if not (-1.0 < real(self.reflection_coeff) <= 1.0):
             raise InvalidScene("reflection_coeff must lie in (-1, 1]")
-        if not np.isfinite(real(self.amplitude_scale)):
-            raise InvalidScene("amplitude_scale must be finite")
+        if not abs(real(self.amplitude_scale)) <= MAX_SCALE:
+            raise InvalidScene(f"amplitude_scale must be finite and at most "
+                               f"{MAX_SCALE:.8g} in size")
 
 
 @dataclass(frozen=True)
@@ -259,14 +261,12 @@ def respond(h, excitation) -> np.ndarray:
     sum is a few ulp of the row's largest output (up to 1e-15 of it at
     n = 20,620 for the package's models), so the response is causal
     only to that rounding: a later sample of x can move an earlier
-    output by an ulp. An empty ``h`` or excitation raises
-    InvalidWaveform.
+    output by an ulp. An empty ``h`` raises InvalidWaveform.
     """
     x = excitation.samples
     h = np.atleast_1d(np.asarray(h, dtype=float))[..., :len(x)]
-    if not (len(x) and h.shape[-1]):
-        raise InvalidWaveform(f"response of {h.shape[-1]} samples to an "
-                              f"excitation of {len(x)}: neither may be empty")
+    if not h.shape[-1]:
+        raise InvalidWaveform("the response may not be empty")
     size = next_fast_len(len(x) + h.shape[-1] - 1, real=True)
     y = irfft(rfft(x, size) * rfft(h, size), size)
     return y[..., :len(x)] / excitation.timing.fps
@@ -489,51 +489,51 @@ def simulate_stack(scene, excitation, path=None,
 # --- scene configuration files ---
 
 
-# the PixelModel field of each model key of [background] and [defect.*]
-_MODEL_KEYS = {"diffusivity": "diffusivity", "depth": "defect_depth",
-               "reflection": "reflection_coeff",
-               "amplitude_scale": "amplitude_scale"}
-_REQUIRED = object()
-
-
-def _model_from_section(parser, section, fallback=None):
-    base = fallback or PixelModel(diffusivity=1e-6)
-    return PixelModel(**{
-        name: config_value(parser, section, key, float, getattr(base, name))
-        for key, name in _MODEL_KEYS.items()})
+# The keys of a pixel model, in PixelModel's field order: each key maps
+# to its parse and its default. In a [defect.<name>] section an unset
+# model key takes the background's value instead.
+_MODEL = {"diffusivity": (float, 1e-6), "depth": (float, None),
+          "reflection": (float, 0.0), "amplitude_scale": (float, 1.0)}
+_REGION = dict.fromkeys(("x0", "y0", "width", "height"), (int,))
+# Every section and key a scene file may hold, each key with its parse
+# and default; a key without a default must be given.
+SCENE_KEYS = {
+    "scene": {"nx": (int,), "ny": (int,), "noise_sigma": (float, 0.0),
+              "rng_seed": (int, 0)},
+    "background": _MODEL,
+    "defect.*": {**_REGION, **_MODEL},
+}
 
 
 def scene_from_parser(parser) -> SceneConfig:
+    """The scene of the ``[scene]``, ``[background]`` and ``[defect.*]``
+    sections of ``parser``, a ConfigParser or a dict of sections, read
+    through :data:`SCENE_KEYS` by :func:`read_section`; other sections
+    are not read."""
     for name in ("scene", "background"):
-        if not parser.has_section(name):
+        if name not in parser:
             raise InvalidScene(f"scene config has no [{name}] section")
-    background = _model_from_section(parser, "background")
-    defects = tuple(
-        (Region(*(config_value(parser, name, key, int)
-                  for key in ("x0", "y0", "width", "height"))),
-         _model_from_section(parser, name, background))
-        for name in parser.sections() if name.startswith("defect"))
-    return SceneConfig(
-        nx=config_value(parser, "scene", "nx", int),
-        ny=config_value(parser, "scene", "ny", int),
-        background=background,
-        defects=defects,
-        noise_sigma=config_value(parser, "scene", "noise_sigma", float, 0.0),
-        rng_seed=config_value(parser, "scene", "rng_seed", int, 0),
-    )
+    scene = read_section(parser, "scene", SCENE_KEYS["scene"])
+    background = read_section(parser, "background", _MODEL)
+    defects = []
+    for name in parser:
+        if name.startswith("defect."):
+            values = read_section(parser, name, SCENE_KEYS["defect.*"])
+            model = (values[key] if key in parser[name] else background[key]
+                     for key in _MODEL)
+            defects.append((Region(*(values[key] for key in _REGION)),
+                            PixelModel(*model)))
+    return SceneConfig(background=PixelModel(*background.values()),
+                       defects=tuple(defects), **scene)
 
 
 def load_scene_config(path) -> SceneConfig:
-    """Read a scene description from an INI-style text file.
-
-    Sections: ``[scene]`` with nx, ny, noise_sigma and rng_seed (a
-    non-negative integer, default 0);
-    ``[background]`` with diffusivity, amplitude_scale and optionally
-    depth/reflection; any number of ``[defect.<name>]`` sections with
-    x0, y0, width, height plus model fields (unset fields inherit from
-    the background).
-    """
-    return scene_from_parser(read_ini(path))
+    """The scene of an INI file, which may hold only the sections and
+    keys of :data:`SCENE_KEYS` (:func:`check_names`)."""
+    parser = read_ini(path)
+    check_names({name: parser[name] for name in parser.sections()},
+                SCENE_KEYS)
+    return scene_from_parser(parser)
 
 
 def read_ini(path) -> configparser.ConfigParser:
@@ -551,19 +551,40 @@ def read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def config_value(parser, section, key, parse, default=_REQUIRED,
-                 error=InvalidScene):
-    """``parse`` of the text of ``[section] key``, the one rule of every
-    scene and run key, or ``default``, not parsed, where it is unset.
+def check_names(sections, tables):
+    """InvalidConfig naming the first of the ``sections`` (name -> keys)
+    that ``tables`` does not hold, or the section and key of the first
+    key that its table does not. A ``[defect.<name>]`` section has the
+    keys of ``tables["defect.*"]``."""
+    for name, section in sections.items():
+        keys = tables.get("defect.*" if name.startswith("defect.") else name)
+        if keys is None:
+            raise InvalidConfig(f"[{name}] is not a known section; known: "
+                                + ", ".join(f"[{known}]" for known in tables))
+        for key in section:
+            if key not in keys:
+                raise InvalidConfig(f"[{name}] {key} is not a known key; "
+                                    f"known: {', '.join(keys)}")
+
+
+def read_section(parser, name, keys, error=InvalidScene):
+    """The value of each key of the table ``keys`` in section ``name``:
+    ``parse`` of its text, the one parse rule of every scene and run key,
+    or its default, not parsed, where it or the section is unset.
     ``error`` names the section and key of an unset key without a
     default, and also the text where ``parse`` raises ValueError or
     KeyError."""
-    if not parser.has_option(section, key):
-        if default is _REQUIRED:
-            raise error(f"[{section}] has no {key!r} key")
-        return default
-    text = parser.get(section, key)
-    try:
-        return parse(text)
-    except (KeyError, ValueError):
-        raise error(f"[{section}] {key} = {text!r} is invalid") from None
+    section = parser[name] if name in parser else {}
+    values = {}
+    for key, (parse, *default) in keys.items():
+        if key in section:
+            text = section[key]
+            try:
+                values[key] = parse(text)
+            except (KeyError, ValueError):
+                raise error(f"[{name}] {key} = {text!r} is invalid") from None
+        elif default:
+            values[key] = default[0]
+        else:
+            raise error(f"[{name}] has no {key!r} key")
+    return values

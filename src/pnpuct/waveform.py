@@ -17,8 +17,14 @@ import numpy as np
 from .codes import PnCode
 from .errors import (InvalidWaveform, NonPositiveAmplitude, TimingMismatch,
                      UnmodifiedCode)
-from .stack import (ThermogramStack, crlf_text, real, time_series_csv,
-                    write_hashed)
+from .stack import (ThermogramStack, check_finite, crlf_text, real,
+                    time_series_csv, write_hashed)
+
+# The largest heat-flux amplitude, and (thermal.PixelModel) the largest
+# diffusivity and amplitude scale: float32's largest value, the type of
+# every stored sample. Below it, on at most 2^32 - 1 frames, the float64
+# products of a response stay finite (README, "Bounds").
+MAX_SCALE = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -81,16 +87,16 @@ class RectPulse:
     def __post_init__(self):
         if not 0 < real(self.duration) < np.inf:
             raise InvalidWaveform("duration must be positive and finite")
-        if not 0 < real(self.amplitude) < np.inf:
-            raise NonPositiveAmplitude("amplitude must be positive and finite")
+        _check_amplitude(self.amplitude)
 
 
 @dataclass(frozen=True, eq=False)
 class ExcitationWaveform:
-    """Samples at the timing's frame rate. An ``amplitude`` marks the
-    unipolar modulation of :func:`build_unipolar`, samples in [0,
-    amplitude] over n_per periods of a ``source_code``; without one a
-    drive spans one period of its ``source_code``."""
+    """Samples at the timing's frame rate: a non-empty 1-D array
+    (InvalidWaveform) of finite values (NonFiniteData). An ``amplitude``
+    marks the unipolar modulation of :func:`build_unipolar`, samples in
+    [0, amplitude] over n_per periods of a ``source_code``; without one
+    a drive spans one period of its ``source_code``."""
 
     samples: np.ndarray
     timing: Timing
@@ -101,6 +107,10 @@ class ExcitationWaveform:
         samples = np.asarray(self.samples, dtype=float)
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
+        if samples.ndim != 1 or not samples.size:
+            raise InvalidWaveform(f"samples of shape {samples.shape} are no "
+                                  "non-empty 1-D array")
+        check_finite(samples, "waveform samples are not all finite")
         if self.source_code is not None:
             per = self.timing.frames_per_period(self.source_code.n_bit)
             if self.amplitude is None and len(samples) != per:
@@ -117,6 +127,12 @@ class ExcitationWaveform:
     @property
     def duration(self) -> float:
         return len(self.samples) * self.timing.dt
+
+
+def _check_amplitude(amplitude):
+    if not 0 < real(amplitude) <= MAX_SCALE:
+        raise NonPositiveAmplitude(f"amplitude {amplitude!r} is not positive, "
+                                   f"finite and at most {MAX_SCALE:.8g}")
 
 
 def build_bipolar(code, timing) -> ExcitationWaveform:
@@ -138,8 +154,7 @@ def build_unipolar(bipolar, amplitude) -> ExcitationWaveform:
     """
     if bipolar.amplitude is not None:
         raise InvalidWaveform("input must be a bipolar coded waveform")
-    if not 0 < real(amplitude) < np.inf:
-        raise NonPositiveAmplitude(f"amplitude {amplitude} is not in (0, inf)")
+    _check_amplitude(amplitude)
     timing = bipolar.timing
     samples = 0.5 * amplitude * (np.tile(bipolar.samples, timing.n_per) + 1.0)
     return ExcitationWaveform(samples=samples, timing=timing,

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import pnpuct
 import pnpuct.cli
 from pnpuct import (IndexOutOfRange, InvalidCode, InvalidConfig, InvalidScene,
-                    NonFiniteData, Normalization, NotLs4Compatible, NotPrime,
+                    NonFiniteData, NonPositiveAmplitude, Normalization,
+                    NotLs4Compatible, NotPrime,
                     PipelineStageError, PixelModel, Region, StackChanged,
                     ThermogramStack, TimingMismatch, binarize_ls4,
                     build_matched_filter, compress_stack,
@@ -26,8 +27,9 @@ from pnpuct import (IndexOutOfRange, InvalidCode, InvalidConfig, InvalidScene,
                     read_stack, run_pipeline, simulate_stack, write_stack)
 from pnpuct.cli import main
 from pnpuct.dc_removal import export_fit_map_csv
-from pnpuct.pipeline import generate_codes
-from pnpuct.thermal import read_ini, scene_from_parser
+from pnpuct.pipeline import RUN_KEYS, generate_codes, plan
+from pnpuct.thermal import (SCENE_KEYS, read_ini, read_section,
+                            scene_from_parser)
 from pnpuct.waveform import (build_bipolar, build_unipolar, filter_to_csv,
                              timing_of)
 from pipeline_helpers import file_sha256, fusion_bound
@@ -87,13 +89,18 @@ pixels = 0x0, 3x2
 
 def simulate_raw(cfg, path):
     """Write to ``path`` the raw stack that a run of ``cfg`` simulates."""
-    parser = read_ini(cfg)
-    excitation_code, _ = generate_codes(parser["code"])
-    timing = timing_of(None, *map(parser["timing"].get,
-                                  ("t_bit", "fps", "n_per")))
-    wave = build_unipolar(build_bipolar(excitation_code, timing),
-                          float(parser["excitation"]["amplitude"]))
-    return simulate_stack(scene_from_parser(parser), wave, path)
+    run = plan(cfg)
+    excitation_code, _ = generate_codes(run.code)
+    wave = build_unipolar(build_bipolar(excitation_code,
+                                        timing_of(**run.timing)),
+                          run.excitation["amplitude"])
+    return simulate_stack(scene_from_parser(run.scene), wave, path)
+
+
+def code_keys(section):
+    """The values of a [code] section of text keys, as a plan reads them."""
+    return read_section({"code": section}, "code", RUN_KEYS["code"],
+                        InvalidConfig)
 
 
 def touch_file(path, change):
@@ -191,8 +198,7 @@ class TestRunPipeline:
         with mock.patch.object(pnpuct.stack, "_BAND_BYTES", budget):
             run_pipeline(cfg)
             raw = simulate_raw(cfg, work / "raw.tgs")
-            parser = read_ini(cfg)
-            _, modified = generate_codes(parser["code"])
+            _, modified = generate_codes(plan(cfg).code)
             timing = timing_of(raw, None, None, None)
             compressed, fits = compress_stack(
                 raw, modified, timing, Normalization.PER_LENGTH, False, True)
@@ -329,6 +335,14 @@ class TestRunPipeline:
         assert isinstance(info.value.cause, InvalidConfig)
         assert "seed" in str(info.value)
         assert not out.exists()
+
+    def test_out_dir_may_be_a_path(self, tmp_path):
+        # a Path failed the manifest's JSON encoding at the last stage
+        manifest = run_pipeline(write_run_config(tmp_path / "run.cfg", "out"),
+                                out_dir=tmp_path / "out")
+        assert manifest["overrides"]["out_dir"] == str(tmp_path / "out")
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())[
+            "overrides"] == {"out_dir": str(tmp_path / "out"), "seed": None}
 
     def test_determinism(self, tmp_path):
         cfg_a = write_run_config(tmp_path / "a.cfg", tmp_path / "out_a")
@@ -583,6 +597,18 @@ directory = {tmp_path / "out"}
         assert "[code]" in str(info.value.cause)
         assert not out.exists()
 
+    def test_config_without_code_section_is_a_config_error(self, tmp_path):
+        # every [code] key has a default but n_bit or order
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        cfg.write_text(cfg.read_text().replace(
+            "[code]\nkind = ls\nn_bit = 31\nmodified = ls_plus\n", ""))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "config"
+        assert str(info.value.cause) == "run config has no [code] section"
+        assert not out.exists()
+
     def test_decimate_average_needs_decimate(self, tmp_path, capsys):
         # alone it would compress at full rate under a manifest that
         # records decimate_average = true
@@ -600,6 +626,114 @@ directory = {tmp_path / "out"}
         assert main(["pipeline", "run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: [config]")
         assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, named", [
+        # each ran as the plain config, and its manifest recorded the key
+        ("n_bit = 31", "n_bit = 31\nseed = 1,-1,1,1,1", "[code] seed"),
+        ("n_bit = 31", "n_bit = 31\nsead = 3", "[code] sead"),
+        ("n_per = 2", "n_per = 2\nn_pre = 3", "[timing] n_pre"),
+        ("[output]", "[outptu]", "[outptu]"),
+        ("depth = 0.001", "depht = 0.001", "[defect.one] depht"),
+        ("[background]", "[ground]", "[ground]"),
+        ("[defect.one]", "[defect]", "[defect]"),
+    ], ids=["code-seed", "code-sead", "timing-n_pre", "outptu", "depht",
+            "ground", "defect"])
+    def test_unknown_section_or_key_stops_at_config(self, tmp_path, old, new,
+                                                    named):
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        assert old in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(old, new, 1))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg, out_dir=out)
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, InvalidConfig)
+        assert str(info.value.cause).startswith(named)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new", [
+        # a bare OverflowError at stage waveform
+        ("n_per = 2", "n_per = 1e308"),
+        # a bare ValueError at stage simulate
+        ("ny = 3", "ny = 10000000000000000000000"),
+        ("nx = 4", "nx = 4294967296"),
+        # 104 GiB and 52 GiB asked at stage waveform
+        ("n_per = 2", "n_per = 1e9"),
+        ("fps = 2.0", "fps = 1e9"),
+        # 2^40 - 1 bits: the code alone is too long
+        ("kind = ls\nn_bit = 31\nmodified = ls_plus",
+         "kind = mls\norder = 40\ntaps = " + ",".join(["1"] + ["0"] * 39)),
+    ], ids=["n_per-1e308", "ny-1e22", "nx-2^32", "n_per-1e9", "fps-1e9",
+            "order-40"])
+    def test_run_beyond_tgs1_stops_at_config(self, tmp_path, monkeypatch,
+                                             old, new):
+        # the size is checked before any code or array is made
+        def never(*args):
+            raise AssertionError("the waveform was built")
+        monkeypatch.setattr(pnpuct.pipeline, "build_bipolar", never)
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        assert old in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(old, new, 1))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, InvalidConfig)
+        assert "2^32 - 1" in str(info.value.cause)
+        assert not out.exists()
+
+    def test_input_run_beyond_tgs1_stops_at_config(self, tmp_path):
+        # the stack fills t_bit and fps, the config's n_per overrides its
+        raw = tmp_path / "raw.tgs"
+        simulate_raw(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"),
+                     raw)
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
+                       f"[timing]\nn_per = 1e308\n\n"
+                       f"[input]\nstack = {raw}\n")
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg, out_dir=out)
+        assert info.value.stage == "config"
+        assert "n_per * K * N" in str(info.value.cause)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, stage, error", [
+        ("n_bit = 31", "n_bit = thirty", "codes", InvalidCode),
+        ("nx = 4", "nx = four", "simulate", InvalidScene),
+    ])
+    def test_size_check_leaves_a_value_to_its_stage(self, tmp_path, old, new,
+                                                    stage, error):
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace(old, new, 1))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == stage
+        assert isinstance(info.value.cause, error)
+
+    @pytest.mark.parametrize("old, new, stage, error", [
+        # an overflow in respond's FFT product
+        ("amplitude = 1.0", "amplitude = 1e308", "waveform",
+         NonPositiveAmplitude),
+        # an overflow in the image series' tail bound
+        ("diffusivity = 1e-6", "diffusivity = 1e308", "simulate",
+         InvalidScene),
+        # an invalid value in the antiderivative
+        ("amplitude_scale = 1.0", "amplitude_scale = 1e308", "simulate",
+         InvalidScene),
+    ], ids=["amplitude", "diffusivity", "amplitude_scale"])
+    def test_physical_input_beyond_its_bound(self, tmp_path, old, new, stage,
+                                             error):
+        # each passed its check, finite and positive, and the math
+        # overflowed; the bound is float32's largest value (README)
+        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace(old, new, 1))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == stage
+        assert isinstance(info.value.cause, error)
+        assert "at most 3.4028235e+38" in str(info.value.cause)
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_mls_route(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -644,7 +778,8 @@ directory = {tmp_path / "out"}
 
     def test_missing_scene_section_named(self, tmp_path):
         cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
-        cfg.write_text(cfg.read_text().replace("[background]", "[ground]"))
+        cfg.write_text(cfg.read_text().replace(
+            "[background]\ndiffusivity = 1e-6\namplitude_scale = 1.0\n", ""))
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(cfg)
         assert info.value.stage == "simulate"
@@ -990,6 +1125,20 @@ class TestCli:
                      "-o", str(tmp_path / "pix.csv")]) == 0
         assert main(["metrics", "snr", "--stack", compressed,
                      "--signal", "0,0,2,2", "--reference", "2,0,2,3"]) == 0
+
+    def test_sim_run_refuses_an_unknown_scene_key(self, tmp_path, capsys):
+        # the misspelled depth was ignored and the defect simulated sound
+        code_std = str(tmp_path / "std.txt")
+        main(["seq", "gen", "--kind", "ls", "--n-bit", "7", "-o", code_std])
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(SCENE_SECTIONS.replace("depth = ", "depht = "))
+        raw = tmp_path / "raw.tgs"
+        capsys.readouterr()
+        assert main(["sim", "run", "--scene", str(scene), "--code", code_std,
+                     "--t-bit", "1", "--fps", "2", "-o", str(raw)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [defect.one] depht is not a known key")
+        assert not raw.exists()
 
     @pytest.mark.parametrize("time", ["inf", "-inf", "nan", "1e308"])
     def test_report_slice_at_no_finite_frame_exits_2(self, tmp_path, capsys,
@@ -1401,7 +1550,7 @@ class TestCodeFactory:
              generate_mls(4, tap_coefficients=(1, 0, 0, 1)))),
     ])
     def test_config_matches_generators(self, section, excitation, modified):
-        got_excitation, got_modified = generate_codes(section)
+        got_excitation, got_modified = generate_codes(code_keys(section))
         assert code_to_text(got_excitation) == code_to_text(excitation)
         assert code_to_text(got_modified) == code_to_text(modified)
 
@@ -1421,7 +1570,7 @@ class TestCodeFactory:
     ])
     def test_config_rejections(self, section, error):
         with pytest.raises(error):
-            generate_codes(section)
+            generate_codes(code_keys(section))
 
 
 class TestReadmeConfigs:
@@ -1456,6 +1605,29 @@ class TestReadmeConfigs:
             PixelModel(diffusivity=1e-6, defect_depth=0.0005,
                        reflection_coeff=0.9)),)
 
+    @staticmethod
+    def _keys(path):
+        """Section -> keys of an INI block, commented ``; key =`` lines and
+        ``; [section]`` headers included; [defect.<name>] is defect.*."""
+        keys = {}
+        for line in path.read_text(encoding="utf-8").splitlines():
+            line = re.sub(r"^;\s*(?=\[|\w+\s*=)", "", line)
+            header = re.match(r"\[([\w.]+)\]", line)
+            if header:
+                name = header[1]
+                name = "defect.*" if name.startswith("defect.") else name
+                section = keys.setdefault(name, set())
+            elif re.match(r"\w+\s*=", line):
+                section.add(line.partition("=")[0].strip())
+        return keys
+
+    def test_blocks_list_every_key_of_the_tables(self, blocks):
+        # [background] depth and reflection were accepted, not listed
+        tables = {"scene": SCENE_KEYS, "run": RUN_KEYS}
+        for block, name in zip(blocks, tables):
+            assert self._keys(block) == {
+                section: set(keys) for section, keys in tables[name].items()}
+
     def test_run_block(self, blocks):
         parser = read_ini(blocks[1])
         assert parser.sections() == ["code", "timing", "excitation",
@@ -1469,6 +1641,6 @@ class TestReadmeConfigs:
             "single_period", "decimate", "decimate_average"))
         assert dict(parser["output"]) == {
             "directory": "out", "slices": "0.5, 6.0", "pixels": "8x8, 2x3"}
-        excitation, modified = generate_codes(parser["code"])
+        excitation, modified = generate_codes(plan(blocks[1]).code)
         assert excitation.n_bit == modified.n_bit == 31
         assert modified.is_modified

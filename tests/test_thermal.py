@@ -35,6 +35,7 @@ from pnpuct import (
 )
 import pnpuct.stack
 from pnpuct import thermal
+from pnpuct.waveform import MAX_SCALE
 from fd_oracle import fd_impulse_response
 from pipeline_helpers import file_resident_kib, resident_kib
 
@@ -178,6 +179,19 @@ class TestImpulseResponse:
         with pytest.raises(InvalidScene, match="^reflection_coeff must lie"):
             PixelModel(diffusivity=1e-6, reflection_coeff=1.5)
 
+    def test_bounds_keep_the_response_finite(self):
+        # at float32's largest diffusivity, amplitude scale and amplitude
+        # no float64 product overflows (run under -W error)
+        big = MAX_SCALE
+        timing = Timing(t_bit=1.0, fps=1000.0)
+        wave = build_unipolar(build_bipolar(generate_ls(31), timing), big)
+        for model in (PixelModel(big, amplitude_scale=big),
+                      PixelModel(big, 1e-3, 0.9, -big),
+                      PixelModel(big, 1e-5, 1.0, big),
+                      PixelModel(1e-6, 1e-5, 1.0, big)):
+            assert np.isfinite(respond(
+                impulse_response(model, timing, wave.duration), wave)).all()
+
     @pytest.mark.parametrize("fields", [
         {"diffusivity": np.nan},
         {"diffusivity": np.inf},
@@ -189,13 +203,19 @@ class TestImpulseResponse:
         {"diffusivity": "1e-6"},
         {"defect_depth": "0.001", "reflection_coeff": 0.9},
         {"amplitude_scale": None},
+        {"diffusivity": 1e308, "defect_depth": 1e-3, "reflection_coeff": 0.9},
+        {"amplitude_scale": 1e308},
+        {"amplitude_scale": -1e308},
     ], ids=["alpha-nan", "alpha-inf", "depth-nan", "depth-inf",
             "scale-nan", "scale-inf", "scale-minus-inf", "alpha-str",
-            "depth-str", "scale-none"])
+            "depth-str", "scale-none", "alpha-1e308", "scale-1e308",
+            "scale-minus-1e308"])
     def test_non_finite_model_rejected(self, fields):
         # a NaN diffusivity or depth ran the image series to its term cap
         # (1.2 s at 10 fps over 10 s) before it raised; the others gave
-        # non-finite responses, and a string or None a bare TypeError
+        # non-finite responses, and a string or None a bare TypeError.
+        # Past float32's largest value the image series' tail bound
+        # overflowed (alpha) and so did the antiderivative (scale)
         with pytest.raises(InvalidScene, match="finite"):
             PixelModel(**{"diffusivity": 1e-6, **fields})
 
@@ -858,6 +878,24 @@ reflection = 0.9
         path.write_text(text.replace(drop, ""))
         with pytest.raises(InvalidScene, match=match):
             load_scene_config(path)
+
+    @pytest.mark.parametrize("old, new, named", [
+        # each was read as the scene without it
+        ("height = 1", "height = 1\ndepht = 0.001", "[defect.a] depht"),
+        ("ny = 2", "ny = 2\nseed = 3", "[scene] seed"),
+        ("[background]", "[backgound]", "[backgound]"),
+        ("[defect.a]", "[defects.a]", "[defects.a]"),
+        ("[defect.a]", "[code]", "[code]"),
+    ], ids=["depht", "seed", "backgound", "defects", "code"])
+    def test_unknown_section_or_key_named(self, tmp_path, old, new, named):
+        text = ("[scene]\nnx = 2\nny = 2\n[background]\ndiffusivity = 1e-6\n"
+                "[defect.a]\nx0 = 0\ny0 = 0\nwidth = 1\nheight = 1\n")
+        assert old in text
+        path = tmp_path / "scene.cfg"
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(InvalidConfig) as info:
+            load_scene_config(path)
+        assert str(info.value).startswith(named)
 
     @pytest.mark.parametrize("old, new, match", [
         ("nx = 2", "nx = four", r"\[scene\] nx = 'four'"),

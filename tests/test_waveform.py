@@ -5,6 +5,7 @@ from pnpuct import (
     CodeKind,
     ExcitationWaveform,
     InvalidWaveform,
+    NonFiniteData,
     NonPositiveAmplitude,
     PnCode,
     RectPulse,
@@ -24,7 +25,8 @@ from pnpuct import (
     waveform_to_stack,
     write_stack,
 )
-from pnpuct.waveform import filter_to_csv, timing_of
+from pnpuct.thermal import respond
+from pnpuct.waveform import MAX_SCALE, filter_to_csv, timing_of
 from conftest import MLS7, dense_taps, resolution_function
 
 
@@ -202,10 +204,21 @@ class TestBuildUnipolar:
         with pytest.raises(NonPositiveAmplitude):
             build_unipolar(bipolar, amplitude=-1.0)
 
-    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, "1", None])
+    def test_amplitude_bound(self):
+        # float32's largest value, for the drive and the pulse alike
+        bipolar = build_bipolar(generate_ls(7), Timing(t_bit=1.0, fps=1.0))
+        above = np.nextafter(MAX_SCALE, np.inf)
+        assert build_unipolar(bipolar, MAX_SCALE).amplitude == MAX_SCALE
+        with pytest.raises(NonPositiveAmplitude, match="at most 3.4028235e"):
+            build_unipolar(bipolar, above)
+        RectPulse(duration=1.0, amplitude=MAX_SCALE)
+        with pytest.raises(NonPositiveAmplitude, match="at most 3.4028235e"):
+            RectPulse(duration=1.0, amplitude=above)
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, "1", None, 1e308])
     def test_non_finite_amplitude(self, amplitude):
         # it stopped a run only at stage simulate, on the non-finite
-        # samples it made
+        # samples it made; 1e308 overflowed in respond's FFT product
         bipolar = build_bipolar(generate_ls(7), Timing(t_bit=1.0, fps=1.0))
         with pytest.raises(NonPositiveAmplitude):
             build_unipolar(bipolar, amplitude=amplitude)
@@ -243,6 +256,26 @@ class TestWaveformRules:
         with pytest.raises(InvalidWaveform, match=match):
             ExcitationWaveform(samples=samples, timing=self.TIMING,
                                source_code=table1_mls7(), amplitude=amplitude)
+
+    @pytest.mark.parametrize("samples, amplitude, error", [
+        ([np.nan, 1.0], None, NonFiniteData),
+        ([1.0, np.inf], 2.0, NonFiniteData),
+        ([], None, InvalidWaveform),
+        # min() of no samples was a bare ValueError
+        ([], 1.0, InvalidWaveform),
+        ([[1.0, 1.0]], None, InvalidWaveform),
+        (1.0, None, InvalidWaveform),
+    ], ids=["nan", "inf", "empty", "empty-unipolar", "2-d", "0-d"])
+    def test_samples_are_finite_non_empty_1d(self, samples, amplitude, error):
+        with pytest.raises(error):
+            ExcitationWaveform(samples=samples, timing=self.TIMING,
+                               amplitude=amplitude)
+
+    def test_nan_sample_never_reaches_respond(self):
+        # respond returned [nan, nan]
+        with pytest.raises(NonFiniteData):
+            respond([1.0, 1.0], ExcitationWaveform(
+                samples=[np.nan, 1.0], timing=Timing(1.0, 1.0)))
 
     def test_unipolar_of_a_unipolar_wave(self):
         uni = build_unipolar(build_bipolar(table1_mls7(), self.TIMING), 1.0)
