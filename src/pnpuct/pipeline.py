@@ -23,13 +23,15 @@ from .codes import CodeKind, check_code, make_codes, save_code
 from .compression import Normalization, compress_stack, decimate_to_bit_rate
 from .dc_removal import export_fit_map_csv, remove_dc_stack
 from .errors import InvalidConfig, PipelineStageError
-from .stack import (check_not_input, check_unchanged, export_pixel_trace,
-                    export_slice, frame_at, open_stack, slice_paths,
-                    write_stack)
-from .thermal import (SCENE_KEYS, SimulatedStack, check_names, read_ini,
-                      read_section, scene_from_parser, simulate_stack)
-from .waveform import (build_bipolar, build_matched_filter, build_unipolar,
-                       filter_to_csv, timing_of, waveform_to_csv)
+from .stack import (MAX_EXTENT, StackHeader, check_not_input, check_unchanged,
+                    export_pixel_trace, export_slice, frame_at, is_integer,
+                    open_stack, read_header, slice_paths, write_stack)
+from .thermal import (SCENE_KEYS, SceneConfig, SimulatedStack, check_names,
+                      read_ini, read_section, scene_from_parser,
+                      simulate_stack)
+from .waveform import (Timing, build_bipolar, build_matched_filter,
+                       build_unipolar, filter_to_csv, timing_of,
+                       waveform_to_csv)
 
 
 @contextmanager
@@ -45,8 +47,6 @@ def _stage(name):
 
 # stacks written only when [output] intermediates names them
 INTERMEDIATES = ("dc_removed",)
-# TGS1 stores nx, ny and n_frames as uint32
-_MAX_SIZE = 2 ** 32 - 1
 
 
 def _items(parse):
@@ -64,11 +64,11 @@ _BOOLEAN = (lambda text: ConfigParser.BOOLEAN_STATES[text.lower()], False)
 # Every section and key of a run config but the scene's (SCENE_KEYS),
 # each key with its parse and default. The [code] keys are the
 # arguments of codes.make_codes and the [timing] keys those of
-# waveform.timing_of, which parse them.
+# waveform.timing_of, which parses them.
 RUN_KEYS = {
     "code": {"kind": (str.lower, "ls"), "modified": (str.lower, "auto"),
-             "n_bit": (str, None), "order": (str, None), "taps": (str, None),
-             "sign": (str, "1")},
+             "n_bit": (int, None), "order": (int, None), "taps": (str, None),
+             "sign": (int, 1)},
     "timing": dict.fromkeys(("t_bit", "fps", "n_per"), (str, None)),
     "excitation": {"amplitude": (float, 1.0)},
     "compression": {
@@ -89,18 +89,19 @@ RUN_KEYS = {
 
 @dataclasses.dataclass(frozen=True)
 class Plan:
-    """A run config as :func:`plan` read it: each section of
-    :data:`RUN_KEYS` as its values by key, ``scene`` as its sections'
-    text (None beside an ``[input]`` stack), and for the manifest the
-    INI text as written and :func:`plan`'s ``out_dir`` and ``seed``."""
+    """A run config as :func:`plan` read it: the (excitation, modified)
+    codes, the timing, the amplitude, the [compression] and [output]
+    values by key, the scene with the seed applied or else the header of
+    the [input] stack, and for the manifest the INI text as written and
+    :func:`plan`'s ``out_dir`` and ``seed``."""
 
-    code: dict
-    timing: dict
-    excitation: dict
+    codes: tuple
+    timing: Timing
+    amplitude: float
     compression: dict
-    input: dict
     output: dict
-    scene: dict
+    scene: SceneConfig
+    input: StackHeader
     parameters: dict
     overrides: dict
 
@@ -110,14 +111,15 @@ def plan(config, out_dir=None, seed=None) -> Plan:
     :class:`Plan`; ``out_dir`` replaces ``[output] directory`` and
     ``seed`` the scene's ``rng_seed``.
 
-    Each fault stops the run at stage ``config``, before anything is
-    written or allocated, with an InvalidConfig: a section or key that
-    neither :data:`RUN_KEYS` nor :data:`~pnpuct.thermal.SCENE_KEYS`
-    holds, a run key whose text does not parse, no ``[code]`` section,
-    ``decimate_average`` without ``decimate``, a seed beside an
-    ``[input]`` stack, or a simulated run that no TGS1 stack can hold
-    (:func:`_check_size`; its timing is read here, so a TimingMismatch
-    stops it here too).
+    Every value is parsed and checked here, and of an ``[input]`` stack
+    only the header is read. Each fault stops the run at stage
+    ``config``, before anything is written: an unknown section or key, a
+    value that does not parse, no ``[code]`` section, ``decimate_average``
+    without ``decimate``, a seed that is no integer or is given beside an
+    ``[input]`` stack, a header that :func:`~pnpuct.stack.read_header`
+    refuses, a bad timing, more frames than a TGS1 stack holds (before a
+    code or scene is made), a slice time of no finite frame, and a code
+    or scene that cannot be made.
     """
     with _stage("config"):
         parser = read_ini(config)
@@ -128,49 +130,46 @@ def plan(config, out_dir=None, seed=None) -> Plan:
             raise InvalidConfig("run config has no [code] section")
         run = {name: read_section(sections, name, keys, InvalidConfig)
                for name, keys in RUN_KEYS.items()}
+        code, output = run["code"], run["output"]
         compression = run["compression"]
         if compression["decimate_average"] and not compression["decimate"]:
             raise InvalidConfig(
                 "[compression] decimate_average = true needs decimate = true")
-        scene = None
+        if seed is not None:
+            if not is_integer(seed):
+                raise InvalidConfig(f"seed {seed!r} is not an integer")
+            seed = int(seed)
+        header = None
         if run["input"]["stack"] is not None:
             if seed is not None:
                 raise InvalidConfig("a seed sets the noise of a simulated "
                                     "scene; an [input] stack has none")
-        else:
-            scene = {name: section for name, section in sections.items()
-                     if name not in RUN_KEYS}
-            _check_size(timing_of(**run["timing"]), run["code"],
-                        scene.get("scene", {}))
+            header = read_header(run["input"]["stack"])
+        timing = timing_of(header, **run["timing"])
+        # an order past 32 is too long whatever the timing; a missing
+        # length is left to make_codes
+        n_bit = (2 ** min(code["order"] or 0, 33) - 1 if code["kind"] == "mls"
+                 else code["n_bit"] or 0)
+        frames = timing.total_frames(n_bit)
+        if frames > MAX_EXTENT:
+            raise InvalidConfig(f"n_per * K * N = {frames} is above 2^32 - 1, "
+                                "the most a TGS1 stack holds")
+        # a time of no finite frame is no frame of any stack
+        if not all(math.isfinite(t * timing.fps) for _, t in output["slices"]):
+            raise InvalidConfig(f"[output] slices = "
+                                f"{sections['output']['slices']!r} is invalid")
+        codes = generate_codes(code)
+        scene = None
+        if header is None:
+            scene = scene_from_parser(sections)
+            if seed is not None:
+                scene = dataclasses.replace(scene, rng_seed=seed)
         if out_dir:
             # recorded as text: the manifest is JSON
-            out_dir = run["output"]["directory"] = os.fspath(out_dir)
-        return Plan(**run, scene=scene, parameters=sections,
+            out_dir = output["directory"] = os.fspath(out_dir)
+        return Plan(codes, timing, run["excitation"]["amplitude"],
+                    compression, output, scene, header, parameters=sections,
                     overrides={"out_dir": out_dir, "seed": seed})
-
-
-def _integer(text):
-    """``int(text)``, or 0 where it spells no integer: the stage that
-    reads the key names it."""
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        return 0
-
-
-def _check_size(timing, code, scene):
-    """InvalidConfig for a run that no TGS1 stack can hold: more than
-    2^32 - 1 frames, n_per * K * N for the N bits the [code] keys ask
-    for, or pixels in the [scene] nx or ny."""
-    # an order past 32 is too long whatever the timing
-    n_bit = (2 ** min(_integer(code["order"]), 33) - 1
-             if code["kind"] == "mls" else _integer(code["n_bit"]))
-    for what, size in (("n_per * K * N", timing.n_per * timing.k * n_bit),
-                       ("[scene] nx", _integer(scene.get("nx"))),
-                       ("[scene] ny", _integer(scene.get("ny")))):
-        if size > _MAX_SIZE:
-            raise InvalidConfig(f"{what} = {size} is above 2^32 - 1, the "
-                                "most a TGS1 stack holds")
 
 
 class _SimulatedScene(SimulatedStack):
@@ -212,9 +211,9 @@ def execute(plan):
     Any error, the failed write of an artifact included, raises
     PipelineStageError with the name of the stage that made that
     artifact, and no manifest file is written. An ``[input]`` stack is
-    opened first, in stage ``simulate``; in stage ``config`` it fills
-    the timing keys left out, and the frames that timing asks for are
-    checked as :func:`plan` checks a simulated run's.
+    opened and hashed first, in stage ``simulate``: a non-finite sample
+    stops the run there, and so does a change since :func:`plan` read
+    its header (StackChanged).
 
     A simulated scene is compressed straight from its bands as they are
     simulated (:class:`~pnpuct.thermal.SimulatedStack`): no raw stack
@@ -233,29 +232,22 @@ def execute(plan):
     another process while the run reads it kills the process with
     SIGBUS (see :func:`stack.open_stack`).
     """
-    compression, output = plan.compression, plan.output
+    compression, output, timing = plan.compression, plan.output, plan.timing
     directory, intermediates = output["directory"], output["intermediates"]
-    # read before the timing: its metadata fills the [timing] keys left out
+    excitation_code, modified_code = plan.codes
     raw = source = mapped = None
-    if plan.scene is None:
+    if plan.input is not None:
         with _stage("simulate"):
-            path = plan.input["stack"]
+            path = plan.input.file.path
             digest = hashlib.sha256()
             raw = open_stack(path, digest)
+            # still the file whose header plan read
+            check_unchanged(plan.input.file)
             # its size and mtime from before the hash pass: any change
             # since shows when the run ends
             mapped = raw.file
             source = {"path": path, "bytes": mapped.size,
                       "sha256": digest.hexdigest()}
-    with _stage("config"):
-        timing = timing_of(raw, **plan.timing)
-        if raw is not None:
-            _check_size(timing, plan.code, {})
-        # a time of no finite frame is no frame of any stack
-        if not all(math.isfinite(t * timing.fps) for _, t in output["slices"]):
-            raise InvalidConfig(f"[output] slices = "
-                                f"{plan.parameters['output']['slices']!r} "
-                                "is invalid")
 
     # name -> (path, SHA-256 of the bytes written)
     artifacts = {}
@@ -279,30 +271,25 @@ def execute(plan):
         if os.path.isfile(manifest_path):
             os.remove(manifest_path)
     with _stage("codes"):
-        excitation_code, modified_code = generate_codes(plan.code)
         emit("excitation_code", "excitation_code.txt", save_code,
              excitation_code)
         emit("modified_code", "modified_code.txt", save_code, modified_code)
     with _stage("waveform"):
         bipolar = build_bipolar(excitation_code, timing)
-        unipolar = build_unipolar(bipolar, plan.excitation["amplitude"])
+        unipolar = build_unipolar(bipolar, plan.amplitude)
         emit("bipolar_csv", "bipolar.csv", waveform_to_csv, bipolar)
         emit("unipolar_csv", "unipolar.csv", waveform_to_csv, unipolar)
     if source is None:
         with _stage("simulate"):
-            scene = scene_from_parser(plan.scene)
-            seed = plan.overrides["seed"]
-            if seed is not None:
-                scene = dataclasses.replace(scene, rng_seed=int(seed))
             if compression["decimate"] or "dc_removed" in intermediates:
                 path = writable(os.path.join(directory, "raw_stack.tgs"))
                 digest = hashlib.sha256()
                 # written band by band and mapped: never resident
-                raw = simulate_stack(scene, unipolar, path, digest)
+                raw = simulate_stack(plan.scene, unipolar, path, digest)
                 mapped = raw.file
                 artifacts["raw_stack"] = path, digest.hexdigest()
             else:
-                raw = _SimulatedScene(scene, unipolar)
+                raw = _SimulatedScene(plan.scene, unipolar)
     comp_timing = timing
     if compression["decimate"]:
         with _stage("decimate"):
@@ -353,8 +340,10 @@ def execute(plan):
             check_unchanged(mapped)
         if source is not None:
             manifest["input"] = source
+        # encoded before the file is opened: a value that JSON cannot
+        # hold leaves no manifest
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     manifest["manifest_path"] = manifest_path
     return manifest

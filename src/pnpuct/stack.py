@@ -13,7 +13,8 @@ Stacks hold 32-bit intensities (camera realistic); pipeline math runs in
 64-bit and narrows only when a new stack is built.
 
 :func:`open_stack` is the one reader of a file's frames. It maps them
-read-only: its stack's data is a view of the file. Every reader of a
+read-only: its stack's data is a view of the file. :func:`read_header`
+reads and checks the header alone, with the same code. Every reader of a
 stack walks it a chunk of frames at a time with :func:`chunks`, which
 drops the file pages behind each chunk of a mapped stack, so a stack
 larger than memory is read with memory bounded by the chunk, not by
@@ -42,6 +43,8 @@ from .errors import (BadHeader, BadMagic, IndexOutOfRange, InvalidStack,
 
 MAGIC = b"TGS1"
 FORMAT_VERSION = "TGS1"
+# TGS1 stores nx, ny and n_frames as uint32: the most of each a stack holds
+MAX_EXTENT = 2 ** 32 - 1
 # bytes of a mapped file that a reader touches between page drops
 CHUNK_BYTES = 1 << 20
 # frames of a chunk of a band of pixel columns, at least: a band of few
@@ -87,6 +90,16 @@ class StackFile(NamedTuple):
     path: str
     size: int
     mtime_ns: int
+
+
+class StackHeader(NamedTuple):
+    """A TGS1 file's :class:`StackFile`, its frames' (n_frames, ny, nx)
+    shape, frame rate and metadata, as :func:`read_header` read them."""
+
+    file: StackFile
+    shape: tuple
+    fps: float
+    metadata: dict
 
 
 @dataclass(eq=False)
@@ -355,13 +368,13 @@ def write_bands(path, shape, fps, metadata, bands):
                 stored[:, cols] = band[rows]
 
 
-def _read_header(fh, path, size, update):
-    """Shape, frame rate and metadata of an open TGS1 file, checked.
-
-    Reads the header and metadata, feeding their bytes to ``update``,
-    and checks the file's ``size`` against them, so ``fh`` is left at
-    the first frame with exactly the frames' bytes after it.
-    """
+def _read_header(fh, path, update):
+    """The :class:`StackHeader` of an open TGS1 file: its size and mtime
+    first, then the header and metadata, their bytes fed to ``update``,
+    checked against the size, so ``fh`` is left at the first frame with
+    exactly the frames' bytes after it."""
+    st = os.fstat(fh.fileno())
+    file = StackFile(os.fspath(path), st.st_size, st.st_mtime_ns)
     header = fh.read(24)
     update(header)
     if header[:4] != MAGIC:
@@ -381,13 +394,21 @@ def _read_header(fh, path, size, update):
     except UnicodeDecodeError as exc:
         raise BadHeader(f"{path}: metadata is not UTF-8: {exc}") from exc
     expected = 24 + meta_len + 4 * n_frames * ny * nx
-    if size < expected:
+    if file.size < expected:
         raise TruncatedFile(
-            f"{path}: expected {expected} bytes, found {size}")
-    if size > expected:
+            f"{path}: expected {expected} bytes, found {file.size}")
+    if file.size > expected:
         raise TrailingBytes(
-            f"{path}: {size - expected} trailing bytes after the frames")
-    return (n_frames, ny, nx), _exact_fps(fps, metadata), metadata
+            f"{path}: {file.size - expected} trailing bytes after the frames")
+    return StackHeader(file, (n_frames, ny, nx), _exact_fps(fps, metadata),
+                       metadata)
+
+
+def read_header(path) -> StackHeader:
+    """The :class:`StackHeader` of the TGS1 file ``path``, checked as
+    :func:`open_stack` checks it, with its errors; no frame is read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path, lambda _: None)
 
 
 def read_stack(path) -> ThermogramStack:
@@ -429,22 +450,21 @@ def open_stack(path, digest=None) -> ThermogramStack:
     """
     update = digest.update if digest is not None else (lambda _: None)
     with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        file = StackFile(os.fspath(path), st.st_size, st.st_mtime_ns)
-        shape, fps, metadata = _read_header(fh, path, file.size, update)
+        header = _read_header(fh, path, update)
         start = fh.tell()
         # the header check leaves a file of at least 24 bytes to map
-        size = start + 4 * int(np.prod(shape))
+        size = start + 4 * int(np.prod(header.shape))
         whole = np.frombuffer(_FileMap(fh.fileno(), size,
                                        access=mmap.ACCESS_READ), np.uint8)
     samples = whole[start:].view("<f4")
     check_finite(samples, f"{path}: non-finite samples", update)
     # checked above: the stack is built on an empty view, so that its
     # constructor does not scan the samples a second time
-    stack = ThermogramStack(data=samples[:0].reshape((0,) + shape[1:]),
-                            fps=fps, metadata=metadata)
-    stack.data = samples.reshape(shape)
-    stack.file = file
+    stack = ThermogramStack(
+        data=samples[:0].reshape((0,) + header.shape[1:]), fps=header.fps,
+        metadata=header.metadata)
+    stack.data = samples.reshape(header.shape)
+    stack.file = header.file
     return stack
 
 

@@ -31,11 +31,16 @@ from scipy.special import erfc
 
 from .errors import (IndexOutOfRange, InvalidConfig, InvalidScene,
                      InvalidWaveform, SeriesNotConverged)
-from .stack import (ThermogramStack, band_width, check_finite, check_width,
-                    derived_stack, is_integer, open_stack, real, write_bands)
+from .stack import (MAX_EXTENT, ThermogramStack, band_width, check_finite,
+                    check_width, derived_stack, is_integer, open_stack, real,
+                    write_bands)
 from .waveform import MAX_SCALE, excitation_metadata
 
 _SQRT_PI = np.sqrt(np.pi)
+# The smallest diffusivity and defect depth, float32's smallest normal
+# value: up to MAX_SCALE every diffusion time d^2 / alpha and mode rate
+# (pi / d)^2 alpha of the series is a finite float64 (README, "Bounds")
+MIN_SCALE = float(np.finfo(np.float32).tiny)
 # Term cap of every series: an image series with |R| near 1 needs about
 # sqrt(30 * alpha * t) / d terms, 4300 for 10 um over a 62 s run.
 _MAX_TERMS = 100000
@@ -57,12 +62,13 @@ class PixelModel:
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
-        if not 0 < real(self.diffusivity) <= MAX_SCALE:
-            raise InvalidScene(f"diffusivity must be positive, finite and "
-                               f"at most {MAX_SCALE:.8g}")
+        bounds = (f"finite, at least {MIN_SCALE:.8g} and at most "
+                  f"{MAX_SCALE:.8g}")
+        if not MIN_SCALE <= real(self.diffusivity) <= MAX_SCALE:
+            raise InvalidScene(f"diffusivity must be {bounds}")
         if (self.defect_depth is not None
-                and not 0 < real(self.defect_depth) < np.inf):
-            raise InvalidScene("defect_depth must be positive and finite")
+                and not MIN_SCALE <= real(self.defect_depth) <= MAX_SCALE):
+            raise InvalidScene(f"defect_depth must be {bounds}")
         if not (-1.0 < real(self.reflection_coeff) <= 1.0):
             raise InvalidScene("reflection_coeff must lie in (-1, 1]")
         if not abs(real(self.amplitude_scale)) <= MAX_SCALE:
@@ -101,10 +107,11 @@ class SceneConfig:
 
     Defects are painted in order, later ones winning, into the (ny, nx)
     ``labels`` map of indices into ``models``, the distinct visible
-    models. Noise is additive white Gaussian per pixel per frame; the
-    stream for pixel (jx, jy) derives from (rng_seed, jx, jy), and
-    ``rng_seed`` must be a non-negative integer. ``noise_sigma`` is
-    stored as a float, so equal scenes write equal bytes.
+    models, of at most 2^32 - 1 pixels a side (a TGS1 stack's most).
+    Noise is additive white Gaussian per pixel per frame; the stream for
+    pixel (jx, jy) derives from (rng_seed, jx, jy), and ``rng_seed``
+    must be a non-negative integer. ``noise_sigma`` is stored as a
+    float, so equal scenes write equal bytes.
     """
 
     nx: int
@@ -118,9 +125,10 @@ class SceneConfig:
 
     def __post_init__(self):
         if not (is_integer(self.nx) and is_integer(self.ny)
-                and self.nx >= 1 and self.ny >= 1):
+                and 1 <= self.nx <= MAX_EXTENT and 1 <= self.ny <= MAX_EXTENT):
             raise InvalidScene(f"grid must be at least 1 x 1 integer pixels, "
-                               f"not {self.nx!r} x {self.ny!r}")
+                               "at most 2^32 - 1 a side (the most a TGS1 "
+                               f"stack holds), not {self.nx!r} x {self.ny!r}")
         if not 0 <= real(self.noise_sigma) < np.inf:
             raise InvalidScene("noise_sigma must be non-negative and finite")
         object.__setattr__(self, "noise_sigma", float(self.noise_sigma))

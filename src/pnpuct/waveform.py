@@ -211,6 +211,8 @@ def timing_of(stack=None, t_bit=None, fps=None, n_per=None) -> Timing:
     A t_bit or n_per that is not given is read from the stack metadata
     that :func:`excitation_metadata` writes, an fps from the stack's
     frame rate; n_per found in neither is :class:`Timing`'s default.
+    The stack may be a :class:`~pnpuct.stack.StackHeader`, which holds
+    the same metadata and frame rate.
     Values may be numbers or strings, each parsed with ``float``, so a
     fractional n_per is a ``TimingMismatch`` as any other bad timing.
     """

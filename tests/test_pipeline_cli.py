@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 
 import pnpuct
 import pnpuct.cli
-from pnpuct import (IndexOutOfRange, InvalidCode, InvalidConfig, InvalidScene,
-                    NonFiniteData, NonPositiveAmplitude, Normalization,
-                    NotLs4Compatible, NotPrime,
-                    PipelineStageError, PixelModel, Region, StackChanged,
+from pnpuct import (BadMagic, IndexOutOfRange, InvalidCode, InvalidConfig,
+                    InvalidScene, NonFiniteData, NonPositiveAmplitude,
+                    Normalization, NotLs4Compatible, NotPrime,
+                    PipelineStageError, PixelModel, PnPuctError, Region,
+                    StackChanged, TruncatedFile,
                     ThermogramStack, TimingMismatch, binarize_ls4,
                     build_matched_filter, compress_stack,
                     code_to_text, generate_ls, generate_mls,
@@ -27,9 +29,8 @@ from pnpuct import (IndexOutOfRange, InvalidCode, InvalidConfig, InvalidScene,
                     read_stack, run_pipeline, simulate_stack, write_stack)
 from pnpuct.cli import main
 from pnpuct.dc_removal import export_fit_map_csv
-from pnpuct.pipeline import RUN_KEYS, generate_codes, plan
-from pnpuct.thermal import (SCENE_KEYS, read_ini, read_section,
-                            scene_from_parser)
+from pnpuct.pipeline import RUN_KEYS, Plan, execute, generate_codes, plan
+from pnpuct.thermal import SCENE_KEYS, read_ini, read_section
 from pnpuct.waveform import (build_bipolar, build_unipolar, filter_to_csv,
                              timing_of)
 from pipeline_helpers import file_sha256, fusion_bound
@@ -90,11 +91,9 @@ pixels = 0x0, 3x2
 def simulate_raw(cfg, path):
     """Write to ``path`` the raw stack that a run of ``cfg`` simulates."""
     run = plan(cfg)
-    excitation_code, _ = generate_codes(run.code)
-    wave = build_unipolar(build_bipolar(excitation_code,
-                                        timing_of(**run.timing)),
-                          run.excitation["amplitude"])
-    return simulate_stack(scene_from_parser(run.scene), wave, path)
+    wave = build_unipolar(build_bipolar(run.codes[0], run.timing),
+                          run.amplitude)
+    return simulate_stack(run.scene, wave, path)
 
 
 def code_keys(section):
@@ -198,7 +197,7 @@ class TestRunPipeline:
         with mock.patch.object(pnpuct.stack, "_BAND_BYTES", budget):
             run_pipeline(cfg)
             raw = simulate_raw(cfg, work / "raw.tgs")
-            _, modified = generate_codes(plan(cfg).code)
+            _, modified = plan(cfg).codes
             timing = timing_of(raw, None, None, None)
             compressed, fits = compress_stack(
                 raw, modified, timing, Normalization.PER_LENGTH, False, True)
@@ -335,6 +334,42 @@ class TestRunPipeline:
         assert isinstance(info.value.cause, InvalidConfig)
         assert "seed" in str(info.value)
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [3.7, True], ids=["float", "bool"])
+    def test_seed_that_is_no_integer_stops_at_config(self, tmp_path, seed):
+        # 3.7 ran as rng_seed 3 under a manifest that recorded 3.7, and
+        # True ran as 1
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg, seed=seed)
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, InvalidConfig)
+        assert not out.exists()
+
+    def test_numpy_integer_seed_is_recorded_as_an_int(self, tmp_path):
+        # numpy.int64(3) left a truncated manifest.json at stage output
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        manifests = []
+        for seed in (np.int64(3), 3):
+            manifest = run_pipeline(cfg, seed=seed)
+            assert type(manifest["overrides"]["seed"]) is int
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["overrides"]["seed"] == 3
+
+    def test_unencodable_manifest_leaves_no_manifest(self, tmp_path):
+        # json.dump wrote into the open file as it encoded
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
+        with pytest.raises(PipelineStageError) as info:
+            execute(dataclasses.replace(plan(cfg),
+                                        overrides={"seed": object()}))
+        assert info.value.stage == "output"
+        assert isinstance(info.value.cause, TypeError)
+        assert (out / "compressed.tgs").is_file()
+        assert not (out / "manifest.json").exists()
 
     def test_out_dir_may_be_a_path(self, tmp_path):
         # a Path failed the manifest's JSON encoding at the last stage
@@ -570,20 +605,21 @@ directory = {tmp_path / "out"}
         assert f"[{section}] {key} = {value!r}" in str(info.value.cause)
         assert not out.exists()
 
-    def test_modified_kind_of_the_other_family_stops_at_codes(self,
-                                                               tmp_path):
+    def test_modified_kind_of_the_other_family_stops_at_config(self,
+                                                                tmp_path):
         # an LS+ code under an MLS excitation, recorded as ls_plus, was run
-        # as MLS+
+        # as MLS+; it stopped the run at stage codes, after stage output
+        # had made the directory
         out = tmp_path / "out"
         cfg = write_run_config(tmp_path / "run.cfg", out)
         cfg.write_text(cfg.read_text().replace(
             "kind = ls\nn_bit = 31", "kind = mls\norder = 5"))
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(cfg)
-        assert info.value.stage == "codes"
+        assert info.value.stage == "config"
         assert isinstance(info.value.cause, InvalidCode)
         assert re.search("'mls'.*'ls_plus'", str(info.value.cause))
-        assert not (out / "modified_code.txt").exists()
+        assert not out.exists()
 
     def test_missing_code_section_is_a_config_error(self, tmp_path):
         # it stopped the run at stage codes with a bare KeyError: 'code'
@@ -651,22 +687,24 @@ directory = {tmp_path / "out"}
         assert str(info.value.cause).startswith(named)
         assert not out.exists()
 
-    @pytest.mark.parametrize("old, new", [
+    @pytest.mark.parametrize("old, new, error", [
         # a bare OverflowError at stage waveform
-        ("n_per = 2", "n_per = 1e308"),
-        # a bare ValueError at stage simulate
-        ("ny = 3", "ny = 10000000000000000000000"),
-        ("nx = 4", "nx = 4294967296"),
+        ("n_per = 2", "n_per = 1e308", InvalidConfig),
+        # a bare ValueError at stage simulate; the scene's grid is
+        # bounded where it is made (SceneConfig)
+        ("ny = 3", "ny = 10000000000000000000000", InvalidScene),
+        ("nx = 4", "nx = 4294967296", InvalidScene),
         # 104 GiB and 52 GiB asked at stage waveform
-        ("n_per = 2", "n_per = 1e9"),
-        ("fps = 2.0", "fps = 1e9"),
+        ("n_per = 2", "n_per = 1e9", InvalidConfig),
+        ("fps = 2.0", "fps = 1e9", InvalidConfig),
         # 2^40 - 1 bits: the code alone is too long
         ("kind = ls\nn_bit = 31\nmodified = ls_plus",
-         "kind = mls\norder = 40\ntaps = " + ",".join(["1"] + ["0"] * 39)),
+         "kind = mls\norder = 40\ntaps = " + ",".join(["1"] + ["0"] * 39),
+         InvalidConfig),
     ], ids=["n_per-1e308", "ny-1e22", "nx-2^32", "n_per-1e9", "fps-1e9",
             "order-40"])
     def test_run_beyond_tgs1_stops_at_config(self, tmp_path, monkeypatch,
-                                             old, new):
+                                             old, new, error):
         # the size is checked before any code or array is made
         def never(*args):
             raise AssertionError("the waveform was built")
@@ -678,7 +716,7 @@ directory = {tmp_path / "out"}
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(cfg)
         assert info.value.stage == "config"
-        assert isinstance(info.value.cause, InvalidConfig)
+        assert isinstance(info.value.cause, error)
         assert "2^32 - 1" in str(info.value.cause)
         assert not out.exists()
 
@@ -699,27 +737,33 @@ directory = {tmp_path / "out"}
         assert not out.exists()
 
     @pytest.mark.parametrize("old, new, stage, error", [
-        ("n_bit = 31", "n_bit = thirty", "codes", InvalidCode),
-        ("nx = 4", "nx = four", "simulate", InvalidScene),
+        # each stopped the run at the stage named here in parentheses,
+        # after stage output had made the directory: [code] (codes),
+        # the scene (simulate)
+        ("n_bit = 31", "n_bit = thirty", "config", InvalidConfig),
+        ("nx = 4", "nx = four", "config", InvalidScene),
     ])
     def test_size_check_leaves_a_value_to_its_stage(self, tmp_path, old, new,
                                                     stage, error):
-        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        # a value is parsed before the size check reads it
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
         cfg.write_text(cfg.read_text().replace(old, new, 1))
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(cfg)
         assert info.value.stage == stage
         assert isinstance(info.value.cause, error)
+        assert not out.exists()
 
     @pytest.mark.parametrize("old, new, stage, error", [
         # an overflow in respond's FFT product
         ("amplitude = 1.0", "amplitude = 1e308", "waveform",
          NonPositiveAmplitude),
         # an overflow in the image series' tail bound
-        ("diffusivity = 1e-6", "diffusivity = 1e308", "simulate",
+        ("diffusivity = 1e-6", "diffusivity = 1e308", "config",
          InvalidScene),
         # an invalid value in the antiderivative
-        ("amplitude_scale = 1.0", "amplitude_scale = 1e308", "simulate",
+        ("amplitude_scale = 1.0", "amplitude_scale = 1e308", "config",
          InvalidScene),
     ], ids=["amplitude", "diffusivity", "amplitude_scale"])
     def test_physical_input_beyond_its_bound(self, tmp_path, old, new, stage,
@@ -734,6 +778,8 @@ directory = {tmp_path / "out"}
         assert isinstance(info.value.cause, error)
         assert "at most 3.4028235e+38" in str(info.value.cause)
         assert not (tmp_path / "out" / "manifest.json").exists()
+        # a value checked at config leaves no directory behind
+        assert (tmp_path / "out").exists() == (stage != "config")
 
     def test_mls_route(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -781,20 +827,25 @@ directory = {tmp_path / "out"}
         cfg.write_text(cfg.read_text().replace(
             "[background]\ndiffusivity = 1e-6\namplitude_scale = 1.0\n", ""))
         with pytest.raises(PipelineStageError) as info:
-            run_pipeline(cfg)
-        assert info.value.stage == "simulate"
+            run_pipeline(cfg, out_dir=tmp_path / "out")
+        assert info.value.stage == "config"
         assert isinstance(info.value.cause, InvalidScene)
         assert "[background]" in str(info.value)
+        assert not (tmp_path / "out").exists()
 
     def test_negative_rng_seed_is_a_scene_error(self, tmp_path):
-        cfg = write_run_config(tmp_path / "run.cfg", tmp_path / "out")
+        # it stopped the run at stage simulate, after the code
+        # descriptors and waveform CSVs were written
+        out = tmp_path / "out"
+        cfg = write_run_config(tmp_path / "run.cfg", out)
         cfg.write_text(cfg.read_text().replace("rng_seed = 7",
                                                "rng_seed = -3"))
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(cfg)
-        assert info.value.stage == "simulate"
+        assert info.value.stage == "config"
         assert isinstance(info.value.cause, InvalidScene)
         assert "rng_seed must be a non-negative integer" in str(info.value)
+        assert not out.exists()
 
     def test_non_finite_input_stack(self, tmp_path):
         raw = tmp_path / "raw.tgs"
@@ -975,6 +1026,53 @@ directory = {tmp_path / "out"}
         assert "being read" in result.stderr
         assert file_sha256(stack) == digest
 
+    @pytest.mark.parametrize("damage, error", [
+        ("magic", BadMagic), ("truncated", TruncatedFile),
+        ("missing", FileNotFoundError)])
+    def test_bad_input_header_stops_at_config(self, tmp_path, damage, error):
+        # the input was opened at stage simulate
+        raw = tmp_path / "raw.tgs"
+        simulate_raw(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"),
+                     raw)
+        if damage == "magic":
+            raw.write_bytes(b"TGS2" + raw.read_bytes()[4:])
+        elif damage == "truncated":
+            raw.write_bytes(raw.read_bytes()[:-4])
+        else:
+            raw.unlink()
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
+                       f"[input]\nstack = {raw}\n\n"
+                       f"[output]\ndirectory = {out}\n")
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, error)
+        assert not out.exists()
+
+    def test_input_changed_after_it_was_planned(self, tmp_path):
+        # the plan's timing came from the header of the file as it was
+        raw = tmp_path / "raw.tgs"
+        simulate_raw(write_run_config(tmp_path / "sim.cfg", tmp_path / "sim"),
+                     raw)
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[code]\nkind = ls\nn_bit = 31\n\n"
+                       f"[input]\nstack = {raw}\n\n"
+                       f"[output]\ndirectory = {out}\n")
+        planned = plan(cfg)
+        assert planned.input.file.size == raw.stat().st_size
+        touch_file(raw, "rewritten")
+        with pytest.raises(PipelineStageError) as info:
+            execute(planned)
+        assert info.value.stage == "simulate"
+        assert isinstance(info.value.cause, StackChanged)
+        assert not out.exists()
+        # planned again, it runs
+        execute(plan(cfg))
+        assert (out / "manifest.json").is_file()
+
     def test_input_stack_without_timing_metadata(self, tmp_path):
         # neither [timing] nor the stack's metadata gives t_bit
         stack = tmp_path / "bare.tgs"
@@ -988,6 +1086,65 @@ directory = {tmp_path / "out"}
         assert info.value.stage == "config"
         assert isinstance(info.value.cause, TimingMismatch)
         assert not (tmp_path / "out").exists()
+
+
+# An LS7 run config small enough to plan in a millisecond, by section
+PLAN_BASE = {
+    "code": {"kind": "ls", "n_bit": "7", "modified": "ls_plus"},
+    "timing": {"t_bit": "1", "fps": "2", "n_per": "2"},
+    "excitation": {"amplitude": "1.0"},
+    "compression": {"normalization": "per_length", "single_period": "false",
+                    "decimate": "false"},
+    "scene": {"nx": "4", "ny": "4", "noise_sigma": "0.1", "rng_seed": "7"},
+    "background": {"diffusivity": "1e-6", "amplitude_scale": "1.0"},
+    "defect.one": {"x0": "0", "y0": "0", "width": "1", "height": "1",
+                   "depth": "0.001", "reflection": "0.9"},
+    "output": {"slices": "1.0", "pixels": "0x0"},
+}
+PLAN_KEYS = [(name, key) for name, keys in PLAN_BASE.items() for key in keys]
+# Text that parses to no value, to one out of range or to a valid one;
+# none spells a size large enough to be slow to plan
+BAD_TOKENS = ["", " ", "-3", "-1", "0", "1", "1.5", "nan", "inf", "-inf",
+              "1e308", "-1e308", "1e-320", "1e400", "1e9", "thirty", "4%",
+              "true", "mls", "ls4_plus", "mls_plus", "0x10", "1,2", "9x9"]
+
+
+class TestPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(fps=st.integers(1, 4), nx=st.integers(1, 4), ny=st.integers(1, 4),
+           bad=st.lists(st.tuples(st.sampled_from(PLAN_KEYS),
+                                  st.sampled_from(BAD_TOKENS)), max_size=2))
+    # values that a stage after config refused, after writing artifacts
+    @example(fps=2, nx=4, ny=4, bad=[(("scene", "rng_seed"), "-3")])
+    @example(fps=2, nx=4, ny=4, bad=[(("code", "n_bit"), "thirty"),
+                                     (("code", "kind"), "mls")])
+    @example(fps=1, nx=1, ny=1, bad=[(("background", "diffusivity"),
+                                      "1e-320")])
+    def test_a_plan_is_made_or_stops_at_config(self, tmp_path_factory, fps,
+                                               nx, ny, bad):
+        # a run config with up to two values replaced: plan returns, or
+        # raises a typed error at stage config, and writes nothing
+        sections = {name: dict(keys) for name, keys in PLAN_BASE.items()}
+        sections["timing"]["fps"] = str(fps)
+        sections["scene"].update(nx=str(nx), ny=str(ny))
+        for (name, key), token in bad:
+            sections[name][key] = token
+        work = tmp_path_factory.mktemp("plan")
+        out = work / "out"
+        sections["output"]["directory"] = str(out)
+        (work / "run.cfg").write_text("".join(
+            f"[{name}]\n" + "".join(f"{key} = {value}\n"
+                                    for key, value in keys.items()) + "\n"
+            for name, keys in sections.items()))
+        try:
+            planned = plan(work / "run.cfg")
+        except PipelineStageError as exc:
+            assert exc.stage == "config"
+            assert isinstance(exc.cause, PnPuctError), repr(exc.cause)
+        else:
+            assert isinstance(planned, Plan)
+            assert planned.scene.nx == int(sections["scene"]["nx"])
+        assert os.listdir(work) == ["run.cfg"]
 
 
 class TestCli:
@@ -1641,6 +1798,14 @@ class TestReadmeConfigs:
             "single_period", "decimate", "decimate_average"))
         assert dict(parser["output"]) == {
             "directory": "out", "slices": "0.5, 6.0", "pixels": "8x8, 2x3"}
-        excitation, modified = generate_codes(plan(blocks[1]).code)
+        # the run block plans with the scene block as its scene
+        both = blocks[1].with_name("both.cfg")
+        both.write_text(blocks[1].read_text(encoding="utf-8")
+                        + blocks[0].read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        run = plan(both)
+        excitation, modified = run.codes
         assert excitation.n_bit == modified.n_bit == 31
         assert modified.is_modified
+        assert run.timing.k == 40
+        assert run.scene == load_scene_config(blocks[0])

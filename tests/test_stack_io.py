@@ -50,7 +50,8 @@ from pnpuct import (
     write_stack,
 )
 import pnpuct.stack
-from pnpuct.stack import check_stored, chunks, drops_pages, frame_at
+from pnpuct.stack import (check_stored, chunks, drops_pages, frame_at,
+                          read_header)
 from pipeline_helpers import resident_kib
 
 
@@ -419,6 +420,44 @@ class TestOpenStack:
         expected = read_stack(path).pixel_trace(jx, jy)
         assert trace.dtype == expected.dtype == np.float64
         assert trace.tobytes() == expected.tobytes()
+
+
+class TestReadHeader:
+    """The header cases of TestRoundTrip, through read_header."""
+
+    read = staticmethod(read_header)
+    test_bad_magic = TestRoundTrip.test_bad_magic
+    test_empty_file_is_bad_magic = TestRoundTrip.test_empty_file_is_bad_magic
+    test_truncated = TestRoundTrip.test_truncated
+    test_metadata_past_the_end_is_truncated = (
+        TestRoundTrip.test_metadata_past_the_end_is_truncated)
+    test_trailing_bytes_rejected = TestRoundTrip.test_trailing_bytes_rejected
+    test_exact_fps_from_timing_metadata = (
+        TestRoundTrip.test_exact_fps_from_timing_metadata)
+    test_bad_header_fps_rejected = TestRoundTrip.test_bad_header_fps_rejected
+    test_non_utf8_metadata_is_bad_header = (
+        TestRoundTrip.test_non_utf8_metadata_is_bad_header)
+    test_line_breaks_other_than_newline_round_trip = (
+        TestRoundTrip.test_line_breaks_other_than_newline_round_trip)
+
+    def test_header_of_the_stack_open_stack_maps(self, tmp_path):
+        path = tmp_path / "s.tgs"
+        write_stack(small_stack(metadata={"k": "2", "t_bit": "0.05"}), path)
+        header, stack = read_header(path), open_stack(path)
+        assert header == (stack.file, stack.data.shape, stack.fps,
+                          stack.metadata)
+        assert header.file.path == str(path)
+
+    def test_no_frame_is_read(self, tmp_path):
+        # a NaN sample is open_stack's to find
+        path = tmp_path / "nan.tgs"
+        write_stack(small_stack(), path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        assert read_header(path).shape == (5, 3, 4)
+        with pytest.raises(NonFiniteData):
+            open_stack(path)
 
 
 class TestWriteStack:

@@ -35,6 +35,7 @@ from pnpuct import (
 )
 import pnpuct.stack
 from pnpuct import thermal
+from pnpuct.thermal import MIN_SCALE
 from pnpuct.waveform import MAX_SCALE
 from fd_oracle import fd_impulse_response
 from pipeline_helpers import file_resident_kib, resident_kib
@@ -191,6 +192,46 @@ class TestImpulseResponse:
                       PixelModel(1e-6, 1e-5, 1.0, big)):
             assert np.isfinite(respond(
                 impulse_response(model, timing, wave.duration), wave)).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fields", [
+        # invalid values in the image series' products
+        {"diffusivity": 1e-320, "defect_depth": 1e-3,
+         "reflection_coeff": 0.9},
+        {"diffusivity": np.nextafter(MIN_SCALE, 0), "defect_depth": 1e-3,
+         "reflection_coeff": 1.0},
+        # OverflowError from the mode series' (pi / d)^2
+        {"defect_depth": 1e-160, "reflection_coeff": 1.0},
+        {"defect_depth": np.nextafter(MIN_SCALE, 0), "reflection_coeff": 0.9},
+        # OverflowError from the image series' (m d)^2
+        {"defect_depth": 1e200, "reflection_coeff": 0.9},
+        {"defect_depth": np.nextafter(MAX_SCALE, np.inf),
+         "reflection_coeff": -0.5},
+    ], ids=["alpha-1e-320", "alpha-below", "depth-1e-160", "depth-below",
+            "depth-1e200", "depth-above"])
+    def test_scale_beyond_its_bound_rejected(self, fields):
+        # each passed the check, positive and finite, and its response
+        # raised (under -W error) where the bound now refuses the model
+        model = {"diffusivity": 1e-6, **fields}
+        with pytest.raises(InvalidScene,
+                           match="at least 1.1754944e-38 and at most "
+                                 "3.4028235e"):
+            PixelModel(**model)
+
+    @pytest.mark.filterwarnings("error")
+    def test_lower_bounds_keep_the_series_finite(self):
+        # every corner of the diffusivity and depth bounds, through the
+        # image series (R < 1) and the mode series (R = 1), at unit and
+        # the largest amplitude scale
+        timing = Timing(t_bit=1.0, fps=10.0)
+        for alpha, depth in [(MIN_SCALE, MIN_SCALE), (MIN_SCALE, MAX_SCALE),
+                             (MAX_SCALE, MIN_SCALE), (MAX_SCALE, MAX_SCALE),
+                             (MIN_SCALE, 1e-5), (1e-6, MIN_SCALE)]:
+            for r in (-0.9, 0.9, 1.0):
+                for scale in (1.0, MAX_SCALE):
+                    model = PixelModel(alpha, depth, r, scale)
+                    assert np.isfinite(
+                        impulse_response(model, timing, 10.0)).all(), model
 
     @pytest.mark.parametrize("fields", [
         {"diffusivity": np.nan},
@@ -495,6 +536,14 @@ class TestSimulateStack:
     def test_negative_origin_or_empty_grid(self, build, match):
         with pytest.raises(InvalidScene, match=match):
             build()
+
+    @pytest.mark.parametrize("nx, ny", [(2 ** 32, 1), (1, 10 ** 22)],
+                             ids=["nx-2^32", "ny-1e22"])
+    def test_grid_beyond_tgs1_rejected_before_its_map(self, nx, ny):
+        # the label map of (1, 2^32) pixels asked 32 GiB, and ny = 1e22 a
+        # bare ValueError; TGS1 stores nx and ny as uint32
+        with pytest.raises(InvalidScene, match=r"at most 2\^32 - 1 a side"):
+            SceneConfig(nx=nx, ny=ny, background=SOUND)
 
     @pytest.mark.parametrize("region, grid", [
         ({"width": 1.5}, {}),
